@@ -54,9 +54,11 @@ pub struct Cpu {
     topology: std::sync::Arc<CpuTopology>,
     freq_hz: u64,
     cluster: ClusterKind,
-    governor: Option<SchedutilState>,
+    /// The schedutil state and the trailing busy window it reads. Pinned
+    /// cores have neither: they never tick, so nothing would read (or
+    /// drain) a window recorded for them.
+    governor: Option<(SchedutilState, UtilWindow)>,
     busy_until: SimTime,
-    util: UtilWindow,
     // Statistics.
     total_cycles: u64,
     busy_time: SimDuration,
@@ -96,20 +98,16 @@ impl Cpu {
             }
             GovernorPolicy::Schedutil(params) => {
                 let state = SchedutilState::new(params, &topology);
-                (state.freq_hz(), state.cluster(), Some(state))
+                let window = UtilWindow::new(state.update_period() * 2);
+                (state.freq_hz(), state.cluster(), Some((state, window)))
             }
         };
-        let util_window = governor
-            .as_ref()
-            .map(|g| g.update_period() * 2)
-            .unwrap_or(SimDuration::from_millis(20));
         Cpu {
             topology,
             freq_hz,
             cluster,
             governor,
             busy_until: SimTime::ZERO,
-            util: UtilWindow::new(util_window),
             total_cycles: 0,
             busy_time: SimDuration::ZERO,
             ops: 0,
@@ -201,7 +199,9 @@ impl Cpu {
         let dur = self.cycles_to_duration_cached(cycles);
         let end = start + dur;
         self.busy_until = end;
-        self.util.record_busy(start, end, ready);
+        if let Some((_, util)) = self.governor.as_mut() {
+            util.record_busy(start, end, ready);
+        }
         self.total_cycles += cycles;
         // Address-compare first: category tags are `&'static str` literals,
         // so after LTO the same tag is the same pointer and the scan is a
@@ -258,11 +258,6 @@ impl Cpu {
         dur
     }
 
-    /// Trailing-window utilisation at `now` (also what the governor sees).
-    pub fn utilization(&mut self, now: SimTime) -> f64 {
-        self.util.utilization(now)
-    }
-
     /// Cumulative busy time (for long-horizon utilisation measurements).
     pub fn busy_time(&self) -> SimDuration {
         self.busy_time
@@ -284,8 +279,8 @@ impl Cpu {
     /// No-op for Fixed policies. Returns the next tick's due time, or `None`
     /// if the policy is fixed (no ticks needed).
     pub fn governor_tick(&mut self, now: SimTime) -> Option<SimTime> {
-        let util = self.util.utilization(now);
-        let governor = self.governor.as_mut()?;
+        let (governor, util) = self.governor.as_mut()?;
+        let util = util.utilization(now);
         let old_freq = self.freq_hz;
         let old_cluster = governor.cluster();
         let new_freq = governor.update(util, &self.topology);
@@ -399,16 +394,6 @@ mod tests {
         let mut cpu = fixed_cpu(3);
         let done = cpu.execute(SimTime::ZERO, 1);
         assert_eq!(done.as_nanos(), 333_333_334);
-    }
-
-    #[test]
-    fn utilization_reflects_load() {
-        let mut cpu = fixed_cpu(1_000_000_000);
-        // 10 ms of work in a 20 ms window = 50%… but the window is trailing:
-        // do 10 ms of work then ask at t=20 ms.
-        cpu.execute(SimTime::ZERO, 10_000_000); // 10 ms at 1 GHz
-        let util = cpu.utilization(SimTime::from_millis(20));
-        assert!((util - 0.5).abs() < 0.01, "util {util}");
     }
 
     #[test]

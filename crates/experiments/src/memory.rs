@@ -15,10 +15,10 @@
 use crate::checks::ShapeCheck;
 use crate::params::{Params, STRIDE_SWEEP};
 use crate::table::{Cell, ResultTable};
-use crate::Experiment;
+use crate::{run_specs, Experiment};
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use tcp_sim::StackSim;
+use iperf::RunSpec;
 
 /// Connections, matching the paper's §7.1.1 setup.
 pub const CONNS: usize = 20;
@@ -26,16 +26,27 @@ pub const CONNS: usize = 20;
 /// Run the memory-usage probe. (Single-seed per stride: peak memory is a
 /// maximum, not a mean, and the workload is deterministic.)
 pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+    let specs = STRIDE_SWEEP
+        .iter()
+        .map(|&stride| {
+            RunSpec::new(
+                format!("MEM stride {stride}x"),
+                params.pixel4_stride(CpuConfig::LowEnd, CcKind::Bbr, CONNS, stride),
+                1,
+            )
+        })
+        .collect();
+    let reports = run_specs(params, specs)?;
+
     let mut table = ResultTable::new(vec!["Pacing Stride", "Peak memory (KB)", "Goodput (Mbps)"]);
     let mut peaks = Vec::new();
-    for &stride in &STRIDE_SWEEP {
-        let cfg = params.pixel4_stride(CpuConfig::LowEnd, CcKind::Bbr, CONNS, stride);
-        let res = StackSim::new(cfg).run();
+    for (&stride, report) in STRIDE_SWEEP.iter().zip(&reports) {
+        let res = &report.seeds[0];
         peaks.push(res.peak_mem_bytes as f64 / 1e3);
         table.push_row(vec![
             format!("{stride}x").into(),
             Cell::Prec(res.peak_mem_bytes as f64 / 1e3, 0),
-            res.goodput_mbps().into(),
+            res.goodput_mbps.into(),
         ]);
     }
 
@@ -62,6 +73,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcp_sim::StackSim;
 
     #[test]
     fn smoke_runs() {
@@ -70,6 +82,30 @@ mod tests {
         assert!(
             exp.table.num_at(0, 1).unwrap() > 0.0,
             "memory proxy is populated"
+        );
+    }
+
+    /// The sweep-engine port changes no table byte: every row equals what a
+    /// direct simulation of that stride's config reports.
+    #[test]
+    fn table_matches_direct_simulation() {
+        let params = Params::smoke();
+        let exp = run(&params).expect("experiment completes");
+        let mut direct =
+            ResultTable::new(vec!["Pacing Stride", "Peak memory (KB)", "Goodput (Mbps)"]);
+        for &stride in &STRIDE_SWEEP {
+            let cfg = params.pixel4_stride(CpuConfig::LowEnd, CcKind::Bbr, CONNS, stride);
+            let res = StackSim::new(cfg).run();
+            direct.push_row(vec![
+                format!("{stride}x").into(),
+                Cell::Prec(res.peak_mem_bytes as f64 / 1e3, 0),
+                res.goodput_mbps().into(),
+            ]);
+        }
+        assert_eq!(exp.table.render_text(), direct.render_text());
+        assert_eq!(
+            serde_json::to_string(&exp.table).unwrap(),
+            serde_json::to_string(&direct).unwrap()
         );
     }
 }

@@ -58,6 +58,13 @@ pub struct SeedResult {
     /// runs). In the FAIRNESS experiment's two-device duels device 0 is
     /// the BBR-variant contender, so this is its bandwidth share.
     pub fleet_dev0_share: f64,
+    /// Peak memory-footprint proxy summed over connections, bytes
+    /// (scoreboard + device backlog; §7.1.1's RAM question). Carried for
+    /// the MEM experiment through the run cache's binary codec only: it is
+    /// kept out of the JSON form so serialized reports, and every digest
+    /// taken over them, keep the bytes they had before the field existed.
+    #[serde(skip_serializing)]
+    pub peak_mem_bytes: u64,
 }
 
 impl SeedResult {
@@ -91,6 +98,7 @@ impl SeedResult {
                 .map_or(0.0, |f| f.pacing_penalty_fraction),
             fleet_shared_drops: res.fleet.as_ref().map_or(0, |f| f.shared_drops),
             fleet_dev0_share: res.fleet.as_ref().map_or(0.0, |f| f.dev0_share),
+            peak_mem_bytes: res.peak_mem_bytes,
         }
     }
 }
@@ -254,7 +262,18 @@ mod tests {
             fleet_penalty_fraction: 0.0,
             fleet_shared_drops: 0,
             fleet_dev0_share: 0.0,
+            peak_mem_bytes: 0,
         }
+    }
+
+    #[test]
+    fn json_form_omits_peak_mem_bytes() {
+        let mut seed = seed_result(1, 100.0, 1.0, 0);
+        seed.peak_mem_bytes = 123_456_789;
+        let json = serde_json::to_string(&seed).unwrap();
+        assert!(json.contains("\"fleet_dev0_share\""), "{json}");
+        assert!(!json.contains("peak_mem_bytes"), "{json}");
+        assert!(!json.contains("123456789"), "{json}");
     }
 
     #[test]

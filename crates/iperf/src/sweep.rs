@@ -22,6 +22,9 @@ use sim_core::SimRng;
 use std::sync::Arc;
 use tcp_sim::{SimConfig, StackSim};
 
+/// Encoded [`SeedResult`] size: 24 little-endian 8-byte words.
+const CODEC_BYTES: usize = 24 * 8;
+
 /// One (configuration, seed) simulation in a sweep.
 pub struct SeedCell {
     /// The owning spec's display label.
@@ -54,10 +57,10 @@ impl SweepCell for SeedCell {
     }
 
     fn encode(output: &SeedResult) -> Option<Vec<u8>> {
-        // 23 × 8-byte little-endian words. Bumping the width invalidates
-        // cache entries written by older binaries: `decode` rejects them by
-        // length and the engine recomputes — a safe, silent migration.
-        let mut buf = Vec::with_capacity(184);
+        // Bumping the width invalidates cache entries written by older
+        // binaries: `decode` rejects them by length and the engine
+        // recomputes — a safe, silent migration.
+        let mut buf = Vec::with_capacity(CODEC_BYTES);
         buf.extend_from_slice(&output.seed.to_le_bytes());
         buf.extend_from_slice(&output.goodput_mbps.to_le_bytes());
         buf.extend_from_slice(&output.mean_rtt_ms.to_le_bytes());
@@ -81,11 +84,13 @@ impl SweepCell for SeedCell {
         buf.extend_from_slice(&output.fleet_penalty_fraction.to_le_bytes());
         buf.extend_from_slice(&output.fleet_shared_drops.to_le_bytes());
         buf.extend_from_slice(&output.fleet_dev0_share.to_le_bytes());
+        buf.extend_from_slice(&output.peak_mem_bytes.to_le_bytes());
+        debug_assert_eq!(buf.len(), CODEC_BYTES);
         Some(buf)
     }
 
     fn decode(bytes: &[u8]) -> Option<SeedResult> {
-        if bytes.len() != 184 {
+        if bytes.len() != CODEC_BYTES {
             return None;
         }
         let u = |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().unwrap());
@@ -114,6 +119,7 @@ impl SweepCell for SeedCell {
             fleet_penalty_fraction: f(20),
             fleet_shared_drops: u(21),
             fleet_dev0_share: f(22),
+            peak_mem_bytes: u(23),
         })
     }
 
@@ -246,9 +252,10 @@ mod tests {
             fleet_penalty_fraction: 0.375,
             fleet_shared_drops: 4242,
             fleet_dev0_share: 0.6875,
+            peak_mem_bytes: 3_141_592,
         };
         let bytes = SeedCell::encode(&original).unwrap();
-        assert_eq!(bytes.len(), 184);
+        assert_eq!(bytes.len(), 192);
         let decoded = SeedCell::decode(&bytes).unwrap();
         assert_eq!(decoded.seed, original.seed);
         assert_eq!(
@@ -268,12 +275,13 @@ mod tests {
             decoded.fleet_dev0_share.to_bits(),
             original.fleet_dev0_share.to_bits()
         );
+        assert_eq!(decoded.peak_mem_bytes, original.peak_mem_bytes);
         assert!(
-            SeedCell::decode(&bytes[..183]).is_none(),
+            SeedCell::decode(&bytes[..191]).is_none(),
             "short buffer rejected"
         );
         assert!(
-            SeedCell::decode(&bytes[..176]).is_none(),
+            SeedCell::decode(&bytes[..184]).is_none(),
             "pre-extension cache entries rejected (engine recomputes)"
         );
     }

@@ -1,4 +1,4 @@
-//! On-disk corruption tests for the sweep run cache and the 144-byte
+//! On-disk corruption tests for the sweep run cache and the 192-byte
 //! `SeedResult` codec.
 //!
 //! The cache is best-effort: any damaged entry — truncated file, flipped
@@ -95,25 +95,35 @@ fn truncated_entry_recomputes_identically() {
 }
 
 #[test]
-fn stale_80_byte_payload_in_valid_envelope_recomputes() {
+fn stale_payload_widths_in_valid_envelope_recompute() {
     let dir = temp_cache("stale");
     let cold = run_once(&dir, "stale");
-
-    // Craft a *checksum-valid* envelope whose payload is the pre-extension
-    // 80-byte codec width: the envelope passes, `decode` rejects it by
-    // length, and the engine must recompute (stale-codec migration path).
     let entry = sole_entry(&dir);
-    let payload = vec![0u8; 80];
-    let mut file = Vec::new();
-    file.extend_from_slice(b"SWPC");
-    file.extend_from_slice(&1u32.to_le_bytes());
-    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file.extend_from_slice(&fnv64(&payload).to_le_bytes());
-    file.extend_from_slice(&payload);
-    std::fs::write(&entry, &file).unwrap();
+    let fresh = std::fs::read(&entry).unwrap();
 
-    let recomputed = run_once(&dir, "stale");
-    assert_eq!(recomputed, cold, "stale codec width must be recomputed");
+    // Craft a *checksum-valid* envelope whose payload has an older codec
+    // width — 80 bytes (the first codec) and 184 bytes (what every cache
+    // written before `peak_mem_bytes` holds): the envelope passes, `decode`
+    // rejects it by length, and the engine must recompute and rewrite
+    // (stale-codec migration path).
+    for width in [80usize, 184] {
+        let payload = vec![0u8; width];
+        let mut file = Vec::new();
+        file.extend_from_slice(b"SWPC");
+        file.extend_from_slice(&1u32.to_le_bytes());
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&fnv64(&payload).to_le_bytes());
+        file.extend_from_slice(&payload);
+        std::fs::write(&entry, &file).unwrap();
+
+        let recomputed = run_once(&dir, "stale");
+        assert_eq!(recomputed, cold, "stale {width}-byte payload recomputed");
+        assert_eq!(
+            std::fs::read(&entry).unwrap(),
+            fresh,
+            "stale {width}-byte entry rewritten at the current width"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -472,9 +472,7 @@ impl UtilWindow {
         // `utilization(q)` has `q >= now`, so anything ending at or before
         // `now - window` is invisible from here on (the same rule
         // `utilization` itself prunes by). Pruning here (not just in
-        // `utilization`) keeps the deque bounded even when nobody polls
-        // — fixed-frequency runs never tick the governor, and without this
-        // the deque grew for the whole run.
+        // `utilization`) keeps the deque bounded even when nobody polls.
         let horizon = now - self.window; // SimTime subtraction saturates
         while let Some(&(_, e)) = self.intervals.front() {
             if e <= horizon {

@@ -33,8 +33,10 @@
 //! The cache file name is 32 hex digits from two independent FNV-1a hashes
 //! of `key_bytes` (one plain, one with a tweaked offset basis), so
 //! accidental collisions require simultaneously colliding both streams.
-//! Entries are written atomically (temp file + rename) in a checksummed
-//! envelope:
+//! Both streams come from one pass over the key, made once per cell: the
+//! same digest addresses the checkpoint record, and its first stream is
+//! the RNG split label. Entries are written atomically (temp file +
+//! rename, no fsync — see below) in a checksummed envelope:
 //!
 //! ```text
 //! magic "SWPC" | version u32 LE | payload_len u64 LE | fnv64(payload) LE | payload
@@ -42,8 +44,11 @@
 //!
 //! A reader that finds a missing, truncated, mis-versioned, or
 //! checksum-mismatched entry silently recomputes the cell and rewrites the
-//! entry; a cache can never poison a sweep. Cells whose execution has side
-//! effects (e.g. pcap capture) opt out via [`SweepCell::cacheable`].
+//! entry; a cache can never poison a sweep. That validation is also why
+//! entries are not fsynced: the worst a crash can leave is an empty or
+//! tail-less file, which reads as corruption and costs one recompute.
+//! Cells whose execution has side effects (e.g. pcap capture) opt out via
+//! [`SweepCell::cacheable`].
 //!
 //! # Streaming, bounded memory, checkpoint, cancellation (engine v2)
 //!
@@ -119,13 +124,18 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// The 16-byte content digest of a cell key: two independent FNV-1a
-/// streams, big-endian. Its hex form is the cache file name; the raw bytes
-/// key checkpoint records.
-pub(crate) fn key_digest(key: &[u8]) -> [u8; 16] {
-    let a = fnv64(key);
+/// streams, big-endian, computed in one pass over the key. Its hex form is
+/// the cache file name; the raw bytes key checkpoint records; the first
+/// stream is [`fnv64`] of the key, the cell's RNG split label.
+fn key_digest(key: &[u8]) -> [u8; 16] {
+    let mut a = FNV_OFFSET;
     // Second stream: tweaked offset basis, so a collision must hold in two
     // unrelated hash states at once.
-    let b = fnv64_from(FNV_OFFSET ^ 0x5bd1_e995_9d1b_54a5, key);
+    let mut b = FNV_OFFSET ^ 0x5bd1_e995_9d1b_54a5;
+    for &byte in key {
+        a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
+        b = (b ^ byte as u64).wrapping_mul(FNV_PRIME);
+    }
     let mut digest = [0u8; 16];
     digest[..8].copy_from_slice(&a.to_be_bytes());
     digest[8..].copy_from_slice(&b.to_be_bytes());
@@ -464,13 +474,13 @@ impl<O> SweepReport<O> {
     }
 }
 
-/// Cache file path for a cell key: the 32 hex digits of [`key_digest`]
-/// (two independent FNV-1a streams; see module docs).
-fn cache_path(dir: &Path, key: &[u8]) -> PathBuf {
-    let digest = key_digest(key);
+/// Cache file path for a cell's [`key_digest`]: its 32 hex digits.
+fn cache_path(dir: &Path, digest: &[u8; 16]) -> PathBuf {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut name = String::with_capacity(36);
     for byte in digest {
-        name.push_str(&format!("{byte:02x}"));
+        name.push(HEX[(byte >> 4) as usize] as char);
+        name.push(HEX[(byte & 0xf) as usize] as char);
     }
     name.push_str(".bin");
     dir.join(name)
@@ -527,12 +537,15 @@ fn read_envelope(file: &mut std::fs::File) -> Option<Vec<u8>> {
     Some(payload)
 }
 
-/// Atomically persist a cache entry (temp file + rename).
+/// Atomically persist a cache entry (temp file + rename) into the
+/// directory [`run_sweep_streaming`] created when the sweep started.
+///
+/// Deliberately no `sync_all`: the rename keeps concurrent readers from
+/// ever seeing a partial file, and a crash that leaves an empty or
+/// tail-less file behind is caught by [`read_envelope`]'s length and
+/// checksum validation — the cell is recomputed and the entry rewritten.
+/// Durability would buy nothing a recompute does not, at ~1 ms per cell.
 fn cache_write(path: &Path, payload: &[u8]) {
-    let Some(dir) = path.parent() else { return };
-    if std::fs::create_dir_all(dir).is_err() {
-        return; // cache is best-effort; never fail the sweep
-    }
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     let ok = (|| {
         let mut f = std::fs::File::create(&tmp).ok()?;
@@ -540,11 +553,10 @@ fn cache_write(path: &Path, payload: &[u8]) {
         f.write_all(&CACHE_VERSION.to_le_bytes()).ok()?;
         f.write_all(&(payload.len() as u64).to_le_bytes()).ok()?;
         f.write_all(&fnv64(payload).to_le_bytes()).ok()?;
-        f.write_all(payload).ok()?;
-        f.sync_all().ok()?;
-        Some(())
+        f.write_all(payload).ok()
     })()
     .is_some();
+    // The cache is best-effort; a failed write never fails the sweep.
     if !ok || std::fs::rename(&tmp, path).is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
@@ -565,15 +577,14 @@ fn run_cell<C: SweepCell>(
     opts: &SweepOptions,
     ckpt: Option<&CheckpointShared>,
 ) -> (C::Output, CacheState) {
-    let key = cell.key_bytes();
-    let ckpt = match ckpt {
-        Some(shared) if cell.resumable() => Some((shared, key_digest(&key))),
-        _ => None,
-    };
+    // The key is hashed once: the digest addresses the checkpoint record
+    // and the cache file, and its first stream seeds the RNG on a miss.
+    let digest = key_digest(&cell.key_bytes());
+    let ckpt = ckpt.filter(|_| cell.resumable());
     // Checkpoint first: it is in-memory after load, and on a resumed
     // cache-less run it is the only store that has the cell.
-    if let Some((shared, digest)) = &ckpt {
-        if let Some(payload) = shared.store.lock().unwrap().take(digest) {
+    if let Some(shared) = ckpt {
+        if let Some(payload) = shared.store.lock().unwrap().take(&digest) {
             if let Some(output) = C::decode(&payload) {
                 return (output, CacheState::Checkpoint);
             }
@@ -581,7 +592,7 @@ fn run_cell<C: SweepCell>(
         }
     }
     let cache_file = match (&opts.cache_dir, cell.cacheable()) {
-        (Some(dir), true) => Some(cache_path(dir, &key)),
+        (Some(dir), true) => Some(cache_path(dir, &digest)),
         _ => None,
     };
     let mut state = if cache_file.is_some() {
@@ -600,19 +611,16 @@ fn run_cell<C: SweepCell>(
             CacheProbe::Absent => {}
         }
     }
-    let rng = SimRng::new(opts.root_seed).split(fnv64(&key));
-    let output = cell.run(rng);
-    if let Some(path) = &cache_file {
+    let label = u64::from_be_bytes(digest[..8].try_into().expect("8 of 16 bytes"));
+    let output = cell.run(SimRng::new(opts.root_seed).split(label));
+    if cache_file.is_some() || ckpt.is_some() {
         if let Some(payload) = C::encode(&output) {
-            cache_write(path, &payload);
-        }
-    }
-    if let Some((shared, digest)) = &ckpt {
-        if let Some(payload) = C::encode(&output) {
-            if let Err(e) = shared.store.lock().unwrap().append(digest, &payload) {
-                let mut failed = shared.failed.lock().unwrap();
-                if failed.is_none() {
-                    *failed = Some(e);
+            if let Some(path) = &cache_file {
+                cache_write(path, &payload);
+            }
+            if let Some(shared) = ckpt {
+                if let Err(e) = shared.store.lock().unwrap().append(&digest, &payload) {
+                    shared.failed.lock().unwrap().get_or_insert(e);
                 }
             }
         }
@@ -756,6 +764,11 @@ pub fn run_sweep_streaming<C: SweepCell>(
     let window = opts.effective_inflight();
     let done = AtomicUsize::new(0);
 
+    if let Some(dir) = &opts.cache_dir {
+        // Once per sweep, not per entry; if it fails every write fails
+        // too, and the cache is best-effort.
+        let _ = std::fs::create_dir_all(dir);
+    }
     let ckpt = match &opts.checkpoint {
         Some(path) => Some(CheckpointShared {
             store: Mutex::new(CheckpointStore::open(path, opts.root_seed)?),
@@ -1011,6 +1024,27 @@ mod tests {
         dir
     }
 
+    /// The one-pass digest must stay the two documented streams: its first
+    /// half is the public [`fnv64`] (the RNG split label callers can
+    /// reproduce out of band), and both halves name existing cache files.
+    #[test]
+    fn key_digest_is_the_two_fnv_streams() {
+        for key in [&b""[..], b"k", b"toy:17", &[0xff; 300]] {
+            let digest = key_digest(key);
+            assert_eq!(digest[..8], fnv64(key).to_be_bytes());
+            assert_eq!(
+                digest[8..],
+                fnv64_from(FNV_OFFSET ^ 0x5bd1_e995_9d1b_54a5, key).to_be_bytes()
+            );
+        }
+        let digest = key_digest(b"toy:17");
+        let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            cache_path(Path::new("d"), &digest),
+            Path::new("d").join(hex + ".bin")
+        );
+    }
+
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
         let cells = toy_cells(40);
@@ -1093,7 +1127,7 @@ mod tests {
         };
         let cold = run_sweep(&cells, &opts);
 
-        let entry = cache_path(&dir, &cells[0].key_bytes());
+        let entry = cache_path(&dir, &key_digest(&cells[0].key_bytes()));
         assert!(entry.exists(), "cache entry should exist after cold run");
 
         // Flip a payload byte: checksum mismatch.
@@ -1115,6 +1149,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Entries are written without an fsync, so a crash can leave an empty
+    /// or tail-less file under the final name. Every such shape must read
+    /// as corruption, be recomputed, and be rewritten whole.
     #[test]
     fn truncated_entry_is_discarded_and_recomputed() {
         let dir = temp_dir("truncated");
@@ -1125,16 +1162,24 @@ mod tests {
         };
         let cold = run_sweep(&cells, &opts);
 
-        let entry = cache_path(&dir, &cells[0].key_bytes());
+        let entry = cache_path(&dir, &key_digest(&cells[0].key_bytes()));
         let bytes = std::fs::read(&entry).unwrap();
-        for cut in [0, 3, 10, bytes.len() - 1] {
+        for cut in [0, 3, 10, 24, bytes.len() - 1] {
             std::fs::write(&entry, &bytes[..cut]).unwrap();
             let rerun = run_sweep(&cells, &opts);
-            assert_eq!(rerun.cache_hits(), 0, "truncated at {cut} must miss");
+            assert_eq!(
+                rerun.cells[0].state,
+                CacheState::MissCorrupt,
+                "truncated at {cut} must read as corruption"
+            );
             assert_eq!(rerun.outputs, cold.outputs);
-            // Each recompute rewrites the entry; restore the truncation for
-            // the next iteration via the loop's write above.
+            assert_eq!(
+                std::fs::read(&entry).unwrap(),
+                bytes,
+                "truncated at {cut}: the recompute rewrites the whole entry"
+            );
         }
+        assert_eq!(run_sweep(&cells, &opts).cache_hits(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1147,7 +1192,7 @@ mod tests {
             ..SweepOptions::serial(5)
         };
         run_sweep(&cells, &opts);
-        let entry = cache_path(&dir, &cells[0].key_bytes());
+        let entry = cache_path(&dir, &key_digest(&cells[0].key_bytes()));
         let good = std::fs::read(&entry).unwrap();
 
         // Trailing garbage beyond the declared payload length.

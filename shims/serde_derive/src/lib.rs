@@ -5,7 +5,8 @@
 //! non-generic named-field structs, tuple structs, unit structs, and enums
 //! with unit/tuple/struct variants, plus the container-level
 //! `#[serde(untagged)]` attribute and the field-level
-//! `#[serde(skip_serializing_if = "path")]` attribute. Anything else
+//! `#[serde(skip_serializing)]` and
+//! `#[serde(skip_serializing_if = "path")]` attributes. Anything else
 //! panics at compile time with a clear message rather than silently
 //! mis-serializing.
 
@@ -89,10 +90,20 @@ fn skip_attrs(tokens: &[TokenTree], idx: &mut usize) -> bool {
     untagged
 }
 
-/// Skip a run of field-level attributes; return the predicate path if one
-/// of them was `#[serde(skip_serializing_if = "path")]`.
-fn skip_field_attrs(tokens: &[TokenTree], idx: &mut usize) -> Option<String> {
-    let mut skip_if = None;
+/// What a field's `#[serde(...)]` attribute asks of the serializer.
+enum FieldAttr {
+    /// No serde attribute: always emit the key.
+    Emit,
+    /// `#[serde(skip_serializing)]`: never emit the key.
+    Skip,
+    /// `#[serde(skip_serializing_if = "path")]`: omit when `path` is true.
+    SkipIf(String),
+}
+
+/// Skip a run of field-level attributes; return what the `#[serde(...)]`
+/// one among them, if any, asked for.
+fn skip_field_attrs(tokens: &[TokenTree], idx: &mut usize) -> FieldAttr {
+    let mut attr = FieldAttr::Emit;
     while let Some(TokenTree::Punct(p)) = tokens.get(*idx) {
         if p.as_char() != '#' {
             break;
@@ -102,7 +113,7 @@ fn skip_field_attrs(tokens: &[TokenTree], idx: &mut usize) -> Option<String> {
             if let Some(TokenTree::Ident(name)) = inner.first() {
                 if name.to_string() == "serde" {
                     if let Some(TokenTree::Group(args)) = inner.get(1) {
-                        skip_if = Some(parse_skip_serializing_if(args.stream()));
+                        attr = parse_field_attr(args.stream());
                     }
                 }
             }
@@ -111,25 +122,29 @@ fn skip_field_attrs(tokens: &[TokenTree], idx: &mut usize) -> Option<String> {
             break;
         }
     }
-    skip_if
+    attr
 }
 
-/// Parse `skip_serializing_if = "path"` — the only field-level serde
-/// attribute the shim implements — and return the bare predicate path.
-fn parse_skip_serializing_if(stream: TokenStream) -> String {
+/// Parse `skip_serializing` or `skip_serializing_if = "path"` — the only
+/// field-level serde attributes the shim implements.
+fn parse_field_attr(stream: TokenStream) -> FieldAttr {
     let args: Vec<TokenTree> = stream.clone().into_iter().collect();
     match (args.first(), args.get(1), args.get(2), args.len()) {
+        (Some(TokenTree::Ident(key)), None, None, 1) if key.to_string() == "skip_serializing" => {
+            FieldAttr::Skip
+        }
         (
             Some(TokenTree::Ident(key)),
             Some(TokenTree::Punct(eq)),
             Some(TokenTree::Literal(path)),
             3,
         ) if key.to_string() == "skip_serializing_if" && eq.as_char() == '=' => {
-            path.to_string().trim_matches('"').to_string()
+            FieldAttr::SkipIf(path.to_string().trim_matches('"').to_string())
         }
         _ => panic!(
             "serde_derive shim: unsupported field #[serde(...)] attribute (only \
-             `skip_serializing_if = \"...\"` is implemented): {stream}"
+             `skip_serializing` and `skip_serializing_if = \"...\"` are \
+             implemented): {stream}"
         ),
     }
 }
@@ -178,7 +193,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut idx = 0;
     let mut names = Vec::new();
     while idx < tokens.len() {
-        let skip_if = skip_field_attrs(&tokens, &mut idx);
+        let attr = skip_field_attrs(&tokens, &mut idx);
         skip_vis(&tokens, &mut idx);
         let name = match tokens.get(idx) {
             Some(TokenTree::Ident(i)) => i.to_string(),
@@ -206,6 +221,11 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             idx += 1;
         }
         idx += 1; // the comma (or past-the-end)
+        let skip_if = match attr {
+            FieldAttr::Skip => continue,
+            FieldAttr::SkipIf(pred) => Some(pred),
+            FieldAttr::Emit => None,
+        };
         names.push(Field { name, skip_if });
     }
     names
