@@ -131,7 +131,7 @@ impl Bbr {
     /// Stagger the PROBE_BW gain cycle's starting phase (the kernel
     /// randomises it so concurrent flows don't probe in lock-step; the
     /// iperf runner passes the flow index).
-    pub fn with_cycle_offset(mut self, offset: usize) -> Self {
+    pub(crate) fn with_cycle_offset(mut self, offset: usize) -> Self {
         self.cycle_idx = 2 + offset % (PACING_GAIN_CYCLE.len() - 2);
         self
     }

@@ -1,9 +1,9 @@
-//! BBR v2, per the IETF-104/105/106 iccrg presentations the paper cites
-//! ([12–14]) and the `tcp_bbr2` alpha the authors backported to the
-//! Pixel 6 kernel (§3.1).
+//! The BBRv2 family: one state machine, two tunings.
 //!
-//! v2 keeps v1's model (windowed-max bandwidth, windowed-min RTT, pacing at
-//! `gain × bw`) and adds **loss as a bounding signal**:
+//! v2 (the IETF-104/105/106 iccrg presentations the paper cites, [12–14],
+//! and the `tcp_bbr2` alpha the authors backported to the Pixel 6 kernel,
+//! §3.1) keeps v1's model (windowed-max bandwidth, windowed-min RTT, pacing
+//! at `gain × bw`) and adds **loss as a bounding signal**:
 //!
 //! * `inflight_hi` — an upper bound on inflight learned when a probe
 //!   experiences a loss rate above `LOSS_THRESH` (2 %);
@@ -17,6 +17,22 @@
 //! * PROBE_RTT visits every 5 s and clamps to `BDP/2` rather than 4
 //!   packets.
 //!
+//! v3 (the IETF-117/119 iccrg updates; Google's upstreamed successor) is
+//! the same skeleton, retuned where measurement found v2 mis-tuned. It is
+//! not part of the paper's matrix (see [`crate::CcKind::PAPER`]); it
+//! serves the follow-up question of the AQM/WiFi studies: does v3 fix v2's
+//! rough edges against Cubic and under FQ-CoDel? Every difference between
+//! the two is a field of the private `Tuning` table:
+//!
+//! | delta | v2 ([`Bbr2::new`]) | v3 ([`Bbr2::v3`]) | why v3 changed it (iccrg 117/119) |
+//! |---|---|---|---|
+//! | PROBE_DOWN pacing gain | 0.75 | 0.9 | v2 drained far more than one round's queue, giving away throughput every cycle |
+//! | ProbeBW cwnd gain | 2.0 | 2.25 | lets an UP probe actually fill the ceiling it raises |
+//! | CRUISE round cap | none (wall clock only) | 62 rounds (`bbr_bw_probe_max_rounds`) | short-RTT flows re-probe on a Reno/Cubic-comparable timescale instead of camping on a stale share |
+//! | loss response | β-cut of the ceiling on every loss event | once per recovery episode, `hi ← min(hi, max(measured, β·hi))` | per-event cuts compounded within one episode and undershot the real ceiling |
+//! | ProbeBW phase names | `probe_down`, … | `probe_bw_down`, … | how flight-data samples tell the variants apart |
+//! | `name()` / model cost | `"bbr2"` / 4500 cycles | `"bbr3"` / 4800 cycles | episode tracking and the round-cap check on top of v2's model |
+//!
 //! Faithfulness note (recorded in DESIGN.md): the full `tcp_bbr2.c` also
 //! maintains short-term `bw_lo`/`inflight_lo` bounds that relax each round;
 //! we fold that into a single multiplicative `BETA` cut of `inflight_hi`
@@ -28,7 +44,7 @@ use crate::{AckSample, CongestionControl, LossEvent, INIT_CWND, MIN_CWND};
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::units::Bandwidth;
 
-/// STARTUP pacing gain (v2 uses 2.77 rather than v1's 2.885).
+/// STARTUP pacing gain (the family uses 2.77 rather than v1's 2.885).
 const STARTUP_GAIN: f64 = 2.77;
 /// Loss rate that bounds a probe (2 %).
 const LOSS_THRESH: f64 = 0.02;
@@ -38,7 +54,7 @@ const BETA: f64 = 0.7;
 const HEADROOM: f64 = 0.85;
 /// Bandwidth filter window, in rounds.
 const BW_WINDOW_ROUNDS: u64 = 10;
-/// Min-RTT window (v2 probes RTT more often than v1).
+/// Min-RTT window (the family probes RTT more often than v1).
 const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(5);
 /// PROBE_RTT dwell.
 const PROBE_RTT_DURATION: SimDuration = SimDuration::from_millis(200);
@@ -49,7 +65,54 @@ const STARTUP_LOSS_ROUNDS: u32 = 3;
 /// Cap on the UP phase, in rounds.
 const PROBE_UP_ROUNDS: u64 = 4;
 
-/// v2 state machine modes.
+/// What a loss event does to the `inflight_hi` ceiling.
+enum LossResponse {
+    /// β-cut on every loss event (seeded at measured inflight).
+    PerEvent,
+    /// One adjustment per recovery episode, anchored at the inflight
+    /// measured at the loss and floored at β × ceiling.
+    PerEpisode,
+}
+
+/// Everything that distinguishes the family's members (module docs).
+struct Tuning {
+    name: &'static str,
+    probe_down_gain: f64,
+    probe_bw_cwnd_gain: f64,
+    /// CRUISE also ends after this many rounds, not only on wall clock.
+    cruise_max_rounds: Option<u64>,
+    loss_response: LossResponse,
+    /// `phase()` names of DOWN, CRUISE, REFILL, UP.
+    probe_phases: [&'static str; 4],
+    model_cost_cycles: u64,
+}
+
+const V2: Tuning = Tuning {
+    name: "bbr2",
+    probe_down_gain: 0.75,
+    probe_bw_cwnd_gain: 2.0,
+    cruise_max_rounds: None,
+    loss_response: LossResponse::PerEvent,
+    probe_phases: ["probe_down", "probe_cruise", "probe_refill", "probe_up"],
+    model_cost_cycles: 4_500,
+};
+
+const V3: Tuning = Tuning {
+    name: "bbr3",
+    probe_down_gain: 0.9,
+    probe_bw_cwnd_gain: 2.25,
+    cruise_max_rounds: Some(62),
+    loss_response: LossResponse::PerEpisode,
+    probe_phases: [
+        "probe_bw_down",
+        "probe_bw_cruise",
+        "probe_bw_refill",
+        "probe_bw_up",
+    ],
+    model_cost_cycles: 4_800,
+};
+
+/// State machine modes of the BBRv2 family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Exponential search.
@@ -68,8 +131,9 @@ pub enum Mode {
     ProbeRtt,
 }
 
-/// BBR v2.
+/// A BBRv2-family controller: v2 from [`Bbr2::new`], v3 from [`Bbr2::v3`].
 pub struct Bbr2 {
+    tuning: &'static Tuning,
     mss: u64,
     mode: Mode,
     // Model.
@@ -86,6 +150,8 @@ pub struct Bbr2 {
     startup_loss_rounds: u32,
     // Loss bounds.
     inflight_hi: u64,
+    /// Has the ceiling already been adjusted in this recovery episode?
+    loss_in_episode: bool,
     // Per-round loss accounting.
     round_lost: u64,
     round_delivered: u64,
@@ -93,6 +159,8 @@ pub struct Bbr2 {
     phase_stamp: SimTime,
     probe_wait: SimDuration,
     probe_up_rounds: u64,
+    /// Round count at CRUISE entry (for the round-bounded cruise exit).
+    cruise_round_mark: u64,
     // Probe RTT.
     probe_rtt_done_stamp: Option<SimTime>,
     // Outputs.
@@ -104,10 +172,20 @@ pub struct Bbr2 {
 }
 
 impl Bbr2 {
-    /// A fresh BBR2 instance for `mss`-byte segments.
+    /// A fresh BBR v2 instance for `mss`-byte segments.
     pub fn new(mss: u64) -> Self {
+        Self::with_tuning(&V2, mss)
+    }
+
+    /// A fresh BBR v3 instance for `mss`-byte segments.
+    pub fn v3(mss: u64) -> Self {
+        Self::with_tuning(&V3, mss)
+    }
+
+    fn with_tuning(tuning: &'static Tuning, mss: u64) -> Self {
         assert!(mss > 0, "mss must be positive");
         Bbr2 {
+            tuning,
             mss,
             mode: Mode::Startup,
             bw_filter: MaxFilter::new(BW_WINDOW_ROUNDS),
@@ -121,11 +199,13 @@ impl Bbr2 {
             full_bw_reached: false,
             startup_loss_rounds: 0,
             inflight_hi: u64::MAX,
+            loss_in_episode: false,
             round_lost: 0,
             round_delivered: 0,
             phase_stamp: SimTime::ZERO,
             probe_wait: BW_PROBE_WAIT_BASE,
             probe_up_rounds: 0,
+            cruise_round_mark: 0,
             probe_rtt_done_stamp: None,
             pacing_rate: Bandwidth::ZERO,
             cwnd: INIT_CWND,
@@ -137,7 +217,7 @@ impl Bbr2 {
 
     /// Stagger the probe schedule across flows (deterministic analogue of
     /// the kernel's randomised 2–3 s wait).
-    pub fn with_probe_offset(mut self, offset: usize) -> Self {
+    pub(crate) fn with_probe_offset(mut self, offset: usize) -> Self {
         let jitter_ms = (offset as u64 % 16) * 64; // 0..1024 ms
         self.probe_wait = BW_PROBE_WAIT_BASE + SimDuration::from_millis(jitter_ms);
         self
@@ -161,7 +241,7 @@ impl Bbr2 {
         match self.mode {
             Mode::Startup => STARTUP_GAIN,
             Mode::Drain => 1.0 / STARTUP_GAIN,
-            Mode::ProbeDown => 0.75,
+            Mode::ProbeDown => self.tuning.probe_down_gain,
             Mode::ProbeCruise | Mode::ProbeRefill => 1.0,
             Mode::ProbeUp => 1.25,
             Mode::ProbeRtt => 1.0,
@@ -172,7 +252,7 @@ impl Bbr2 {
         match self.mode {
             Mode::Startup | Mode::Drain => 2.0,
             Mode::ProbeRtt => 0.5,
-            _ => 2.0,
+            _ => self.tuning.probe_bw_cwnd_gain,
         }
     }
 
@@ -234,7 +314,7 @@ impl Bbr2 {
             } else {
                 self.full_bw_cnt += 1;
             }
-            // v2 addition: persistent-loss exit.
+            // Family addition over v1: persistent-loss exit.
             if self.round_loss_rate() >= LOSS_THRESH {
                 self.startup_loss_rounds += 1;
             } else {
@@ -268,10 +348,15 @@ impl Bbr2 {
                 let target = self.cruise_cap();
                 if sample.inflight <= target {
                     self.enter_phase(Mode::ProbeCruise, now);
+                    self.cruise_round_mark = self.round_count;
                 }
             }
             Mode::ProbeCruise => {
-                if now.saturating_since(self.phase_stamp) >= self.probe_wait {
+                let round_capped = self
+                    .tuning
+                    .cruise_max_rounds
+                    .is_some_and(|cap| self.round_count >= self.cruise_round_mark + cap);
+                if now.saturating_since(self.phase_stamp) >= self.probe_wait || round_capped {
                     self.enter_phase(Mode::ProbeRefill, now);
                     self.probe_up_rounds = self.round_count;
                 }
@@ -401,17 +486,17 @@ impl Bbr2 {
 
 impl CongestionControl for Bbr2 {
     fn name(&self) -> &'static str {
-        "bbr2"
+        self.tuning.name
     }
 
     fn phase(&self) -> &'static str {
         match self.mode {
             Mode::Startup => "startup",
             Mode::Drain => "drain",
-            Mode::ProbeDown => "probe_down",
-            Mode::ProbeCruise => "probe_cruise",
-            Mode::ProbeRefill => "probe_refill",
-            Mode::ProbeUp => "probe_up",
+            Mode::ProbeDown => self.tuning.probe_phases[0],
+            Mode::ProbeCruise => self.tuning.probe_phases[1],
+            Mode::ProbeRefill => self.tuning.probe_phases[2],
+            Mode::ProbeUp => self.tuning.probe_phases[3],
             Mode::ProbeRtt => "probe_rtt",
         }
     }
@@ -434,14 +519,32 @@ impl CongestionControl for Bbr2 {
             self.prior_cwnd = self.prior_cwnd.max(self.cwnd);
             self.in_recovery = true;
             self.packet_conservation = true;
+            self.loss_in_episode = false;
             self.cwnd = (event.inflight + 1).max(MIN_CWND);
         }
-        // v2 reacts to loss structurally: cut the ceiling.
-        if self.inflight_hi != u64::MAX {
-            self.inflight_hi = (((self.inflight_hi as f64) * BETA) as u64).max(MIN_CWND);
-        } else if self.full_bw_reached {
-            // First loss after startup seeds the ceiling at current inflight.
-            self.inflight_hi = event.inflight.max(MIN_CWND);
+        // The family reacts to loss structurally: adjust the ceiling.
+        let measured = event.inflight.max(MIN_CWND);
+        match self.tuning.loss_response {
+            LossResponse::PerEvent => {
+                if self.inflight_hi != u64::MAX {
+                    self.inflight_hi = (((self.inflight_hi as f64) * BETA) as u64).max(MIN_CWND);
+                } else if self.full_bw_reached {
+                    // First loss after startup seeds the ceiling.
+                    self.inflight_hi = measured;
+                }
+            }
+            LossResponse::PerEpisode => {
+                if !self.loss_in_episode && self.full_bw_reached {
+                    self.inflight_hi = if self.inflight_hi == u64::MAX {
+                        measured
+                    } else {
+                        self.inflight_hi
+                            .min(measured.max(((self.inflight_hi as f64) * BETA) as u64))
+                            .max(MIN_CWND)
+                    };
+                    self.loss_in_episode = true;
+                }
+            }
         }
     }
 
@@ -449,6 +552,7 @@ impl CongestionControl for Bbr2 {
         if self.in_recovery {
             self.in_recovery = false;
             self.packet_conservation = false;
+            self.loss_in_episode = false;
             self.cwnd = self
                 .cwnd
                 .max(self.prior_cwnd)
@@ -479,7 +583,7 @@ impl CongestionControl for Bbr2 {
     }
 
     fn model_cost_cycles(&self) -> u64 {
-        4_500
+        self.tuning.model_cost_cycles
     }
 
     fn bandwidth_estimate(&self) -> Option<Bandwidth> {
@@ -491,6 +595,12 @@ impl CongestionControl for Bbr2 {
 mod tests {
     use super::*;
     use crate::AckSample;
+    use std::collections::BTreeSet;
+
+    /// One instance of each table row, v2 first.
+    fn rows() -> [Bbr2; 2] {
+        [Bbr2::new(1448), Bbr2::v3(1448)]
+    }
 
     #[allow(clippy::too_many_arguments)]
     fn pipe_sample(
@@ -517,16 +627,16 @@ mod tests {
         }
     }
 
-    fn drive(bbr2: &mut Bbr2, bw_mbps: u64, rtt_ms: u64, rounds: u64, start_ms: u64) -> (u64, u64) {
+    fn drive(b: &mut Bbr2, bw_mbps: u64, rtt_ms: u64, rounds: u64, start_ms: u64) {
         let mut delivered = 0u64;
         let mut now = start_ms;
         for _ in 0..rounds {
-            let w = bbr2.cwnd();
+            let w = b.cwnd();
             let prior = delivered;
             delivered += w;
             let offered = Bandwidth::from_bytes_over(w * 1448, SimDuration::from_millis(rtt_ms));
             let rate = offered.as_bps().min(Bandwidth::from_mbps(bw_mbps).as_bps()) / 1_000_000;
-            bbr2.on_ack(&pipe_sample(
+            b.on_ack(&pipe_sample(
                 now,
                 rtt_ms,
                 rate.max(1),
@@ -538,24 +648,70 @@ mod tests {
             ));
             now += rtt_ms;
         }
-        (delivered, now)
+    }
+
+    /// Up to `steps` lossless full-window ACKs at 100 Mbps, one per
+    /// `rtt_ms` from `start_ms`, leaving `cwnd / inflight_div` in flight;
+    /// stops early once `stop` says so.
+    fn ack_windows(
+        b: &mut Bbr2,
+        start_ms: u64,
+        rtt_ms: u64,
+        steps: u64,
+        inflight_div: u64,
+        mut stop: impl FnMut(&Bbr2) -> bool,
+    ) {
+        let mut delivered = 1_000_000u64;
+        for i in 0..steps {
+            let w = b.cwnd();
+            let prior = delivered;
+            delivered += w;
+            let left = w / inflight_div;
+            b.on_ack(&pipe_sample(
+                start_ms + i * rtt_ms,
+                rtt_ms,
+                100,
+                delivered,
+                prior,
+                w,
+                0,
+                left,
+            ));
+            if stop(b) {
+                return;
+            }
+        }
+    }
+
+    fn lose(b: &mut Bbr2, now_ms: u64, inflight: u64, lost: u64) {
+        b.on_loss_event(&LossEvent {
+            now: SimTime::from_millis(now_ms),
+            inflight,
+            lost,
+        });
     }
 
     #[test]
     fn startup_exits_on_plateau() {
-        let mut b = Bbr2::new(1448);
-        assert_eq!(b.mode(), Mode::Startup);
-        drive(&mut b, 100, 20, 30, 0);
-        assert_ne!(b.mode(), Mode::Startup);
-        assert!(b.full_bw_reached);
+        for mut b in rows() {
+            assert_eq!(b.mode(), Mode::Startup);
+            drive(&mut b, 100, 20, 30, 0);
+            assert_ne!(b.mode(), Mode::Startup, "{}", b.name());
+            assert!(b.full_bw_reached);
+        }
     }
 
     #[test]
     fn converges_to_pipe_bandwidth() {
-        let mut b = Bbr2::new(1448);
-        drive(&mut b, 100, 20, 40, 0);
-        let est = b.bandwidth_estimate().unwrap().as_mbps_f64();
-        assert!((70.0..140.0).contains(&est), "estimate {est} Mbps");
+        for mut b in rows() {
+            drive(&mut b, 100, 20, 40, 0);
+            let est = b.bandwidth_estimate().unwrap().as_mbps_f64();
+            assert!(
+                (70.0..140.0).contains(&est),
+                "{}: estimate {est} Mbps",
+                b.name()
+            );
+        }
     }
 
     #[test]
@@ -592,108 +748,172 @@ mod tests {
         let mut b = Bbr2::new(1448);
         drive(&mut b, 100, 20, 40, 0);
         assert_eq!(b.inflight_hi(), None);
-        b.on_loss_event(&LossEvent {
-            now: SimTime::from_secs(2),
-            inflight: 200,
-            lost: 5,
-        });
+        lose(&mut b, 2_000, 200, 5);
         assert_eq!(b.inflight_hi(), Some(200));
         b.on_recovery_exit(SimTime::from_secs(2));
-        b.on_loss_event(&LossEvent {
-            now: SimTime::from_secs(3),
-            inflight: 180,
-            lost: 5,
-        });
+        lose(&mut b, 3_000, 180, 5);
         assert_eq!(b.inflight_hi(), Some(140), "second loss cuts by beta=0.7");
     }
 
     #[test]
-    fn cruise_keeps_headroom_below_ceiling() {
-        let mut b = Bbr2::new(1448);
+    fn loss_response_anchors_at_measured_inflight() {
+        // The defining v3 change: two separate recovery episodes with
+        // losses at inflight 200 then 180 leave the ceiling at 180 — v2's
+        // per-event β-cut compounds it down to 140 (the test above).
+        let mut b = Bbr2::v3(1448);
         drive(&mut b, 100, 20, 40, 0);
-        b.on_loss_event(&LossEvent {
-            now: SimTime::from_secs(2),
-            inflight: 200,
-            lost: 5,
-        });
+        assert_eq!(b.inflight_hi(), None);
+        lose(&mut b, 2_000, 200, 5);
+        assert_eq!(
+            b.inflight_hi(),
+            Some(200),
+            "first episode seeds at measured"
+        );
         b.on_recovery_exit(SimTime::from_secs(2));
-        assert_eq!(b.cruise_cap(), 170, "85% of 200");
-        // Continue cruising: cwnd must respect the cap.
-        let (delivered, _) = drive(&mut b, 100, 20, 20, 3_000);
-        let _ = delivered;
-        if matches!(b.mode(), Mode::ProbeCruise | Mode::ProbeDown) {
-            assert!(b.cwnd() <= 170, "cwnd {} must respect cruise cap", b.cwnd());
+        lose(&mut b, 3_000, 180, 5);
+        assert_eq!(
+            b.inflight_hi(),
+            Some(180),
+            "second episode anchors at measured inflight, not β-compounded"
+        );
+    }
+
+    #[test]
+    fn loss_response_is_once_per_episode_and_beta_bounded() {
+        let mut b = Bbr2::v3(1448);
+        drive(&mut b, 100, 20, 40, 0);
+        lose(&mut b, 2_000, 200, 5);
+        // More losses within the same episode must not move the ceiling.
+        lose(&mut b, 2_010, 100, 5);
+        assert_eq!(b.inflight_hi(), Some(200), "one adjustment per episode");
+        b.on_recovery_exit(SimTime::from_millis(2_020));
+        // A collapse to tiny inflight in the next episode is floored at
+        // β × hi, not taken at face value.
+        lose(&mut b, 3_000, 10, 5);
+        assert_eq!(
+            b.inflight_hi(),
+            Some(140),
+            "cut floored at β=0.7 per episode"
+        );
+    }
+
+    #[test]
+    fn cruise_keeps_headroom_below_ceiling() {
+        for mut b in rows() {
+            drive(&mut b, 100, 20, 40, 0);
+            lose(&mut b, 2_000, 200, 5);
+            b.on_recovery_exit(SimTime::from_secs(2));
+            assert_eq!(b.cruise_cap(), 170, "85% of 200");
+            // Continue cruising: cwnd must respect the cap.
+            drive(&mut b, 100, 20, 20, 3_000);
+            if matches!(b.mode(), Mode::ProbeCruise | Mode::ProbeDown) {
+                assert!(b.cwnd() <= 170, "cwnd {} must respect cruise cap", b.cwnd());
+            }
         }
     }
 
     #[test]
     fn probe_cycle_reaches_up_phase_and_raises_ceiling() {
-        let mut b = Bbr2::new(1448);
-        drive(&mut b, 100, 20, 40, 0);
-        b.on_loss_event(&LossEvent {
-            now: SimTime::from_secs(2),
-            inflight: 200,
-            lost: 2,
-        });
-        b.on_recovery_exit(SimTime::from_secs(2));
-        let hi_before = b.inflight_hi().unwrap();
-        // Run long enough (> probe_wait) with no loss for a full
-        // DOWN→CRUISE→REFILL→UP→DOWN cycle.
-        let mut saw_up = false;
-        let mut delivered = 1_000_000u64;
-        for i in 0..400 {
-            let w = b.cwnd();
-            let prior = delivered;
-            delivered += w;
-            b.on_ack(&pipe_sample(
-                2_100 + i * 20,
-                20,
-                100,
-                delivered,
-                prior,
-                w,
-                0,
-                w / 2,
-            ));
-            if b.mode() == Mode::ProbeUp {
-                saw_up = true;
-            }
+        for mut b in rows() {
+            drive(&mut b, 100, 20, 40, 0);
+            lose(&mut b, 2_000, 200, 2);
+            b.on_recovery_exit(SimTime::from_secs(2));
+            let hi_before = b.inflight_hi().unwrap();
+            // Run long enough (> probe_wait) with no loss for a full
+            // DOWN→CRUISE→REFILL→UP→DOWN cycle.
+            let mut saw_up = false;
+            ack_windows(&mut b, 2_100, 20, 400, 2, |b| {
+                saw_up |= b.mode() == Mode::ProbeUp;
+                false
+            });
+            assert!(saw_up, "should have probed up within 8 s of cruising");
+            assert!(
+                b.inflight_hi().unwrap() > hi_before,
+                "lossless UP probe should raise the ceiling: {:?} vs {hi_before}",
+                b.inflight_hi()
+            );
         }
-        assert!(saw_up, "should have probed up within 8 s of cruising");
+    }
+
+    #[test]
+    fn v3_phase_names_are_reported() {
+        let mut b = Bbr2::v3(1448);
+        assert_eq!(b.phase(), "startup");
+        drive(&mut b, 100, 20, 40, 0);
+        let mut seen = BTreeSet::new();
+        ack_windows(&mut b, 1_000, 20, 400, 2, |b| {
+            seen.insert(b.phase());
+            false
+        });
+        for phase in V3.probe_phases {
+            assert!(
+                phase.starts_with("probe_bw_") && seen.contains(phase),
+                "ProbeBW cycle must visit {phase}: {seen:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cruise_ends_after_round_cap_even_when_wall_clock_is_short() {
+        // 1 ms RTT: 62 rounds elapse in 62 ms, far below the 2 s
+        // wall-clock probe wait — only the v3 round cap can end CRUISE.
+        let cap = V3.cruise_max_rounds.unwrap();
+        let mut b = Bbr2::v3(1448);
+        drive(&mut b, 100, 1, 40, 0);
+        lose(&mut b, 50, 200, 2);
+        b.on_recovery_exit(SimTime::from_millis(51));
+        let mut saw_refill = false;
+        let mut streak = 0u64;
+        let mut longest_cruise = 0u64;
+        ack_windows(&mut b, 60, 1, 200, 2, |b| {
+            streak = if b.mode() == Mode::ProbeCruise {
+                streak + 1
+            } else {
+                0
+            };
+            longest_cruise = longest_cruise.max(streak);
+            saw_refill |= b.mode() == Mode::ProbeRefill;
+            false
+        });
         assert!(
-            b.inflight_hi().unwrap() > hi_before,
-            "lossless UP probe should raise the ceiling: {:?} vs {hi_before}",
-            b.inflight_hi()
+            saw_refill,
+            "round-capped cruise must hand over to REFILL within 200 ms"
+        );
+        assert!(
+            longest_cruise <= cap + 2,
+            "one cruise held for {longest_cruise} rounds, cap is {cap}"
         );
     }
 
     #[test]
+    fn probe_down_is_shallower_than_v2() {
+        // Walk each row into ProbeBW and measure its DOWN pacing gain.
+        let [v2, v3] = rows().map(|mut b| {
+            drive(&mut b, 100, 20, 40, 0);
+            ack_windows(&mut b, 1_000, 20, 400, 1, |b| b.mode() == Mode::ProbeDown);
+            assert_eq!(b.mode(), Mode::ProbeDown, "must reach the DOWN probe");
+            let bw = b.bandwidth_estimate().unwrap().as_bps() as f64;
+            b.pacing_rate().unwrap().as_bps() as f64 / bw
+        });
+        assert!((v2 - 0.75).abs() < 0.02, "v2 DOWN gain {v2:.3}");
+        assert!((v3 - 0.9).abs() < 0.02, "v3 DOWN gain {v3:.3}");
+        assert!(v3 > v2, "v3 drains less than v2: {v3:.3} vs {v2:.3}");
+    }
+
+    #[test]
     fn probe_rtt_visits_every_five_seconds() {
-        let mut b = Bbr2::new(1448);
-        drive(&mut b, 100, 20, 40, 0);
-        let mut saw = false;
-        let mut delivered = 1_000_000u64;
-        for i in 0..400 {
-            let prior = delivered;
-            delivered += 10;
-            b.on_ack(&pipe_sample(
-                1_000 + i * 25,
-                25,
-                100,
-                delivered,
-                prior,
-                10,
-                0,
-                2,
-            ));
-            if b.mode() == Mode::ProbeRtt {
-                saw = true;
-            }
+        for mut b in rows() {
+            drive(&mut b, 100, 20, 40, 0);
+            let mut saw = false;
+            ack_windows(&mut b, 1_000, 25, 400, 2, |b| {
+                saw |= b.mode() == Mode::ProbeRtt;
+                false
+            });
+            assert!(
+                saw,
+                "min-RTT window is 5 s; a 10 s run must visit PROBE_RTT"
+            );
         }
-        assert!(
-            saw,
-            "min-RTT window is 5 s; a 10 s run must visit PROBE_RTT"
-        );
     }
 
     #[test]
@@ -709,35 +929,157 @@ mod tests {
 
     #[test]
     fn ceiling_never_falls_below_min_cwnd() {
-        let mut b = Bbr2::new(1448);
-        drive(&mut b, 100, 20, 40, 0);
-        for i in 0..50 {
-            b.on_loss_event(&LossEvent {
-                now: SimTime::from_millis(3_000 + i),
-                inflight: 10,
-                lost: 2,
-            });
-            b.on_recovery_exit(SimTime::from_millis(3_001 + i));
+        for mut b in rows() {
+            drive(&mut b, 100, 20, 40, 0);
+            for i in 0..50 {
+                lose(&mut b, 3_000 + i, 1, 2);
+                b.on_recovery_exit(SimTime::from_millis(3_001 + i));
+            }
+            assert!(
+                b.inflight_hi().unwrap() >= MIN_CWND,
+                "{}: ceiling cuts floor at MIN_CWND",
+                b.name()
+            );
+            assert!(b.cwnd() >= MIN_CWND);
         }
-        assert!(
-            b.inflight_hi().unwrap() >= MIN_CWND,
-            "beta cuts floor at MIN_CWND"
-        );
-        assert!(b.cwnd() >= MIN_CWND);
     }
 
     #[test]
-    fn paces_and_costs_more_than_v1() {
-        let b = Bbr2::new(1448);
-        assert!(b.wants_pacing());
-        assert!(b.model_cost_cycles() > crate::bbr::Bbr::new(1448).model_cost_cycles());
+    fn each_version_paces_and_costs_more_than_its_predecessor() {
+        let [v2, v3] = rows();
+        assert!(v2.wants_pacing() && v3.wants_pacing());
+        assert!(v2.model_cost_cycles() > crate::bbr::Bbr::new(1448).model_cost_cycles());
+        assert!(v3.model_cost_cycles() > v2.model_cost_cycles());
     }
 
     #[test]
     fn rto_floors_cwnd() {
-        let mut b = Bbr2::new(1448);
-        drive(&mut b, 100, 20, 40, 0);
-        b.on_rto(SimTime::from_secs(2), 50);
-        assert_eq!(b.cwnd(), MIN_CWND);
+        for mut b in rows() {
+            drive(&mut b, 100, 20, 40, 0);
+            b.on_rto(SimTime::from_secs(2), 50);
+            assert_eq!(b.cwnd(), MIN_CWND);
+        }
+    }
+
+    /// Drives a fixed script and records `(cwnd, pacing_rate, phase)` after
+    /// every step.
+    struct Script {
+        b: Bbr2,
+        now_ms: u64,
+        delivered: u64,
+        trace: Vec<u8>,
+        phases: BTreeSet<&'static str>,
+    }
+
+    impl Script {
+        fn record(&mut self) {
+            self.trace.extend(self.b.cwnd().to_le_bytes());
+            let pace = self.b.pacing_rate().map_or(0, |r| r.as_bps());
+            self.trace.extend(pace.to_le_bytes());
+            self.trace.extend(self.b.phase().as_bytes());
+            self.trace.push(0);
+            self.phases.insert(self.b.phase());
+        }
+
+        /// One round: a full window acked `rtt_ms` after the last on a
+        /// 100 Mbps pipe, half of the next window already in flight.
+        fn round(&mut self, rtt_ms: u64, lost: u64) {
+            let w = self.b.cwnd();
+            let prior = self.delivered;
+            self.delivered += w;
+            self.now_ms += rtt_ms;
+            let offered = Bandwidth::from_bytes_over(w * 1448, SimDuration::from_millis(rtt_ms));
+            let rate = offered.as_bps().min(Bandwidth::from_mbps(100).as_bps());
+            let mut ack = pipe_sample(
+                self.now_ms,
+                rtt_ms,
+                1,
+                self.delivered,
+                prior,
+                w,
+                lost,
+                w / 2,
+            );
+            ack.delivery_rate = Bandwidth::from_bps(rate.max(1_000_000));
+            self.b.on_ack(&ack);
+            self.record();
+        }
+
+        fn rounds(&mut self, n: u64, rtt_ms: u64) {
+            for _ in 0..n {
+                self.round(rtt_ms, 0);
+            }
+        }
+
+        fn lose(&mut self, inflight: u64) {
+            lose(&mut self.b, self.now_ms, inflight, 5);
+            self.record();
+        }
+
+        fn recovery_exit(&mut self) {
+            self.b.on_recovery_exit(SimTime::from_millis(self.now_ms));
+            self.record();
+        }
+    }
+
+    /// FNV digest of a script that walks the whole machine, and the phases
+    /// it visited.
+    fn golden_digest(b: Bbr2) -> (u64, BTreeSet<&'static str>) {
+        let mut s = Script {
+            b,
+            now_ms: 0,
+            delivered: 0,
+            trace: Vec::new(),
+            phases: BTreeSet::new(),
+        };
+        // Startup → plateau → drain → ProbeBW.
+        s.rounds(40, 20);
+        // Episode 1: two loss events inside one recovery episode.
+        s.lose(200);
+        s.round(20, 3);
+        s.lose(150);
+        s.round(20, 0);
+        s.recovery_exit();
+        s.rounds(5, 20);
+        // Episode 2: a lower measured inflight.
+        s.lose(180);
+        s.round(20, 1);
+        s.recovery_exit();
+        // Wall-clock probe cycles whose UP phase is bounded by loss.
+        for _ in 0..150 {
+            let lost = if s.b.mode() == Mode::ProbeUp {
+                (s.b.cwnd() / 10).max(1)
+            } else {
+                0
+            };
+            s.round(20, lost);
+        }
+        // ≥ 70 short-RTT rounds: only a round cap can end this cruise.
+        s.rounds(90, 1);
+        // > 5 s of silence expires the min-RTT window: PROBE_RTT and back.
+        s.now_ms += 6_000;
+        s.rounds(8, 100);
+        // RTO, then regrowth through a lossless (ceiling-raising) UP probe.
+        s.b.on_rto(SimTime::from_millis(s.now_ms), 50);
+        s.record();
+        s.rounds(120, 20);
+        (sim_core::sweep::fnv64(&s.trace), s.phases)
+    }
+
+    #[test]
+    fn golden_trajectories_match_the_two_file_parent() {
+        // Recorded at commit 9cfd416 (PR 12) from that commit's separate
+        // `bbr2::Bbr2` and `bbr3::Bbr3`, through `CcKind::build`, before
+        // `bbr3.rs` was deleted. Any drift in a row, or any leak of one
+        // row's tuning into the other, moves a digest.
+        for (b, golden) in rows()
+            .into_iter()
+            .zip([0x2586_d38b_8141_278b_u64, 0x6054_136f_927e_bfea])
+        {
+            let name = b.name();
+            let (digest, phases) = golden_digest(b);
+            assert_eq!(phases.len(), 7, "{name}: script must visit every mode");
+            assert_eq!(digest, golden, "{name}: {digest:#018x}");
+        }
     }
 }

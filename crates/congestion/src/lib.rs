@@ -21,12 +21,13 @@
 //! * [`bbr::Bbr`] — BBR v1 after Linux's `tcp_bbr.c`: STARTUP/DRAIN/
 //!   PROBE_BW/PROBE_RTT, a 10-round windowed-max bandwidth filter, a 10 s
 //!   min-RTT filter, and pacing at `gain × btl_bw`;
-//! * [`bbr2::Bbr2`] — BBR v2 per the IETF-104/105/106 iccrg decks the paper
-//!   cites: adds loss-bounded `inflight_hi`/`inflight_lo` and the
-//!   DOWN/CRUISE/REFILL/UP probing cycle;
-//! * [`bbr3::Bbr3`] — BBR v3 per the IETF-117/119 iccrg updates: shallower
-//!   DOWN probe, round-bounded cruise, and a per-episode loss response
-//!   anchored at measured inflight. Not in the paper's matrix (see
+//! * [`bbr2::Bbr2`] — the BBRv2 family, one state machine with two tunings.
+//!   [`bbr2::Bbr2::new`] is BBR v2 per the IETF-104/105/106 iccrg decks the
+//!   paper cites: loss-bounded `inflight_hi` and the DOWN/CRUISE/REFILL/UP
+//!   probing cycle. [`bbr2::Bbr2::v3`] is BBR v3 per the IETF-117/119
+//!   updates: shallower DOWN probe, round-bounded cruise, and a per-episode
+//!   loss response anchored at measured inflight (the module's delta table
+//!   lists every difference). v3 is not in the paper's matrix (see
 //!   [`CcKind::PAPER`]); it serves the AQM/fairness follow-up experiments.
 //!
 //! [`master::Master`] wraps any of them with the paper's §5 "master BBR
@@ -43,7 +44,6 @@
 
 pub mod bbr;
 pub mod bbr2;
-pub mod bbr3;
 pub mod cubic;
 pub mod group;
 pub mod master;
@@ -196,14 +196,34 @@ impl CcKind {
         CcKind::Bbr3,
     ];
 
-    /// Instantiate the algorithm with `mss`-byte segments.
+    /// Instantiate the algorithm with `mss`-byte segments, un-staggered.
     pub fn build(self, mss: u64) -> Box<dyn CongestionControl> {
+        self.controller(mss, None)
+    }
+
+    /// Instantiate the algorithm for the `flow`-th connection of a host:
+    /// the BBR variants stagger their probe schedules by flow index (the
+    /// deterministic analogue of the kernel's randomised phase/wait) so
+    /// parallel connections do not probe in lockstep.
+    pub fn build_for_flow(self, mss: u64, flow: usize) -> Box<dyn CongestionControl> {
+        self.controller(mss, Some(flow))
+    }
+
+    /// The only `CcKind → controller` mapping.
+    fn controller(self, mss: u64, flow: Option<usize>) -> Box<dyn CongestionControl> {
         match self {
             CcKind::Reno => Box::new(reno::Reno::new()),
             CcKind::Cubic => Box::new(cubic::Cubic::new()),
-            CcKind::Bbr => Box::new(bbr::Bbr::new(mss)),
-            CcKind::Bbr2 => Box::new(bbr2::Bbr2::new(mss)),
-            CcKind::Bbr3 => Box::new(bbr3::Bbr3::new(mss)),
+            CcKind::Bbr => {
+                let bbr = bbr::Bbr::new(mss);
+                Box::new(match flow {
+                    Some(i) => bbr.with_cycle_offset(i),
+                    None => bbr,
+                })
+            }
+            // Probe offset 0 is the un-staggered schedule.
+            CcKind::Bbr2 => Box::new(bbr2::Bbr2::new(mss).with_probe_offset(flow.unwrap_or(0))),
+            CcKind::Bbr3 => Box::new(bbr2::Bbr2::v3(mss).with_probe_offset(flow.unwrap_or(0))),
         }
     }
 }

@@ -58,10 +58,10 @@ impl SendOutcome {
 ///
 /// The queue discipline is a first-class axis ([`LinkConfig::qdisc`]):
 /// every path link — not just the fleet's shared uplink — can run FIFO,
-/// CoDel, or FQ-CoDel. The legacy `codel: Option<CodelConfig>` field is
-/// kept as the serialized representation of the CoDel parameters (and for
-/// back-compat with configs that set it directly); [`LinkConfig::qdisc()`]
-/// resolves both encodings to one verdict.
+/// CoDel, or FQ-CoDel. `qdisc` selects the discipline and `codel` stores
+/// the AQM parameters; the invariant is `codel.is_some() ⇔ qdisc != Fifo`.
+/// The constructors here keep it, and `SimConfig`'s builder rejects a
+/// config (e.g. hand-edited JSON) that breaks it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkConfig {
     /// Serialisation rate.
@@ -70,14 +70,11 @@ pub struct LinkConfig {
     pub propagation: SimDuration,
     /// Droptail queue capacity in packets (slots not yet fully serialised).
     pub queue_packets: usize,
-    /// AQM parameters (`Some` for CoDel and FQ-CoDel, `None` for FIFO).
-    /// Prefer [`LinkConfig::with_qdisc`]; setting this directly is the
-    /// deprecated back-door and means plain CoDel.
+    /// AQM parameters (`Some` for CoDel and FQ-CoDel, `None` for FIFO);
+    /// set through [`LinkConfig::with_qdisc`] or
+    /// [`LinkConfig::with_codel_config`].
     pub codel: Option<CodelConfig>,
-    /// Queue-discipline selector. Serialized only for [`Qdisc::FqCodel`]:
-    /// FIFO and CoDel are fully determined by `codel`, so every
-    /// pre-existing sweep-cache key keeps its exact bytes.
-    #[serde(skip_serializing_if = "Qdisc::is_classic")]
+    /// Queue-discipline selector.
     pub qdisc: Qdisc,
 }
 
@@ -93,16 +90,6 @@ impl LinkConfig {
             codel: None,
             qdisc: Qdisc::Fifo,
         }
-    }
-
-    /// Enable CoDel AQM on this link.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use with_qdisc(Qdisc::Codel) — the qdisc is a first-class axis; \
-                with_codel_config if you need non-default parameters"
-    )]
-    pub fn with_codel(self, codel: CodelConfig) -> Self {
-        self.with_codel_config(codel)
     }
 
     /// Run CoDel with explicit (non-default) parameters. The common path is
@@ -125,16 +112,9 @@ impl LinkConfig {
         self
     }
 
-    /// Which queue discipline this link runs, resolving the legacy
-    /// encoding: a config whose `codel` field was set directly (with the
-    /// `qdisc` field left at FIFO) runs plain CoDel, exactly as it did
-    /// before the qdisc became first-class.
+    /// Which queue discipline this link runs.
     pub fn qdisc(&self) -> Qdisc {
-        match (self.qdisc, self.codel.is_some()) {
-            (Qdisc::FqCodel, _) => Qdisc::FqCodel,
-            (_, true) => Qdisc::Codel,
-            (_, false) => Qdisc::Fifo,
-        }
+        self.qdisc
     }
 }
 
@@ -149,15 +129,6 @@ pub enum Qdisc {
     /// FQ-CoDel: per-flow CoDel buckets with DRR-approximate fair sharing
     /// (see [`crate::fq_codel`]), Android/OpenWRT's default qdisc.
     FqCodel,
-}
-
-impl Qdisc {
-    /// True for the disciplines that predate the first-class `qdisc` field
-    /// (FIFO/CoDel, fully determined by `LinkConfig::codel`). Used as the
-    /// serialization skip predicate so legacy cache keys stay byte-stable.
-    pub fn is_classic(&self) -> bool {
-        !matches!(self, Qdisc::FqCodel)
-    }
 }
 
 impl std::fmt::Display for Qdisc {
@@ -487,49 +458,23 @@ mod tests {
     }
 
     #[test]
-    fn qdisc_resolution_covers_both_encodings() {
-        let base = LinkConfig::new(Bandwidth::from_mbps(100), SimDuration::ZERO, 100);
-        assert_eq!(base.qdisc(), Qdisc::Fifo);
-        assert_eq!(base.clone().with_qdisc(Qdisc::Codel).qdisc(), Qdisc::Codel);
-        assert_eq!(
-            base.clone().with_qdisc(Qdisc::FqCodel).qdisc(),
-            Qdisc::FqCodel
-        );
-        // Legacy back-door: setting `codel` directly (qdisc left at Fifo)
-        // still means plain CoDel.
-        let mut legacy = base;
-        legacy.codel = Some(CodelConfig::default());
-        assert_eq!(legacy.qdisc(), Qdisc::Codel);
-        // Round-tripping through with_qdisc(Fifo) clears the AQM again.
-        assert_eq!(legacy.with_qdisc(Qdisc::Fifo).qdisc(), Qdisc::Fifo);
-    }
-
-    #[test]
-    fn classic_configs_serialize_without_a_qdisc_key() {
-        // Sweep-cache keys are the canonical JSON of the whole SimConfig, so
-        // FIFO and CoDel links must keep their pre-qdisc-field shape
-        // byte-for-byte: same field names, no `qdisc` key.
+    fn with_qdisc_round_trips_and_is_always_in_the_serialised_key() {
         use serde::Serialize;
         let base = LinkConfig::new(Bandwidth::from_mbps(100), SimDuration::ZERO, 100);
-        for cfg in [base.clone(), base.clone().with_qdisc(Qdisc::Codel)] {
-            let val = cfg.to_value();
-            let serde::Value::Object(fields) = &val else {
-                panic!("LinkConfig must serialize to an object");
-            };
-            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-            assert_eq!(
-                keys,
-                ["rate", "propagation", "queue_packets", "codel"],
-                "legacy field set must stay exact for cache-key stability"
-            );
+        assert_eq!(base.qdisc(), Qdisc::Fifo);
+        for (qdisc, name) in [
+            (Qdisc::Fifo, "Fifo"),
+            (Qdisc::Codel, "Codel"),
+            (Qdisc::FqCodel, "FqCodel"),
+        ] {
+            // Applied on top of an AQM link, so Fifo must also clear it.
+            let cfg = base.clone().with_qdisc(Qdisc::FqCodel).with_qdisc(qdisc);
+            assert_eq!(cfg.qdisc(), qdisc);
+            assert_eq!(cfg.codel.is_some(), qdisc != Qdisc::Fifo);
+            // Sweep-cache keys are the canonical JSON of the whole config.
+            let key = cfg.to_value();
+            assert_eq!(key.get("qdisc").and_then(|v| v.as_str()), Some(name));
         }
-        // FQ-CoDel is new, so it (and only it) carries the qdisc key.
-        let fq = base.with_qdisc(Qdisc::FqCodel).to_value();
-        assert_eq!(
-            fq.get("qdisc").and_then(|v| v.as_str()),
-            Some("FqCodel"),
-            "FqCodel must be visible in the cache key"
-        );
     }
 
     #[test]

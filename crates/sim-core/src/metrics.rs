@@ -5,25 +5,15 @@
 //! goodput, mean RTT, retransmission counts, p95s over repeats — so the
 //! simulator records into these structures rather than ad-hoc fields.
 //!
-//! # Choosing a percentile structure
+//! # The percentile structure
 //!
-//! Two structures answer quantile queries and they are not interchangeable:
-//!
-//! - [`Histogram`] buckets samples on *fixed, global* log-spaced boundaries.
-//!   Every sample lands in a bucket determined only by its value, so the
-//!   result is independent of arrival order, merging two histograms is exact
-//!   (bucket counts add), and a quantile computed from a merged histogram is
-//!   bit-identical to one computed from a single histogram fed the union of
-//!   the streams. Scorecard checks (the Fig. 7 RTT p95) use this.
-//! - [`Reservoir`] keeps a bounded uniform subsample (Vitter's algorithm R).
-//!   Once the stream exceeds the cap, `quantile` is computed over whichever
-//!   samples survived replacement — a quantity that depends on the cap *and*
-//!   on arrival order (the internal xorshift consumes one draw per
-//!   post-cap record, so reordering the stream changes which samples are
-//!   retained). Use it only where an approximate, non-mergeable percentile
-//!   is acceptable; never for values that feed a determinism-sensitive
-//!   check. `reservoir_quantile_depends_on_arrival_order` in this module's
-//!   tests demonstrates the effect.
+//! [`Histogram`] is the only structure that answers quantile queries. It
+//! buckets samples on *fixed, global* log-spaced boundaries: every sample
+//! lands in a bucket determined only by its value, so the result is
+//! independent of arrival order, merging two histograms is exact (bucket
+//! counts add), and a quantile computed from a merged histogram is
+//! bit-identical to one computed from a single histogram fed the union of
+//! the streams. Scorecard checks (the Fig. 7 RTT p95) depend on that.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -256,9 +246,8 @@ impl Histogram {
     /// containing bucket and clamped to the observed `[min, max]`. Returns
     /// `None` if empty.
     ///
-    /// The target rank is `q · (count − 1)` (the same convention as
-    /// [`Reservoir::quantile`]'s nearest-rank, before rounding): `q = 0`
-    /// names the minimum and `q = 1` the maximum.
+    /// The target rank is `q · (count − 1)`: `q = 0` names the minimum and
+    /// `q = 1` the maximum.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
@@ -291,98 +280,6 @@ impl Histogram {
     /// Median convenience.
     pub fn median(&self) -> Option<f64> {
         self.quantile(0.5)
-    }
-}
-
-/// A reservoir of samples for percentile queries. Keeps all samples up to a
-/// cap, then switches to uniform reservoir sampling (Vitter's algorithm R)
-/// so long runs stay bounded in memory.
-///
-/// # Caveat: quantiles are cap- and order-dependent
-///
-/// Past the cap the reservoir *subsamples*: each new sample evicts a random
-/// retained one with probability `cap / seen`. [`Reservoir::quantile`] then
-/// answers from the retained subset, so its value depends on the cap and on
-/// the order samples arrived (the replacement RNG is consumed per record).
-/// Two reservoirs fed the same multiset in different orders generally
-/// disagree, and there is no exact way to merge two reservoirs. Percentiles
-/// that feed scorecard checks use [`Histogram`] instead, which has fixed
-/// bucket boundaries and exact merge; the Fig. 7 RTT p95 was ported off this
-/// type for that reason.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Reservoir {
-    cap: usize,
-    seen: u64,
-    samples: Vec<f64>,
-    /// xorshift state for reservoir replacement decisions; kept private to
-    /// the reservoir so sampling does not perturb experiment RNG streams.
-    rng_state: u64,
-}
-
-impl Reservoir {
-    /// A reservoir keeping at most `cap` samples.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "reservoir capacity must be positive");
-        Reservoir {
-            cap,
-            seen: 0,
-            samples: Vec::new(),
-            rng_state: 0x243F_6A88_85A3_08D3,
-        }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng_state = x;
-        x
-    }
-
-    /// Record a sample.
-    pub fn record(&mut self, x: f64) {
-        self.seen += 1;
-        if self.samples.len() < self.cap {
-            self.samples.push(x);
-        } else {
-            let j = self.next_rand() % self.seen;
-            if (j as usize) < self.cap {
-                self.samples[j as usize] = x;
-            }
-        }
-    }
-
-    /// Total samples ever offered.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank on retained samples.
-    /// Returns `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in reservoir"));
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        Some(sorted[idx])
-    }
-
-    /// Median convenience.
-    pub fn median(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// Mean of retained samples (`None` if empty).
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
     }
 }
 
@@ -670,43 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_small_stream_keeps_everything() {
-        let mut r = Reservoir::new(100);
-        for i in 0..50 {
-            r.record(i as f64);
-        }
-        assert_eq!(r.seen(), 50);
-        assert_eq!(r.quantile(0.0), Some(0.0));
-        assert_eq!(r.quantile(1.0), Some(49.0));
-        assert_eq!(r.median(), Some(25.0));
-    }
-
-    #[test]
-    fn reservoir_long_stream_stays_bounded_and_representative() {
-        let mut r = Reservoir::new(512);
-        for i in 0..100_000 {
-            r.record(i as f64);
-        }
-        assert_eq!(r.seen(), 100_000);
-        let med = r.median().unwrap();
-        // Median of 0..100k should be near 50k even after subsampling.
-        assert!((med - 50_000.0).abs() < 10_000.0, "median {med}");
-    }
-
-    #[test]
-    fn reservoir_empty_quantile_is_none() {
-        let r = Reservoir::new(8);
-        assert_eq!(r.quantile(0.5), None);
-        assert_eq!(r.mean(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn reservoir_zero_cap_panics() {
-        Reservoir::new(0);
-    }
-
-    #[test]
     fn timeseries_coalesces_close_points() {
         let mut ts = TimeSeries::new(SimDuration::from_millis(10));
         ts.record(SimTime::from_millis(0), 1.0);
@@ -884,31 +744,6 @@ mod tests {
             other => panic!("buckets not an object: {other:?}"),
         };
         assert_eq!(n, 199);
-    }
-
-    #[test]
-    fn reservoir_quantile_depends_on_arrival_order() {
-        // Same multiset, two arrival orders, a cap forcing subsampling:
-        // the retained subsets differ, so the quantiles differ. This is the
-        // documented reason scorecard percentiles use Histogram instead.
-        let cap = 64;
-        let mut asc = Reservoir::new(cap);
-        let mut desc = Reservoir::new(cap);
-        for i in 0..10_000 {
-            asc.record(i as f64);
-            desc.record((9_999 - i) as f64);
-        }
-        assert_eq!(asc.seen(), desc.seen());
-        let (pa, pd) = (asc.quantile(0.95).unwrap(), desc.quantile(0.95).unwrap());
-        assert_ne!(pa, pd, "expected order-dependent p95, both {pa}");
-        // A histogram fed the same two streams agrees with itself exactly.
-        let mut ha = Histogram::new();
-        let mut hd = Histogram::new();
-        for i in 0..10_000 {
-            ha.record(i as f64);
-            hd.record((9_999 - i) as f64);
-        }
-        assert_eq!(ha.quantile(0.95), hd.quantile(0.95));
     }
 
     #[test]

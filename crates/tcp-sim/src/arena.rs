@@ -166,10 +166,10 @@ fn snapshot_cc(m: &Master) -> CcCache {
 pub(crate) struct FlowCold {
     pub delivered_at_measure: u64,
     pub rtt_summary: Summary,
-    /// RTT samples bucketed for percentile queries (Fig. 7's p95). A
-    /// log-bucketed histogram, not a reservoir: fixed bucket boundaries
-    /// make the p95 independent of sample order and exact under merge,
-    /// which the scorecard's determinism contract requires.
+    /// RTT samples bucketed for percentile queries (Fig. 7's p95): fixed
+    /// bucket boundaries make the p95 independent of sample order and
+    /// exact under merge, which the scorecard's determinism contract
+    /// requires.
     pub rtt_hist: Histogram,
     pub skb_bytes_sum: u64,
     pub skb_count: u64,

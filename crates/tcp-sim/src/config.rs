@@ -1,11 +1,10 @@
 //! Validated construction of [`SimConfig`]: the builder-first public API.
 //!
-//! `SimConfig`'s fields are public for one more deprecation cycle, but the
-//! supported construction path is [`SimConfig::builder`] →
-//! [`SimConfigBuilder::build`], which rejects configurations the simulator
-//! would silently mis-run — most notably `warmup >= duration`, which the
-//! old `SimConfig::new` accepted and then reported a zero-length
-//! measurement window as 0 Mbps. Validation returns the workspace-wide
+//! `SimConfig`'s fields are public, but the only constructor is
+//! [`SimConfig::builder`] → [`SimConfigBuilder::build`], which rejects
+//! configurations the simulator would silently mis-run — most notably
+//! `warmup >= duration`, which reports a zero-length measurement window
+//! as 0 Mbps. Validation returns the workspace-wide
 //! [`sim_core::error::Error::InvalidConfig`] naming the offending field.
 
 use crate::fleet::FleetConfig;
@@ -23,10 +22,10 @@ use sim_core::time::SimDuration;
 
 /// Builder for [`SimConfig`] with validation at [`build`](Self::build).
 ///
-/// Starts from the same baseline as the deprecated `SimConfig::new`
-/// (Ethernet path, 6 s duration after 1 s warmup, seed 1), then applies
-/// setters in call order; nothing is checked until `build()`, so setters
-/// can be applied in any order (e.g. `duration` after `warmup`).
+/// Starts from a baseline (Ethernet path, 6 s duration after 1 s warmup,
+/// seed 1), then applies setters in call order; nothing is checked until
+/// `build()`, so setters can be applied in any order (e.g. `duration`
+/// after `warmup`).
 ///
 /// ```
 /// use tcp_sim::sim::SimConfig;
@@ -54,10 +53,28 @@ impl SimConfig {
         cc: CcKind,
         connections: usize,
     ) -> SimConfigBuilder {
-        #[allow(deprecated)] // the builder is the one sanctioned caller
-        SimConfigBuilder {
-            cfg: SimConfig::new(device, cpu_config, cc, connections),
-        }
+        let cfg = SimConfig {
+            path: MediaProfile::Ethernet.path_config(),
+            device,
+            cpu_config,
+            cost: CostModel::mobile_default(),
+            cc,
+            master: MasterConfig::passthrough(),
+            pacing: PacingConfig::default(),
+            connections,
+            duration: SimDuration::from_secs(6),
+            warmup: SimDuration::from_secs(1),
+            seed: 1,
+            start_stagger: SimDuration::from_millis(3),
+            ack_coalesce: SimDuration::from_micros(50),
+            pcap: None,
+            cross_traffic: None,
+            sample_interval: Some(SimDuration::from_millis(500)),
+            telemetry: None,
+            ack_per_segs: None,
+            fleet: None,
+        };
+        SimConfigBuilder { cfg }
     }
 }
 
@@ -350,11 +367,25 @@ impl SimConfigBuilder {
     }
 }
 
-/// Validate a link's AQM parameters (when it has any): CoDel's control
-/// law divides by `interval` and compares sojourn against `target`, so a
-/// zero target or an interval not exceeding the target would drop every
-/// packet (or panic in `Codel::new`) instead of managing the queue.
+/// Validate a link's AQM configuration. `codel.is_some() ⇔ qdisc != Fifo`
+/// (the [`LinkConfig`] invariant; only a hand-edited config can break it,
+/// and would silently run a different discipline than it names). When
+/// parameters are present: CoDel's control law divides by `interval` and
+/// compares sojourn against `target`, so a zero target or an interval not
+/// exceeding the target would drop every packet (or panic in
+/// `Codel::new`) instead of managing the queue.
 fn check_aqm(field: &'static str, link: &LinkConfig) -> Result<()> {
+    if link.codel.is_some() != (link.qdisc != Qdisc::Fifo) {
+        let verb = if link.codel.is_some() {
+            "takes no"
+        } else {
+            "needs"
+        };
+        return Err(Error::InvalidConfig {
+            field,
+            reason: format!("qdisc {} {verb} AQM parameters (`codel`)", link.qdisc),
+        });
+    }
     if let Some(codel) = &link.codel {
         if codel.target.is_zero() {
             return Err(Error::InvalidConfig {
@@ -407,8 +438,8 @@ mod tests {
 
     #[test]
     fn rejects_empty_measurement_window() {
-        // The regression the builder exists for: SimConfig::new accepted
-        // warmup >= duration and reported 0 Mbps from the empty window.
+        // The regression the builder exists for: an unvalidated config with
+        // warmup >= duration reports 0 Mbps from the empty window.
         let err = base()
             .duration(SimDuration::from_secs(2))
             .warmup(SimDuration::from_secs(5))
@@ -589,6 +620,23 @@ mod tests {
         let mut path = MediaProfile::Ethernet.path_config();
         path.reverse = path.reverse.with_qdisc(Qdisc::Codel);
         assert!(base().path(path).build().is_ok());
+    }
+
+    #[test]
+    fn rejects_a_qdisc_that_disagrees_with_its_aqm_parameters() {
+        // Reachable only by editing fields (or JSON) by hand.
+        let mut path = MediaProfile::Ethernet.path_config();
+        path.forward.codel = Some(Default::default());
+        assert_eq!(
+            field_of(base().path(path).build().unwrap_err()),
+            "path.forward"
+        );
+        let mut path = MediaProfile::Ethernet.path_config();
+        path.reverse.qdisc = Qdisc::Codel;
+        assert_eq!(
+            field_of(base().path(path).build().unwrap_err()),
+            "path.reverse"
+        );
     }
 
     #[test]

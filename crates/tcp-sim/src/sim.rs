@@ -35,7 +35,7 @@ use crate::rtt::RttEstimator;
 use crate::sender::SendPlan;
 use crate::seq::PktSeq;
 use congestion::master::{Master, MasterConfig};
-use congestion::{AckSample, CcKind, CongestionControl, LossEvent};
+use congestion::{bbr::HIGH_GAIN, AckSample, CcKind, CongestionControl, LossEvent};
 use cpu_model::{CostModel, Cpu, CpuConfig, CpuStats, DeviceProfile};
 use netsim::link::{BottleneckLink, SendOutcome};
 use netsim::media::PathConfig;
@@ -121,48 +121,6 @@ pub struct SimConfig {
     /// single-device sweep-cache key keeps its exact bytes.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub fleet: Option<FleetConfig>,
-}
-
-impl SimConfig {
-    /// A baseline configuration: the given CC on the given device config,
-    /// Ethernet path, 5 simulated seconds after 1 s of warmup.
-    ///
-    /// Deprecated: performs no validation (it silently accepts e.g.
-    /// `warmup >= duration`, which reports 0 Mbps from an empty
-    /// measurement window). Use [`SimConfig::builder`], which validates at
-    /// `build()`. The public fields remain for one deprecation cycle.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use SimConfig::builder(..).build() — it validates the configuration"
-    )]
-    pub fn new(
-        device: DeviceProfile,
-        cpu_config: CpuConfig,
-        cc: CcKind,
-        connections: usize,
-    ) -> Self {
-        SimConfig {
-            path: netsim::media::MediaProfile::Ethernet.path_config(),
-            device,
-            cpu_config,
-            cost: CostModel::mobile_default(),
-            cc,
-            master: MasterConfig::passthrough(),
-            pacing: PacingConfig::default(),
-            connections,
-            duration: SimDuration::from_secs(6),
-            warmup: SimDuration::from_secs(1),
-            seed: 1,
-            start_stagger: SimDuration::from_millis(3),
-            ack_coalesce: SimDuration::from_micros(50),
-            pcap: None,
-            cross_traffic: None,
-            sample_interval: Some(SimDuration::from_millis(500)),
-            telemetry: None,
-            ack_per_segs: None,
-            fleet: None,
-        }
-    }
 }
 
 /// Per-connection results.
@@ -360,8 +318,7 @@ fn effective_pacing_rate(cache: &CcCache, rtt: &RttEstimator, pacer: &Pacer) -> 
             return fb;
         }
     }
-    Bandwidth::from_bytes_over(cache.cwnd * MSS, SimDuration::from_millis(1))
-        .mul_f64(congestion::bbr::HIGH_GAIN)
+    Bandwidth::from_bytes_over(cache.cwnd * MSS, SimDuration::from_millis(1)).mul_f64(HIGH_GAIN)
 }
 
 /// The simulation engine.
@@ -534,13 +491,7 @@ impl StackSim {
                 Some(fleet) => fleet.devices[device_of[i] as usize].cc,
                 None => cfg.cc,
             };
-            let inner: Box<dyn CongestionControl> = match kind {
-                CcKind::Bbr => Box::new(congestion::bbr::Bbr::new(MSS).with_cycle_offset(i)),
-                CcKind::Bbr2 => Box::new(congestion::bbr2::Bbr2::new(MSS).with_probe_offset(i)),
-                CcKind::Bbr3 => Box::new(congestion::bbr3::Bbr3::new(MSS).with_probe_offset(i)),
-                other => other.build(MSS),
-            };
-            Master::new(inner, cfg.master)
+            Master::new(kind.build_for_flow(MSS, i), cfg.master)
         });
 
         let mut telemetry = TelemetrySink::disabled();

@@ -1,0 +1,122 @@
+#!/usr/bin/env bash
+# The end-to-end gates, as one script that contributors and CI both run:
+#
+#   tools/verify.sh report|resume|fleet|fairness
+#
+# Each gate builds the release binaries through `cargo run` and writes its
+# artifacts under target/verify/<gate>/ (wiped at the start of the gate).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+gate="${1:-}"
+out="target/verify/$gate"
+
+repro() { cargo run --release -p mobile-bbr-bench --bin repro -- "$@"; }
+simcheck() { cargo run --release -p mobile-bbr-bench --bin simcheck -- "$@"; }
+
+# cross_jobs_identical NAME FLAG ARGS…: run `repro ARGS… --no-cache` at
+# --jobs 1 and --jobs 4, each writing the artifact FLAG names (--json FILE,
+# --report DIR) to $out/NAME-j{1,4}; the two must be byte-identical — the
+# sweep determinism contract, end to end.
+cross_jobs_identical() {
+    local name=$1 flag=$2 jobs
+    shift 2
+    for jobs in 1 4; do
+        repro "$@" --no-cache --jobs "$jobs" "$flag" "$out/$name-j$jobs"
+    done
+    diff -r "$out/$name-j1" "$out/$name-j4"
+}
+
+# A sweep cancelled by --cancel-after must exit like Ctrl-C.
+expect_interrupted() {
+    local code=0
+    "$@" || code=$?
+    test "$code" -eq 130 || {
+        echo "expected exit 130, got $code" >&2
+        exit 1
+    }
+}
+
+# Every artifact of the self-contained report is byte-identical across
+# worker counts (through chart rendering), and the HTML is well-formed and
+# self-contained: valid inline SVG, no scripts, no external fetches.
+report() {
+    cross_jobs_identical report --report --quick
+    python3 - "$out/report-j1" <<'PY'
+import re
+import sys
+import xml.etree.ElementTree as ET
+html = open(sys.argv[1] + '/report.html').read()
+assert html.startswith('<!DOCTYPE html>'), 'missing doctype'
+assert html.rstrip().endswith('</html>'), 'unterminated document'
+assert '<script' not in html, 'report must not contain JavaScript'
+assert 'https://' not in html, 'report must not fetch anything'
+svgs = re.findall(r'<svg.*?</svg>', html, re.S)
+assert len(svgs) >= 8, f'expected >= 8 charts, got {len(svgs)}'
+for svg in svgs:
+    ET.fromstring(svg)  # raises on malformed XML
+header = open(sys.argv[1] + '/flight.jsonl').readline()
+assert '"schema":"sim-telemetry/v1"' in header, header
+print(f'{len(svgs)} inline SVG charts OK, flight data OK')
+PY
+}
+
+# Interrupt a sweep deterministically mid-grid (--cancel-after makes the
+# engine act as if Ctrl-C arrived after N released cells), require exit 130
+# and a finalized checkpoint, resume from it, and require the scorecard
+# JSON to be byte-identical to an uninterrupted run at the same worker
+# count. Then the same for a simcheck fuzz campaign, and one
+# 1000-connection cell through the flow arena with every oracle armed.
+resume() {
+    local sweep=(--exp bbr2 --smoke --seeds 2 --jobs 4 --no-cache)
+    repro "${sweep[@]}" --json "$out/clean.json"
+    expect_interrupted repro "${sweep[@]}" --checkpoint "$out/repro.ck" \
+        --max-inflight 2 --cancel-after 2 --json "$out/interrupted.json"
+    test -f "$out/repro.ck"
+    test ! -f "$out/interrupted.json"
+    repro "${sweep[@]}" --checkpoint "$out/repro.ck" --resume --json "$out/resumed.json"
+    cmp "$out/clean.json" "$out/resumed.json"
+
+    local fuzz=(--budget 80 --seed 1 --jobs 4 --no-corpus-append --checkpoint "$out/fuzz.ck")
+    expect_interrupted simcheck "${fuzz[@]}" --max-inflight 4 --cancel-after 20
+    simcheck "${fuzz[@]}" --resume
+
+    simcheck --scenario 'cc=bbr,cpu=high,media=eth,conns=1000,stride=1,pacing=on,queue=-,loss=0,jitter=0,cross=0,acks=-,dur=500,warmup=150,seed=18'
+}
+
+# The FLEET experiment (heterogeneous devices through one shared
+# bottleneck) is byte-identical across worker counts; the full-preset
+# population (504 devices, above the multiplexing floor) passes every
+# scorecard check (repro exits non-zero on any MISS); and the fleet corpus
+# seeds replay clean under every oracle, fleet-conservation and
+# fleet-jain-bounds included.
+fleet() {
+    cross_jobs_identical fleet --json --exp fleet --quick
+    repro --exp fleet --no-cache
+    simcheck --scenario 'cc=bbr,cpu=mid,media=wifi,conns=6,stride=1,pacing=on,queue=-,loss=0,jitter=0,cross=0,acks=-,dur=700,warmup=250,seed=21,fleet=6,fmix=1,fshared=100,fqdisc=codel'
+    simcheck --scenario 'cc=bbr,cpu=low,media=wifi,conns=5,stride=1,pacing=on,queue=-,loss=0,jitter=0,cross=0,acks=-,dur=600,warmup=200,seed=22,fleet=5,fmix=0,fshared=60,fqdisc=fifo'
+}
+
+# The FAIRNESS experiment (pacing-stride rows plus the CC×qdisc duel
+# matrix over a shared bottleneck) is byte-identical across worker counts,
+# and AQM scenarios replay clean under every oracle, aqm-accounting and
+# paced-cc-arms-timers included.
+fairness() {
+    cross_jobs_identical fair --json --exp fairness --quick
+    simcheck --scenario 'cc=cubic,cpu=high,media=eth,conns=8,stride=1,pacing=on,queue=64,loss=0,jitter=0,cross=0,acks=-,dur=800,warmup=250,seed=31,qdisc=codel'
+    simcheck --scenario 'cc=bbr3,cpu=mid,media=wifi,conns=6,stride=1,pacing=on,queue=-,loss=0,jitter=0,cross=0,acks=-,dur=700,warmup=250,seed=32,qdisc=fqcodel'
+    simcheck --scenario 'cc=bbr2,cpu=low,media=wifi,conns=4,stride=1,pacing=on,queue=-,loss=0,jitter=0,cross=0,acks=-,dur=600,warmup=200,seed=33,fleet=4,fmix=1,fshared=80,fqdisc=fqcodel'
+}
+
+case "$gate" in
+report | resume | fleet | fairness)
+    rm -rf "$out"
+    mkdir -p "$out"
+    "$gate"
+    echo "verify $gate: OK"
+    ;;
+*)
+    echo "usage: tools/verify.sh report|resume|fleet|fairness" >&2
+    exit 2
+    ;;
+esac
