@@ -68,6 +68,7 @@ fn parse_args() -> Result<Args, String> {
     let mut markdown = None;
     let mut json = None;
     let mut csv = None;
+    let mut seeds: Option<u64> = None;
     let mut jobs: Option<usize> = None;
     let mut no_cache = false;
     let mut cache_dir: Option<String> = None;
@@ -106,11 +107,12 @@ fn parse_args() -> Result<Args, String> {
                 i += 1;
             }
             "--seeds" => {
-                params.seeds = argv
-                    .get(i + 1)
-                    .ok_or("--seeds needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --seeds: {e}"))?;
+                seeds = Some(
+                    argv.get(i + 1)
+                        .ok_or("--seeds needs a value")?
+                        .parse()
+                        .map_err(|e| format!("bad --seeds: {e}"))?,
+                );
                 i += 2;
             }
             "--markdown" => {
@@ -201,7 +203,10 @@ fn parse_args() -> Result<Args, String> {
     if exps.is_empty() {
         exps.extend(ExperimentId::ALL);
     }
-    // Sweep-engine knobs land after preset selection so they override it.
+    // Knobs land after preset selection so they override it.
+    if let Some(n) = seeds {
+        params.seeds = n;
+    }
     if let Some(n) = jobs {
         params.threads = n;
     }

@@ -1,7 +1,7 @@
 //! # mobile-bbr-bench
 //!
-//! The benchmark harness of the reproduction. Two binaries and two
-//! Criterion suites:
+//! The command-line front ends of the reproduction. Four binaries (host
+//! time is measured by the standalone `benchmark/` package, not here):
 //!
 //! * **`repro`** — regenerates every figure and table of the paper:
 //!   `cargo run --release -p mobile-bbr-bench --bin repro -- --exp all`.
@@ -11,10 +11,8 @@
 //!   timer-cost sweep (how cheap must hrtimers get before the stride stops
 //!   mattering — the §7.1.4 hardware-pacing question), socket-buffer-cap
 //!   sweep (Table 2's plateau position), and governor comparison.
-//! * **`benches/figures`** — Criterion timings of each figure's runner at
-//!   reduced parameters (regression guard on simulation cost).
-//! * **`benches/engine`** — micro-benchmarks of the hot simulation paths
-//!   (event queue, pacing arithmetic, one simulated second per algorithm).
+//! * **`trace`** — the flight-recorder inspector: validates a recorded
+//!   JSONL trace and summarises it (`inspect`, `top`, `flows`).
 //! * **`simcheck`** — the deterministic scenario fuzzer: draws whole
 //!   configurations, runs them through [`simcheck`]'s invariant-oracle
 //!   library, shrinks failures to one-line repros, and (with the

@@ -131,7 +131,7 @@ impl Cpu {
     }
 
     /// Detach and return the span trace buffer (None if tracing was never
-    /// enabled or the `trace` feature is compiled out).
+    /// enabled).
     pub fn take_tracer(&mut self) -> Option<TraceBuffer> {
         self.tracer.take()
     }

@@ -452,8 +452,8 @@ mod tests {
     #[test]
     fn governor_underestimates_bursty_load() {
         // The key Default-configuration effect: a load that is busy 85% of
-        // the window (bursty pacing) climbs the ladder but never saturates
-        // the up-migration criterion, so it stays on LITTLE.
+        // the window (bursty pacing) climbs the ladder but never crosses
+        // the up-migration threshold, so it stays on LITTLE.
         let topo = test_topo();
         let params = SchedutilParams {
             allow_big: true,

@@ -67,7 +67,7 @@ impl Params {
         }
     }
 
-    /// Fast preset for tests and Criterion benches.
+    /// Fast preset for tests.
     pub fn quick() -> Self {
         Params {
             seeds: 2,

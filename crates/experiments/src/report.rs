@@ -81,11 +81,7 @@ pub fn generate(params: &Params, dir: &Path) -> Result<ReportFiles, sim_core::Er
     let mut cfg = params.pixel4(CpuConfig::LowEnd, CcKind::Bbr, 20);
     cfg.telemetry = Some(TELEMETRY_INTERVAL);
     let (result, log) = StackSim::new(cfg).run_with_telemetry();
-    // `log` is `None` only when sim-core was built without the
-    // `telemetry` feature; emit header-only flight data in that case so
-    // the artifact set is always complete.
-    let mut log = log.unwrap_or_default();
-    log.interval = TELEMETRY_INTERVAL;
+    let log = log.expect("cfg.telemetry is set, so the sink is attached");
 
     let files = ReportFiles {
         flight_jsonl: dir.join("flight.jsonl"),

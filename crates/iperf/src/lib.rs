@@ -18,5 +18,5 @@ pub mod runner;
 pub mod sweep;
 
 pub use report::{render_timeline, RunReport, SeedResult};
-pub use runner::{run_averaged, run_averaged_parallel, RunSpec};
+pub use runner::{run_averaged, RunSpec};
 pub use sweep::{run_specs_sweep, SeedCell};

@@ -39,24 +39,6 @@ pub fn run_averaged(spec: &RunSpec) -> RunReport {
     RunReport::aggregate(spec.label.clone(), seeds)
 }
 
-/// Run a spec with one worker per seed via the sweep engine (simulations
-/// are independent and CPU-bound). Bit-identical to [`run_averaged`] by
-/// the engine's determinism contract (`sim_core::sweep`); no caching.
-///
-/// Errors only on cancellation ([`sim_core::error::Error::Interrupted`]
-/// via the process-global Ctrl-C flag) — there is no checkpoint here.
-pub fn run_averaged_parallel(spec: &RunSpec) -> Result<RunReport, sim_core::error::Error> {
-    let opts = sim_core::sweep::SweepOptions {
-        jobs: spec.seeds.len().max(1),
-        ..sim_core::sweep::SweepOptions::default()
-    };
-    Ok(
-        crate::sweep::run_specs_sweep(std::slice::from_ref(spec), &opts)?
-            .pop()
-            .expect("one spec in, one report out"),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,18 +57,6 @@ mod tests {
         .warmup(SimDuration::from_millis(300))
         .build()
         .expect("tiny test config is valid")
-    }
-
-    #[test]
-    fn sequential_and_parallel_agree() {
-        let spec = RunSpec::new("agree", tiny_config(), 3);
-        let seq = run_averaged(&spec);
-        let par = run_averaged_parallel(&spec).expect("uncancelled sweep completes");
-        assert_eq!(
-            seq.goodput_mbps, par.goodput_mbps,
-            "determinism across threading"
-        );
-        assert_eq!(seq.mean_retx, par.mean_retx);
     }
 
     #[test]

@@ -224,8 +224,7 @@ pub struct EventQueue<E> {
     popped: u64,
     scheduled: u64,
     cancelled: u64,
-    /// sim-trace tracepoint target (zero-sized and inert unless the `trace`
-    /// feature is on *and* a buffer has been attached).
+    /// sim-trace tracepoint target (inert until a buffer is attached).
     tracer: TraceSink,
 }
 
@@ -266,7 +265,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Detach and return the trace buffer attached by [`Self::set_tracer`]
-    /// (None if tracing was never enabled or the feature is compiled out).
+    /// (None if tracing was never enabled).
     pub fn take_tracer(&mut self) -> Option<TraceBuffer> {
         self.tracer.take()
     }
@@ -712,7 +711,7 @@ impl<E> EventQueue<E> {
     ///
     /// Inlined into both `pop` and `pop_run`: the cascade is on the pop hot
     /// path whenever timers live above level 0 (every pacing/RTO re-arm
-    /// pattern), and the out-of-line call costs ~8% on the churn bench.
+    /// pattern).
     #[inline]
     fn cascade(&mut self, level: usize, slot: usize, pair: u64) {
         let li = level * SLOTS + slot;

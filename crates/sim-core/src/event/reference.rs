@@ -3,13 +3,10 @@
 //! [`ReferenceQueue`] is the pre-timer-wheel implementation of the event
 //! core: a `BinaryHeap` ordered by `(at, seq)` plus two `HashSet<u64>`s for
 //! lazy cancellation. It is kept — not as a production path, but as the
-//! **reference semantics** for the wheel in [`super`]:
-//!
-//! * the differential property test (`tests/event_differential.rs`) drives
-//!   both queues with identical random schedule/cancel workloads and asserts
-//!   byte-identical event streams;
-//! * the perf harness (`bench` crate) measures it as the baseline the wheel's
-//!   speedup is quoted against.
+//! **reference semantics** for the wheel in [`super`]: the differential
+//! property test (`tests/event_differential.rs`) drives both queues with
+//! identical random schedule/cancel workloads and asserts byte-identical
+//! event streams.
 //!
 //! Behavioural contract (shared with the wheel): FIFO within a timestamp,
 //! monotone clock, panic on scheduling in the past, `cancel` reports whether

@@ -37,10 +37,9 @@
 //! [`trace::TraceLog`] and exported as JSONL or Chrome/Perfetto trace
 //! events — while `telemetry` is a strip chart for *state*, sampling
 //! per-flow cwnd/rate/RTT and bottleneck queue depth at a fixed sim-time
-//! interval for the `repro --report` flight-data pipeline. Both are
-//! statically zero-cost when their cargo feature (`trace` / `telemetry`,
-//! on by default) is disabled, and neither perturbs simulation results
-//! when enabled.
+//! interval for the `repro --report` flight-data pipeline. Both cost one
+//! branch per tracepoint until a buffer is attached at runtime, and neither
+//! perturbs simulation results when enabled.
 
 #![warn(missing_docs)]
 

@@ -11,11 +11,9 @@
 //!
 //! # Design constraints
 //!
-//! * **Statically zero-cost when disabled.** All sampling goes through
-//!   [`TelemetrySink`]. With the `telemetry` cargo feature off the sink is a
-//!   zero-sized type and every method is an empty inline; with the feature
-//!   on but no sink attached (the default at runtime), the per-batch check
-//!   is a single branch on a `None`.
+//! * **One branch when disabled.** All sampling goes through
+//!   [`TelemetrySink`]; with no buffer attached (the default at runtime),
+//!   the per-batch check is a single branch on a `None`.
 //! * **Observation only.** The sink never schedules events: the simulation
 //!   loop polls [`TelemetrySink::next_due`] against timestamps it was going
 //!   to process anyway, so enabling sampling perturbs no event ordering, no
@@ -76,7 +74,7 @@ pub struct QueueSample {
 pub const DEFAULT_MAX_SAMPLES: usize = 1 << 20;
 
 /// The collected samples of one run, ready for export.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TelemetryLog {
     /// Sample interval the run used.
     pub interval: SimDuration,
@@ -126,10 +124,9 @@ impl TelemetryBuffer {
 }
 
 /// Sampling hook owned by the simulation. See the module docs for the
-/// zero-cost contract; this mirrors [`crate::trace::TraceSink`].
+/// cost contract; this mirrors [`crate::trace::TraceSink`].
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
-    #[cfg(feature = "telemetry")]
     buf: Option<Box<TelemetryBuffer>>,
 }
 
@@ -137,37 +134,20 @@ impl TelemetrySink {
     /// A sink that records nothing. This is a `const fn` so simulations can
     /// embed a disabled sink with zero initialization cost.
     pub const fn disabled() -> Self {
-        TelemetrySink {
-            #[cfg(feature = "telemetry")]
-            buf: None,
-        }
+        TelemetrySink { buf: None }
     }
 
     /// Attach a buffer sampling every `interval`, keeping at most
-    /// `max_samples` rows. No-op without the `telemetry` feature.
+    /// `max_samples` rows.
     pub fn enable(&mut self, interval: SimDuration, max_samples: usize) {
         assert!(!interval.is_zero(), "telemetry interval must be non-zero");
-        #[cfg(feature = "telemetry")]
-        {
-            self.buf = Some(Box::new(TelemetryBuffer::new(interval, max_samples)));
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (interval, max_samples);
-        }
+        self.buf = Some(Box::new(TelemetryBuffer::new(interval, max_samples)));
     }
 
     /// Whether samples are currently being collected.
     #[inline(always)]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.buf.is_some()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            false
-        }
+        self.buf.is_some()
     }
 
     /// The next nominal sample instant, or `None` when disabled. The event
@@ -175,20 +155,12 @@ impl TelemetrySink {
     /// "snapshot state now, stamped with this instant".
     #[inline(always)]
     pub fn next_due(&self) -> Option<SimTime> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.buf.as_ref().map(|b| b.next_due)
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            None
-        }
+        self.buf.as_ref().map(|b| b.next_due)
     }
 
     /// Advance past the current due instant after sampling it.
     #[inline]
     pub fn advance(&mut self) {
-        #[cfg(feature = "telemetry")]
         if let Some(b) = self.buf.as_mut() {
             b.next_due += b.interval;
         }
@@ -197,7 +169,6 @@ impl TelemetrySink {
     /// Record one per-flow snapshot.
     #[inline]
     pub fn flow(&mut self, sample: FlowSample) {
-        #[cfg(feature = "telemetry")]
         if let Some(b) = self.buf.as_mut() {
             if b.len() < b.max_samples {
                 b.flows.push(sample);
@@ -205,16 +176,11 @@ impl TelemetrySink {
                 b.dropped_rows += 1;
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = sample;
-        }
     }
 
     /// Record one queue snapshot.
     #[inline]
     pub fn queue(&mut self, sample: QueueSample) {
-        #[cfg(feature = "telemetry")]
         if let Some(b) = self.buf.as_mut() {
             if b.len() < b.max_samples {
                 b.queues.push(sample);
@@ -222,23 +188,12 @@ impl TelemetrySink {
                 b.dropped_rows += 1;
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = sample;
-        }
     }
 
     /// Detach and return the collected samples, leaving the sink disabled.
-    /// `None` if the sink was never enabled (or the feature is off).
+    /// `None` if the sink was never enabled.
     pub fn take(&mut self) -> Option<TelemetryLog> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.buf.take().map(|b| b.into_log())
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            None
-        }
+        self.buf.take().map(|b| b.into_log())
     }
 }
 
@@ -350,7 +305,6 @@ pub fn write_queue_csv<W: Write>(log: &TelemetryLog, w: &mut W) -> io::Result<()
 mod tests {
     use super::*;
 
-    #[cfg(feature = "telemetry")]
     fn sample_log() -> TelemetryLog {
         let mut sink = TelemetrySink::disabled();
         assert!(!sink.is_enabled());
@@ -383,7 +337,6 @@ mod tests {
         sink.take().expect("enabled sink yields a log")
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn sink_collects_in_record_order() {
         let log = sample_log();
@@ -411,7 +364,6 @@ mod tests {
         assert!(sink.take().is_none());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn sample_cap_counts_dropped_rows() {
         let mut sink = TelemetrySink::disabled();
@@ -434,7 +386,6 @@ mod tests {
         TelemetrySink::disabled().enable(SimDuration::ZERO, 8);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn jsonl_is_deterministic_and_parseable() {
         let log = sample_log();
@@ -464,7 +415,6 @@ mod tests {
         assert_eq!(queues, 3);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn jsonl_interleaves_queue_rows_after_flows_at_same_instant() {
         let log = sample_log();
@@ -479,7 +429,6 @@ mod tests {
         assert_eq!(kinds, ["f", "f", "q", "f", "f", "q", "f", "f", "q"]);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn csv_headers_and_rows() {
         let log = sample_log();

@@ -10,12 +10,9 @@
 //!
 //! # Design constraints
 //!
-//! * **Statically zero-cost when disabled.** All tracepoints go through
-//!   [`TraceSink`]. With the `trace` cargo feature off, `TraceSink` is a
-//!   zero-sized type and every method is an empty inline — the instrumented
-//!   hot paths compile to exactly the un-instrumented code. With the feature
-//!   on but no sink attached (the default at runtime), each tracepoint is a
-//!   single branch on a `None`.
+//! * **One branch when disabled.** All tracepoints go through
+//!   [`TraceSink`]; with no buffer attached (the default at runtime), each
+//!   tracepoint is a single branch on a `None`.
 //! * **Deterministic.** Timestamps are [`SimTime`] — never wall clock — and
 //!   each simulation owns its buffers, so a trace is a pure function of the
 //!   simulated run and bit-identical across `--jobs N` worker placements.
@@ -270,56 +267,34 @@ impl TraceBuffer {
 /// A tracepoint target that may or may not be recording.
 ///
 /// Instrumented structs own a `TraceSink` and call [`TraceSink::record`]
-/// unconditionally at each tracepoint. With the `trace` cargo feature off
-/// this type is zero-sized and every method is an inline no-op; with the
-/// feature on, recording costs one branch until a buffer is attached with
-/// [`TraceSink::enable`].
+/// unconditionally at each tracepoint: recording costs one branch until a
+/// buffer is attached with [`TraceSink::enable`].
 #[derive(Debug, Default)]
 pub struct TraceSink {
-    #[cfg(feature = "trace")]
     buf: Option<Box<TraceBuffer>>,
 }
 
 impl TraceSink {
     /// A sink that records nothing (the default for every simulation).
     pub const fn disabled() -> Self {
-        TraceSink {
-            #[cfg(feature = "trace")]
-            buf: None,
-        }
+        TraceSink { buf: None }
     }
 
-    /// Attach a fresh ring of `capacity` records. No-op when the `trace`
-    /// feature is compiled out.
+    /// Attach a fresh ring of `capacity` records.
     pub fn enable(&mut self, capacity: usize) {
-        #[cfg(feature = "trace")]
-        {
-            self.buf = Some(Box::new(TraceBuffer::new(capacity)));
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = capacity;
+        self.buf = Some(Box::new(TraceBuffer::new(capacity)));
     }
 
-    /// True if a buffer is attached and records are being kept.
-    ///
-    /// Always `false` with the `trace` feature off — guarding a tracepoint's
-    /// argument preparation behind this lets the optimizer delete it.
+    /// True if a buffer is attached and records are being kept. Guard a
+    /// tracepoint's argument preparation behind this.
     #[inline(always)]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.buf.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.buf.is_some()
     }
 
     /// Record one event (dropped silently when not enabled).
     #[inline(always)]
     pub fn record(&mut self, at: SimTime, kind: TraceKind, conn: u32, a: u64, b: u64) {
-        #[cfg(feature = "trace")]
         if let Some(buf) = self.buf.as_mut() {
             buf.push(TraceRecord {
                 at,
@@ -329,31 +304,20 @@ impl TraceSink {
                 b,
             });
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (at, kind, conn, a, b);
     }
 
     /// Intern a string into the attached buffer (0 when not enabled).
     #[inline(always)]
     pub fn intern(&mut self, s: &'static str) -> u64 {
-        #[cfg(feature = "trace")]
-        if let Some(buf) = self.buf.as_mut() {
-            return buf.intern(s);
+        match self.buf.as_mut() {
+            Some(buf) => buf.intern(s),
+            None => 0,
         }
-        let _ = s;
-        0
     }
 
     /// Detach and return the buffer, leaving the sink disabled.
     pub fn take(&mut self) -> Option<TraceBuffer> {
-        #[cfg(feature = "trace")]
-        {
-            self.buf.take().map(|b| *b)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            None
-        }
+        self.buf.take().map(|b| *b)
     }
 }
 
@@ -771,7 +735,6 @@ mod tests {
         assert!(sink.take().is_none());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn enabled_sink_round_trips_records() {
         let mut sink = TraceSink::disabled();

@@ -557,9 +557,7 @@ impl StackSim {
     /// ([`cpu_model::profile::DEFAULT_WINDOW`]).
     ///
     /// Tracing never changes simulation behaviour — a traced run produces a
-    /// bit-identical [`SimResult`] to an untraced one. When `sim-core` is
-    /// built with `--no-default-features` (no `trace` feature) the rings
-    /// stay off and only the profiler runs.
+    /// bit-identical [`SimResult`] to an untraced one.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.trace.enable(capacity);
         self.queue.set_tracer(capacity);
@@ -596,9 +594,8 @@ impl StackSim {
     /// telemetry collected along the way.
     ///
     /// Sampling is configured by [`SimConfig::telemetry`]; the log is empty
-    /// (`None`) when the config carries no interval or `sim-core` was built
-    /// without the `telemetry` feature. The [`SimResult`] is byte-identical
-    /// to [`StackSim::run`]'s — sampling only observes.
+    /// (`None`) when the config carries no interval. The [`SimResult`] is
+    /// byte-identical to [`StackSim::run`]'s — sampling only observes.
     pub fn run_with_telemetry(mut self) -> (SimResult, Option<TelemetryLog>) {
         self.run_to_end();
         let log = self.telemetry.take();
@@ -2047,32 +2044,28 @@ mod tests {
             serde_json::to_string(&sampled).unwrap(),
             "telemetry sampling must not perturb any result byte"
         );
-        // `log` is `Some` whenever sim-core was built with its default
-        // `telemetry` feature (the workspace default); `None` only under
-        // `--no-default-features`, where the sink is compiled out.
-        if let Some(log) = log {
-            assert!(!log.flows.is_empty(), "flow samples collected");
-            assert!(!log.queues.is_empty(), "queue samples collected");
-            assert_eq!(log.dropped_rows, 0);
-            // Rows are time-major and, within an instant, connection-minor.
-            for w in log.flows.windows(2) {
-                assert!(
-                    w[0].at < w[1].at || (w[0].at == w[1].at && w[0].conn < w[1].conn),
-                    "flow rows out of order: {:?} then {:?}",
-                    (w[0].at, w[0].conn),
-                    (w[1].at, w[1].conn),
-                );
-            }
-            // One queue row per sampled instant, covering the whole run.
-            for w in log.queues.windows(2) {
-                assert_eq!(
-                    w[1].at.saturating_since(w[0].at),
-                    SimDuration::from_millis(10)
-                );
-            }
-            // Phase strings come from the live CC objects.
-            assert!(log.flows.iter().all(|f| !f.phase.is_empty()));
+        let log = log.expect("cfg.telemetry attaches the sink");
+        assert!(!log.flows.is_empty(), "flow samples collected");
+        assert!(!log.queues.is_empty(), "queue samples collected");
+        assert_eq!(log.dropped_rows, 0);
+        // Rows are time-major and, within an instant, connection-minor.
+        for w in log.flows.windows(2) {
+            assert!(
+                w[0].at < w[1].at || (w[0].at == w[1].at && w[0].conn < w[1].conn),
+                "flow rows out of order: {:?} then {:?}",
+                (w[0].at, w[0].conn),
+                (w[1].at, w[1].conn),
+            );
         }
+        // One queue row per sampled instant, covering the whole run.
+        for w in log.queues.windows(2) {
+            assert_eq!(
+                w[1].at.saturating_since(w[0].at),
+                SimDuration::from_millis(10)
+            );
+        }
+        // Phase strings come from the live CC objects.
+        assert!(log.flows.iter().all(|f| !f.phase.is_empty()));
     }
 
     #[test]
@@ -2082,9 +2075,7 @@ mod tests {
             cfg.telemetry = Some(SimDuration::from_millis(20));
             let (_, log) = StackSim::new(cfg).run_with_telemetry();
             let mut out = Vec::new();
-            if let Some(log) = log {
-                sim_core::telemetry::write_jsonl(&log, &mut out).unwrap();
-            }
+            sim_core::telemetry::write_jsonl(&log.expect("sink attached"), &mut out).unwrap();
             out
         };
         assert_eq!(run(), run(), "flight data must be byte-identical");
@@ -2486,26 +2477,24 @@ mod tests {
     #[test]
     fn traced_run_is_bit_identical_to_untraced() {
         // The flight recorder must be an observer: same config, same seed,
-        // tracing on vs off, identical results.
+        // tracing on vs off, identical results — alone, and with the
+        // telemetry sink live in the same run (both instruments at once).
         let plain = StackSim::new(quick(CcKind::Bbr, CpuConfig::LowEnd, 3)).run();
-        let (traced, log) = StackSim::new(quick(CcKind::Bbr, CpuConfig::LowEnd, 3)).run_traced();
-        assert_eq!(plain.total_goodput, traced.total_goodput);
-        assert_eq!(plain.total_retx, traced.total_retx);
-        assert_eq!(plain.mean_rtt_ms, traced.mean_rtt_ms);
-        assert_eq!(
-            plain.counters.get("skbs_sent"),
-            traced.counters.get("skbs_sent")
-        );
-        assert_eq!(plain.cpu.total_cycles, traced.cpu.total_cycles);
-        // The log itself is well-formed: time-ordered, with the windowed
-        // CPU profile appended as counter series.
-        assert!(log.events.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(log.counters.iter().any(|s| s.name.starts_with("cycles.")));
-        // With the default `trace` feature on, paced BBR must have left
-        // pacing-timer and CC tracepoints behind (the ring is empty only
-        // when sim-core was built without the feature).
-        if !log.events.is_empty() {
+        for telemetry in [None, Some(SimDuration::from_millis(10))] {
+            let mut cfg = quick(CcKind::Bbr, CpuConfig::LowEnd, 3);
+            cfg.telemetry = telemetry;
+            let (traced, log) = StackSim::new(cfg).run_traced();
+            assert_eq!(
+                serde_json::to_string(&plain).unwrap(),
+                serde_json::to_string(&traced).unwrap(),
+                "tracing (telemetry {telemetry:?}) must not perturb any result byte"
+            );
+            // The log itself is well-formed: time-ordered, with the windowed
+            // CPU profile appended as counter series, and paced BBR has left
+            // pacing-timer, CC, CPU and wheel tracepoints behind.
             use sim_core::trace::TraceKind;
+            assert!(log.events.windows(2).all(|w| w[0].at <= w[1].at));
+            assert!(log.counters.iter().any(|s| s.name.starts_with("cycles.")));
             assert!(log.events.iter().any(|e| e.kind == TraceKind::PacingFire));
             assert!(log.events.iter().any(|e| e.kind == TraceKind::CwndUpdate));
             assert!(log.events.iter().any(|e| e.kind == TraceKind::CpuSpan));

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The end-to-end gates, as one script that contributors and CI both run:
 #
-#   tools/verify.sh report|resume|fleet|fairness
+#   tools/verify.sh report|resume|fleet|fairness|bench
 #
 # Each gate builds the release binaries through `cargo run` and writes its
-# artifacts under target/verify/<gate>/ (wiped at the start of the gate).
+# artifacts under target/verify/<gate>/ (wiped at the start of the gate;
+# `bench` writes to benchmark/out/ instead).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -108,15 +109,26 @@ fairness() {
     simcheck --scenario 'cc=bbr2,cpu=low,media=wifi,conns=4,stride=1,pacing=on,queue=-,loss=0,jitter=0,cross=0,acks=-,dur=600,warmup=200,seed=33,fleet=4,fmix=1,fshared=80,fqdisc=fqcodel'
 }
 
+# The repo benchmark still builds against the crates' public APIs and
+# reproduces its result digests: `benchmark/` is a standalone package (own
+# workspace and lock file), frozen between benchmark PRs, so an API change
+# that breaks it must fail here, not at the next timed run. `--smoke`
+# builds it `--locked` and runs every workload once on shrunk inputs; the
+# self-tests cover its stats and span code.
+bench() {
+    benchmark/run.sh --smoke
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
+}
+
 case "$gate" in
-report | resume | fleet | fairness)
+report | resume | fleet | fairness | bench)
     rm -rf "$out"
     mkdir -p "$out"
     "$gate"
     echo "verify $gate: OK"
     ;;
 *)
-    echo "usage: tools/verify.sh report|resume|fleet|fairness" >&2
+    echo "usage: tools/verify.sh report|resume|fleet|fairness|bench" >&2
     exit 2
     ;;
 esac
