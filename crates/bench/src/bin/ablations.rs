@@ -246,66 +246,44 @@ fn main() {
     mobile_bbr_bench::cancel::install_sigint_handler();
     let mut p = params();
     let mut which = "all".to_string();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--jobs" => {
-                p.threads = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --jobs needs a positive integer");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--no-cache" => {
-                p.cache_dir = None;
-                i += 1;
-            }
-            "--cache-dir" => {
-                p.cache_dir = Some(
-                    argv.get(i + 1)
-                        .unwrap_or_else(|| {
-                            eprintln!("error: --cache-dir needs a path");
-                            std::process::exit(2);
-                        })
-                        .into(),
-                );
-                i += 2;
-            }
-            "--progress" => {
-                p.progress = true;
-                i += 1;
-            }
-            other if !other.starts_with("--") => {
-                const KNOWN: [&str; 7] = [
-                    "all",
-                    "timer",
-                    "cap",
-                    "governor",
-                    "aqm",
-                    "competition",
-                    "acks",
-                ];
-                if !KNOWN.contains(&other) {
-                    eprintln!(
-                        "error: unknown ablation '{other}'; known: {}",
-                        KNOWN.join(", ")
-                    );
-                    std::process::exit(2);
-                }
-                which = other.to_string();
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown flag '{other}'");
-                eprintln!("usage: ablations [all|timer|cap|governor|aqm|competition|acks] [--jobs N] [--no-cache] [--cache-dir PATH] [--progress]");
-                std::process::exit(2);
-            }
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let sweep = mobile_bbr_bench::sweep_flags(&mut argv, false).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    if let Some(n) = sweep.jobs {
+        p.threads = n;
+    }
+    if let Some(dir) = sweep.cache_dir {
+        p.cache_dir = Some(dir);
+    }
+    if sweep.no_cache {
+        p.cache_dir = None;
+    }
+    p.progress = sweep.progress;
+    for arg in argv {
+        if arg.starts_with("--") {
+            eprintln!("error: unknown flag '{arg}'");
+            eprintln!("usage: ablations [all|timer|cap|governor|aqm|competition|acks] [--jobs N] [--no-cache] [--cache-dir PATH] [--progress]");
+            std::process::exit(2);
         }
+        const KNOWN: [&str; 7] = [
+            "all",
+            "timer",
+            "cap",
+            "governor",
+            "aqm",
+            "competition",
+            "acks",
+        ];
+        if !KNOWN.contains(&arg.as_str()) {
+            eprintln!(
+                "error: unknown ablation '{arg}'; known: {}",
+                KNOWN.join(", ")
+            );
+            std::process::exit(2);
+        }
+        which = arg;
     }
     let t0 = std::time::Instant::now();
     if let Err(e) = run_studies(&p, &which) {

@@ -69,124 +69,41 @@ fn parse_args() -> Result<Args, String> {
     let mut json = None;
     let mut csv = None;
     let mut seeds: Option<u64> = None;
-    let mut jobs: Option<usize> = None;
-    let mut no_cache = false;
-    let mut cache_dir: Option<String> = None;
-    let mut progress = false;
     let mut trace: Option<String> = None;
     let mut trace_chrome = false;
     let mut report: Option<String> = None;
-    let mut checkpoint: Option<String> = None;
-    let mut resume = false;
-    let mut max_inflight: usize = 0;
-    let mut cancel_after: Option<u64> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let sweep = mobile_bbr_bench::sweep_flags(&mut argv, true)?;
+    let mut args = argv.into_iter();
+    while let Some(arg) = args.next() {
+        let mut value = |what: &str| args.next().ok_or_else(|| format!("{arg} needs {what}"));
+        match arg.as_str() {
             "--exp" => {
-                let name = argv.get(i + 1).ok_or("--exp needs a value")?;
+                let name = value("a value")?;
                 if name == "all" {
                     exps.extend(ExperimentId::ALL);
                 } else {
-                    exps.push(ExperimentId::from_cli_name(name).ok_or_else(|| {
+                    exps.push(ExperimentId::from_cli_name(&name).ok_or_else(|| {
                         format!(
                             "unknown experiment '{name}'; known: {}",
                             ExperimentId::ALL.map(|e| e.cli_name()).join(", ")
                         )
                     })?);
                 }
-                i += 2;
             }
-            "--quick" => {
-                params = Params::quick();
-                i += 1;
-            }
-            "--smoke" => {
-                params = Params::smoke();
-                i += 1;
-            }
+            "--quick" => params = Params::quick(),
+            "--smoke" => params = Params::smoke(),
             "--seeds" => {
-                seeds = Some(
-                    argv.get(i + 1)
-                        .ok_or("--seeds needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --seeds: {e}"))?,
-                );
-                i += 2;
+                let n = value("a value")?;
+                seeds = Some(n.parse().map_err(|e| format!("bad --seeds: {e}"))?);
             }
-            "--markdown" => {
-                markdown = Some(argv.get(i + 1).ok_or("--markdown needs a path")?.clone());
-                i += 2;
-            }
-            "--json" => {
-                json = Some(argv.get(i + 1).ok_or("--json needs a path")?.clone());
-                i += 2;
-            }
-            "--csv" => {
-                csv = Some(argv.get(i + 1).ok_or("--csv needs a path")?.clone());
-                i += 2;
-            }
-            "--jobs" => {
-                let n: usize = argv
-                    .get(i + 1)
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --jobs: {e}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                jobs = Some(n);
-                i += 2;
-            }
-            "--no-cache" => {
-                no_cache = true;
-                i += 1;
-            }
-            "--cache-dir" => {
-                cache_dir = Some(argv.get(i + 1).ok_or("--cache-dir needs a path")?.clone());
-                i += 2;
-            }
-            "--progress" => {
-                progress = true;
-                i += 1;
-            }
-            "--checkpoint" => {
-                checkpoint = Some(argv.get(i + 1).ok_or("--checkpoint needs a path")?.clone());
-                i += 2;
-            }
-            "--resume" => {
-                resume = true;
-                i += 1;
-            }
-            "--max-inflight" => {
-                max_inflight = argv
-                    .get(i + 1)
-                    .ok_or("--max-inflight needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-inflight: {e}"))?;
-                i += 2;
-            }
-            "--cancel-after" => {
-                cancel_after = Some(
-                    argv.get(i + 1)
-                        .ok_or("--cancel-after needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --cancel-after: {e}"))?,
-                );
-                i += 2;
-            }
-            "--trace" => {
-                trace = Some(argv.get(i + 1).ok_or("--trace needs a path")?.clone());
-                i += 2;
-            }
-            "--report" => {
-                report = Some(argv.get(i + 1).ok_or("--report needs a directory")?.clone());
-                i += 2;
-            }
+            "--markdown" => markdown = Some(value("a path")?),
+            "--json" => json = Some(value("a path")?),
+            "--csv" => csv = Some(value("a path")?),
+            "--trace" => trace = Some(value("a path")?),
+            "--report" => report = Some(value("a directory")?),
             "--trace-format" => {
-                let fmt = argv.get(i + 1).ok_or("--trace-format needs a value")?;
-                trace_chrome = match fmt.as_str() {
+                trace_chrome = match value("a value")?.as_str() {
                     "jsonl" => false,
                     "chrome" => true,
                     other => {
@@ -195,11 +112,41 @@ fn parse_args() -> Result<Args, String> {
                         ))
                     }
                 };
-                i += 2;
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
+
+    // `--trace` and `--report` are modes of their own: they run no
+    // experiments and write no scorecard, so a flag that asks for either
+    // would be silently dropped. Refuse it by name instead.
+    if trace.is_some() || report.is_some() {
+        let mut ignored = Vec::new();
+        for (flag, given) in [
+            ("--report", trace.is_some() && report.is_some()),
+            ("--exp", !exps.is_empty()),
+            ("--json", json.is_some()),
+            ("--markdown", markdown.is_some()),
+            ("--csv", csv.is_some()),
+            ("--checkpoint", sweep.checkpoint.is_some()),
+        ] {
+            if given {
+                ignored.push(flag);
+            }
+        }
+        if !ignored.is_empty() {
+            let mode = if trace.is_some() {
+                "--trace"
+            } else {
+                "--report"
+            };
+            return Err(format!(
+                "{mode} is a mode of its own and would ignore {}",
+                ignored.join(", ")
+            ));
+        }
+    }
+
     if exps.is_empty() {
         exps.extend(ExperimentId::ALL);
     }
@@ -207,26 +154,23 @@ fn parse_args() -> Result<Args, String> {
     if let Some(n) = seeds {
         params.seeds = n;
     }
-    if let Some(n) = jobs {
+    if let Some(n) = sweep.jobs {
         params.threads = n;
     }
-    if let Some(dir) = cache_dir {
-        params.cache_dir = Some(dir.into());
+    if let Some(dir) = sweep.cache_dir {
+        params.cache_dir = Some(dir);
     }
-    if no_cache {
+    if sweep.no_cache {
         params.cache_dir = None;
     }
-    params.progress = progress;
-    if resume && checkpoint.is_none() {
-        return Err("--resume requires --checkpoint PATH".into());
-    }
-    params.checkpoint = checkpoint.map(Into::into);
-    params.max_inflight = max_inflight;
-    params.cancel_after = cancel_after;
+    params.progress = sweep.progress;
+    params.checkpoint = sweep.checkpoint;
+    params.max_inflight = sweep.max_inflight;
+    params.cancel_after = sweep.cancel_after;
     Ok(Args {
         exps,
         params,
-        resume,
+        resume: sweep.resume,
         markdown,
         json,
         csv,
@@ -256,7 +200,14 @@ fn record_trace(params: &Params, path: &str, chrome: bool) -> Result<(), String>
     use cpu_model::CpuConfig;
 
     let config = params.pixel4(CpuConfig::LowEnd, CcKind::Bbr, 20);
-    let (res, log) = tcp_sim::StackSim::new(config).run_traced();
+    let observed = tcp_sim::StackSim::new(config).run_observed(tcp_sim::Instruments {
+        trace: true,
+        telemetry: None,
+    });
+    let (res, log) = (
+        observed.result,
+        observed.trace.expect("tracing was requested"),
+    );
     let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
     let mut w = std::io::BufWriter::new(file);
     if chrome {

@@ -23,133 +23,56 @@
 //! escaped mutant); 2 usage error; 130 interrupted (Ctrl-C).
 
 use mobile_bbr_bench::simcheck::{check_scenario, fuzz, mutant_check, FuzzOptions, Scenario};
+use mobile_bbr_bench::SweepFlags;
 use sim_core::check::Corpus;
 use std::path::PathBuf;
 
 struct Args {
     budget: u64,
     seed: u64,
-    jobs: usize,
     corpus: PathBuf,
     failure_dir: PathBuf,
     scenario: Option<String>,
     mutant_check: bool,
-    progress: bool,
     no_corpus_append: bool,
-    checkpoint: Option<PathBuf>,
-    resume: bool,
-    max_inflight: usize,
-    cancel_after: Option<u64>,
+    sweep: SweepFlags,
 }
 
 fn parse_args() -> Result<Args, String> {
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
     let mut args = Args {
         budget: 200,
         seed: 1,
-        jobs: 1,
         corpus: PathBuf::from("tests/simcheck_corpus.txt"),
         failure_dir: PathBuf::from("target/simcheck-failures"),
         scenario: None,
         mutant_check: false,
-        progress: false,
         no_corpus_append: false,
-        checkpoint: None,
-        resume: false,
-        max_inflight: 0,
-        cancel_after: None,
+        sweep: mobile_bbr_bench::sweep_flags(&mut argv, true)?,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut rest = argv.into_iter();
+    while let Some(arg) = rest.next() {
+        let mut value = |what: &str| rest.next().ok_or_else(|| format!("{arg} needs {what}"));
+        match arg.as_str() {
             "--budget" => {
-                args.budget = argv
-                    .get(i + 1)
-                    .ok_or("--budget needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --budget: {e}"))?;
-                i += 2;
+                let n = value("a value")?;
+                args.budget = n.parse().map_err(|e| format!("bad --budget: {e}"))?;
             }
             "--seed" => {
-                args.seed = argv
-                    .get(i + 1)
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-                i += 2;
+                let n = value("a value")?;
+                args.seed = n.parse().map_err(|e| format!("bad --seed: {e}"))?;
             }
-            "--jobs" => {
-                args.jobs = argv
-                    .get(i + 1)
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --jobs: {e}"))?;
-                if args.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                i += 2;
-            }
-            "--corpus" => {
-                args.corpus = PathBuf::from(argv.get(i + 1).ok_or("--corpus needs a path")?);
-                i += 2;
-            }
-            "--failure-dir" => {
-                args.failure_dir =
-                    PathBuf::from(argv.get(i + 1).ok_or("--failure-dir needs a path")?);
-                i += 2;
-            }
-            "--scenario" => {
-                args.scenario = Some(argv.get(i + 1).ok_or("--scenario needs a spec")?.clone());
-                i += 2;
-            }
-            "--mutant-check" => {
-                args.mutant_check = true;
-                i += 1;
-            }
-            "--progress" => {
-                args.progress = true;
-                i += 1;
-            }
-            "--no-corpus-append" => {
-                args.no_corpus_append = true;
-                i += 1;
-            }
-            "--checkpoint" => {
-                args.checkpoint = Some(PathBuf::from(
-                    argv.get(i + 1).ok_or("--checkpoint needs a path")?,
-                ));
-                i += 2;
-            }
-            "--resume" => {
-                args.resume = true;
-                i += 1;
-            }
-            "--max-inflight" => {
-                args.max_inflight = argv
-                    .get(i + 1)
-                    .ok_or("--max-inflight needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-inflight: {e}"))?;
-                i += 2;
-            }
-            "--cancel-after" => {
-                args.cancel_after = Some(
-                    argv.get(i + 1)
-                        .ok_or("--cancel-after needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --cancel-after: {e}"))?,
-                );
-                i += 2;
-            }
+            "--corpus" => args.corpus = PathBuf::from(value("a path")?),
+            "--failure-dir" => args.failure_dir = PathBuf::from(value("a path")?),
+            "--scenario" => args.scenario = Some(value("a spec")?),
+            "--mutant-check" => args.mutant_check = true,
+            "--no-corpus-append" => args.no_corpus_append = true,
             "--help" | "-h" => {
                 print_usage();
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument '{other}' (see --help)")),
         }
-    }
-    if args.resume && args.checkpoint.is_none() {
-        return Err("--resume requires --checkpoint PATH".into());
     }
     Ok(args)
 }
@@ -268,7 +191,7 @@ fn run_fuzz(args: &Args) -> i32 {
             }
         }
     }
-    if args.progress {
+    if args.sweep.progress {
         eprintln!("corpus: {} entr(ies) replayed", corpus.entries.len());
     }
 
@@ -276,18 +199,18 @@ fn run_fuzz(args: &Args) -> i32 {
     let outcome = match fuzz(&FuzzOptions {
         budget: args.budget,
         seed: args.seed,
-        jobs: args.jobs,
+        jobs: args.sweep.jobs.unwrap_or(1),
         failure_dir: Some(args.failure_dir.clone()),
-        progress: args.progress,
-        checkpoint: args.checkpoint.clone(),
-        max_inflight: args.max_inflight,
-        cancel_after: args.cancel_after,
+        progress: args.sweep.progress,
+        checkpoint: args.sweep.checkpoint.clone(),
+        max_inflight: args.sweep.max_inflight,
+        cancel_after: args.sweep.cancel_after,
     }) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("simcheck: {e}");
             if matches!(e, sim_core::Error::Interrupted { .. }) {
-                if let Some(path) = &args.checkpoint {
+                if let Some(path) = &args.sweep.checkpoint {
                     eprintln!(
                         "checkpoint finalized at {}; rerun with `--checkpoint {} --resume` to continue",
                         path.display(),
@@ -320,8 +243,8 @@ fn run_fuzz(args: &Args) -> i32 {
     }
     // NB: stdout must stay bit-identical for any --jobs value, so the
     // worker count is reported on stderr only (with --progress).
-    if args.progress {
-        eprintln!("jobs: {}", args.jobs);
+    if args.sweep.progress {
+        eprintln!("jobs: {}", args.sweep.jobs.unwrap_or(1));
     }
     println!(
         "simcheck: {} corpus + {} random scenarios, {} violation(s), seed {}",
@@ -344,8 +267,8 @@ fn main() {
         Err(e) => fail(&e),
     };
     // A fresh (non-`--resume`) campaign must not replay a stale checkpoint.
-    if let Some(path) = &args.checkpoint {
-        if !args.resume && path.exists() {
+    if let Some(path) = &args.sweep.checkpoint {
+        if !args.sweep.resume && path.exists() {
             if let Err(e) = std::fs::remove_file(path) {
                 fail(&format!(
                     "cannot discard stale checkpoint {}: {e}",

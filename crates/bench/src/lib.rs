@@ -24,17 +24,78 @@
 pub mod cancel;
 pub mod simcheck;
 
-use experiments::{Experiment, ExperimentId, Params};
+use experiments::Experiment;
+use std::path::PathBuf;
 
-/// Run one experiment and return it with (text, markdown) renderings.
-pub fn run_and_render(
-    id: ExperimentId,
-    params: &Params,
-) -> Result<(Experiment, String, String), sim_core::Error> {
-    let exp = id.run(params)?;
-    let text = exp.render_text();
-    let md = exp.render_markdown();
-    Ok((exp, text, md))
+/// The sweep-engine flags every front end shares, as parsed by
+/// [`sweep_flags`].
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct SweepFlags {
+    /// `--jobs N` (at least 1).
+    pub jobs: Option<usize>,
+    /// `--progress`.
+    pub progress: bool,
+    /// `--no-cache`.
+    pub no_cache: bool,
+    /// `--cache-dir PATH`.
+    pub cache_dir: Option<PathBuf>,
+    /// `--checkpoint PATH`.
+    pub checkpoint: Option<PathBuf>,
+    /// `--resume` (only ever set together with `checkpoint`).
+    pub resume: bool,
+    /// `--max-inflight N` (0 = auto).
+    pub max_inflight: usize,
+    /// `--cancel-after N`.
+    pub cancel_after: Option<u64>,
+}
+
+/// Move the sweep-engine flags (and their values) out of `argv`, leaving
+/// what the calling binary must recognise itself. `resumable` callers also
+/// take `--checkpoint`/`--resume`/`--max-inflight`/`--cancel-after`; for
+/// the others those stay in `argv` as the unknown flags they are.
+pub fn sweep_flags(argv: &mut Vec<String>, resumable: bool) -> Result<SweepFlags, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        value
+            .ok_or_else(|| format!("{flag} needs a value"))?
+            .parse()
+            .map_err(|e| format!("bad {flag}: {e}"))
+    }
+    let path = |flag: &str, value: Option<String>| {
+        value
+            .map(PathBuf::from)
+            .ok_or_else(|| format!("{flag} needs a path"))
+    };
+
+    let mut flags = SweepFlags::default();
+    let mut rest = Vec::with_capacity(argv.len());
+    let mut args = std::mem::take(argv).into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--jobs" => {
+                let n: usize = number(&arg, args.next())?;
+                if n == 0 {
+                    return Err("--jobs must be at least 1".into());
+                }
+                flags.jobs = Some(n);
+            }
+            "--progress" => flags.progress = true,
+            "--no-cache" => flags.no_cache = true,
+            "--cache-dir" => flags.cache_dir = Some(path(&arg, args.next())?),
+            "--checkpoint" if resumable => flags.checkpoint = Some(path(&arg, args.next())?),
+            "--resume" if resumable => flags.resume = true,
+            "--max-inflight" if resumable => flags.max_inflight = number(&arg, args.next())?,
+            "--cancel-after" if resumable => flags.cancel_after = Some(number(&arg, args.next())?),
+            _ => rest.push(arg),
+        }
+    }
+    if flags.resume && flags.checkpoint.is_none() {
+        return Err("--resume requires --checkpoint PATH".into());
+    }
+    *argv = rest;
+    Ok(flags)
 }
 
 /// Serialize experiments to a JSON document (for machine consumption).
@@ -45,13 +106,56 @@ pub fn to_json(experiments: &[Experiment]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use experiments::{ExperimentId, Params};
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn sweep_flags_are_taken_and_the_rest_left_in_order() {
+        let mut args = argv(&[
+            "--exp",
+            "fig2",
+            "--jobs",
+            "4",
+            "--quick",
+            "--checkpoint",
+            "ck",
+            "--resume",
+            "--json",
+            "o",
+        ]);
+        let flags = sweep_flags(&mut args, true).expect("valid flags");
+        assert_eq!(args, argv(&["--exp", "fig2", "--quick", "--json", "o"]));
+        let want = SweepFlags {
+            jobs: Some(4),
+            checkpoint: Some("ck".into()),
+            resume: true,
+            ..SweepFlags::default()
+        };
+        assert_eq!(flags, want);
+        // A caller that cannot resume leaves those flags for its own
+        // unknown-flag error.
+        let mut args = argv(&["--progress", "--checkpoint", "ck"]);
+        assert!(sweep_flags(&mut args, false).expect("valid flags").progress);
+        assert_eq!(args, argv(&["--checkpoint", "ck"]));
+
+        let err = |args: &[&str]| sweep_flags(&mut argv(args), true).unwrap_err();
+        assert_eq!(err(&["--jobs"]), "--jobs needs a value");
+        assert_eq!(err(&["--jobs", "0"]), "--jobs must be at least 1");
+        assert!(err(&["--jobs", "x"]).starts_with("bad --jobs:"));
+        assert_eq!(err(&["--cache-dir"]), "--cache-dir needs a path");
+        assert_eq!(err(&["--resume"]), "--resume requires --checkpoint PATH");
+    }
 
     #[test]
     fn render_pipeline_works() {
-        let (exp, text, md) =
-            run_and_render(ExperimentId::Fig9, &Params::smoke()).expect("fig9 completes");
-        assert!(text.contains("FIG9"));
-        assert!(md.contains("### FIG9"));
+        let exp = ExperimentId::Fig9
+            .run(&Params::smoke())
+            .expect("fig9 completes");
+        assert!(exp.render_text().contains("FIG9"));
+        assert!(exp.render_markdown().contains("### FIG9"));
         let json = to_json(&[exp]);
         assert!(json.contains("\"id\""));
     }

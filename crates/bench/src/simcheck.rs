@@ -1291,7 +1291,13 @@ pub fn fuzz(options: &FuzzOptions) -> Result<FuzzOutcome, sim_core::Error> {
                     std::fs::create_dir_all(dir)?;
                     let key = sim_core::sweep::fnv64(shrunk.spec_string().as_bytes());
                     let path = dir.join(format!("simcheck-{key:016x}.jsonl"));
-                    let (_res, log) = StackSim::new(shrunk.to_config()).run_traced();
+                    let log = StackSim::new(shrunk.to_config())
+                        .run_observed(tcp_sim::Instruments {
+                            trace: true,
+                            telemetry: None,
+                        })
+                        .trace
+                        .expect("tracing was requested");
                     let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
                     sim_core::trace::write_jsonl(&log, &mut file)?;
                     Ok(path)

@@ -33,3 +33,57 @@ fn seeds_overrides_the_preset_on_either_side_of_it() {
         );
     }
 }
+
+#[test]
+fn side_modes_refuse_flags_they_would_ignore() {
+    // `--trace` and `--report` return before any experiment runs; a flag
+    // that asks for an artifact (or for the other mode) used to be dropped
+    // silently with exit 0.
+    let dir = std::env::temp_dir().join(format!("repro-cli-modes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    for (flags, named) in [
+        (
+            vec![
+                "--trace",
+                &at("t"),
+                "--report",
+                &at("r"),
+                "--json",
+                &at("j"),
+            ],
+            vec!["--report", "--json"],
+        ),
+        (vec!["--trace", &at("t"), "--exp", "fig9"], vec!["--exp"]),
+        (vec!["--report", &at("r"), "--csv", &at("c")], vec!["--csv"]),
+        (
+            vec![
+                "--report",
+                &at("r"),
+                "--markdown",
+                &at("m"),
+                "--checkpoint",
+                &at("k"),
+            ],
+            vec!["--markdown", "--checkpoint"],
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("--smoke")
+            .args(&flags)
+            .output()
+            .expect("repro binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: stderr: {stderr}");
+        for flag in named {
+            assert!(
+                stderr.contains(flag),
+                "{flags:?} must name {flag}: {stderr}"
+            );
+        }
+        assert!(
+            std::fs::read_dir(&dir).unwrap().next().is_none(),
+            "{flags:?}: a refused invocation writes nothing"
+        );
+    }
+}

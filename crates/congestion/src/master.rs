@@ -83,11 +83,6 @@ impl MasterConfig {
             ..Default::default()
         }
     }
-
-    /// True if every knob is neutral.
-    pub fn is_passthrough(&self) -> bool {
-        *self == Self::default()
-    }
 }
 
 /// A [`CongestionControl`] wrapped with [`MasterConfig`] overrides.
@@ -311,12 +306,5 @@ mod tests {
         m.on_recovery_exit(SimTime::from_millis(3));
         assert_eq!(m.cwnd(), 70, "no knob-bypassing state change");
         assert_eq!(m.ssthresh(), u64::MAX, "inner ssthresh untouched");
-    }
-
-    #[test]
-    fn passthrough_detection() {
-        assert!(MasterConfig::passthrough().is_passthrough());
-        assert!(!MasterConfig::pacing_off().is_passthrough());
-        assert!(!MasterConfig::fixed_cwnd_no_model(70).is_passthrough());
     }
 }

@@ -87,43 +87,6 @@ impl MaxFilter {
     }
 }
 
-/// Windowed minimum of `u64` samples (BBR's min-RTT filter).
-///
-/// Implemented by negation over [`MaxFilter`] to keep one tested core.
-#[derive(Debug, Clone)]
-pub struct MinFilter {
-    inner: MaxFilter,
-}
-
-impl MinFilter {
-    /// A filter over the trailing `window`.
-    pub fn new(window: u64) -> Self {
-        MinFilter {
-            inner: MaxFilter::new(window),
-        }
-    }
-
-    /// Smallest sample in window (`u64::MAX` before any update).
-    pub fn get(&self) -> u64 {
-        let raw = self.inner.get();
-        if raw == 0 {
-            u64::MAX
-        } else {
-            u64::MAX - raw
-        }
-    }
-
-    /// Reset to a single sample.
-    pub fn reset(&mut self, t: u64, v: u64) {
-        self.inner.reset(t, u64::MAX - v);
-    }
-
-    /// Offer a sample; returns the new windowed min.
-    pub fn update(&mut self, t: u64, v: u64) -> u64 {
-        u64::MAX - self.inner.update(t, u64::MAX - v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,27 +123,6 @@ mod tests {
         }
         // At t=11 the 100 expires; the best remaining in-window sample is 60.
         assert_eq!(f.update(11, 10), 60);
-    }
-
-    #[test]
-    fn min_tracks_falling_samples() {
-        let mut f = MinFilter::new(100);
-        assert_eq!(f.update(0, 50), 50);
-        assert_eq!(f.update(1, 30), 30);
-        assert_eq!(f.update(2, 40), 30);
-        assert_eq!(f.update(3, 10), 10);
-    }
-
-    #[test]
-    fn min_expires_after_window() {
-        // BBR's 10-second min-RTT window in miniature.
-        let mut f = MinFilter::new(10);
-        f.update(0, 1); // a transiently empty queue
-        for t in 1..=10 {
-            f.update(t, 5);
-        }
-        assert_eq!(f.get(), 1);
-        assert_eq!(f.update(11, 5), 5, "old min must age out");
     }
 
     #[test]
@@ -227,31 +169,6 @@ mod tests {
                 // Never above the all-time max.
                 let all_time = history.iter().map(|&(_, x)| x).max().unwrap();
                 prop_assert!(got <= all_time);
-            }
-        }
-
-        /// Min filter mirrors max filter through negation.
-        #[test]
-        fn prop_min_is_negated_max(
-            values in proptest::collection::vec(1u64..1000, 1..100),
-            window in 1u64..50,
-        ) {
-            let mut minf = MinFilter::new(window);
-            let mut maxf = MaxFilter::new(window);
-            for (t, &v) in values.iter().enumerate() {
-                let m1 = minf.update(t as u64, v);
-                let m2 = maxf.update(t as u64, u64::MAX - v);
-                prop_assert_eq!(m1, u64::MAX - m2);
-            }
-        }
-
-        /// Monotone non-increasing inputs make the min filter exact.
-        #[test]
-        fn prop_min_exact_on_decreasing(start in 100u64..10_000, n in 1u64..100) {
-            let mut f = MinFilter::new(1_000_000);
-            for i in 0..n {
-                let v = start - i;
-                prop_assert_eq!(f.update(i, v), v);
             }
         }
     }

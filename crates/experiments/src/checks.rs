@@ -39,22 +39,6 @@ impl ShapeCheck {
         }
     }
 
-    /// A check that `a < b` by at least `factor` (i.e. `a ≤ b / factor`).
-    pub fn less_by(
-        name: impl Into<String>,
-        expected: impl Into<String>,
-        a: f64,
-        b: f64,
-        factor: f64,
-    ) -> Self {
-        ShapeCheck {
-            name: name.into(),
-            expected: expected.into(),
-            observed: format!("{a:.1} vs {b:.1} (need ≤ {:.1})", b / factor),
-            pass: a <= b / factor,
-        }
-    }
-
     /// A boolean predicate with a free-form observation.
     pub fn predicate(
         name: impl Into<String>,
@@ -94,12 +78,6 @@ mod tests {
         let c = ShapeCheck::ratio_in("r", "x", 0.9, 0.3, 0.6);
         assert!(!c.pass);
         assert!(c.render().starts_with("[MISS]"));
-    }
-
-    #[test]
-    fn less_by_factor() {
-        assert!(ShapeCheck::less_by("l", "x", 100.0, 300.0, 2.0).pass);
-        assert!(!ShapeCheck::less_by("l", "x", 200.0, 300.0, 2.0).pass);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use sim_core::units::Bandwidth;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use tcp_sim::fleet::FleetResult;
-use tcp_sim::{FleetConfig, StackSim};
+use tcp_sim::{FleetConfig, Instruments, StackSim};
 
 /// Sample interval for the canonical telemetry run: 10 ms keeps the
 /// flight data comfortably under the sink's sample cap at full-preset
@@ -78,10 +78,13 @@ pub fn generate(params: &Params, dir: &Path) -> Result<ReportFiles, sim_core::Er
         .map_err(|e| sim_core::Error::io(format!("create {}", dir.display()), e))?;
 
     // Canonical run: Low-End, 20 BBR connections, telemetry on.
-    let mut cfg = params.pixel4(CpuConfig::LowEnd, CcKind::Bbr, 20);
-    cfg.telemetry = Some(TELEMETRY_INTERVAL);
-    let (result, log) = StackSim::new(cfg).run_with_telemetry();
-    let log = log.expect("cfg.telemetry is set, so the sink is attached");
+    let cfg = params.pixel4(CpuConfig::LowEnd, CcKind::Bbr, 20);
+    let observed = StackSim::new(cfg).run_observed(Instruments {
+        trace: false,
+        telemetry: Some(TELEMETRY_INTERVAL),
+    });
+    let result = observed.result;
+    let log = observed.telemetry.expect("an interval attaches the sink");
 
     let files = ReportFiles {
         flight_jsonl: dir.join("flight.jsonl"),

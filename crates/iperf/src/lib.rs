@@ -17,6 +17,6 @@ pub mod report;
 pub mod runner;
 pub mod sweep;
 
-pub use report::{render_timeline, RunReport, SeedResult};
+pub use report::{RunReport, SeedResult};
 pub use runner::{run_averaged, RunSpec};
 pub use sweep::{run_specs_sweep, SeedCell};

@@ -189,48 +189,6 @@ impl RunReport {
             self.label, self.goodput_mbps, self.goodput_std, self.mean_rtt_ms, self.mean_retx
         )
     }
-
-    /// CSV header matching [`RunReport::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "label,goodput_mbps,goodput_std,mean_rtt_ms,p95_rtt_ms,mean_retx,fairness,mean_skb_bytes,mean_idle_ms,seeds"
-    }
-
-    /// One CSV row for plotting pipelines.
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{:.3},{:.3},{:.4},{:.4},{:.1},{:.4},{:.1},{:.4},{}",
-            self.label.replace(',', ";"),
-            self.goodput_mbps,
-            self.goodput_std,
-            self.mean_rtt_ms,
-            self.p95_rtt_ms,
-            self.mean_retx,
-            self.fairness,
-            self.mean_skb_bytes,
-            self.mean_idle_ms,
-            self.seeds.len(),
-        )
-    }
-}
-
-/// Render a goodput timeline ([`tcp_sim::SimResult::timeline`]) as
-/// iPerf3-style per-interval lines.
-pub fn render_timeline(timeline: &[(f64, f64)]) -> String {
-    let mut out = String::new();
-    let mut prev = 0.0;
-    for &(t, mbps) in timeline {
-        let bytes = mbps * 1e6 / 8.0 * (t - prev);
-        out.push_str(&format!(
-            "[SUM] {:>6.2}-{:<6.2} sec  {:>8.2} MBytes  {:>8.1} Mbits/sec
-",
-            prev,
-            t,
-            bytes / 1e6,
-            mbps
-        ));
-        prev = t;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -304,32 +262,6 @@ mod tests {
     #[should_panic(expected = "at least one run")]
     fn empty_report_rejected() {
         RunReport::aggregate("none", vec![]);
-    }
-
-    #[test]
-    fn csv_round_trip_structure() {
-        let r = RunReport::aggregate("a,b", vec![seed_result(1, 100.0, 1.0, 0)]);
-        let header_cols = RunReport::csv_header().split(',').count();
-        let row = r.csv_row();
-        assert_eq!(
-            row.split(',').count(),
-            header_cols,
-            "row width matches header"
-        );
-        assert!(row.starts_with("a;b,"), "embedded commas escaped");
-        assert!(row.ends_with(",1"), "seed count last");
-    }
-
-    #[test]
-    fn timeline_renders_iperf_style() {
-        let lines = render_timeline(&[(1.0, 100.0), (2.0, 200.0)]);
-        let rows: Vec<&str> = lines.lines().collect();
-        assert_eq!(rows.len(), 2);
-        assert!(rows[0].contains("0.00-1.00"));
-        assert!(rows[0].contains("100.0 Mbits/sec"));
-        assert!(rows[1].contains("1.00-2.00"));
-        // 200 Mbps over 1 s = 25 MBytes.
-        assert!(rows[1].contains("25.00 MBytes"), "{}", rows[1]);
     }
 
     #[test]

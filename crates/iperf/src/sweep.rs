@@ -10,9 +10,9 @@
 //! The cache key is the canonical JSON of the **entire** [`SimConfig`]
 //! (with the cell's seed already applied), so any config change — device,
 //! path, pacing stride, duration, seed — yields a different key.
-//! Configurations that write a pcap or carry flight-data telemetry are
-//! never cached: a hit would skip the side effect (the capture, the
-//! samples).
+//! Configurations that write a pcap are never cached: a hit would skip
+//! the capture. (Instruments are not configuration — they are passed to
+//! `StackSim::run_observed` — so they never reach a key.)
 
 use crate::report::{RunReport, SeedResult};
 use crate::runner::RunSpec;
@@ -124,10 +124,9 @@ impl SweepCell for SeedCell {
     }
 
     /// Side-effectful runs are never cached: a pcap hit would skip the
-    /// capture, and a telemetry hit would return scalars without the
-    /// flight-data samples the caller asked for.
+    /// capture.
     fn cacheable(&self) -> bool {
-        self.config.pcap.is_none() && self.config.telemetry.is_none()
+        self.config.pcap.is_none()
     }
 }
 
@@ -315,20 +314,6 @@ mod tests {
             config: Arc::new(tiny_config()),
         };
         assert!(cell.cacheable());
-    }
-
-    #[test]
-    fn telemetry_configs_are_uncacheable() {
-        let mut cfg = tiny_config();
-        cfg.telemetry = Some(sim_core::SimDuration::from_millis(10));
-        let cell = SeedCell {
-            label: "telemetry".into(),
-            config: Arc::new(cfg),
-        };
-        assert!(
-            !cell.cacheable(),
-            "a cache hit would skip the flight-data samples"
-        );
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub struct CrossTraffic {
     config: CrossTrafficConfig,
     rng: SimRng,
     next: SimTime,
-    generated: u64,
 }
 
 impl CrossTraffic {
@@ -53,7 +52,6 @@ impl CrossTraffic {
             config,
             rng,
             next: SimTime::ZERO,
-            generated: 0,
         };
         s.next = s.draw_next(SimTime::ZERO);
         s
@@ -69,11 +67,6 @@ impl CrossTraffic {
         self.next
     }
 
-    /// Total packets generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
-    }
-
     fn draw_next(&mut self, from: SimTime) -> SimTime {
         // Exponential inter-arrival with mean pkt_bytes/rate.
         let mean_s = self.config.pkt_bytes as f64 * 8.0 / self.config.rate.as_bps() as f64;
@@ -84,7 +77,6 @@ impl CrossTraffic {
     /// arrivals while `next_arrival() <= now`.
     pub fn pop(&mut self) -> SimTime {
         let at = self.next;
-        self.generated += 1;
         self.next = self.draw_next(at);
         at
     }
@@ -119,7 +111,6 @@ mod tests {
             assert!(at >= last);
             last = at;
         }
-        assert_eq!(src.generated(), 10_000);
     }
 
     #[test]

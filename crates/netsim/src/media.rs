@@ -197,15 +197,6 @@ impl PathConfig {
             None => self.forward.rate,
         }
     }
-
-    /// The uplink's floor: the bottom of the variable-rate envelope, or
-    /// the nominal rate for fixed links.
-    pub fn min_forward_rate(&self) -> Bandwidth {
-        match &self.forward_var {
-            Some(var) => var.min.min(self.forward.rate),
-            None => self.forward.rate,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -282,17 +273,14 @@ mod tests {
             MediaProfile::FiveG,
         ] {
             let p = media.path_config();
-            assert!(p.min_forward_rate() <= p.bottleneck_rate());
             assert!(p.bottleneck_rate() <= p.max_forward_rate());
         }
         // Fixed links collapse the envelope to the nominal rate.
         let eth = MediaProfile::Ethernet.path_config();
         assert_eq!(eth.max_forward_rate(), eth.bottleneck_rate());
-        assert_eq!(eth.min_forward_rate(), eth.bottleneck_rate());
         // Variable links expose the true ceiling.
         let wifi = MediaProfile::Wifi.path_config();
         assert_eq!(wifi.max_forward_rate(), Bandwidth::from_mbps(900));
-        assert_eq!(wifi.min_forward_rate(), Bandwidth::from_mbps(400));
     }
 
     #[test]

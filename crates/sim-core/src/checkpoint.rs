@@ -175,11 +175,6 @@ impl CheckpointStore {
         })
     }
 
-    /// Entries loaded and not yet served.
-    pub fn remaining(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Serve (and consume) the entry for a cell-key digest, if recorded.
     pub fn take(&mut self, digest: &[u8; 16]) -> Option<Vec<u8>> {
         self.entries.remove(digest)
@@ -286,7 +281,6 @@ mod tests {
                 discarded: true
             }
         );
-        assert_eq!(ck.remaining(), 0);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -64,23 +64,24 @@
 //!
 //! Discrete-event simulators spend their lives in the pop loop, and the
 //! common case is a *run*: several events sharing one timestamp (a burst of
-//! packet arrivals, coincident pacing timers). [`EventQueue::pop_run`] pops
-//! an entire run in one call — one occupancy scan, one slot detach — instead
-//! of re-walking the wheel per event. The events are *staged* rather than
-//! delivered: [`EventQueue::run_next`] hands them out one at a time, and
-//! until a staged event is handed out it can still be cancelled (a handler
-//! early in the run may cancel a timer that shares its timestamp; the cancel
-//! must win, exactly as it does under one-at-a-time `pop`).
+//! packet arrivals, coincident pacing timers). [`EventQueue::pop_run_first`]
+//! pops an entire run in one call — one occupancy scan, one slot detach —
+//! instead of re-walking the wheel per event. It delivers the run's head
+//! and *stages* the rest: [`EventQueue::run_next`] hands the staged events
+//! out one at a time, and until a staged event is handed out it can still
+//! be cancelled (a handler early in the run may cancel a timer that shares
+//! its timestamp; the cancel must win). [`EventQueue::pop`] is the same
+//! stream one event at a time — `run_next`, else `pop_run_first` — so there
+//! is one wheel walk.
 //!
-//! Run order equals `pop` order by construction: a level-0 slot is one exact
-//! nanosecond, its list is appended in schedule order, and `pop_run` stages
-//! the list head→tail. The only semantic difference from repeated `pop` is
-//! that the clock advances to the run's timestamp when the run is popped, so
-//! if *every* staged event is then cancelled the clock still reads the run's
-//! timestamp — which is still monotone and still at most the next pending
-//! event's time. The differential proptest extends over `pop_run` (including
-//! mid-run cancellation) to prove run order equals the heap's `(at, seq)`
-//! order.
+//! Run order is schedule order by construction: a level-0 slot is one exact
+//! nanosecond, its list is appended in schedule order, and `pop_run_first`
+//! walks the list head→tail. The clock advances to the run's timestamp when
+//! the run is popped, so if every staged tail event is then cancelled the
+//! clock still reads the run's timestamp — which is still monotone and
+//! still at most the next pending event's time. The differential proptest
+//! extends over batched dispatch (including mid-run cancellation) to prove
+//! run order equals the heap's `(at, seq)` order.
 //!
 //! The event payload `E` is chosen by the layer that owns the simulation
 //! (the TCP stack simulator defines an event enum covering timer fires,
@@ -162,8 +163,8 @@ enum Loc {
     Overflow,
     /// In wheel list `level`/`slot`.
     Wheel { level: u8, slot: u8 },
-    /// Popped as part of a run by [`EventQueue::pop_run`] but not yet handed
-    /// out by [`EventQueue::run_next`]: off every list, still cancellable.
+    /// Popped as part of a run by [`EventQueue::pop_run_first`] but not yet
+    /// handed out by [`EventQueue::run_next`]: off every list, still cancellable.
     Staged,
 }
 
@@ -212,7 +213,7 @@ pub struct EventQueue<E> {
     elapsed: u64,
     now: SimTime,
     /// The current staged run: `(idx, gen)` of cells popped by
-    /// [`Self::pop_run`] but not yet dispatched by [`Self::run_next`]. A
+    /// [`Self::pop_run_first`] but not yet dispatched by [`Self::run_next`]. A
     /// staged cell that is cancelled gets its generation bumped, so its
     /// entry here goes stale and `run_next` skips it.
     run: Vec<(u32, u32)>,
@@ -374,191 +375,38 @@ impl<E> EventQueue<E> {
     /// Pop the next event, advancing the clock to its timestamp.
     /// Returns `None` when the queue is empty.
     ///
-    /// Interoperates with [`Self::pop_run`]: any events still staged from an
-    /// undrained run are delivered first, so mixing the two APIs observes
-    /// the same single stream.
+    /// One event of the batched stream: whatever is still staged from the
+    /// current run is delivered first, then the next run is popped with
+    /// [`Self::pop_run_first`] — so `pop` and the batched API walk the
+    /// wheel with the same code and observe the same single stream. A
+    /// run's tail waits staged between calls: still cancellable, and
+    /// delivered before anything scheduled later at the same timestamp.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        // Cheap guard first: outside batched dispatch the staged run is
-        // empty and this is a single compare, keeping `pop` itself inlinable.
-        if self.run_cursor < self.run.len() {
-            if let Some(ev) = self.run_next() {
-                return Some(ev);
-            }
-        }
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // Lowest non-empty level holds the earliest pending block.
-            let level = self.level_occ.trailing_zeros() as usize;
-            if level == 0 {
-                // Level-0 slots are exact times: pop the list head (FIFO).
-                let slot = self.occ[0].trailing_zeros() as usize;
-                debug_assert!(slot as u64 >= (self.elapsed & (SLOTS as u64 - 1)));
-                let pair = self.slots[slot];
-                let idx = pair_head(pair);
-                let next = self.cells[idx as usize].next;
-                if next == NIL {
-                    self.slots[slot] = NIL_PAIR;
-                    self.occ[0] &= !(1u64 << slot);
-                    if self.occ[0] == 0 {
-                        self.level_occ &= !1;
-                    }
-                } else {
-                    self.slots[slot] = (pair & !0xFFFF_FFFF) | next as u64;
-                    self.cells[next as usize].prev = NIL;
-                }
-                let gen = self.cells[idx as usize].gen;
-                let (at, event) = self.release(idx);
-                debug_assert!(at >= self.now, "event queue time went backwards");
-                self.now = at;
-                self.elapsed = at.as_nanos();
-                self.len -= 1;
-                self.popped += 1;
-                let token = TimerToken::new(gen, idx);
-                self.tracer.record(at, TraceKind::WheelPop, 0, token.0, 0);
-                return Some(ScheduledEvent {
-                    at,
-                    token,
-                    event: event.expect("pending cell holds a payload"),
-                });
-            } else if level < LEVELS {
-                let slot = self.occ[level].trailing_zeros() as usize;
-                let li = level * SLOTS + slot;
-                // Sparse fast path: a single-occupant slot at the lowest
-                // non-empty level *is* the global minimum (same-time events
-                // always share a slot, later slots/levels/overflow are
-                // strictly later), so pop it directly. The cursor stays put —
-                // every other event's placement remains valid — which makes
-                // the dominant simulator pattern (a handful of timers, each
-                // alone in its slot) cascade-free. Both links are NIL by
-                // construction, so the unlink is one store and a bit clear.
-                let pair = self.slots[li];
-                if pair_head(pair) == pair_tail(pair) {
-                    let idx = pair_head(pair);
-                    self.slots[li] = NIL_PAIR;
-                    self.occ[level] &= !(1u64 << slot);
-                    if self.occ[level] == 0 {
-                        self.level_occ &= !(1u8 << level);
-                    }
-                    let gen = self.cells[idx as usize].gen;
-                    let (at, event) = self.release(idx);
-                    debug_assert!(at >= self.now, "event queue time went backwards");
-                    self.now = at;
-                    self.len -= 1;
-                    self.popped += 1;
-                    let token = TimerToken::new(gen, idx);
-                    self.tracer.record(at, TraceKind::WheelPop, 0, token.0, 0);
-                    return Some(ScheduledEvent {
-                        at,
-                        token,
-                        event: event.expect("pending cell holds a payload"),
-                    });
-                }
-                self.cascade(level, slot, pair);
-            } else {
-                self.pull_overflow();
-            }
-        }
+        self.run_next().or_else(|| self.pop_run_first())
     }
 
     /// Pop the entire earliest same-timestamp run in one call, advancing the
-    /// clock to its timestamp. Returns that timestamp, or `None` when the
-    /// queue is empty.
+    /// clock to its timestamp: deliver the run's first event directly and
+    /// *stage* the remainder for [`Self::run_next`] / [`Self::run_peek`].
+    /// Returns `None` when the queue is empty.
     ///
-    /// The run's events are *staged*, not delivered: retrieve them in order
-    /// with [`Self::run_next`] (or preview with [`Self::run_peek`]). Until
-    /// an event is handed out it remains cancellable — a handler dispatched
-    /// early in the run may [`Self::cancel`] a later event of the same run
-    /// and the cancel wins, exactly as under one-at-a-time [`Self::pop`].
-    /// Events scheduled *at* the run's timestamp while it drains fire after
-    /// the staged events, matching `pop`'s FIFO tie-break.
+    /// Until a staged event is handed out it remains cancellable — a
+    /// handler dispatched early in the run may [`Self::cancel`] a later
+    /// event of the same run and the cancel wins, exactly as under
+    /// one-at-a-time [`Self::pop`]. Events scheduled *at* the run's
+    /// timestamp while it drains fire after the staged events, matching
+    /// `pop`'s FIFO tie-break.
     ///
     /// Run order is `pop` order: a level-0 slot holds exactly one
     /// nanosecond's events in schedule order, so one slot detach yields the
-    /// whole run without re-walking the wheel per event.
+    /// whole run without re-walking the wheel per event. The head is handed
+    /// out eagerly because nothing can cancel it first (no handler runs
+    /// before it); singleton runs (the dominant shape: one timer alone in
+    /// its slot) never touch the staging buffer at all.
     ///
     /// # Panics
     /// In debug builds, panics if the previous run has undispatched live
     /// events — drain with [`Self::run_next`] (or [`Self::pop`]) first.
-    pub fn pop_run(&mut self) -> Option<SimTime> {
-        debug_assert!(
-            !self.run_pending(),
-            "pop_run called with an undispatched staged run"
-        );
-        self.run.clear();
-        self.run_cursor = 0;
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            let level = self.level_occ.trailing_zeros() as usize;
-            if level == 0 {
-                // One level-0 slot == one nanosecond == one run: stage the
-                // whole list head→tail (schedule order).
-                let slot = self.occ[0].trailing_zeros() as usize;
-                debug_assert!(slot as u64 >= (self.elapsed & (SLOTS as u64 - 1)));
-                let mut idx = pair_head(self.slots[slot]);
-                let at = self.cells[idx as usize].at;
-                while idx != NIL {
-                    let c = &mut self.cells[idx as usize];
-                    debug_assert_eq!(c.at, at, "level-0 slot mixes timestamps");
-                    c.loc = Loc::Staged;
-                    self.run.push((idx, c.gen));
-                    idx = c.next;
-                }
-                self.slots[slot] = NIL_PAIR;
-                self.occ[0] &= !(1u64 << slot);
-                if self.occ[0] == 0 {
-                    self.level_occ &= !1;
-                }
-                debug_assert!(at >= self.now, "event queue time went backwards");
-                self.now = at;
-                self.elapsed = at.as_nanos();
-                self.run_at = at;
-                return Some(at);
-            } else if level < LEVELS {
-                let slot = self.occ[level].trailing_zeros() as usize;
-                let li = level * SLOTS + slot;
-                // Same sparse fast path as `pop`: a lone cell at the lowest
-                // non-empty level is the global minimum, and same-time
-                // events always share a slot, so it is a run of one. The
-                // cursor stays put, as in `pop`.
-                let pair = self.slots[li];
-                if pair_head(pair) == pair_tail(pair) {
-                    let idx = pair_head(pair);
-                    self.slots[li] = NIL_PAIR;
-                    self.occ[level] &= !(1u64 << slot);
-                    if self.occ[level] == 0 {
-                        self.level_occ &= !(1u8 << level);
-                    }
-                    let c = &mut self.cells[idx as usize];
-                    let at = c.at;
-                    c.loc = Loc::Staged;
-                    self.run.push((idx, c.gen));
-                    debug_assert!(at >= self.now, "event queue time went backwards");
-                    self.now = at;
-                    self.run_at = at;
-                    return Some(at);
-                }
-                self.cascade(level, slot, pair);
-            } else {
-                self.pull_overflow();
-            }
-        }
-    }
-
-    /// [`Self::pop_run`] and [`Self::run_next`] fused for the run's head:
-    /// pop the earliest same-timestamp run, deliver its first event
-    /// directly, and stage only the remainder for [`Self::run_next`] /
-    /// [`Self::run_peek`].
-    ///
-    /// Observationally identical to `pop_run` followed by one `run_next` —
-    /// the first event of a run can never be cancelled between those two
-    /// calls (no handler runs in between), so handing it out eagerly skips
-    /// the stage-then-recheck round trip. Singleton runs (the dominant
-    /// shape: one timer alone in its slot) never touch the staging buffer
-    /// at all.
     pub fn pop_run_first(&mut self) -> Option<ScheduledEvent<E>> {
         debug_assert!(
             !self.run_pending(),
@@ -572,7 +420,8 @@ impl<E> EventQueue<E> {
         loop {
             let level = self.level_occ.trailing_zeros() as usize;
             if level == 0 {
-                // Deliver the list head, stage the tail (schedule order).
+                // One level-0 slot == one nanosecond == one run: deliver the
+                // list head, stage the tail (schedule order).
                 let slot = self.occ[0].trailing_zeros() as usize;
                 debug_assert!(slot as u64 >= (self.elapsed & (SLOTS as u64 - 1)));
                 let head = pair_head(self.slots[slot]);
@@ -594,23 +443,19 @@ impl<E> EventQueue<E> {
                 self.now = at;
                 self.elapsed = at.as_nanos();
                 self.run_at = at;
-                let gen = self.cells[head as usize].gen;
-                let (_, event) = self.release(head);
-                self.len -= 1;
-                self.popped += 1;
-                let token = TimerToken::new(gen, head);
-                self.tracer.record(at, TraceKind::WheelPop, 0, token.0, 0);
-                return Some(ScheduledEvent {
-                    at,
-                    token,
-                    event: event.expect("pending cell holds a payload"),
-                });
+                return Some(self.deliver(head));
             } else if level < LEVELS {
                 let slot = self.occ[level].trailing_zeros() as usize;
                 let li = level * SLOTS + slot;
-                // Same sparse fast path as `pop`/`pop_run`: a lone cell at
-                // the lowest non-empty level is the global minimum and a run
-                // of one, so it is delivered without staging anything.
+                // Sparse fast path: a single-occupant slot at the lowest
+                // non-empty level *is* the global minimum (same-time events
+                // always share a slot, later slots/levels/overflow are
+                // strictly later) and a run of one, so it is delivered
+                // without staging anything. The cursor stays put — every
+                // other event's placement remains valid — which makes the
+                // dominant simulator pattern (a handful of timers, each
+                // alone in its slot) cascade-free. Both links are NIL by
+                // construction, so the unlink is one store and a bit clear.
                 let pair = self.slots[li];
                 if pair_head(pair) == pair_tail(pair) {
                     let idx = pair_head(pair);
@@ -619,20 +464,11 @@ impl<E> EventQueue<E> {
                     if self.occ[level] == 0 {
                         self.level_occ &= !(1u8 << level);
                     }
-                    let gen = self.cells[idx as usize].gen;
-                    let (at, event) = self.release(idx);
+                    let at = self.cells[idx as usize].at;
                     debug_assert!(at >= self.now, "event queue time went backwards");
                     self.now = at;
                     self.run_at = at;
-                    self.len -= 1;
-                    self.popped += 1;
-                    let token = TimerToken::new(gen, idx);
-                    self.tracer.record(at, TraceKind::WheelPop, 0, token.0, 0);
-                    return Some(ScheduledEvent {
-                        at,
-                        token,
-                        event: event.expect("pending cell holds a payload"),
-                    });
+                    return Some(self.deliver(idx));
                 }
                 self.cascade(level, slot, pair);
             } else {
@@ -641,8 +477,25 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Hand the pending cell `idx` — already off every list — to the caller:
+    /// recycle the cell and account the pop.
+    #[inline(always)]
+    fn deliver(&mut self, idx: u32) -> ScheduledEvent<E> {
+        let gen = self.cells[idx as usize].gen;
+        let (at, event) = self.release(idx);
+        self.len -= 1;
+        self.popped += 1;
+        let token = TimerToken::new(gen, idx);
+        self.tracer.record(at, TraceKind::WheelPop, 0, token.0, 0);
+        ScheduledEvent {
+            at,
+            token,
+            event: event.expect("pending cell holds a payload"),
+        }
+    }
+
     /// Dispatch the next live event of the staged run popped by
-    /// [`Self::pop_run`]. Returns `None` once the run is exhausted (staged
+    /// [`Self::pop_run_first`]. Returns `None` once the run is exhausted (staged
     /// events cancelled in the meantime are skipped, not delivered).
     pub fn run_next(&mut self) -> Option<ScheduledEvent<E>> {
         while self.run_cursor < self.run.len() {
@@ -655,17 +508,8 @@ impl<E> EventQueue<E> {
                 continue;
             }
             debug_assert!(c.loc == Loc::Staged, "live staged entry not staged");
-            let (at, event) = self.release(idx);
-            debug_assert_eq!(at, self.run_at, "staged run mixes timestamps");
-            self.len -= 1;
-            self.popped += 1;
-            let token = TimerToken::new(gen, idx);
-            self.tracer.record(at, TraceKind::WheelPop, 0, token.0, 0);
-            return Some(ScheduledEvent {
-                at,
-                token,
-                event: event.expect("staged cell holds a payload"),
-            });
+            debug_assert_eq!(c.at, self.run_at, "staged run mixes timestamps");
+            return Some(self.deliver(idx));
         }
         None
     }
@@ -709,7 +553,7 @@ impl<E> EventQueue<E> {
     /// timer) one cascade per pop rather than `level`. Re-placement walks
     /// head→tail so schedule order is preserved.
     ///
-    /// Inlined into both `pop` and `pop_run`: the cascade is on the pop hot
+    /// Inlined into `pop_run_first`: the cascade is on the pop hot
     /// path whenever timers live above level 0 (every pacing/RTO re-arm
     /// pattern).
     #[inline]
@@ -1191,75 +1035,46 @@ mod tests {
             q.schedule_at(t, i);
         }
         q.schedule_at(t + SimDuration::from_nanos(1), 100);
-        assert_eq!(q.pop_run(), Some(t));
+        let head = q.pop_run_first().unwrap();
+        assert_eq!((head.at, head.event), (t, 0));
         assert_eq!(q.now(), t);
         let run: Vec<_> = std::iter::from_fn(|| q.run_next().map(|e| e.event)).collect();
-        assert_eq!(run, vec![0, 1, 2, 3, 4], "run is FIFO within the timestamp");
-        assert_eq!(q.pop_run(), Some(t + SimDuration::from_nanos(1)));
-        assert_eq!(q.run_next().unwrap().event, 100);
+        assert_eq!(run, vec![1, 2, 3, 4], "run is FIFO within the timestamp");
+        let next = q.pop_run_first().unwrap();
+        assert_eq!((next.at, next.event), (t + SimDuration::from_nanos(1), 100));
         assert!(q.run_next().is_none());
-        assert_eq!(q.pop_run(), None);
+        assert!(q.pop_run_first().is_none());
+    }
+
+    /// A workload mixing runs, singleton higher-level slots, and overflow,
+    /// scheduled identically into two queues.
+    fn mixed_schedule() -> (EventQueue<usize>, EventQueue<usize>) {
+        let times = [
+            3u64,
+            3,
+            3,
+            64,
+            65,
+            65,
+            40_000_000,
+            40_000_000,
+            200_000_000_000,
+            200_000_000_000,
+        ];
+        let mut a = EventQueue::new();
+        let mut b = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            a.schedule_at(SimTime::from_nanos(t), i);
+            b.schedule_at(SimTime::from_nanos(t), i);
+        }
+        (a, b)
     }
 
     #[test]
     fn pop_run_matches_pop_stream() {
-        // The batched stream must equal the one-at-a-time stream on a
-        // workload mixing runs, singleton higher-level slots, and overflow.
-        let times = [
-            3u64,
-            3,
-            3,
-            64,
-            65,
-            65,
-            40_000_000,
-            40_000_000,
-            200_000_000_000,
-            200_000_000_000,
-        ];
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            a.schedule_at(SimTime::from_nanos(t), i);
-            b.schedule_at(SimTime::from_nanos(t), i);
-        }
-        let mut from_pop = Vec::new();
-        while let Some(e) = a.pop() {
-            from_pop.push((e.at, e.event));
-        }
-        let mut from_runs = Vec::new();
-        while let Some(at) = b.pop_run() {
-            while let Some(e) = b.run_next() {
-                assert_eq!(e.at, at);
-                from_runs.push((e.at, e.event));
-            }
-        }
-        assert_eq!(from_pop, from_runs);
-        assert_eq!(a.popped(), b.popped());
-    }
-
-    #[test]
-    fn pop_run_first_matches_pop_stream() {
-        // The fused head-delivery variant must also equal the one-at-a-time
-        // stream, including cancellation of a still-staged tail event.
-        let times = [
-            3u64,
-            3,
-            3,
-            64,
-            65,
-            65,
-            40_000_000,
-            40_000_000,
-            200_000_000_000,
-            200_000_000_000,
-        ];
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            a.schedule_at(SimTime::from_nanos(t), i);
-            b.schedule_at(SimTime::from_nanos(t), i);
-        }
+        // The batched stream must equal the one-at-a-time stream, and every
+        // event of a run must carry the run's timestamp.
+        let (mut a, mut b) = mixed_schedule();
         let mut from_pop = Vec::new();
         while let Some(e) = a.pop() {
             from_pop.push((e.at, e.event));
@@ -1276,6 +1091,28 @@ mod tests {
         }
         assert_eq!(from_pop, from_runs);
         assert_eq!(a.popped(), b.popped());
+    }
+
+    #[test]
+    fn pop_run_first_matches_pop_stream() {
+        // Mixing the two APIs mid-run observes the same single stream:
+        // `pop` drains what `pop_run_first` staged before walking the wheel.
+        let (mut a, mut b) = mixed_schedule();
+        let mut from_pop = Vec::new();
+        while let Some(e) = a.pop() {
+            from_pop.push((e.at, e.event));
+        }
+        let mut mixed = Vec::new();
+        while let Some(first) = b.pop_run_first() {
+            mixed.push((first.at, first.event));
+            if let Some(e) = b.pop() {
+                mixed.push((e.at, e.event));
+            }
+            while let Some(e) = b.run_next() {
+                mixed.push((e.at, e.event));
+            }
+        }
+        assert_eq!(from_pop, mixed);
 
         // Tail events stay cancellable after the head is delivered.
         let mut q = EventQueue::new();
@@ -1297,8 +1134,7 @@ mod tests {
         q.schedule_at(t, "first");
         let victim = q.schedule_at(t, "victim");
         q.schedule_at(t, "last");
-        assert_eq!(q.pop_run(), Some(t));
-        assert_eq!(q.run_next().unwrap().event, "first");
+        assert_eq!(q.pop_run_first().unwrap().event, "first");
         // A handler early in the run cancels a later same-timestamp event:
         // the cancel must win, exactly as under one-at-a-time pop.
         assert!(q.cancel(victim), "staged event must still be cancellable");
@@ -1321,13 +1157,14 @@ mod tests {
         q.schedule_at(t, 7u32);
         let victim = q.schedule_at(t, 8u32);
         q.schedule_at(t, 9u32);
-        assert_eq!(q.pop_run(), Some(t));
-        assert_eq!(q.run_peek(), Some(&7));
-        assert_eq!(q.run_peek(), Some(&7), "peek must not consume");
-        assert_eq!(q.run_next().unwrap().event, 7);
+        q.schedule_at(t, 10u32);
+        assert_eq!(q.pop_run_first().unwrap().event, 7);
+        assert_eq!(q.run_peek(), Some(&8));
+        assert_eq!(q.run_peek(), Some(&8), "peek must not consume");
         q.cancel(victim);
         assert_eq!(q.run_peek(), Some(&9), "peek must skip cancelled events");
         assert_eq!(q.run_next().unwrap().event, 9);
+        assert_eq!(q.run_next().unwrap().event, 10);
         assert_eq!(q.run_peek(), None);
     }
 
@@ -1338,8 +1175,7 @@ mod tests {
         q.schedule_at(t, 1);
         q.schedule_at(t, 2);
         q.schedule_at(t + SimDuration::from_millis(1), 3);
-        assert_eq!(q.pop_run(), Some(t));
-        assert_eq!(q.run_next().unwrap().event, 1);
+        assert_eq!(q.pop_run_first().unwrap().event, 1);
         // Mixing APIs: pop() must deliver the rest of the staged run before
         // touching the wheel.
         assert_eq!(q.pop().unwrap().event, 2);
@@ -1353,7 +1189,8 @@ mod tests {
         let t = SimTime::from_millis(4);
         q.schedule_at(t, ());
         q.schedule_at(t, ());
-        assert_eq!(q.pop_run(), Some(t));
+        q.schedule_at(t, ());
+        assert!(q.pop_run_first().is_some());
         assert_eq!(q.len(), 2, "staged events are still pending");
         assert_eq!(q.peek_time(), Some(t), "peek must see the staged run");
         q.run_next();
@@ -1369,30 +1206,29 @@ mod tests {
         let t = SimTime::from_millis(6);
         q.schedule_at(t, "a");
         q.schedule_at(t, "b");
-        assert_eq!(q.pop_run(), Some(t));
-        assert_eq!(q.run_next().unwrap().event, "a");
+        assert_eq!(q.pop_run_first().unwrap().event, "a");
         // A handler schedules a new event at the run's own timestamp: it
         // must fire after the staged remainder (pop's FIFO tie-break).
         q.schedule_at(t, "c");
         assert_eq!(q.run_next().unwrap().event, "b");
         assert!(q.run_next().is_none(), "new event is not part of the run");
-        assert_eq!(q.pop_run(), Some(t));
-        assert_eq!(q.run_next().unwrap().event, "c");
+        let c = q.pop_run_first().unwrap();
+        assert_eq!((c.at, c.event), (t, "c"));
     }
 
     #[test]
     fn fully_cancelled_run_leaves_clock_at_run_time() {
         let mut q = EventQueue::new();
         let t = SimTime::from_millis(8);
+        q.schedule_at(t, ());
         let a = q.schedule_at(t, ());
         q.schedule_at(SimTime::from_millis(9), ());
-        assert_eq!(q.pop_run(), Some(t));
+        assert!(q.pop_run_first().is_some());
         assert!(q.cancel(a));
         assert!(q.run_next().is_none());
         // Documented contract: the clock advanced when the run was popped.
         assert_eq!(q.now(), t);
-        assert_eq!(q.pop_run(), Some(SimTime::from_millis(9)));
-        q.run_next();
+        assert_eq!(q.pop_run_first().unwrap().at, SimTime::from_millis(9));
     }
 
     proptest! {

@@ -283,46 +283,6 @@ impl Histogram {
     }
 }
 
-/// A `(time, value)` series with bounded resolution: samples closer together
-/// than `min_gap` are coalesced (last-writer-wins) to bound memory on long
-/// runs. Used for goodput-over-time and cwnd traces in examples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeSeries {
-    min_gap: SimDuration,
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// A series that keeps at most one point per `min_gap`.
-    pub fn new(min_gap: SimDuration) -> Self {
-        TimeSeries {
-            min_gap,
-            points: Vec::new(),
-        }
-    }
-
-    /// Record a point.
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        if let Some(&mut (last_t, ref mut last_v)) = self.points.last_mut() {
-            if at.saturating_since(last_t) < self.min_gap {
-                *last_v = value;
-                return;
-            }
-        }
-        self.points.push((at, value));
-    }
-
-    /// The recorded points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Last recorded value.
-    pub fn last(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-}
-
 /// Sliding-window utilization tracker: how busy was a resource over the
 /// trailing window? The dynamic CPU governor consumes this.
 #[derive(Debug, Clone)]
@@ -426,11 +386,6 @@ impl Counters {
     /// Add `n` to counter `name`.
     pub fn add(&mut self, name: &'static str, n: u64) {
         *self.map.entry(name).or_insert(0) += n;
-    }
-
-    /// Increment counter `name` by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
     }
 
     /// Read counter `name` (0 if never touched).
@@ -564,17 +519,6 @@ mod tests {
         s.merge(&Summary::new());
         assert_eq!(s.count(), before.count());
         assert_eq!(s.mean(), before.mean());
-    }
-
-    #[test]
-    fn timeseries_coalesces_close_points() {
-        let mut ts = TimeSeries::new(SimDuration::from_millis(10));
-        ts.record(SimTime::from_millis(0), 1.0);
-        ts.record(SimTime::from_millis(5), 2.0); // coalesced into previous
-        ts.record(SimTime::from_millis(12), 3.0);
-        assert_eq!(ts.points().len(), 2);
-        assert_eq!(ts.points()[0].1, 2.0);
-        assert_eq!(ts.last(), Some(3.0));
     }
 
     #[test]
@@ -747,35 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_point_at_exactly_min_gap_starts_new_point() {
-        // The coalescing window is half-open: a point whose distance from
-        // the last *kept* point equals min_gap is NOT coalesced.
-        let mut ts = TimeSeries::new(SimDuration::from_millis(10));
-        ts.record(SimTime::from_millis(0), 1.0);
-        ts.record(SimTime::from_millis(10), 2.0); // == min_gap: new point
-        assert_eq!(ts.points().len(), 2);
-        assert_eq!(ts.points()[0], (SimTime::from_millis(0), 1.0));
-        assert_eq!(ts.points()[1], (SimTime::from_millis(10), 2.0));
-    }
-
-    #[test]
-    fn timeseries_coalescing_is_last_writer_wins_keeping_first_timestamp() {
-        let mut ts = TimeSeries::new(SimDuration::from_millis(10));
-        ts.record(SimTime::from_millis(0), 1.0);
-        ts.record(SimTime::from_millis(3), 2.0);
-        ts.record(SimTime::from_millis(6), 3.0);
-        ts.record(SimTime::from_millis(9), 4.0);
-        // All four collapse to one point: the first timestamp, last value.
-        assert_eq!(ts.points(), &[(SimTime::from_millis(0), 4.0)]);
-        // The gap is measured from the *kept* point (t=0), not the last
-        // write: t=10 is exactly min_gap away and starts a new point even
-        // though the previous write was at t=9.
-        ts.record(SimTime::from_millis(10), 5.0);
-        assert_eq!(ts.points().len(), 2);
-        assert_eq!(ts.points()[1], (SimTime::from_millis(10), 5.0));
-    }
-
-    #[test]
     fn utilwindow_busy_interval_extending_past_now_counts_only_up_to_now() {
         // A backlogged CPU books work ahead of the clock: the interval end
         // may exceed `now`. Utilization must clamp the overlap at `now`.
@@ -856,9 +771,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut c = Counters::new();
-        c.inc("retx");
+        c.add("retx", 1);
         c.add("retx", 4);
-        c.inc("timer_fires");
+        c.add("timer_fires", 1);
         assert_eq!(c.get("retx"), 5);
         assert_eq!(c.get("timer_fires"), 1);
         assert_eq!(c.get("missing"), 0);

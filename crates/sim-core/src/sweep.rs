@@ -356,7 +356,7 @@ pub struct CellReport {
 
 /// Process-wide run metrics, accumulated across every sweep (and fed by
 /// the simulation layer via [`note_pool_misses`]). Drivers print these at
-/// the end of a session via [`totals`]; [`reset_totals`] rewinds them.
+/// the end of a session via [`totals`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepTotals {
     /// Cells executed or served from cache.
@@ -429,23 +429,6 @@ pub fn totals() -> SweepTotals {
         cell_wall_nanos: TOTAL_WALL_NANOS.load(Ordering::Relaxed),
         pool_misses: TOTAL_POOL_MISSES.load(Ordering::Relaxed),
         pool_misses_steady: TOTAL_POOL_MISSES_STEADY.load(Ordering::Relaxed),
-    }
-}
-
-/// Rewind the process-wide run metrics to zero (start of a session).
-pub fn reset_totals() {
-    for counter in [
-        &TOTAL_CELLS,
-        &TOTAL_HITS,
-        &TOTAL_MISSES,
-        &TOTAL_CORRUPT,
-        &TOTAL_UNCACHEABLE,
-        &TOTAL_CHECKPOINT,
-        &TOTAL_WALL_NANOS,
-        &TOTAL_POOL_MISSES,
-        &TOTAL_POOL_MISSES_STEADY,
-    ] {
-        counter.store(0, Ordering::Relaxed);
     }
 }
 

@@ -66,11 +66,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference: `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -311,14 +306,6 @@ mod tests {
         let late = SimTime::from_millis(2);
         assert_eq!(late.saturating_since(early), SimDuration::from_millis(1));
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn checked_since_detects_inversion() {
-        let early = SimTime::from_millis(1);
-        let late = SimTime::from_millis(2);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_millis(1)));
-        assert_eq!(early.checked_since(late), None);
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl Bandwidth {
         Bandwidth(bps)
     }
 
-    /// Construct from kilobits per second (10^3 bits).
-    pub const fn from_kbps(kbps: u64) -> Self {
-        Bandwidth(kbps * 1_000)
-    }
-
     /// Construct from megabits per second (10^6 bits).
     pub const fn from_mbps(mbps: u64) -> Self {
         Bandwidth(mbps * 1_000_000)
@@ -47,11 +42,6 @@ impl Bandwidth {
     /// Construct from gigabits per second (10^9 bits).
     pub const fn from_gbps(gbps: u64) -> Self {
         Bandwidth(gbps * 1_000_000_000)
-    }
-
-    /// Construct from bytes per second.
-    pub const fn from_bytes_per_sec(bytes: u64) -> Self {
-        Bandwidth(bytes * 8)
     }
 
     /// The rate that delivers `bytes` over `interval` (rounded down).
@@ -72,11 +62,6 @@ impl Bandwidth {
     /// Megabits per second, fractional (reporting).
     pub fn as_mbps_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Bytes per second (truncating).
-    pub const fn as_bytes_per_sec(self) -> u64 {
-        self.0 / 8
     }
 
     /// True if the rate is zero.
@@ -165,24 +150,9 @@ impl ByteSize {
         ByteSize(bytes)
     }
 
-    /// Construct from kilobytes (10^3).
-    pub const fn from_kb(kb: u64) -> Self {
-        ByteSize(kb * 1_000)
-    }
-
-    /// Construct from kibibytes (2^10) — socket buffer sizes are binary.
-    pub const fn from_kib(kib: u64) -> Self {
-        ByteSize(kib * 1024)
-    }
-
     /// Raw byte count.
     pub const fn bytes(self) -> u64 {
         self.0
-    }
-
-    /// Kilobits, fractional — Table 2 reports skb length in Kb.
-    pub fn as_kilobits_f64(self) -> f64 {
-        self.0 as f64 * 8.0 / 1e3
     }
 
     /// True if zero.
@@ -267,21 +237,11 @@ impl ByteCount {
         self.0
     }
 
-    /// Add a size to the running total.
-    pub fn add_size(&mut self, size: ByteSize) {
-        self.0 = self.0.saturating_add(size.bytes());
-    }
-
     /// Bytes accumulated since an earlier snapshot (panics if `earlier` is larger).
     pub fn since(self, earlier: ByteCount) -> u64 {
         self.0
             .checked_sub(earlier.0)
             .expect("ByteCount went backwards")
-    }
-
-    /// Goodput over an interval: total bytes / time.
-    pub fn rate_over(self, interval: SimDuration) -> Bandwidth {
-        Bandwidth::from_bytes_over(self.0, interval)
     }
 }
 
@@ -299,8 +259,7 @@ mod tests {
     #[test]
     fn bandwidth_constructors_agree() {
         assert_eq!(Bandwidth::from_gbps(1), Bandwidth::from_mbps(1_000));
-        assert_eq!(Bandwidth::from_mbps(1), Bandwidth::from_kbps(1_000));
-        assert_eq!(Bandwidth::from_bytes_per_sec(125), Bandwidth::from_kbps(1));
+        assert_eq!(Bandwidth::from_mbps(1), Bandwidth::from_bps(1_000_000));
     }
 
     #[test]
@@ -384,27 +343,7 @@ mod tests {
         assert_eq!(Bandwidth::from_gbps(1).to_string(), "1.000Gbps");
         assert_eq!(Bandwidth::from_mbps(140).to_string(), "140.000Mbps");
         assert_eq!(Bandwidth::from_bps(12).to_string(), "12bps");
-        assert_eq!(ByteSize::from_kib(64).to_string(), "64.00KiB");
-    }
-
-    #[test]
-    fn bytesize_kilobits_reporting() {
-        // Table 2: a 15,125-byte skb is 121 Kb.
-        let skb = ByteSize::new(15_125);
-        assert!((skb.as_kilobits_f64() - 121.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn bytecount_accumulates_and_rates() {
-        let mut total = ByteCount::ZERO;
-        for _ in 0..10 {
-            total.add_size(ByteSize::new(1_000_000));
-        }
-        assert_eq!(total.bytes(), 10_000_000);
-        assert_eq!(
-            total.rate_over(SimDuration::from_secs(1)),
-            Bandwidth::from_mbps(80)
-        );
+        assert_eq!(ByteSize::new(64 * 1024).to_string(), "64.00KiB");
     }
 
     #[test]

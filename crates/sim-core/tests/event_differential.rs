@@ -1,9 +1,9 @@
 //! Differential property test: the timer-wheel [`EventQueue`] must produce
 //! *exactly* the event stream of the retained heap implementation
 //! ([`ReferenceQueue`]) under arbitrary interleavings of schedule, cancel,
-//! pop, and batched `pop_run`/`run_next` dispatch (whose run order must
-//! equal the heap's `(at, seq)` order, including when staged events are
-//! cancelled mid-run).
+//! pop, and batched `pop_run_first`/`run_next` dispatch (whose run order
+//! must equal the heap's `(at, seq)` order, including when staged events
+//! are cancelled mid-run, and when a `pop` leaves a run's tail staged).
 //!
 //! This is the executable form of the wheel's determinism contract: FIFO
 //! within a timestamp, ascending time across timestamps, cancel semantics
@@ -28,10 +28,11 @@ enum Op {
     Cancel { k: usize },
     /// Pop one event.
     Pop,
-    /// Pop a whole same-timestamp run via `pop_run`, cancelling the `k`-th
-    /// token ever issued *mid-run* (between `run_next` calls) — the cancel
-    /// may hit a staged event of the very run being drained, which must be
-    /// skipped exactly as the heap skips its cancelled copy.
+    /// Pop a whole same-timestamp run via `pop_run_first`, cancelling the
+    /// `k`-th token ever issued *mid-run* (between the head and the
+    /// `run_next` calls) — the cancel may hit a staged event of the very
+    /// run being drained, which must be skipped exactly as the heap skips
+    /// its cancelled copy.
     PopRun { cancel_k: usize },
 }
 
@@ -65,17 +66,9 @@ proptest! {
         let mut heap: ReferenceQueue<u32> = ReferenceQueue::new();
         let mut wheel_tokens = Vec::new();
         let mut heap_tokens = Vec::new();
-        // `pop_run` advances the wheel clock to the run's timestamp when the
-        // run is *popped*; the heap clock only advances per delivered event.
-        // The clocks may therefore legally skew (wheel ahead) after a run
-        // whose staged events were all cancelled, until the next delivery.
-        let mut now_skew_ok = false;
-
         for op in &ops {
             match *op {
                 Op::Schedule { delay_ns, payload } => {
-                    // Relative to the *wheel* clock, which is never behind
-                    // the heap's, so the schedule is valid for both.
                     let at = wheel.now() + SimDuration::from_nanos(delay_ns);
                     wheel_tokens.push(wheel.schedule_at(at, payload));
                     heap_tokens.push(heap.schedule_at(at, payload));
@@ -91,18 +84,18 @@ proptest! {
                 Op::Pop => {
                     let w = wheel.pop().map(|e| (e.at, e.event));
                     let h = heap.pop().map(|e| (e.at, e.event));
-                    if w.is_some() {
-                        // A delivery re-synchronises the clocks.
-                        now_skew_ok = false;
-                    }
                     prop_assert_eq!(w, h, "pop diverged");
                 }
                 Op::PopRun { cancel_k } => {
-                    let run_at = wheel.pop_run();
-                    prop_assert_eq!(run_at, heap.peek_time(), "run timestamp diverged");
-                    // Skew persists until the next delivery (an empty-queue
-                    // pop_run must not clear a pre-existing skew).
-                    now_skew_ok |= run_at.is_some();
+                    // An earlier `Pop` may have left its run's tail staged:
+                    // that is the rest of the heap's same-timestamp prefix.
+                    while let Some(we) = wheel.run_next() {
+                        let h = heap.pop().map(|e| (e.at, e.event));
+                        prop_assert_eq!(Some((we.at, we.event)), h, "staged tail diverged");
+                    }
+                    let first = wheel.pop_run_first().map(|e| (e.at, e.event));
+                    prop_assert_eq!(first, heap.pop().map(|e| (e.at, e.event)), "run head diverged");
+                    let run_at = first.map(|(at, _)| at);
                     // Mid-run cancel: may hit a *staged* event of this run.
                     if !wheel_tokens.is_empty() {
                         let k = cancel_k % wheel_tokens.len();
@@ -116,7 +109,6 @@ proptest! {
                         prop_assert_eq!(Some(we.at), run_at, "run event off-timestamp");
                         let h = heap.pop().map(|e| (e.at, e.event));
                         prop_assert_eq!(Some((we.at, we.event)), h, "run order diverged");
-                        now_skew_ok = false;
                     }
                     if let Some(t) = run_at {
                         prop_assert!(
@@ -126,14 +118,10 @@ proptest! {
                     }
                 }
             }
-            // Observable state must agree after every step (modulo the
-            // documented all-cancelled-run clock skew).
+            // Observable state must agree after every step (the clocks
+            // included: both advance only when an event is delivered).
             prop_assert_eq!(wheel.len(), heap.len(), "len diverged");
-            if now_skew_ok {
-                prop_assert!(wheel.now() >= heap.now(), "wheel clock behind heap");
-            } else {
-                prop_assert_eq!(wheel.now(), heap.now(), "now diverged");
-            }
+            prop_assert_eq!(wheel.now(), heap.now(), "now diverged");
             prop_assert_eq!(wheel.peek_time(), heap.peek_time(), "peek diverged");
             prop_assert_eq!(wheel.popped(), heap.popped(), "popped diverged");
         }

@@ -103,7 +103,6 @@ pub(crate) struct FlowHot {
     pub device_chunks: u32,
     pub rto_backoff: u32,
     pub started: bool,
-    pub send_scheduled: bool,
     pub pacing_timer_armed: bool,
     pub rto_armed: bool,
     pub measuring: bool,
@@ -122,7 +121,6 @@ impl FlowHot {
             device_chunks: 0,
             rto_backoff: 0,
             started: false,
-            send_scheduled: false,
             pacing_timer_armed: false,
             rto_armed: false,
             measuring: false,
@@ -209,10 +207,9 @@ impl FlowCold {
 ///
 /// The TCP operations ([`FlowArena::plan_send_into`],
 /// [`FlowArena::on_sent`], [`FlowArena::on_ack`], [`FlowArena::on_rto`])
-/// are the same [`Scoreboard`] code the boxed
-/// [`Sender`](crate::sender::Sender) wrapper runs — the arena only routes
-/// the borrows into its arrays — which is what the arena-vs-boxed
-/// differential test leans on.
+/// are [`Scoreboard`] calls — the arena only routes the borrows into its
+/// arrays — which is what the arena-vs-boxed differential test
+/// (`tests/arena_differential.rs`, same code over private slabs) leans on.
 pub struct FlowArena {
     /// Shared segment slab every scoreboard window is carved from.
     pub(crate) store: SegStore,
@@ -308,16 +305,6 @@ impl FlowArena {
     /// The flow's scoreboard (sequence/SACK/loss state).
     pub fn scoreboard(&self, f: FlowId) -> &Scoreboard {
         &self.board[f.index()]
-    }
-
-    /// The flow's RTT estimator.
-    pub fn rtt(&self, f: FlowId) -> &RttEstimator {
-        &self.rtt[f.index()]
-    }
-
-    /// The flow's delivery-rate sampler.
-    pub fn rate(&self, f: FlowId) -> &RateSampler {
-        &self.rate[f.index()]
     }
 
     /// Cumulative delivered packets for one flow (goodput numerator).

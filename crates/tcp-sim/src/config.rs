@@ -1,4 +1,5 @@
-//! Validated construction of [`SimConfig`]: the builder-first public API.
+//! [`SimConfig`] and its validated construction: the builder-first public
+//! API.
 //!
 //! `SimConfig`'s fields are public, but the only constructor is
 //! [`SimConfig::builder`] → [`SimConfigBuilder::build`], which rejects
@@ -9,7 +10,6 @@
 
 use crate::fleet::FleetConfig;
 use crate::pacing::PacingConfig;
-use crate::sim::SimConfig;
 use congestion::master::MasterConfig;
 use congestion::CcKind;
 use cpu_model::{CostModel, CpuConfig, DeviceProfile};
@@ -17,8 +17,68 @@ use netsim::crosstraffic::CrossTrafficConfig;
 use netsim::link::LinkConfig;
 use netsim::media::{MediaProfile, PathConfig};
 use netsim::Qdisc;
+use serde::Serialize;
 use sim_core::error::{Error, Result};
 use sim_core::time::SimDuration;
+
+/// Full configuration of one simulation run.
+///
+/// Derives `Serialize` so the sweep engine can build a canonical,
+/// content-addressed cache key from the whole configuration (see
+/// `sim_core::sweep`).
+#[derive(Debug, Clone, Serialize)]
+pub struct SimConfig {
+    /// The phone being modelled.
+    pub device: DeviceProfile,
+    /// Which Table 1 CPU configuration to apply.
+    pub cpu_config: CpuConfig,
+    /// Stack operation costs.
+    pub cost: CostModel,
+    /// The network path (medium, queue depth, impairments).
+    pub path: PathConfig,
+    /// Congestion-control algorithm.
+    pub cc: CcKind,
+    /// Master-module knobs (§5), default pass-through.
+    pub master: MasterConfig,
+    /// Pacing configuration (stride, buffer cap).
+    pub pacing: PacingConfig,
+    /// Number of parallel connections (the paper sweeps 1–20).
+    pub connections: usize,
+    /// Total simulated duration.
+    pub duration: SimDuration,
+    /// Goodput measurement starts here (slow-start warmup excluded), as in
+    /// steady-state iPerf reporting.
+    pub warmup: SimDuration,
+    /// RNG seed (netem draws, WiFi variation).
+    pub seed: u64,
+    /// Stagger between connection starts.
+    pub start_stagger: SimDuration,
+    /// Server-side ACK coalescing window (GRO).
+    pub ack_coalesce: SimDuration,
+    /// Optional pcap capture of every simulated wire packet (synthesized
+    /// Ethernet/IPv4/TCP frames; open the result in Wireshark). Payload
+    /// bytes are zero-filled — only headers carry simulation state.
+    pub pcap: Option<std::path::PathBuf>,
+    /// Optional Poisson cross-traffic sharing the uplink bottleneck
+    /// (competition ablations; the paper's testbed itself is private).
+    pub cross_traffic: Option<netsim::crosstraffic::CrossTrafficConfig>,
+    /// Interval for the goodput timeline (iPerf3's per-interval lines);
+    /// `None` disables timeline collection.
+    pub sample_interval: Option<SimDuration>,
+    /// ACK generation granularity: `None` models a GRO-coalescing server
+    /// (one ACK per aggregated buffer — modern reality); `Some(n)` acks
+    /// every `n` segments (classic delayed-ACK behaviour), multiplying the
+    /// phone's per-ACK CPU load — the ack-frequency ablation's knob.
+    pub ack_per_segs: Option<u64>,
+    /// Fleet mode (`None` = the classic single-device testbed). When set,
+    /// each [`crate::fleet::DeviceSpec`] brings its own CPU tier, CC, and
+    /// access path; `connections` must equal the fleet's total and the
+    /// top-level `cpu_config`/`cc`/`path` serve only as the non-fleet
+    /// defaults. Skipped in serialization when absent so every existing
+    /// single-device sweep-cache key keeps its exact bytes.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub fleet: Option<FleetConfig>,
+}
 
 /// Builder for [`SimConfig`] with validation at [`build`](Self::build).
 ///
@@ -70,7 +130,6 @@ impl SimConfig {
             pcap: None,
             cross_traffic: None,
             sample_interval: Some(SimDuration::from_millis(500)),
-            telemetry: None,
             ack_per_segs: None,
             fleet: None,
         };
@@ -162,12 +221,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Set the server-side ACK coalescing (GRO) window.
-    pub fn ack_coalesce(mut self, window: SimDuration) -> Self {
-        self.cfg.ack_coalesce = window;
-        self
-    }
-
     /// Capture every simulated wire packet to a pcap file.
     pub fn pcap(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.cfg.pcap = Some(path.into());
@@ -193,14 +246,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enable flight-data telemetry sampling at the given sim-time
-    /// interval (see [`sim_core::telemetry`]). Like `pcap`, a
-    /// telemetry-carrying config is never sweep-cached.
-    pub fn telemetry(mut self, interval: SimDuration) -> Self {
-        self.cfg.telemetry = Some(interval);
-        self
-    }
-
     /// Run a multi-device fleet (see [`crate::fleet`]). The builder sets
     /// `connections` to the fleet's total, so the top-level connection
     /// count never disagrees with the population; per-device CPU/CC/media
@@ -222,8 +267,7 @@ impl SimConfigBuilder {
     /// links; degenerate CoDel parameters (zero target, or an interval
     /// not exceeding the target) on any AQM link including the fleet's
     /// shared bottleneck; FQ-CoDel on the ACK-only reverse path; a zero
-    /// ACK cadence; a zero timeline interval; and a zero telemetry
-    /// interval.
+    /// ACK cadence; and a zero timeline interval.
     pub fn build(self) -> Result<SimConfig> {
         let cfg = self.cfg;
         if cfg.connections == 0 {
@@ -308,12 +352,6 @@ impl SimConfigBuilder {
             return Err(Error::invalid_config(
                 "sample_interval",
                 "a zero timeline interval would loop forever; use None to disable",
-            ));
-        }
-        if matches!(cfg.telemetry, Some(iv) if iv.is_zero()) {
-            return Err(Error::invalid_config(
-                "telemetry",
-                "a zero telemetry interval would sample forever; use None to disable",
             ));
         }
         if let Some(fleet) = &cfg.fleet {

@@ -28,10 +28,18 @@
 //!   fraction) the population question needs;
 //! * [`mutants`] — intentional single-line behaviour mutations (feature
 //!   `simcheck-mutants`) that the simcheck fuzzer's oracles must catch;
+//! * [`config`] — [`SimConfig`] and its validating builder;
 //! * [`sim`] — the event loop that binds the stack to the
 //!   [`cpu_model::Cpu`] (every operation costs cycles and serialises) and
 //!   to [`netsim`]'s bottleneck path, and reports goodput/RTT/retransmit
-//!   statistics per run.
+//!   statistics per run. One private sub-module per layer the benchmark
+//!   prices: `sim` itself is dispatch (construction, the event loop,
+//!   per-event routing); `sim::host` is a device (CPU + path) and the
+//!   phone-side stack on it (transmit path, RTO, ACK processing,
+//!   auto-stride); `sim::path` is the hop walk with every drop tally;
+//!   `sim::peer` is the server's receive side and ACK emission;
+//!   `sim::results` assembles [`SimResult`]; `sim::observe` is the
+//!   instrument surface ([`Instruments`] in, [`Observed`] out).
 //!
 //! Granularity: one simulated packet = one MSS (1448 bytes of payload).
 //! Socket buffers (skbs) are runs of whole packets, so Table 2's buffer
@@ -54,7 +62,7 @@ pub mod sim;
 pub mod wire;
 
 pub use arena::{FlowArena, FlowId};
-pub use config::SimConfigBuilder;
+pub use config::{SimConfig, SimConfigBuilder};
 pub use fleet::{DeviceSpec, FleetConfig, FleetResult};
 pub use pacing::{Pacer, PacingConfig};
-pub use sim::{ConnStats, SimConfig, SimResult, StackSim};
+pub use sim::{ConnStats, Instruments, Observed, SimResult, StackSim};

@@ -199,6 +199,10 @@ pub fn bypass_this_shared_pkt() -> bool {
     false
 }
 
+/// Serialises the tests that flip (or assert on) the process-wide mutant.
+#[cfg(all(test, feature = "simcheck-mutants"))]
+pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +217,8 @@ mod tests {
 
     #[test]
     fn inactive_by_default() {
+        #[cfg(feature = "simcheck-mutants")]
+        let _serial = TEST_LOCK.lock().unwrap();
         assert_eq!(active(), None);
         for m in ALL {
             assert!(!is(m));
@@ -222,6 +228,7 @@ mod tests {
     #[cfg(feature = "simcheck-mutants")]
     #[test]
     fn activation_is_exclusive() {
+        let _serial = TEST_LOCK.lock().unwrap();
         set_active(Some(Mutant::SkipRetxCount));
         assert!(is(Mutant::SkipRetxCount));
         assert!(!is(Mutant::SackClaimExtra));

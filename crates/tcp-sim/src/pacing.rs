@@ -263,15 +263,6 @@ impl Pacer {
         self.last_idle
     }
 
-    /// Mean idle time across all paced sends (Table 2 column).
-    pub fn mean_idle(&self) -> SimDuration {
-        if self.paced_sends == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_idle / self.paced_sends
-        }
-    }
-
     /// Number of paced sends so far.
     pub fn paced_sends(&self) -> u64 {
         self.paced_sends
@@ -423,7 +414,6 @@ mod tests {
         let first = p.last_idle();
         p.on_send(p.next_release(), 5_000, rate);
         assert_eq!(p.paced_sends(), 2);
-        assert_eq!(p.mean_idle(), first);
         assert_eq!(p.last_idle(), first);
     }
 

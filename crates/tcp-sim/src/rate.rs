@@ -61,7 +61,6 @@ pub struct RateSampler {
     delivered_time: SimTime,
     /// Transmission time of the first packet of the in-progress flight.
     first_tx_time: SimTime,
-    app_limited_until: u64,
 }
 
 impl RateSampler {
@@ -73,7 +72,6 @@ impl RateSampler {
             delivered: 0,
             delivered_time: SimTime::ZERO,
             first_tx_time: SimTime::ZERO,
-            app_limited_until: 0,
         }
     }
 
@@ -103,15 +101,10 @@ impl RateSampler {
             delivered_time: self.delivered_time,
             first_tx_time: self.first_tx_time,
             tx_time: now,
-            app_limited: self.delivered < self.app_limited_until,
+            // The workload is an infinite bulk source: never app-limited.
+            app_limited: false,
             pacing_limited,
         }
-    }
-
-    /// Mark the connection application-limited until current inflight is
-    /// delivered (`tcp_rate_check_app_limited`).
-    pub fn set_app_limited(&mut self, inflight_pkts: u64) {
-        self.app_limited_until = self.delivered + inflight_pkts.max(1);
     }
 
     /// Account `newly_delivered` packets acked at `now`, and produce a rate
@@ -230,28 +223,6 @@ mod tests {
         assert_eq!(s.delivered(), 5);
         // Interval = max(400 µs, 10 ms) = 10 ms → rate = 5·1448B/10ms.
         assert_eq!(rs.interval, SimDuration::from_millis(10));
-    }
-
-    #[test]
-    fn app_limited_taints_until_flight_drains() {
-        let mut s = RateSampler::new(1448);
-        s.set_app_limited(3);
-        let stamp = s.on_send(SimTime::ZERO, true, false);
-        assert!(stamp.app_limited);
-        // Deliver 3 packets: the limitation clears.
-        s.on_ack(
-            SimTime::from_millis(5),
-            3,
-            &TxStamp {
-                tx_time: SimTime::from_millis(1),
-                ..stamp
-            },
-        );
-        let stamp2 = s.on_send(SimTime::from_millis(6), true, false);
-        assert!(
-            !stamp2.app_limited,
-            "app-limit must clear after inflight delivered"
-        );
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! above a hole) with a RACK-style time threshold (a hole is lost if a
 //! packet sent `reo_wnd` later has already been delivered).
 //!
-//! Since the flow-arena refactor the scoreboard state is split three ways:
+//! The scoreboard state is split so the flow arena can keep each part in
+//! its own dense array:
 //!
 //! * [`Scoreboard`] holds the sequence/SACK/loss state for **one** flow and
 //!   borrows whatever it doesn't own per call — segment records from a
@@ -29,10 +30,10 @@
 //! * [`SegStore`] is the shared chunked slab (see [`crate::pool::SegSlab`])
 //!   that every flow's per-segment records are carved from — the
 //!   "scoreboard-slab" pool category.
-//! * [`Sender`] is the classic single-flow bundle (scoreboard + private
-//!   store + RTT estimator + rate sampler) with the original API. Unit
-//!   tests and the arena-vs-boxed differential test drive it; the
-//!   simulator itself now iterates arena arrays instead.
+//!
+//! The unit tests below and the arena differential test
+//! (`tests/arena_differential.rs`) each bundle the four pieces — scoreboard,
+//! private store, RTT estimator, rate sampler — into a single flow locally.
 
 use crate::pool::{SegSlab, SlabDeque};
 use crate::rate::{RateSampler, TxStamp};
@@ -770,125 +771,59 @@ impl Scoreboard {
     }
 }
 
-/// The classic single-flow sender bundle: a [`Scoreboard`] plus its own
-/// private [`SegStore`], RTT estimator, and rate sampler, with the
-/// original one-struct API.
-///
-/// The simulator itself stores these pieces in the
-/// [`FlowArena`](crate::arena)'s dense arrays; this wrapper exists for
-/// unit tests and as the boxed-layout reference the arena differential
-/// test compares against. Both paths execute the same [`Scoreboard`]
-/// code, so equivalence here is a layout statement, not a reimplementation
-/// check.
-pub struct Sender {
-    board: Scoreboard,
-    store: SegStore,
-    /// RTT estimator (Karn-compliant: only clean segments sampled).
-    pub rtt: RttEstimator,
-    /// Delivery-rate sampler.
-    pub rate: RateSampler,
-}
-
-impl Sender {
-    /// A fresh sender for `mss`-byte packets.
-    pub fn new(mss: u64) -> Self {
-        Sender {
-            board: Scoreboard::new(mss),
-            store: SegStore::new(),
-            rtt: RttEstimator::new(),
-            rate: RateSampler::new(mss),
-        }
-    }
-
-    /// Segment size in bytes.
-    pub fn mss(&self) -> u64 {
-        self.board.mss()
-    }
-
-    /// Oldest unacknowledged sequence.
-    pub fn snd_una(&self) -> PktSeq {
-        self.board.snd_una()
-    }
-
-    /// Next fresh sequence.
-    pub fn snd_nxt(&self) -> PktSeq {
-        self.board.snd_nxt()
-    }
-
-    /// Packets currently outstanding (sent, not cumulatively acked).
-    pub fn packets_out(&self) -> u64 {
-        self.board.packets_out()
-    }
-
-    /// The standard inflight estimate.
-    pub fn packets_in_flight(&self) -> u64 {
-        self.board.packets_in_flight()
-    }
-
-    /// Whether any data is outstanding (drives the RTO timer).
-    pub fn has_outstanding(&self) -> bool {
-        self.board.has_outstanding()
-    }
-
-    /// Whether fast recovery is in progress.
-    pub fn in_recovery(&self) -> bool {
-        self.board.in_recovery()
-    }
-
-    /// Lifetime retransmission count.
-    pub fn total_retx(&self) -> u64 {
-        self.board.total_retx()
-    }
-
-    /// Cumulative delivered packets (goodput numerator).
-    pub fn delivered_pkts(&self) -> u64 {
-        self.rate.delivered()
-    }
-
-    /// Plan the next transmission: retransmissions first, then new data,
-    /// respecting `cwnd` and at most `max_pkts` in this buffer.
-    /// Returns `None` if nothing can be sent.
-    pub fn plan_send(&self, cwnd: u64, max_pkts: u64) -> Option<SendPlan> {
-        let mut plan = SendPlan {
-            runs: Vec::new(),
-            is_retx: false,
-        };
-        self.plan_send_into(cwnd, max_pkts, &mut plan)
-            .then_some(plan)
-    }
-
-    /// Allocation-free [`Sender::plan_send`]; see
-    /// [`Scoreboard::plan_send_into`].
-    pub fn plan_send_into(&self, cwnd: u64, max_pkts: u64, plan: &mut SendPlan) -> bool {
-        self.board.plan_send_into(cwnd, max_pkts, plan)
-    }
-
-    /// Record that a plan was transmitted at `now`. `pacing_limited` marks
-    /// sends released after a pacer-created idle drained the flight.
-    pub fn on_sent(&mut self, plan: &SendPlan, now: SimTime, pacing_limited: bool) {
-        self.board
-            .on_sent(&mut self.store, &mut self.rate, plan, now, pacing_limited)
-    }
-
-    /// Process an acknowledgement at `now`.
-    pub fn on_ack(&mut self, ack: &AckInfo, now: SimTime) -> AckOutcome {
-        self.board
-            .on_ack(&mut self.store, &mut self.rtt, &mut self.rate, ack, now)
-    }
-
-    /// RTO expiry: everything outstanding and unsacked is presumed lost
-    /// (`tcp_enter_loss`); retransmission state resets.
-    pub fn on_rto(&mut self) -> u64 {
-        self.board.on_rto(&mut self.store)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::receiver::Receiver;
 
-    fn send_n(s: &mut Sender, n: u64, at: SimTime) -> SendPlan {
+    /// One flow with private storage: the four pieces the arena keeps in
+    /// parallel arrays, bundled so a test reads like a sender.
+    struct Flow {
+        board: Scoreboard,
+        store: SegStore,
+        rtt: RttEstimator,
+        rate: RateSampler,
+    }
+
+    impl std::ops::Deref for Flow {
+        type Target = Scoreboard;
+        fn deref(&self) -> &Scoreboard {
+            &self.board
+        }
+    }
+
+    impl Flow {
+        fn new(mss: u64) -> Self {
+            Flow {
+                board: Scoreboard::new(mss),
+                store: SegStore::new(),
+                rtt: RttEstimator::new(),
+                rate: RateSampler::new(mss),
+            }
+        }
+
+        fn plan_send(&self, cwnd: u64, max_pkts: u64) -> Option<SendPlan> {
+            let mut plan = SendPlan::default();
+            self.plan_send_into(cwnd, max_pkts, &mut plan)
+                .then_some(plan)
+        }
+
+        fn on_sent(&mut self, plan: &SendPlan, now: SimTime, pacing_limited: bool) {
+            self.board
+                .on_sent(&mut self.store, &mut self.rate, plan, now, pacing_limited)
+        }
+
+        fn on_ack(&mut self, ack: &AckInfo, now: SimTime) -> AckOutcome {
+            self.board
+                .on_ack(&mut self.store, &mut self.rtt, &mut self.rate, ack, now)
+        }
+
+        fn on_rto(&mut self) -> u64 {
+            self.board.on_rto(&mut self.store)
+        }
+    }
+
+    fn send_n(s: &mut Flow, n: u64, at: SimTime) -> SendPlan {
         let plan = s.plan_send(u64::MAX, n).expect("plan");
         assert!(!plan.is_retx);
         s.on_sent(&plan, at, false);
@@ -914,7 +849,7 @@ mod tests {
 
     #[test]
     fn clean_ack_advances_and_samples_rtt() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 10, SimTime::from_millis(0));
         assert_eq!(s.packets_in_flight(), 10);
         let out = s.on_ack(&cum_ack(10), SimTime::from_millis(20));
@@ -928,7 +863,7 @@ mod tests {
 
     #[test]
     fn plan_respects_cwnd_and_buffer_limit() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         let plan = s.plan_send(10, 4).unwrap();
         assert_eq!(plan.packets(), 4, "buffer limit binds");
         s.on_sent(&plan, SimTime::ZERO, false);
@@ -940,7 +875,7 @@ mod tests {
 
     #[test]
     fn dup_threshold_marks_hole_lost() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 10, SimTime::from_millis(0));
         // Packet 0 lost; 1..4 sacked (3 above the hole).
         let out = s.on_ack(&sack(0, &[(1, 4)]), SimTime::from_millis(20));
@@ -952,7 +887,7 @@ mod tests {
 
     #[test]
     fn below_threshold_waits() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 10, SimTime::from_millis(0));
         let out = s.on_ack(&sack(0, &[(1, 3)]), SimTime::from_millis(1));
         assert_eq!(out.newly_lost, 0, "only 2 SACKed above: not yet");
@@ -961,7 +896,7 @@ mod tests {
 
     #[test]
     fn rack_time_rule_catches_tail_loss() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         // Establish srtt = 20 ms.
         send_n(&mut s, 1, SimTime::from_millis(0));
         s.on_ack(&cum_ack(1), SimTime::from_millis(20));
@@ -978,7 +913,7 @@ mod tests {
 
     #[test]
     fn retransmission_flow() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 10, SimTime::from_millis(0));
         s.on_ack(&sack(0, &[(1, 5)]), SimTime::from_millis(20));
         assert_eq!(s.total_retx(), 0);
@@ -1010,7 +945,7 @@ mod tests {
 
     #[test]
     fn karn_rule_skips_retransmitted_rtt() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 5, SimTime::from_millis(0));
         s.on_ack(&sack(0, &[(1, 5)]), SimTime::from_millis(10));
         let plan = s.plan_send(100, 10).unwrap();
@@ -1027,7 +962,7 @@ mod tests {
 
     #[test]
     fn duplicate_ack_flagged() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 5, SimTime::ZERO);
         s.on_ack(&cum_ack(2), SimTime::from_millis(10));
         let out = s.on_ack(&cum_ack(2), SimTime::from_millis(11));
@@ -1037,7 +972,7 @@ mod tests {
 
     #[test]
     fn rto_marks_all_unsacked_lost() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 10, SimTime::ZERO);
         s.on_ack(&sack(0, &[(4, 6)]), SimTime::from_millis(10));
         let marked = s.on_rto();
@@ -1051,9 +986,9 @@ mod tests {
 
     #[test]
     fn inflight_identity_holds_through_scenario() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 20, SimTime::ZERO);
-        let check = |s: &Sender| {
+        let check = |s: &Flow| {
             assert_eq!(
                 s.packets_in_flight(),
                 (s.packets_out() + s.board.retrans_out) - s.board.sacked_out - s.board.lost_out
@@ -1071,7 +1006,7 @@ mod tests {
 
     #[test]
     fn ack_beyond_sent_data_is_clamped() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 5, SimTime::ZERO);
         // A (corrupt/stale) cumulative ack beyond snd_nxt must clamp, not
         // panic or corrupt the scoreboard.
@@ -1083,7 +1018,7 @@ mod tests {
 
     #[test]
     fn sack_below_snd_una_is_ignored() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 10, SimTime::ZERO);
         s.on_ack(&cum_ack(6), SimTime::from_millis(10));
         // Stale SACK entirely below the cumulative point.
@@ -1095,7 +1030,7 @@ mod tests {
 
     #[test]
     fn duplicate_sack_of_same_range_counts_once() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 10, SimTime::ZERO);
         let first = s.on_ack(&sack(0, &[(4, 6)]), SimTime::from_millis(10));
         assert_eq!(first.newly_delivered, 2);
@@ -1105,14 +1040,14 @@ mod tests {
 
     #[test]
     fn plan_send_zero_budget_is_none() {
-        let s = Sender::new(1448);
+        let s = Flow::new(1448);
         assert!(s.plan_send(10, 0).is_none());
         assert!(s.plan_send(0, 10).is_none());
     }
 
     #[test]
     fn rto_with_everything_sacked_marks_nothing() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 4, SimTime::ZERO);
         s.on_ack(&sack(0, &[(0, 4)]), SimTime::from_millis(5));
         // Hole at nothing: everything above una is sacked (pure reorder);
@@ -1122,7 +1057,7 @@ mod tests {
 
     #[test]
     fn recovery_spans_multiple_loss_waves() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 20, SimTime::ZERO);
         // Wave 1: 0..2 lost.
         let out = s.on_ack(&sack(0, &[(2, 6)]), SimTime::from_millis(10));
@@ -1136,7 +1071,7 @@ mod tests {
 
     #[test]
     fn retransmit_of_discontiguous_holes_in_one_plan() {
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         send_n(&mut s, 12, SimTime::ZERO);
         s.on_ack(
             &sack(0, &[(1, 4), (5, 9), (10, 12)]),
@@ -1152,7 +1087,7 @@ mod tests {
             vec![(PktSeq(0), PktSeq(1)), (PktSeq(4), PktSeq(5))]
         );
         // More SACKs above hole 9 tip it over the threshold.
-        let mut s2 = Sender::new(1448);
+        let mut s2 = Flow::new(1448);
         send_n(&mut s2, 14, SimTime::ZERO);
         s2.on_ack(
             &sack(0, &[(1, 4), (5, 9), (10, 14)]),
@@ -1172,7 +1107,7 @@ mod tests {
     #[test]
     fn sender_receiver_integration_with_loss() {
         // End-to-end: 20 packets, 5..8 dropped, retransmitted, converges.
-        let mut s = Sender::new(1448);
+        let mut s = Flow::new(1448);
         let mut r = Receiver::new();
         let plan = send_n(&mut s, 20, SimTime::ZERO);
         let (lo, hi) = plan.runs[0];
@@ -1194,7 +1129,7 @@ mod tests {
         assert_eq!(out.newly_delivered, 3);
         assert!(out.recovery_exited);
         assert_eq!(s.packets_out(), 0);
-        assert_eq!(s.delivered_pkts(), 20);
+        assert_eq!(s.rate.delivered(), 20);
         assert_eq!(r.total_received(), 20);
     }
 

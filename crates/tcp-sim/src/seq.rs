@@ -63,16 +63,6 @@ impl WireSeq {
         diff != 0 && diff < 0x8000_0000
     }
 
-    /// Modular "after".
-    pub fn after(self, other: WireSeq) -> bool {
-        other.before(self)
-    }
-
-    /// `self ≤ other` in modular order.
-    pub fn before_eq(self, other: WireSeq) -> bool {
-        self == other || self.before(other)
-    }
-
     /// Modular distance from `earlier` to `self` (valid when `self` is
     /// within 2³¹ of `earlier`).
     pub fn distance_from(self, earlier: WireSeq) -> u32 {
@@ -109,7 +99,6 @@ mod tests {
         assert!(WireSeq(1).before(WireSeq(2)));
         assert!(!WireSeq(2).before(WireSeq(1)));
         assert!(!WireSeq(7).before(WireSeq(7)));
-        assert!(WireSeq(7).before_eq(WireSeq(7)));
     }
 
     #[test]
@@ -117,7 +106,6 @@ mod tests {
         // Near the wrap point: 0xFFFF_FFFF precedes 0 and 5.
         assert!(WireSeq(0xFFFF_FFFF).before(WireSeq(0)));
         assert!(WireSeq(0xFFFF_FFFF).before(WireSeq(5)));
-        assert!(WireSeq(5).after(WireSeq(0xFFFF_FFFF)));
         assert_eq!(WireSeq(3).distance_from(WireSeq(0xFFFF_FFFE)), 5);
     }
 
@@ -134,14 +122,13 @@ mod tests {
     }
 
     proptest! {
-        /// before/after are a strict weak order on nearby numbers.
+        /// `before` is a strict weak order on nearby numbers.
         #[test]
         fn prop_wireseq_antisymmetric(a in any::<u32>(), delta in 1u32..0x7FFF_FFFF) {
             let x = WireSeq(a);
             let y = x.advance(delta);
             prop_assert!(x.before(y));
             prop_assert!(!y.before(x));
-            prop_assert!(y.after(x));
         }
 
         /// Advancing then measuring distance round-trips for in-window deltas.

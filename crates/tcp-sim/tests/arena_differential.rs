@@ -1,8 +1,8 @@
 //! Differential property test: a [`FlowArena`] (struct-of-arrays state,
 //! scoreboard windows carved from ONE shared segment slab) must behave
-//! exactly like a set of independent boxed [`Sender`]s (each owning a
-//! private slab) under arbitrary interleavings of plan/send/ack/RTO
-//! operations across 1–64 flows.
+//! exactly like a set of independent boxed flows (each owning a private
+//! slab) under arbitrary interleavings of plan/send/ack/RTO operations
+//! across 1–64 flows.
 //!
 //! This is the executable form of the arena's isolation invariant: flow
 //! `a`'s operations never read or write flow `b`'s state, even though all
@@ -15,12 +15,51 @@ use congestion::master::{Master, MasterConfig};
 use congestion::CcKind;
 use proptest::prelude::*;
 use sim_core::time::{SimDuration, SimTime};
+use tcp_sim::rate::RateSampler;
 use tcp_sim::receiver::AckInfo;
-use tcp_sim::sender::Sender;
+use tcp_sim::rtt::RttEstimator;
+use tcp_sim::sender::{AckOutcome, Scoreboard, SegStore, SendPlan};
 use tcp_sim::seq::PktSeq;
 use tcp_sim::{FlowArena, FlowId, PacingConfig};
 
 const MSS: u64 = 1448;
+
+/// The private-slab reference: one flow's four pieces, each owned
+/// outright instead of carved from the arena's shared arrays.
+struct BoxedFlow {
+    board: Scoreboard,
+    store: SegStore,
+    rtt: RttEstimator,
+    rate: RateSampler,
+}
+
+impl BoxedFlow {
+    fn new() -> Self {
+        BoxedFlow {
+            board: Scoreboard::new(MSS),
+            store: SegStore::new(),
+            rtt: RttEstimator::new(),
+            rate: RateSampler::new(MSS),
+        }
+    }
+
+    fn plan_send(&self, cwnd: u64, max_pkts: u64) -> Option<SendPlan> {
+        let mut plan = SendPlan::default();
+        self.board
+            .plan_send_into(cwnd, max_pkts, &mut plan)
+            .then_some(plan)
+    }
+
+    fn on_sent(&mut self, plan: &SendPlan, now: SimTime) {
+        self.board
+            .on_sent(&mut self.store, &mut self.rate, plan, now, false)
+    }
+
+    fn on_ack(&mut self, ack: &AckInfo, now: SimTime) -> AckOutcome {
+        self.board
+            .on_ack(&mut self.store, &mut self.rtt, &mut self.rate, ack, now)
+    }
+}
 
 /// One step of the generated workload, always addressed to one flow.
 #[derive(Debug, Clone)]
@@ -76,7 +115,7 @@ proptest! {
         let mut arena = FlowArena::new(flows, MSS, PacingConfig::default(), |_| {
             Master::new(CcKind::Bbr.build(MSS), MasterConfig::passthrough())
         });
-        let mut boxed: Vec<Sender> = (0..flows).map(|_| Sender::new(MSS)).collect();
+        let mut boxed: Vec<BoxedFlow> = (0..flows).map(|_| BoxedFlow::new()).collect();
         let mut now = SimTime::ZERO;
 
         for op in &ops {
@@ -94,7 +133,7 @@ proptest! {
                     prop_assert_eq!(&a, &b, "plan diverged on flow {}", flow);
                     if let Some(plan) = a {
                         arena.on_sent(f, &plan, now, false);
-                        boxed[flow].on_sent(&plan, now, false);
+                        boxed[flow].on_sent(&plan, now);
                     }
                 }
                 Op::AckCum { flow, frac } => {
@@ -139,7 +178,7 @@ proptest! {
                 Op::Rto { flow } => {
                     let flow = flow % flows;
                     let a = arena.on_rto(FlowId(flow as u32));
-                    let b = boxed[flow].on_rto();
+                    let b = { let s = &mut boxed[flow]; s.board.on_rto(&mut s.store) };
                     prop_assert_eq!(a, b, "rto lost-count diverged on flow {}", flow);
                 }
                 Op::Tick { nanos } => {
@@ -152,20 +191,20 @@ proptest! {
             // exists to catch.
             for (i, s) in boxed.iter().enumerate() {
                 let f = FlowId(i as u32);
-                let board = arena.scoreboard(f);
-                prop_assert_eq!(board.snd_una(), s.snd_una(), "snd_una flow {}", i);
-                prop_assert_eq!(board.snd_nxt(), s.snd_nxt(), "snd_nxt flow {}", i);
-                prop_assert_eq!(board.packets_out(), s.packets_out(), "packets_out flow {}", i);
+                let (board, b) = (arena.scoreboard(f), &s.board);
+                prop_assert_eq!(board.snd_una(), b.snd_una(), "snd_una flow {}", i);
+                prop_assert_eq!(board.snd_nxt(), b.snd_nxt(), "snd_nxt flow {}", i);
+                prop_assert_eq!(board.packets_out(), b.packets_out(), "packets_out flow {}", i);
                 prop_assert_eq!(
                     board.packets_in_flight(),
-                    s.packets_in_flight(),
+                    b.packets_in_flight(),
                     "in_flight flow {}", i
                 );
-                prop_assert_eq!(board.in_recovery(), s.in_recovery(), "recovery flow {}", i);
-                prop_assert_eq!(board.total_retx(), s.total_retx(), "retx flow {}", i);
+                prop_assert_eq!(board.in_recovery(), b.in_recovery(), "recovery flow {}", i);
+                prop_assert_eq!(board.total_retx(), b.total_retx(), "retx flow {}", i);
                 prop_assert_eq!(
                     arena.delivered_pkts(f),
-                    s.delivered_pkts(),
+                    s.rate.delivered(),
                     "delivered flow {}", i
                 );
                 prop_assert_eq!(arena.srtt(f), s.rtt.srtt(), "srtt flow {}", i);
@@ -184,7 +223,7 @@ proptest! {
             let b = sender.on_ack(&ack, now);
             prop_assert_eq!(format!("{a:?}"), format!("{b:?}"), "drain ack flow {}", i);
             prop_assert_eq!(arena.scoreboard(f).packets_out(), 0);
-            prop_assert_eq!(sender.packets_out(), 0);
+            prop_assert_eq!(sender.board.packets_out(), 0);
         }
         let (takes, reuses, misses) = arena.store_stats();
         prop_assert_eq!(misses, takes - reuses, "slab pool identity");

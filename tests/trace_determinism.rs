@@ -13,7 +13,7 @@ use congestion::CcKind;
 use cpu_model::CpuConfig;
 use experiments::Params;
 use sim_core::trace::{write_chrome, write_jsonl, TraceLog};
-use tcp_sim::{SimConfig, StackSim};
+use tcp_sim::{Instruments, SimConfig, SimResult, StackSim};
 
 /// The smoke-sized cells the tests trace: both CC families, mixed CPU
 /// configs and connection counts.
@@ -37,11 +37,22 @@ fn cells() -> Vec<SimConfig> {
 fn result_json(cfg: SimConfig, traced: bool) -> String {
     let seed = cfg.seed;
     let res = if traced {
-        StackSim::new(cfg).run_traced().0
+        run_with_trace(cfg).0
     } else {
         StackSim::new(cfg).run()
     };
     serde_json::to_string(&iperf::SeedResult::from_sim(seed, &res)).unwrap()
+}
+
+fn run_with_trace(cfg: SimConfig) -> (SimResult, TraceLog) {
+    let observed = StackSim::new(cfg).run_observed(Instruments {
+        trace: true,
+        telemetry: None,
+    });
+    (
+        observed.result,
+        observed.trace.expect("tracing was requested"),
+    )
 }
 
 fn jsonl_bytes(log: &TraceLog) -> Vec<u8> {
@@ -65,14 +76,14 @@ fn traced_results_are_byte_identical_to_untraced() {
 
 #[test]
 fn traced_runs_are_identical_across_worker_counts() {
-    let run_traced = |cfg: SimConfig| -> (String, Vec<u8>) {
+    let traced_cell = |cfg: SimConfig| -> (String, Vec<u8>) {
         let seed = cfg.seed;
-        let (res, log) = StackSim::new(cfg).run_traced();
+        let (res, log) = run_with_trace(cfg);
         let json = serde_json::to_string(&iperf::SeedResult::from_sim(seed, &res)).unwrap();
         (json, jsonl_bytes(&log))
     };
 
-    let serial: Vec<(String, Vec<u8>)> = cells().into_iter().map(run_traced).collect();
+    let serial: Vec<(String, Vec<u8>)> = cells().into_iter().map(traced_cell).collect();
 
     // Fan the same cells over 4 threads, one chunk per thread, preserving
     // submission order in the collected output — the sweep engine's shape.
@@ -83,7 +94,7 @@ fn traced_runs_are_identical_across_worker_counts() {
             .chunks(chunk)
             .map(|chunk| {
                 let chunk = chunk.to_vec();
-                s.spawn(move || chunk.into_iter().map(run_traced).collect::<Vec<_>>())
+                s.spawn(move || chunk.into_iter().map(traced_cell).collect::<Vec<_>>())
             })
             .collect();
         handles
@@ -102,8 +113,8 @@ fn traced_runs_are_identical_across_worker_counts() {
 #[test]
 fn trace_exports_are_byte_stable_across_runs() {
     let cfg = &cells()[0];
-    let (_, log_a) = StackSim::new(cfg.clone()).run_traced();
-    let (_, log_b) = StackSim::new(cfg.clone()).run_traced();
+    let (_, log_a) = run_with_trace(cfg.clone());
+    let (_, log_b) = run_with_trace(cfg.clone());
     assert!(!log_a.events.is_empty(), "smoke run must produce events");
     assert_eq!(jsonl_bytes(&log_a), jsonl_bytes(&log_b), "JSONL unstable");
 

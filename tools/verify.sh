@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The end-to-end gates, as one script that contributors and CI both run:
 #
-#   tools/verify.sh report|resume|fleet|fairness|bench
+#   tools/verify.sh report|resume|fleet|fairness|bench|trace|fuzz|mutants
 #
 # Each gate builds the release binaries through `cargo run` and writes its
 # artifacts under target/verify/<gate>/ (wiped at the start of the gate;
@@ -14,6 +14,7 @@ out="target/verify/$gate"
 
 repro() { cargo run --release -p mobile-bbr-bench --bin repro -- "$@"; }
 simcheck() { cargo run --release -p mobile-bbr-bench --bin simcheck -- "$@"; }
+trace_tool() { cargo run --release -p mobile-bbr-bench --bin trace -- "$@"; }
 
 # cross_jobs_identical NAME FLAG ARGS…: run `repro ARGS… --no-cache` at
 # --jobs 1 and --jobs 4, each writing the artifact FLAG names (--json FILE,
@@ -120,15 +121,44 @@ bench() {
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
+# Flight-recorder smoke: record the canonical Low-End 20-conn BBR run in
+# both export formats and run every `trace` inspector subcommand over the
+# JSONL (the inspector exits non-zero on an invalid or disordered trace).
+trace() {
+    repro --quick --trace "$out/trace.jsonl"
+    repro --quick --trace "$out/trace-chrome.json" --trace-format chrome
+    trace_tool inspect "$out/trace.jsonl"
+    trace_tool top "$out/trace.jsonl"
+    trace_tool flows "$out/trace.jsonl"
+}
+
+# Scenario-fuzzer gate: replay the checked-in corpus, then 200 random
+# scenarios across 4 workers (stdout is bit-identical to --jobs 1, so any
+# violation is reproducible from the printed one-line spec).
+fuzz() {
+    simcheck --budget 200 --seed 1 --jobs 4 \
+        --corpus tests/simcheck_corpus.txt --no-corpus-append --progress
+}
+
+# Oracle-sensitivity gate: every intentional single-line mutation in
+# tcp_sim::mutants must be caught by at least one oracle, each with a
+# shrunk one-line repro (an ESCAPED line fails the gate) — and, hop by
+# hop, mutant M7 must lose exactly the AQM drops the links recorded.
+mutants() {
+    cargo run --release -p mobile-bbr-bench --features simcheck-mutants \
+        --bin simcheck -- --mutant-check --budget 120 --seed 1
+    cargo test --release -p tcp-sim --features simcheck-mutants sim::path
+}
+
 case "$gate" in
-report | resume | fleet | fairness | bench)
+report | resume | fleet | fairness | bench | trace | fuzz | mutants)
     rm -rf "$out"
     mkdir -p "$out"
     "$gate"
     echo "verify $gate: OK"
     ;;
 *)
-    echo "usage: tools/verify.sh report|resume|fleet|fairness|bench" >&2
+    echo "usage: tools/verify.sh report|resume|fleet|fairness|bench|trace|fuzz|mutants" >&2
     exit 2
     ;;
 esac
