@@ -8,23 +8,26 @@
 //! repro --exp all --markdown out.md --json out.json
 //! ```
 //!
-//! Experiments execute on the `sim_core::sweep` engine: `--jobs N` fans
-//! the (config, seed) cells of each experiment across N workers with
-//! bit-identical output to `--jobs 1`, and finished cells are cached
-//! content-addressed under `target/sweep-cache` (disable with
-//! `--no-cache`, relocate with `--cache-dir`). `--progress` prints a
-//! per-cell completion line with its wall time and cache status, plus a
-//! final one-line cache/pool-health summary.
+//! The selected experiments execute as **one** sweep on the
+//! `sim_core::sweep` engine (`experiments::run_all`): a (config, seed)
+//! cell is simulated once however many experiments read it, and each
+//! experiment prints the moment its last cell is out. `--jobs N` fans the
+//! cells across N workers with bit-identical output to `--jobs 1`, and
+//! finished cells are cached content-addressed under `target/sweep-cache`
+//! (disable with `--no-cache`, relocate with `--cache-dir`). `--progress`
+//! prints a per-cell completion line (one `[k/n]` counter and ETA for the
+//! run) with its wall time and cache status, plus a final one-line
+//! cache/pool-health summary.
 //!
-//! Long runs are interruptible and resumable: `--checkpoint PATH` records
-//! every finished cell to PATH (atomic tmp+rename envelope, like the run
-//! cache), Ctrl-C drains the in-flight cells, finalizes the checkpoint,
+//! Long runs are interruptible and resumable: `--checkpoint PATH` appends
+//! every finished cell to PATH as a checksummed record, Ctrl-C drains the
+//! in-flight cells, finalizes the checkpoint,
 //! and exits 130; rerunning with `--checkpoint PATH --resume` replays the
 //! recorded cells and produces a byte-identical scorecard. Without
 //! `--resume` an existing checkpoint is discarded and the run starts
 //! fresh. `--max-inflight N` bounds buffered-but-unreleased cells (memory
 //! stays flat in grid size); `--cancel-after N` is a deterministic
-//! test hook that interrupts after N released cells.
+//! test hook that interrupts after N released cells, counted over the run.
 //!
 //! `--trace PATH` switches to flight-recorder mode: instead of running
 //! experiments, it records the canonical Low-End / 20-connection BBR run
@@ -96,6 +99,9 @@ fn parse_args() -> Result<Args, String> {
             "--seeds" => {
                 let n = value("a value")?;
                 seeds = Some(n.parse().map_err(|e| format!("bad --seeds: {e}"))?);
+                if seeds == Some(0) {
+                    return Err("--seeds must be at least 1".into());
+                }
             }
             "--markdown" => markdown = Some(value("a path")?),
             "--json" => json = Some(value("a path")?),
@@ -150,27 +156,19 @@ fn parse_args() -> Result<Args, String> {
     if exps.is_empty() {
         exps.extend(ExperimentId::ALL);
     }
+    // The selection is a set, in first-mention order.
+    let mut seen = std::collections::HashSet::new();
+    exps.retain(|id| seen.insert(*id));
     // Knobs land after preset selection so they override it.
     if let Some(n) = seeds {
         params.seeds = n;
     }
-    if let Some(n) = sweep.jobs {
-        params.threads = n;
-    }
-    if let Some(dir) = sweep.cache_dir {
-        params.cache_dir = Some(dir);
-    }
-    if sweep.no_cache {
-        params.cache_dir = None;
-    }
-    params.progress = sweep.progress;
-    params.checkpoint = sweep.checkpoint;
-    params.max_inflight = sweep.max_inflight;
-    params.cancel_after = sweep.cancel_after;
+    let resume = sweep.resume;
+    sweep.apply(&mut params);
     Ok(Args {
         exps,
         params,
-        resume: sweep.resume,
+        resume,
         markdown,
         json,
         csv,
@@ -301,13 +299,10 @@ fn main() {
 fn run_experiments(args: &Args) -> Result<bool, sim_core::Error> {
     let mut done: Vec<Experiment> = Vec::new();
     let t0 = std::time::Instant::now();
-    for id in &args.exps {
-        let start = std::time::Instant::now();
-        let exp = id.run(&args.params)?;
-        println!("{}", exp.render_text());
-        println!("  ({} in {:.1?})\n", id.cli_name(), start.elapsed());
+    experiments::run_all(&args.exps, &args.params, |exp| {
+        println!("{}\n", exp.render_text());
         done.push(exp);
-    }
+    })?;
 
     let card = experiments::Scorecard::tally(&done);
     println!("{} ({:.1?} total)", card.banner(), t0.elapsed());

@@ -24,7 +24,7 @@
 pub mod cancel;
 pub mod simcheck;
 
-use experiments::Experiment;
+use experiments::{Experiment, Params};
 use std::path::PathBuf;
 
 /// The sweep-engine flags every front end shares, as parsed by
@@ -47,6 +47,23 @@ pub struct SweepFlags {
     pub max_inflight: usize,
     /// `--cancel-after N`.
     pub cancel_after: Option<u64>,
+}
+
+impl SweepFlags {
+    /// Lay the flags over a preset: a flag that was given overrides it.
+    pub fn apply(self, params: &mut Params) {
+        params.threads = self.jobs.unwrap_or(params.threads);
+        if let Some(dir) = self.cache_dir {
+            params.cache_dir = Some(dir);
+        }
+        if self.no_cache {
+            params.cache_dir = None;
+        }
+        params.progress = self.progress;
+        params.checkpoint = self.checkpoint;
+        params.max_inflight = self.max_inflight;
+        params.cancel_after = self.cancel_after;
+    }
 }
 
 /// Move the sweep-engine flags (and their values) out of `argv`, leaving
@@ -106,7 +123,7 @@ pub fn to_json(experiments: &[Experiment]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use experiments::{ExperimentId, Params};
+    use experiments::ExperimentId;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|a| a.to_string()).collect()

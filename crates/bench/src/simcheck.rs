@@ -1274,7 +1274,6 @@ pub fn fuzz(options: &FuzzOptions) -> Result<FuzzOutcome, sim_core::Error> {
         progress: options.progress,
         checkpoint: options.checkpoint.clone(),
         max_inflight: options.max_inflight,
-        cancel: None,
         cancel_after: options.cancel_after,
     };
 

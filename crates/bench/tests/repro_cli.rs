@@ -1,5 +1,7 @@
-//! Flag-order tests for the `repro` binary: a knob must override the
-//! preset whichever side of `--quick`/`--smoke` it is written on.
+//! Command-line tests for the `repro` binary: a knob must override the
+//! preset whichever side of `--quick`/`--smoke` it is written on, a
+//! hostile value is a usage error and never a panic, and naming an
+//! experiment twice selects it once.
 
 use std::process::Command;
 
@@ -32,6 +34,30 @@ fn seeds_overrides_the_preset_on_either_side_of_it() {
             "two seeds expected; stderr: {stderr}"
         );
     }
+}
+
+#[test]
+fn zero_seeds_is_a_usage_error_not_a_panic() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--exp", "fig9", "--smoke", "--seeds", "0", "--no-cache"])
+        .output()
+        .expect("repro binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--seeds must be at least 1"), "{stderr}");
+    assert!(stderr.contains("usage: repro"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn a_repeated_exp_is_run_and_scored_once() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--exp", "fig9", "--exp", "fig9", "--smoke", "--no-cache"])
+        .output()
+        .expect("repro binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.matches("== FIG9").count(), 1, "{stdout}");
+    assert!(stdout.contains("scorecard: 2/2"), "{stdout}");
 }
 
 #[test]

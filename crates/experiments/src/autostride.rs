@@ -13,30 +13,20 @@
 //! factor of the best fixed stride *without knowing the configuration*.
 
 use crate::checks::ShapeCheck;
-use crate::params::{Params, STRIDE_SWEEP};
+use crate::params::{Params, CONNS, CONSTRAINED, STRIDE_SWEEP};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 use tcp_sim::PacingConfig;
 
-/// Configurations probed.
-pub const CONFIGS: [CpuConfig; 3] = [CpuConfig::LowEnd, CpuConfig::MidEnd, CpuConfig::Default];
-/// Connections.
-pub const CONNS: usize = 20;
-
-/// Run the auto-stride comparison.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+/// The auto-stride comparison: per configuration, the fixed-stride sweep
+/// (Fig. 8's cells) then the controller's run.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
     let mut specs = Vec::new();
-    for config in CONFIGS {
-        for &stride in &STRIDE_SWEEP {
-            specs.push(RunSpec::new(
-                format!("fixed {stride}x, {config}"),
-                params.pixel4_stride(config, CcKind::Bbr, CONNS, stride),
-                params.seeds,
-            ));
-        }
+    for config in CONSTRAINED {
+        specs.extend(crate::fig8::stride_sweep(params, config, params.seeds));
         let mut cfg = params.pixel4(config, CcKind::Bbr, CONNS);
         cfg.pacing = PacingConfig::auto();
         // Give the controller time to climb, settle, and evaluate (each
@@ -46,8 +36,10 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         cfg.warmup = cfg.duration / 2;
         specs.push(RunSpec::new(format!("auto, {config}"), cfg, params.seeds));
     }
-    let reports = run_specs(params, specs)?;
+    specs
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let per_config = STRIDE_SWEEP.len() + 1;
     let mut table = ResultTable::new(vec![
         "Config",
@@ -59,7 +51,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         "Auto Jain",
     ]);
     let mut checks = Vec::new();
-    for (ci, config) in CONFIGS.iter().enumerate() {
+    for (ci, config) in CONSTRAINED.iter().enumerate() {
         let block = &reports[ci * per_config..(ci + 1) * per_config];
         let fixed = &block[..STRIDE_SWEEP.len()];
         let auto = &block[STRIDE_SWEEP.len()];
@@ -108,12 +100,12 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ));
     }
 
-    Ok(Experiment {
+    Experiment {
         id: "AUTO-STRIDE".into(),
         title: "Online stride adaptation vs the fixed-stride sweep (§7.1.2 future work)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -122,8 +114,8 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
-        assert_eq!(exp.table.rows.len(), CONFIGS.len());
-        assert_eq!(exp.checks.len(), CONFIGS.len() * 2);
+        let exp = crate::tests::smoke(crate::ExperimentId::AutoStride);
+        assert_eq!(exp.table.rows.len(), CONSTRAINED.len());
+        assert_eq!(exp.checks.len(), CONSTRAINED.len() * 2);
     }
 }

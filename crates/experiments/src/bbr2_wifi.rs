@@ -6,21 +6,20 @@
 //! for the Pixel 6 lacked Ethernet support.)
 
 use crate::checks::ShapeCheck;
-use crate::params::Params;
+use crate::params::{Params, CONNS};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 use netsim::media::MediaProfile;
 
-/// Connections used by the paper's §4.2 experiment.
-pub const CONNS: usize = 20;
+/// The algorithms compared, in plan order (Cubic is the reference).
+const ALGOS: [CcKind; 3] = [CcKind::Cubic, CcKind::Bbr, CcKind::Bbr2];
 
-/// Run the §4.2 comparison.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
-    let algos = [CcKind::Cubic, CcKind::Bbr, CcKind::Bbr2];
-    let specs = algos
+/// The §4.2 comparison.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
+    ALGOS
         .iter()
         .map(|&cc| {
             RunSpec::new(
@@ -29,9 +28,10 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
                 params.seeds,
             )
         })
-        .collect();
-    let reports = run_specs(params, specs)?;
+        .collect()
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let mut table = ResultTable::new(vec![
         "Algorithm",
         "Goodput (Mbps)",
@@ -39,7 +39,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         "Mean RTT (ms)",
     ]);
     let cubic = reports[0].goodput_mbps;
-    for (cc, rep) in algos.iter().zip(&reports) {
+    for (cc, rep) in ALGOS.iter().zip(reports) {
         table.push_row(vec![
             cc.to_string().into(),
             rep.goodput_mbps.into(),
@@ -73,21 +73,19 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "BBR2-WIFI".into(),
         title: "Cubic vs BBR vs BBR2 (Pixel 6 Low-End, WiFi, 20 conns) — §4.2".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Bbr2Wifi);
         assert_eq!(exp.table.rows.len(), 3);
         assert!(exp.table.num_at(0, 1).unwrap() > 0.0);
     }

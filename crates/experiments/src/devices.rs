@@ -15,29 +15,28 @@
 use crate::checks::ShapeCheck;
 use crate::params::Params;
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::CcKind;
 use cpu_model::governor::{ClusterKind, GovernorPolicy};
 use cpu_model::DeviceProfile;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 
 /// One surveyed budget phone (price point ≈ $60; §7.2's Flipkart survey,
 /// representative models of the class).
-#[derive(Debug, Clone)]
-pub struct BudgetPhone {
+struct BudgetPhone {
     /// Marketing name.
-    pub name: &'static str,
+    name: &'static str,
     /// Core count.
-    pub cores: u32,
+    cores: u32,
     /// Maximum CPU frequency, MHz.
-    pub max_freq_mhz: u32,
+    max_freq_mhz: u32,
     /// Shipped Android major version.
-    pub android: u32,
+    android: u32,
 }
 
 /// The surveyed class: chosen so the aggregates reproduce the paper's
 /// "4 cores, 1.31 GHz, Android 8" averages.
-pub const SURVEY: [BudgetPhone; 5] = [
+const SURVEY: [BudgetPhone; 5] = [
     BudgetPhone {
         name: "Itel A25",
         cores: 4,
@@ -71,13 +70,39 @@ pub const SURVEY: [BudgetPhone; 5] = [
 ];
 
 /// Mean max frequency of the surveyed class, Hz.
-pub fn survey_mean_freq_hz() -> u64 {
+fn survey_mean_freq_hz() -> u64 {
     let sum: u64 = SURVEY.iter().map(|p| p.max_freq_mhz as u64).sum();
     sum * 1_000_000 / SURVEY.len() as u64
 }
 
-/// Run the §7.2 analysis.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+/// The headline comparison at the surveyed frequency, Cubic then BBR
+/// (budget phones are all-LITTLE designs, so pin the LITTLE cluster there
+/// via the Low-End policy with an overridden pin frequency).
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
+    let mean_freq = survey_mean_freq_hz() as f64 / 1e6;
+    let mut specs = Vec::new();
+    for cc in [CcKind::Cubic, CcKind::Bbr] {
+        let mut device = DeviceProfile::pixel4();
+        device.low_end_hz = survey_mean_freq_hz();
+        debug_assert!(matches!(
+            device.policy(cpu_model::CpuConfig::LowEnd),
+            GovernorPolicy::Fixed {
+                cluster: ClusterKind::Little,
+                ..
+            }
+        ));
+        let cfg = params.config(device, cpu_model::CpuConfig::LowEnd, cc, 20);
+        specs.push(RunSpec::new(
+            format!("{cc} @ {mean_freq:.0} MHz"),
+            cfg,
+            params.seeds,
+        ));
+    }
+    specs
+}
+
+/// The §7.2 analysis: the survey's aggregates, then the measured penalty.
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let mut table = ResultTable::new(vec!["Phone (~$60)", "Cores", "Max freq (MHz)", "Android"]);
     for p in &SURVEY {
         table.push_row(vec![
@@ -97,28 +122,6 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         Cell::Prec(mean_android, 1),
     ]);
 
-    // Run the headline comparison at the surveyed frequency (budget phones
-    // are all-LITTLE designs, so pin the LITTLE cluster there via the
-    // Low-End policy with an overridden pin frequency).
-    let mut specs = Vec::new();
-    for cc in [CcKind::Cubic, CcKind::Bbr] {
-        let mut device = DeviceProfile::pixel4();
-        device.low_end_hz = survey_mean_freq_hz();
-        debug_assert!(matches!(
-            device.policy(cpu_model::CpuConfig::LowEnd),
-            GovernorPolicy::Fixed {
-                cluster: ClusterKind::Little,
-                ..
-            }
-        ));
-        let cfg = params.config(device, cpu_model::CpuConfig::LowEnd, cc, 20);
-        specs.push(RunSpec::new(
-            format!("{cc} @ {mean_freq:.0} MHz"),
-            cfg,
-            params.seeds,
-        ));
-    }
-    let reports = run_specs(params, specs)?;
     let ratio = reports[1].goodput_mbps / reports[0].goodput_mbps;
     table.push_row(vec![
         format!("BBR/Cubic @20 conns at {mean_freq:.0} MHz").into(),
@@ -144,12 +147,12 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "DEVICES".into(),
         title: "The $60 phone class and its BBR penalty (§7.2)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -165,7 +168,7 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Devices);
         assert_eq!(exp.table.rows.len(), SURVEY.len() + 2);
         assert_eq!(exp.checks.len(), 2);
     }

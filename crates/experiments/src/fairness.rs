@@ -20,13 +20,13 @@
 //!    ([`iperf::RunReport::fleet_dev0_share`]) straight off the reports.
 
 use crate::checks::ShapeCheck;
-use crate::params::Params;
+use crate::params::{Params, CONNS};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::master::MasterConfig;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 use netsim::media::MediaProfile;
 use netsim::Qdisc;
 use sim_core::time::SimDuration;
@@ -35,16 +35,17 @@ use tcp_sim::fleet::DeviceSpec;
 use tcp_sim::FleetConfig;
 
 /// Strides probed.
-pub const STRIDES: [u64; 3] = [1, 5, 10];
-/// Concurrent flows in the stride rows.
-pub const CONNS: usize = 20;
+const STRIDES: [u64; 3] = [1, 5, 10];
+/// Rows before the duels: the stride rows, BBR unpaced, Cubic unpaced and
+/// Cubic paced.
+const DUEL_BASE: usize = STRIDES.len() + 3;
 /// Shared-uplink provisioning per contender in the two-device duels, Mbps.
 /// Well below the Ethernet access rate, so the shared hop is the
 /// bottleneck both contenders fight over.
-pub const DUEL_SHARE_MBPS: u64 = 20;
+const DUEL_SHARE_MBPS: u64 = 20;
 /// Extra one-way propagation handed to device 0 in the RTT-unfairness
 /// duels.
-pub const DUEL_EXTRA_RTT_MS: u64 = 50;
+const DUEL_EXTRA_RTT_MS: u64 = 50;
 
 /// A duel contender: High-End host (CPU out of the picture), Ethernet
 /// access (access never the bottleneck), one upload connection.
@@ -64,8 +65,8 @@ fn duel(dev0: DeviceSpec, dev1: DeviceSpec, qdisc: Qdisc) -> FleetConfig {
     ))
 }
 
-/// Run the fairness probe.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+/// The fairness probe: [`DUEL_BASE`] single-device rows, then seven duels.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
     let mut specs: Vec<RunSpec> = STRIDES
         .iter()
         .map(|&s| {
@@ -103,7 +104,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
         params.seeds,
     ));
-    let duel_base = specs.len();
+    debug_assert_eq!(specs.len(), DUEL_BASE);
     // BBR-variant vs Cubic across the qdisc matrix, then same-CC duels
     // where device 0 carries extra RTT.
     for (cc, qdisc) in [
@@ -131,8 +132,10 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
             params.seeds,
         ));
     }
-    let reports = run_specs(params, specs)?;
+    specs
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let mut table = ResultTable::new(vec![
         "Setup",
         "Goodput (Mbps)",
@@ -141,7 +144,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         "Mean RTT (ms)",
     ]);
     for (i, rep) in reports.iter().enumerate() {
-        let is_duel = i >= duel_base;
+        let is_duel = i >= DUEL_BASE;
         table.push_row(vec![
             rep.label.clone().into(),
             rep.goodput_mbps.into(),
@@ -164,9 +167,9 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
 
     let stride1 = reports[0].fairness;
     let stride10 = reports[2].fairness;
-    let cubic_unpaced = reports[duel_base - 2].fairness;
-    let cubic_paced = reports[duel_base - 1].fairness;
-    let duels = &reports[duel_base..];
+    let cubic_unpaced = reports[DUEL_BASE - 2].fairness;
+    let cubic_paced = reports[DUEL_BASE - 1].fairness;
+    let duels = &reports[DUEL_BASE..];
     let [bbr_fifo, bbr_codel, bbr_fq, bbr3_fifo, bbr3_fq, rtt_bbr, rtt_cubic] = duels else {
         unreachable!("seven duel rows by construction");
     };
@@ -234,7 +237,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "FAIRNESS".into(),
         title: format!(
             "Pacing-stride fairness probe + CC/qdisc duel matrix \
@@ -242,7 +245,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -251,7 +254,7 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Fairness);
         assert_eq!(exp.table.rows.len(), STRIDES.len() + 3 + 7);
         assert_eq!(exp.checks.len(), 7);
         // The two-flow Jain bound is scale-free physics and must hold even

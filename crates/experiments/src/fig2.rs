@@ -12,34 +12,39 @@
 use crate::checks::ShapeCheck;
 use crate::params::{Params, CONN_SWEEP};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 use std::collections::HashMap;
 
-/// Run the Figure 2 sweep.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
-    let mut specs = Vec::new();
-    let mut keys = Vec::new();
-    for config in CpuConfig::ALL {
-        for &conns in &CONN_SWEEP {
-            for cc in [CcKind::Cubic, CcKind::Bbr] {
-                let label = format!("{cc}, {config}, {conns} conns");
-                specs.push(RunSpec::new(
-                    label,
-                    params.pixel4(config, cc, conns),
-                    params.seeds,
-                ));
-                keys.push((config, conns, cc));
-            }
-        }
-    }
-    let reports = run_specs(params, specs)?;
-    let goodput: HashMap<(CpuConfig, usize, CcKind), f64> = keys
-        .iter()
-        .zip(&reports)
-        .map(|(&k, r)| (k, r.goodput_mbps))
+/// The figure's points in plan order: config-major, then connections,
+/// then Cubic before BBR.
+fn grid() -> impl Iterator<Item = (CpuConfig, usize, CcKind)> {
+    CpuConfig::ALL.into_iter().flat_map(|config| {
+        CONN_SWEEP
+            .into_iter()
+            .flat_map(move |conns| [CcKind::Cubic, CcKind::Bbr].map(move |cc| (config, conns, cc)))
+    })
+}
+
+/// The Figure 2 sweep.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
+    grid()
+        .map(|(config, conns, cc)| {
+            RunSpec::new(
+                format!("{cc}, {config}, {conns} conns"),
+                params.pixel4(config, cc, conns),
+                params.seeds,
+            )
+        })
+        .collect()
+}
+
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
+    let goodput: HashMap<(CpuConfig, usize, CcKind), f64> = grid()
+        .zip(reports)
+        .map(|(k, r)| (k, r.goodput_mbps))
         .collect();
 
     let mut table = ResultTable::new(vec![
@@ -126,12 +131,12 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "FIG2".into(),
         title: "BBR vs Cubic goodput across device configurations (Pixel 4, Ethernet)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -140,7 +145,7 @@ mod tests {
 
     #[test]
     fn smoke_runs_and_produces_full_table() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Fig2);
         assert_eq!(
             exp.table.rows.len(),
             CpuConfig::ALL.len() * CONN_SWEEP.len()

@@ -8,14 +8,14 @@
 use crate::checks::ShapeCheck;
 use crate::params::{Params, CONN_SWEEP};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 use netsim::media::MediaProfile;
 
-/// Run the Figure 3 sweep.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+/// The Figure 3 sweep: per connection count, Cubic then BBR.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
     let mut specs = Vec::new();
     for &conns in &CONN_SWEEP {
         for cc in [CcKind::Cubic, CcKind::Bbr] {
@@ -26,8 +26,10 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
             ));
         }
     }
-    let reports = run_specs(params, specs)?;
+    specs
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let mut table = ResultTable::new(vec!["Conns", "Cubic (Mbps)", "BBR (Mbps)", "BBR/Cubic"]);
     let mut ratios = Vec::new();
     for (i, &conns) in CONN_SWEEP.iter().enumerate() {
@@ -64,12 +66,12 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "FIG3".into(),
         title: "Pixel 6 Low-End goodput vs connections (Ethernet)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -78,7 +80,7 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Fig3);
         assert_eq!(exp.table.rows.len(), CONN_SWEEP.len());
         assert_eq!(exp.checks.len(), 2);
     }

@@ -6,23 +6,18 @@
 //! configurations, where goodput increases by 67 % and 91 %."
 
 use crate::checks::ShapeCheck;
-use crate::params::Params;
+use crate::params::{Params, CONNS, CONSTRAINED};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::master::MasterConfig;
 use congestion::CcKind;
-use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 
-/// Configurations in the figure.
-pub const CONFIGS: [CpuConfig; 3] = [CpuConfig::LowEnd, CpuConfig::MidEnd, CpuConfig::Default];
-/// Connections in the figure.
-pub const CONNS: usize = 20;
-
-/// Run the Figure 4 comparison.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+/// The paced/unpaced comparison: per configuration, BBR paced then BBR
+/// unpaced. Figure 7 and the HTML report read the same runs.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
     let mut specs = Vec::new();
-    for config in CONFIGS {
+    for config in CONSTRAINED {
         specs.push(RunSpec::new(
             format!("BBR paced, {config}"),
             params.pixel4(config, CcKind::Bbr, CONNS),
@@ -34,8 +29,10 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
             params.seeds,
         ));
     }
-    let reports = run_specs(params, specs)?;
+    specs
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let mut table = ResultTable::new(vec![
         "Config",
         "Paced (Mbps)",
@@ -43,7 +40,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         "Unpaced/Paced",
     ]);
     let mut gains = Vec::new();
-    for (i, config) in CONFIGS.iter().enumerate() {
+    for (i, config) in CONSTRAINED.iter().enumerate() {
         let paced = reports[i * 2].goodput_mbps;
         let unpaced = reports[i * 2 + 1].goodput_mbps;
         gains.push((config, unpaced / paced));
@@ -79,12 +76,12 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "FIG4".into(),
         title: "Effect of pacing on BBR goodput (20 conns)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -93,8 +90,8 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
-        assert_eq!(exp.table.rows.len(), CONFIGS.len());
+        let exp = crate::tests::smoke(crate::ExperimentId::Fig4);
+        assert_eq!(exp.table.rows.len(), CONSTRAINED.len());
         assert_eq!(exp.checks.len(), 3);
     }
 }

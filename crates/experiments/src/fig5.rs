@@ -8,14 +8,14 @@
 use crate::checks::ShapeCheck;
 use crate::params::{Params, CONN_SWEEP};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::master::MasterConfig;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 
-/// Run the Figure 5 sweep.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+/// The Figure 5 sweep: per connection count, BBR paced then unpaced.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
     let mut specs = Vec::new();
     for &conns in &CONN_SWEEP {
         specs.push(RunSpec::new(
@@ -34,8 +34,10 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
             params.seeds,
         ));
     }
-    let reports = run_specs(params, specs)?;
+    specs
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let mut table = ResultTable::new(vec![
         "Conns",
         "Paced (Mbps)",
@@ -78,12 +80,12 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "FIG5".into(),
         title: "Effect of pacing vs number of connections (Low-End)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -92,7 +94,7 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Fig5);
         assert_eq!(exp.table.rows.len(), CONN_SWEEP.len());
     }
 }

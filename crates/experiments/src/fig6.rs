@@ -11,20 +11,18 @@
 //!   so "TCP Pacing is not a BBR-specific problem on mobiles".
 
 use crate::checks::ShapeCheck;
-use crate::params::Params;
+use crate::params::{Params, CONNS};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::master::MasterConfig;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 use sim_core::units::Bandwidth;
 
-/// Connections in the figure.
-pub const CONNS: usize = 20;
-
-/// Run the Figure 6 comparison.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+/// The Figure 6 comparison: unpaced, internally paced, 20 and 140
+/// Mbps/conn.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
     let setups: Vec<(&str, MasterConfig)> = vec![
         ("Cubic, no pacing (default)", MasterConfig::passthrough()),
         ("Cubic, pacing on (mss·cwnd/rtt)", MasterConfig::pacing_on()),
@@ -37,7 +35,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
             MasterConfig::pacing_on_at(Bandwidth::from_mbps(140)),
         ),
     ];
-    let specs = setups
+    setups
         .iter()
         .map(|(label, master)| {
             RunSpec::new(
@@ -46,12 +44,13 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
                 params.seeds,
             )
         })
-        .collect();
-    let reports = run_specs(params, specs)?;
+        .collect()
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let unpaced = reports[0].goodput_mbps;
     let mut table = ResultTable::new(vec!["Setup", "Goodput (Mbps)", "vs unpaced"]);
-    for rep in &reports {
+    for rep in reports {
         table.push_row(vec![
             rep.label.clone().into(),
             rep.goodput_mbps.into(),
@@ -86,22 +85,20 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "FIG6".into(),
         title: "Cubic with pacing enabled (Low-End, 20 conns): TCP pacing is not BBR-specific"
             .into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Fig6);
         assert_eq!(exp.table.rows.len(), 4);
         assert_eq!(exp.checks.len(), 3);
     }

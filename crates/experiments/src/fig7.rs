@@ -5,38 +5,17 @@
 //! when disabling BBR's packet pacing behavior. For all configurations,
 //! RTT more than doubles when packets are not paced, hinting at network
 //! congestion."
+//!
+//! The figure has no plan of its own: these are Figure 4's paced and
+//! unpaced runs ([`crate::fig4::plan`]), read for RTT instead of goodput.
 
 use crate::checks::ShapeCheck;
-use crate::params::Params;
+use crate::params::{Params, CONSTRAINED};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
-use congestion::master::MasterConfig;
-use congestion::CcKind;
-use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use crate::Experiment;
+use iperf::RunReport;
 
-/// Configurations in the figure.
-pub const CONFIGS: [CpuConfig; 3] = [CpuConfig::LowEnd, CpuConfig::MidEnd, CpuConfig::Default];
-/// Connections in the figure.
-pub const CONNS: usize = 20;
-
-/// Run the Figure 7 comparison.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
-    let mut specs = Vec::new();
-    for config in CONFIGS {
-        specs.push(RunSpec::new(
-            format!("BBR paced, {config}"),
-            params.pixel4(config, CcKind::Bbr, CONNS),
-            params.seeds,
-        ));
-        specs.push(RunSpec::new(
-            format!("BBR unpaced, {config}"),
-            params.pixel4_with(config, CcKind::Bbr, CONNS, MasterConfig::pacing_off()),
-            params.seeds,
-        ));
-    }
-    let reports = run_specs(params, specs)?;
-
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let mut table = ResultTable::new(vec![
         "Config",
         "Paced RTT (ms)",
@@ -46,7 +25,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         "Unpaced p95 (ms)",
     ]);
     let mut checks = Vec::new();
-    for (i, config) in CONFIGS.iter().enumerate() {
+    for (i, config) in CONSTRAINED.iter().enumerate() {
         let paced = &reports[i * 2];
         let unpaced = &reports[i * 2 + 1];
         let ratio = unpaced.mean_rtt_ms / paced.mean_rtt_ms;
@@ -67,12 +46,12 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ));
     }
 
-    Ok(Experiment {
+    Experiment {
         id: "FIG7".into(),
         title: "RTT of BBR with and without pacing (20 conns)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -81,8 +60,8 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
-        assert_eq!(exp.table.rows.len(), CONFIGS.len());
-        assert_eq!(exp.checks.len(), CONFIGS.len());
+        let exp = crate::tests::smoke(crate::ExperimentId::Fig7);
+        assert_eq!(exp.table.rows.len(), CONSTRAINED.len());
+        assert_eq!(exp.checks.len(), CONSTRAINED.len());
     }
 }

@@ -9,39 +9,40 @@
 //! saturates and goodput falls again (Table 2).
 
 use crate::checks::ShapeCheck;
-use crate::params::{Params, STRIDE_SWEEP};
+use crate::params::{Params, CONNS, CONSTRAINED, STRIDE_SWEEP};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 
-/// Configurations in the figure.
-pub const CONFIGS: [CpuConfig; 3] = [CpuConfig::LowEnd, CpuConfig::MidEnd, CpuConfig::Default];
-/// Connections in the figure.
-pub const CONNS: usize = 20;
+/// One configuration's fixed-stride sweep, strides ascending. Table 2
+/// (Default), MEM (Low-End, one seed) and AUTO-STRIDE read the same runs.
+pub(crate) fn stride_sweep(params: &Params, config: CpuConfig, seeds: u64) -> Vec<RunSpec> {
+    let spec = |&stride| {
+        RunSpec::new(
+            format!("BBR stride {stride}x, {config}"),
+            params.pixel4_stride(config, CcKind::Bbr, CONNS, stride),
+            seeds,
+        )
+    };
+    STRIDE_SWEEP.iter().map(spec).collect()
+}
 
-/// Run the Figure 8 stride sweep.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
-    let mut specs = Vec::new();
-    for config in CONFIGS {
-        for &stride in &STRIDE_SWEEP {
-            specs.push(RunSpec::new(
-                format!("BBR stride {stride}x, {config}"),
-                params.pixel4_stride(config, CcKind::Bbr, CONNS, stride),
-                params.seeds,
-            ));
-        }
-    }
-    let reports = run_specs(params, specs)?;
+/// The Figure 8 stride sweep: config-major, strides ascending.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
+    let sweep = |config| stride_sweep(params, config, params.seeds);
+    CONSTRAINED.into_iter().flat_map(sweep).collect()
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let mut headers: Vec<String> = vec!["Config".into()];
     headers.extend(STRIDE_SWEEP.iter().map(|s| format!("{s}x (Mbps)")));
     headers.push("best stride".into());
     let mut table = ResultTable::new(headers);
 
     let mut checks = Vec::new();
-    for (ci, config) in CONFIGS.iter().enumerate() {
+    for (ci, config) in CONSTRAINED.iter().enumerate() {
         let row_reports = &reports[ci * STRIDE_SWEEP.len()..(ci + 1) * STRIDE_SWEEP.len()];
         let goodputs: Vec<f64> = row_reports.iter().map(|r| r.goodput_mbps).collect();
         let (best_idx, best) = goodputs
@@ -80,12 +81,12 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ));
     }
 
-    Ok(Experiment {
+    Experiment {
         id: "FIG8".into(),
         title: "Goodput under 1x-50x pacing strides (20 conns)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -94,8 +95,8 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
-        assert_eq!(exp.table.rows.len(), CONFIGS.len());
-        assert_eq!(exp.checks.len(), CONFIGS.len() * 3);
+        let exp = crate::tests::smoke(crate::ExperimentId::Fig8);
+        assert_eq!(exp.table.rows.len(), CONSTRAINED.len());
+        assert_eq!(exp.checks.len(), CONSTRAINED.len() * 3);
     }
 }

@@ -8,19 +8,20 @@
 use crate::checks::ShapeCheck;
 use crate::params::{Params, CONN_SWEEP};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 use netsim::media::MediaProfile;
 
-/// Run the LTE comparison (Pixel 6 Low-End, as in the appendix).
+/// The LTE comparison (Pixel 6 Low-End, as in the appendix): per
+/// connection count, Cubic then BBR.
 ///
 /// LTE needs a longer window than the LAN experiments: with ~50 ms base
 /// RTT plus up to 200 ms of bufferbloat, loss-based convergence takes
 /// seconds (the paper ran 5 minutes). LTE simulation is very cheap
 /// (≤ 20 Mbps of events), so the window is stretched 6× here.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
     let mut specs = Vec::new();
     for &conns in &CONN_SWEEP {
         for cc in [CcKind::Cubic, CcKind::Bbr] {
@@ -34,8 +35,10 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
             ));
         }
     }
-    let reports = run_specs(params, specs)?;
+    specs
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let mut table = ResultTable::new(vec!["Conns", "Cubic (Mbps)", "BBR (Mbps)", "BBR/Cubic"]);
     let mut all_close = true;
     let mut all_capped = true;
@@ -70,12 +73,12 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "FIG9".into(),
         title: "LTE uplink: bandwidth-limited, so BBR ≈ Cubic (Appendix A.1)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -84,7 +87,7 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Fig9);
         assert_eq!(exp.table.rows.len(), CONN_SWEEP.len());
         assert_eq!(exp.checks.len(), 2);
     }

@@ -14,17 +14,17 @@
 use crate::checks::ShapeCheck;
 use crate::params::Params;
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 use netsim::media::MediaProfile;
 
 /// Connection counts probed (the CPU pressure grows with the count).
-pub const CONNS: [usize; 3] = [1, 10, 20];
+const CONNS: [usize; 3] = [1, 10, 20];
 
-/// Run the 5G prediction experiment.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+/// The 5G prediction experiment: per connection count, Cubic then BBR.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
     let mut specs = Vec::new();
     for &conns in &CONNS {
         for cc in [CcKind::Cubic, CcKind::Bbr] {
@@ -39,8 +39,10 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
             ));
         }
     }
-    let reports = run_specs(params, specs)?;
+    specs
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let mut table = ResultTable::new(vec!["Conns", "Cubic (Mbps)", "BBR (Mbps)", "BBR/Cubic"]);
     let mut ratios = Vec::new();
     for (i, &conns) in CONNS.iter().enumerate() {
@@ -76,13 +78,13 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "5G".into(),
         title: "Forward-looking 5G mmWave uplink: the LTE escape hatch closes (§4 prediction)"
             .into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -91,7 +93,7 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::FiveG);
         assert_eq!(exp.table.rows.len(), CONNS.len());
         assert_eq!(exp.checks.len(), 2);
     }

@@ -21,10 +21,10 @@
 use crate::checks::ShapeCheck;
 use crate::params::Params;
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 use netsim::media::MediaProfile;
 use netsim::Qdisc;
 use sim_core::units::Bandwidth;
@@ -35,7 +35,7 @@ use tcp_sim::FleetConfig;
 /// Ethernet access rates, slightly above LTE's ~18 Mbps envelope: every
 /// non-LTE device is bottlenecked by the shared hop, which is the regime
 /// a fairness experiment needs.
-pub const SHARE_MBPS: u64 = 20;
+pub(crate) const SHARE_MBPS: u64 = 20;
 
 /// Fleet size at which near-equal sharing becomes a statistical-
 /// multiplexing guarantee. A dozen BBR flows through one deep FIFO are
@@ -45,17 +45,17 @@ pub const SHARE_MBPS: u64 = 20;
 /// fairness check only claims the property at or above this size — the
 /// full preset's 504 devices exercise it, the scaled-down smoke/quick
 /// fleets do not.
-pub const MULTIPLEXING_FLOOR: usize = 100;
+const MULTIPLEXING_FLOOR: usize = 100;
 
 /// The shared PoP uplink for an `n`-device fleet.
 fn shared_uplink(n: usize, qdisc: Qdisc) -> netsim::LinkConfig {
     FleetConfig::pop_uplink(Bandwidth::from_mbps(SHARE_MBPS * n as u64), qdisc)
 }
 
-/// Run the FLEET experiment.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+/// The FLEET experiment: mixed/FIFO, mixed/CoDel, uniform/FIFO.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
     let n = params.fleet_devices;
-    let specs = vec![
+    vec![
         RunSpec::new(
             format!("Mixed fleet, FIFO ({n} devices)"),
             params.fleet(FleetConfig::mixed(n).with_shared(shared_uplink(n, Qdisc::Fifo))),
@@ -77,9 +77,11 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
             ),
             params.seeds,
         ),
-    ];
-    let reports = run_specs(params, specs)?;
+    ]
+}
 
+pub(crate) fn check(params: &Params, reports: &[RunReport]) -> Experiment {
+    let n = params.fleet_devices;
     let mut table = ResultTable::new(vec![
         "Fleet",
         "Aggregate goodput (Mbps)",
@@ -88,7 +90,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         "Mean RTT (ms)",
         "Shared drops",
     ]);
-    for rep in &reports {
+    for rep in reports {
         table.push_row(vec![
             rep.label.clone().into(),
             rep.goodput_mbps.into(),
@@ -166,23 +168,21 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "FLEET".into(),
         title: format!(
             "Shared-bottleneck fleet: {n} devices through one {SHARE_MBPS} Mbps/device PoP uplink"
         ),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Fleet);
         assert_eq!(exp.table.rows.len(), 3);
         assert_eq!(exp.checks.len(), 5);
         // The capacity cap and the Jain bounds are scale-free physics, and

@@ -1,29 +1,30 @@
 //! # experiments
 //!
 //! The public face of the *"Are Mobiles Ready for BBR?"* reproduction: one
-//! module per figure/table in the paper's evaluation, each of which builds
-//! the right [`tcp_sim::SimConfig`]s, runs them over seeds, and returns an
-//! [`Experiment`] — a labelled [`table::ResultTable`] plus automatic
-//! [`checks::ShapeCheck`]s that compare the measured *shape* (who wins, by
-//! roughly what factor, where optima fall) against the paper's claims.
+//! module per figure/table in the paper's evaluation. The paper runs one
+//! measurement campaign and reads many figures off it, and so does this
+//! crate — every experiment is two pure functions and a registry row:
 //!
-//! | Module | Paper artifact |
-//! |---|---|
-//! | [`fig2`] | Fig. 2 — BBR vs Cubic goodput × {Low, Mid, High, Default} × {1,5,10,20} conns, Pixel 4, Ethernet |
-//! | [`fig3`] | Fig. 3 — Pixel 6, Low-End |
-//! | [`bbr2_wifi`] | §4.2 — Cubic vs BBR vs BBR2 on WiFi, Pixel 6 Low-End, 20 conns |
-//! | [`sec51`] | §5.1 — master module: fixed cwnd (model off) + fixed pacing-rate sweep |
-//! | [`fig4`] | Fig. 4 — pacing on/off × config, 20 conns |
-//! | [`fig5`] | Fig. 5 — pacing on/off × connections, Low-End |
-//! | [`fig6`] | Fig. 6 — Cubic pacing off/on/20 Mbps/140 Mbps |
-//! | [`fig7`] | Fig. 7 — RTT with/without pacing |
-//! | [`shallow`] | §5.2.3 — 10-packet shallow buffer retransmissions |
-//! | [`fig8`] | Fig. 8 — goodput vs pacing stride {1,2,5,10,20,50} |
-//! | [`table2`] | Table 2 — per-stride skb length / idle / expected vs actual / RTT |
-//! | [`fig9`] | Fig. 9 / A.1 — LTE: BBR ≈ Cubic |
-//! | [`fairness`] | §7.1.3 — Jain fairness under stride (future-work probe) |
-//! | [`fleet`] | PoP-scale extension — heterogeneous fleet through one shared bottleneck |
-//! | [`profile`] | §5 root cause — steady-state CPU cycle attribution, Low-End 20 conns |
+//! * `plan(&Params) -> Vec<RunSpec>` builds the labelled
+//!   [`tcp_sim::SimConfig`]s (× seeds) the artifact needs;
+//! * `check(&Params, &[RunReport]) -> Experiment` turns that plan's
+//!   reports, in plan order, into a labelled [`table::ResultTable`] plus
+//!   automatic [`checks::ShapeCheck`]s that compare the measured *shape*
+//!   (who wins, by roughly what factor, where optima fall) against the
+//!   paper's claims.
+//!
+//! [`run_all`] is the only thing that joins them: it concatenates the
+//! selected experiments' plans, runs **one** streaming sweep
+//! ([`iperf::run_specs_sweep`], which simulates a (config, seed) pair that
+//! several plans name — the Low-End 20-connection BBR run is the baseline
+//! of half the evaluation — once), and hands each experiment its reports
+//! the moment its last cell is released. A `check` only ever sees reports,
+//! so an experiment *cannot* run a simulation; the one module here that
+//! builds a simulator itself is [`report`], for the two instrumented runs
+//! whose logs a report cannot carry.
+//!
+//! [`ExperimentId`] lists the experiments, one variant per paper artifact,
+//! with the module of the same name holding its two halves.
 //!
 //! ```no_run
 //! use experiments::{params::Params, ExperimentId};
@@ -35,31 +36,32 @@
 
 #![warn(missing_docs)]
 
-pub mod autostride;
-pub mod bbr2_wifi;
+mod autostride;
+mod bbr2_wifi;
 pub mod checks;
-pub mod devices;
-pub mod fairness;
-pub mod fig2;
-pub mod fig3;
-pub mod fig4;
-pub mod fig5;
-pub mod fig6;
-pub mod fig7;
-pub mod fig8;
-pub mod fig9;
-pub mod fiveg;
-pub mod fleet;
-pub mod memory;
+mod devices;
+mod fairness;
+mod fig2;
+mod fig3;
+mod fig4;
+mod fig5;
+mod fig6;
+mod fig7;
+mod fig8;
+mod fig9;
+mod fiveg;
+mod fleet;
+mod memory;
 pub mod params;
-pub mod profile;
+mod profile;
 pub mod report;
-pub mod sec51;
-pub mod shallow;
+mod sec51;
+mod shallow;
 pub mod summary;
 pub mod table;
-pub mod table2;
+mod table2;
 
+use iperf::{RunReport, RunSpec};
 use serde::Serialize;
 
 pub use checks::ShapeCheck;
@@ -156,54 +158,63 @@ pub enum ExperimentId {
     Profile,
 }
 
+/// One experiment: its id, its `repro --exp` name, and its two halves.
+#[derive(Clone, Copy)]
+struct Row {
+    id: ExperimentId,
+    cli_name: &'static str,
+    plan: fn(&Params) -> Vec<RunSpec>,
+    check: fn(&Params, &[RunReport]) -> Experiment,
+}
+
+/// Every experiment, in paper order (paper artifacts first, then the
+/// future-work extensions).
+#[rustfmt::skip]
+const REGISTRY: [Row; 19] = [
+    Row { id: ExperimentId::Fig2, cli_name: "fig2", plan: fig2::plan, check: fig2::check },
+    Row { id: ExperimentId::Fig3, cli_name: "fig3", plan: fig3::plan, check: fig3::check },
+    Row { id: ExperimentId::Bbr2Wifi, cli_name: "bbr2", plan: bbr2_wifi::plan, check: bbr2_wifi::check },
+    Row { id: ExperimentId::Sec51, cli_name: "sec51", plan: sec51::plan, check: sec51::check },
+    Row { id: ExperimentId::Fig4, cli_name: "fig4", plan: fig4::plan, check: fig4::check },
+    Row { id: ExperimentId::Fig5, cli_name: "fig5", plan: fig5::plan, check: fig5::check },
+    Row { id: ExperimentId::Fig6, cli_name: "fig6", plan: fig6::plan, check: fig6::check },
+    // Fig. 7 reads RTT off the very runs Fig. 4 reads goodput off.
+    Row { id: ExperimentId::Fig7, cli_name: "fig7", plan: fig4::plan, check: fig7::check },
+    Row { id: ExperimentId::Shallow, cli_name: "shallow", plan: shallow::plan, check: shallow::check },
+    Row { id: ExperimentId::Fig8, cli_name: "fig8", plan: fig8::plan, check: fig8::check },
+    Row { id: ExperimentId::Table2, cli_name: "table2", plan: table2::plan, check: table2::check },
+    Row { id: ExperimentId::Fig9, cli_name: "fig9", plan: fig9::plan, check: fig9::check },
+    Row { id: ExperimentId::Fairness, cli_name: "fairness", plan: fairness::plan, check: fairness::check },
+    Row { id: ExperimentId::Fleet, cli_name: "fleet", plan: fleet::plan, check: fleet::check },
+    Row { id: ExperimentId::FiveG, cli_name: "5g", plan: fiveg::plan, check: fiveg::check },
+    Row { id: ExperimentId::Memory, cli_name: "memory", plan: memory::plan, check: memory::check },
+    Row { id: ExperimentId::AutoStride, cli_name: "autostride", plan: autostride::plan, check: autostride::check },
+    Row { id: ExperimentId::Devices, cli_name: "devices", plan: devices::plan, check: devices::check },
+    Row { id: ExperimentId::Profile, cli_name: "profile", plan: profile::plan, check: profile::check },
+];
+
 impl ExperimentId {
-    /// All experiments in paper order (paper artifacts first, then the
-    /// future-work extensions).
-    pub const ALL: [ExperimentId; 19] = [
-        ExperimentId::Fig2,
-        ExperimentId::Fig3,
-        ExperimentId::Bbr2Wifi,
-        ExperimentId::Sec51,
-        ExperimentId::Fig4,
-        ExperimentId::Fig5,
-        ExperimentId::Fig6,
-        ExperimentId::Fig7,
-        ExperimentId::Shallow,
-        ExperimentId::Fig8,
-        ExperimentId::Table2,
-        ExperimentId::Fig9,
-        ExperimentId::Fairness,
-        ExperimentId::Fleet,
-        ExperimentId::FiveG,
-        ExperimentId::Memory,
-        ExperimentId::AutoStride,
-        ExperimentId::Devices,
-        ExperimentId::Profile,
-    ];
+    /// All experiments in paper order: the registry's ids.
+    pub const ALL: [ExperimentId; 19] = {
+        let mut all = [ExperimentId::Fig2; 19];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = REGISTRY[i].id;
+            i += 1;
+        }
+        all
+    };
+
+    fn row(self) -> Row {
+        REGISTRY
+            .into_iter()
+            .find(|row| row.id == self)
+            .expect("every id has a registry row")
+    }
 
     /// The CLI name used by the `repro` binary (`--exp <name>`).
     pub fn cli_name(self) -> &'static str {
-        match self {
-            ExperimentId::Fig2 => "fig2",
-            ExperimentId::Fig3 => "fig3",
-            ExperimentId::Bbr2Wifi => "bbr2",
-            ExperimentId::Sec51 => "sec51",
-            ExperimentId::Fig4 => "fig4",
-            ExperimentId::Fig5 => "fig5",
-            ExperimentId::Fig6 => "fig6",
-            ExperimentId::Fig7 => "fig7",
-            ExperimentId::Shallow => "shallow",
-            ExperimentId::Fig8 => "fig8",
-            ExperimentId::Table2 => "table2",
-            ExperimentId::Fig9 => "fig9",
-            ExperimentId::Fairness => "fairness",
-            ExperimentId::Fleet => "fleet",
-            ExperimentId::FiveG => "5g",
-            ExperimentId::Memory => "memory",
-            ExperimentId::AutoStride => "autostride",
-            ExperimentId::Devices => "devices",
-            ExperimentId::Profile => "profile",
-        }
+        self.row().cli_name
     }
 
     /// Parse a CLI name.
@@ -211,49 +222,51 @@ impl ExperimentId {
         Self::ALL.into_iter().find(|id| id.cli_name() == name)
     }
 
-    /// Run this experiment.
+    /// The simulations this experiment reads, in the order its check reads
+    /// them. Pure — the same `params` give the same cell keys — so it is
+    /// the map from a scorecard number to the cells that produced it.
+    pub fn plan(self, params: &Params) -> Vec<RunSpec> {
+        (self.row().plan)(params)
+    }
+
+    /// Run this experiment alone: [`run_all`] over one id.
     ///
     /// Errors propagate from the sweep engine: [`sim_core::error::Error::Interrupted`]
     /// when a cancellation request (Ctrl-C) stopped the sweep mid-grid, or
     /// an I/O error from an unwritable checkpoint file.
     pub fn run(self, params: &Params) -> Result<Experiment, sim_core::error::Error> {
-        match self {
-            ExperimentId::Fig2 => fig2::run(params),
-            ExperimentId::Fig3 => fig3::run(params),
-            ExperimentId::Bbr2Wifi => bbr2_wifi::run(params),
-            ExperimentId::Sec51 => sec51::run(params),
-            ExperimentId::Fig4 => fig4::run(params),
-            ExperimentId::Fig5 => fig5::run(params),
-            ExperimentId::Fig6 => fig6::run(params),
-            ExperimentId::Fig7 => fig7::run(params),
-            ExperimentId::Shallow => shallow::run(params),
-            ExperimentId::Fig8 => fig8::run(params),
-            ExperimentId::Table2 => table2::run(params),
-            ExperimentId::Fig9 => fig9::run(params),
-            ExperimentId::Fairness => fairness::run(params),
-            ExperimentId::Fleet => fleet::run(params),
-            ExperimentId::FiveG => fiveg::run(params),
-            ExperimentId::Memory => memory::run(params),
-            ExperimentId::AutoStride => autostride::run(params),
-            ExperimentId::Devices => devices::run(params),
-            ExperimentId::Profile => profile::run(params),
-        }
+        let mut done = None;
+        run_all(&[self], params, |exp| done = Some(exp))?;
+        Ok(done.expect("one id in, one experiment out"))
     }
 }
 
-/// Run labelled specs through the sweep engine (`sim_core::sweep`):
-/// seed-granular cells fanned over `params.threads` workers, served from
-/// the run cache when `params.cache_dir` is set, reports in input order.
-pub(crate) fn run_specs(
+/// Run `ids` as one sweep: concatenate their plans, submit each distinct
+/// (config, seed) cell once — fanned over `params.threads` workers, served
+/// from the run cache when `params.cache_dir` is set — and `emit` each
+/// experiment, in `ids` order, the moment its last cell is released.
+///
+/// On error (see [`ExperimentId::run`]) the experiments already emitted
+/// stand; `Interrupted`'s counts cover the whole run.
+pub fn run_all(
+    ids: &[ExperimentId],
     params: &Params,
-    specs: Vec<iperf::RunSpec>,
-) -> Result<Vec<iperf::RunReport>, sim_core::error::Error> {
-    iperf::run_specs_sweep(&specs, &params.sweep_options())
+    mut emit: impl FnMut(Experiment),
+) -> Result<(), sim_core::error::Error> {
+    let plans: Vec<Vec<RunSpec>> = ids.iter().map(|id| id.plan(params)).collect();
+    iperf::run_specs_sweep(&plans, &params.sweep_options(), |i, reports| {
+        emit((ids[i].row().check)(params, &reports))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `id` at the smoke preset, for the experiment modules' unit tests.
+    pub(crate) fn smoke(id: ExperimentId) -> Experiment {
+        id.run(&Params::smoke()).expect("experiment completes")
+    }
 
     #[test]
     fn cli_names_round_trip() {
@@ -261,6 +274,33 @@ mod tests {
             assert_eq!(ExperimentId::from_cli_name(id.cli_name()), Some(id));
         }
         assert_eq!(ExperimentId::from_cli_name("nope"), None);
+    }
+
+    /// Every registry row is two pure halves: planning twice names the same
+    /// cells, and `check` over that plan's reports — here from the serial
+    /// runner, no sweep engine involved — is the experiment `run` returns.
+    #[test]
+    fn every_row_plans_purely_and_checks_what_run_returns() {
+        use sim_core::sweep::SweepCell;
+        let params = Params::smoke();
+        let cells = |plan: &[RunSpec]| -> Vec<(String, Vec<u8>)> {
+            let cells = plan.iter().flat_map(RunSpec::cells);
+            cells.map(|cell| (cell.label(), cell.key_bytes())).collect()
+        };
+        for row in REGISTRY {
+            let name = row.cli_name;
+            let plan = (row.plan)(&params);
+            assert!(!plan.is_empty(), "{name}: an experiment reads something");
+            assert_eq!(cells(&plan), cells(&(row.plan)(&params)), "{name}");
+            let reports: Vec<RunReport> = plan.iter().map(iperf::run_averaged).collect();
+            let checked = (row.check)(&params, &reports);
+            let ran = row.id.run(&params).expect("uncancelled run completes");
+            assert_eq!(
+                serde_json::to_string(&checked).unwrap(),
+                serde_json::to_string(&ran).unwrap(),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -15,32 +15,21 @@
 use crate::checks::ShapeCheck;
 use crate::params::{Params, STRIDE_SWEEP};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
-use congestion::CcKind;
+use crate::Experiment;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 
-/// Connections, matching the paper's §7.1.1 setup.
-pub const CONNS: usize = 20;
+/// The memory-usage probe: Fig. 8's Low-End row (the paper's §7.1.1
+/// setup) at a single seed — peak memory is a maximum, not a mean, and
+/// the workload is deterministic.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
+    crate::fig8::stride_sweep(params, CpuConfig::LowEnd, 1)
+}
 
-/// Run the memory-usage probe. (Single-seed per stride: peak memory is a
-/// maximum, not a mean, and the workload is deterministic.)
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
-    let specs = STRIDE_SWEEP
-        .iter()
-        .map(|&stride| {
-            RunSpec::new(
-                format!("MEM stride {stride}x"),
-                params.pixel4_stride(CpuConfig::LowEnd, CcKind::Bbr, CONNS, stride),
-                1,
-            )
-        })
-        .collect();
-    let reports = run_specs(params, specs)?;
-
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let mut table = ResultTable::new(vec!["Pacing Stride", "Peak memory (KB)", "Goodput (Mbps)"]);
     let mut peaks = Vec::new();
-    for (&stride, report) in STRIDE_SWEEP.iter().zip(&reports) {
+    for (&stride, report) in STRIDE_SWEEP.iter().zip(reports) {
         let res = &report.seeds[0];
         peaks.push(res.peak_mem_bytes as f64 / 1e3);
         table.push_row(vec![
@@ -62,22 +51,25 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         max <= base * 1.5 + 100.0,
     )];
 
-    Ok(Experiment {
+    Experiment {
         id: "MEM".into(),
         title: "Pacing-stride memory usage (§7.1.1, Low-End, 20 conns)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::CONNS;
+    use crate::ExperimentId;
+    use congestion::CcKind;
     use tcp_sim::StackSim;
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Memory);
         assert_eq!(exp.table.rows.len(), STRIDE_SWEEP.len());
         assert!(
             exp.table.num_at(0, 1).unwrap() > 0.0,
@@ -90,7 +82,9 @@ mod tests {
     #[test]
     fn table_matches_direct_simulation() {
         let params = Params::smoke();
-        let exp = run(&params).expect("experiment completes");
+        let exp = ExperimentId::Memory
+            .run(&params)
+            .expect("experiment completes");
         let mut direct =
             ResultTable::new(vec!["Pacing Stride", "Peak memory (KB)", "Goodput (Mbps)"]);
         for &stride in &STRIDE_SWEEP {

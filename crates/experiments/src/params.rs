@@ -14,6 +14,15 @@ pub const CONN_SWEEP: [usize; 4] = [1, 5, 10, 20];
 /// The pacing strides the paper sweeps (§6.2).
 pub const STRIDE_SWEEP: [u64; 6] = [1, 2, 5, 10, 20, 50];
 
+/// The paper's heaviest load, where every gap it reports is widest, and
+/// the setting of every single-point experiment: 20 connections.
+pub(crate) const CONNS: usize = 20;
+
+/// The CPU-constrained configurations the pacing figures compare (Fig. 4,
+/// 7 and 8, the auto-stride probe).
+pub(crate) const CONSTRAINED: [CpuConfig; 3] =
+    [CpuConfig::LowEnd, CpuConfig::MidEnd, CpuConfig::Default];
+
 /// Global knobs for an experiment run.
 #[derive(Debug, Clone, Serialize)]
 pub struct Params {
@@ -109,7 +118,6 @@ impl Params {
             progress: self.progress,
             checkpoint: self.checkpoint.clone(),
             max_inflight: self.max_inflight,
-            cancel: None,
             cancel_after: self.cancel_after,
         }
     }

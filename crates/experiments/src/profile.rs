@@ -10,18 +10,16 @@
 //! there.
 
 use crate::checks::ShapeCheck;
-use crate::params::Params;
+use crate::params::{Params, CONNS};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::master::MasterConfig;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
 use iperf::{RunReport, RunSpec};
 
 /// The configuration under the microscope (the paper's worst case).
-pub const CONFIG: CpuConfig = CpuConfig::LowEnd;
-/// Connections (the paper's heaviest load).
-pub const CONNS: usize = 20;
+const CONFIG: CpuConfig = CpuConfig::LowEnd;
 
 /// Mean steady-state cycle breakdown across a report's seeds, as
 /// `(total, timers, acks, cc, data, other)` in cycles.
@@ -46,9 +44,10 @@ fn mean_cycles(report: &RunReport) -> (f64, f64, f64, f64, f64, f64) {
     )
 }
 
-/// Run the cycle-attribution profile.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
-    let specs = vec![
+/// The cycle-attribution profile: BBR paced, BBR unpaced, Cubic — all
+/// three already on the scorecard (Fig. 4, §5.1).
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
+    vec![
         RunSpec::new(
             "BBR paced",
             params.pixel4(CONFIG, CcKind::Bbr, CONNS),
@@ -64,9 +63,10 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
             params.pixel4(CONFIG, CcKind::Cubic, CONNS),
             params.seeds,
         ),
-    ];
-    let reports = run_specs(params, specs)?;
+    ]
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let mut table = ResultTable::new(vec![
         "Variant",
         "Goodput (Mbps)",
@@ -79,7 +79,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
     ]);
     // Per-variant (timers_share, total_cycles, cc_cycles).
     let mut shares = Vec::new();
-    for report in &reports {
+    for report in reports {
         let (total, timers, acks, cc, data, other) = mean_cycles(report);
         let pct = |part: f64| {
             if total > 0.0 {
@@ -153,12 +153,12 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "PROFILE".into(),
         title: "Steady-state CPU cycle attribution (Low-End, 20 conns)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Profile);
         assert_eq!(exp.table.rows.len(), 3);
         assert_eq!(exp.checks.len(), 5);
         // The attribution counters themselves must be populated even in a

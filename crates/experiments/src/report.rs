@@ -9,7 +9,9 @@
 //!    `queue.csv`, and feeds the per-flow timeline panels.
 //! 2. The Fig. 2 goodput grid (every CPU config × connection count ×
 //!    CUBIC/BBR) and the Fig. 7 pacing comparison (paced vs unpaced p95
-//!    RTT), both through the same sweep engine the experiments use.
+//!    RTT): those two experiments' own plans, run as one sweep.
+//! 3. The canonical mixed fleet, inline like run 1: a sweep cell's
+//!    `SeedResult` cannot carry a telemetry log or a per-device table.
 //!
 //! `report.html` is ONE file with inline SVG: no JavaScript, no external
 //! fetches, no wall-clock timestamps. Opening it offline shows exactly
@@ -19,11 +21,10 @@
 //! order-independent results.
 
 use crate::params::{Params, CONN_SWEEP};
-use crate::run_specs;
-use congestion::master::MasterConfig;
+use crate::{fig2, fig4};
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::{RunReport, RunSpec};
+use iperf::RunReport;
 use netsim::Qdisc;
 use sim_core::telemetry::{self, TelemetryLog};
 use sim_core::time::SimDuration;
@@ -72,7 +73,7 @@ impl ReportFiles {
 /// Deterministic: the same tree and `params` produce byte-identical
 /// files regardless of `params.threads` or cache state. The canonical
 /// telemetry run executes inline (single simulation, no sweep); the
-/// figure grids go through `run_specs` like every experiment.
+/// figure grids are one sweep, like every experiment run.
 pub fn generate(params: &Params, dir: &Path) -> Result<ReportFiles, sim_core::Error> {
     std::fs::create_dir_all(dir)
         .map_err(|e| sim_core::Error::io(format!("create {}", dir.display()), e))?;
@@ -96,9 +97,15 @@ pub fn generate(params: &Params, dir: &Path) -> Result<ReportFiles, sim_core::Er
     write_file(&files.flows_csv, |w| telemetry::write_flows_csv(&log, w))?;
     write_file(&files.queue_csv, |w| telemetry::write_queue_csv(&log, w))?;
 
-    // Figure grids, via the sweep engine (parallel, cached, ordered).
-    let fig2 = run_specs(params, fig2_specs(params))?;
-    let fig7 = run_specs(params, fig7_specs(params))?;
+    // Figure grids: the two experiments' plans through one sweep
+    // (parallel, cached, ordered; Fig. 7's paced cells are Fig. 2's).
+    let mut grids = [Vec::new(), Vec::new()];
+    iperf::run_specs_sweep(
+        &[fig2::plan(params), fig4::plan(params)],
+        &params.sweep_options(),
+        |i, reports| grids[i] = reports,
+    )?;
+    let [fig2, fig7] = grids;
 
     // Canonical fleet run: the mixed population through a CoDel PoP
     // uplink, inline like the telemetry run (one simulation, thread-count
@@ -130,47 +137,6 @@ fn write_file(
     f(&mut w).map_err(|e| sim_core::Error::io(ctx(), e))?;
     use std::io::Write as _;
     w.flush().map_err(|e| sim_core::Error::io(ctx(), e))
-}
-
-/// Fig. 2 grid: CPU config × connection count × {CUBIC, BBR}. Spec
-/// order is config-major so `fig2[ci]` slices cleanly per config.
-fn fig2_specs(params: &Params) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for config in CpuConfig::ALL {
-        for &conns in &CONN_SWEEP {
-            for cc in [CcKind::Cubic, CcKind::Bbr] {
-                specs.push(RunSpec::new(
-                    format!("{cc}, {config}, {conns} conns"),
-                    params.pixel4(config, cc, conns),
-                    params.seeds,
-                ));
-            }
-        }
-    }
-    specs
-}
-
-/// Fig. 7 pairs: paced/unpaced BBR at 20 connections per config.
-fn fig7_specs(params: &Params) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for config in crate::fig7::CONFIGS {
-        specs.push(RunSpec::new(
-            format!("BBR paced, {config}"),
-            params.pixel4(config, CcKind::Bbr, crate::fig7::CONNS),
-            params.seeds,
-        ));
-        specs.push(RunSpec::new(
-            format!("BBR unpaced, {config}"),
-            params.pixel4_with(
-                config,
-                CcKind::Bbr,
-                crate::fig7::CONNS,
-                MasterConfig::pacing_off(),
-            ),
-            params.seeds,
-        ));
-    }
-    specs
 }
 
 // ---------------------------------------------------------------------
@@ -553,7 +519,8 @@ fn flow_panels(log: &TelemetryLog) -> String {
 }
 
 /// Fig. 2 panel: goodput vs connection count, one chart per CC, one
-/// series per CPU config. `reports` must come from [`fig2_specs`].
+/// series per CPU config. `reports` must come from [`fig2::plan`]
+/// (config-major, then connections, then Cubic before BBR).
 fn fig2_panel(reports: &[RunReport]) -> String {
     let mut out = String::new();
     for (k, cc) in ["CUBIC", "BBR"].iter().enumerate() {
@@ -580,8 +547,9 @@ fn fig2_panel(reports: &[RunReport]) -> String {
 }
 
 /// Fig. 7 panel: paced vs unpaced p95 RTT per config, 20 connections.
+/// `reports` must come from [`fig4::plan`] (per config, paced then unpaced).
 fn fig7_panel(reports: &[RunReport]) -> String {
-    let groups: Vec<(String, Vec<f64>)> = crate::fig7::CONFIGS
+    let groups: Vec<(String, Vec<f64>)> = crate::params::CONSTRAINED
         .iter()
         .enumerate()
         .map(|(i, config)| {

@@ -12,25 +12,24 @@
 //!   Cubic's goodput.
 
 use crate::checks::ShapeCheck;
-use crate::params::Params;
+use crate::params::{Params, CONNS};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::master::MasterConfig;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 use sim_core::units::Bandwidth;
 
 /// The paper's pinned cwnd.
-pub const FIXED_CWND: u64 = 70;
+const FIXED_CWND: u64 = 70;
 /// Per-connection fixed pacing rates swept (Mbps); 16 is the paper's
 /// "theoretically needed", 140 its parity point.
-pub const RATE_SWEEP_MBPS: [u64; 5] = [16, 40, 80, 110, 140];
-/// Connections in this experiment.
-pub const CONNS: usize = 20;
+const RATE_SWEEP_MBPS: [u64; 5] = [16, 40, 80, 110, 140];
 
-/// Run the §5.1 knob experiments.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+/// The §5.1 knob experiments: Cubic reference, stock BBR, §5.1.1's
+/// model-off run, then §5.1.2's rate sweep.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
     let mut specs = vec![
         RunSpec::new(
             "Cubic (reference)",
@@ -66,11 +65,13 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
             params.seeds,
         ));
     }
-    let reports = run_specs(params, specs)?;
+    specs
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let cubic = reports[0].goodput_mbps;
     let mut table = ResultTable::new(vec!["Setup", "Goodput (Mbps)", "vs Cubic"]);
-    for rep in &reports {
+    for rep in reports {
         table.push_row(vec![
             rep.label.clone().into(),
             rep.goodput_mbps.into(),
@@ -119,13 +120,13 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "SEC5.1".into(),
         title: "Master-module knobs: fixed cwnd, disabled model, fixed pacing rates (Low-End, 20 conns)"
             .into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -134,7 +135,7 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Sec51);
         assert_eq!(exp.table.rows.len(), 3 + RATE_SWEEP_MBPS.len());
         assert_eq!(exp.checks.len(), 4);
     }

@@ -6,22 +6,20 @@
 //! disabling BBR's pacing, and RTTs increase similarly to Figure 7."
 
 use crate::checks::ShapeCheck;
-use crate::params::Params;
+use crate::params::{Params, CONNS};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
+use crate::Experiment;
 use congestion::master::MasterConfig;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
+use iperf::{RunReport, RunSpec};
 use netsim::media::MediaProfile;
 
 /// The shallow queue depth, packets.
-pub const SHALLOW_QUEUE: usize = 10;
-/// Connections in the experiment.
-pub const CONNS: usize = 20;
+const SHALLOW_QUEUE: usize = 10;
 
-/// Run the shallow-buffer comparison.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
+/// The shallow-buffer comparison: BBR paced, then unpaced.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
     let shallow_path = MediaProfile::Ethernet
         .path_config()
         .with_queue_packets(SHALLOW_QUEUE);
@@ -35,11 +33,13 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
     );
     unpaced_cfg.path = shallow_path;
 
-    let specs = vec![
+    vec![
         RunSpec::new("BBR paced, 10-pkt buffer", paced_cfg, params.seeds),
         RunSpec::new("BBR unpaced, 10-pkt buffer", unpaced_cfg, params.seeds),
-    ];
-    let reports = run_specs(params, specs)?;
+    ]
+}
+
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let (paced, unpaced) = (&reports[0], &reports[1]);
 
     let mut table = ResultTable::new(vec![
@@ -48,7 +48,7 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         "Retransmissions",
         "Mean RTT (ms)",
     ]);
-    for rep in &reports {
+    for rep in reports {
         table.push_row(vec![
             rep.label.clone().into(),
             rep.goodput_mbps.into(),
@@ -81,21 +81,19 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         ),
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "SHALLOW".into(),
         title: "10-packet shallow buffer: pacing prevents congestion losses (§5.2.3)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Shallow);
         assert_eq!(exp.table.rows.len(), 2);
         assert_eq!(exp.checks.len(), 3);
     }

@@ -13,15 +13,11 @@
 //! at the socket-buffer cap.
 
 use crate::checks::ShapeCheck;
-use crate::params::{Params, STRIDE_SWEEP};
+use crate::params::{Params, CONNS, STRIDE_SWEEP};
 use crate::table::{Cell, ResultTable};
-use crate::{run_specs, Experiment};
-use congestion::CcKind;
+use crate::Experiment;
 use cpu_model::CpuConfig;
-use iperf::RunSpec;
-
-/// Connections, as in the paper.
-pub const CONNS: usize = 20;
+use iperf::{RunReport, RunSpec};
 
 /// One measured stride row.
 #[derive(Debug, Clone)]
@@ -34,23 +30,15 @@ struct Row {
     rtt_ms: f64,
 }
 
-/// Run the Table 2 sweep.
-pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
-    let specs = STRIDE_SWEEP
-        .iter()
-        .map(|&stride| {
-            RunSpec::new(
-                format!("stride {stride}x"),
-                params.pixel4_stride(CpuConfig::Default, CcKind::Bbr, CONNS, stride),
-                params.seeds,
-            )
-        })
-        .collect();
-    let reports = run_specs(params, specs)?;
+/// The Table 2 sweep: Fig. 8's Default row, one spec per stride.
+pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
+    crate::fig8::stride_sweep(params, CpuConfig::Default, params.seeds)
+}
 
+pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
     let rows: Vec<Row> = STRIDE_SWEEP
         .iter()
-        .zip(&reports)
+        .zip(reports)
         .map(|(&stride, rep)| {
             let skb_kb = rep.mean_skb_bytes * 8.0 / 1e3;
             let idle_ms = rep.mean_idle_ms;
@@ -158,12 +146,12 @@ pub fn run(params: &Params) -> Result<Experiment, sim_core::error::Error> {
         },
     ];
 
-    Ok(Experiment {
+    Experiment {
         id: "TABLE2".into(),
         title: "Pacing-stride anatomy under the Default configuration (20 conns)".into(),
         table,
         checks,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -172,7 +160,7 @@ mod tests {
 
     #[test]
     fn smoke_runs() {
-        let exp = run(&Params::smoke()).expect("experiment completes");
+        let exp = crate::tests::smoke(crate::ExperimentId::Table2);
         assert_eq!(exp.table.rows.len(), STRIDE_SWEEP.len());
         assert_eq!(exp.checks.len(), 5);
     }

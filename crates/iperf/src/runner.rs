@@ -1,7 +1,9 @@
 //! Seeded repetition runner.
 
-use crate::report::{RunReport, SeedResult};
-use tcp_sim::{SimConfig, StackSim};
+use crate::report::RunReport;
+use sim_core::sweep::SweepCell;
+use sim_core::SimRng;
+use tcp_sim::SimConfig;
 
 /// A labelled experiment: one simulation configuration repeated over seeds.
 #[derive(Clone)]
@@ -24,18 +26,12 @@ impl RunSpec {
             seeds: (1..=n_seeds).collect(),
         }
     }
-
-    fn run_seed(&self, seed: u64) -> SeedResult {
-        let mut cfg = self.config.clone();
-        cfg.seed = seed;
-        let res = StackSim::new(cfg).run();
-        SeedResult::from_sim(seed, &res)
-    }
 }
 
-/// Run a spec sequentially and aggregate.
+/// Run a spec's cells sequentially, outside the sweep engine, and
+/// aggregate. (A cell seeds itself from its config; the RNG is unused.)
 pub fn run_averaged(spec: &RunSpec) -> RunReport {
-    let seeds = spec.seeds.iter().map(|&s| spec.run_seed(s)).collect();
+    let seeds = spec.cells().map(|cell| cell.run(SimRng::new(0))).collect();
     RunReport::aggregate(spec.label.clone(), seeds)
 }
 

@@ -2,10 +2,10 @@
 //!
 //! This is the bridge between [`RunSpec`]'s seed lists and
 //! [`sim_core::sweep`]'s generic engine. Each seed of each spec becomes one
-//! [`SeedCell`]; the engine fans cells across workers, serves repeats from
-//! the content-addressed run cache, and returns outputs in submission
-//! order, which [`run_specs_sweep`] folds back into per-spec
-//! [`RunReport`]s.
+//! [`SeedCell`], submitted once however often it is named; the engine fans
+//! cells across workers, serves what it can from the content-addressed run
+//! cache, and returns outputs in submission order, which
+//! [`run_specs_sweep`] folds back into per-spec [`RunReport`]s.
 //!
 //! The cache key is the canonical JSON of the **entire** [`SimConfig`]
 //! (with the cell's seed already applied), so any config change — device,
@@ -19,6 +19,7 @@ use crate::runner::RunSpec;
 use sim_core::error::Error;
 use sim_core::sweep::{run_sweep_streaming, SweepCell, SweepOptions};
 use sim_core::SimRng;
+use std::collections::HashMap;
 use std::sync::Arc;
 use tcp_sim::{SimConfig, StackSim};
 
@@ -130,54 +131,127 @@ impl SweepCell for SeedCell {
     }
 }
 
-/// Run every seed of every spec through the sweep engine, aggregating into
-/// one [`RunReport`] per spec (same order as `specs`) **as results
-/// stream out**: a spec's report is folded the moment its last seed is
-/// released, so peak memory holds one spec's seed list plus the engine's
-/// bounded in-flight window — never the whole grid.
-///
-/// Errors propagate from the engine: [`Error::Interrupted`] on
-/// cancellation (the checkpoint, if any, has already been finalized) and
-/// I/O errors from an unwritable checkpoint file.
-pub fn run_specs_sweep(specs: &[RunSpec], opts: &SweepOptions) -> Result<Vec<RunReport>, Error> {
-    let mut cells = Vec::new();
-    for spec in specs {
-        for &seed in &spec.seeds {
-            let mut config = spec.config.clone();
+impl RunSpec {
+    /// This spec's sweep cells, one per seed in seed order: the cells
+    /// [`run_specs_sweep`] submits, and so the keys its results live under.
+    pub fn cells(&self) -> impl Iterator<Item = SeedCell> + '_ {
+        self.seeds.iter().map(|&seed| {
+            let mut config = self.config.clone();
             config.seed = seed;
-            cells.push(SeedCell {
-                label: spec.label.clone(),
+            SeedCell {
+                label: self.label.clone(),
                 config: Arc::new(config),
-            });
-        }
+            }
+        })
     }
-    let mut reports: Vec<RunReport> = Vec::with_capacity(specs.len());
-    let mut pending: Vec<SeedResult> = Vec::new();
-    let (mut misses, mut steady) = (0u64, 0u64);
-    // Outputs arrive in submission order, so cell i belongs to the spec at
-    // reports.len(): fold seeds until the current spec's list is full,
-    // then aggregate and move on (skipping any zero-seed specs).
-    let drain = |pending: &mut Vec<SeedResult>, reports: &mut Vec<RunReport>| {
-        while reports.len() < specs.len() && pending.len() == specs[reports.len()].seeds.len() {
-            let seeds = std::mem::take(pending);
-            reports.push(RunReport::aggregate(
-                specs[reports.len()].label.clone(),
-                seeds,
-            ));
+}
+
+/// A [`SeedCell`] with the key digest repeats were resolved on, so the
+/// engine does not serialise and hash the key a second time.
+struct KeyedCell {
+    cell: SeedCell,
+    digest: [u8; 16],
+}
+
+impl SweepCell for KeyedCell {
+    type Output = SeedResult;
+
+    fn label(&self) -> String {
+        self.cell.label()
+    }
+
+    fn key_bytes(&self) -> Vec<u8> {
+        self.cell.key_bytes()
+    }
+
+    fn key_digest(&self) -> [u8; 16] {
+        self.digest
+    }
+
+    fn run(&self, rng: SimRng) -> SeedResult {
+        self.cell.run(rng)
+    }
+
+    fn encode(output: &SeedResult) -> Option<Vec<u8>> {
+        SeedCell::encode(output)
+    }
+
+    fn decode(bytes: &[u8]) -> Option<SeedResult> {
+        SeedCell::decode(bytes)
+    }
+
+    fn cacheable(&self) -> bool {
+        self.cell.cacheable()
+    }
+}
+
+/// Run groups of specs — an experiment's plan, an ablation study's rows —
+/// through **one** sweep, handing each group its [`RunReport`]s (one per
+/// spec, in spec order) as `done(group index, reports)` the moment the
+/// last cell the group needs is released. Groups complete in input order.
+///
+/// A (configuration, seed) pair whose key an earlier seed, spec or group
+/// of this call already submitted is a **repeat**: it is not submitted
+/// again and takes the first occurrence's output (so `--progress` shows
+/// the first occurrence's label), and its spec's report is the same bytes
+/// either way. The distinct outputs (192 bytes each) are held until the
+/// call returns — a later spec may repeat any of them; everything else is
+/// the engine's bounded in-flight window.
+///
+/// Errors propagate from the engine: [`Error::Interrupted`] (checkpoint
+/// already finalized; counts are distinct cells over the whole call) and
+/// checkpoint I/O errors.
+pub fn run_specs_sweep(
+    groups: &[Vec<RunSpec>],
+    opts: &SweepOptions,
+    mut done: impl FnMut(usize, Vec<RunReport>),
+) -> Result<(), Error> {
+    let mut cells: Vec<KeyedCell> = Vec::new();
+    let mut first: HashMap<[u8; 16], usize> = HashMap::new();
+    // Per (spec, seed) in submission order: the cell that computes it.
+    let mut slots: Vec<usize> = Vec::new();
+    for cell in groups.iter().flatten().flat_map(RunSpec::cells) {
+        let digest = cell.key_digest();
+        slots.push(*first.entry(digest).or_insert_with(|| {
+            cells.push(KeyedCell { cell, digest });
+            cells.len() - 1
+        }));
+    }
+
+    let mut outputs: Vec<SeedResult> = Vec::with_capacity(cells.len());
+    let (mut group, mut spec, mut slot) = (0, 0, 0);
+    let mut reports: Vec<RunReport> = Vec::new();
+    // Outputs arrive in `cells` order and a repeat points backwards, so
+    // walking specs up to the first with an unreleased cell hands every
+    // group over as early as possible.
+    let mut drain = |outputs: &[SeedResult]| {
+        while let Some(specs) = groups.get(group) {
+            let Some(next) = specs.get(spec) else {
+                done(group, std::mem::take(&mut reports));
+                (group, spec) = (group + 1, 0);
+                continue;
+            };
+            let mine = &slots[slot..slot + next.seeds.len()];
+            if mine.iter().any(|&cell| cell >= outputs.len()) {
+                break;
+            }
+            let seeds = mine.iter().map(|&cell| outputs[cell].clone()).collect();
+            reports.push(RunReport::aggregate(next.label.clone(), seeds));
+            (spec, slot) = (spec + 1, slot + next.seeds.len());
         }
     };
-    drain(&mut pending, &mut reports);
+    drain(&outputs);
+    let (mut misses, mut steady) = (0u64, 0u64);
     run_sweep_streaming(&cells, opts, |_idx, out, _cell| {
         misses += out.pool_misses;
         steady += out.pool_misses_steady;
-        pending.push(out);
-        drain(&mut pending, &mut reports);
+        outputs.push(out);
+        drain(&outputs);
     })?;
-    debug_assert_eq!(reports.len(), specs.len(), "every spec aggregated");
     // Roll per-seed pool-miss counts into the engine's global run metrics
     // so `repro`'s final summary can report hot-path allocator health.
     sim_core::sweep::note_pool_misses(misses, steady);
-    Ok(reports)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -207,6 +281,16 @@ mod tests {
         dir
     }
 
+    /// One spec through the sweep engine, as a single group.
+    fn sweep_one(spec: &RunSpec, opts: &SweepOptions) -> RunReport {
+        let mut report = None;
+        run_specs_sweep(&[vec![spec.clone()]], opts, |_, reports| {
+            report = reports.into_iter().next();
+        })
+        .expect("uncancelled sweep completes");
+        report.expect("one spec in, one report out")
+    }
+
     #[test]
     fn sweep_matches_serial_runner() {
         let spec = RunSpec::new("sweep-agree", tiny_config(), 3);
@@ -216,12 +300,10 @@ mod tests {
                 jobs,
                 ..SweepOptions::default()
             };
-            let swept = run_specs_sweep(std::slice::from_ref(&spec), &opts)
-                .expect("uncancelled sweep completes");
-            assert_eq!(swept.len(), 1);
-            assert_eq!(swept[0].goodput_mbps, baseline.goodput_mbps, "jobs={jobs}");
-            assert_eq!(swept[0].mean_rtt_ms, baseline.mean_rtt_ms, "jobs={jobs}");
-            assert_eq!(swept[0].mean_retx, baseline.mean_retx, "jobs={jobs}");
+            let swept = sweep_one(&spec, &opts);
+            assert_eq!(swept.goodput_mbps, baseline.goodput_mbps, "jobs={jobs}");
+            assert_eq!(swept.mean_rtt_ms, baseline.mean_rtt_ms, "jobs={jobs}");
+            assert_eq!(swept.mean_retx, baseline.mean_retx, "jobs={jobs}");
         }
     }
 
@@ -293,11 +375,63 @@ mod tests {
             cache_dir: Some(dir.clone()),
             ..SweepOptions::default()
         };
-        let cold = run_specs_sweep(std::slice::from_ref(&spec), &opts).expect("completes");
-        let warm = run_specs_sweep(std::slice::from_ref(&spec), &opts).expect("completes");
-        assert_eq!(cold[0].goodput_mbps, warm[0].goodput_mbps);
-        assert_eq!(cold[0].goodput_std, warm[0].goodput_std);
+        let cold = sweep_one(&spec, &opts);
+        let warm = sweep_one(&spec, &opts);
+        assert_eq!(cold.goodput_mbps, warm.goodput_mbps);
+        assert_eq!(cold.goodput_std, warm.goodput_std);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A (config, seed) pair submitted twice in one call is simulated once:
+    /// the repeat — under another label, in a later group, with a shorter
+    /// seed list — gets the first occurrence's bytes, and groups are handed
+    /// over in order, each the moment its last cell is out.
+    #[test]
+    fn repeats_are_simulated_once_and_groups_complete_in_order() {
+        let mut other = tiny_config();
+        other.connections = 3;
+        let groups = [
+            vec![RunSpec::new("first", tiny_config(), 2)],
+            vec![],
+            vec![
+                RunSpec::new("again", tiny_config(), 1),
+                RunSpec::new("other", other, 1),
+                RunSpec::new("again, both seeds", tiny_config(), 2),
+            ],
+        ];
+        // Five (config, seed) pairs submitted, three distinct: a sweep
+        // stopped before its first cell reports how many it was handed.
+        let stopped = SweepOptions {
+            cancel_after: Some(0),
+            ..SweepOptions::default()
+        };
+        match run_specs_sweep(&groups, &stopped, |_, _| {}) {
+            Err(Error::Interrupted { total, .. }) => assert_eq!(total, 3),
+            other => panic!("expected Interrupted, got {other:?}"),
+        }
+        for jobs in [1, 3] {
+            let opts = SweepOptions {
+                jobs,
+                ..SweepOptions::default()
+            };
+            let mut order = Vec::new();
+            let mut all = Vec::new();
+            run_specs_sweep(&groups, &opts, |group, reports| {
+                order.push((group, reports.len()));
+                all.extend(reports);
+            })
+            .expect("uncancelled sweep completes");
+            assert_eq!(order, [(0, 1), (1, 0), (2, 3)], "jobs={jobs}");
+            let labels: Vec<&str> = all.iter().map(|r| r.label.as_str()).collect();
+            assert_eq!(labels, ["first", "again", "other", "again, both seeds"]);
+            let json = |seeds: &[SeedResult]| serde_json::to_string(seeds).unwrap();
+            assert_eq!(json(&all[0].seeds), json(&all[3].seeds), "jobs={jobs}");
+            assert_eq!(json(&all[0].seeds[..1]), json(&all[1].seeds), "jobs={jobs}");
+            assert_eq!(
+                all[0].goodput_mbps,
+                run_averaged(&groups[0][0]).goodput_mbps
+            );
+        }
     }
 
     #[test]

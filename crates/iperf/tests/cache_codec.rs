@@ -53,8 +53,12 @@ fn run_once(dir: &Path, label: &str) -> f64 {
         cache_dir: Some(dir.to_path_buf()),
         ..SweepOptions::default()
     };
-    let reports = run_specs_sweep(&[tiny_spec(label)], &opts).expect("uncancelled sweep completes");
-    reports[0].goodput_mbps
+    let mut goodput = None;
+    run_specs_sweep(&[vec![tiny_spec(label)]], &opts, |_, reports| {
+        goodput = Some(reports[0].goodput_mbps);
+    })
+    .expect("uncancelled sweep completes");
+    goodput.expect("one spec in, one report out")
 }
 
 #[test]

@@ -48,7 +48,7 @@ pub enum Error {
         /// What was malformed.
         reason: String,
     },
-    /// A sweep was cancelled (Ctrl-C / `CancelToken`) before completing.
+    /// A sweep was cancelled (Ctrl-C, or the `cancel_after` test hook) before completing.
     ///
     /// In-flight cells were drained and the checkpoint (when configured)
     /// records every completed cell, so re-running with the same

@@ -61,8 +61,7 @@ pub use error::{Error, Result};
 pub use event::{EventQueue, ScheduledEvent, TimerToken};
 pub use rng::SimRng;
 pub use sweep::{
-    run_sweep, run_sweep_streaming, CancelToken, CellReport, SweepCell, SweepOptions, SweepReport,
-    SweepSummary,
+    run_sweep, run_sweep_streaming, CellReport, SweepCell, SweepOptions, SweepReport, SweepSummary,
 };
 pub use telemetry::{FlowSample, QueueSample, TelemetryLog, TelemetrySink};
 pub use time::{SimDuration, SimTime};

@@ -72,10 +72,10 @@
 //! cells from the file and computes only the remainder, and the resumed
 //! output stream is byte-identical to an uninterrupted run.
 //!
-//! Cancellation is cooperative: a [`CancelToken`] in the options, the
-//! process-global flag ([`request_global_cancel`], wired to Ctrl-C by the
-//! binaries), or the deterministic test hook [`SweepOptions::cancel_after`]
-//! stop the sweep at the next claim point. In-flight cells are **drained**
+//! Cancellation is cooperative: the process-global flag
+//! ([`request_global_cancel`], wired to Ctrl-C by the binaries) or the
+//! deterministic test hook [`SweepOptions::cancel_after`] stops the sweep
+//! at the next claim point. In-flight cells are **drained**
 //! (computed, checkpointed, and released), the checkpoint is flushed and
 //! synced, and the engine returns [`Error::Interrupted`] — never a panic,
 //! never a torn checkpoint.
@@ -93,7 +93,7 @@ use crate::rng::SimRng;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// FNV-1a offset basis (the standard one).
@@ -142,33 +142,6 @@ fn key_digest(key: &[u8]) -> [u8; 16] {
     digest
 }
 
-/// A shareable cooperative-cancellation handle for one sweep (or a group
-/// of sweeps sharing it via [`SweepOptions::cancel`]).
-///
-/// Cancellation is *cooperative*: the engine checks the token at each
-/// claim point, stops handing out new cells, drains the in-flight range,
-/// flushes the checkpoint, and returns [`Error::Interrupted`]. Cloning
-/// shares the underlying flag.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Request cancellation (idempotent, callable from any thread).
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
-
 /// Process-global cancellation flag, set by the binaries' Ctrl-C handler.
 ///
 /// A signal handler may only do async-signal-safe work; a relaxed atomic
@@ -209,6 +182,14 @@ pub trait SweepCell: Sync {
     /// Doubles as the cache key and the RNG split label, so it must be
     /// stable across runs and distinct across semantically distinct cells.
     fn key_bytes(&self) -> Vec<u8>;
+
+    /// The 16-byte content digest of [`key_bytes`](Self::key_bytes): cache
+    /// file name, checkpoint record key and (first half) RNG split label.
+    /// Asked for once per cell; a cell that already hashed its key — to
+    /// resolve repeats before submitting — overrides this to hand it in.
+    fn key_digest(&self) -> [u8; 16] {
+        key_digest(&self.key_bytes())
+    }
 
     /// Run the cell with its derived RNG.
     fn run(&self, rng: SimRng) -> Self::Output;
@@ -261,8 +242,6 @@ pub struct SweepOptions {
     /// `None` disables checkpointing. Always loaded if present (entries
     /// are content-addressed, so stale entries are simply never matched).
     pub checkpoint: Option<PathBuf>,
-    /// Cooperative cancellation handle for this sweep.
-    pub cancel: Option<CancelToken>,
     /// Deterministic test hook: behave as if cancelled once this many
     /// cells have been released.
     pub cancel_after: Option<u64>,
@@ -277,7 +256,6 @@ impl Default for SweepOptions {
             progress: false,
             max_inflight: 0,
             checkpoint: None,
-            cancel: None,
             cancel_after: None,
         }
     }
@@ -316,9 +294,7 @@ impl SweepOptions {
     /// Whether cancellation has been requested for this sweep, given the
     /// number of cells already released (for [`cancel_after`](Self::cancel_after)).
     fn cancel_requested(&self, released: u64) -> bool {
-        global_cancel_requested()
-            || self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
-            || self.cancel_after.is_some_and(|n| released >= n)
+        global_cancel_requested() || self.cancel_after.is_some_and(|n| released >= n)
     }
 }
 
@@ -562,7 +538,7 @@ fn run_cell<C: SweepCell>(
 ) -> (C::Output, CacheState) {
     // The key is hashed once: the digest addresses the checkpoint record
     // and the cache file, and its first stream seeds the RNG on a miss.
-    let digest = key_digest(&cell.key_bytes());
+    let digest = cell.key_digest();
     let ckpt = ckpt.filter(|_| cell.resumable());
     // Checkpoint first: it is in-memory after load, and on a resumed
     // cache-less run it is the only store that has the cell.
@@ -1363,11 +1339,9 @@ mod tests {
     #[test]
     fn cancel_token_stops_the_sweep_and_reports_interrupted() {
         let cells = toy_cells(20);
-        let token = CancelToken::new();
-        token.cancel();
         let opts = SweepOptions {
             jobs: 3,
-            cancel: Some(token),
+            cancel_after: Some(0),
             ..SweepOptions::serial(4)
         };
         let mut consumed = 0usize;

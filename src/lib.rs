@@ -69,7 +69,7 @@ pub mod prelude {
     pub use netsim::media::MediaProfile;
     pub use netsim::Qdisc;
     pub use sim_core::error::{Error, Result};
-    pub use sim_core::sweep::{run_sweep_streaming, CancelToken, SweepOptions};
+    pub use sim_core::sweep::{run_sweep_streaming, SweepOptions};
     pub use sim_core::time::SimDuration;
     pub use tcp_sim::{SimConfig, SimConfigBuilder, SimResult, StackSim};
 }

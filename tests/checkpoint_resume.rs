@@ -6,7 +6,7 @@
 //! This is the workspace-level counterpart of `sim_core::sweep`'s unit
 //! tests: it exercises the same engine through `experiments` → `iperf` →
 //! `run_sweep_streaming`, exactly the path `repro --checkpoint --resume`
-//! takes (minus the process boundary, which the CI resume-smoke job
+//! takes (minus the process boundary, which `tools/verify.sh resume`
 //! covers with the real binary).
 
 use mobile_bbr::prelude::*;

@@ -1,8 +1,10 @@
 //! End-to-end guarantees of the sweep engine (`sim_core::sweep`):
 //!
-//! 1. **Parallel == serial, byte for byte.** The full experiment scorecard
-//!    rendered to JSON with `--jobs 1` equals the same render with many
-//!    workers — the engine's headline determinism contract.
+//! 1. **Parallel == serial == one at a time, byte for byte.** The full
+//!    experiment scorecard, run as one sweep and rendered to JSON with
+//!    `--jobs 1`, equals the same render with many workers — the engine's
+//!    headline determinism contract — and equals the 19 experiments run
+//!    one by one, where no cell is shared between them.
 //! 2. **The run cache is transparent.** A warm rerun serves every cell
 //!    from cache (100% hits), returns identical results, and is far
 //!    cheaper than the cold run.
@@ -20,11 +22,12 @@ fn smoke_with_jobs(jobs: usize) -> Params {
     p
 }
 
+/// The whole scorecard as `repro --exp all` runs it: one sweep.
 fn run_all(params: &Params) -> Vec<Experiment> {
-    ExperimentId::ALL
-        .iter()
-        .map(|id| id.run(params).expect("uncancelled experiment completes"))
-        .collect()
+    let mut done = Vec::new();
+    experiments::run_all(&ExperimentId::ALL, params, |exp| done.push(exp))
+        .expect("uncancelled run completes");
+    done
 }
 
 /// The exact bytes `repro --json` writes.
@@ -34,12 +37,24 @@ fn to_json(experiments: &[Experiment]) -> String {
 
 #[test]
 fn parallel_sweep_json_is_byte_identical_to_serial() {
+    let one_by_one: Vec<Experiment> = ExperimentId::ALL
+        .iter()
+        .map(|id| {
+            id.run(&smoke_with_jobs(1))
+                .expect("uncancelled experiment completes")
+        })
+        .collect();
     let serial = run_all(&smoke_with_jobs(1));
     let parallel = run_all(&smoke_with_jobs(8));
     assert_eq!(
         to_json(&serial),
         to_json(&parallel),
         "jobs=8 must reproduce jobs=1 byte for byte"
+    );
+    assert_eq!(
+        to_json(&serial),
+        to_json(&one_by_one),
+        "sharing cells across experiments must not move a byte"
     );
 }
 
@@ -63,17 +78,7 @@ fn warm_cache_rerun_is_complete_and_identical() {
             3,
         ),
     ];
-    let mut cells = Vec::new();
-    for spec in &specs {
-        for &seed in &spec.seeds {
-            let mut config = spec.config.clone();
-            config.seed = seed;
-            cells.push(SeedCell {
-                label: spec.label.clone(),
-                config: std::sync::Arc::new(config),
-            });
-        }
-    }
+    let cells: Vec<SeedCell> = specs.iter().flat_map(RunSpec::cells).collect();
 
     let opts = SweepOptions {
         jobs: 2,
