@@ -6,6 +6,8 @@
 //! repro --exp all --jobs 8       # sweep cells across 8 workers
 //! repro --exp all --no-cache     # force recomputation of every cell
 //! repro --exp all --markdown out.md --json out.json
+//! repro --exp ablations          # the six design-choice studies
+//! repro --exp timer --seeds 3    # one of them
 //! ```
 //!
 //! The selected experiments execute as **one** sweep on the
@@ -76,24 +78,22 @@ fn parse_args() -> Result<Args, String> {
     let mut trace_chrome = false;
     let mut report: Option<String> = None;
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    let sweep = mobile_bbr_bench::sweep_flags(&mut argv, true)?;
+    let sweep = mobile_bbr_bench::sweep_flags(&mut argv)?;
     let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |what: &str| args.next().ok_or_else(|| format!("{arg} needs {what}"));
         match arg.as_str() {
-            "--exp" => {
-                let name = value("a value")?;
-                if name == "all" {
-                    exps.extend(ExperimentId::ALL);
-                } else {
-                    exps.push(ExperimentId::from_cli_name(&name).ok_or_else(|| {
-                        format!(
-                            "unknown experiment '{name}'; known: {}",
-                            ExperimentId::ALL.map(|e| e.cli_name()).join(", ")
-                        )
-                    })?);
-                }
-            }
+            "--exp" => match value("a value")?.as_str() {
+                "all" => exps.extend(ExperimentId::ALL),
+                "ablations" => exps.extend(ExperimentId::ABLATIONS),
+                name => exps.push(ExperimentId::from_cli_name(name).ok_or_else(|| {
+                    format!(
+                        "unknown experiment '{name}'; known: all, {}, ablations, {}",
+                        ExperimentId::ALL.map(|e| e.cli_name()).join(", "),
+                        ExperimentId::ABLATIONS.map(|e| e.cli_name()).join(", ")
+                    )
+                })?),
+            },
             "--quick" => params = Params::quick(),
             "--smoke" => params = Params::smoke(),
             "--seeds" => {
@@ -239,7 +239,7 @@ fn main() {
         Err(e) => {
             let e = sim_core::Error::Cli(e);
             eprintln!("error: {e}");
-            eprintln!("usage: repro [--exp <name|all>]... [--quick|--smoke] [--seeds N] [--jobs N] [--no-cache] [--cache-dir PATH] [--progress] [--checkpoint PATH [--resume]] [--max-inflight N] [--cancel-after N] [--markdown PATH] [--json PATH] [--csv PATH] [--trace PATH [--trace-format jsonl|chrome]] [--report DIR]");
+            eprintln!("usage: repro [--exp <name|all|ablations>]... [--quick|--smoke] [--seeds N] [--jobs N] [--no-cache] [--cache-dir PATH] [--progress] [--checkpoint PATH [--resume]] [--max-inflight N] [--cancel-after N] [--markdown PATH] [--json PATH] [--csv PATH] [--trace PATH [--trace-format jsonl|chrome]] [--report DIR]");
             std::process::exit(e.exit_code());
         }
     };

@@ -48,7 +48,7 @@ fn parse_args() -> Result<Args, String> {
         scenario: None,
         mutant_check: false,
         no_corpus_append: false,
-        sweep: mobile_bbr_bench::sweep_flags(&mut argv, true)?,
+        sweep: mobile_bbr_bench::sweep_flags(&mut argv)?,
     };
     let mut rest = argv.into_iter();
     while let Some(arg) = rest.next() {

@@ -1,16 +1,16 @@
 //! # mobile-bbr-bench
 //!
-//! The command-line front ends of the reproduction. Four binaries (host
+//! The command-line front ends of the reproduction. Three binaries (host
 //! time is measured by the standalone `benchmark/` package, not here):
 //!
-//! * **`repro`** — regenerates every figure and table of the paper:
-//!   `cargo run --release -p mobile-bbr-bench --bin repro -- --exp all`.
-//!   Prints each experiment's measurement table and its shape-check
-//!   scorecard, and can emit Markdown/JSON for EXPERIMENTS.md.
-//! * **`ablations`** — the design-choice studies DESIGN.md calls out:
-//!   timer-cost sweep (how cheap must hrtimers get before the stride stops
-//!   mattering — the §7.1.4 hardware-pacing question), socket-buffer-cap
-//!   sweep (Table 2's plateau position), and governor comparison.
+//! * **`repro`** — the one sweep front end. `--exp all` regenerates every
+//!   figure and table of the paper
+//!   (`cargo run --release -p mobile-bbr-bench --bin repro -- --exp all`):
+//!   each experiment's measurement table and its shape-check scorecard,
+//!   with Markdown/JSON/CSV artifacts for EXPERIMENTS.md. `--exp ablations`
+//!   runs the six design-choice studies DESIGN.md §7 calls out (timer cost,
+//!   socket-buffer cap, governor, AQM, competition, ACK frequency) the
+//!   same way, one `--exp <name>` each.
 //! * **`trace`** — the flight-recorder inspector: validates a recorded
 //!   JSONL trace and summarises it (`inspect`, `top`, `flows`).
 //! * **`simcheck`** — the deterministic scenario fuzzer: draws whole
@@ -27,7 +27,7 @@ pub mod simcheck;
 use experiments::{Experiment, Params};
 use std::path::PathBuf;
 
-/// The sweep-engine flags every front end shares, as parsed by
+/// The sweep-engine flags `repro` and `simcheck` share, as parsed by
 /// [`sweep_flags`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SweepFlags {
@@ -67,10 +67,8 @@ impl SweepFlags {
 }
 
 /// Move the sweep-engine flags (and their values) out of `argv`, leaving
-/// what the calling binary must recognise itself. `resumable` callers also
-/// take `--checkpoint`/`--resume`/`--max-inflight`/`--cancel-after`; for
-/// the others those stay in `argv` as the unknown flags they are.
-pub fn sweep_flags(argv: &mut Vec<String>, resumable: bool) -> Result<SweepFlags, String> {
+/// what the calling binary must recognise itself.
+pub fn sweep_flags(argv: &mut Vec<String>) -> Result<SweepFlags, String> {
     fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String>
     where
         T::Err: std::fmt::Display,
@@ -101,10 +99,10 @@ pub fn sweep_flags(argv: &mut Vec<String>, resumable: bool) -> Result<SweepFlags
             "--progress" => flags.progress = true,
             "--no-cache" => flags.no_cache = true,
             "--cache-dir" => flags.cache_dir = Some(path(&arg, args.next())?),
-            "--checkpoint" if resumable => flags.checkpoint = Some(path(&arg, args.next())?),
-            "--resume" if resumable => flags.resume = true,
-            "--max-inflight" if resumable => flags.max_inflight = number(&arg, args.next())?,
-            "--cancel-after" if resumable => flags.cancel_after = Some(number(&arg, args.next())?),
+            "--checkpoint" => flags.checkpoint = Some(path(&arg, args.next())?),
+            "--resume" => flags.resume = true,
+            "--max-inflight" => flags.max_inflight = number(&arg, args.next())?,
+            "--cancel-after" => flags.cancel_after = Some(number(&arg, args.next())?),
             _ => rest.push(arg),
         }
     }
@@ -143,7 +141,7 @@ mod tests {
             "--json",
             "o",
         ]);
-        let flags = sweep_flags(&mut args, true).expect("valid flags");
+        let flags = sweep_flags(&mut args).expect("valid flags");
         assert_eq!(args, argv(&["--exp", "fig2", "--quick", "--json", "o"]));
         let want = SweepFlags {
             jobs: Some(4),
@@ -152,13 +150,8 @@ mod tests {
             ..SweepFlags::default()
         };
         assert_eq!(flags, want);
-        // A caller that cannot resume leaves those flags for its own
-        // unknown-flag error.
-        let mut args = argv(&["--progress", "--checkpoint", "ck"]);
-        assert!(sweep_flags(&mut args, false).expect("valid flags").progress);
-        assert_eq!(args, argv(&["--checkpoint", "ck"]));
 
-        let err = |args: &[&str]| sweep_flags(&mut argv(args), true).unwrap_err();
+        let err = |args: &[&str]| sweep_flags(&mut argv(args)).unwrap_err();
         assert_eq!(err(&["--jobs"]), "--jobs needs a value");
         assert_eq!(err(&["--jobs", "0"]), "--jobs must be at least 1");
         assert!(err(&["--jobs", "x"]).starts_with("bad --jobs:"));

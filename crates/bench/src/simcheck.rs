@@ -11,16 +11,16 @@
 //!   qdisc (FIFO/CoDel/FQ-CoDel) × the fleet
 //!   axis: device count, uniform-vs-mixed tier/CC population, shared
 //!   bottleneck rate and qdisc), with a
-//!   deterministic [`Scenario::draw`] from a [`SimRng`] and a compact
+//!   deterministic `Scenario::draw` from a [`SimRng`] and a compact
 //!   `key=value` spec codec so every failure is a one-line repro;
-//! * [`oracles`] — the invariant library: physical conservation, protocol
+//! * `oracles` — the invariant library: physical conservation, protocol
 //!   sanity, counter identities, paper-derived metamorphic relations
 //!   (Eq. 2 / Table 2 stride envelope, CPU-frequency monotonicity, Fig. 7 pacing
 //!   RTT inflation), and the fleet oracles (shared-bottleneck
 //!   conservation, Jain-index bounds + permutation invariance);
 //! * [`fuzz`] — the batch driver, built on `sim_core::sweep::run_sweep_streaming`
 //!   so results are bit-identical for any `--jobs` value;
-//! * [`shrink_scenario`] — bisection over the numeric axes plus greedy
+//! * `shrink_scenario` — bisection over the numeric axes plus greedy
 //!   strategy-level simplification (drop impairments, collapse media to
 //!   Ethernet) while the original oracle still fails;
 //! * [`mutant_check`] — activates each intentional `tcp_sim::mutants`
@@ -142,7 +142,7 @@ impl Scenario {
     /// Draw a scenario uniformly-ish from the supported space. Impairment
     /// axes are biased toward "absent" so the common case stays the clean
     /// path and the metamorphic oracles (which need clean runs) fire often.
-    pub fn draw(rng: &mut SimRng) -> Scenario {
+    pub(crate) fn draw(rng: &mut SimRng) -> Scenario {
         let dur_ms = rng.range_inclusive(400, 900);
         let mut s = Scenario {
             cc: ALL_CC[rng.below(ALL_CC.len() as u64) as usize],
@@ -352,7 +352,7 @@ impl Scenario {
     }
 
     /// Materialise the full simulator configuration.
-    pub fn to_config(&self) -> SimConfig {
+    pub(crate) fn to_config(&self) -> SimConfig {
         let mut path = self.media.path_config();
         if let Some(q) = self.queue {
             path = path.with_queue_packets(q as usize);
@@ -450,7 +450,7 @@ impl Scenario {
 
 /// Everything the oracles get to look at: the scenario, its result, and
 /// the companion runs the metamorphic relations need (present only when
-/// the scenario is eligible for that relation — see [`run_scenario`]).
+/// the scenario is eligible for that relation — see `run_scenario`).
 pub struct ScenarioRun {
     /// The drawn scenario.
     pub scenario: Scenario,
@@ -470,7 +470,7 @@ pub struct ScenarioRun {
 /// for. Eligibility guards keep the metamorphic relations on the terrain
 /// where the paper makes them: clean paths, Ethernet where the claim is
 /// Ethernet-specific, long-enough measurement windows.
-pub fn run_scenario(s: &Scenario) -> ScenarioRun {
+pub(crate) fn run_scenario(s: &Scenario) -> ScenarioRun {
     let result = StackSim::new(s.to_config()).run();
     let rerun = if s.seed.is_multiple_of(5) {
         Some(StackSim::new(s.to_config()).run())
@@ -544,7 +544,7 @@ fn delivered_window(res: &SimResult) -> u64 {
 }
 
 /// The invariant-oracle library (see module docs for the taxonomy).
-pub fn oracles() -> Vec<NamedOracle<ScenarioRun>> {
+pub(crate) fn oracles() -> Vec<NamedOracle<ScenarioRun>> {
     fn o(
         name: &'static str,
         check: fn(&ScenarioRun) -> Result<(), String>,
@@ -1057,7 +1057,7 @@ fn still_fails(s: &Scenario, original: &[String]) -> bool {
 /// stride, duration), then greedily drop impairments and collapse the
 /// media to Ethernet — keeping each move only while one of the original
 /// oracles still fails. Deterministic, bounded work.
-pub fn shrink_scenario(failing: &Scenario, violations: &[Violation]) -> Scenario {
+pub(crate) fn shrink_scenario(failing: &Scenario, violations: &[Violation]) -> Scenario {
     let names: Vec<String> = violations.iter().map(|v| v.oracle.to_string()).collect();
     let mut s = failing.clone();
 

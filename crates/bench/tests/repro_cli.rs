@@ -1,7 +1,8 @@
 //! Command-line tests for the `repro` binary: a knob must override the
 //! preset whichever side of `--quick`/`--smoke` it is written on, a
-//! hostile value is a usage error and never a panic, and naming an
-//! experiment twice selects it once.
+//! hostile value is a usage error and never a panic, naming an experiment
+//! twice selects it once, and `--exp ablations` is a selection like
+//! `--exp all` — same sweep, same sharing.
 
 use std::process::Command;
 
@@ -58,6 +59,64 @@ fn a_repeated_exp_is_run_and_scored_once() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(stdout.matches("== FIG9").count(), 1, "{stdout}");
     assert!(stdout.contains("scorecard: 2/2"), "{stdout}");
+}
+
+#[test]
+fn ablations_selects_the_six_studies_in_registry_order() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "--exp",
+            "acks",
+            "--exp",
+            "ablations",
+            "--smoke",
+            "--no-cache",
+        ])
+        .output()
+        .expect("repro binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let sections: Vec<&str> = stdout
+        .lines()
+        .filter_map(|line| line.strip_prefix("== ")?.split(' ').next())
+        .collect();
+    // First mention wins: `acks` leads, the group adds the other five.
+    let want =
+        ["ACKS", "TIMER", "CAP", "GOVERNOR", "AQM", "COMPETITION"].map(|s| format!("ABL-{s}"));
+    assert_eq!(sections, want, "{stdout}");
+    assert!(stdout.contains("scorecard: 0/0"), "studies assert no shape");
+}
+
+/// Distinct cells `repro <selection> --smoke` hands the engine, read off a
+/// sweep stopped before its first cell (`Interrupted`'s total).
+fn distinct_cells(selection: &[&str]) -> u64 {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(selection)
+        .args(["--smoke", "--no-cache", "--cancel-after", "0"])
+        .output()
+        .expect("repro binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(130), "stderr: {stderr}");
+    let total = stderr
+        .split("interrupted after 0/")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok());
+    total.unwrap_or_else(|| panic!("no cell count in: {stderr}"))
+}
+
+#[test]
+fn studies_share_cells_with_the_scorecard_in_one_sweep() {
+    let scorecard = distinct_cells(&["--exp", "all"]);
+    let studies = distinct_cells(&["--exp", "ablations"]);
+    let both = distinct_cells(&["--exp", "all", "--exp", "ablations"]);
+    // `governor` is Fig. 2's 20-connection column; `timer`, `cap` and
+    // `competition` each repeat Fig. 8 points.
+    assert!(
+        both < scorecard + studies,
+        "{both} cells for both against {scorecard} + {studies}"
+    );
+    assert!(both > scorecard, "the studies add cells of their own");
 }
 
 #[test]

@@ -100,7 +100,7 @@ pub struct Bbr {
 
 impl Bbr {
     /// A fresh BBR instance for `mss`-byte segments.
-    pub fn new(mss: u64) -> Self {
+    pub(crate) fn new(mss: u64) -> Self {
         assert!(mss > 0, "mss must be positive");
         Bbr {
             mss,

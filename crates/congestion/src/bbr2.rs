@@ -24,7 +24,7 @@
 //! rough edges against Cubic and under FQ-CoDel? Every difference between
 //! the two is a field of the private `Tuning` table:
 //!
-//! | delta | v2 ([`Bbr2::new`]) | v3 ([`Bbr2::v3`]) | why v3 changed it (iccrg 117/119) |
+//! | delta | v2 (`Bbr2::new`) | v3 (`Bbr2::v3`) | why v3 changed it (iccrg 117/119) |
 //! |---|---|---|---|
 //! | PROBE_DOWN pacing gain | 0.75 | 0.9 | v2 drained far more than one round's queue, giving away throughput every cycle |
 //! | ProbeBW cwnd gain | 2.0 | 2.25 | lets an UP probe actually fill the ceiling it raises |
@@ -131,7 +131,7 @@ pub enum Mode {
     ProbeRtt,
 }
 
-/// A BBRv2-family controller: v2 from [`Bbr2::new`], v3 from [`Bbr2::v3`].
+/// A BBRv2-family controller: v2 from `Bbr2::new`, v3 from `Bbr2::v3`.
 pub struct Bbr2 {
     tuning: &'static Tuning,
     mss: u64,
@@ -173,12 +173,12 @@ pub struct Bbr2 {
 
 impl Bbr2 {
     /// A fresh BBR v2 instance for `mss`-byte segments.
-    pub fn new(mss: u64) -> Self {
+    pub(crate) fn new(mss: u64) -> Self {
         Self::with_tuning(&V2, mss)
     }
 
     /// A fresh BBR v3 instance for `mss`-byte segments.
-    pub fn v3(mss: u64) -> Self {
+    pub(crate) fn v3(mss: u64) -> Self {
         Self::with_tuning(&V3, mss)
     }
 

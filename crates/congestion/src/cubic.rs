@@ -59,7 +59,7 @@ pub struct Cubic {
 
 impl Cubic {
     /// A fresh Cubic instance.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Cubic {
             cwnd: INIT_CWND as f64,
             ssthresh: u64::MAX,

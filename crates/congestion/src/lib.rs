@@ -22,9 +22,9 @@
 //!   PROBE_BW/PROBE_RTT, a 10-round windowed-max bandwidth filter, a 10 s
 //!   min-RTT filter, and pacing at `gain × btl_bw`;
 //! * [`bbr2::Bbr2`] — the BBRv2 family, one state machine with two tunings.
-//!   [`bbr2::Bbr2::new`] is BBR v2 per the IETF-104/105/106 iccrg decks the
+//!   `bbr2::Bbr2::new` is BBR v2 per the IETF-104/105/106 iccrg decks the
 //!   paper cites: loss-bounded `inflight_hi` and the DOWN/CRUISE/REFILL/UP
-//!   probing cycle. [`bbr2::Bbr2::v3`] is BBR v3 per the IETF-117/119
+//!   probing cycle. `bbr2::Bbr2::v3` is BBR v3 per the IETF-117/119
 //!   updates: shallower DOWN probe, round-bounded cruise, and a per-episode
 //!   loss response anchored at measured inflight (the module's delta table
 //!   lists every difference). v3 is not in the paper's matrix (see
@@ -50,7 +50,7 @@ pub mod master;
 pub mod minmax;
 pub mod reno;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::units::Bandwidth;
 
@@ -165,7 +165,7 @@ pub trait CongestionControl: Send {
 /// let cubic = CcKind::Cubic.build(1448);
 /// assert!(!cubic.wants_pacing()); // Android's default doesn't pace
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CcKind {
     /// Classic Reno AIMD.
     Reno,

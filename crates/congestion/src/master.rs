@@ -15,12 +15,12 @@
 //!   over Cubic, which otherwise never paces.
 
 use crate::{AckSample, CongestionControl, LossEvent};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::time::SimTime;
 use sim_core::units::Bandwidth;
 
 /// The master module's knobs. `Default` is a transparent pass-through.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct MasterConfig {
     /// Pin the congestion window to this many packets.
     pub fixed_cwnd: Option<u64>,

@@ -28,7 +28,7 @@ pub struct MaxFilter {
 impl MaxFilter {
     /// A filter over the trailing `window` (same unit as the `t` passed to
     /// [`MaxFilter::update`]).
-    pub fn new(window: u64) -> Self {
+    pub(crate) fn new(window: u64) -> Self {
         MaxFilter {
             window,
             s: [Sample { t: 0, v: 0 }; 3],
@@ -36,19 +36,19 @@ impl MaxFilter {
     }
 
     /// Best (largest) sample currently in window.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.s[0].v
     }
 
     /// Reset the filter to a single sample.
-    pub fn reset(&mut self, t: u64, v: u64) {
+    pub(crate) fn reset(&mut self, t: u64, v: u64) {
         self.s = [Sample { t, v }; 3];
     }
 
     /// Offer a new sample at time `t`; returns the new windowed max.
     ///
     /// Port of `minmax_running_max`.
-    pub fn update(&mut self, t: u64, v: u64) -> u64 {
+    pub(crate) fn update(&mut self, t: u64, v: u64) -> u64 {
         let dt = t.wrapping_sub(self.s[2].t);
         if v >= self.s[0].v || dt > self.window {
             // New best, or the whole pipeline has aged out.

@@ -19,7 +19,7 @@ pub struct Reno {
 
 impl Reno {
     /// A fresh Reno instance at the initial window.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Reno {
             cwnd: INIT_CWND as f64,
             ssthresh: u64::MAX,

@@ -13,11 +13,11 @@
 //! and the Mid-End median matter to the experiments.
 
 use crate::governor::{ClusterKind, CoreCluster, CpuTopology, GovernorPolicy, SchedutilParams};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Which phone is being modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DeviceKind {
     /// Google Pixel 4 (2019, Snapdragon 855, Android 11, kernel 4.14).
     Pixel4,
@@ -35,7 +35,7 @@ impl std::fmt::Display for DeviceKind {
 }
 
 /// The four CPU configurations of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CpuConfig {
     /// `userspace` governor at the minimum LITTLE frequency, BIG disabled.
     LowEnd,
@@ -69,7 +69,7 @@ impl std::fmt::Display for CpuConfig {
 }
 
 /// A concrete device: its topology plus Table 1 pin points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeviceProfile {
     /// Which phone.
     pub kind: DeviceKind,

@@ -22,10 +22,10 @@
 //!   reports its own per-ACK cost, which lets the paper's §5.1.1 experiment
 //!   (disable BBR's model computation) zero it out independently.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cycle costs for each operation the TCP stack charges to the CPU.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CostModel {
     /// Cycles per payload byte transmitted (copy + checksum + cache traffic).
     pub per_byte: u64,
@@ -67,7 +67,7 @@ impl CostModel {
 
     /// A cost model with free pacing timers: models the "fine-grained
     /// hardware pacing" alternative the BBR authors suggest (§7.1.4) — the
-    /// NIC paces, the CPU never sees a timer. Used by the ablation bench.
+    /// NIC paces, the CPU never sees a timer.
     pub fn with_free_timers(mut self) -> Self {
         self.timer_arm = 0;
         self.timer_fire = 0;
@@ -85,12 +85,6 @@ impl CostModel {
         self.timer_fire = (self.timer_fire as f64 * factor) as u64;
         self
     }
-
-    /// Total cycles to transmit one socket buffer of `payload_bytes`
-    /// (fixed + per-byte parts, excluding any pacing-timer cost).
-    pub fn skb_xmit(&self, payload_bytes: u64) -> u64 {
-        self.skb_xmit_fixed + self.per_byte * payload_bytes
-    }
 }
 
 impl Default for CostModel {
@@ -102,15 +96,6 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn skb_cost_is_affine_in_bytes() {
-        let c = CostModel::mobile_default();
-        let base = c.skb_xmit(0);
-        assert_eq!(base, c.skb_xmit_fixed);
-        assert_eq!(c.skb_xmit(1000) - base, 1000 * c.per_byte);
-        assert_eq!(c.skb_xmit(2000) - c.skb_xmit(1000), 1000 * c.per_byte);
-    }
 
     #[test]
     fn free_timers_zeroes_only_timer_costs() {
@@ -139,7 +124,8 @@ mod tests {
         let c = CostModel::mobile_default();
         let chunk = 65_536u64;
         let cubic_ack_cost = 700; // congestion::Cubic::model_cost mirrors this
-        let cycles_per_chunk = c.skb_xmit(chunk) + c.ack_process + cubic_ack_cost;
+        let cycles_per_chunk =
+            c.skb_xmit_fixed + c.per_byte * chunk + c.ack_process + cubic_ack_cost;
         let chunks_per_sec = 576_000_000.0 / cycles_per_chunk as f64;
         let mbps = chunks_per_sec * chunk as f64 * 8.0 / 1e6;
         assert!(
@@ -155,7 +141,12 @@ mod tests {
         let c = CostModel::mobile_default();
         let skb = 15_000u64;
         let bbr_ack_cost = 3_800;
-        let per_skb = c.skb_xmit(skb) + c.timer_arm + c.timer_fire + c.ack_process + bbr_ack_cost;
+        let per_skb = c.skb_xmit_fixed
+            + c.per_byte * skb
+            + c.timer_arm
+            + c.timer_fire
+            + c.ack_process
+            + bbr_ack_cost;
         let skbs_per_sec = 2_800_000_000.0 / per_skb as f64;
         let mbps = skbs_per_sec * skb as f64 * 8.0 / 1e6;
         assert!(

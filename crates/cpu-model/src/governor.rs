@@ -18,11 +18,11 @@
 //! to the BIG cluster. Android's energy-aware scheduling (network IRQs on
 //! LITTLE cores) is modelled by `prefer_little`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::time::SimDuration;
 
 /// Which cluster of the BIG.LITTLE topology a frequency belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ClusterKind {
     /// Energy-efficient cores (Cortex-A55-class).
     Little,
@@ -40,7 +40,7 @@ impl std::fmt::Display for ClusterKind {
 }
 
 /// One cluster: an ordered ladder of available frequencies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CoreCluster {
     /// Which kind of cluster this is.
     pub kind: ClusterKind,
@@ -50,7 +50,7 @@ pub struct CoreCluster {
 
 impl CoreCluster {
     /// Build a cluster, validating the ladder.
-    pub fn new(kind: ClusterKind, freq_ladder_hz: Vec<u64>) -> Self {
+    pub(crate) fn new(kind: ClusterKind, freq_ladder_hz: Vec<u64>) -> Self {
         assert!(
             !freq_ladder_hz.is_empty(),
             "frequency ladder must be non-empty"
@@ -67,12 +67,12 @@ impl CoreCluster {
     }
 
     /// Lowest step.
-    pub fn min_freq(&self) -> u64 {
+    pub(crate) fn min_freq(&self) -> u64 {
         self.freq_ladder_hz[0]
     }
 
     /// Highest step.
-    pub fn max_freq(&self) -> u64 {
+    pub(crate) fn max_freq(&self) -> u64 {
         *self.freq_ladder_hz.last().expect("ladder non-empty")
     }
 
@@ -84,7 +84,7 @@ impl CoreCluster {
 
     /// Lowest ladder step with frequency ≥ `target_hz`, or the max step if
     /// the target exceeds the ladder.
-    pub fn step_at_least(&self, target_hz: u64) -> u64 {
+    pub(crate) fn step_at_least(&self, target_hz: u64) -> u64 {
         for &f in &self.freq_ladder_hz {
             if f >= target_hz {
                 return f;
@@ -95,7 +95,7 @@ impl CoreCluster {
 }
 
 /// A phone's CPU topology: one LITTLE and one BIG cluster.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CpuTopology {
     /// Efficiency cluster.
     pub little: CoreCluster,
@@ -105,7 +105,7 @@ pub struct CpuTopology {
 
 impl CpuTopology {
     /// The cluster of the given kind.
-    pub fn cluster(&self, kind: ClusterKind) -> &CoreCluster {
+    pub(crate) fn cluster(&self, kind: ClusterKind) -> &CoreCluster {
         match kind {
             ClusterKind::Little => &self.little,
             ClusterKind::Big => &self.big,
@@ -114,7 +114,7 @@ impl CpuTopology {
 }
 
 /// Frequency policy for a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum GovernorPolicy {
     /// `userspace` governor: frequency pinned, other cluster disabled —
     /// exactly the paper's Low/Mid/High-End configurations.
@@ -129,7 +129,7 @@ pub enum GovernorPolicy {
 }
 
 /// Tunables for the schedutil-style governor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SchedutilParams {
     /// How often the governor re-evaluates (kernel default rate limit ~10ms).
     pub update_period: SimDuration,
@@ -194,7 +194,7 @@ pub struct SchedutilState {
 
 impl SchedutilState {
     /// Start on the LITTLE cluster at its lowest step (idle phone).
-    pub fn new(params: SchedutilParams, topo: &CpuTopology) -> Self {
+    pub(crate) fn new(params: SchedutilParams, topo: &CpuTopology) -> Self {
         let cluster = if params.prefer_little {
             ClusterKind::Little
         } else {
@@ -211,12 +211,12 @@ impl SchedutilState {
     }
 
     /// Current operating frequency.
-    pub fn freq_hz(&self) -> u64 {
+    pub(crate) fn freq_hz(&self) -> u64 {
         self.freq_hz
     }
 
     /// Current cluster.
-    pub fn cluster(&self) -> ClusterKind {
+    pub(crate) fn cluster(&self) -> ClusterKind {
         self.cluster
     }
 
@@ -235,7 +235,7 @@ impl SchedutilState {
     /// Governor tick: given utilisation in `[0,1]` measured at the current
     /// frequency, pick the next frequency (and possibly migrate clusters).
     /// Returns the new frequency.
-    pub fn update(&mut self, util: f64, topo: &CpuTopology) -> u64 {
+    pub(crate) fn update(&mut self, util: f64, topo: &CpuTopology) -> u64 {
         let util = util.clamp(0.0, 1.0);
         // Demanded capacity in cycles/sec, with schedutil headroom.
         let demanded = self.params.headroom * util * self.freq_hz as f64;
@@ -283,7 +283,7 @@ impl SchedutilState {
     }
 
     /// The governor's re-evaluation period.
-    pub fn update_period(&self) -> SimDuration {
+    pub(crate) fn update_period(&self) -> SimDuration {
         self.params.update_period
     }
 }

@@ -37,7 +37,7 @@ impl CpuProfiler {
     ///
     /// # Panics
     /// Panics on a zero window (the window index would divide by zero).
-    pub fn new(window: SimDuration) -> Self {
+    pub(crate) fn new(window: SimDuration) -> Self {
         assert!(!window.is_zero(), "profile window must be positive");
         CpuProfiler {
             window,
@@ -47,14 +47,14 @@ impl CpuProfiler {
 
     /// Charge `cycles` of `category` work starting at `start`.
     #[inline]
-    pub fn record(&mut self, start: SimTime, category: &'static str, cycles: u64) {
+    pub(crate) fn record(&mut self, start: SimTime, category: &'static str, cycles: u64) {
         let idx = start.as_nanos() / self.window.as_nanos();
         *self.cells.entry((idx, category)).or_insert(0) += cycles;
     }
 
     /// Finish the run and emit the profile (rows in window, then category
     /// order).
-    pub fn finish(self) -> CpuProfile {
+    pub(crate) fn finish(self) -> CpuProfile {
         let window = self.window;
         let rows = self
             .cells

@@ -24,7 +24,7 @@ pub struct ShapeCheck {
 
 impl ShapeCheck {
     /// A check on a ratio lying inside `[lo, hi]`.
-    pub fn ratio_in(
+    pub(crate) fn ratio_in(
         name: impl Into<String>,
         expected: impl Into<String>,
         ratio: f64,
@@ -40,7 +40,7 @@ impl ShapeCheck {
     }
 
     /// A boolean predicate with a free-form observation.
-    pub fn predicate(
+    pub(crate) fn predicate(
         name: impl Into<String>,
         expected: impl Into<String>,
         observed: impl Into<String>,
@@ -55,7 +55,7 @@ impl ShapeCheck {
     }
 
     /// Render as a one-line scorecard entry.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!(
             "[{}] {} — paper: {}; measured: {}",
             if self.pass { "PASS" } else { "MISS" },

@@ -23,8 +23,11 @@
 //! builds a simulator itself is [`report`], for the two instrumented runs
 //! whose logs a report cannot carry.
 //!
-//! [`ExperimentId`] lists the experiments, one variant per paper artifact,
-//! with the module of the same name holding its two halves.
+//! [`ExperimentId`] lists the experiments: one variant per paper artifact,
+//! with the module of the same name holding its two halves
+//! ([`ExperimentId::ALL`], the scorecard), then the six design-choice
+//! studies of the `ablations` module ([`ExperimentId::ABLATIONS`]), which
+//! report a table and check no shape.
 //!
 //! ```no_run
 //! use experiments::{params::Params, ExperimentId};
@@ -36,6 +39,7 @@
 
 #![warn(missing_docs)]
 
+mod ablations;
 mod autostride;
 mod bbr2_wifi;
 pub mod checks;
@@ -156,6 +160,18 @@ pub enum ExperimentId {
     /// §5 root cause — steady-state cycle attribution via the simulated-CPU
     /// profiler (pacing-timer work dominates BBR, not Cubic).
     Profile,
+    /// Ablation: pacing-timer cost vs the value of striding (§7.1.4).
+    AblTimer,
+    /// Ablation: socket-buffer cap vs strided throughput.
+    AblCap,
+    /// Ablation: dynamic governor vs pinned frequencies.
+    AblGovernor,
+    /// Ablation: CoDel vs droptail, paced and unpaced.
+    AblAqm,
+    /// Ablation: pacing stride under competing cross-traffic (§7.1.3).
+    AblCompetition,
+    /// Ablation: server ACK frequency.
+    AblAcks,
 }
 
 /// One experiment: its id, its `repro --exp` name, and its two halves.
@@ -167,10 +183,10 @@ struct Row {
     check: fn(&Params, &[RunReport]) -> Experiment,
 }
 
-/// Every experiment, in paper order (paper artifacts first, then the
-/// future-work extensions).
+/// Every experiment: the scorecard in paper order (paper artifacts first,
+/// then the future-work extensions), then the ablation studies.
 #[rustfmt::skip]
-const REGISTRY: [Row; 19] = [
+const REGISTRY: [Row; 25] = [
     Row { id: ExperimentId::Fig2, cli_name: "fig2", plan: fig2::plan, check: fig2::check },
     Row { id: ExperimentId::Fig3, cli_name: "fig3", plan: fig3::plan, check: fig3::check },
     Row { id: ExperimentId::Bbr2Wifi, cli_name: "bbr2", plan: bbr2_wifi::plan, check: bbr2_wifi::check },
@@ -191,19 +207,33 @@ const REGISTRY: [Row; 19] = [
     Row { id: ExperimentId::AutoStride, cli_name: "autostride", plan: autostride::plan, check: autostride::check },
     Row { id: ExperimentId::Devices, cli_name: "devices", plan: devices::plan, check: devices::check },
     Row { id: ExperimentId::Profile, cli_name: "profile", plan: profile::plan, check: profile::check },
+    Row { id: ExperimentId::AblTimer, cli_name: "timer", plan: ablations::timer_plan, check: ablations::timer_check },
+    Row { id: ExperimentId::AblCap, cli_name: "cap", plan: ablations::cap_plan, check: ablations::cap_check },
+    Row { id: ExperimentId::AblGovernor, cli_name: "governor", plan: ablations::governor_plan, check: ablations::governor_check },
+    Row { id: ExperimentId::AblAqm, cli_name: "aqm", plan: ablations::aqm_plan, check: ablations::aqm_check },
+    Row { id: ExperimentId::AblCompetition, cli_name: "competition", plan: ablations::competition_plan, check: ablations::competition_check },
+    Row { id: ExperimentId::AblAcks, cli_name: "acks", plan: ablations::acks_plan, check: ablations::acks_check },
 ];
 
+/// The ids of the `N` registry rows from row `start` on.
+const fn ids<const N: usize>(start: usize) -> [ExperimentId; N] {
+    let mut ids = [ExperimentId::Fig2; N];
+    let mut i = 0;
+    while i < N {
+        ids[i] = REGISTRY[start + i].id;
+        i += 1;
+    }
+    ids
+}
+
 impl ExperimentId {
-    /// All experiments in paper order: the registry's ids.
-    pub const ALL: [ExperimentId; 19] = {
-        let mut all = [ExperimentId::Fig2; 19];
-        let mut i = 0;
-        while i < all.len() {
-            all[i] = REGISTRY[i].id;
-            i += 1;
-        }
-        all
-    };
+    /// The scorecard — every paper artifact and extension, in paper order:
+    /// what `repro --exp all` selects.
+    pub const ALL: [ExperimentId; 19] = ids(0);
+
+    /// The ablation studies (tables only, no shape checks): what
+    /// `repro --exp ablations` selects.
+    pub const ABLATIONS: [ExperimentId; 6] = ids(Self::ALL.len());
 
     fn row(self) -> Row {
         REGISTRY
@@ -219,7 +249,8 @@ impl ExperimentId {
 
     /// Parse a CLI name.
     pub fn from_cli_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|id| id.cli_name() == name)
+        let row = REGISTRY.into_iter().find(|row| row.cli_name == name)?;
+        Some(row.id)
     }
 
     /// The simulations this experiment reads, in the order its check reads
@@ -270,10 +301,14 @@ mod tests {
 
     #[test]
     fn cli_names_round_trip() {
-        for id in ExperimentId::ALL {
-            assert_eq!(ExperimentId::from_cli_name(id.cli_name()), Some(id));
+        for row in REGISTRY {
+            assert_eq!(row.id.cli_name(), row.cli_name);
+            assert_eq!(ExperimentId::from_cli_name(row.cli_name), Some(row.id));
         }
         assert_eq!(ExperimentId::from_cli_name("nope"), None);
+        // The group names `repro --exp` takes must not shadow a row.
+        assert_eq!(ExperimentId::from_cli_name("all"), None);
+        assert_eq!(ExperimentId::from_cli_name("ablations"), None);
     }
 
     /// Every registry row is two pure halves: planning twice names the same
@@ -308,7 +343,9 @@ mod tests {
         // Figures 2–9 and Table 2, plus §4.2, §5.1, §5.2.3, the §7
         // future-work extensions (fairness, fleet, 5G, memory,
         // auto-stride, devices), and the cycle-attribution profile:
-        // 19 experiments.
+        // 19 experiments. The ablation studies are the rest of the registry.
         assert_eq!(ExperimentId::ALL.len(), 19);
+        let listed = ExperimentId::ALL.len() + ExperimentId::ABLATIONS.len();
+        assert_eq!(listed, REGISTRY.len());
     }
 }

@@ -110,7 +110,7 @@ impl Params {
     }
 
     /// Sweep-engine options equivalent to these parameters.
-    pub fn sweep_options(&self) -> sim_core::sweep::SweepOptions {
+    pub(crate) fn sweep_options(&self) -> sim_core::sweep::SweepOptions {
         sim_core::sweep::SweepOptions {
             jobs: self.threads.max(1),
             cache_dir: self.cache_dir.clone(),
@@ -136,7 +136,7 @@ impl Params {
     }
 
     /// Build the standard simulation config for a data point.
-    pub fn config(
+    pub(crate) fn config(
         &self,
         device: DeviceProfile,
         cpu: CpuConfig,
@@ -154,7 +154,7 @@ impl Params {
     }
 
     /// Pixel 4 with master-module knobs applied.
-    pub fn pixel4_with(
+    pub(crate) fn pixel4_with(
         &self,
         cpu: CpuConfig,
         cc: CcKind,
@@ -168,7 +168,7 @@ impl Params {
     }
 
     /// Pixel 4 with a pacing stride.
-    pub fn pixel4_stride(
+    pub(crate) fn pixel4_stride(
         &self,
         cpu: CpuConfig,
         cc: CcKind,
@@ -185,7 +185,7 @@ impl Params {
     /// algorithms and media come from the fleet's
     /// [`tcp_sim::fleet::DeviceSpec`]s, so the builder's base arguments
     /// only name the host profile and seed the non-fleet defaults.
-    pub fn fleet(&self, fleet: FleetConfig) -> SimConfig {
+    pub(crate) fn fleet(&self, fleet: FleetConfig) -> SimConfig {
         self.builder(
             DeviceProfile::pixel4(),
             CpuConfig::HighEnd,
@@ -198,7 +198,7 @@ impl Params {
     }
 
     /// Pixel 6 config on a given medium.
-    pub fn pixel6(
+    pub(crate) fn pixel6(
         &self,
         cpu: CpuConfig,
         cc: CcKind,

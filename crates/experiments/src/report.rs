@@ -203,6 +203,102 @@ fn thin(points: &[(f64, f64)]) -> Vec<(f64, f64)> {
     out
 }
 
+const PLOT_W: f64 = CHART_W - MARGIN_L - MARGIN_R;
+const PLOT_H: f64 = CHART_H - MARGIN_T - MARGIN_B;
+
+/// Pixel row of `y` on an axis that runs from zero — every plotted
+/// quantity (goodput, cwnd, RTT, queue depth) is non-negative and zero is
+/// the natural floor — up to `ymax`.
+fn sy(y: f64, ymax: f64) -> f64 {
+    MARGIN_T + PLOT_H - y / ymax * PLOT_H
+}
+
+/// The frame every chart shares, around its `marks`: `<svg>` open, title,
+/// five-division y grid with tick labels (`x_tick(i)` rides after the
+/// `i`-th gridline), axes, axis labels, then the marks and one legend
+/// swatch per `legend` label, top-right inside the plot.
+fn chart_frame(
+    title: &str,
+    x_label: Option<&str>,
+    y_label: &str,
+    ymax: f64,
+    x_tick: impl Fn(u32) -> String,
+    marks: &str,
+    legend: &[&str],
+) -> String {
+    let mut svg = String::new();
+    let _ = write!(
+        svg,
+        "<svg viewBox=\"0 0 {CHART_W} {CHART_H}\" width=\"{CHART_W}\" height=\"{CHART_H}\" \
+         xmlns=\"http://www.w3.org/2000/svg\" role=\"img\" aria-label=\"{}\">",
+        escape_html(title)
+    );
+    let _ = write!(
+        svg,
+        "<text x=\"{}\" y=\"16\" class=\"title\">{}</text>",
+        fmt_px(CHART_W / 2.0),
+        escape_html(title)
+    );
+    for i in 0..=5u32 {
+        let fy = ymax * f64::from(i) / 5.0;
+        let py = sy(fy, ymax);
+        let _ = write!(
+            svg,
+            "<line x1=\"{}\" y1=\"{}\" x2=\"{}\" y2=\"{}\" class=\"grid\"/>\
+             <text x=\"{}\" y=\"{}\" class=\"ytick\">{}</text>",
+            fmt_px(MARGIN_L),
+            fmt_px(py),
+            fmt_px(CHART_W - MARGIN_R),
+            fmt_px(py),
+            fmt_px(MARGIN_L - 6.0),
+            fmt_px(py + 4.0),
+            fmt_num(fy)
+        );
+        svg.push_str(&x_tick(i));
+    }
+    let _ = write!(
+        svg,
+        "<line x1=\"{l}\" y1=\"{t}\" x2=\"{l}\" y2=\"{b}\" class=\"axis\"/>\
+         <line x1=\"{l}\" y1=\"{b}\" x2=\"{r}\" y2=\"{b}\" class=\"axis\"/>",
+        l = fmt_px(MARGIN_L),
+        t = fmt_px(MARGIN_T),
+        b = fmt_px(CHART_H - MARGIN_B),
+        r = fmt_px(CHART_W - MARGIN_R),
+    );
+    if let Some(x_label) = x_label {
+        let _ = write!(
+            svg,
+            "<text x=\"{}\" y=\"{}\" class=\"xlabel\">{}</text>",
+            fmt_px(MARGIN_L + PLOT_W / 2.0),
+            fmt_px(CHART_H - 6.0),
+            escape_html(x_label)
+        );
+    }
+    let _ = write!(
+        svg,
+        "<text x=\"14\" y=\"{m}\" class=\"ylabel\" transform=\"rotate(-90 14 {m})\">{y}</text>",
+        m = fmt_px(MARGIN_T + PLOT_H / 2.0),
+        y = escape_html(y_label),
+    );
+    svg.push_str(marks);
+    for (i, label) in legend.iter().enumerate() {
+        let color = PALETTE[i % PALETTE.len()];
+        let y = MARGIN_T + 12.0 + 14.0 * i as f64;
+        let _ = write!(
+            svg,
+            "<rect x=\"{}\" y=\"{}\" width=\"10\" height=\"10\" fill=\"{color}\"/>\
+             <text x=\"{}\" y=\"{}\" class=\"legend\">{}</text>",
+            fmt_px(CHART_W - MARGIN_R - 130.0),
+            fmt_px(y - 9.0),
+            fmt_px(CHART_W - MARGIN_R - 116.0),
+            fmt_px(y),
+            escape_html(label)
+        );
+    }
+    svg.push_str("</svg>");
+    svg
+}
+
 /// Render a line chart: shared axes, one polyline per series, legend
 /// when there is more than one series and at most ten.
 fn line_chart(title: &str, x_label: &str, y_label: &str, series: &[Series]) -> String {
@@ -224,109 +320,38 @@ fn line_chart(title: &str, x_label: &str, y_label: &str, series: &[Series]) -> S
     if xmax <= xmin {
         xmax = xmin + 1.0;
     }
-    // Charts anchor y at zero: every plotted quantity (goodput, cwnd,
-    // RTT, queue depth) is non-negative and zero is the natural floor.
-    let ymin = 0.0;
-    if ymax <= ymin {
-        ymax = ymin + 1.0;
+    if ymax <= 0.0 {
+        ymax = 1.0;
     }
-    let plot_w = CHART_W - MARGIN_L - MARGIN_R;
-    let plot_h = CHART_H - MARGIN_T - MARGIN_B;
-    let sx = |x: f64| MARGIN_L + (x - xmin) / (xmax - xmin) * plot_w;
-    let sy = |y: f64| MARGIN_T + plot_h - (y - ymin) / (ymax - ymin) * plot_h;
+    let sx = |x: f64| MARGIN_L + (x - xmin) / (xmax - xmin) * PLOT_W;
 
-    let mut svg = String::new();
-    let _ = write!(
-        svg,
-        "<svg viewBox=\"0 0 {CHART_W} {CHART_H}\" width=\"{CHART_W}\" height=\"{CHART_H}\" \
-         xmlns=\"http://www.w3.org/2000/svg\" role=\"img\" aria-label=\"{}\">",
-        escape_html(title)
-    );
-    let _ = write!(
-        svg,
-        "<text x=\"{}\" y=\"16\" class=\"title\">{}</text>",
-        fmt_px(CHART_W / 2.0),
-        escape_html(title)
-    );
-    // Gridlines + ticks: five divisions on each axis.
-    for i in 0..=5u32 {
-        let fy = ymin + (ymax - ymin) * f64::from(i) / 5.0;
-        let py = sy(fy);
-        let _ = write!(
-            svg,
-            "<line x1=\"{}\" y1=\"{}\" x2=\"{}\" y2=\"{}\" class=\"grid\"/>\
-             <text x=\"{}\" y=\"{}\" class=\"ytick\">{}</text>",
-            fmt_px(MARGIN_L),
-            fmt_px(py),
-            fmt_px(CHART_W - MARGIN_R),
-            fmt_px(py),
-            fmt_px(MARGIN_L - 6.0),
-            fmt_px(py + 4.0),
-            fmt_num(fy)
-        );
+    let x_tick = |i: u32| {
         let fx = xmin + (xmax - xmin) * f64::from(i) / 5.0;
-        let px = sx(fx);
-        let _ = write!(
-            svg,
+        format!(
             "<text x=\"{}\" y=\"{}\" class=\"xtick\">{}</text>",
-            fmt_px(px),
+            fmt_px(sx(fx)),
             fmt_px(CHART_H - MARGIN_B + 16.0),
             fmt_num(fx)
-        );
-    }
-    // Axes.
-    let _ = write!(
-        svg,
-        "<line x1=\"{l}\" y1=\"{t}\" x2=\"{l}\" y2=\"{b}\" class=\"axis\"/>\
-         <line x1=\"{l}\" y1=\"{b}\" x2=\"{r}\" y2=\"{b}\" class=\"axis\"/>",
-        l = fmt_px(MARGIN_L),
-        t = fmt_px(MARGIN_T),
-        b = fmt_px(CHART_H - MARGIN_B),
-        r = fmt_px(CHART_W - MARGIN_R),
-    );
-    let _ = write!(
-        svg,
-        "<text x=\"{}\" y=\"{}\" class=\"xlabel\">{}</text>\
-         <text x=\"14\" y=\"{}\" class=\"ylabel\" transform=\"rotate(-90 14 {})\">{}</text>",
-        fmt_px(MARGIN_L + plot_w / 2.0),
-        fmt_px(CHART_H - 6.0),
-        escape_html(x_label),
-        fmt_px(MARGIN_T + plot_h / 2.0),
-        fmt_px(MARGIN_T + plot_h / 2.0),
-        escape_html(y_label)
-    );
-    // Series.
+        )
+    };
+    let mut marks = String::new();
     for (i, s) in series.iter().enumerate() {
         let color = PALETTE[i % PALETTE.len()];
         let pts: String = thin(&s.points)
             .iter()
-            .map(|&(x, y)| format!("{},{}", fmt_px(sx(x)), fmt_px(sy(y))))
+            .map(|&(x, y)| format!("{},{}", fmt_px(sx(x)), fmt_px(sy(y, ymax))))
             .collect::<Vec<_>>()
             .join(" ");
         let _ = write!(
-            svg,
+            marks,
             "<polyline points=\"{pts}\" fill=\"none\" stroke=\"{color}\" stroke-width=\"1.5\"/>"
         );
     }
-    // Legend, top-right inside the plot.
+    let mut legend: Vec<&str> = Vec::new();
     if series.len() > 1 && series.len() <= PALETTE.len() {
-        for (i, s) in series.iter().enumerate() {
-            let color = PALETTE[i % PALETTE.len()];
-            let y = MARGIN_T + 12.0 + 14.0 * i as f64;
-            let _ = write!(
-                svg,
-                "<rect x=\"{}\" y=\"{}\" width=\"10\" height=\"10\" fill=\"{color}\"/>\
-                 <text x=\"{}\" y=\"{}\" class=\"legend\">{}</text>",
-                fmt_px(CHART_W - MARGIN_R - 130.0),
-                fmt_px(y - 9.0),
-                fmt_px(CHART_W - MARGIN_R - 116.0),
-                fmt_px(y),
-                escape_html(&s.label)
-            );
-        }
+        legend.extend(series.iter().map(|s| s.label.as_str()));
     }
-    svg.push_str("</svg>");
-    svg
+    chart_frame(title, Some(x_label), y_label, ymax, x_tick, &marks, &legend)
 }
 
 /// Render a grouped bar chart: one group per label, `bars` values per
@@ -341,63 +366,20 @@ fn bar_chart(title: &str, y_label: &str, groups: &[(String, Vec<f64>)], bars: &[
     if !ymax.is_finite() || ymax <= 0.0 {
         ymax = 1.0;
     }
-    let plot_w = CHART_W - MARGIN_L - MARGIN_R;
-    let plot_h = CHART_H - MARGIN_T - MARGIN_B;
-    let sy = |y: f64| MARGIN_T + plot_h - y / ymax * plot_h;
 
-    let mut svg = String::new();
-    let _ = write!(
-        svg,
-        "<svg viewBox=\"0 0 {CHART_W} {CHART_H}\" width=\"{CHART_W}\" height=\"{CHART_H}\" \
-         xmlns=\"http://www.w3.org/2000/svg\" role=\"img\" aria-label=\"{}\">",
-        escape_html(title)
-    );
-    let _ = write!(
-        svg,
-        "<text x=\"{}\" y=\"16\" class=\"title\">{}</text>",
-        fmt_px(CHART_W / 2.0),
-        escape_html(title)
-    );
-    for i in 0..=5u32 {
-        let fy = ymax * f64::from(i) / 5.0;
-        let py = sy(fy);
-        let _ = write!(
-            svg,
-            "<line x1=\"{}\" y1=\"{}\" x2=\"{}\" y2=\"{}\" class=\"grid\"/>\
-             <text x=\"{}\" y=\"{}\" class=\"ytick\">{}</text>",
-            fmt_px(MARGIN_L),
-            fmt_px(py),
-            fmt_px(CHART_W - MARGIN_R),
-            fmt_px(py),
-            fmt_px(MARGIN_L - 6.0),
-            fmt_px(py + 4.0),
-            fmt_num(fy)
-        );
-    }
-    let _ = write!(
-        svg,
-        "<line x1=\"{l}\" y1=\"{t}\" x2=\"{l}\" y2=\"{b}\" class=\"axis\"/>\
-         <line x1=\"{l}\" y1=\"{b}\" x2=\"{r}\" y2=\"{b}\" class=\"axis\"/>\
-         <text x=\"14\" y=\"{m}\" class=\"ylabel\" transform=\"rotate(-90 14 {m})\">{y}</text>",
-        l = fmt_px(MARGIN_L),
-        t = fmt_px(MARGIN_T),
-        b = fmt_px(CHART_H - MARGIN_B),
-        r = fmt_px(CHART_W - MARGIN_R),
-        m = fmt_px(MARGIN_T + plot_h / 2.0),
-        y = escape_html(y_label),
-    );
     let n_groups = groups.len().max(1) as f64;
-    let group_w = plot_w / n_groups;
+    let group_w = PLOT_W / n_groups;
     let n_bars = bars.len().max(1) as f64;
     let bar_w = (group_w * 0.7) / n_bars;
+    let mut marks = String::new();
     for (gi, (label, vs)) in groups.iter().enumerate() {
         let gx = MARGIN_L + group_w * gi as f64 + group_w * 0.15;
         for (bi, &v) in vs.iter().enumerate() {
             let color = PALETTE[bi % PALETTE.len()];
             let x = gx + bar_w * bi as f64;
-            let top = sy(v.max(0.0));
+            let top = sy(v.max(0.0), ymax);
             let _ = write!(
-                svg,
+                marks,
                 "<rect x=\"{}\" y=\"{}\" width=\"{}\" height=\"{}\" fill=\"{color}\"/>\
                  <text x=\"{}\" y=\"{}\" class=\"barval\">{}</text>",
                 fmt_px(x),
@@ -410,29 +392,14 @@ fn bar_chart(title: &str, y_label: &str, groups: &[(String, Vec<f64>)], bars: &[
             );
         }
         let _ = write!(
-            svg,
+            marks,
             "<text x=\"{}\" y=\"{}\" class=\"xtick\">{}</text>",
             fmt_px(gx + group_w * 0.35),
             fmt_px(CHART_H - MARGIN_B + 16.0),
             escape_html(label)
         );
     }
-    for (bi, name) in bars.iter().enumerate() {
-        let color = PALETTE[bi % PALETTE.len()];
-        let y = MARGIN_T + 12.0 + 14.0 * bi as f64;
-        let _ = write!(
-            svg,
-            "<rect x=\"{}\" y=\"{}\" width=\"10\" height=\"10\" fill=\"{color}\"/>\
-             <text x=\"{}\" y=\"{}\" class=\"legend\">{}</text>",
-            fmt_px(CHART_W - MARGIN_R - 130.0),
-            fmt_px(y - 9.0),
-            fmt_px(CHART_W - MARGIN_R - 116.0),
-            fmt_px(y),
-            escape_html(name)
-        );
-    }
-    svg.push_str("</svg>");
-    svg
+    chart_frame(title, None, y_label, ymax, |_| String::new(), &marks, bars)
 }
 
 // ---------------------------------------------------------------------

@@ -63,7 +63,7 @@ pub struct ResultTable {
 
 impl ResultTable {
     /// A table with the given headers.
-    pub fn new<H: Into<String>>(headers: Vec<H>) -> Self {
+    pub(crate) fn new<H: Into<String>>(headers: Vec<H>) -> Self {
         ResultTable {
             headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -71,7 +71,7 @@ impl ResultTable {
     }
 
     /// Append a row (must match the header count).
-    pub fn push_row(&mut self, row: Vec<Cell>) {
+    pub(crate) fn push_row(&mut self, row: Vec<Cell>) {
         assert_eq!(
             row.len(),
             self.headers.len(),
@@ -90,7 +90,7 @@ impl ResultTable {
     }
 
     /// Render as aligned monospace text.
-    pub fn render_text(&self) -> String {
+    pub(crate) fn render_text(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         let rendered: Vec<Vec<String>> = self
             .rows
@@ -126,7 +126,7 @@ impl ResultTable {
     }
 
     /// Render as a Markdown table.
-    pub fn render_markdown(&self) -> String {
+    pub(crate) fn render_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
         out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));

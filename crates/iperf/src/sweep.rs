@@ -185,9 +185,9 @@ impl SweepCell for KeyedCell {
     }
 }
 
-/// Run groups of specs — an experiment's plan, an ablation study's rows —
-/// through **one** sweep, handing each group its [`RunReport`]s (one per
-/// spec, in spec order) as `done(group index, reports)` the moment the
+/// Run groups of specs — each an experiment's plan — through **one**
+/// sweep, handing each group its [`RunReport`]s (one per spec, in spec
+/// order) as `done(group index, reports)` the moment the
 /// last cell the group needs is released. Groups complete in input order.
 ///
 /// A (configuration, seed) pair whose key an earlier seed, spec or group

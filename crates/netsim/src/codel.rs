@@ -13,11 +13,11 @@
 //! enqueue time against the packet's *prospective sojourn* — equivalent to
 //! the dequeue-time law for FIFO service, since sojourn is known exactly.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::time::{SimDuration, SimTime};
 
 /// CoDel parameters (RFC 8289 defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CodelConfig {
     /// Acceptable standing-queue delay (default 5 ms).
     pub target: SimDuration,

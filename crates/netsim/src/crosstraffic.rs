@@ -8,13 +8,13 @@
 //! average rate and re-runs the stride comparison against a loaded
 //! bottleneck.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::rng::SimRng;
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::units::Bandwidth;
 
 /// Configuration of a Poisson cross-traffic source.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CrossTrafficConfig {
     /// Average offered rate.
     pub rate: Bandwidth,

@@ -57,7 +57,7 @@ pub struct FqCodel {
 
 impl FqCodel {
     /// A controller whose buckets all run CoDel with `config` parameters.
-    pub fn new(config: CodelConfig) -> Self {
+    pub(crate) fn new(config: CodelConfig) -> Self {
         FqCodel {
             buckets: (0..NUM_BUCKETS)
                 .map(|_| Bucket {
@@ -127,7 +127,7 @@ impl FqCodel {
     /// is the link's exact queueing delay at the offer instant and `rate`
     /// its current service rate; the flow's DRR fair-share estimate
     /// rescales the FIFO sojourn by `own × active / total`.
-    pub fn should_drop(
+    pub(crate) fn should_drop(
         &mut self,
         now: SimTime,
         flow: u64,
@@ -152,7 +152,7 @@ impl FqCodel {
     }
 
     /// Record an accepted packet: `wire_bytes` lands in `flow`'s bucket.
-    pub fn on_enqueue(&mut self, now: SimTime, rate: Bandwidth, flow: u64, wire_bytes: u64) {
+    pub(crate) fn on_enqueue(&mut self, now: SimTime, rate: Bandwidth, flow: u64, wire_bytes: u64) {
         self.drain(now, rate);
         let b = &mut self.buckets[Self::bucket_of(flow)];
         if b.backlog_bytes == 0 {

@@ -14,7 +14,7 @@
 
 use crate::codel::{Codel, CodelConfig};
 use crate::fq_codel::FqCodel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::rng::SimRng;
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::units::Bandwidth;
@@ -62,7 +62,7 @@ impl SendOutcome {
 /// the AQM parameters; the invariant is `codel.is_some() ⇔ qdisc != Fifo`.
 /// The constructors here keep it, and `SimConfig`'s builder rejects a
 /// config (e.g. hand-edited JSON) that breaks it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LinkConfig {
     /// Serialisation rate.
     pub rate: Bandwidth,
@@ -120,7 +120,7 @@ impl LinkConfig {
 
 /// Queue-discipline selector: plain droptail FIFO, CoDel, or flow-queued
 /// CoDel with the RFC 8289 defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Qdisc {
     /// Droptail FIFO (the default on every path link).
     Fifo,
@@ -143,7 +143,7 @@ impl std::fmt::Display for Qdisc {
 
 /// Optional time-varying rate (WiFi): the effective rate is re-sampled
 /// every `period` uniformly in `[min, max]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VariableRate {
     /// Lower bound of the sampled rate.
     pub min: Bandwidth,

@@ -15,12 +15,12 @@
 
 use crate::link::{LinkConfig, VariableRate};
 use crate::netem::NetemConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::time::SimDuration;
 use sim_core::units::Bandwidth;
 
 /// The three media the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum MediaProfile {
     /// Ethernet LAN at 1 Gbps line rate (§3.2).
     Ethernet,
@@ -48,7 +48,7 @@ impl std::fmt::Display for MediaProfile {
 }
 
 /// Full configuration of the phone→server path and the ACK return path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PathConfig {
     /// Human-readable name for reports.
     pub label: String,

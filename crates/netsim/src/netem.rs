@@ -8,13 +8,13 @@
 //! reordering. Impairments are evaluated *before* the bottleneck queue,
 //! matching a qdisc stacked in front of the device.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::rng::SimRng;
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::units::Bandwidth;
 
 /// Configuration mirroring `tc qdisc add ... netem ...`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct NetemConfig {
     /// i.i.d. drop probability (`loss p%`).
     pub loss: f64,
@@ -50,13 +50,6 @@ impl NetemConfig {
     pub fn with_delay(mut self, delay: SimDuration, jitter: SimDuration) -> Self {
         self.delay = delay;
         self.jitter = jitter;
-        self
-    }
-
-    /// Rate limit.
-    pub fn with_rate(mut self, rate: Bandwidth) -> Self {
-        assert!(!rate.is_zero(), "netem rate limit must be positive");
-        self.rate_limit = Some(rate);
         self
     }
 
@@ -148,6 +141,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn rate_limited(rate: Bandwidth) -> NetemConfig {
+        NetemConfig {
+            rate_limit: Some(rate),
+            ..NetemConfig::none()
+        }
+    }
+
     #[test]
     fn noop_config_passes_immediately() {
         let mut n = Netem::new(NetemConfig::none(), SimRng::new(1));
@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn rate_limit_spaces_packets() {
         // 8 Mbps limit, 1000-byte packets → 1 ms per packet.
-        let cfg = NetemConfig::none().with_rate(Bandwidth::from_mbps(8));
+        let cfg = rate_limited(Bandwidth::from_mbps(8));
         let mut n = Netem::new(cfg, SimRng::new(1));
         let mut releases = Vec::new();
         for _ in 0..5 {
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn rate_limit_idle_period_does_not_accumulate_burst() {
-        let cfg = NetemConfig::none().with_rate(Bandwidth::from_mbps(8));
+        let cfg = rate_limited(Bandwidth::from_mbps(8));
         let mut n = Netem::new(cfg, SimRng::new(1));
         n.process(SimTime::ZERO, 1000);
         // Long idle, then a packet: passes with only its own serialisation.
@@ -285,7 +285,7 @@ mod tests {
         #[test]
         fn prop_rate_limit_enforced(mbps in 1u64..100, npkts in 10u64..200) {
             let rate = Bandwidth::from_mbps(mbps);
-            let cfg = NetemConfig::none().with_rate(rate);
+            let cfg = rate_limited(rate);
             let mut n = Netem::new(cfg, SimRng::new(7));
             let size = 1514u64;
             let mut last_release = SimTime::ZERO;

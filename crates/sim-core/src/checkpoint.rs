@@ -204,7 +204,7 @@ impl CheckpointStore {
     }
 
     /// Write buffered records to the file.
-    pub fn flush(&mut self) -> Result<(), Error> {
+    pub(crate) fn flush(&mut self) -> Result<(), Error> {
         if self.buffer.is_empty() {
             return Ok(());
         }

@@ -17,14 +17,14 @@
 //!   with a documented, platform-independent bit stream.
 //!
 //! The companion modules provide the shared vocabulary of the workspace:
-//! [`units`] (bandwidth, byte counts, and the byte↔time conversions every
+//! [`units`] (bandwidth and the byte↔time conversions every
 //! pacing computation needs) and [`metrics`] (counters, time series, and
 //! streaming summary statistics used by the iperf-style reports).
 //!
 //! Batch execution lives in [`sweep`]: a parallel, deterministic sweep
 //! engine with a content-addressed run cache, used by the `repro` and
-//! `ablations` binaries to fan experiment cells across worker threads
-//! while staying bit-identical to a serial run.
+//! `simcheck` binaries to fan experiment and fuzz cells across worker
+//! threads while staying bit-identical to a serial run.
 //!
 //! Verification machinery lives in [`check`]: invariant oracles,
 //! scenario shrinking, and the persisted failure corpus behind the
@@ -60,10 +60,8 @@ pub use checkpoint::CheckpointStore;
 pub use error::{Error, Result};
 pub use event::{EventQueue, ScheduledEvent, TimerToken};
 pub use rng::SimRng;
-pub use sweep::{
-    run_sweep, run_sweep_streaming, CellReport, SweepCell, SweepOptions, SweepReport, SweepSummary,
-};
+pub use sweep::{run_sweep_streaming, CellReport, SweepCell, SweepOptions, SweepSummary};
 pub use telemetry::{FlowSample, QueueSample, TelemetryLog, TelemetrySink};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceBuffer, TraceKind, TraceLog, TraceRecord, TraceSink};
-pub use units::{Bandwidth, ByteCount, ByteSize};
+pub use units::Bandwidth;

@@ -16,11 +16,11 @@
 //! the streams. Scorecard checks (the Fig. 7 RTT p95) depend on that.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Streaming summary statistics (Welford's algorithm for mean/variance plus
 /// exact min/max). Holds no samples, so it is safe for per-packet series.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -135,7 +135,7 @@ const HIST_INDEX_SHIFT: u32 = 52 - HIST_SUB_BITS;
 /// `[min(0, observed min), 0]`; NaN samples are ignored. Memory is sparse:
 /// only touched buckets are stored (a `BTreeMap`, so iteration order — and
 /// thus serialization — is deterministic).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Histogram {
     count: u64,
     sum: f64,
@@ -275,11 +275,6 @@ impl Histogram {
         }
         // target == count − 1 exactly (q = 1): the maximum.
         Some(self.max)
-    }
-
-    /// Median convenience.
-    pub fn median(&self) -> Option<f64> {
-        self.quantile(0.5)
     }
 }
 

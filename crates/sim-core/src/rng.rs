@@ -101,7 +101,7 @@ impl SimRng {
 
     /// Uniform float in `[0, 1)`, 53-bit precision.
     #[inline]
-    pub fn uniform(&mut self) -> f64 {
+    pub(crate) fn uniform(&mut self) -> f64 {
         (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -148,15 +148,6 @@ impl SimRng {
         }
         // Inverse CDF; `1 - uniform()` avoids ln(0).
         -mean * (1.0 - self.uniform()).ln()
-    }
-
-    /// Sample a standard normal via Box–Muller (single value; we favour
-    /// statelessness over caching the second deviate).
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1 = 1.0 - self.uniform();
-        let u2 = self.uniform();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
     }
 }
 
@@ -295,21 +286,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.exponential(4.0)).sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "exponential mean {mean}");
-    }
-
-    #[test]
-    fn normal_moments_match() {
-        let mut rng = SimRng::new(19);
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "normal mean {mean}");
-        assert!(
-            (var.sqrt() - 2.0).abs() < 0.05,
-            "normal stddev {}",
-            var.sqrt()
-        );
     }
 
     #[test]

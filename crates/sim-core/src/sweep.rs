@@ -19,9 +19,9 @@
 //!    position, so the returned `Vec` is in submission order regardless of
 //!    completion order.
 //!
-//! Under this contract `run_sweep(cells, jobs=N)` and `run_sweep(cells,
-//! jobs=1)` return identical results, which the workspace asserts end to
-//! end in `tests/sweep_determinism.rs`.
+//! Under this contract a sweep at `jobs=N` and at `jobs=1` releases
+//! identical results, which the workspace asserts end to end in
+//! `tests/sweep_determinism.rs`.
 //!
 //! # Cache-key scheme
 //!
@@ -52,7 +52,7 @@
 //!
 //! # Streaming, bounded memory, checkpoint, cancellation (engine v2)
 //!
-//! [`run_sweep_streaming`] is the primary entry point: instead of
+//! [`run_sweep_streaming`] is the entry point: instead of
 //! collecting every output into a `Vec`, it *releases* outputs to a
 //! consumer callback in **submission order** as they complete, holding at
 //! most [`SweepOptions::max_inflight`] finished-but-unreleased outputs at
@@ -62,8 +62,7 @@
 //! a 100k-cell sweep costs the same resident memory as a 100-cell one.
 //! Because release order is submission order, a consumer aggregating
 //! incrementally sees byte-identical input at any `--jobs N`, preserving
-//! the determinism contract above. [`run_sweep`] remains as the
-//! collect-everything wrapper over the same engine.
+//! the determinism contract above.
 //!
 //! With [`SweepOptions::checkpoint`] set, every computed cell is also
 //! appended to a [`crate::checkpoint::CheckpointStore`] (content-addressed
@@ -82,8 +81,8 @@
 //!
 //! # Progress and timing
 //!
-//! Each finished cell is reported through a [`CellReport`] (label, wall
-//! time, cache hit flag) in the returned [`SweepReport`]; with
+//! Each finished cell is handed to the consumer with a [`CellReport`]
+//! (label, wall time, cache disposition); with
 //! [`SweepOptions::progress`] set, a `[k/n] label — time` line is also
 //! printed to stderr as cells complete (completion order, for liveness).
 
@@ -224,7 +223,7 @@ pub trait SweepCell: Sync {
     }
 }
 
-/// Knobs controlling how [`run_sweep`] executes a batch of cells.
+/// Knobs controlling how [`run_sweep_streaming`] executes a batch of cells.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Worker thread count; `1` runs serially on the calling thread.
@@ -272,8 +271,8 @@ impl SweepOptions {
 
     /// The default cache location, `<target-ish dir>/sweep-cache`.
     ///
-    /// Resolved relative to the current working directory so `repro` and
-    /// `ablations` invoked from the workspace root share one cache.
+    /// Resolved relative to the current working directory, so every `repro`
+    /// invoked from the workspace root shares one cache.
     pub fn default_cache_dir() -> PathBuf {
         PathBuf::from("target").join("sweep-cache")
     }
@@ -282,7 +281,7 @@ impl SweepOptions {
     /// [`max_inflight`](Self::max_inflight), or `max(4 × jobs, 16)` when
     /// unset, never below the worker count (a smaller window would idle
     /// workers for no memory benefit).
-    pub fn effective_inflight(&self) -> usize {
+    pub(crate) fn effective_inflight(&self) -> usize {
         let jobs = self.jobs.max(1);
         if self.max_inflight == 0 {
             (4 * jobs).max(16)
@@ -323,10 +322,7 @@ pub struct CellReport {
     pub label: String,
     /// Wall-clock time spent obtaining the output (compute or cache read).
     pub elapsed: Duration,
-    /// Whether the output came from the run cache.
-    pub cache_hit: bool,
-    /// The full cache disposition ([`CellReport::cache_hit`] is its
-    /// `== Hit` projection, kept for existing callers).
+    /// How the run cache or checkpoint served the cell.
     pub state: CacheState,
 }
 
@@ -359,7 +355,7 @@ pub struct SweepTotals {
 impl SweepTotals {
     /// Per-worker throughput over the whole session: cells divided by
     /// summed per-cell wall time. `None` until any wall time accrues.
-    pub fn cells_per_sec(&self) -> Option<f64> {
+    pub(crate) fn cells_per_sec(&self) -> Option<f64> {
         (self.cell_wall_nanos > 0).then(|| self.cells as f64 / (self.cell_wall_nanos as f64 / 1e9))
     }
 
@@ -413,24 +409,6 @@ pub fn totals() -> SweepTotals {
 pub fn note_pool_misses(total: u64, steady: u64) {
     TOTAL_POOL_MISSES.fetch_add(total, Ordering::Relaxed);
     TOTAL_POOL_MISSES_STEADY.fetch_add(steady, Ordering::Relaxed);
-}
-
-/// Everything a sweep produced: outputs plus per-cell accounting.
-#[derive(Debug)]
-pub struct SweepReport<O> {
-    /// Cell outputs, in submission order (never completion order).
-    pub outputs: Vec<O>,
-    /// Per-cell timing, in submission order.
-    pub cells: Vec<CellReport>,
-    /// Total wall-clock time of the sweep.
-    pub elapsed: Duration,
-}
-
-impl<O> SweepReport<O> {
-    /// Number of cells served from the run cache.
-    pub fn cache_hits(&self) -> usize {
-        self.cells.iter().filter(|c| c.cache_hit).count()
-    }
 }
 
 /// Cache file path for a cell's [`key_digest`]: its 32 hex digits.
@@ -634,7 +612,6 @@ fn compute_cell<C: SweepCell>(
     let report = CellReport {
         label: cell.label(),
         elapsed: cell_started.elapsed(),
-        cache_hit: state == CacheState::Hit,
         state,
     };
     TOTAL_CELLS.fetch_add(1, Ordering::Relaxed);
@@ -671,7 +648,7 @@ fn compute_cell<C: SweepCell>(
 /// `consume(idx, output, report)` is called exactly once per cell, on the
 /// calling thread, with `idx` strictly increasing from 0 — so incremental
 /// aggregation sees byte-identical input at any worker count. At most
-/// [`SweepOptions::effective_inflight`] finished outputs exist at once.
+/// `SweepOptions::effective_inflight` finished outputs exist at once.
 ///
 /// Returns [`Error::Interrupted`] if cancellation stopped the sweep (after
 /// draining in-flight cells and finalizing the checkpoint), or
@@ -869,29 +846,6 @@ pub fn run_sweep_streaming<C: SweepCell>(
     })
 }
 
-/// Run every cell and collect outputs in submission order.
-///
-/// A convenience wrapper over [`run_sweep_streaming`] for grids small
-/// enough to hold in memory. It cannot express interruption in its return
-/// type, so it panics if the sweep is cancelled — cancellable or
-/// checkpoint-resumable sweeps must call [`run_sweep_streaming`].
-pub fn run_sweep<C: SweepCell>(cells: &[C], opts: &SweepOptions) -> SweepReport<C::Output> {
-    let mut outputs = Vec::with_capacity(cells.len());
-    let mut reports = Vec::with_capacity(cells.len());
-    let summary = run_sweep_streaming(cells, opts, |_idx, output, report| {
-        outputs.push(output);
-        reports.push(report);
-    })
-    .unwrap_or_else(|e| {
-        panic!("run_sweep cannot recover from `{e}`; use run_sweep_streaming for cancellable or checkpointed sweeps")
-    });
-    SweepReport {
-        outputs,
-        cells: reports,
-        elapsed: summary.elapsed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -967,6 +921,32 @@ mod tests {
         fn cacheable(&self) -> bool {
             false
         }
+    }
+
+    /// What a whole sweep released, in submission order.
+    struct Collected<O> {
+        outputs: Vec<O>,
+        cells: Vec<CellReport>,
+    }
+
+    impl<O> Collected<O> {
+        fn cache_hits(&self) -> usize {
+            let hit = |c: &&CellReport| c.state == CacheState::Hit;
+            self.cells.iter().filter(hit).count()
+        }
+    }
+
+    fn run_sweep<C: SweepCell>(cells: &[C], opts: &SweepOptions) -> Collected<C::Output> {
+        let mut all = Collected {
+            outputs: Vec::new(),
+            cells: Vec::new(),
+        };
+        run_sweep_streaming(cells, opts, |_idx, output, report| {
+            all.outputs.push(output);
+            all.cells.push(report);
+        })
+        .expect("uncancelled sweep completes");
+        all
     }
 
     fn toy_cells(n: u64) -> Vec<Toy> {
@@ -1203,7 +1183,6 @@ mod tests {
         assert!(cold.cells.iter().all(|c| c.state == CacheState::MissCold));
         let warm = run_sweep(&cells, &opts);
         assert!(warm.cells.iter().all(|c| c.state == CacheState::Hit));
-        assert!(warm.cells.iter().all(|c| c.cache_hit));
         // No cache dir: everything is uncacheable by definition.
         let uncached = run_sweep(&cells, &SweepOptions::serial(21));
         assert!(uncached

@@ -148,7 +148,7 @@ impl TraceKind {
     }
 
     /// Which operands hold string-table indices: `(conn, a, b)`.
-    pub const fn interned_operands(self) -> (bool, bool, bool) {
+    pub(crate) const fn interned_operands(self) -> (bool, bool, bool) {
         match self {
             TraceKind::CcPhase => (false, true, true),
             TraceKind::CpuSpan => (true, false, false),
@@ -190,7 +190,7 @@ pub struct TraceBuffer {
 
 impl TraceBuffer {
     /// A ring holding at most `capacity` records (at least 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let cap = capacity.max(1);
         TraceBuffer {
             records: Vec::with_capacity(cap),
@@ -203,7 +203,7 @@ impl TraceBuffer {
 
     /// Append a record, overwriting the oldest if the ring is full.
     #[inline]
-    pub fn push(&mut self, rec: TraceRecord) {
+    pub(crate) fn push(&mut self, rec: TraceRecord) {
         if self.records.len() < self.cap {
             self.records.push(rec);
         } else {
@@ -222,7 +222,7 @@ impl TraceBuffer {
     /// cost categories, CC phase names), so this is a short scan of a tiny
     /// vector — no hashing on the hot path.
     #[inline]
-    pub fn intern(&mut self, s: &'static str) -> u64 {
+    pub(crate) fn intern(&mut self, s: &'static str) -> u64 {
         if let Some(i) = self
             .strings
             .iter()
@@ -337,7 +337,7 @@ pub struct TraceLog {
     /// All records in ascending `(at, domain, intra-domain order)` order.
     pub events: Vec<TraceRecord>,
     /// Unified string table; records index into it (see
-    /// [`TraceKind::interned_operands`]).
+    /// `TraceKind::interned_operands`).
     pub strings: Vec<&'static str>,
     /// Total records overwritten across all source rings.
     pub dropped: u64,
@@ -397,7 +397,7 @@ impl TraceLog {
     }
 
     /// Resolve an interned string id (empty string if out of range).
-    pub fn string(&self, id: u64) -> &'static str {
+    pub(crate) fn string(&self, id: u64) -> &'static str {
         self.strings.get(id as usize).copied().unwrap_or("")
     }
 }

@@ -1,5 +1,5 @@
-//! Bandwidth and byte-count units, and the byte↔time conversions at the
-//! heart of packet pacing.
+//! The bandwidth unit, and the byte↔time conversions at the heart of
+//! packet pacing.
 //!
 //! The paper's Eq. (1) — `idleTime = socketBufferLength / pacingRate` — is
 //! computed thousands of times per simulated second, so these conversions
@@ -7,9 +7,8 @@
 //! `ceil(bytes * 8e9 / bits_per_sec)` nanoseconds in 128-bit arithmetic.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
 
 /// A data rate in bits per second.
 ///
@@ -22,7 +21,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// // BBR-style gains:
 /// assert_eq!(line.mul_f64(1.25), Bandwidth::from_mbps(1250));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Bandwidth(u64);
 
 impl Bandwidth {
@@ -137,120 +136,6 @@ impl fmt::Display for Bandwidth {
     }
 }
 
-/// A byte count (sizes: segment lengths, buffer occupancy).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-pub struct ByteSize(u64);
-
-impl ByteSize {
-    /// Zero bytes.
-    pub const ZERO: ByteSize = ByteSize(0);
-
-    /// Construct from a raw byte count.
-    pub const fn new(bytes: u64) -> Self {
-        ByteSize(bytes)
-    }
-
-    /// Raw byte count.
-    pub const fn bytes(self) -> u64 {
-        self.0
-    }
-
-    /// True if zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Smaller of two sizes.
-    pub fn min(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0.min(rhs.0))
-    }
-
-    /// Larger of two sizes.
-    pub fn max(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0.max(rhs.0))
-    }
-}
-
-impl Add for ByteSize {
-    type Output = ByteSize;
-    fn add(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0.saturating_add(rhs.0))
-    }
-}
-
-impl AddAssign for ByteSize {
-    fn add_assign(&mut self, rhs: ByteSize) {
-        *self = *self + rhs;
-    }
-}
-
-impl Sub for ByteSize {
-    type Output = ByteSize;
-    fn sub(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(
-            self.0
-                .checked_sub(rhs.0)
-                .expect("ByteSize subtraction underflow"),
-        )
-    }
-}
-
-impl fmt::Debug for ByteSize {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self}")
-    }
-}
-
-impl fmt::Display for ByteSize {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1_048_576 {
-            write!(f, "{:.2}MiB", self.0 as f64 / 1_048_576.0)
-        } else if self.0 >= 1024 {
-            write!(f, "{:.2}KiB", self.0 as f64 / 1024.0)
-        } else {
-            write!(f, "{}B", self.0)
-        }
-    }
-}
-
-/// A monotonically growing byte counter (totals: bytes delivered, sent).
-/// Distinct from [`ByteSize`] so totals and sizes cannot be mixed up.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-pub struct ByteCount(u64);
-
-impl ByteCount {
-    /// Zero.
-    pub const ZERO: ByteCount = ByteCount(0);
-
-    /// Construct from a raw count.
-    pub const fn new(bytes: u64) -> Self {
-        ByteCount(bytes)
-    }
-
-    /// Raw count.
-    pub const fn bytes(self) -> u64 {
-        self.0
-    }
-
-    /// Bytes accumulated since an earlier snapshot (panics if `earlier` is larger).
-    pub fn since(self, earlier: ByteCount) -> u64 {
-        self.0
-            .checked_sub(earlier.0)
-            .expect("ByteCount went backwards")
-    }
-}
-
-impl fmt::Debug for ByteCount {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}B", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,13 +228,6 @@ mod tests {
         assert_eq!(Bandwidth::from_gbps(1).to_string(), "1.000Gbps");
         assert_eq!(Bandwidth::from_mbps(140).to_string(), "140.000Mbps");
         assert_eq!(Bandwidth::from_bps(12).to_string(), "12bps");
-        assert_eq!(ByteSize::new(64 * 1024).to_string(), "64.00KiB");
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn bytesize_sub_underflow_panics() {
-        let _ = ByteSize::new(1) - ByteSize::new(2);
     }
 
     proptest! {

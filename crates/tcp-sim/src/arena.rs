@@ -61,7 +61,7 @@ pub struct FlowId(pub u32);
 impl FlowId {
     /// The array index this id denotes.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -250,7 +250,7 @@ impl FlowArena {
     }
 
     /// Number of flows (every parallel array's length).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.board.len()
     }
 

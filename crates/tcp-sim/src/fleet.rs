@@ -227,7 +227,7 @@ pub struct TierStat {
 
 /// Everything `StackSim::finish` needs per device to assemble a
 /// [`FleetResult`]: built inside the engine, consumed by
-/// [`FleetResult::compute`].
+/// `FleetResult::compute`.
 #[derive(Debug, Clone)]
 pub struct DeviceOutcome {
     /// Goodput over the measurement window, Mbps.
@@ -245,7 +245,7 @@ const PENALTY_BUSY_FRACTION: f64 = 0.9;
 impl FleetResult {
     /// Assemble fleet metrics from per-device outcomes (index-aligned with
     /// `fleet.devices`) and the shared link's admission tallies.
-    pub fn compute(
+    pub(crate) fn compute(
         fleet: &FleetConfig,
         outcomes: &[DeviceOutcome],
         shared_pkts: u64,

@@ -7,7 +7,7 @@
 //! at least one oracle to catch.
 //!
 //! The mutations are compiled only under the `simcheck-mutants` cargo
-//! feature. Without it, [`is`] is a `const false` and every call site
+//! feature. Without it, `is` is a `const false` and every call site
 //! folds away — a production build cannot activate a mutant even by
 //! accident. With the feature on, exactly one mutant (or none) is active
 //! process-wide at a time via [`set_active`].
@@ -83,7 +83,7 @@ pub const ALL: [Mutant; 8] = [
 
 impl Mutant {
     /// Stable CLI name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Mutant::SkipTimerFireCharge => "skip-timer-fire-charge",
             Mutant::SackClaimExtra => "sack-claim-extra",
@@ -140,23 +140,10 @@ pub fn set_active(mutant: Option<Mutant>) -> bool {
     }
 }
 
-/// The currently active mutant, if any.
-pub fn active() -> Option<Mutant> {
-    #[cfg(feature = "simcheck-mutants")]
-    {
-        ALL.into_iter()
-            .find(|m| *m as u8 == ACTIVE.load(Ordering::Relaxed))
-    }
-    #[cfg(not(feature = "simcheck-mutants"))]
-    {
-        None
-    }
-}
-
 /// Is `mutant` active? `const false` without the feature, so call sites
 /// compile to nothing in ordinary builds.
 #[inline(always)]
-pub fn is(mutant: Mutant) -> bool {
+pub(crate) fn is(mutant: Mutant) -> bool {
     #[cfg(feature = "simcheck-mutants")]
     {
         ACTIVE.load(Ordering::Relaxed) == mutant as u8
@@ -172,14 +159,14 @@ pub fn is(mutant: Mutant) -> bool {
 /// arm since activation (so the run makes progress before wedging —
 /// a realistic intermittent lost-wakeup, not an instant stall).
 #[cfg(feature = "simcheck-mutants")]
-pub fn drop_this_arm() -> bool {
+pub(crate) fn drop_this_arm() -> bool {
     ARM_TICK.fetch_add(1, Ordering::Relaxed) % 64 == 63
 }
 
 /// Feature-off stub of [`drop_this_arm`]; never taken because [`is`]
 /// is false, but keeps call sites cfg-free.
 #[cfg(not(feature = "simcheck-mutants"))]
-pub fn drop_this_arm() -> bool {
+pub(crate) fn drop_this_arm() -> bool {
     false
 }
 
@@ -188,14 +175,14 @@ pub fn drop_this_arm() -> bool {
 /// overshoot is intermittent (a realistic enforcement hole, not a
 /// wholesale removal of the link).
 #[cfg(feature = "simcheck-mutants")]
-pub fn bypass_this_shared_pkt() -> bool {
+pub(crate) fn bypass_this_shared_pkt() -> bool {
     SHARED_TICK.fetch_add(1, Ordering::Relaxed) % 64 == 63
 }
 
 /// Feature-off stub of [`bypass_this_shared_pkt`]; never taken because
 /// [`is`] is false, but keeps call sites cfg-free.
 #[cfg(not(feature = "simcheck-mutants"))]
-pub fn bypass_this_shared_pkt() -> bool {
+pub(crate) fn bypass_this_shared_pkt() -> bool {
     false
 }
 
@@ -219,7 +206,6 @@ mod tests {
     fn inactive_by_default() {
         #[cfg(feature = "simcheck-mutants")]
         let _serial = TEST_LOCK.lock().unwrap();
-        assert_eq!(active(), None);
         for m in ALL {
             assert!(!is(m));
         }
@@ -232,8 +218,7 @@ mod tests {
         set_active(Some(Mutant::SkipRetxCount));
         assert!(is(Mutant::SkipRetxCount));
         assert!(!is(Mutant::SackClaimExtra));
-        assert_eq!(active(), Some(Mutant::SkipRetxCount));
         set_active(None);
-        assert_eq!(active(), None);
+        assert!(!is(Mutant::SkipRetxCount));
     }
 }

@@ -27,7 +27,7 @@
 //! into tiny 2-MSS sends with huge per-send overhead — the mechanism behind
 //! Figure 2's collapse with many connections.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::units::Bandwidth;
 
@@ -40,7 +40,7 @@ pub const MIN_TSO_SEGS: u64 = 2;
 pub const GSO_MAX_BYTES: u64 = 65_536;
 
 /// Static pacing configuration for a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PacingConfig {
     /// The paper's pacing stride (Eq. 2); 1 is stock kernel behaviour.
     pub stride: u64,
@@ -136,12 +136,12 @@ impl Pacer {
     }
 
     /// Current stride (mutable under the §7.1.2 auto-stride controller).
-    pub fn stride(&self) -> u64 {
+    pub(crate) fn stride(&self) -> u64 {
         self.config.stride
     }
 
     /// Set the stride (auto-stride controller). Clamped to `[1, 64]`.
-    pub fn set_stride(&mut self, stride: u64) {
+    pub(crate) fn set_stride(&mut self, stride: u64) {
         self.config.stride = stride.clamp(1, 64);
     }
 
@@ -173,7 +173,7 @@ impl Pacer {
     }
 
     /// The buffer cap in whole segments.
-    pub fn cap_segs(&self) -> u64 {
+    pub(crate) fn cap_segs(&self) -> u64 {
         (self.config.skb_cap_bytes / self.mss).max(MIN_TSO_SEGS)
     }
 
@@ -195,12 +195,12 @@ impl Pacer {
     ///
     /// This returns the deficit to charge when a period opens (zero until
     /// the cap binds).
-    pub fn cap_deficit_segs(&self, rate: Bandwidth) -> u64 {
+    pub(crate) fn cap_deficit_segs(&self, rate: Bandwidth) -> u64 {
         (self.autosize_segs(rate) * self.config.stride).saturating_sub(self.burst_segs(rate))
     }
 
     /// Charge the capped period's idle residue at period open (see
-    /// [`Pacer::cap_deficit_segs`]).
+    /// `Pacer::cap_deficit_segs`).
     pub fn charge_cap_deficit(&mut self, now: SimTime, rate: Bandwidth) {
         let deficit = self.cap_deficit_segs(rate);
         if deficit > 0 {
@@ -245,13 +245,13 @@ impl Pacer {
 
     /// Total idle time armed over the connection's lifetime (Table 2's
     /// per-period idle is `total_idle / periods`).
-    pub fn total_idle(&self) -> SimDuration {
+    pub(crate) fn total_idle(&self) -> SimDuration {
         self.total_idle
     }
 
     /// The fallback pacing rate when the CC supplies none (§5.2.2):
     /// `fallback_gain × mss × cwnd / srtt`.
-    pub fn fallback_rate(&self, cwnd_pkts: u64, srtt: SimDuration) -> Bandwidth {
+    pub(crate) fn fallback_rate(&self, cwnd_pkts: u64, srtt: SimDuration) -> Bandwidth {
         if srtt.is_zero() {
             return Bandwidth::ZERO;
         }
@@ -264,7 +264,7 @@ impl Pacer {
     }
 
     /// Number of paced sends so far.
-    pub fn paced_sends(&self) -> u64 {
+    pub(crate) fn paced_sends(&self) -> u64 {
         self.paced_sends
     }
 }

@@ -43,7 +43,7 @@ pub struct VecPool<T> {
 
 impl<T> VecPool<T> {
     /// An empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VecPool {
             free: Vec::new(),
             takes: 0,
@@ -53,7 +53,7 @@ impl<T> VecPool<T> {
     }
 
     /// Take a cleared buffer, reusing capacity when one is free.
-    pub fn take(&mut self) -> Vec<T> {
+    pub(crate) fn take(&mut self) -> Vec<T> {
         self.takes += 1;
         match self.free.pop() {
             Some(v) => {
@@ -68,7 +68,7 @@ impl<T> VecPool<T> {
     }
 
     /// Return a buffer to the pool; contents are dropped, capacity kept.
-    pub fn put(&mut self, mut v: Vec<T>) {
+    pub(crate) fn put(&mut self, mut v: Vec<T>) {
         v.clear();
         self.free.push(v);
     }
@@ -76,17 +76,17 @@ impl<T> VecPool<T> {
     /// Number of `take` calls that had to build a fresh buffer. In steady
     /// state this stops growing: every event's buffer comes back via
     /// [`VecPool::put`] before the next one is needed.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Total `take` calls (hits + misses).
-    pub fn takes(&self) -> u64 {
+    pub(crate) fn takes(&self) -> u64 {
         self.takes
     }
 
     /// `take` calls satisfied from the free list (warm capacity reused).
-    pub fn reuses(&self) -> u64 {
+    pub(crate) fn reuses(&self) -> u64 {
         self.reuses
     }
 }
@@ -100,8 +100,8 @@ impl<T> Default for VecPool<T> {
 /// Parks owned buffers under dense `u32` ids so events can ride the timer
 /// wheel as a handful of words.
 ///
-/// [`SlotStore::stash`] moves a full buffer into a free slot and returns
-/// its id; [`SlotStore::unstash`] moves it back out and recycles the slot.
+/// `SlotStore::stash` moves a full buffer into a free slot and returns
+/// its id; `SlotStore::unstash` moves it back out and recycles the slot.
 /// The store holds only *in-flight* buffers (stashed, not yet unstashed) —
 /// capacity recycling of the buffers themselves stays the [`VecPool`]'s
 /// job, so the two compose: take from the pool, fill, stash; unstash,
@@ -113,7 +113,7 @@ pub struct SlotStore<T> {
 
 impl<T> SlotStore<T> {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SlotStore {
             slots: Vec::new(),
             free: Vec::new(),
@@ -121,7 +121,7 @@ impl<T> SlotStore<T> {
     }
 
     /// Park `v` and return its slot id.
-    pub fn stash(&mut self, v: Vec<T>) -> u32 {
+    pub(crate) fn stash(&mut self, v: Vec<T>) -> u32 {
         match self.free.pop() {
             Some(id) => {
                 self.slots[id as usize] = v;
@@ -136,7 +136,7 @@ impl<T> SlotStore<T> {
     }
 
     /// Take the buffer parked under `id` back out, freeing the slot.
-    pub fn unstash(&mut self, id: u32) -> Vec<T> {
+    pub(crate) fn unstash(&mut self, id: u32) -> Vec<T> {
         let v = std::mem::take(&mut self.slots[id as usize]);
         self.free.push(id);
         v
@@ -172,7 +172,7 @@ pub struct SegSlab<T> {
 
 impl<T: Default> SegSlab<T> {
     /// An empty slab.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SegSlab {
             store: Vec::new(),
             free: Vec::new(),
@@ -183,7 +183,7 @@ impl<T: Default> SegSlab<T> {
     }
 
     /// Allocate a chunk, preferring the free list.
-    pub fn alloc_chunk(&mut self) -> u32 {
+    pub(crate) fn alloc_chunk(&mut self) -> u32 {
         self.takes += 1;
         match self.free.pop() {
             Some(id) => {
@@ -201,36 +201,36 @@ impl<T: Default> SegSlab<T> {
 
     /// Return a chunk to the free list. Contents are left in place (they
     /// are overwritten before the next reader sees them).
-    pub fn free_chunk(&mut self, id: u32) {
+    pub(crate) fn free_chunk(&mut self, id: u32) {
         self.free.push(id);
     }
 
     /// The record at `off` within chunk `id`.
     #[inline]
-    pub fn get(&self, id: u32, off: usize) -> &T {
+    pub(crate) fn get(&self, id: u32, off: usize) -> &T {
         debug_assert!(off < SEG_CHUNK);
         &self.store[id as usize * SEG_CHUNK + off]
     }
 
     /// Mutable access to the record at `off` within chunk `id`.
     #[inline]
-    pub fn get_mut(&mut self, id: u32, off: usize) -> &mut T {
+    pub(crate) fn get_mut(&mut self, id: u32, off: usize) -> &mut T {
         debug_assert!(off < SEG_CHUNK);
         &mut self.store[id as usize * SEG_CHUNK + off]
     }
 
     /// Chunk allocations that had to grow the backing store.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Total chunk allocations (hits + misses).
-    pub fn takes(&self) -> u64 {
+    pub(crate) fn takes(&self) -> u64 {
         self.takes
     }
 
     /// Chunk allocations served from the free list.
-    pub fn reuses(&self) -> u64 {
+    pub(crate) fn reuses(&self) -> u64 {
         self.reuses
     }
 }
@@ -257,25 +257,25 @@ pub struct SlabDeque {
 
 impl SlabDeque {
     /// An empty window.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of records in the window.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the window is empty.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Append a record at the back, allocating a chunk when the tail
     /// crosses a chunk boundary.
-    pub fn push_back<T: Default>(&mut self, slab: &mut SegSlab<T>, v: T) {
+    pub(crate) fn push_back<T: Default>(&mut self, slab: &mut SegSlab<T>, v: T) {
         let tail = self.head + self.len;
         if tail == self.chunks.len() * SEG_CHUNK {
             self.chunks.push(slab.alloc_chunk());
@@ -315,7 +315,7 @@ impl SlabDeque {
     /// by [`Self::push_back`] before it re-enters the window, so no reader
     /// can observe them. This is what makes a cumulative-ACK advance O(n)
     /// cheap reads + one head bump instead of n `mem::take` round trips.
-    pub fn drop_front<T: Default>(&mut self, slab: &mut SegSlab<T>, n: usize) {
+    pub(crate) fn drop_front<T: Default>(&mut self, slab: &mut SegSlab<T>, n: usize) {
         debug_assert!(n <= self.len);
         self.head += n;
         self.len -= n;
@@ -335,7 +335,7 @@ impl SlabDeque {
 
     /// The record at window index `i` (0 = front).
     #[inline]
-    pub fn get<'a, T: Default>(&self, slab: &'a SegSlab<T>, i: usize) -> &'a T {
+    pub(crate) fn get<'a, T: Default>(&self, slab: &'a SegSlab<T>, i: usize) -> &'a T {
         debug_assert!(i < self.len);
         let pos = self.head + i;
         slab.get(self.chunks[pos / SEG_CHUNK], pos % SEG_CHUNK)
@@ -343,7 +343,7 @@ impl SlabDeque {
 
     /// Mutable access to the record at window index `i`.
     #[inline]
-    pub fn get_mut<'a, T: Default>(&self, slab: &'a mut SegSlab<T>, i: usize) -> &'a mut T {
+    pub(crate) fn get_mut<'a, T: Default>(&self, slab: &'a mut SegSlab<T>, i: usize) -> &'a mut T {
         debug_assert!(i < self.len);
         let pos = self.head + i;
         slab.get_mut(self.chunks[pos / SEG_CHUNK], pos % SEG_CHUNK)

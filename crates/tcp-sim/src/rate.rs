@@ -9,12 +9,12 @@
 //! the server compresses acks heavily in our topology, so this detail is
 //! load-bearing here).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::units::Bandwidth;
 
 /// Per-segment stamp recorded at transmission time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct TxStamp {
     /// Connection `delivered` count when this segment was sent.
     pub delivered: u64,
@@ -84,7 +84,7 @@ impl RateSampler {
     /// first packet sent after the connection was idle/fully acked, which
     /// restarts the send-interval clock; `pacing_limited` taints the stamp
     /// when that idle was created by the pacer's own gate.
-    pub fn on_send(
+    pub(crate) fn on_send(
         &mut self,
         now: SimTime,
         is_flight_start: bool,
@@ -109,7 +109,7 @@ impl RateSampler {
 
     /// Account `newly_delivered` packets acked at `now`, and produce a rate
     /// sample using the stamp of the most recently sent acked segment.
-    pub fn on_ack(
+    pub(crate) fn on_ack(
         &mut self,
         now: SimTime,
         newly_delivered: u64,

@@ -92,17 +92,17 @@ impl Receiver {
 
     /// Next expected sequence (everything below has been delivered to the
     /// application — iPerf's byte counter).
-    pub fn rcv_nxt(&self) -> PktSeq {
+    pub(crate) fn rcv_nxt(&self) -> PktSeq {
         PktSeq(self.rcv_nxt)
     }
 
     /// Packets accepted (in-order or buffered), excluding duplicates.
-    pub fn total_received(&self) -> u64 {
+    pub(crate) fn total_received(&self) -> u64 {
         self.total_received
     }
 
     /// Duplicate packets seen (spurious retransmissions).
-    pub fn duplicates(&self) -> u64 {
+    pub(crate) fn duplicates(&self) -> u64 {
         self.duplicates
     }
 

@@ -38,7 +38,7 @@ impl RttEstimator {
     }
 
     /// Record one RTT sample.
-    pub fn sample(&mut self, r: SimDuration) {
+    pub(crate) fn sample(&mut self, r: SimDuration) {
         if r.is_zero() {
             return; // degenerate measurement, ignore
         }
@@ -63,7 +63,7 @@ impl RttEstimator {
     }
 
     /// Most recent raw sample.
-    pub fn latest(&self) -> Option<SimDuration> {
+    pub(crate) fn latest(&self) -> Option<SimDuration> {
         self.latest
     }
 
@@ -73,7 +73,7 @@ impl RttEstimator {
     }
 
     /// Current retransmission timeout.
-    pub fn rto(&self) -> SimDuration {
+    pub(crate) fn rto(&self) -> SimDuration {
         match self.srtt {
             None => RTO_INIT,
             Some(srtt) => {

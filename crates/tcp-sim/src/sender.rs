@@ -109,7 +109,7 @@ pub struct SendPlan {
 
 impl SendPlan {
     /// Total packets in the plan.
-    pub fn packets(&self) -> u64 {
+    pub(crate) fn packets(&self) -> u64 {
         self.runs.iter().map(|(lo, hi)| hi.since(*lo)).sum()
     }
 }
@@ -133,17 +133,17 @@ impl SegStore {
     }
 
     /// Chunk allocations that had to grow the backing storage (cold).
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.slab.misses()
     }
 
     /// Total chunk allocations.
-    pub fn takes(&self) -> u64 {
+    pub(crate) fn takes(&self) -> u64 {
         self.slab.takes()
     }
 
     /// Chunk allocations served from the free list (warm).
-    pub fn reuses(&self) -> u64 {
+    pub(crate) fn reuses(&self) -> u64 {
         self.slab.reuses()
     }
 }

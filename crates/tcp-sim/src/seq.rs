@@ -8,13 +8,11 @@
 //! by property tests because wrap bugs are the classic TCP implementation
 //! error.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A packet-granularity sequence number (monotonic, never wraps).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct PktSeq(pub u64);
 
 impl PktSeq {
@@ -27,7 +25,7 @@ impl PktSeq {
     }
 
     /// Advance by `n` packets.
-    pub fn advance(self, n: u64) -> PktSeq {
+    pub(crate) fn advance(self, n: u64) -> PktSeq {
         PktSeq(self.0 + n)
     }
 
@@ -40,7 +38,7 @@ impl PktSeq {
 
     /// The 32-bit wire representation (byte-granularity wrap emulated at
     /// packet granularity).
-    pub fn to_wire(self) -> WireSeq {
+    pub(crate) fn to_wire(self) -> WireSeq {
         WireSeq(self.0 as u32)
     }
 }
@@ -53,7 +51,7 @@ impl fmt::Display for PktSeq {
 
 /// A 32-bit wire sequence number with modular (RFC 793 / RFC 1982-style)
 /// ordering: `a < b` iff `(b - a) mod 2³²` is in `(0, 2³¹)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct WireSeq(pub u32);
 
 impl WireSeq {
@@ -61,12 +59,6 @@ impl WireSeq {
     pub fn before(self, other: WireSeq) -> bool {
         let diff = other.0.wrapping_sub(self.0);
         diff != 0 && diff < 0x8000_0000
-    }
-
-    /// Modular distance from `earlier` to `self` (valid when `self` is
-    /// within 2³¹ of `earlier`).
-    pub fn distance_from(self, earlier: WireSeq) -> u32 {
-        self.0.wrapping_sub(earlier.0)
     }
 
     /// Advance by `n`, wrapping.
@@ -106,7 +98,7 @@ mod tests {
         // Near the wrap point: 0xFFFF_FFFF precedes 0 and 5.
         assert!(WireSeq(0xFFFF_FFFF).before(WireSeq(0)));
         assert!(WireSeq(0xFFFF_FFFF).before(WireSeq(5)));
-        assert_eq!(WireSeq(3).distance_from(WireSeq(0xFFFF_FFFE)), 5);
+        assert_eq!(WireSeq(0xFFFF_FFFE).advance(5), WireSeq(3));
     }
 
     #[test]
@@ -131,11 +123,11 @@ mod tests {
             prop_assert!(!y.before(x));
         }
 
-        /// Advancing then measuring distance round-trips for in-window deltas.
+        /// Advancing then measuring the modular distance round-trips for
+        /// in-window deltas.
         #[test]
         fn prop_wireseq_distance_roundtrip(a in any::<u32>(), delta in 0u32..0x7FFF_FFFF) {
-            let x = WireSeq(a);
-            prop_assert_eq!(x.advance(delta).distance_from(x), delta);
+            prop_assert_eq!(WireSeq(a).advance(delta).0.wrapping_sub(a), delta);
         }
 
         /// PktSeq → WireSeq preserves modular ordering within half-window.

@@ -17,7 +17,7 @@ pub struct MacAddr(pub [u8; 6]);
 impl MacAddr {
     /// The conventional locally-administered address for host `n`
     /// (smoltcp's examples use the same scheme).
-    pub const fn host(n: u8) -> Self {
+    pub(crate) const fn host(n: u8) -> Self {
         MacAddr([0x02, 0, 0, 0, 0, n])
     }
 }
@@ -28,7 +28,7 @@ pub struct Ipv4Addr(pub [u8; 4]);
 
 impl Ipv4Addr {
     /// `192.168.69.n` — the testbed subnet.
-    pub const fn lan(n: u8) -> Self {
+    pub(crate) const fn lan(n: u8) -> Self {
         Ipv4Addr([192, 168, 69, n])
     }
 }
@@ -122,7 +122,7 @@ fn internet_checksum(initial: u32, data: &[u8]) -> u16 {
 
 impl TcpHeader {
     /// Header length in bytes including options (padded to 4).
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         let mut opt = 0;
         if !self.sacks.is_empty() {
             opt += 2 + 8 * self.sacks.len(); // kind, len, blocks
@@ -132,7 +132,7 @@ impl TcpHeader {
 
     /// Encode this header plus `payload` into TCP bytes, computing the
     /// checksum over the IPv4 pseudo-header.
-    pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Bytes {
+    pub(crate) fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Bytes {
         assert!(self.sacks.len() <= 3, "at most 3 SACK blocks fit");
         let hlen = self.header_len();
         let mut buf = BytesMut::with_capacity(hlen + payload.len());
@@ -262,7 +262,7 @@ impl TcpHeader {
 }
 
 /// Synthesize a complete Ethernet II + IPv4 + TCP frame (for pcap export).
-pub fn build_frame(
+pub(crate) fn build_frame(
     src_mac: MacAddr,
     dst_mac: MacAddr,
     src_ip: Ipv4Addr,
@@ -301,7 +301,7 @@ pub fn build_frame(
     buf.freeze()
 }
 
-/// Parse the IPv4 portion of a frame built by [`build_frame`] and return
+/// Parse the IPv4 portion of a frame built by `build_frame` and return
 /// `(src, dst, tcp_segment_bytes)`.
 pub fn parse_frame(frame: &[u8]) -> Result<(Ipv4Addr, Ipv4Addr, &[u8]), DecodeError> {
     if frame.len() < 14 + 20 {

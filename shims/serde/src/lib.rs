@@ -11,7 +11,7 @@
 //! variants as externally-tagged single-key objects, and
 //! `#[serde(untagged)]` variants as their bare contents.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -89,12 +89,6 @@ impl Serialize for Value {
         self.clone()
     }
 }
-
-/// Marker trait paired with the no-op `derive(Deserialize)`.
-///
-/// The workspace never deserializes through serde (the sweep cache uses its
-/// own checksummed codec), so this carries no methods.
-pub trait Deserialize<'de>: Sized {}
 
 macro_rules! impl_uint {
     ($($t:ty),*) => {$(

@@ -21,13 +21,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde_derive shim: generated code must parse")
 }
 
-/// Derive `serde::Deserialize`: a no-op marker (the workspace never
-/// deserializes through serde), kept so `#[derive(Deserialize)]` compiles.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
-
 struct Field {
     name: String,
     /// Predicate path from `#[serde(skip_serializing_if = "path")]`: when

@@ -10,8 +10,8 @@
 //!    cheaper than the cold run.
 
 use experiments::{Experiment, ExperimentId, Params};
-use iperf::{RunSpec, SeedCell};
-use sim_core::sweep::{run_sweep, SweepOptions};
+use iperf::{RunSpec, SeedCell, SeedResult};
+use sim_core::sweep::{run_sweep_streaming, CacheState, SweepOptions};
 
 /// Smoke-sized parameters with an explicit worker count and no cache.
 fn smoke_with_jobs(jobs: usize) -> Params {
@@ -85,16 +85,23 @@ fn warm_cache_rerun_is_complete_and_identical() {
         cache_dir: Some(cache.clone()),
         ..SweepOptions::default()
     };
-    let cold = run_sweep(&cells, &opts);
-    assert_eq!(cold.cache_hits(), 0, "first run computes everything");
+    // One sweep: its outputs, how many came from the cache, its wall time.
+    let sweep = || {
+        let mut outputs: Vec<SeedResult> = Vec::new();
+        let mut cache_hits = 0;
+        let summary = run_sweep_streaming(&cells, &opts, |_idx, output, report| {
+            outputs.push(output);
+            cache_hits += usize::from(report.state == CacheState::Hit);
+        })
+        .expect("uncancelled sweep completes");
+        (outputs, cache_hits, summary.elapsed)
+    };
+    let (cold, cold_hits, cold_elapsed) = sweep();
+    assert_eq!(cold_hits, 0, "first run computes everything");
 
-    let warm = run_sweep(&cells, &opts);
-    assert_eq!(
-        warm.cache_hits(),
-        cells.len(),
-        "warm rerun must be 100% cache hits"
-    );
-    for (c, w) in cold.outputs.iter().zip(&warm.outputs) {
+    let (warm, warm_hits, warm_elapsed) = sweep();
+    assert_eq!(warm_hits, cells.len(), "warm rerun must be 100% cache hits");
+    for (c, w) in cold.iter().zip(&warm) {
         assert_eq!(c.seed, w.seed);
         assert_eq!(c.goodput_mbps.to_bits(), w.goodput_mbps.to_bits());
         assert_eq!(c.mean_rtt_ms.to_bits(), w.mean_rtt_ms.to_bits());
@@ -104,10 +111,8 @@ fn warm_cache_rerun_is_complete_and_identical() {
     // The full-binary warm/cold ratio is far below 10%; in-process we only
     // assert the conservative half to keep the test robust on loaded CI.
     assert!(
-        warm.elapsed < cold.elapsed / 2,
-        "warm rerun should be much cheaper: cold {:?}, warm {:?}",
-        cold.elapsed,
-        warm.elapsed
+        warm_elapsed < cold_elapsed / 2,
+        "warm rerun should be much cheaper: cold {cold_elapsed:?}, warm {warm_elapsed:?}"
     );
 
     let _ = std::fs::remove_dir_all(&cache);

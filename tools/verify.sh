@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The end-to-end gates, as one script that contributors and CI both run:
 #
-#   tools/verify.sh report|resume|fleet|fairness|bench|trace|fuzz|mutants
+#   tools/verify.sh report|resume|fleet|fairness|bench|trace|fuzz|mutants|docs
 #
 # Each gate builds the release binaries through `cargo run` and writes its
 # artifacts under target/verify/<gate>/ (wiped at the start of the gate;
@@ -150,15 +150,33 @@ mutants() {
     cargo test --release -p tcp-sim --features simcheck-mutants sim::path
 }
 
+# EXPERIMENTS.md "Reproduction results" is what the code prints: every
+# line of the full-preset scorecard's Markdown must occur in the file, in
+# order (hand-written commentary may sit between the generated lines).
+docs() {
+    repro --exp all --no-cache --markdown "$out/results.md"
+    python3 - "$out/results.md" EXPERIMENTS.md <<'PY'
+import sys
+generated, doc = (open(path).read().splitlines() for path in sys.argv[1:])
+at = 0
+for line in filter(None, generated):
+    try:
+        at = doc.index(line, at) + 1
+    except ValueError:
+        sys.exit(f'EXPERIMENTS.md is stale: no line after {at} reads\n  {line}')
+print(f'EXPERIMENTS.md carries all {len(generated)} generated lines in order')
+PY
+}
+
 case "$gate" in
-report | resume | fleet | fairness | bench | trace | fuzz | mutants)
+report | resume | fleet | fairness | bench | trace | fuzz | mutants | docs)
     rm -rf "$out"
     mkdir -p "$out"
     "$gate"
     echo "verify $gate: OK"
     ;;
 *)
-    echo "usage: tools/verify.sh report|resume|fleet|fairness|bench|trace|fuzz|mutants" >&2
+    echo "usage: tools/verify.sh report|resume|fleet|fairness|bench|trace|fuzz|mutants|docs" >&2
     exit 2
     ;;
 esac
