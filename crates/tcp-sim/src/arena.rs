@@ -19,6 +19,11 @@
 //!                          one chunked slab (chunk handles, not pointers)
 //! ```
 //!
+//! The arrays above are per flow; the slab is per *in-flight packet* and
+//! at fleet scale is most of the heap, which is why its record — the
+//! scoreboard's private `SegState`, see [`crate::sender`] — is packed to
+//! 40 bytes.
+//!
 //! # `FlowId` invariants
 //!
 //! * Flow ids are dense: `FlowId(i)` for `i < len()` indexes every array,

@@ -20,7 +20,7 @@
 //!   chunk handles into a single allocation (the "scoreboard-slab" pool
 //!   category);
 //! * [`SlabDeque`] is the per-flow window view over a [`SegSlab`]: a
-//!   chunk-id list plus head/length, supporting O(1) push-back, pop-front
+//!   chunk-id list plus head/length, supporting O(1) push-back, drop-front
 //!   and random indexing — the three operations a TCP scoreboard needs.
 //!
 //! Every pool keeps `takes`, `reuses`, and `misses` as independent
@@ -149,8 +149,9 @@ impl<T> Default for SlotStore<T> {
     }
 }
 
-/// Segments per [`SegSlab`] chunk. 64 keeps a chunk around one page for
-/// scoreboard-sized records and makes the index arithmetic a shift/mask.
+/// Segments per [`SegSlab`] chunk. 64 keeps a chunk under one page for
+/// scoreboard-sized records (2.5 KiB of the 40-byte segment record) and
+/// makes the index arithmetic a shift/mask.
 pub const SEG_CHUNK: usize = 64;
 
 /// One shared chunked slab that every flow's segment scoreboard is carved
@@ -245,7 +246,7 @@ impl<T: Default> Default for SegSlab<T> {
 /// chunk-id list plus a head offset and length.
 ///
 /// Supports exactly what a TCP scoreboard needs — `push_back` as new
-/// segments are sent, `pop_front` as the cumulative ACK advances, and O(1)
+/// segments are sent, `drop_front` as the cumulative ACK advances, and O(1)
 /// indexing by `seq − snd_una` — while the segment records themselves
 /// live in the slab.
 #[derive(Debug, Clone, Default)]
@@ -283,29 +284,6 @@ impl SlabDeque {
         let (c, off) = (tail / SEG_CHUNK, tail % SEG_CHUNK);
         *slab.get_mut(self.chunks[c], off) = v;
         self.len += 1;
-    }
-
-    /// Remove and return the front record; frees its chunk when the head
-    /// crosses a chunk boundary.
-    pub fn pop_front<T: Default>(&mut self, slab: &mut SegSlab<T>) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        let v = std::mem::take(slab.get_mut(self.chunks[0], self.head));
-        self.head += 1;
-        self.len -= 1;
-        if self.head == SEG_CHUNK {
-            slab.free_chunk(self.chunks.remove(0));
-            self.head = 0;
-        } else if self.len == 0 {
-            // Window drained mid-chunk: rewind so a long-idle flow holds
-            // at most one warm chunk.
-            self.head = 0;
-            if let Some(id) = self.chunks.pop() {
-                slab.free_chunk(id);
-            }
-        }
-        Some(v)
     }
 
     /// Drop the front `n` records without reading them, freeing whole
@@ -440,11 +418,15 @@ mod tests {
         for i in 0..dq.len() {
             assert_eq!(*dq.get(&slab, i), i as u64);
         }
+        // Retire the window one record at a time: the front is always the
+        // oldest survivor, across every chunk boundary.
         for want in 0..(3 * SEG_CHUNK as u64 + 7) {
-            assert_eq!(dq.pop_front(&mut slab), Some(want));
+            assert_eq!(*dq.get(&slab, 0), want);
+            dq.drop_front(&mut slab, 1);
         }
         assert!(dq.is_empty());
-        assert_eq!(dq.pop_front(&mut slab), None);
+        dq.drop_front(&mut slab, 0);
+        assert!(dq.is_empty());
     }
 
     #[test]
@@ -456,7 +438,8 @@ mod tests {
         }
         let cold_misses = slab.misses();
         // Drain A fully: its chunk goes back to the free list…
-        while a.pop_front(&mut slab).is_some() {}
+        a.drop_front(&mut slab, SEG_CHUNK);
+        assert!(a.is_empty());
         // …and B's first chunk comes from there, not fresh growth.
         let mut b = SlabDeque::new();
         b.push_back(&mut slab, 99);
@@ -478,10 +461,10 @@ mod tests {
                 dq.push_back(&mut slab, next_in);
                 next_in += 1;
             }
-            for _ in 0..2 {
-                assert_eq!(dq.pop_front(&mut slab), Some(next_out));
-                next_out += 1;
-            }
+            assert_eq!(*dq.get(&slab, 0), next_out);
+            assert_eq!(*dq.get(&slab, 1), next_out + 1);
+            dq.drop_front(&mut slab, 2);
+            next_out += 2;
             // Random-access view stays consistent with FIFO order.
             assert_eq!(*dq.get(&slab, 0), next_out);
             assert_eq!(*dq.get(&slab, dq.len() - 1), next_in - 1);

@@ -29,7 +29,12 @@
 //!   one-per-flow in a dense array.
 //! * [`SegStore`] is the shared chunked slab (see [`crate::pool::SegSlab`])
 //!   that every flow's per-segment records are carved from — the
-//!   "scoreboard-slab" pool category.
+//!   "scoreboard-slab" pool category. One record per in-flight packet
+//!   makes this slab most of a large simulation's heap (76 % of
+//!   `fleet_pop`'s before the record was packed), so the record is a
+//!   private 40-byte `SegState`: four timestamps and one word holding the
+//!   stamp's `delivered` count beside six flag bits. Slab bytes =
+//!   `pool_slab_misses` × `SEG_CHUNK` × 40.
 //!
 //! The unit tests below and the arena differential test
 //! (`tests/arena_differential.rs`) each bundle the four pieces — scoreboard,
@@ -45,17 +50,143 @@ use sim_core::time::{SimDuration, SimTime};
 /// Classic fast-retransmit duplicate threshold.
 pub const DUP_THRESH: u64 = 3;
 
-/// One outstanding segment.
-#[derive(Debug, Clone, Default)]
+/// One outstanding segment, packed to 40 bytes: this record is most of a
+/// large simulation's heap (one per in-flight packet, [`SEG_CHUNK`] to a
+/// slab chunk), so it stores only what nothing else already determines.
+///
+/// * The sequence number is `snd_una + window index` and is not stored.
+/// * The time of the most recent (re)transmission is always either
+///   `sent_at` (first send, or rewound by [`Scoreboard::on_rto`]) or the
+///   stamp's `tx_time` (both are set together on every retransmission), so
+///   it is the [`REWOUND`](Self::REWOUND) bit — see [`SegState::last_tx`].
+/// * The retransmission count is only ever compared with zero: one bit.
+/// * The stamp's `delivered` count shares its word with the six flag bits
+///   ([`SegState::set_stamp`] asserts it fits the low 58).
+///
+/// The plain 72-byte layout survives as the test-only `reference::RefSeg`,
+/// and a property test holds the two together.
+///
+/// [`SEG_CHUNK`]: crate::pool::SEG_CHUNK
+#[derive(Debug, Clone, Copy, Default)]
 struct SegState {
-    seq: PktSeq,
+    /// Time of the first transmission.
     sent_at: SimTime,
-    stamp: TxStamp,
-    sacked: bool,
-    lost: bool,
-    retx_count: u32,
+    /// [`TxStamp::tx_time`].
+    tx_time: SimTime,
+    /// [`TxStamp::delivered_time`].
+    delivered_time: SimTime,
+    /// [`TxStamp::first_tx_time`].
+    first_tx_time: SimTime,
+    /// [`TxStamp::delivered`] in the low 58 bits, the flags above it.
+    word: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<SegState>() == 40);
+
+impl SegState {
+    const DELIVERED_MASK: u64 = (1 << 58) - 1;
+    const SACKED: u64 = 1 << 58;
+    const LOST: u64 = 1 << 59;
+    /// Retransmitted at least once.
+    const RETX: u64 = 1 << 60;
+    /// The most recent transmission time was rewound to `sent_at` by an
+    /// RTO (so the retransmission may be re-sent); cleared by the next
+    /// retransmission.
+    const REWOUND: u64 = 1 << 61;
+    const APP_LIMITED: u64 = 1 << 62;
+    const PACING_LIMITED: u64 = 1 << 63;
+
+    /// A segment first transmitted at `now` under `stamp`.
+    fn first_send(now: SimTime, stamp: &TxStamp) -> Self {
+        let mut seg = SegState {
+            sent_at: now,
+            ..SegState::default()
+        };
+        seg.set_stamp(stamp);
+        seg
+    }
+
+    #[inline]
+    fn has(&self, flag: u64) -> bool {
+        self.word & flag != 0
+    }
+
+    #[inline]
+    fn set(&mut self, flag: u64, on: bool) {
+        if on {
+            self.word |= flag;
+        } else {
+            self.word &= !flag;
+        }
+    }
+
+    #[inline]
+    fn sacked(&self) -> bool {
+        self.has(Self::SACKED)
+    }
+
+    #[inline]
+    fn lost(&self) -> bool {
+        self.has(Self::LOST)
+    }
+
+    #[inline]
+    fn retransmitted(&self) -> bool {
+        self.has(Self::RETX)
+    }
+
     /// Time of the most recent (re)transmission.
-    last_tx: SimTime,
+    #[inline]
+    fn last_tx(&self) -> SimTime {
+        if self.has(Self::REWOUND) {
+            self.sent_at
+        } else {
+            self.tx_time
+        }
+    }
+
+    /// The rate-sampler stamp of the most recent (re)transmission.
+    #[inline]
+    fn stamp(&self) -> TxStamp {
+        TxStamp {
+            delivered: self.word & Self::DELIVERED_MASK,
+            delivered_time: self.delivered_time,
+            first_tx_time: self.first_tx_time,
+            tx_time: self.tx_time,
+            app_limited: self.has(Self::APP_LIMITED),
+            pacing_limited: self.has(Self::PACING_LIMITED),
+        }
+    }
+
+    /// Replace the stamp, leaving the scoreboard flags alone.
+    #[inline]
+    fn set_stamp(&mut self, stamp: &TxStamp) {
+        assert!(
+            stamp.delivered <= Self::DELIVERED_MASK,
+            "delivered count {} collides with the segment flag bits",
+            stamp.delivered
+        );
+        self.tx_time = stamp.tx_time;
+        self.delivered_time = stamp.delivered_time;
+        self.first_tx_time = stamp.first_tx_time;
+        self.word = (self.word & !Self::DELIVERED_MASK) | stamp.delivered;
+        self.set(Self::APP_LIMITED, stamp.app_limited);
+        self.set(Self::PACING_LIMITED, stamp.pacing_limited);
+    }
+
+    /// Record a retransmission under `stamp` (whose `tx_time` becomes the
+    /// most recent transmission time).
+    #[inline]
+    fn retransmit(&mut self, stamp: &TxStamp) {
+        self.set_stamp(stamp);
+        self.word = (self.word | Self::RETX) & !Self::REWOUND;
+    }
+
+    /// RTO: rewind the most recent transmission time to `sent_at`.
+    #[inline]
+    fn rewind(&mut self) {
+        self.word |= Self::REWOUND;
+    }
 }
 
 /// A run of outstanding segments that are neither SACKed nor lost, all
@@ -387,7 +518,15 @@ impl Scoreboard {
         now: SimTime,
         pacing_limited: bool,
     ) {
+        if plan.runs.is_empty() {
+            return; // nothing sent: the flight clock must not restart
+        }
         if plan.is_retx {
+            // Re-stamp, as the kernel does on retransmission: a rate sample
+            // taken against the original stamp would span the whole loss
+            // episode and poison the bandwidth filter. Every packet of the
+            // plan leaves in one batch and shares one stamp.
+            let stamp = rate.on_send(now, false, pacing_limited);
             for &(lo, hi) in &plan.runs {
                 // The run leaves the retransmission queue; the per-segment
                 // loop below re-inserts the (degenerate) case where the
@@ -395,18 +534,12 @@ impl Scoreboard {
                 // the segment therefore stays eligible.
                 runs_subtract(&mut self.retx_runs, lo.0, hi.0);
                 for seq in lo.0..hi.0 {
-                    // Re-stamp, as the kernel does on retransmission: a rate
-                    // sample taken against the original stamp would span the
-                    // whole loss episode and poison the bandwidth filter.
-                    let stamp = rate.on_send(now, false, pacing_limited);
                     let idx = self
                         .index_of(PktSeq(seq))
                         .expect("retransmitting unknown segment");
                     let seg = self.segs.get_mut(&mut store.slab, idx);
-                    assert!(seg.lost, "retransmitting a segment not marked lost");
-                    seg.last_tx = now;
-                    seg.stamp = stamp;
-                    seg.retx_count += 1;
+                    assert!(seg.lost(), "retransmitting a segment not marked lost");
+                    seg.retransmit(&stamp);
                     let still_eligible = seg.sent_at == now;
                     self.retrans_out += 1;
                     self.total_retx += 1;
@@ -417,23 +550,14 @@ impl Scoreboard {
             }
             return;
         }
+        // One stamp per batch: the flight-start update happens before the
+        // stamp is built, so every packet of the plan carries the same one.
         let flight_start = self.segs.is_empty();
+        let seg = SegState::first_send(now, &rate.on_send(now, flight_start, pacing_limited));
         for &(lo, hi) in &plan.runs {
             assert_eq!(lo, self.snd_nxt, "new data must start at snd_nxt");
-            for seq in lo.0..hi.0 {
-                let stamp = rate.on_send(now, flight_start && seq == lo.0, pacing_limited);
-                self.segs.push_back(
-                    &mut store.slab,
-                    SegState {
-                        seq: PktSeq(seq),
-                        sent_at: now,
-                        stamp,
-                        sacked: false,
-                        lost: false,
-                        retx_count: 0,
-                        last_tx: now,
-                    },
-                );
+            for _ in lo.0..hi.0 {
+                self.segs.push_back(&mut store.slab, seg);
             }
             // Fresh data is a hole-run candidate: one batch, one `last_tx`.
             match self.hole_runs.last_mut() {
@@ -474,7 +598,7 @@ impl Scoreboard {
         now: SimTime,
     ) -> AckOutcome {
         let mut out = AckOutcome::default();
-        let mut newest_delivered: Option<(SimTime, TxStamp, u32)> = None;
+        let mut newest_delivered: Option<(SimTime, TxStamp, bool)> = None;
 
         // --- Cumulative part: drop segments below ack.cum. ---
         let cum = ack.cum.min(self.snd_nxt); // ignore acks beyond sent data
@@ -491,24 +615,18 @@ impl Scoreboard {
             let n = (cum.0 - self.snd_una.0) as usize;
             for i in 0..n {
                 let seg = self.segs.get(&store.slab, i);
-                debug_assert_eq!(seg.seq, PktSeq(self.snd_una.0 + i as u64));
-                if seg.sacked {
+                if seg.sacked() {
                     self.sacked_out -= 1;
                 } else {
                     out.newly_delivered += 1;
                 }
-                if seg.lost {
+                if seg.lost() {
                     self.lost_out -= 1;
+                    if seg.retransmitted() {
+                        self.retrans_out = self.retrans_out.saturating_sub(1);
+                    }
                 }
-                if seg.retx_count > 0 && seg.lost {
-                    self.retrans_out = self.retrans_out.saturating_sub(1);
-                }
-                Self::track_newest(
-                    &mut newest_delivered,
-                    seg.last_tx,
-                    seg.stamp,
-                    seg.retx_count,
-                );
+                Self::track_newest(&mut newest_delivered, seg);
             }
             self.segs.drop_front(&mut store.slab, n);
             self.snd_una = cum;
@@ -541,26 +659,20 @@ impl Scoreboard {
                 for seq in cursor..gap_hi {
                     if let Some(idx) = self.index_of(PktSeq(seq)) {
                         let seg = self.segs.get_mut(&mut store.slab, idx);
-                        if !seg.sacked {
-                            seg.sacked = true;
-                            let was_lost = seg.lost;
-                            if was_lost {
-                                // A "lost" segment arrived after all (or its
-                                // retransmission did).
-                                seg.lost = false;
-                            }
-                            let had_retx = seg.retx_count > 0;
-                            let (last_tx, stamp, retx_count) =
-                                (seg.last_tx, seg.stamp, seg.retx_count);
+                        if !seg.sacked() {
+                            seg.set(SegState::SACKED, true);
                             self.sacked_out += 1;
                             out.newly_delivered += 1;
-                            if was_lost {
+                            if seg.lost() {
+                                // A "lost" segment arrived after all (or its
+                                // retransmission did).
+                                seg.set(SegState::LOST, false);
                                 self.lost_out -= 1;
-                                if had_retx {
+                                if seg.retransmitted() {
                                     self.retrans_out = self.retrans_out.saturating_sub(1);
                                 }
                             }
-                            Self::track_newest(&mut newest_delivered, last_tx, stamp, retx_count);
+                            Self::track_newest(&mut newest_delivered, seg);
                         }
                     }
                 }
@@ -577,8 +689,8 @@ impl Scoreboard {
         out.is_duplicate = out.newly_delivered == 0;
 
         // --- RTT + rate samples from the newest delivered segment. ---
-        if let Some((sent_at, stamp, retx)) = newest_delivered {
-            if retx == 0 {
+        if let Some((sent_at, stamp, retransmitted)) = newest_delivered {
+            if !retransmitted {
                 // Karn's rule: never sample retransmitted segments.
                 let sample = now.saturating_since(sent_at);
                 rtt.sample(sample);
@@ -616,15 +728,13 @@ impl Scoreboard {
         out
     }
 
-    fn track_newest(
-        newest: &mut Option<(SimTime, TxStamp, u32)>,
-        last_tx: SimTime,
-        stamp: TxStamp,
-        retx_count: u32,
-    ) {
+    /// Keep the most recently transmitted of the segments an ACK delivers:
+    /// its last transmission time, stamp, and whether it was retransmitted.
+    fn track_newest(newest: &mut Option<(SimTime, TxStamp, bool)>, seg: &SegState) {
+        let last_tx = seg.last_tx();
         match newest {
             Some((t, _, _)) if *t >= last_tx => {}
-            _ => *newest = Some((last_tx, stamp, retx_count)),
+            _ => *newest = Some((last_tx, seg.stamp(), seg.retransmitted())),
         }
     }
 
@@ -660,8 +770,8 @@ impl Scoreboard {
                 for seq in run.lo..run.hi {
                     let idx = (seq - self.snd_una.0) as usize;
                     let seg = self.segs.get_mut(&mut store.slab, idx);
-                    debug_assert!(!seg.sacked && !seg.lost, "hole index out of sync");
-                    seg.lost = true;
+                    debug_assert!(!seg.sacked() && !seg.lost(), "hole index out of sync");
+                    seg.set(SegState::LOST, true);
                 }
                 let len = run.hi - run.lo;
                 self.lost_out += len;
@@ -685,16 +795,16 @@ impl Scoreboard {
         let mut marked = 0;
         for i in 0..self.segs.len() {
             let seg = self.segs.get_mut(&mut store.slab, i);
-            if seg.retx_count > 0 && seg.lost {
+            if seg.retransmitted() && seg.lost() {
                 self.retrans_out = self.retrans_out.saturating_sub(1);
             }
-            if !seg.sacked && !seg.lost {
-                seg.lost = true;
+            if !seg.sacked() && !seg.lost() {
+                seg.set(SegState::LOST, true);
                 self.lost_out += 1;
                 marked += 1;
             }
             // Allow the retransmission to be re-sent.
-            seg.last_tx = seg.sent_at;
+            seg.rewind();
         }
         // Rebuild the run indexes: no holes remain, and every unSACKed
         // outstanding segment is now lost and eligible for retransmission
@@ -741,20 +851,20 @@ impl Scoreboard {
         let mut retx = Vec::new();
         for i in 0..self.segs.len() {
             let seg = self.segs.get(&store.slab, i);
-            let s = seg.seq.0;
-            if seg.sacked {
+            let s = self.snd_una.0 + i as u64;
+            if seg.sacked() {
                 runs_insert(&mut sacked, s, s + 1);
-            } else if !seg.lost {
+            } else if !seg.lost() {
                 match holes.last_mut() {
-                    Some(r) if r.hi == s && r.last_tx == seg.last_tx => r.hi = s + 1,
+                    Some(r) if r.hi == s && r.last_tx == seg.last_tx() => r.hi = s + 1,
                     _ => holes.push(HoleRun {
                         lo: s,
                         hi: s + 1,
-                        last_tx: seg.last_tx,
+                        last_tx: seg.last_tx(),
                     }),
                 }
             }
-            if seg.lost && seg.last_tx == seg.sent_at {
+            if seg.lost() && seg.last_tx() == seg.sent_at {
                 runs_insert(&mut retx, s, s + 1);
             }
         }
@@ -1131,6 +1241,199 @@ mod tests {
         assert_eq!(s.packets_out(), 0);
         assert_eq!(s.rate.delivered(), 20);
         assert_eq!(r.total_received(), 20);
+    }
+
+    /// The plain 72-byte segment record [`SegState`] was packed from,
+    /// kept as the packed record's reference semantics: every field its
+    /// own word, nothing derived.
+    mod reference {
+        use super::*;
+
+        #[derive(Debug, Clone)]
+        pub(super) struct RefSeg {
+            pub seq: PktSeq,
+            pub sent_at: SimTime,
+            pub stamp: TxStamp,
+            pub sacked: bool,
+            pub lost: bool,
+            pub retx_count: u32,
+            /// Time of the most recent (re)transmission.
+            pub last_tx: SimTime,
+        }
+
+        const _: () = assert!(std::mem::size_of::<RefSeg>() == 72);
+
+        impl RefSeg {
+            pub fn first_send(seq: PktSeq, now: SimTime, stamp: &TxStamp) -> Self {
+                RefSeg {
+                    seq,
+                    sent_at: now,
+                    stamp: *stamp,
+                    sacked: false,
+                    lost: false,
+                    retx_count: 0,
+                    last_tx: now,
+                }
+            }
+
+            pub fn retransmit(&mut self, now: SimTime, stamp: &TxStamp) {
+                self.last_tx = now;
+                self.stamp = *stamp;
+                self.retx_count += 1;
+            }
+
+            pub fn rewind(&mut self) {
+                self.last_tx = self.sent_at;
+            }
+        }
+    }
+
+    /// One mutation of a segment record, as the scoreboard performs them.
+    #[derive(Debug, Clone)]
+    enum SegOp {
+        /// The slot is reused for a fresh segment sent `dt` later.
+        FirstSend {
+            dt: u64,
+            stamp: TxStamp,
+        },
+        /// Retransmitted `dt` later under a fresh stamp.
+        Retransmit {
+            dt: u64,
+            stamp: TxStamp,
+        },
+        /// `on_rto` rewinds the last transmission time.
+        Rewind,
+        Sack,
+        MarkLost,
+        ClearLost,
+    }
+
+    /// Any stamp `RateSampler::on_send` can build, up to its `tx_time`
+    /// (the op's own send time, filled in when the op is applied).
+    fn stamp_strategy() -> impl proptest::strategy::Strategy<Value = TxStamp> {
+        use proptest::prelude::*;
+        (
+            0..=SegState::DELIVERED_MASK,
+            (any::<u64>(), any::<u64>()),
+            (any::<bool>(), any::<bool>()),
+        )
+            .prop_map(
+                |(delivered, (delivered_ns, first_tx_ns), (app_limited, pacing_limited))| TxStamp {
+                    delivered,
+                    delivered_time: SimTime::from_nanos(delivered_ns),
+                    first_tx_time: SimTime::from_nanos(first_tx_ns),
+                    tx_time: SimTime::ZERO,
+                    app_limited,
+                    pacing_limited,
+                },
+            )
+    }
+
+    fn seg_op_strategy() -> impl proptest::strategy::Strategy<Value = SegOp> {
+        use proptest::prelude::*;
+        // `dt` may be zero: a retransmission in the same instant as the
+        // first send is the degenerate case `on_sent` re-queues.
+        prop_oneof![
+            1 => (0u64..1_000_000, stamp_strategy())
+                .prop_map(|(dt, stamp)| SegOp::FirstSend { dt, stamp }).boxed(),
+            3 => (0u64..1_000_000, stamp_strategy())
+                .prop_map(|(dt, stamp)| SegOp::Retransmit { dt, stamp }).boxed(),
+            2 => Just(SegOp::Rewind).boxed(),
+            1 => Just(SegOp::Sack).boxed(),
+            2 => Just(SegOp::MarkLost).boxed(),
+            1 => Just(SegOp::ClearLost).boxed(),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The packed record reads back exactly what the plain one holds,
+        /// after every step of any first-send / retransmit / RTO-rewind /
+        /// SACK / mark-lost / clear-lost sequence.
+        #[test]
+        fn packed_segment_matches_reference(
+            ops in proptest::collection::vec(seg_op_strategy(), 1..80),
+        ) {
+            use proptest::prelude::*;
+            use reference::RefSeg;
+            let mut now = SimTime::ZERO;
+            let first = TxStamp::default();
+            let mut packed = SegState::first_send(now, &first);
+            let mut plain = RefSeg::first_send(PktSeq(7), now, &first);
+            for op in &ops {
+                match op {
+                    SegOp::FirstSend { dt, stamp } => {
+                        now += SimDuration::from_nanos(*dt);
+                        let stamp = TxStamp { tx_time: now, ..*stamp };
+                        packed = SegState::first_send(now, &stamp);
+                        plain = RefSeg::first_send(plain.seq, now, &stamp);
+                    }
+                    SegOp::Retransmit { dt, stamp } => {
+                        now += SimDuration::from_nanos(*dt);
+                        let stamp = TxStamp { tx_time: now, ..*stamp };
+                        packed.retransmit(&stamp);
+                        plain.retransmit(now, &stamp);
+                    }
+                    SegOp::Rewind => {
+                        packed.rewind();
+                        plain.rewind();
+                    }
+                    SegOp::Sack => {
+                        packed.set(SegState::SACKED, true);
+                        plain.sacked = true;
+                    }
+                    SegOp::MarkLost => {
+                        packed.set(SegState::LOST, true);
+                        plain.lost = true;
+                    }
+                    SegOp::ClearLost => {
+                        packed.set(SegState::LOST, false);
+                        plain.lost = false;
+                    }
+                }
+                prop_assert_eq!(packed.last_tx(), plain.last_tx, "last_tx after {:?}", op);
+                prop_assert_eq!(packed.sent_at, plain.sent_at, "sent_at after {:?}", op);
+                prop_assert_eq!(packed.stamp(), plain.stamp, "stamp after {:?}", op);
+                prop_assert_eq!(packed.sacked(), plain.sacked, "sacked after {:?}", op);
+                prop_assert_eq!(packed.lost(), plain.lost, "lost after {:?}", op);
+                prop_assert_eq!(
+                    packed.retransmitted(),
+                    plain.retx_count > 0,
+                    "retransmitted after {:?}", op
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn largest_delivered_count_round_trips_beside_every_flag() {
+        let stamp = TxStamp {
+            delivered: SegState::DELIVERED_MASK,
+            app_limited: true,
+            pacing_limited: true,
+            ..TxStamp::default()
+        };
+        let mut seg = SegState::first_send(SimTime::from_millis(1), &stamp);
+        seg.set(SegState::SACKED, true);
+        seg.set(SegState::LOST, true);
+        seg.retransmit(&stamp);
+        seg.rewind();
+        assert_eq!(seg.stamp(), stamp);
+        assert!(seg.sacked() && seg.lost() && seg.retransmitted());
+        assert_eq!(seg.last_tx(), seg.sent_at);
+        // And the flags survive a stamp that clears every stamp bit.
+        seg.set_stamp(&TxStamp::default());
+        assert_eq!(seg.stamp(), TxStamp::default());
+        assert!(seg.sacked() && seg.lost() && seg.retransmitted());
+    }
+
+    #[test]
+    #[should_panic(expected = "collides with the segment flag bits")]
+    fn delivered_count_reaching_the_flag_bits_panics() {
+        let stamp = TxStamp {
+            delivered: SegState::DELIVERED_MASK + 1,
+            ..TxStamp::default()
+        };
+        SegState::first_send(SimTime::ZERO, &stamp);
     }
 
     #[test]

@@ -89,12 +89,15 @@ resume() {
 # The FLEET experiment (heterogeneous devices through one shared
 # bottleneck) is byte-identical across worker counts; the full-preset
 # population (504 devices, above the multiplexing floor) passes every
-# scorecard check (repro exits non-zero on any MISS); and the fleet corpus
+# scorecard check (repro exits non-zero on any MISS); the fleet corpus
 # seeds replay clean under every oracle, fleet-conservation and
-# fleet-jain-bounds included.
+# fleet-jain-bounds included; and a 100-device fleet's peak live heap stays
+# under the bound in crates/tcp-sim/tests/footprint.rs, so the gate fails
+# on a per-packet footprint regression as well as on a byte change.
 fleet() {
     cross_jobs_identical fleet --json --exp fleet --quick
     repro --exp fleet --no-cache
+    cargo test --release -p tcp-sim --test footprint
     simcheck --scenario 'cc=bbr,cpu=mid,media=wifi,conns=6,stride=1,pacing=on,queue=-,loss=0,jitter=0,cross=0,acks=-,dur=700,warmup=250,seed=21,fleet=6,fmix=1,fshared=100,fqdisc=codel'
     simcheck --scenario 'cc=bbr,cpu=low,media=wifi,conns=5,stride=1,pacing=on,queue=-,loss=0,jitter=0,cross=0,acks=-,dur=600,warmup=200,seed=22,fleet=5,fmix=0,fshared=60,fqdisc=fifo'
 }
