@@ -31,26 +31,19 @@
 //! stays flat in grid size); `--cancel-after N` is a deterministic
 //! test hook that interrupts after N released cells, counted over the run.
 //!
-//! `--trace PATH` switches to flight-recorder mode: instead of running
-//! experiments, it records the canonical Low-End / 20-connection BBR run
-//! with `sim-trace` enabled and writes the trace to PATH —
-//! `--trace-format jsonl` (default, for the `trace` inspector) or
-//! `chrome` (load in Perfetto / `chrome://tracing`):
+//! `--observe DIR` switches to observe mode: instead of running
+//! experiments, it simulates the canonical Low-End / 20-connection BBR run
+//! once with tracing and telemetry on, plus the Fig. 2 / Fig. 7 grids and
+//! the canonical fleet, and writes under DIR the Chrome trace
+//! (`trace.json`, load it in Perfetto or `chrome://tracing`), the flight
+//! data (`flight.jsonl`, `flows.csv`, `queue.csv`) and one self-contained
+//! `report.html` (inline SVG, no JavaScript, no network). It prints the
+//! trace's per-kind census, the exact per-category cycle ranking and a
+//! per-connection table. Output is byte-identical at any `--jobs N`:
 //!
 //! ```bash
 //! cargo run --release -p mobile-bbr-bench --bin repro -- \
-//!     --trace trace.json --trace-format chrome
-//! ```
-//!
-//! `--report DIR` switches to report mode: it runs the canonical
-//! telemetry run plus the Fig. 2 / Fig. 7 grids and writes flight data
-//! (`flight.jsonl`, `flows.csv`, `queue.csv`) and one self-contained
-//! `report.html` (inline SVG, no JavaScript, no network) under DIR.
-//! Output is byte-identical at any `--jobs N`:
-//!
-//! ```bash
-//! cargo run --release -p mobile-bbr-bench --bin repro -- \
-//!     --report out/report --quick --jobs 4
+//!     --observe out/observe --quick --jobs 4
 //! ```
 
 use experiments::{Experiment, ExperimentId, Params};
@@ -62,9 +55,7 @@ struct Args {
     markdown: Option<String>,
     json: Option<String>,
     csv: Option<String>,
-    trace: Option<String>,
-    trace_chrome: bool,
-    report: Option<String>,
+    observe: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -74,9 +65,7 @@ fn parse_args() -> Result<Args, String> {
     let mut json = None;
     let mut csv = None;
     let mut seeds: Option<u64> = None;
-    let mut trace: Option<String> = None;
-    let mut trace_chrome = false;
-    let mut report: Option<String> = None;
+    let mut observe: Option<String> = None;
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     let sweep = mobile_bbr_bench::sweep_flags(&mut argv)?;
     let mut args = argv.into_iter();
@@ -106,30 +95,17 @@ fn parse_args() -> Result<Args, String> {
             "--markdown" => markdown = Some(value("a path")?),
             "--json" => json = Some(value("a path")?),
             "--csv" => csv = Some(value("a path")?),
-            "--trace" => trace = Some(value("a path")?),
-            "--report" => report = Some(value("a directory")?),
-            "--trace-format" => {
-                trace_chrome = match value("a value")?.as_str() {
-                    "jsonl" => false,
-                    "chrome" => true,
-                    other => {
-                        return Err(format!(
-                            "unknown trace format '{other}' (expected jsonl or chrome)"
-                        ))
-                    }
-                };
-            }
+            "--observe" => observe = Some(value("a directory")?),
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
 
-    // `--trace` and `--report` are modes of their own: they run no
-    // experiments and write no scorecard, so a flag that asks for either
-    // would be silently dropped. Refuse it by name instead.
-    if trace.is_some() || report.is_some() {
+    // `--observe` is a mode of its own: it runs no experiments and writes
+    // no scorecard, so a flag that asks for either would be silently
+    // dropped. Refuse it by name instead.
+    if observe.is_some() {
         let mut ignored = Vec::new();
         for (flag, given) in [
-            ("--report", trace.is_some() && report.is_some()),
             ("--exp", !exps.is_empty()),
             ("--json", json.is_some()),
             ("--markdown", markdown.is_some()),
@@ -141,13 +117,8 @@ fn parse_args() -> Result<Args, String> {
             }
         }
         if !ignored.is_empty() {
-            let mode = if trace.is_some() {
-                "--trace"
-            } else {
-                "--report"
-            };
             return Err(format!(
-                "{mode} is a mode of its own and would ignore {}",
+                "--observe is a mode of its own and would ignore {}",
                 ignored.join(", ")
             ));
         }
@@ -172,62 +143,22 @@ fn parse_args() -> Result<Args, String> {
         markdown,
         json,
         csv,
-        trace,
-        trace_chrome,
-        report,
+        observe,
     })
 }
 
-/// Report mode: flight data + self-contained HTML under `dir`.
-fn write_report(params: &Params, dir: &str) -> Result<(), sim_core::Error> {
-    let files = experiments::report::generate(params, std::path::Path::new(dir))?;
-    for path in files.all() {
+/// Observe mode: the canonical run's trace, flight data and report under
+/// `dir`, and its summary tables on stdout.
+fn observe(params: &Params, dir: &str) -> Result<(), sim_core::Error> {
+    let obs = experiments::report::generate(params, std::path::Path::new(dir))?;
+    println!("{}", obs.summary);
+    for path in obs.files() {
         println!("wrote {}", path.display());
     }
     println!(
-        "open {} in a browser (fully offline: inline SVG, no scripts)",
-        files.html.display()
-    );
-    Ok(())
-}
-
-/// Flight-recorder mode: record the paper's worst case — Low-End, 20 BBR
-/// connections — with tracing on and write the trace to `path`.
-fn record_trace(params: &Params, path: &str, chrome: bool) -> Result<(), String> {
-    use congestion::CcKind;
-    use cpu_model::CpuConfig;
-
-    let config = params.pixel4(CpuConfig::LowEnd, CcKind::Bbr, 20);
-    let observed = tcp_sim::StackSim::new(config).run_observed(tcp_sim::Instruments {
-        trace: true,
-        telemetry: None,
-    });
-    let (res, log) = (
-        observed.result,
-        observed.trace.expect("tracing was requested"),
-    );
-    let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    let mut w = std::io::BufWriter::new(file);
-    if chrome {
-        sim_core::trace::write_chrome(&log, &mut w)
-    } else {
-        sim_core::trace::write_jsonl(&log, &mut w)
-    }
-    .map_err(|e| format!("write {path}: {e}"))?;
-    println!(
-        "recorded BBR Low-End 20-conn run: {:.1} Mbps, {} events ({} dropped), {} counter series",
-        res.goodput_mbps(),
-        log.events.len(),
-        log.dropped,
-        log.counters.len()
-    );
-    println!(
-        "wrote {path} ({})",
-        if chrome {
-            "Chrome trace-event JSON — load in Perfetto or chrome://tracing"
-        } else {
-            "sim-trace/v1 JSONL — inspect with the `trace` binary"
-        }
+        "open {} in a browser (fully offline: inline SVG, no scripts); load {} in Perfetto or chrome://tracing",
+        obs.html.display(),
+        obs.trace_json.display()
     );
     Ok(())
 }
@@ -239,21 +170,13 @@ fn main() {
         Err(e) => {
             let e = sim_core::Error::Cli(e);
             eprintln!("error: {e}");
-            eprintln!("usage: repro [--exp <name|all|ablations>]... [--quick|--smoke] [--seeds N] [--jobs N] [--no-cache] [--cache-dir PATH] [--progress] [--checkpoint PATH [--resume]] [--max-inflight N] [--cancel-after N] [--markdown PATH] [--json PATH] [--csv PATH] [--trace PATH [--trace-format jsonl|chrome]] [--report DIR]");
+            eprintln!("usage: repro [--exp <name|all|ablations>]... [--quick|--smoke] [--seeds N] [--jobs N] [--no-cache] [--cache-dir PATH] [--progress] [--checkpoint PATH [--resume]] [--max-inflight N] [--cancel-after N] [--markdown PATH] [--json PATH] [--csv PATH] [--observe DIR]");
             std::process::exit(e.exit_code());
         }
     };
 
-    if let Some(path) = &args.trace {
-        if let Err(e) = record_trace(&args.params, path, args.trace_chrome) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if let Some(dir) = &args.report {
-        if let Err(e) = write_report(&args.params, dir) {
+    if let Some(dir) = &args.observe {
+        if let Err(e) = observe(&args.params, dir) {
             eprintln!("error: {e}");
             std::process::exit(e.exit_code());
         }

@@ -10,7 +10,8 @@
 //! Every failure is shrunk to a minimal spec, printed as a one-line repro
 //! (`simcheck --scenario '<spec>'`), appended to the checked-in corpus at
 //! `tests/simcheck_corpus.txt`, and its flight-recorder trace is written
-//! under `--failure-dir` for the `trace` inspector.
+//! under `--failure-dir` as a Chrome trace (`simcheck-<key>.json`, load it
+//! in Perfetto).
 //!
 //! Long campaigns are interruptible and resumable: `--checkpoint PATH`
 //! records every scenario verdict (atomic tmp+rename envelope), Ctrl-C
@@ -88,7 +89,8 @@ fn print_usage() {
            --seed N             root seed for the scenario stream (default 1)\n\
            --jobs N             worker threads; output is bit-identical for any N (default 1)\n\
            --corpus PATH        seed corpus to replay first (default tests/simcheck_corpus.txt)\n\
-           --failure-dir PATH   where failure traces go (default target/simcheck-failures)\n\
+           --failure-dir PATH   where failure traces go, as Chrome trace JSON for Perfetto\n\
+                                (default target/simcheck-failures)\n\
            --scenario SPEC      replay one 'k=v,...' spec instead of fuzzing\n\
            --mutant-check       verify each tcp_sim::mutants mutation is caught\n\
                                 (needs a --features simcheck-mutants build)\n\

@@ -1,6 +1,6 @@
 //! # mobile-bbr-bench
 //!
-//! The command-line front ends of the reproduction. Three binaries (host
+//! The command-line front ends of the reproduction. Two binaries (host
 //! time is measured by the standalone `benchmark/` package, not here):
 //!
 //! * **`repro`** — the one sweep front end. `--exp all` regenerates every
@@ -10,9 +10,9 @@
 //!   with Markdown/JSON/CSV artifacts for EXPERIMENTS.md. `--exp ablations`
 //!   runs the six design-choice studies DESIGN.md §7 calls out (timer cost,
 //!   socket-buffer cap, governor, AQM, competition, ACK frequency) the
-//!   same way, one `--exp <name>` each.
-//! * **`trace`** — the flight-recorder inspector: validates a recorded
-//!   JSONL trace and summarises it (`inspect`, `top`, `flows`).
+//!   same way, one `--exp <name>` each. `--observe DIR` is its one observe
+//!   mode: the canonical run's Chrome trace, flight data and HTML report,
+//!   plus its event census, exact cycle ranking and per-connection table.
 //! * **`simcheck`** — the deterministic scenario fuzzer: draws whole
 //!   configurations, runs them through [`simcheck`]'s invariant-oracle
 //!   library, shrinks failures to one-line repros, and (with the

@@ -1235,8 +1235,9 @@ pub struct FuzzOptions {
     pub seed: u64,
     /// Worker threads (0 is treated as 1); any value is bit-identical.
     pub jobs: usize,
-    /// Where shrunk failures' flight-recorder traces go (`None` skips
-    /// trace capture).
+    /// Where shrunk failures' flight-recorder traces go, one
+    /// `simcheck-<key>.json` Chrome trace per failure for Perfetto
+    /// (`None` skips trace capture).
     pub failure_dir: Option<std::path::PathBuf>,
     /// Per-scenario progress lines on stderr.
     pub progress: bool,
@@ -1255,7 +1256,8 @@ pub struct FuzzOptions {
 /// determinism contract). Failing scenarios are shrunk **as their
 /// verdicts stream out** of the engine — the batch never materializes in
 /// memory — and, when `failure_dir` is given, each shrunk repro is
-/// re-executed with the flight recorder on and its trace saved as JSONL.
+/// re-executed with the flight recorder on and its trace saved in Chrome
+/// trace-event JSON (load it in Perfetto or `chrome://tracing`).
 ///
 /// Errors: [`sim_core::Error::Interrupted`] on Ctrl-C / cancellation
 /// (the checkpoint, if configured, is already finalized), I/O failures
@@ -1289,16 +1291,17 @@ pub fn fuzz(options: &FuzzOptions) -> Result<FuzzOutcome, sim_core::Error> {
                 let write = || -> std::io::Result<std::path::PathBuf> {
                     std::fs::create_dir_all(dir)?;
                     let key = sim_core::sweep::fnv64(shrunk.spec_string().as_bytes());
-                    let path = dir.join(format!("simcheck-{key:016x}.jsonl"));
+                    let path = dir.join(format!("simcheck-{key:016x}.json"));
                     let log = StackSim::new(shrunk.to_config())
                         .run_observed(tcp_sim::Instruments {
                             trace: true,
-                            telemetry: None,
+                            ..tcp_sim::Instruments::default()
                         })
                         .trace
                         .expect("tracing was requested");
                     let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
-                    sim_core::trace::write_jsonl(&log, &mut file)?;
+                    sim_core::trace::write_chrome(&log, &mut file)?;
+                    std::io::Write::flush(&mut file)?;
                     Ok(path)
                 };
                 match write() {

@@ -1,8 +1,9 @@
 //! Command-line tests for the `repro` binary: a knob must override the
 //! preset whichever side of `--quick`/`--smoke` it is written on, a
 //! hostile value is a usage error and never a panic, naming an experiment
-//! twice selects it once, and `--exp ablations` is a selection like
-//! `--exp all` — same sweep, same sharing.
+//! twice selects it once, `--exp ablations` is a selection like
+//! `--exp all` — same sweep, same sharing — and `--observe` is the one
+//! observe mode.
 
 use std::process::Command;
 
@@ -120,41 +121,59 @@ fn studies_share_cells_with_the_scorecard_in_one_sweep() {
 }
 
 #[test]
+fn observe_writes_five_files_and_prints_three_tables() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-observe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--observe", dir.to_str().unwrap(), "--smoke"])
+        .output()
+        .expect("repro binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(
+        files,
+        [
+            "flight.jsonl",
+            "flows.csv",
+            "queue.csv",
+            "report.html",
+            "trace.json"
+        ]
+    );
+    // The census, the cycle ranking, the per-connection table.
+    assert!(stdout.contains(" dropped, "), "{stdout}");
+    assert!(stdout.contains("  cpu_span\n"), "{stdout}");
+    assert!(stdout.contains("Mcycles total):\n"), "{stdout}");
+    assert!(stdout.contains("%  timers\n"), "{stdout}");
+    assert!(stdout.contains(" conn   tx segs"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn side_modes_refuse_flags_they_would_ignore() {
-    // `--trace` and `--report` return before any experiment runs; a flag
-    // that asks for an artifact (or for the other mode) used to be dropped
-    // silently with exit 0.
+    // `--observe` returns before any experiment runs; a flag that asks
+    // for an artifact or a checkpoint would be dropped silently.
     let dir = std::env::temp_dir().join(format!("repro-cli-modes-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
     for (flags, named) in [
         (
-            vec![
-                "--trace",
-                &at("t"),
-                "--report",
-                &at("r"),
-                "--json",
-                &at("j"),
-            ],
-            vec!["--report", "--json"],
+            vec!["--json", &at("j"), "--exp", "fig9"],
+            vec!["--exp", "--json"],
         ),
-        (vec!["--trace", &at("t"), "--exp", "fig9"], vec!["--exp"]),
-        (vec!["--report", &at("r"), "--csv", &at("c")], vec!["--csv"]),
+        (vec!["--csv", &at("c")], vec!["--csv"]),
         (
-            vec![
-                "--report",
-                &at("r"),
-                "--markdown",
-                &at("m"),
-                "--checkpoint",
-                &at("k"),
-            ],
+            vec!["--markdown", &at("m"), "--checkpoint", &at("k")],
             vec!["--markdown", "--checkpoint"],
         ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .arg("--smoke")
+            .args(["--smoke", "--observe", &at("o")])
             .args(&flags)
             .output()
             .expect("repro binary runs");
@@ -169,6 +188,26 @@ fn side_modes_refuse_flags_they_would_ignore() {
         assert!(
             std::fs::read_dir(&dir).unwrap().next().is_none(),
             "{flags:?}: a refused invocation writes nothing"
+        );
+    }
+}
+
+#[test]
+fn the_old_observe_flags_are_unknown() {
+    for (flag, value) in [
+        ("--trace", "t.jsonl"),
+        ("--trace-format", "chrome"),
+        ("--report", "out"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--smoke", flag, value])
+            .output()
+            .expect("repro binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{stderr}"
         );
     }
 }

@@ -90,15 +90,6 @@ pub struct CpuProfile {
 }
 
 impl CpuProfile {
-    /// Total cycles per category across all windows.
-    pub fn totals(&self) -> BTreeMap<&'static str, u64> {
-        let mut totals = BTreeMap::new();
-        for row in &self.rows {
-            *totals.entry(row.category).or_insert(0) += row.cycles;
-        }
-        totals
-    }
-
     /// Convert to trace counter series (one `cycles.<category>` series per
     /// category, one point per window), for embedding in a
     /// [`sim_core::trace::TraceLog`].
@@ -160,9 +151,16 @@ mod tests {
         p.record(SimTime::from_millis(1), "timers", 100);
         p.record(SimTime::from_millis(25), "timers", 11);
         p.record(SimTime::from_millis(25), "bytes", 4);
-        let totals = p.finish().totals();
-        assert_eq!(totals.get("timers"), Some(&111));
-        assert_eq!(totals.get("bytes"), Some(&4));
+        let totals: Vec<(String, u64)> = p
+            .finish()
+            .to_series()
+            .into_iter()
+            .map(|s| (s.name, s.points.iter().map(|&(_, c)| c).sum()))
+            .collect();
+        assert_eq!(
+            totals,
+            [("cycles.bytes".into(), 4), ("cycles.timers".into(), 111)]
+        );
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! `repro --report DIR`: flight data plus a self-contained HTML report.
+//! `repro --observe DIR`: the one instrumented look at a run — a Chrome
+//! trace, flight data, a self-contained HTML report, and three summary
+//! tables.
 //!
-//! The report pipeline runs two things and renders them into four files
-//! under `DIR`:
+//! The pipeline runs three things and renders them into five files under
+//! `DIR`:
 //!
-//! 1. The canonical worst case — Low-End, 20 BBR connections — with
-//!    telemetry sampling on (`telemetry.rs`, 10 ms interval). Its strip
-//!    chart becomes `flight.jsonl` (sim-telemetry/v1), `flows.csv`, and
-//!    `queue.csv`, and feeds the per-flow timeline panels.
+//! 1. The canonical worst case — Low-End, 20 BBR connections — once, with
+//!    tracing and telemetry sampling (10 ms interval) both on. Its trace
+//!    becomes `trace.json` (Chrome trace-event format, for Perfetto); its
+//!    strip chart becomes `flight.jsonl` (sim-telemetry/v1), `flows.csv`
+//!    and `queue.csv`, and feeds the per-flow timeline panels.
 //! 2. The Fig. 2 goodput grid (every CPU config × connection count ×
 //!    CUBIC/BBR) and the Fig. 7 pacing comparison (paced vs unpaced p95
 //!    RTT): those two experiments' own plans, run as one sweep.
@@ -19,6 +22,13 @@
 //! byte-identical at any `--jobs N` — chart geometry uses fixed-precision
 //! decimal formatting and the sweep engine already guarantees
 //! order-independent results.
+//!
+//! The summary tables are read from memory, never from a file: the
+//! per-kind census and the per-connection table from the [`TraceLog`],
+//! the cycle ranking from the CPU model's exact tally
+//! ([`cpu_model::CpuStats::cycles_by_category`]). The trace rings are
+//! flight recorders that keep only the newest records, so a cycle sum
+//! over surviving `cpu_span`s undercounts any run long enough to wrap them.
 
 use crate::params::{Params, CONN_SWEEP};
 use crate::{fig2, fig4};
@@ -28,11 +38,13 @@ use iperf::RunReport;
 use netsim::Qdisc;
 use sim_core::telemetry::{self, TelemetryLog};
 use sim_core::time::SimDuration;
+use sim_core::trace::{TraceKind, TraceLog};
 use sim_core::units::Bandwidth;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use tcp_sim::fleet::FleetResult;
-use tcp_sim::{FleetConfig, Instruments, StackSim};
+use tcp_sim::{FleetConfig, Instruments, SimResult, StackSim};
 
 /// Sample interval for the canonical telemetry run: 10 ms keeps the
 /// flight data comfortably under the sink's sample cap at full-preset
@@ -43,59 +55,76 @@ pub const TELEMETRY_INTERVAL: SimDuration = SimDuration::from_millis(10);
 /// deterministic stride so full-preset reports stay a few hundred KB.
 const MAX_POINTS: usize = 512;
 
-/// Paths of the artifacts written by [`generate`], in write order.
+/// What [`generate`] wrote, in write order, and what it printed.
 #[derive(Debug, Clone)]
-pub struct ReportFiles {
+pub struct Observation {
     /// `sim-telemetry/v1` JSONL flight data (header + flow/queue rows).
     pub flight_jsonl: PathBuf,
     /// Per-flow samples as CSV.
     pub flows_csv: PathBuf,
     /// Bottleneck-queue samples as CSV.
     pub queue_csv: PathBuf,
+    /// The canonical run's trace in Chrome trace-event JSON (Perfetto).
+    pub trace_json: PathBuf,
     /// The self-contained HTML report.
     pub html: PathBuf,
+    /// The canonical run's three summary tables: the trace's per-kind
+    /// census, the exact per-category cycle ranking, and per-connection
+    /// activity.
+    pub summary: String,
 }
 
-impl ReportFiles {
-    /// All four paths, for callers that iterate (smoke checks, cleanup).
-    pub fn all(&self) -> [&Path; 4] {
+impl Observation {
+    /// All five file paths, in write order.
+    pub fn files(&self) -> [&Path; 5] {
         [
             &self.flight_jsonl,
             &self.flows_csv,
             &self.queue_csv,
+            &self.trace_json,
             &self.html,
         ]
     }
 }
 
-/// Generate the full report under `dir` (created if missing).
+/// Observe the canonical run and generate the full report under `dir`
+/// (created if missing).
 ///
 /// Deterministic: the same tree and `params` produce byte-identical
 /// files regardless of `params.threads` or cache state. The canonical
-/// telemetry run executes inline (single simulation, no sweep); the
-/// figure grids are one sweep, like every experiment run.
-pub fn generate(params: &Params, dir: &Path) -> Result<ReportFiles, sim_core::Error> {
+/// run executes inline (single simulation, no sweep); the figure grids
+/// are one sweep, like every experiment run.
+pub fn generate(params: &Params, dir: &Path) -> Result<Observation, sim_core::Error> {
     std::fs::create_dir_all(dir)
         .map_err(|e| sim_core::Error::io(format!("create {}", dir.display()), e))?;
 
-    // Canonical run: Low-End, 20 BBR connections, telemetry on.
+    // Canonical run: Low-End, 20 BBR connections, trace and telemetry on.
     let cfg = params.pixel4(CpuConfig::LowEnd, CcKind::Bbr, 20);
     let observed = StackSim::new(cfg).run_observed(Instruments {
-        trace: false,
+        trace: true,
         telemetry: Some(TELEMETRY_INTERVAL),
+        pcap: None,
     });
     let result = observed.result;
+    let trace = observed.trace.expect("tracing was requested");
     let log = observed.telemetry.expect("an interval attaches the sink");
 
-    let files = ReportFiles {
+    let obs = Observation {
         flight_jsonl: dir.join("flight.jsonl"),
         flows_csv: dir.join("flows.csv"),
         queue_csv: dir.join("queue.csv"),
+        trace_json: dir.join("trace.json"),
         html: dir.join("report.html"),
+        summary: summarize(&result, &trace),
     };
-    write_file(&files.flight_jsonl, |w| telemetry::write_jsonl(&log, w))?;
-    write_file(&files.flows_csv, |w| telemetry::write_flows_csv(&log, w))?;
-    write_file(&files.queue_csv, |w| telemetry::write_queue_csv(&log, w))?;
+    write_file(&obs.flight_jsonl, |w| telemetry::write_jsonl(&log, w))?;
+    write_file(&obs.flows_csv, |w| telemetry::write_flows_csv(&log, w))?;
+    write_file(&obs.queue_csv, |w| telemetry::write_queue_csv(&log, w))?;
+    write_file(&obs.trace_json, |w| {
+        sim_core::trace::write_chrome(&trace, w)
+    })?;
+    // The trace is tens of MB at the full preset; free it before the grids.
+    drop(trace);
 
     // Figure grids: the two experiments' plans through one sweep
     // (parallel, cached, ordered; Fig. 7's paced cells are Fig. 2's).
@@ -122,9 +151,135 @@ pub fn generate(params: &Params, dir: &Path) -> Result<ReportFiles, sim_core::Er
         .expect("fleet config yields fleet metrics");
 
     let html = render_html(params, result.goodput_mbps(), &log, &fig2, &fig7, &fleet);
-    std::fs::write(&files.html, html)
-        .map_err(|e| sim_core::Error::io(format!("write {}", files.html.display()), e))?;
-    Ok(files)
+    std::fs::write(&obs.html, html)
+        .map_err(|e| sim_core::Error::io(format!("write {}", obs.html.display()), e))?;
+    Ok(obs)
+}
+
+/// The three tables of [`Observation::summary`].
+///
+/// The census and the per-connection table count what the trace rings
+/// kept, and say so when they dropped records; the cycle table is the
+/// CPU model's exact tally, whatever the rings kept.
+fn summarize(result: &SimResult, log: &TraceLog) -> String {
+    let mut out = String::new();
+
+    let span_s = log.events.last().map_or(0, |r| r.at.as_nanos()) as f64 / 1e9;
+    let _ = writeln!(
+        out,
+        "trace: {} events kept, {} dropped, {} counter series, span {span_s:.3} s",
+        log.events.len(),
+        log.dropped,
+        log.counters.len(),
+    );
+    let mut census: BTreeMap<&str, u64> = BTreeMap::new();
+    for rec in &log.events {
+        *census.entry(rec.kind.name()).or_default() += 1;
+    }
+    let mut census: Vec<(&str, u64)> = census.into_iter().collect();
+    census.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    for (kind, n) in census {
+        let _ = writeln!(out, "  {n:>10}  {kind}");
+    }
+
+    let total = result.cpu.total_cycles;
+    let _ = writeln!(
+        out,
+        "\nmodelled CPU by category ({:.1} Mcycles total):",
+        total as f64 / 1e6
+    );
+    let mut ranked: Vec<(&str, u64)> = result
+        .cpu
+        .cycles_by_category
+        .iter()
+        .map(|(&cat, &c)| (cat, c))
+        .collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    for (cat, c) in ranked {
+        let _ = writeln!(
+            out,
+            "  {:>10.1} Mcycles  {:>5.1} %  {cat}",
+            c as f64 / 1e6,
+            100.0 * c as f64 / total.max(1) as f64
+        );
+    }
+
+    #[derive(Default)]
+    struct Flow {
+        tx_segs: u64,
+        tx_bytes: u64,
+        retx_segs: u64,
+        acks: u64,
+        rto_fires: u64,
+        pacing_fires: u64,
+        last_cwnd: u64,
+        last_rate_bps: u64,
+        last_phase: &'static str,
+    }
+    let mut flows: BTreeMap<u32, Flow> = BTreeMap::new();
+    for rec in &log.events {
+        // The stack's records carry a connection id; the wheel's, the
+        // CPU's and the stride governor's do not.
+        let f = match rec.kind {
+            TraceKind::WheelSchedule
+            | TraceKind::WheelCancel
+            | TraceKind::WheelPop
+            | TraceKind::WheelCascade
+            | TraceKind::StrideAdapt
+            | TraceKind::CpuSpan => continue,
+            _ => flows.entry(rec.conn).or_default(),
+        };
+        match rec.kind {
+            TraceKind::SegTx => {
+                f.tx_segs += rec.a;
+                f.tx_bytes += rec.b;
+            }
+            TraceKind::SegRetx => f.retx_segs += rec.a,
+            TraceKind::AckRx => f.acks += 1,
+            TraceKind::RtoFire => f.rto_fires += 1,
+            TraceKind::PacingFire => f.pacing_fires += 1,
+            TraceKind::CwndUpdate => f.last_cwnd = rec.a,
+            TraceKind::PacingRate => f.last_rate_bps = rec.a,
+            TraceKind::CcPhase => {
+                f.last_phase = log.strings.get(rec.b as usize).copied().unwrap_or("")
+            }
+            _ => {}
+        }
+    }
+    let _ = writeln!(
+        out,
+        "\n{:>5} {:>9} {:>10} {:>7} {:>9} {:>7} {:>10} {:>12} {:>11} {:>12}",
+        "conn", "tx segs", "tx MB", "retx", "acks", "rto", "pacing", "cwnd", "rate Mbps", "phase"
+    );
+    for (conn, f) in &flows {
+        let _ = writeln!(
+            out,
+            "{conn:>5} {:>9} {:>10.2} {:>7} {:>9} {:>7} {:>10} {:>12} {:>11.1} {:>12}",
+            f.tx_segs,
+            f.tx_bytes as f64 / 1e6,
+            f.retx_segs,
+            f.acks,
+            f.rto_fires,
+            f.pacing_fires,
+            f.last_cwnd,
+            f.last_rate_bps as f64 / 1e6,
+            if f.last_phase.is_empty() {
+                "-"
+            } else {
+                f.last_phase
+            },
+        );
+    }
+    if log.dropped > 0 {
+        let _ = writeln!(
+            out,
+            "note: the trace rings dropped {} records, so the census and these \
+             per-connection counts cover only the recorded tail of the run; \
+             the cycle table is exact",
+            log.dropped
+        );
+    }
+    out
 }
 
 fn write_file(
@@ -666,6 +821,52 @@ mod tests {
         assert!(svg.ends_with("</svg>"));
     }
 
+    /// A run long enough to wrap the CPU ring: the census and the
+    /// per-connection table say the log dropped records, while the cycle
+    /// table stays the CPU model's exact tally — not the lower sum over
+    /// the `cpu_span`s that survived, which a reader of the ring would
+    /// print.
+    #[test]
+    fn cycle_table_is_exact_when_the_cpu_ring_wraps() {
+        let mut p = Params::smoke();
+        p.duration = SimDuration::from_secs(3);
+        let cfg = p.pixel4(CpuConfig::HighEnd, CcKind::Bbr, 20);
+        let observed = StackSim::new(cfg).run_observed(Instruments {
+            trace: true,
+            ..Instruments::default()
+        });
+        let (result, log) = (observed.result, observed.trace.expect("traced"));
+        let spans: Vec<u64> = (log.events.iter())
+            .filter(|r| r.kind == TraceKind::CpuSpan)
+            .map(|r| r.b)
+            .collect();
+        assert!(log.dropped > 0);
+        assert_eq!(
+            spans.len(),
+            sim_core::trace::DEFAULT_CAPACITY,
+            "CPU ring wrapped"
+        );
+
+        let summary = summarize(&result, &log);
+        let total = result.cpu.total_cycles;
+        let header = |cycles: u64| format!("({:.1} Mcycles total)", cycles as f64 / 1e6);
+        assert!(summary.contains(&header(total)), "{summary}");
+        let rows = &result.cpu.cycles_by_category;
+        assert_eq!(summary.matches(" Mcycles  ").count(), rows.len());
+        for (cat, &c) in rows {
+            let row = format!(
+                "  {:>10.1} Mcycles  {:>5.1} %  {cat}\n",
+                c as f64 / 1e6,
+                100.0 * c as f64 / total as f64
+            );
+            assert!(summary.contains(&row), "missing {row:?} in {summary}");
+        }
+        let surviving: u64 = spans.iter().sum();
+        assert!(surviving < total, "{surviving} >= {total}");
+        assert!(!summary.contains(&header(surviving)), "ring sum printed");
+        assert!(summary.contains(&format!("the trace rings dropped {} records", log.dropped)));
+    }
+
     #[test]
     fn report_is_self_contained_and_deterministic_across_jobs() {
         let mut p1 = Params::smoke();
@@ -678,7 +879,7 @@ mod tests {
         let d4 = temp_dir("jobs4");
         let f4 = generate(&p4, &d4).expect("report generates");
 
-        for (a, b) in f1.all().iter().zip(f4.all().iter()) {
+        for (a, b) in f1.files().iter().zip(f4.files().iter()) {
             let ba = std::fs::read(a).expect("read artifact");
             let bb = std::fs::read(b).expect("read artifact");
             assert_eq!(
@@ -710,6 +911,16 @@ mod tests {
         let flight = std::fs::read_to_string(&f1.flight_jsonl).expect("read flight data");
         let header = flight.lines().next().expect("flight data has a header");
         assert!(header.contains("\"schema\":\"sim-telemetry/v1\""));
+
+        let trace = std::fs::read_to_string(&f1.trace_json).expect("read trace");
+        serde_json::from_str(&trace).expect("trace.json is one JSON document");
+        assert!(trace.contains("\"ph\":\"X\""), "cpu spans present");
+        assert!(
+            trace.contains("\"name\":\"cycles."),
+            "cycle counter series present"
+        );
+        assert_eq!(f1.summary, f4.summary);
+        assert!(f1.summary.contains("modelled CPU by category"));
 
         let _ = std::fs::remove_dir_all(&d1);
         let _ = std::fs::remove_dir_all(&d4);

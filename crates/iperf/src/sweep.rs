@@ -9,10 +9,10 @@
 //!
 //! The cache key is the canonical JSON of the **entire** [`SimConfig`]
 //! (with the cell's seed already applied), so any config change — device,
-//! path, pacing stride, duration, seed — yields a different key.
-//! Configurations that write a pcap are never cached: a hit would skip
-//! the capture. (Instruments are not configuration — they are passed to
-//! `StackSim::run_observed` — so they never reach a key.)
+//! path, pacing stride, duration, seed — yields a different key. Every
+//! cell is cacheable: instruments with side effects (trace, telemetry,
+//! pcap capture) are not configuration — they are passed to
+//! `StackSim::run_observed` — so they never reach a cell or its key.
 
 use crate::report::{RunReport, SeedResult};
 use crate::runner::RunSpec;
@@ -123,12 +123,6 @@ impl SweepCell for SeedCell {
             peak_mem_bytes: u(23),
         })
     }
-
-    /// Side-effectful runs are never cached: a pcap hit would skip the
-    /// capture.
-    fn cacheable(&self) -> bool {
-        self.config.pcap.is_none()
-    }
 }
 
 impl RunSpec {
@@ -178,10 +172,6 @@ impl SweepCell for KeyedCell {
 
     fn decode(bytes: &[u8]) -> Option<SeedResult> {
         SeedCell::decode(bytes)
-    }
-
-    fn cacheable(&self) -> bool {
-        self.cell.cacheable()
     }
 }
 
@@ -432,22 +422,6 @@ mod tests {
                 run_averaged(&groups[0][0]).goodput_mbps
             );
         }
-    }
-
-    #[test]
-    fn pcap_configs_are_uncacheable() {
-        let mut cfg = tiny_config();
-        cfg.pcap = Some(std::path::PathBuf::from("/tmp/unused.pcap"));
-        let cell = SeedCell {
-            label: "pcap".into(),
-            config: Arc::new(cfg),
-        };
-        assert!(!cell.cacheable());
-        let cell = SeedCell {
-            label: "plain".into(),
-            config: Arc::new(tiny_config()),
-        };
-        assert!(cell.cacheable());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! # Oracles
 //!
 //! An oracle is a named predicate over the outcome of one scenario run
-//! ([`Oracle`], usually built as the fn-pointer [`NamedOracle`]). Oracles
+//! ([`NamedOracle`], a name plus a fn pointer). Oracles
 //! return `Ok(())` or a human-readable description of the violation;
 //! [`evaluate`] runs a whole library over one context and collects every
 //! [`Violation`]. Oracles must be pure — they may re-run simulations (the
@@ -58,44 +58,23 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// A named predicate over one scenario outcome.
-///
-/// Implemented for free by [`NamedOracle`]; a trait so callers can also
-/// build stateful oracles (none exist today, but the metamorphic relations
-/// came close).
-pub trait Oracle<Ctx> {
-    /// Stable oracle name (used in reports, corpus lines, and CI grep).
-    fn name(&self) -> &'static str;
-    /// `Ok(())` if the invariant holds, else a description of the breach.
-    fn check(&self, ctx: &Ctx) -> Result<(), String>;
-}
-
-/// The standard oracle shape: a name plus a pure check function.
+/// A named predicate over one scenario outcome: a name plus a pure check
+/// function.
 pub struct NamedOracle<Ctx> {
-    /// Stable oracle name.
+    /// Stable oracle name (used in reports, corpus lines, and CI grep).
     pub name: &'static str,
-    /// The invariant predicate.
+    /// `Ok(())` if the invariant holds, else a description of the breach.
     pub check: fn(&Ctx) -> Result<(), String>,
 }
 
-impl<Ctx> Oracle<Ctx> for NamedOracle<Ctx> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn check(&self, ctx: &Ctx) -> Result<(), String> {
-        (self.check)(ctx)
-    }
-}
-
 /// Run every oracle over `ctx` and collect the violations (empty = clean).
-pub fn evaluate<Ctx, O: Oracle<Ctx>>(oracles: &[O], ctx: &Ctx) -> Vec<Violation> {
+pub fn evaluate<Ctx>(oracles: &[NamedOracle<Ctx>], ctx: &Ctx) -> Vec<Violation> {
     oracles
         .iter()
-        .filter_map(|o| match o.check(ctx) {
+        .filter_map(|o| match (o.check)(ctx) {
             Ok(()) => None,
             Err(detail) => Some(Violation {
-                oracle: o.name(),
+                oracle: o.name,
                 detail,
             }),
         })

@@ -34,10 +34,10 @@
 //! Observability lives in [`trace`] (`sim-trace`) and [`telemetry`]:
 //! `trace` is a flight recorder for *events* — ring buffers fed by
 //! tracepoints in the hot paths, merged into a deterministic
-//! [`trace::TraceLog`] and exported as JSONL or Chrome/Perfetto trace
-//! events — while `telemetry` is a strip chart for *state*, sampling
-//! per-flow cwnd/rate/RTT and bottleneck queue depth at a fixed sim-time
-//! interval for the `repro --report` flight-data pipeline. Both cost one
+//! [`trace::TraceLog`] and exported as Chrome/Perfetto trace events —
+//! while `telemetry` is a strip chart for *state*, sampling per-flow
+//! cwnd/rate/RTT and bottleneck queue depth at a fixed sim-time interval
+//! for the `repro --observe` flight-data pipeline. Both cost one
 //! branch per tracepoint until a buffer is attached at runtime, and neither
 //! perturbs simulation results when enabled.
 
@@ -55,7 +55,7 @@ pub mod time;
 pub mod trace;
 pub mod units;
 
-pub use check::{evaluate, Corpus, NamedOracle, Oracle, Violation};
+pub use check::{evaluate, Corpus, NamedOracle, Violation};
 pub use checkpoint::CheckpointStore;
 pub use error::{Error, Result};
 pub use event::{EventQueue, ScheduledEvent, TimerToken};

@@ -47,7 +47,8 @@
 //! entry; a cache can never poison a sweep. That validation is also why
 //! entries are not fsynced: the worst a crash can leave is an empty or
 //! tail-less file, which reads as corruption and costs one recompute.
-//! Cells whose execution has side effects (e.g. pcap capture) opt out via
+//! Cells whose output must reflect the running build rather than the key
+//! (simcheck's fuzz cells, where a hit would mask a mutant) opt out via
 //! [`SweepCell::cacheable`].
 //!
 //! # Streaming, bounded memory, checkpoint, cancellation (engine v2)
@@ -204,8 +205,9 @@ pub trait SweepCell: Sync {
 
     /// Whether this cell may be served from / written to the cache.
     ///
-    /// Cells with side effects (pcap capture, file output) must return
-    /// `false`: a cache hit would skip the side effect.
+    /// Cells with side effects (file output), or whose output depends on
+    /// state outside the key (simcheck's mutant switches), must return
+    /// `false`: a cache hit would skip the one or hide the other.
     fn cacheable(&self) -> bool {
         true
     }

@@ -6,7 +6,7 @@
 //! for *state*: at a fixed simulated-time interval the simulator snapshots
 //! each flow's cwnd, inflight, pacing rate, srtt, delivery rate, and CC
 //! phase, plus the bottleneck queue depth and cumulative drops. The samples
-//! feed the `repro --report` pipeline (per-flow timelines, Fig. 2/Fig. 7
+//! feed the `repro --observe` pipeline (per-flow timelines, Fig. 2/Fig. 7
 //! style panels) and export as JSONL or CSV flight data.
 //!
 //! # Design constraints
@@ -35,6 +35,7 @@
 //! elapsed interval, each reflecting the (unchanged) state during the gap.
 
 use crate::time::{SimDuration, SimTime};
+use crate::trace::escape_json;
 use std::io::{self, Write};
 
 /// One per-flow state snapshot.
@@ -194,22 +195,6 @@ impl TelemetrySink {
     /// `None` if the sink was never enabled.
     pub fn take(&mut self) -> Option<TelemetryLog> {
         self.buf.take().map(|b| b.into_log())
-    }
-}
-
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
     }
 }
 

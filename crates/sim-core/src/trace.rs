@@ -5,8 +5,8 @@
 //! per-flow pacing/cwnd dynamics. This module is the substrate for showing
 //! that *mechanism* rather than only asserting end-of-run aggregates:
 //! tracepoints in the hot paths record into fixed-capacity ring buffers that
-//! are merged into a [`TraceLog`] and exported as compact JSONL or
-//! Chrome/Perfetto trace-event JSON.
+//! are merged into a [`TraceLog`] and exported as Chrome/Perfetto
+//! trace-event JSON.
 //!
 //! # Design constraints
 //!
@@ -28,19 +28,15 @@
 //! names) intern `&'static str`s into a per-buffer table and store the index;
 //! [`TraceLog::merge`] rebuilds a unified table when buffers are combined.
 //!
-//! # Export formats
+//! # Export
 //!
-//! * **JSONL** ([`write_jsonl`]): one header object
-//!   (`{"schema":"sim-trace/v1",...}`), then one object per record in
-//!   timestamp order, fields `t`/`k`/`conn`/`a`/`b` with interned fields
-//!   resolved to inline strings, plus `{"k":"counter",...}` lines for
-//!   counter series (e.g. the windowed CPU profile).
-//! * **Chrome trace events** ([`write_chrome`]): loadable in Perfetto /
-//!   `chrome://tracing`. CPU spans become complete (`ph:"X"`) events,
-//!   cwnd/pacing-rate updates and counter series become counter (`ph:"C"`)
-//!   tracks, per-connection events become instants on one track per
-//!   connection. Raw wheel schedule/cancel/pop records are omitted (too
-//!   dense to render usefully); cascades are kept as instants.
+//! [`write_chrome`] writes Chrome trace-event JSON, loadable in Perfetto /
+//! `chrome://tracing`. CPU spans become complete (`ph:"X"`) events,
+//! cwnd/pacing-rate updates and counter series become counter (`ph:"C"`)
+//! tracks, per-connection events become instants on one track per
+//! connection. Raw wheel schedule/cancel/pop records are omitted (too
+//! dense to render usefully); cascades are kept as instants. Summaries of
+//! a run read the in-memory [`TraceLog`], never the exported file.
 
 use crate::time::SimTime;
 use std::io::{self, Write};
@@ -106,27 +102,8 @@ pub enum TraceKind {
     CpuSpan,
 }
 
-/// All kinds, in discriminant order (export and validation iterate this).
-pub const ALL_KINDS: [TraceKind; 15] = [
-    TraceKind::WheelSchedule,
-    TraceKind::WheelCancel,
-    TraceKind::WheelPop,
-    TraceKind::WheelCascade,
-    TraceKind::PacingFire,
-    TraceKind::TimerArm,
-    TraceKind::SegTx,
-    TraceKind::SegRetx,
-    TraceKind::AckRx,
-    TraceKind::CwndUpdate,
-    TraceKind::PacingRate,
-    TraceKind::CcPhase,
-    TraceKind::StrideAdapt,
-    TraceKind::RtoFire,
-    TraceKind::CpuSpan,
-];
-
 impl TraceKind {
-    /// Stable snake_case name used in the JSONL `k` field.
+    /// Stable snake_case name (Chrome instant names, event census).
     pub const fn name(self) -> &'static str {
         match self {
             TraceKind::WheelSchedule => "wheel_schedule",
@@ -242,16 +219,6 @@ impl TraceBuffer {
     /// True if no records have been recorded.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Records overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The interned string table (index = the id stored in records).
-    pub fn strings(&self) -> &[&'static str] {
-        &self.strings
     }
 
     /// Consume the ring, returning records oldest-first.
@@ -402,105 +369,26 @@ impl TraceLog {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
+/// Escape a string for embedding in a JSON string literal — the one
+/// escaper behind the trace and telemetry writers.
 ///
-/// Trace strings are static identifiers (category and phase names), but the
-/// exporters escape defensively so the output is always valid JSON.
-fn escape_json(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
+/// Exported strings are static identifiers (category, phase and series
+/// names), but the writers escape defensively so the output is always
+/// valid JSON.
+pub(crate) fn escape_json(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 out.push_str(&format!("\\u{:04x}", c as u32));
             }
             c => out.push(c),
         }
     }
-}
-
-/// Write a [`TraceLog`] as compact JSONL (`sim-trace/v1` schema).
-///
-/// Line 1 is a header object with the schema id, event/drop counts, and the
-/// string table; every following line is one event object with fields
-/// `t` (ns), `k` (kind name), and the operands `conn`/`a`/`b` (interned
-/// operands resolved to inline strings, unused operands omitted when zero is
-/// ambiguous is avoided — all three are always present for uniformity).
-/// Counter series points are interleaved in time order as
-/// `{"t":..,"k":"counter","name":..,"v":..}` lines.
-pub fn write_jsonl<W: Write>(log: &TraceLog, w: &mut W) -> io::Result<()> {
-    let mut header = String::new();
-    header.push_str("{\"schema\":\"sim-trace/v1\",\"events\":");
-    header.push_str(&log.events.len().to_string());
-    header.push_str(",\"dropped\":");
-    header.push_str(&log.dropped.to_string());
-    header.push_str(",\"counters\":");
-    header.push_str(&log.counters.len().to_string());
-    header.push_str(",\"strings\":[");
-    for (i, s) in log.strings.iter().enumerate() {
-        if i > 0 {
-            header.push(',');
-        }
-        header.push('"');
-        escape_json(s, &mut header);
-        header.push('"');
-    }
-    header.push_str("]}\n");
-    w.write_all(header.as_bytes())?;
-
-    // Interleave events and counter points in time order. Counter cursors
-    // advance through each series as event time passes their points.
-    let mut cursors: Vec<usize> = vec![0; log.counters.len()];
-    let mut line = String::with_capacity(128);
-    let flush_counters_until = |t: u64, cursors: &mut [usize], w: &mut W| -> io::Result<()> {
-        for (ci, series) in log.counters.iter().enumerate() {
-            while let Some(&(at, v)) = series.points.get(cursors[ci]) {
-                if at.as_nanos() > t {
-                    break;
-                }
-                let mut l = String::with_capacity(64);
-                l.push_str("{\"t\":");
-                l.push_str(&at.as_nanos().to_string());
-                l.push_str(",\"k\":\"counter\",\"name\":\"");
-                escape_json(&series.name, &mut l);
-                l.push_str("\",\"v\":");
-                l.push_str(&v.to_string());
-                l.push_str("}\n");
-                w.write_all(l.as_bytes())?;
-                cursors[ci] += 1;
-            }
-        }
-        Ok(())
-    };
-    for rec in &log.events {
-        flush_counters_until(rec.at.as_nanos(), &mut cursors, w)?;
-        line.clear();
-        line.push_str("{\"t\":");
-        line.push_str(&rec.at.as_nanos().to_string());
-        line.push_str(",\"k\":\"");
-        line.push_str(rec.kind.name());
-        line.push('"');
-        let (ic, ia, ib) = rec.kind.interned_operands();
-        let field = |line: &mut String, name: &str, val: u64, interned: bool| {
-            line.push_str(",\"");
-            line.push_str(name);
-            line.push_str("\":");
-            if interned {
-                line.push('"');
-                escape_json(log.string(val), line);
-                line.push('"');
-            } else {
-                line.push_str(&val.to_string());
-            }
-        };
-        field(&mut line, "conn", rec.conn as u64, ic);
-        field(&mut line, "a", rec.a, ia);
-        field(&mut line, "b", rec.b, ib);
-        line.push_str("}\n");
-        w.write_all(line.as_bytes())?;
-    }
-    flush_counters_until(u64::MAX, &mut cursors, w)?;
-    Ok(())
 }
 
 /// Write a [`TraceLog`] in Chrome trace-event JSON, loadable in Perfetto or
@@ -671,7 +559,7 @@ mod tests {
         for t in 0..5u64 {
             buf.push(rec(t, TraceKind::WheelPop, 0, t, 0));
         }
-        assert_eq!(buf.dropped(), 2);
+        assert_eq!(buf.dropped, 2);
         let (records, _, dropped) = buf.into_ordered();
         assert_eq!(dropped, 2);
         let times: Vec<u64> = records.iter().map(|r| r.at.as_nanos()).collect();
@@ -686,7 +574,7 @@ mod tests {
         assert_eq!(buf.intern("timers"), a);
         assert_eq!(buf.intern("acks"), b);
         assert_ne!(a, b);
-        assert_eq!(buf.strings(), &["timers", "acks"]);
+        assert_eq!(buf.strings, ["timers", "acks"]);
     }
 
     #[test]
@@ -751,43 +639,7 @@ mod tests {
         let buf = sink.take().expect("buffer attached");
         assert!(!sink.is_enabled(), "take() detaches");
         assert_eq!(buf.len(), 1);
-        assert_eq!(buf.strings(), &["timers"]);
-    }
-
-    #[test]
-    fn jsonl_export_shape() {
-        let mut stack = TraceBuffer::new(8);
-        let from = stack.intern("startup");
-        let to = stack.intern("drain");
-        stack.push(rec(1000, TraceKind::SegTx, 3, 2, 3000));
-        stack.push(rec(2000, TraceKind::CcPhase, 3, from, to));
-        let mut log = TraceLog::merge(vec![stack]);
-        log.counters.push(CounterSeries {
-            name: "cycles.timers".into(),
-            points: vec![(SimTime::from_nanos(1500), 77)],
-        });
-        let mut out = Vec::new();
-        write_jsonl(&log, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "header + 2 events + 1 counter point");
-        assert!(lines[0].starts_with("{\"schema\":\"sim-trace/v1\""));
-        assert_eq!(
-            lines[1],
-            "{\"t\":1000,\"k\":\"seg_tx\",\"conn\":3,\"a\":2,\"b\":3000}"
-        );
-        assert_eq!(
-            lines[2], "{\"t\":1500,\"k\":\"counter\",\"name\":\"cycles.timers\",\"v\":77}",
-            "counter point interleaves in time order"
-        );
-        assert_eq!(
-            lines[3],
-            "{\"t\":2000,\"k\":\"cc_phase\",\"conn\":3,\"a\":\"startup\",\"b\":\"drain\"}"
-        );
-        // Every line parses as JSON under the workspace shim.
-        for l in &lines {
-            serde_json::from_str(l).expect("valid JSON line");
-        }
+        assert_eq!(buf.strings, ["timers"]);
     }
 
     #[test]

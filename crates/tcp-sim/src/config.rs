@@ -55,10 +55,6 @@ pub struct SimConfig {
     pub start_stagger: SimDuration,
     /// Server-side ACK coalescing window (GRO).
     pub ack_coalesce: SimDuration,
-    /// Optional pcap capture of every simulated wire packet (synthesized
-    /// Ethernet/IPv4/TCP frames; open the result in Wireshark). Payload
-    /// bytes are zero-filled — only headers carry simulation state.
-    pub pcap: Option<std::path::PathBuf>,
     /// Optional Poisson cross-traffic sharing the uplink bottleneck
     /// (competition ablations; the paper's testbed itself is private).
     pub cross_traffic: Option<netsim::crosstraffic::CrossTrafficConfig>,
@@ -127,7 +123,6 @@ impl SimConfig {
             seed: 1,
             start_stagger: SimDuration::from_millis(3),
             ack_coalesce: SimDuration::from_micros(50),
-            pcap: None,
             cross_traffic: None,
             sample_interval: Some(SimDuration::from_millis(500)),
             ack_per_segs: None,
@@ -218,12 +213,6 @@ impl SimConfigBuilder {
     /// Set the stagger between connection starts.
     pub fn start_stagger(mut self, stagger: SimDuration) -> Self {
         self.cfg.start_stagger = stagger;
-        self
-    }
-
-    /// Capture every simulated wire packet to a pcap file.
-    pub fn pcap(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.cfg.pcap = Some(path.into());
         self
     }
 

@@ -242,11 +242,7 @@ impl StackSim {
             cross: cfg
                 .cross_traffic
                 .map(|c| netsim::crosstraffic::CrossTraffic::new(c, rng.split(4))),
-            pcap: cfg.pcap.as_ref().map(|path| {
-                let file = std::fs::File::create(path).expect("create pcap file");
-                netsim::pcap::PcapWriter::new(std::io::BufWriter::new(file))
-                    .expect("write pcap header")
-            }),
+            pcap: None,
             cfg,
         }
     }
@@ -261,7 +257,7 @@ impl StackSim {
     /// [`SimResult`] is byte-identical to [`StackSim::run`]'s whichever
     /// are on.
     pub fn run_observed(mut self, instruments: Instruments) -> Observed {
-        self.attach(instruments);
+        self.attach(&instruments);
         self.run_to_end();
         let trace = instruments.trace.then(|| self.collect_trace());
         let telemetry = self.sampler.sink.take();

@@ -3,9 +3,9 @@
 //! and trace-merge code behind them.
 //!
 //! The standing rule: turning an instrument on changes no result byte.
-//! Tracing only records; telemetry is polled by the dispatch loop against
-//! batch timestamps and never scheduled on the wheel, so it cannot perturb
-//! event ordering or counters.
+//! Tracing and pcap capture only record; telemetry is polled by the
+//! dispatch loop against batch timestamps and never scheduled on the
+//! wheel, so it cannot perturb event ordering or counters.
 
 use super::path::bottleneck;
 use super::results::SimResult;
@@ -15,10 +15,11 @@ use netsim::MSS;
 use sim_core::telemetry::{FlowSample, QueueSample, TelemetryLog, TelemetrySink};
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::trace::TraceLog;
+use std::path::PathBuf;
 
 /// The instruments to attach to one run ([`StackSim::run_observed`]).
 /// The default attaches none.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Instruments {
     /// Flight-recorder tracing: the stack, the timer wheel and each CPU
     /// model get a [`sim_core::trace::DEFAULT_CAPACITY`]-record ring, and
@@ -31,6 +32,12 @@ pub struct Instruments {
     /// must be non-zero — a zero one would sample forever, and
     /// `run_observed` panics on it.
     pub telemetry: Option<SimDuration>,
+    /// Packet capture: every simulated wire packet is written to this file
+    /// as a synthesized Ethernet/IPv4/TCP frame (classic pcap; open it in
+    /// Wireshark). Payload bytes are zero-filled — only headers carry
+    /// simulation state. `run_observed` panics if the file cannot be
+    /// created.
+    pub pcap: Option<PathBuf>,
 }
 
 /// What an observed run returns: the result — byte-identical to
@@ -68,7 +75,7 @@ impl FlightSampler {
 
 impl StackSim {
     /// Attach the requested instruments (before the first event runs).
-    pub(super) fn attach(&mut self, instruments: Instruments) {
+    pub(super) fn attach(&mut self, instruments: &Instruments) {
         if instruments.trace {
             let capacity = sim_core::trace::DEFAULT_CAPACITY;
             self.trace.enable(capacity);
@@ -88,6 +95,13 @@ impl StackSim {
                 interval,
                 prev_delivered: vec![0; self.arena.len()],
             };
+        }
+        if let Some(path) = &instruments.pcap {
+            let file = std::fs::File::create(path).expect("create pcap file");
+            self.pcap = Some(
+                netsim::pcap::PcapWriter::new(std::io::BufWriter::new(file))
+                    .expect("write pcap header"),
+            );
         }
     }
 

@@ -349,8 +349,12 @@ fn pcap_capture_is_readable_and_complete() {
     let mut cfg = quick(CcKind::Bbr, CpuConfig::HighEnd, 1);
     cfg.duration = SimDuration::from_millis(120);
     cfg.warmup = SimDuration::from_millis(40);
-    cfg.pcap = Some(path.clone());
-    let res = StackSim::new(cfg).run();
+    let res = StackSim::new(cfg)
+        .run_observed(Instruments {
+            pcap: Some(path.clone()),
+            ..Instruments::default()
+        })
+        .result;
     let bytes = std::fs::read(&path).expect("pcap exists");
     let (linktype, records) = netsim::pcap::read_pcap(&bytes[..]).expect("valid pcap");
     std::fs::remove_file(&path).ok();
@@ -473,9 +477,10 @@ fn traced_run_is_bit_identical_to_untraced() {
         let instruments = Instruments {
             trace: true,
             telemetry,
+            pcap: None,
         };
-        let observed =
-            StackSim::new(quick(CcKind::Bbr, CpuConfig::LowEnd, 3)).run_observed(instruments);
+        let observed = StackSim::new(quick(CcKind::Bbr, CpuConfig::LowEnd, 3))
+            .run_observed(instruments.clone());
         assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&observed.result).unwrap(),

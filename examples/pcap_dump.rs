@@ -12,17 +12,21 @@ use mobile_bbr::cpu_model::{CpuConfig, DeviceProfile};
 use mobile_bbr::netsim::pcap::read_pcap;
 use mobile_bbr::sim_core::time::SimDuration;
 use mobile_bbr::tcp_sim::wire::{parse_frame, TcpHeader};
-use mobile_bbr::tcp_sim::{SimConfig, StackSim};
+use mobile_bbr::tcp_sim::{Instruments, SimConfig, StackSim};
 
 fn main() {
     let path = std::env::temp_dir().join("bbr_run.pcap");
     let cfg = SimConfig::builder(DeviceProfile::pixel4(), CpuConfig::LowEnd, CcKind::Bbr, 2)
         .duration(SimDuration::from_millis(300))
         .warmup(SimDuration::from_millis(100))
-        .pcap(path.clone())
         .build()
         .expect("valid config");
-    let res = StackSim::new(cfg).run();
+    let res = StackSim::new(cfg)
+        .run_observed(Instruments {
+            pcap: Some(path.clone()),
+            ..Instruments::default()
+        })
+        .result;
     println!(
         "simulated 300 ms of 2-connection BBR upload: {:.1} Mbps",
         res.goodput_mbps()

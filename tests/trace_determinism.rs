@@ -7,12 +7,12 @@
 //!    across 4 worker threads yields the same per-cell results *and* the
 //!    same trace bytes as running them serially.
 //! 3. **Trace exports are byte-stable.** Recording the same configuration
-//!    twice writes identical JSONL and identical Chrome JSON.
+//!    twice yields identical records and identical Chrome JSON.
 
 use congestion::CcKind;
 use cpu_model::CpuConfig;
 use experiments::Params;
-use sim_core::trace::{write_chrome, write_jsonl, TraceLog};
+use sim_core::trace::{write_chrome, TraceLog};
 use tcp_sim::{Instruments, SimConfig, SimResult, StackSim};
 
 /// The smoke-sized cells the tests trace: both CC families, mixed CPU
@@ -47,7 +47,7 @@ fn result_json(cfg: SimConfig, traced: bool) -> String {
 fn run_with_trace(cfg: SimConfig) -> (SimResult, TraceLog) {
     let observed = StackSim::new(cfg).run_observed(Instruments {
         trace: true,
-        telemetry: None,
+        ..Instruments::default()
     });
     (
         observed.result,
@@ -55,9 +55,9 @@ fn run_with_trace(cfg: SimConfig) -> (SimResult, TraceLog) {
     )
 }
 
-fn jsonl_bytes(log: &TraceLog) -> Vec<u8> {
+fn chrome_bytes(log: &TraceLog) -> Vec<u8> {
     let mut buf = Vec::new();
-    write_jsonl(log, &mut buf).unwrap();
+    write_chrome(log, &mut buf).unwrap();
     buf
 }
 
@@ -80,7 +80,7 @@ fn traced_runs_are_identical_across_worker_counts() {
         let seed = cfg.seed;
         let (res, log) = run_with_trace(cfg);
         let json = serde_json::to_string(&iperf::SeedResult::from_sim(seed, &res)).unwrap();
-        (json, jsonl_bytes(&log))
+        (json, chrome_bytes(&log))
     };
 
     let serial: Vec<(String, Vec<u8>)> = cells().into_iter().map(traced_cell).collect();
@@ -116,15 +116,11 @@ fn trace_exports_are_byte_stable_across_runs() {
     let (_, log_a) = run_with_trace(cfg.clone());
     let (_, log_b) = run_with_trace(cfg.clone());
     assert!(!log_a.events.is_empty(), "smoke run must produce events");
-    assert_eq!(jsonl_bytes(&log_a), jsonl_bytes(&log_b), "JSONL unstable");
+    // Every record, the raw wheel operations the export omits included.
+    assert_eq!(log_a.events, log_b.events, "records unstable");
 
-    let chrome = |log: &TraceLog| {
-        let mut buf = Vec::new();
-        write_chrome(log, &mut buf).unwrap();
-        buf
-    };
-    let bytes = chrome(&log_a);
-    assert_eq!(bytes, chrome(&log_b), "Chrome export unstable");
+    let bytes = chrome_bytes(&log_a);
+    assert_eq!(bytes, chrome_bytes(&log_b), "Chrome export unstable");
     // The export must be one parseable JSON document (Perfetto loads it).
     let text = String::from_utf8(bytes).unwrap();
     assert!(

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The end-to-end gates, as one script that contributors and CI both run:
 #
-#   tools/verify.sh report|resume|fleet|fairness|bench|trace|fuzz|mutants|docs
+#   tools/verify.sh observe|resume|fleet|fairness|bench|fuzz|mutants|docs
 #
 # Each gate builds the release binaries through `cargo run` and writes its
 # artifacts under target/verify/<gate>/ (wiped at the start of the gate;
@@ -14,11 +14,10 @@ out="target/verify/$gate"
 
 repro() { cargo run --release -p mobile-bbr-bench --bin repro -- "$@"; }
 simcheck() { cargo run --release -p mobile-bbr-bench --bin simcheck -- "$@"; }
-trace_tool() { cargo run --release -p mobile-bbr-bench --bin trace -- "$@"; }
 
 # cross_jobs_identical NAME FLAG ARGS…: run `repro ARGS… --no-cache` at
 # --jobs 1 and --jobs 4, each writing the artifact FLAG names (--json FILE,
-# --report DIR) to $out/NAME-j{1,4}; the two must be byte-identical — the
+# --observe DIR) to $out/NAME-j{1,4}; the two must be byte-identical — the
 # sweep determinism contract, end to end.
 cross_jobs_identical() {
     local name=$1 flag=$2 jobs
@@ -39,12 +38,15 @@ expect_interrupted() {
     }
 }
 
-# Every artifact of the self-contained report is byte-identical across
-# worker counts (through chart rendering), and the HTML is well-formed and
-# self-contained: valid inline SVG, no scripts, no external fetches.
-report() {
-    cross_jobs_identical report --report --quick
-    python3 - "$out/report-j1" <<'PY'
+# The one observe mode: every artifact — the Chrome trace, the flight data
+# and the self-contained report — is byte-identical across worker counts
+# (through chart rendering); the HTML is well-formed and self-contained
+# (valid inline SVG, no scripts, no external fetches); and trace.json is
+# one JSON document carrying CPU spans and the windowed cycle counters.
+observe() {
+    cross_jobs_identical observe --observe --quick
+    python3 - "$out/observe-j1" <<'PY'
+import json
 import re
 import sys
 import xml.etree.ElementTree as ET
@@ -59,7 +61,13 @@ for svg in svgs:
     ET.fromstring(svg)  # raises on malformed XML
 header = open(sys.argv[1] + '/flight.jsonl').readline()
 assert '"schema":"sim-telemetry/v1"' in header, header
-print(f'{len(svgs)} inline SVG charts OK, flight data OK')
+events = json.load(open(sys.argv[1] + '/trace.json'))['traceEvents']
+spans = sum(e['ph'] == 'X' and e.get('cat') == 'cpu' for e in events)
+series = {e['name'] for e in events if e['ph'] == 'C' and e['name'].startswith('cycles.')}
+assert spans > 0, 'trace.json has no cpu spans'
+assert series, 'trace.json has no cycles.* counter series'
+print(f'{len(svgs)} inline SVG charts OK, flight data OK, '
+      f'trace OK ({spans} cpu spans, {len(series)} cycle series)')
 PY
 }
 
@@ -124,17 +132,6 @@ bench() {
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
-# Flight-recorder smoke: record the canonical Low-End 20-conn BBR run in
-# both export formats and run every `trace` inspector subcommand over the
-# JSONL (the inspector exits non-zero on an invalid or disordered trace).
-trace() {
-    repro --quick --trace "$out/trace.jsonl"
-    repro --quick --trace "$out/trace-chrome.json" --trace-format chrome
-    trace_tool inspect "$out/trace.jsonl"
-    trace_tool top "$out/trace.jsonl"
-    trace_tool flows "$out/trace.jsonl"
-}
-
 # Scenario-fuzzer gate: replay the checked-in corpus, then 200 random
 # scenarios across 4 workers (stdout is bit-identical to --jobs 1, so any
 # violation is reproducible from the printed one-line spec).
@@ -172,14 +169,14 @@ PY
 }
 
 case "$gate" in
-report | resume | fleet | fairness | bench | trace | fuzz | mutants | docs)
+observe | resume | fleet | fairness | bench | fuzz | mutants | docs)
     rm -rf "$out"
     mkdir -p "$out"
     "$gate"
     echo "verify $gate: OK"
     ;;
 *)
-    echo "usage: tools/verify.sh report|resume|fleet|fairness|bench|trace|fuzz|mutants|docs" >&2
+    echo "usage: tools/verify.sh observe|resume|fleet|fairness|bench|fuzz|mutants|docs" >&2
     exit 2
     ;;
 esac
