@@ -458,26 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn with_qdisc_round_trips_and_is_always_in_the_serialised_key() {
-        use serde::Serialize;
-        let base = LinkConfig::new(Bandwidth::from_mbps(100), SimDuration::ZERO, 100);
-        assert_eq!(base.qdisc(), Qdisc::Fifo);
-        for (qdisc, name) in [
-            (Qdisc::Fifo, "Fifo"),
-            (Qdisc::Codel, "Codel"),
-            (Qdisc::FqCodel, "FqCodel"),
-        ] {
-            // Applied on top of an AQM link, so Fifo must also clear it.
-            let cfg = base.clone().with_qdisc(Qdisc::FqCodel).with_qdisc(qdisc);
-            assert_eq!(cfg.qdisc(), qdisc);
-            assert_eq!(cfg.codel.is_some(), qdisc != Qdisc::Fifo);
-            // Sweep-cache keys are the canonical JSON of the whole config.
-            let key = cfg.to_value();
-            assert_eq!(key.get("qdisc").and_then(|v| v.as_str()), Some(name));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_rejected() {
         LinkConfig::new(Bandwidth::ZERO, SimDuration::ZERO, 10);

@@ -205,9 +205,10 @@ pub trait SweepCell: Sync {
 
     /// Whether this cell may be served from / written to the cache.
     ///
-    /// Cells with side effects (file output), or whose output depends on
-    /// state outside the key (simcheck's mutant switches), must return
-    /// `false`: a cache hit would skip the one or hide the other.
+    /// A cell whose output depends on state outside the key must return
+    /// `false`, or a cache hit would hide that state. simcheck's mutant
+    /// switches are the one such case; instruments that write files are
+    /// passed to the simulation, not carried by a cell.
     fn cacheable(&self) -> bool {
         true
     }

@@ -407,14 +407,14 @@ mod tests {
 
     #[test]
     fn extra_rtt_is_skipped_from_serialization_when_zero() {
-        use serde::Serialize;
+        let key = |spec: &DeviceSpec| serde_json::to_value(spec).unwrap();
         let spec = DeviceSpec::new(CpuConfig::LowEnd, CcKind::Bbr, MediaProfile::Wifi);
         assert!(
-            spec.to_value().get("extra_rtt").is_none(),
+            key(&spec).get("extra_rtt").is_none(),
             "zero extra_rtt must keep legacy fleet cache keys byte-stable"
         );
         let shifted = spec.with_extra_rtt(SimDuration::from_millis(40));
-        assert!(shifted.to_value().get("extra_rtt").is_some());
+        assert!(key(&shifted).get("extra_rtt").is_some());
     }
 
     #[test]

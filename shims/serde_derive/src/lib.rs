@@ -12,7 +12,8 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Derive `serde::Serialize` (shim data model: `fn to_value(&self) -> Value`).
+/// Derive `serde::Serialize` (shim data model: `fn serialize(&self, w:
+/// &mut serde::Writer)`, which writes JSON as it walks the value).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
@@ -304,127 +305,79 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-fn object_literal(pairs: &[(String, String)]) -> String {
-    let fields: Vec<String> = pairs
+/// Statements writing `values` (expressions that are references) as one
+/// array, or as the bare value when there is exactly one.
+fn write_tuple(values: &[String]) -> String {
+    if let [value] = values {
+        return format!("::serde::Serialize::serialize({value}, __w);");
+    }
+    let items: String = values.iter().map(|v| format!("__w.item({v});")).collect();
+    format!("__w.begin_array(); {items} __w.end_array();")
+}
+
+/// Statements writing a named-field object. `prefix` is how a field is
+/// reached (`"&self."` for structs, `""` for enum-variant bindings, which
+/// are already references under match ergonomics); a `skip_if` field is
+/// written only when its predicate is false.
+fn write_named(fields: &[Field], prefix: &str) -> String {
+    let members: String = fields
         .iter()
-        .map(|(k, v)| format!("(::std::string::String::from(\"{k}\"), {v})"))
+        .map(|f| {
+            let name = &f.name;
+            let write = format!("__w.field(\"{name}\", {prefix}{name});");
+            match &f.skip_if {
+                Some(pred) => format!("if !{pred}({prefix}{name}) {{ {write} }}"),
+                None => write,
+            }
+        })
         .collect();
-    format!(
-        "::serde::Value::Object(::std::vec::Vec::from([{}]))",
-        fields.join(", ")
-    )
-}
-
-fn array_literal(items: &[String]) -> String {
-    format!(
-        "::serde::Value::Array(::std::vec::Vec::from([{}]))",
-        items.join(", ")
-    )
-}
-
-/// Render a named-field object. `prefix` is how a field is reached
-/// (`"&self."` for structs, `""` for enum-variant bindings, which are
-/// already references under match ergonomics). Fields without `skip_if`
-/// use the flat literal; any skipping field switches to a push-based
-/// builder so omitted keys never appear.
-fn named_object(fields: &[Field], prefix: &str) -> String {
-    if fields.iter().all(|f| f.skip_if.is_none()) {
-        let pairs: Vec<(String, String)> = fields
-            .iter()
-            .map(|f| {
-                (
-                    f.name.clone(),
-                    format!("::serde::Serialize::to_value({prefix}{})", f.name),
-                )
-            })
-            .collect();
-        return object_literal(&pairs);
-    }
-    let mut stmts = Vec::new();
-    for f in fields {
-        let name = &f.name;
-        let push = format!(
-            "__fields.push((::std::string::String::from(\"{name}\"), \
-             ::serde::Serialize::to_value({prefix}{name})));"
-        );
-        match &f.skip_if {
-            Some(pred) => stmts.push(format!("if !{pred}({prefix}{name}) {{ {push} }}")),
-            None => stmts.push(push),
-        }
-    }
-    format!(
-        "{{ let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-         ::std::vec::Vec::new(); {} ::serde::Value::Object(__fields) }}",
-        stmts.join(" ")
-    )
+    format!("__w.begin_object(); {members} __w.end_object();")
 }
 
 fn render_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.shape {
-        Shape::Struct(fields) => match fields {
-            Fields::Unit => "::serde::Value::Null".to_string(),
-            Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-            Fields::Tuple(n) => {
-                let items: Vec<String> = (0..*n)
-                    .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                    .collect();
-                array_literal(&items)
-            }
-            Fields::Named(fields) => named_object(fields, "&self."),
-        },
+        Shape::Struct(Fields::Unit) => "__w.null();".to_string(),
+        Shape::Struct(Fields::Tuple(n)) => {
+            let values: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            write_tuple(&values)
+        }
+        Shape::Struct(Fields::Named(fields)) => write_named(fields, "&self."),
         Shape::Enum(variants) => {
             let mut arms = Vec::new();
             for v in variants {
                 let vname = &v.name;
-                let (pattern, value) = match &v.fields {
-                    Fields::Unit => (
-                        format!("{name}::{vname}"),
-                        if item.untagged {
-                            "::serde::Value::Null".to_string()
-                        } else {
-                            format!("::serde::Value::Str(::std::string::String::from(\"{vname}\"))")
-                        },
-                    ),
+                let (pattern, inner) = match &v.fields {
+                    Fields::Unit => (format!("{name}::{vname}"), None),
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
                         let pattern = format!("{name}::{vname}({})", binds.join(", "));
-                        let inner = if *n == 1 {
-                            "::serde::Serialize::to_value(__f0)".to_string()
-                        } else {
-                            let items: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            array_literal(&items)
-                        };
-                        let value = if item.untagged {
-                            inner
-                        } else {
-                            object_literal(&[(vname.clone(), inner)])
-                        };
-                        (pattern, value)
+                        (pattern, Some(write_tuple(&binds)))
                     }
                     Fields::Named(fields) => {
-                        let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
+                        // `..` covers `skip_serializing` fields, which are not bound.
+                        let mut binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        binds.push("..");
                         let pattern = format!("{name}::{vname} {{ {} }}", binds.join(", "));
-                        let inner = named_object(fields, "");
-                        let value = if item.untagged {
-                            inner
-                        } else {
-                            object_literal(&[(vname.clone(), inner)])
-                        };
-                        (pattern, value)
+                        (pattern, Some(write_named(fields, "")))
                     }
                 };
-                arms.push(format!("{pattern} => {value},"));
+                let write = match (inner, item.untagged) {
+                    (None, false) => format!("__w.str(\"{vname}\");"),
+                    (None, true) => "__w.null();".to_string(),
+                    (Some(inner), true) => inner,
+                    (Some(inner), false) => format!(
+                        "__w.begin_object(); __w.key(\"{vname}\"); {inner} __w.end_object();"
+                    ),
+                };
+                arms.push(format!("{pattern} => {{ {write} }}"));
             }
             format!("match self {{ {} }}", arms.join(" "))
         }
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn serialize(&self, __w: &mut ::serde::Writer) {{ {body} }}\n\
          }}"
     )
 }

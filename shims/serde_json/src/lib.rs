@@ -1,11 +1,13 @@
 //! Offline stand-in for `serde_json` (see `shims/README.md`).
 //!
-//! Renders the `serde` shim's [`Value`] tree as JSON — compact
+//! Serializes through the `serde` shim's one [`Writer`] — compact
 //! (`to_string`) or pretty with 2-space indentation (`to_string_pretty`,
-//! matching real serde_json's layout) — and parses JSON text back into a
-//! [`Value`] (`from_str`), which the test suite uses to validate output.
+//! matching real serde_json's layout) — and parses JSON text into a
+//! [`Value`] tree (`from_str`), which the test suite uses to inspect and
+//! validate output.
 
 pub use serde::Value;
+use serde::{Serialize, Writer};
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,115 +25,22 @@ impl std::error::Error for Error {}
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serialize `value` as a compact JSON string.
-pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+    let mut w = Writer::new(None);
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Serialize `value` as pretty-printed JSON (2-space indent).
-pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some("  "), 0);
-    Ok(out)
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+    let mut w = Writer::new(Some("  "));
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
-/// Convert `value` into a [`Value`] tree.
-pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value> {
-    Ok(value.to_value())
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_float(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        // Real serde_json errors on non-finite floats; rendering null keeps
-        // diagnostics flowing in a simulation report instead of aborting it.
-        out.push_str("null");
-    } else if v == v.trunc() && v.abs() < 1e16 {
-        // Match serde_json/ryu: integral floats keep a ".0" suffix.
-        out.push_str(&format!("{v:.1}"));
-    } else {
-        out.push_str(&format!("{v}"));
-    }
-}
-
-fn write_value(out: &mut String, v: &Value, indent: Option<&str>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => write_float(out, *f),
-        Value::Str(s) => write_escaped(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(pad) = indent {
-                    out.push('\n');
-                    out.push_str(&pad.repeat(depth + 1));
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            if let Some(pad) = indent {
-                out.push('\n');
-                out.push_str(&pad.repeat(depth));
-            }
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(pad) = indent {
-                    out.push('\n');
-                    out.push_str(&pad.repeat(depth + 1));
-                }
-                write_escaped(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, depth + 1);
-            }
-            if let Some(pad) = indent {
-                out.push('\n');
-                out.push_str(&pad.repeat(depth));
-            }
-            out.push('}');
-        }
-    }
+/// Convert `value` into a [`Value`] tree by parsing its JSON.
+pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
+    from_str(&to_string(value)?)
 }
 
 /// Parse JSON text into a [`Value`] tree.
@@ -266,18 +175,19 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if float {
-            text.parse::<f64>()
+        let int = match (float, text.starts_with('-')) {
+            (true, _) => None,
+            (false, true) => text.parse::<i64>().ok().map(Value::Int),
+            (false, false) => text.parse::<u64>().ok().map(Value::UInt),
+        };
+        // An integral float of 1e16 or more is written without a fraction;
+        // past the integer range it still parses, as a float.
+        match int {
+            Some(v) => Ok(v),
+            None => text
+                .parse::<f64>()
                 .map(Value::Float)
-                .map_err(|e| Error(e.to_string()))
-        } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|e| Error(e.to_string()))
-        } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|e| Error(e.to_string()))
+                .map_err(|e| Error(e.to_string())),
         }
     }
 
@@ -336,6 +246,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn compact_rendering_matches_serde_json_layout() {
@@ -348,20 +259,22 @@ mod tests {
                 Value::Array(vec![Value::Bool(true), Value::Null]),
             ),
         ]);
-        let mut out = String::new();
-        write_value(&mut out, &v, None, 0);
         assert_eq!(
-            out,
+            to_string(&v).unwrap(),
             r#"{"id":"FIG2","rate":5.0,"conns":20,"checks":[true,null]}"#
         );
     }
 
     #[test]
     fn pretty_rendering_indents_two_spaces() {
-        let v = Value::Object(vec![("a".into(), Value::Array(vec![Value::UInt(1)]))]);
-        let mut out = String::new();
-        write_value(&mut out, &v, Some("  "), 0);
-        assert_eq!(out, "{\n  \"a\": [\n    1\n  ]\n}");
+        let v = Value::Object(vec![
+            ("a".into(), Value::Array(vec![Value::UInt(1)])),
+            ("e".into(), Value::Array(vec![])),
+        ]);
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            "{\n  \"a\": [\n    1\n  ],\n  \"e\": []\n}"
+        );
     }
 
     #[test]
@@ -369,32 +282,172 @@ mod tests {
         let text =
             r#"{"id":"FIG2","rate":5.5,"n":-3,"ok":true,"xs":[1,2.5,"a\nb"],"nothing":null}"#;
         let v = from_str(text).unwrap();
-        let mut out = String::new();
-        write_value(&mut out, &v, None, 0);
-        assert_eq!(out, text);
+        assert_eq!(to_string(&v).unwrap(), text);
+    }
+
+    #[test]
+    fn integers_render_like_display() {
+        for v in [0, 7, 10, 99, 100, 101, 999, 1_000, 576_000_000, u64::MAX] {
+            assert_eq!(to_string(&v).unwrap(), v.to_string());
+        }
+        for v in [-1i64, -10, -100, i64::MIN, i64::MAX] {
+            assert_eq!(to_string(&v).unwrap(), v.to_string());
+        }
     }
 
     #[test]
     fn float_formatting() {
-        let mut out = String::new();
-        write_float(&mut out, 5.0);
-        assert_eq!(out, "5.0");
-        out.clear();
-        write_float(&mut out, 0.1);
-        assert_eq!(out, "0.1");
-        out.clear();
-        write_float(&mut out, f64::NAN);
-        assert_eq!(out, "null");
+        let render = |v: f64| to_string(&v).unwrap();
+        assert_eq!(render(5.0), "5.0");
+        assert_eq!(render(-0.0), "-0.0");
+        assert_eq!(render(0.1), "0.1");
+        assert_eq!(render(1e16), "10000000000000000");
+        assert_eq!(render(f64::NAN), "null");
+        assert_eq!(render(f64::NEG_INFINITY), "null");
+        // Past the integer range an integral float still parses back.
+        assert_eq!(from_str(&render(1e20)).unwrap(), Value::Float(1e20));
     }
 
     #[test]
     fn string_escapes() {
-        let mut out = String::new();
-        write_escaped(&mut out, "a\"b\\c\n\u{01}");
-        assert_eq!(out, r#""a\"b\\c\n\u0001""#);
+        let s = "a\"b\\c\nd\re\tf\u{08}g\u{0C}h\u{01}é→";
+        let out = to_string(s).unwrap();
+        assert_eq!(out, r#""a\"b\\c\nd\re\tf\bg\fh\u0001é→""#);
+        assert_eq!(from_str(&out).unwrap(), Value::Str(s.into()));
+        assert_eq!(to_string("").unwrap(), r#""""#);
+        assert_eq!(to_string("clean").unwrap(), r#""clean""#);
+    }
+
+    #[test]
+    fn control_characters_are_written_as_u00xx() {
+        let named = [b'\n', b'\r', b'\t', 0x08, 0x0C];
+        for b in (0u8..0x20).filter(|b| !named.contains(b)) {
+            let s = format!("x{}y", b as char);
+            let out = to_string(&s).unwrap();
+            assert_eq!(out, format!("\"x\\u{b:04x}y\""));
+            assert_eq!(from_str(&out).unwrap(), Value::Str(s));
+        }
+        // DEL is not a control character in JSON's sense.
+        assert_eq!(to_string("\u{7f}").unwrap(), "\"\u{7f}\"");
+    }
+
+    fn is_zero(v: &u32) -> bool {
+        *v == 0
+    }
+
+    #[derive(serde::Serialize)]
+    struct AllSkipped {
+        #[serde(skip_serializing)]
+        _hidden: u32,
+        #[serde(skip_serializing_if = "is_zero")]
+        zero: u32,
+        #[serde(skip_serializing_if = "Option::is_none")]
+        none: Option<u32>,
+    }
+
+    #[test]
+    fn an_object_whose_every_field_is_skipped_renders_empty_braces() {
+        let v = AllSkipped {
+            _hidden: 7,
+            zero: 0,
+            none: None,
+        };
+        assert_eq!(to_string(&v).unwrap(), "{}");
+        assert_eq!(to_string_pretty(&v).unwrap(), "{}");
+        assert_eq!(to_string_pretty(&[&v]).unwrap(), "[\n  {}\n]");
+        let shown = AllSkipped {
+            _hidden: 7,
+            zero: 1,
+            none: Some(2),
+        };
+        assert_eq!(to_string(&shown).unwrap(), r#"{"zero":1,"none":2}"#);
+    }
+
+    #[derive(serde::Serialize)]
+    struct Named {
+        id: &'static str,
+        rate: f64,
+        n: i32,
+    }
+
+    #[derive(serde::Serialize)]
+    struct Newtype(u64);
+
+    #[derive(serde::Serialize)]
+    struct Pair(u8, bool);
+
+    #[derive(serde::Serialize)]
+    struct Unit;
+
+    #[derive(serde::Serialize)]
+    enum Tagged {
+        Plain,
+        One(u32),
+        Two(u32, &'static str),
+        Fields { a: u32, b: Option<u32> },
+    }
+
+    #[derive(serde::Serialize)]
+    #[serde(untagged)]
+    enum Untagged {
+        Nothing,
+        Num(f64),
+        Two(u32, u32),
+        Fields { a: u32 },
+    }
+
+    #[test]
+    fn derived_shapes_render_like_serde_json() {
+        let named = Named {
+            id: "x",
+            rate: 2.0,
+            n: -4,
+        };
         assert_eq!(
-            from_str(&out).unwrap(),
-            Value::Str("a\"b\\c\n\u{01}".into())
+            to_string(&named).unwrap(),
+            r#"{"id":"x","rate":2.0,"n":-4}"#
         );
+        assert_eq!(to_string(&Newtype(9)).unwrap(), "9");
+        assert_eq!(to_string(&Pair(1, true)).unwrap(), "[1,true]");
+        assert_eq!(to_string(&Unit).unwrap(), "null");
+        let tagged = [
+            Tagged::Plain,
+            Tagged::One(1),
+            Tagged::Two(2, "t"),
+            Tagged::Fields { a: 3, b: None },
+        ];
+        assert_eq!(
+            to_string(&tagged).unwrap(),
+            r#"["Plain",{"One":1},{"Two":[2,"t"]},{"Fields":{"a":3,"b":null}}]"#
+        );
+        assert_eq!(
+            to_string_pretty(&tagged[2]).unwrap(),
+            "{\n  \"Two\": [\n    2,\n    \"t\"\n  ]\n}"
+        );
+        let untagged = [
+            Untagged::Nothing,
+            Untagged::Num(0.5),
+            Untagged::Two(1, 2),
+            Untagged::Fields { a: 4 },
+        ];
+        assert_eq!(to_string(&untagged).unwrap(), r#"[null,0.5,[1,2],{"a":4}]"#);
+    }
+
+    #[test]
+    fn map_keys_are_strings() {
+        let ints: BTreeMap<u32, u64> = [(2, 20), (10, 100)].into();
+        assert_eq!(to_string(&ints).unwrap(), r#"{"2":20,"10":100}"#);
+        let strs: BTreeMap<&str, u64> = [("a\"b", 1)].into();
+        assert_eq!(to_string_pretty(&strs).unwrap(), "{\n  \"a\\\"b\": 1\n}");
+        assert_eq!(to_string(&BTreeMap::<u32, u32>::new()).unwrap(), "{}");
+        let tree = Value::Object(vec![("k\n".into(), Value::Null)]);
+        assert_eq!(to_string(&tree).unwrap(), r#"{"k\n":null}"#);
+    }
+
+    #[test]
+    fn to_value_parses_the_rendered_json() {
+        let v = to_value(&Tagged::Fields { a: 3, b: Some(4) }).unwrap();
+        let inner = v.get("Fields").expect("externally tagged");
+        assert_eq!(inner.get("b").and_then(Value::as_u64), Some(4));
     }
 }
