@@ -254,7 +254,9 @@ impl Scenario {
     }
 
     /// Parse a [`Scenario::spec_string`] back. Unknown keys, malformed
-    /// values, and out-of-range fields are errors, never panics.
+    /// values and an inconsistent warmup are errors, never panics; numeric
+    /// values out of range are clamped into it, so every parsed scenario
+    /// configures and runs in bounded time.
     pub fn parse(spec: &str) -> Result<Scenario, String> {
         let mut s = Scenario {
             cc: CcKind::Bbr,
@@ -313,7 +315,7 @@ impl Scenario {
                         .ok_or_else(|| format!("unknown media {v:?}"))?
                 }
                 "conns" => s.conns = int(key, v)?.clamp(1, 1024),
-                "stride" => s.stride = int(key, v)?.max(1),
+                "stride" => s.stride = int(key, v)?.clamp(1, 1_024),
                 "pacing" => {
                     s.pacing_off = match v {
                         "on" => false,
@@ -323,10 +325,12 @@ impl Scenario {
                 }
                 "queue" => s.queue = opt_int(key, v)?.map(|q| q.max(1)),
                 "loss" => s.loss_ppm = int(key, v)?.min(1_000_000) as u32,
-                "jitter" => s.jitter_us = int(key, v)?,
-                "cross" => s.cross_mbps = int(key, v)?,
+                // A quarter of conn-progress's shortest window, so netem
+                // jitter never passes for a stall.
+                "jitter" => s.jitter_us = int(key, v)?.min(75_000),
+                "cross" => s.cross_mbps = int(key, v)?.min(100_000),
                 "acks" => s.ack_per_segs = opt_int(key, v)?.map(|a| a.max(1)),
-                "dur" => s.dur_ms = int(key, v)?.max(50),
+                "dur" => s.dur_ms = int(key, v)?.clamp(50, 300_000),
                 "warmup" => s.warmup_ms = int(key, v)?,
                 "seed" => s.seed = int(key, v)?,
                 "fleet" => s.fleet = int(key, v)?.min(64),
@@ -1215,14 +1219,10 @@ impl SweepCell for FuzzCell {
 
     /// Never cross-run cached: oracle results must reflect the *current*
     /// build (mutant state is process-global and not part of the key).
+    /// Campaign checkpoints still record verdicts: a resume runs the same
+    /// binary on the same batch.
     fn cacheable(&self) -> bool {
         false
-    }
-
-    /// But campaign checkpoints are fine: a resume runs the same binary
-    /// on the same batch, so recorded verdicts stay valid.
-    fn resumable(&self) -> bool {
-        true
     }
 }
 
@@ -1498,6 +1498,83 @@ mod tests {
         let s = Scenario::parse("cc=cubic,conns=3").expect("partial spec ok");
         assert_eq!(s.cc, CcKind::Cubic);
         assert_eq!(s.conns, 3);
+    }
+
+    /// Numeric keys of a spec, each a candidate for a hostile value.
+    const NUMERIC_KEYS: [&str; 13] = [
+        "conns", "stride", "queue", "loss", "jitter", "cross", "acks", "dur", "warmup", "seed",
+        "fleet", "fmix", "fshared",
+    ];
+
+    /// An arbitrary `u64`, biased toward the extremes where unchecked
+    /// arithmetic overflows.
+    fn hostile_u64(rng: &mut SimRng) -> u64 {
+        match rng.below(4) {
+            0 => u64::MAX - rng.below(3),
+            1 => 1u64 << rng.below(64),
+            2 => rng.below(1_000_000),
+            _ => rng.next(),
+        }
+    }
+
+    #[test]
+    fn parse_never_panics_on_arbitrary_bytes() {
+        // Raw bytes mixed with spec fragments, so inputs reach every key's
+        // value parser as well as the splitter.
+        let fragments: Vec<String> = NUMERIC_KEYS
+            .iter()
+            .map(|k| format!("{k}="))
+            .chain(
+                [
+                    "cc=bbr2",
+                    "pacing=",
+                    "qdisc=",
+                    ",",
+                    "=",
+                    "-",
+                    "18446744073709551616",
+                ]
+                .map(String::from),
+            )
+            .collect();
+        let mut rng = SimRng::new(11);
+        for _ in 0..2_000 {
+            let mut bytes = Vec::new();
+            for _ in 0..rng.below(24) {
+                if rng.chance(0.5) {
+                    bytes.push(rng.below(256) as u8);
+                } else {
+                    bytes.extend(fragments[rng.below(fragments.len() as u64) as usize].bytes());
+                }
+            }
+            let spec = String::from_utf8_lossy(&bytes);
+            let _ = Scenario::parse(&spec);
+        }
+    }
+
+    #[test]
+    fn out_of_range_numbers_parse_to_valid_configs() {
+        // A drawn spec with one numeric key set to an arbitrary u64: when
+        // it parses, the clamped scenario's own spec parses again and it
+        // configures without overflowing.
+        let mut rng = SimRng::new(12);
+        for _ in 0..1_000 {
+            let key = NUMERIC_KEYS[rng.below(NUMERIC_KEYS.len() as u64) as usize];
+            let value = hostile_u64(&mut rng);
+            let drawn = Scenario::draw(&mut rng).spec_string();
+            let spec = drawn
+                .split(',')
+                .filter(|part| !part.starts_with(&format!("{key}=")))
+                .chain([format!("{key}={value}").as_str()])
+                .collect::<Vec<_>>()
+                .join(",");
+            let Ok(s) = Scenario::parse(&spec) else {
+                continue;
+            };
+            assert!(Scenario::parse(&s.spec_string()).is_ok(), "{spec}");
+            let configured = std::panic::catch_unwind(|| s.to_config());
+            assert!(configured.is_ok(), "to_config panicked on {spec}");
+        }
     }
 
     #[test]

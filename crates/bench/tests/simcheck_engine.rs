@@ -122,34 +122,33 @@ fn mutant_check_requires_the_feature() {
 }
 
 /// With the feature on, every intentional mutation must be caught and
-/// reported with a shrunk repro command.
+/// reported with a shrunk repro command (`tools/verify.sh mutants`).
 #[cfg(feature = "simcheck-mutants")]
 #[test]
 fn every_mutant_is_caught_with_a_shrunk_repro() {
+    let all = tcp_sim::mutants::ALL;
     let out = Command::new(simcheck_bin())
-        .args(["--mutant-check", "--budget", "60", "--seed", "1"])
+        .args(["--mutant-check", "--budget", "120", "--seed", "1"])
         .output()
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
+    print!("{stdout}");
     assert!(
         out.status.success(),
         "mutant escaped:\n{stdout}\nstderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let n = all.len();
     assert!(
-        stdout.contains("mutant-check: 4/4 mutations caught"),
+        stdout.contains(&format!("mutant-check: {n}/{n} mutations caught")),
         "{stdout}"
     );
-    for mutant in [
-        "skip-timer-fire-charge",
-        "sack-claim-extra",
-        "skip-retx-count",
-        "drop-pacing-arm",
-    ] {
-        assert!(stdout.contains(&format!("CAUGHT {mutant}")), "{stdout}");
+    for mutant in all {
+        assert!(stdout.contains(&format!("CAUGHT {mutant} ")), "{stdout}");
     }
-    assert!(
-        stdout.matches("repro: simcheck --scenario").count() >= 4,
+    assert_eq!(
+        stdout.matches("repro: simcheck --scenario").count(),
+        n,
         "every catch must come with a repro command:\n{stdout}"
     );
 }

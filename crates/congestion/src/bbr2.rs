@@ -2,8 +2,9 @@
 //!
 //! v2 (the IETF-104/105/106 iccrg presentations the paper cites, [12–14],
 //! and the `tcp_bbr2` alpha the authors backported to the Pixel 6 kernel,
-//! §3.1) keeps v1's model (windowed-max bandwidth, windowed-min RTT, pacing
-//! at `gain × bw`) and adds **loss as a bounding signal**:
+//! §3.1) runs v1's model (windowed-max bandwidth, windowed-min RTT, pacing
+//! at `gain × bw`: the model `bbr.rs` holds for the whole family) and adds
+//! **loss as a bounding signal**:
 //!
 //! * `inflight_hi` — an upper bound on inflight learned when a probe
 //!   experiences a loss rate above `LOSS_THRESH` (2 %);
@@ -39,8 +40,8 @@
 //! on loss rounds, which preserves the throughput/fairness behaviour the
 //! paper's §4.2 measures while keeping the module reviewable.
 
-use crate::minmax::MaxFilter;
-use crate::{AckSample, CongestionControl, LossEvent, INIT_CWND, MIN_CWND};
+use crate::bbr::{Model, PROBE_RTT_DURATION};
+use crate::{AckSample, CongestionControl, LossEvent, MIN_CWND};
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::units::Bandwidth;
 
@@ -52,12 +53,8 @@ const LOSS_THRESH: f64 = 0.02;
 const BETA: f64 = 0.7;
 /// Fraction of `inflight_hi` used while cruising.
 const HEADROOM: f64 = 0.85;
-/// Bandwidth filter window, in rounds.
-const BW_WINDOW_ROUNDS: u64 = 10;
 /// Min-RTT window (the family probes RTT more often than v1).
 const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(5);
-/// PROBE_RTT dwell.
-const PROBE_RTT_DURATION: SimDuration = SimDuration::from_millis(200);
 /// Time between bandwidth probes while cruising.
 const BW_PROBE_WAIT_BASE: SimDuration = SimDuration::from_secs(2);
 /// STARTUP: rounds of ≥ LOSS_THRESH loss that force an exit.
@@ -114,7 +111,7 @@ const V3: Tuning = Tuning {
 
 /// State machine modes of the BBRv2 family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
+enum Mode {
     /// Exponential search.
     Startup,
     /// Queue drain after startup.
@@ -134,19 +131,8 @@ pub enum Mode {
 /// A BBRv2-family controller: v2 from `Bbr2::new`, v3 from `Bbr2::v3`.
 pub struct Bbr2 {
     tuning: &'static Tuning,
-    mss: u64,
+    m: Model,
     mode: Mode,
-    // Model.
-    bw_filter: MaxFilter,
-    round_count: u64,
-    next_rtt_delivered: u64,
-    round_start: bool,
-    min_rtt: SimDuration,
-    min_rtt_stamp: SimTime,
-    // Startup.
-    full_bw: u64,
-    full_bw_cnt: u32,
-    full_bw_reached: bool,
     startup_loss_rounds: u32,
     // Loss bounds.
     inflight_hi: u64,
@@ -163,12 +149,6 @@ pub struct Bbr2 {
     cruise_round_mark: u64,
     // Probe RTT.
     probe_rtt_done_stamp: Option<SimTime>,
-    // Outputs.
-    pacing_rate: Bandwidth,
-    cwnd: u64,
-    prior_cwnd: u64,
-    in_recovery: bool,
-    packet_conservation: bool,
 }
 
 impl Bbr2 {
@@ -183,20 +163,10 @@ impl Bbr2 {
     }
 
     fn with_tuning(tuning: &'static Tuning, mss: u64) -> Self {
-        assert!(mss > 0, "mss must be positive");
         Bbr2 {
             tuning,
-            mss,
+            m: Model::new(mss),
             mode: Mode::Startup,
-            bw_filter: MaxFilter::new(BW_WINDOW_ROUNDS),
-            round_count: 0,
-            next_rtt_delivered: 0,
-            round_start: false,
-            min_rtt: SimDuration::MAX,
-            min_rtt_stamp: SimTime::ZERO,
-            full_bw: 0,
-            full_bw_cnt: 0,
-            full_bw_reached: false,
             startup_loss_rounds: 0,
             inflight_hi: u64::MAX,
             loss_in_episode: false,
@@ -207,11 +177,6 @@ impl Bbr2 {
             probe_up_rounds: 0,
             cruise_round_mark: 0,
             probe_rtt_done_stamp: None,
-            pacing_rate: Bandwidth::ZERO,
-            cwnd: INIT_CWND,
-            prior_cwnd: 0,
-            in_recovery: false,
-            packet_conservation: false,
         }
     }
 
@@ -221,20 +186,6 @@ impl Bbr2 {
         let jitter_ms = (offset as u64 % 16) * 64; // 0..1024 ms
         self.probe_wait = BW_PROBE_WAIT_BASE + SimDuration::from_millis(jitter_ms);
         self
-    }
-
-    /// Current mode, for instrumentation and tests.
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// Loss-learned inflight ceiling (`None` until a probe hits loss).
-    pub fn inflight_hi(&self) -> Option<u64> {
-        (self.inflight_hi != u64::MAX).then_some(self.inflight_hi)
-    }
-
-    fn bw(&self) -> Bandwidth {
-        Bandwidth::from_bps(self.bw_filter.get())
     }
 
     fn pacing_gain(&self) -> f64 {
@@ -256,29 +207,6 @@ impl Bbr2 {
         }
     }
 
-    /// BDP target with the kernel's 3 × TSO-goal quantization slack (see
-    /// `bbr::Bbr::target_cwnd`).
-    fn bdp_packets(&self, gain: f64) -> u64 {
-        if self.min_rtt == SimDuration::MAX || self.bw().is_zero() {
-            return INIT_CWND;
-        }
-        let bdp_bytes = self.bw().bytes_in(self.min_rtt);
-        ((bdp_bytes as f64 * gain / self.mss as f64).ceil() as u64 + 6).max(MIN_CWND)
-    }
-
-    fn update_round(&mut self, sample: &AckSample) {
-        self.round_lost += sample.lost;
-        self.round_delivered += sample.acked;
-        if sample.prior_delivered >= self.next_rtt_delivered {
-            self.next_rtt_delivered = sample.delivered;
-            self.round_count += 1;
-            self.round_start = true;
-            self.packet_conservation = false;
-        } else {
-            self.round_start = false;
-        }
-    }
-
     /// Loss rate of the just-completed round, evaluated at round start.
     fn round_loss_rate(&self) -> f64 {
         let total = self.round_lost + self.round_delivered;
@@ -294,38 +222,27 @@ impl Bbr2 {
         self.round_delivered = 0;
     }
 
-    fn update_bw(&mut self, sample: &AckSample) {
-        if !sample.app_limited || sample.delivery_rate.as_bps() >= self.bw_filter.get() {
-            self.bw_filter
-                .update(self.round_count, sample.delivery_rate.as_bps());
-        }
-    }
-
     fn check_startup_done(&mut self, sample: &AckSample) {
-        if self.full_bw_reached || self.mode != Mode::Startup {
+        if self.m.full_bw_reached
+            || self.mode != Mode::Startup
+            || !self.m.round_start
+            || sample.app_limited
+        {
             return;
         }
-        if self.round_start && !sample.app_limited {
-            // Bandwidth-plateau exit, as v1.
-            let thresh = (self.full_bw as f64 * 1.25) as u64;
-            if self.bw_filter.get() >= thresh {
-                self.full_bw = self.bw_filter.get();
-                self.full_bw_cnt = 0;
-            } else {
-                self.full_bw_cnt += 1;
-            }
-            // Family addition over v1: persistent-loss exit.
-            if self.round_loss_rate() >= LOSS_THRESH {
-                self.startup_loss_rounds += 1;
-            } else {
-                self.startup_loss_rounds = 0;
-            }
-            if self.full_bw_cnt >= 3 || self.startup_loss_rounds >= STARTUP_LOSS_ROUNDS {
-                self.full_bw_reached = true;
-                if self.startup_loss_rounds >= STARTUP_LOSS_ROUNDS {
-                    // Loss-bounded exit also seeds the inflight ceiling.
-                    self.inflight_hi = self.inflight_hi.min(sample.inflight.max(MIN_CWND));
-                }
+        // Bandwidth-plateau exit, as v1.
+        let plateau = self.m.full_bw_round();
+        // Family addition over v1: persistent-loss exit.
+        if self.round_loss_rate() >= LOSS_THRESH {
+            self.startup_loss_rounds += 1;
+        } else {
+            self.startup_loss_rounds = 0;
+        }
+        if plateau || self.startup_loss_rounds >= STARTUP_LOSS_ROUNDS {
+            self.m.full_bw_reached = true;
+            if self.startup_loss_rounds >= STARTUP_LOSS_ROUNDS {
+                // Loss-bounded exit also seeds the inflight ceiling.
+                self.inflight_hi = self.inflight_hi.min(sample.inflight.max(MIN_CWND));
             }
         }
     }
@@ -334,13 +251,13 @@ impl Bbr2 {
         let now = sample.now;
         match self.mode {
             Mode::Startup => {
-                if self.full_bw_reached {
+                if self.m.full_bw_reached {
                     self.mode = Mode::Drain;
                     self.phase_stamp = now;
                 }
             }
             Mode::Drain => {
-                if sample.inflight <= self.bdp_packets(1.0) {
+                if sample.inflight <= self.m.target_cwnd(1.0) {
                     self.enter_phase(Mode::ProbeDown, now);
                 }
             }
@@ -348,34 +265,34 @@ impl Bbr2 {
                 let target = self.cruise_cap();
                 if sample.inflight <= target {
                     self.enter_phase(Mode::ProbeCruise, now);
-                    self.cruise_round_mark = self.round_count;
+                    self.cruise_round_mark = self.m.round_count;
                 }
             }
             Mode::ProbeCruise => {
                 let round_capped = self
                     .tuning
                     .cruise_max_rounds
-                    .is_some_and(|cap| self.round_count >= self.cruise_round_mark + cap);
+                    .is_some_and(|cap| self.m.round_count >= self.cruise_round_mark + cap);
                 if now.saturating_since(self.phase_stamp) >= self.probe_wait || round_capped {
                     self.enter_phase(Mode::ProbeRefill, now);
-                    self.probe_up_rounds = self.round_count;
+                    self.probe_up_rounds = self.m.round_count;
                 }
             }
             Mode::ProbeRefill => {
-                if self.round_start && self.round_count > self.probe_up_rounds {
+                if self.m.round_start && self.m.round_count > self.probe_up_rounds {
                     self.enter_phase(Mode::ProbeUp, now);
-                    self.probe_up_rounds = self.round_count;
+                    self.probe_up_rounds = self.m.round_count;
                     // A new probe may raise the ceiling: allow growth.
                     self.reset_round_loss();
                 }
             }
             Mode::ProbeUp => {
-                if self.round_start {
+                if self.m.round_start {
                     if self.round_loss_rate() >= LOSS_THRESH {
                         // Loss bounded the probe: learn the ceiling and back off.
                         self.inflight_hi = sample.inflight.max(MIN_CWND);
                         self.enter_phase(Mode::ProbeDown, now);
-                    } else if self.round_count >= self.probe_up_rounds + PROBE_UP_ROUNDS {
+                    } else if self.m.round_count >= self.probe_up_rounds + PROBE_UP_ROUNDS {
                         // Probe long enough without loss: raise the ceiling.
                         if self.inflight_hi != u64::MAX {
                             self.inflight_hi = ((self.inflight_hi as f64) * 1.25).ceil() as u64;
@@ -397,33 +314,22 @@ impl Bbr2 {
     }
 
     /// The inflight cap while cruising: 15 % headroom below the ceiling.
-    fn cruise_cap(&self) -> u64 {
+    fn cruise_cap(&mut self) -> u64 {
         if self.inflight_hi == u64::MAX {
-            self.bdp_packets(1.0)
+            self.m.target_cwnd(1.0)
         } else {
             (((self.inflight_hi as f64) * HEADROOM) as u64).max(MIN_CWND)
         }
     }
 
-    /// As in v1 (and the kernel): the expiry decision is taken once, before
-    /// the filter refresh, and drives both the refresh and PROBE_RTT entry.
-    fn update_min_rtt_and_probe_rtt(&mut self, sample: &AckSample) {
-        let expired = sample.now.saturating_since(self.min_rtt_stamp) > MIN_RTT_WINDOW;
-        if !sample.rtt.is_zero() && (sample.rtt <= self.min_rtt || expired) {
-            self.min_rtt = sample.rtt;
-            self.min_rtt_stamp = sample.now;
-        }
-        self.check_probe_rtt(sample, expired);
-    }
-
     fn check_probe_rtt(&mut self, sample: &AckSample, expired: bool) {
         if self.mode != Mode::ProbeRtt && expired {
-            self.prior_cwnd = self.prior_cwnd.max(self.cwnd);
+            self.m.save_cwnd();
             self.mode = Mode::ProbeRtt;
             self.probe_rtt_done_stamp = None;
         }
         if self.mode == Mode::ProbeRtt {
-            let clamp = self.bdp_packets(0.5);
+            let clamp = self.m.target_cwnd(0.5);
             match self.probe_rtt_done_stamp {
                 None => {
                     if sample.inflight <= clamp {
@@ -432,8 +338,7 @@ impl Bbr2 {
                 }
                 Some(done) => {
                     if sample.now > done {
-                        self.min_rtt_stamp = sample.now;
-                        self.cwnd = self.cwnd.max(self.prior_cwnd);
+                        self.m.probe_rtt_done(sample.now);
                         self.enter_phase(Mode::ProbeDown, sample.now);
                     }
                 }
@@ -441,45 +346,21 @@ impl Bbr2 {
         }
     }
 
-    fn set_pacing_rate(&mut self, sample: &AckSample) {
-        let gain = self.pacing_gain();
-        let rate = if self.bw().is_zero() {
-            let rtt = if sample.rtt.is_zero() {
-                SimDuration::from_millis(1)
-            } else {
-                sample.rtt
-            };
-            Bandwidth::from_bytes_over(self.cwnd * self.mss, rtt).mul_f64(gain)
-        } else {
-            self.bw().mul_f64(gain)
-        };
-        if self.full_bw_reached || rate > self.pacing_rate {
-            self.pacing_rate = rate;
-        }
-    }
-
     fn set_cwnd(&mut self, sample: &AckSample) {
-        let mut target = self.bdp_packets(self.cwnd_gain());
+        let mut target = self.m.target_cwnd(self.cwnd_gain());
         // Loss-learned ceiling applies everywhere except the UP probe
         // itself (which is how the ceiling gets re-tested).
-        let cap = match self.mode {
-            Mode::ProbeUp | Mode::ProbeRefill => self.inflight_hi,
-            Mode::ProbeRtt => self.bdp_packets(0.5),
-            _ => self.cruise_cap().max(MIN_CWND),
-        };
         if self.inflight_hi != u64::MAX || self.mode == Mode::ProbeRtt {
+            let cap = match self.mode {
+                Mode::ProbeUp | Mode::ProbeRefill => self.inflight_hi,
+                Mode::ProbeRtt => self.m.target_cwnd(0.5),
+                _ => self.cruise_cap(),
+            };
             target = target.min(cap);
         }
-        if self.packet_conservation {
-            self.cwnd = self.cwnd.max(sample.inflight + sample.acked);
-        } else if self.full_bw_reached {
-            self.cwnd = (self.cwnd + sample.acked).min(target);
-        } else if self.cwnd < target || sample.delivered < INIT_CWND {
-            self.cwnd += sample.acked;
-        }
-        self.cwnd = self.cwnd.max(MIN_CWND);
+        self.m.grow_cwnd(sample, target);
         if self.mode == Mode::ProbeRtt {
-            self.cwnd = self.cwnd.min(self.bdp_packets(0.5));
+            self.m.cwnd = self.m.cwnd.min(self.m.target_cwnd(0.5));
         }
     }
 }
@@ -502,25 +383,26 @@ impl CongestionControl for Bbr2 {
     }
 
     fn on_ack(&mut self, sample: &AckSample) {
-        self.update_round(sample);
-        self.update_bw(sample);
+        self.round_lost += sample.lost;
+        self.round_delivered += sample.acked;
+        self.m.update_round(sample);
+        self.m.update_bw(sample);
         self.check_startup_done(sample);
         self.advance_state(sample);
-        self.update_min_rtt_and_probe_rtt(sample);
-        self.set_pacing_rate(sample);
+        let expired = self.m.update_min_rtt(sample, MIN_RTT_WINDOW);
+        self.check_probe_rtt(sample, expired);
+        self.m.set_pacing_rate(sample, self.pacing_gain());
         self.set_cwnd(sample);
-        if self.round_start {
+        if self.m.round_start {
             self.reset_round_loss();
         }
     }
 
     fn on_loss_event(&mut self, event: &LossEvent) {
-        if !self.in_recovery {
-            self.prior_cwnd = self.prior_cwnd.max(self.cwnd);
-            self.in_recovery = true;
-            self.packet_conservation = true;
+        if !self.m.in_recovery() {
+            self.m.save_cwnd();
             self.loss_in_episode = false;
-            self.cwnd = (event.inflight + 1).max(MIN_CWND);
+            self.m.enter_recovery(event.inflight);
         }
         // The family reacts to loss structurally: adjust the ceiling.
         let measured = event.inflight.max(MIN_CWND);
@@ -528,13 +410,13 @@ impl CongestionControl for Bbr2 {
             LossResponse::PerEvent => {
                 if self.inflight_hi != u64::MAX {
                     self.inflight_hi = (((self.inflight_hi as f64) * BETA) as u64).max(MIN_CWND);
-                } else if self.full_bw_reached {
+                } else if self.m.full_bw_reached {
                     // First loss after startup seeds the ceiling.
                     self.inflight_hi = measured;
                 }
             }
             LossResponse::PerEpisode => {
-                if !self.loss_in_episode && self.full_bw_reached {
+                if !self.loss_in_episode && self.m.full_bw_reached {
                     self.inflight_hi = if self.inflight_hi == u64::MAX {
                         measured
                     } else {
@@ -549,29 +431,19 @@ impl CongestionControl for Bbr2 {
     }
 
     fn on_recovery_exit(&mut self, _now: SimTime) {
-        if self.in_recovery {
-            self.in_recovery = false;
-            self.packet_conservation = false;
+        if self.m.exit_recovery() {
             self.loss_in_episode = false;
-            self.cwnd = self
-                .cwnd
-                .max(self.prior_cwnd)
-                .min(if self.inflight_hi == u64::MAX {
-                    u64::MAX
-                } else {
-                    self.inflight_hi
-                });
+            self.m.cwnd = self.m.cwnd.min(self.inflight_hi);
         }
     }
 
     fn on_rto(&mut self, _now: SimTime, _inflight: u64) {
-        self.prior_cwnd = self.prior_cwnd.max(self.cwnd);
-        self.cwnd = MIN_CWND;
-        self.packet_conservation = false;
+        self.m.save_cwnd();
+        self.m.rto();
     }
 
     fn cwnd(&self) -> u64 {
-        self.cwnd
+        self.m.cwnd
     }
 
     fn wants_pacing(&self) -> bool {
@@ -579,15 +451,11 @@ impl CongestionControl for Bbr2 {
     }
 
     fn pacing_rate(&self) -> Option<Bandwidth> {
-        (!self.pacing_rate.is_zero()).then_some(self.pacing_rate)
+        self.m.pacing_rate()
     }
 
     fn model_cost_cycles(&self) -> u64 {
         self.tuning.model_cost_cycles
-    }
-
-    fn bandwidth_estimate(&self) -> Option<Bandwidth> {
-        (!self.bw().is_zero()).then_some(self.bw())
     }
 }
 
@@ -694,10 +562,10 @@ mod tests {
     #[test]
     fn startup_exits_on_plateau() {
         for mut b in rows() {
-            assert_eq!(b.mode(), Mode::Startup);
+            assert_eq!(b.mode, Mode::Startup);
             drive(&mut b, 100, 20, 30, 0);
-            assert_ne!(b.mode(), Mode::Startup, "{}", b.name());
-            assert!(b.full_bw_reached);
+            assert_ne!(b.mode, Mode::Startup, "{}", b.name());
+            assert!(b.m.full_bw_reached);
         }
     }
 
@@ -705,7 +573,7 @@ mod tests {
     fn converges_to_pipe_bandwidth() {
         for mut b in rows() {
             drive(&mut b, 100, 20, 40, 0);
-            let est = b.bandwidth_estimate().unwrap().as_mbps_f64();
+            let est = b.m.bw().as_mbps_f64();
             assert!(
                 (70.0..140.0).contains(&est),
                 "{}: estimate {est} Mbps",
@@ -735,24 +603,24 @@ mod tests {
                 lost,
                 w,
             ));
-            if b.full_bw_reached {
+            if b.m.full_bw_reached {
                 break;
             }
         }
-        assert!(b.full_bw_reached, "persistent loss must end startup");
-        assert!(b.inflight_hi().is_some(), "loss exit seeds the ceiling");
+        assert!(b.m.full_bw_reached, "persistent loss must end startup");
+        assert_ne!(b.inflight_hi, u64::MAX, "loss exit seeds the ceiling");
     }
 
     #[test]
     fn loss_event_seeds_and_cuts_ceiling() {
         let mut b = Bbr2::new(1448);
         drive(&mut b, 100, 20, 40, 0);
-        assert_eq!(b.inflight_hi(), None);
+        assert_eq!(b.inflight_hi, u64::MAX);
         lose(&mut b, 2_000, 200, 5);
-        assert_eq!(b.inflight_hi(), Some(200));
+        assert_eq!(b.inflight_hi, 200);
         b.on_recovery_exit(SimTime::from_secs(2));
         lose(&mut b, 3_000, 180, 5);
-        assert_eq!(b.inflight_hi(), Some(140), "second loss cuts by beta=0.7");
+        assert_eq!(b.inflight_hi, 140, "second loss cuts by beta=0.7");
     }
 
     #[test]
@@ -762,18 +630,13 @@ mod tests {
         // per-event β-cut compounds it down to 140 (the test above).
         let mut b = Bbr2::v3(1448);
         drive(&mut b, 100, 20, 40, 0);
-        assert_eq!(b.inflight_hi(), None);
+        assert_eq!(b.inflight_hi, u64::MAX);
         lose(&mut b, 2_000, 200, 5);
-        assert_eq!(
-            b.inflight_hi(),
-            Some(200),
-            "first episode seeds at measured"
-        );
+        assert_eq!(b.inflight_hi, 200, "first episode seeds at measured");
         b.on_recovery_exit(SimTime::from_secs(2));
         lose(&mut b, 3_000, 180, 5);
         assert_eq!(
-            b.inflight_hi(),
-            Some(180),
+            b.inflight_hi, 180,
             "second episode anchors at measured inflight, not β-compounded"
         );
     }
@@ -785,16 +648,12 @@ mod tests {
         lose(&mut b, 2_000, 200, 5);
         // More losses within the same episode must not move the ceiling.
         lose(&mut b, 2_010, 100, 5);
-        assert_eq!(b.inflight_hi(), Some(200), "one adjustment per episode");
+        assert_eq!(b.inflight_hi, 200, "one adjustment per episode");
         b.on_recovery_exit(SimTime::from_millis(2_020));
         // A collapse to tiny inflight in the next episode is floored at
         // β × hi, not taken at face value.
         lose(&mut b, 3_000, 10, 5);
-        assert_eq!(
-            b.inflight_hi(),
-            Some(140),
-            "cut floored at β=0.7 per episode"
-        );
+        assert_eq!(b.inflight_hi, 140, "cut floored at β=0.7 per episode");
     }
 
     #[test]
@@ -806,7 +665,7 @@ mod tests {
             assert_eq!(b.cruise_cap(), 170, "85% of 200");
             // Continue cruising: cwnd must respect the cap.
             drive(&mut b, 100, 20, 20, 3_000);
-            if matches!(b.mode(), Mode::ProbeCruise | Mode::ProbeDown) {
+            if matches!(b.mode, Mode::ProbeCruise | Mode::ProbeDown) {
                 assert!(b.cwnd() <= 170, "cwnd {} must respect cruise cap", b.cwnd());
             }
         }
@@ -818,19 +677,19 @@ mod tests {
             drive(&mut b, 100, 20, 40, 0);
             lose(&mut b, 2_000, 200, 2);
             b.on_recovery_exit(SimTime::from_secs(2));
-            let hi_before = b.inflight_hi().unwrap();
+            let hi_before = b.inflight_hi;
             // Run long enough (> probe_wait) with no loss for a full
             // DOWN→CRUISE→REFILL→UP→DOWN cycle.
             let mut saw_up = false;
             ack_windows(&mut b, 2_100, 20, 400, 2, |b| {
-                saw_up |= b.mode() == Mode::ProbeUp;
+                saw_up |= b.mode == Mode::ProbeUp;
                 false
             });
             assert!(saw_up, "should have probed up within 8 s of cruising");
             assert!(
-                b.inflight_hi().unwrap() > hi_before,
+                b.inflight_hi > hi_before,
                 "lossless UP probe should raise the ceiling: {:?} vs {hi_before}",
-                b.inflight_hi()
+                b.inflight_hi
             );
         }
     }
@@ -866,13 +725,13 @@ mod tests {
         let mut streak = 0u64;
         let mut longest_cruise = 0u64;
         ack_windows(&mut b, 60, 1, 200, 2, |b| {
-            streak = if b.mode() == Mode::ProbeCruise {
+            streak = if b.mode == Mode::ProbeCruise {
                 streak + 1
             } else {
                 0
             };
             longest_cruise = longest_cruise.max(streak);
-            saw_refill |= b.mode() == Mode::ProbeRefill;
+            saw_refill |= b.mode == Mode::ProbeRefill;
             false
         });
         assert!(
@@ -890,9 +749,9 @@ mod tests {
         // Walk each row into ProbeBW and measure its DOWN pacing gain.
         let [v2, v3] = rows().map(|mut b| {
             drive(&mut b, 100, 20, 40, 0);
-            ack_windows(&mut b, 1_000, 20, 400, 1, |b| b.mode() == Mode::ProbeDown);
-            assert_eq!(b.mode(), Mode::ProbeDown, "must reach the DOWN probe");
-            let bw = b.bandwidth_estimate().unwrap().as_bps() as f64;
+            ack_windows(&mut b, 1_000, 20, 400, 1, |b| b.mode == Mode::ProbeDown);
+            assert_eq!(b.mode, Mode::ProbeDown, "must reach the DOWN probe");
+            let bw = b.m.bw().as_bps() as f64;
             b.pacing_rate().unwrap().as_bps() as f64 / bw
         });
         assert!((v2 - 0.75).abs() < 0.02, "v2 DOWN gain {v2:.3}");
@@ -906,7 +765,7 @@ mod tests {
             drive(&mut b, 100, 20, 40, 0);
             let mut saw = false;
             ack_windows(&mut b, 1_000, 25, 400, 2, |b| {
-                saw |= b.mode() == Mode::ProbeRtt;
+                saw |= b.mode == Mode::ProbeRtt;
                 false
             });
             assert!(
@@ -920,11 +779,11 @@ mod tests {
     fn cruise_cap_without_ceiling_falls_back_to_bdp() {
         let mut b = Bbr2::new(1448);
         drive(&mut b, 100, 20, 40, 0);
-        assert_eq!(b.inflight_hi(), None);
+        assert_eq!(b.inflight_hi, u64::MAX);
         // With no loss-learned ceiling, cruising is bounded by the BDP
         // estimate, not by a stale constant.
         assert!(b.cruise_cap() >= MIN_CWND);
-        assert!(b.cruise_cap() <= b.bdp_packets(1.0));
+        assert!(b.cruise_cap() <= b.m.target_cwnd(1.0));
     }
 
     #[test]
@@ -936,7 +795,7 @@ mod tests {
                 b.on_recovery_exit(SimTime::from_millis(3_001 + i));
             }
             assert!(
-                b.inflight_hi().unwrap() >= MIN_CWND,
+                b.inflight_hi >= MIN_CWND,
                 "{}: ceiling cuts floor at MIN_CWND",
                 b.name()
             );
@@ -1047,7 +906,7 @@ mod tests {
         s.recovery_exit();
         // Wall-clock probe cycles whose UP phase is bounded by loss.
         for _ in 0..150 {
-            let lost = if s.b.mode() == Mode::ProbeUp {
+            let lost = if s.b.mode == Mode::ProbeUp {
                 (s.b.cwnd() / 10).max(1)
             } else {
                 0

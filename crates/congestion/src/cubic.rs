@@ -241,10 +241,6 @@ impl CongestionControl for Cubic {
     fn model_cost_cycles(&self) -> u64 {
         700
     }
-
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +248,6 @@ mod tests {
     use super::*;
     use crate::tests::sample;
     use crate::AckSample;
-    use sim_core::units::Bandwidth;
 
     fn drive_acks(c: &mut Cubic, start_ms: u64, n: u64, rtt_ms: u64) -> u64 {
         // Ack one window per RTT, n RTTs.
@@ -384,7 +379,7 @@ mod tests {
         }
         assert!(!c.in_slow_start(), "HyStart should have exited slow start");
         // And the exit was HyStart, not loss: cwnd == ssthresh.
-        assert_eq!(c.cwnd(), c.ssthresh());
+        assert_eq!(c.cwnd(), c.ssthresh);
     }
 
     #[test]
@@ -438,6 +433,5 @@ mod tests {
         assert!(!c.wants_pacing());
         assert_eq!(c.pacing_rate(), None);
         assert!(c.model_cost_cycles() < 1_000);
-        assert_eq!(c.bandwidth_estimate(), None::<Bandwidth>);
     }
 }

@@ -30,6 +30,13 @@
 //!   lists every difference). v3 is not in the paper's matrix (see
 //!   [`CcKind::PAPER`]); it serves the AQM/fairness follow-up experiments.
 //!
+//! The BBR variants run one model, a private `Model` in `bbr.rs`: the
+//! bandwidth and min-RTT filters, packet-timed rounds, full-pipe
+//! detection, the BDP target, the pacing rate and cwnd growth. v1 adds its
+//! gain cycle, 10 s min-RTT window and 4-packet PROBE_RTT; the v2 family
+//! adds loss accounting, the `inflight_hi` bounds, its probe schedule, a
+//! 5 s window and a `BDP/2` PROBE_RTT.
+//!
 //! [`master::Master`] wraps any of them with the paper's §5 "master BBR
 //! kernel module" knobs: disable the model computation, fix the cwnd, fix
 //! the pacing rate, or force pacing on/off.
@@ -133,17 +140,6 @@ pub trait CongestionControl: Send {
     /// CPU cycles this algorithm's model update costs per processed ACK
     /// (charged by the CPU model on top of generic ACK processing).
     fn model_cost_cycles(&self) -> u64;
-
-    /// Expose the algorithm's bandwidth estimate for instrumentation
-    /// (`None` for loss-based algorithms with no such estimate).
-    fn bandwidth_estimate(&self) -> Option<Bandwidth> {
-        None
-    }
-
-    /// Current slow-start threshold in packets, for instrumentation.
-    fn ssthresh(&self) -> u64 {
-        u64::MAX
-    }
 
     /// Current state-machine phase as a stable identifier, for sim-trace
     /// phase-transition records: BBR reports `"startup"`/`"drain"`/

@@ -163,14 +163,6 @@ impl CongestionControl for Master {
             self.inner.model_cost_cycles()
         }
     }
-
-    fn bandwidth_estimate(&self) -> Option<Bandwidth> {
-        self.inner.bandwidth_estimate()
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.inner.ssthresh()
-    }
 }
 
 #[cfg(test)]
@@ -213,13 +205,19 @@ mod tests {
     fn disable_model_zeroes_cost_and_freezes_inner() {
         let mut m = Master::new(
             CcKind::Bbr.build(1448),
-            MasterConfig::fixed_cwnd_no_model(70),
+            MasterConfig {
+                disable_model: true,
+                ..Default::default()
+            },
         );
         assert_eq!(m.model_cost_cycles(), 0, "§5.1.1: no compute when disabled");
         for i in 0..50 {
             m.on_ack(&sample(i * 10, 10, 100, (i + 1) * 100, 100, 0));
         }
-        assert_eq!(m.bandwidth_estimate(), None, "inner model never ran");
+        // The inner model never ran: no rate, initial window, still STARTUP.
+        assert_eq!(m.pacing_rate(), None);
+        assert_eq!(m.cwnd(), crate::INIT_CWND);
+        assert_eq!(m.phase(), "startup");
     }
 
     #[test]
@@ -238,7 +236,7 @@ mod tests {
         assert!(!m.wants_pacing(), "Fig. 4: BBR with pacing disabled");
         assert_eq!(m.pacing_rate(), None);
         // The model still runs: cwnd control remains BBR's.
-        assert!(m.bandwidth_estimate().is_some());
+        assert!(m.cwnd() > crate::INIT_CWND);
     }
 
     #[test]
@@ -293,18 +291,24 @@ mod tests {
     fn disable_model_also_silences_loss_and_rto_paths() {
         use crate::LossEvent;
         use sim_core::time::SimTime;
+        // No fixed cwnd, so the inner Cubic's window shows through: a
+        // forwarded loss would report "recovery", a forwarded RTO cwnd 1.
         let mut m = Master::new(
             CcKind::Cubic.build(1448),
-            MasterConfig::fixed_cwnd_no_model(70),
+            MasterConfig {
+                disable_model: true,
+                ..Default::default()
+            },
         );
         m.on_loss_event(&LossEvent {
             now: SimTime::from_millis(1),
             inflight: 50,
             lost: 10,
         });
+        assert_eq!(m.phase(), "slow_start", "inner never entered recovery");
         m.on_rto(SimTime::from_millis(2), 50);
         m.on_recovery_exit(SimTime::from_millis(3));
-        assert_eq!(m.cwnd(), 70, "no knob-bypassing state change");
-        assert_eq!(m.ssthresh(), u64::MAX, "inner ssthresh untouched");
+        assert_eq!(m.cwnd(), crate::INIT_CWND, "inner never saw the RTO");
+        assert_eq!(m.phase(), "slow_start");
     }
 }

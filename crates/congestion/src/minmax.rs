@@ -1,15 +1,8 @@
-//! Windowed min/max filters, after Linux's `lib/win_minmax.c`.
-//!
-//! BBR's two model inputs are a **windowed max** of delivery-rate samples
-//! (bottleneck bandwidth over the last 10 packet-timed rounds) and a
-//! **windowed min** of RTT samples (propagation delay over the last 10
-//! seconds). The kernel tracks each with just three timestamped samples —
-//! the best, second-best and third-best seen within the window — which is
-//! O(1) per update and exact for the "best in window" query.
-//!
-//! The filter is generic over the time axis: BBR's bandwidth filter runs on
-//! *round counts*, the RTT filter on *nanoseconds*, so the window type is a
-//! plain `u64`.
+//! The windowed-max filter behind BBR's bandwidth estimate, after Linux's
+//! `lib/win_minmax.c`: three timestamped samples, the best, second-best
+//! and third-best seen within the window, which is O(1) per update and
+//! exact for the "best in window" query. BBR keys it by packet-timed round
+//! count; the model's min-RTT is a plain minimum with an expiry stamp.
 
 /// One timestamped sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -96,10 +96,6 @@ impl CongestionControl for Reno {
     fn model_cost_cycles(&self) -> u64 {
         400
     }
-
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +175,7 @@ mod tests {
         let mut r = Reno::new();
         r.on_rto(SimTime::from_millis(100), 10);
         assert_eq!(r.cwnd(), 1);
-        assert_eq!(r.ssthresh(), (INIT_CWND / 2).max(MIN_CWND));
+        assert_eq!(r.ssthresh, (INIT_CWND / 2).max(MIN_CWND));
     }
 
     #[test]

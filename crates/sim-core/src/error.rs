@@ -1,9 +1,9 @@
 //! The workspace-wide error type.
 //!
 //! Every fallible public operation in the reproduction — config
-//! validation, sweep checkpoint/cache I/O, trace decoding, interrupted
-//! sweeps, CLI parsing — reports a variant of one [`Error`] enum instead
-//! of an ad-hoc `String`. Library code returns [`Result`]; the binaries
+//! validation, sweep checkpoint/cache I/O, interrupted sweeps, CLI
+//! parsing — reports a variant of one [`Error`] enum instead of an ad-hoc
+//! `String`. Library code returns [`Result`]; the binaries
 //! convert to a process exit code in exactly one place, at the edge of
 //! `main`, via [`Error::exit_code`].
 
@@ -41,13 +41,6 @@ pub enum Error {
         /// What went wrong.
         reason: String,
     },
-    /// A recorded trace failed to decode.
-    TraceDecode {
-        /// 1-based line number in the JSONL input (0 when not line-based).
-        line: usize,
-        /// What was malformed.
-        reason: String,
-    },
     /// A sweep was cancelled (Ctrl-C, or the `cancel_after` test hook) before completing.
     ///
     /// In-flight cells were drained and the checkpoint (when configured)
@@ -82,13 +75,13 @@ impl Error {
 
     /// The process exit code a binary should use for this error.
     ///
-    /// Usage errors (bad flags, invalid configs, undecodable trace input)
-    /// exit 2; an interrupted sweep exits 130 (the shell convention for
-    /// SIGINT, `128 + 2`); everything else exits 1. Binaries call this at
-    /// the edge of `main` only — library code never calls `exit`.
+    /// Usage errors (bad flags, invalid configs) exit 2; an interrupted
+    /// sweep exits 130 (the shell convention for SIGINT, `128 + 2`);
+    /// everything else exits 1. Binaries call this at the edge of `main`
+    /// only — library code never calls `exit`.
     pub fn exit_code(&self) -> i32 {
         match self {
-            Error::Cli(_) | Error::InvalidConfig { .. } | Error::TraceDecode { .. } => 2,
+            Error::Cli(_) | Error::InvalidConfig { .. } => 2,
             Error::Interrupted { .. } => 130,
             Error::Io { .. } | Error::Checkpoint { .. } => 1,
         }
@@ -104,13 +97,6 @@ impl std::fmt::Display for Error {
             Error::Io { context, source } => write!(f, "{context}: {source}"),
             Error::Checkpoint { path, reason } => {
                 write!(f, "checkpoint {}: {reason}", path.display())
-            }
-            Error::TraceDecode { line, reason } => {
-                if *line > 0 {
-                    write!(f, "trace decode: line {line}: {reason}")
-                } else {
-                    write!(f, "trace decode: {reason}")
-                }
             }
             Error::Interrupted { completed, total } => {
                 write!(
@@ -141,14 +127,6 @@ mod tests {
     fn exit_codes_follow_the_edge_convention() {
         assert_eq!(Error::Cli("bad flag".into()).exit_code(), 2);
         assert_eq!(Error::invalid_config("connections", "zero").exit_code(), 2);
-        assert_eq!(
-            Error::TraceDecode {
-                line: 3,
-                reason: "bad kind".into()
-            }
-            .exit_code(),
-            2
-        );
         assert_eq!(
             Error::Interrupted {
                 completed: 2,

@@ -49,7 +49,7 @@
 //! tail-less file, which reads as corruption and costs one recompute.
 //! Cells whose output must reflect the running build rather than the key
 //! (simcheck's fuzz cells, where a hit would mask a mutant) opt out via
-//! [`SweepCell::cacheable`].
+//! [`SweepCell::cacheable`]; that governs the long-lived run cache only.
 //!
 //! # Streaming, bounded memory, checkpoint, cancellation (engine v2)
 //!
@@ -65,8 +65,9 @@
 //! incrementally sees byte-identical input at any `--jobs N`, preserving
 //! the determinism contract above.
 //!
-//! With [`SweepOptions::checkpoint`] set, every computed cell is also
-//! appended to a [`crate::checkpoint::CheckpointStore`] (content-addressed
+//! With [`SweepOptions::checkpoint`] set, every computed cell, cacheable
+//! or not, is also appended to a [`crate::checkpoint::CheckpointStore`]
+//! (a checkpoint belongs to one run of one binary; content-addressed
 //! by the same key digest as the cache, crash-safe by construction): an
 //! interrupted sweep re-run with the same checkpoint path serves completed
 //! cells from the file and computes only the remainder, and the resumed
@@ -203,26 +204,16 @@ pub trait SweepCell: Sync {
     /// Deserialize a cached output; `None` rejects the entry (recompute).
     fn decode(bytes: &[u8]) -> Option<Self::Output>;
 
-    /// Whether this cell may be served from / written to the cache.
+    /// Whether this cell may be served from / written to the run cache.
     ///
     /// A cell whose output depends on state outside the key must return
     /// `false`, or a cache hit would hide that state. simcheck's mutant
     /// switches are the one such case; instruments that write files are
-    /// passed to the simulation, not carried by a cell.
+    /// passed to the simulation, not carried by a cell. Checkpoints record
+    /// every cell regardless: a resume runs the same binary on the same
+    /// sweep.
     fn cacheable(&self) -> bool {
         true
-    }
-
-    /// Whether this cell may be recorded in / served from a sweep
-    /// checkpoint ([`SweepOptions::checkpoint`]).
-    ///
-    /// Defaults to [`cacheable`](Self::cacheable) — the same purity
-    /// argument applies. Override to `true` for cells that are pure but
-    /// deliberately kept out of the long-lived run cache (e.g. fuzz cells,
-    /// where a checkpoint scoped to one campaign is wanted but a global
-    /// cache would mask mutants).
-    fn resumable(&self) -> bool {
-        self.cacheable()
     }
 }
 
@@ -520,7 +511,6 @@ fn run_cell<C: SweepCell>(
     // The key is hashed once: the digest addresses the checkpoint record
     // and the cache file, and its first stream seeds the RNG on a miss.
     let digest = cell.key_digest();
-    let ckpt = ckpt.filter(|_| cell.resumable());
     // Checkpoint first: it is in-memory after load, and on a resumed
     // cache-less run it is the only store that has the cell.
     if let Some(shared) = ckpt {

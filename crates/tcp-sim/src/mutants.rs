@@ -1,7 +1,7 @@
 //! Intentional behaviour mutations for oracle-sensitivity testing.
 //!
 //! A fuzzer whose oracles never fire proves nothing: the oracles might be
-//! vacuous. This module provides ~4 single-line behaviour mutations at
+//! vacuous. This module provides eight single-line behaviour mutations at
 //! hot spots of the stack — each a realistic bug class — that the
 //! `simcheck --mutant-check` harness activates one at a time and requires
 //! at least one oracle to catch.

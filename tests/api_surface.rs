@@ -68,21 +68,28 @@ fn master_module_knobs_compose() {
     assert_eq!(m.cwnd(), 70);
     assert_eq!(m.pacing_rate(), Some(Bandwidth::from_mbps(40)));
     assert_eq!(m.model_cost_cycles(), 0);
-    // Feeding acks changes nothing.
-    m.on_ack(&AckSample {
-        now: SimTime::from_millis(10),
-        rtt: SimDuration::from_millis(1),
-        delivery_rate: Bandwidth::from_mbps(500),
-        delivered: 100,
-        prior_delivered: 0,
-        acked: 100,
-        lost: 0,
-        inflight: 0,
-        app_limited: false,
-        in_recovery: false,
-    });
+    // Feeding acks changes nothing: eight packet-timed rounds at a flat
+    // 500 Mbps take a running BBR out of STARTUP, but not the frozen one.
+    let mut plain = CcKind::Bbr.build(1448);
+    for i in 0..8 {
+        let ack = AckSample {
+            now: SimTime::from_millis(10 * (i + 1)),
+            rtt: SimDuration::from_millis(1),
+            delivery_rate: Bandwidth::from_mbps(500),
+            delivered: 100 * (i + 1),
+            prior_delivered: 100 * i,
+            acked: 100,
+            lost: 0,
+            inflight: 0,
+            app_limited: false,
+            in_recovery: false,
+        };
+        m.on_ack(&ack);
+        plain.on_ack(&ack);
+    }
+    assert_ne!(plain.phase(), "startup", "the script ends STARTUP");
     assert_eq!(m.cwnd(), 70);
-    assert_eq!(m.bandwidth_estimate(), None);
+    assert_eq!(m.phase(), "startup");
 }
 
 #[test]

@@ -142,11 +142,12 @@ fuzz() {
 
 # Oracle-sensitivity gate: every intentional single-line mutation in
 # tcp_sim::mutants must be caught by at least one oracle, each with a
-# shrunk one-line repro (an ESCAPED line fails the gate) — and, hop by
-# hop, mutant M7 must lose exactly the AQM drops the links recorded.
+# shrunk one-line repro (`simcheck --mutant-check --budget 120 --seed 1`,
+# run and checked by the simcheck_engine test the feature compiles) — and,
+# hop by hop, mutant M7 must lose exactly the AQM drops the links recorded.
 mutants() {
-    cargo run --release -p mobile-bbr-bench --features simcheck-mutants \
-        --bin simcheck -- --mutant-check --budget 120 --seed 1
+    cargo test --release -p mobile-bbr-bench --features simcheck-mutants \
+        --test simcheck_engine -- --nocapture
     cargo test --release -p tcp-sim --features simcheck-mutants sim::path
 }
 
