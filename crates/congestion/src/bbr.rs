@@ -923,8 +923,8 @@ mod tests {
             assert_eq!(modes.len(), 4, "flow {flow:?}: {modes:?}");
             assert_eq!(phases.len(), 8, "flow {flow:?}: {phases:?}");
 
-            let digest = golden_digest(&mut *build(), |_| {});
-            assert_eq!(digest, concrete, "flow {flow:?}: boxed and concrete agree");
+            let digest = golden_digest(&mut build(), |_| {});
+            assert_eq!(digest, concrete, "flow {flow:?}: built and concrete agree");
             assert_eq!(digest, want, "flow {flow:?}: {digest:#018x}");
         }
     }

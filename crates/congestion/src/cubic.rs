@@ -25,6 +25,9 @@ use sim_core::units::Bandwidth;
 const BETA: f64 = 0.7;
 /// RFC 8312 cubic scaling constant (window in packets, time in seconds).
 const C: f64 = 0.4;
+/// Reno's additive increase in the TCP-friendly region (RFC 8312 §4.2),
+/// packets per RTT.
+const RENO_SLOPE: f64 = 3.0 * (1.0 - BETA) / (1.0 + BETA);
 
 /// HyStart: minimum delay-increase threshold.
 const HYSTART_DELAY_MIN: SimDuration = SimDuration::from_millis(4);
@@ -112,7 +115,7 @@ impl Cubic {
     }
 
     /// RFC 8312 window update; returns the per-ack additive increment.
-    fn cubic_increment(&mut self, now: SimTime, rtt: SimDuration, acked: u64) -> f64 {
+    fn cubic_increment(&mut self, now: SimTime, acked: u64) -> f64 {
         let epoch = *self.epoch_start.get_or_insert_with(|| {
             // New epoch: position the cubic origin.
             if self.w_max <= self.cwnd {
@@ -136,14 +139,11 @@ impl Cubic {
 
         // TCP-friendly region (RFC 8312 §4.2): emulate Reno's growth.
         self.ack_cnt += acked as f64;
-        let rtt_s = rtt.as_secs_f64().max(1e-6);
-        let reno_slope = 3.0 * (1.0 - BETA) / (1.0 + BETA); // packets per RTT
-        while self.ack_cnt >= self.w_est / reno_slope.max(1e-9) && self.ack_cnt >= 1.0 {
-            // Approximate: W_est += reno_slope per W_est acks.
-            self.ack_cnt -= self.w_est / reno_slope.max(1e-9);
+        while self.ack_cnt >= self.w_est / RENO_SLOPE && self.ack_cnt >= 1.0 {
+            // Approximate: W_est += RENO_SLOPE per W_est acks.
+            self.ack_cnt -= self.w_est / RENO_SLOPE;
             self.w_est += 1.0;
         }
-        let _ = rtt_s;
 
         let target = w_cubic.max(self.w_est);
         if target > self.cwnd {
@@ -191,7 +191,7 @@ impl CongestionControl for Cubic {
                 return;
             }
         }
-        let inc = self.cubic_increment(sample.now, sample.rtt, sample.acked);
+        let inc = self.cubic_increment(sample.now, sample.acked);
         self.cwnd += inc;
     }
 

@@ -37,9 +37,11 @@
 //! adds loss accounting, the `inflight_hi` bounds, its probe schedule, a
 //! 5 s window and a `BDP/2` PROBE_RTT.
 //!
-//! [`master::Master`] wraps any of them with the paper's §5 "master BBR
-//! kernel module" knobs: disable the model computation, fix the cwnd, fix
-//! the pacing rate, or force pacing on/off.
+//! [`CcKind::build`] returns a [`Controller`], an enum over the four state
+//! machines that implements the trait by a `match`. [`master::Master`]
+//! wraps one with the paper's §5 "master BBR kernel module" knobs: disable
+//! the model computation, fix the cwnd, fix the pacing rate, or force
+//! pacing on/off.
 //!
 //! Each algorithm also reports [`CongestionControl::model_cost_cycles`] —
 //! the CPU cost of its per-ACK computation — so the CPU model can charge
@@ -52,7 +54,6 @@
 pub mod bbr;
 pub mod bbr2;
 pub mod cubic;
-pub mod group;
 pub mod master;
 pub mod minmax;
 pub mod reno;
@@ -154,7 +155,7 @@ pub trait CongestionControl: Send {
 /// Which congestion control to instantiate — the experiment matrix axis.
 ///
 /// ```
-/// use congestion::CcKind;
+/// use congestion::{CcKind, CongestionControl};
 ///
 /// let bbr = CcKind::Bbr.build(1448);
 /// assert!(bbr.wants_pacing());
@@ -193,7 +194,7 @@ impl CcKind {
     ];
 
     /// Instantiate the algorithm with `mss`-byte segments, un-staggered.
-    pub fn build(self, mss: u64) -> Box<dyn CongestionControl> {
+    pub fn build(self, mss: u64) -> Controller {
         self.controller(mss, None)
     }
 
@@ -201,26 +202,100 @@ impl CcKind {
     /// the BBR variants stagger their probe schedules by flow index (the
     /// deterministic analogue of the kernel's randomised phase/wait) so
     /// parallel connections do not probe in lockstep.
-    pub fn build_for_flow(self, mss: u64, flow: usize) -> Box<dyn CongestionControl> {
+    pub fn build_for_flow(self, mss: u64, flow: usize) -> Controller {
         self.controller(mss, Some(flow))
     }
 
     /// The only `CcKind → controller` mapping.
-    fn controller(self, mss: u64, flow: Option<usize>) -> Box<dyn CongestionControl> {
+    fn controller(self, mss: u64, flow: Option<usize>) -> Controller {
         match self {
-            CcKind::Reno => Box::new(reno::Reno::new()),
-            CcKind::Cubic => Box::new(cubic::Cubic::new()),
+            CcKind::Reno => Controller::Reno(reno::Reno::new()),
+            CcKind::Cubic => Controller::Cubic(cubic::Cubic::new()),
             CcKind::Bbr => {
                 let bbr = bbr::Bbr::new(mss);
-                Box::new(match flow {
+                Controller::Bbr(match flow {
                     Some(i) => bbr.with_cycle_offset(i),
                     None => bbr,
                 })
             }
             // Probe offset 0 is the un-staggered schedule.
-            CcKind::Bbr2 => Box::new(bbr2::Bbr2::new(mss).with_probe_offset(flow.unwrap_or(0))),
-            CcKind::Bbr3 => Box::new(bbr2::Bbr2::v3(mss).with_probe_offset(flow.unwrap_or(0))),
+            CcKind::Bbr2 => {
+                Controller::Bbr2(bbr2::Bbr2::new(mss).with_probe_offset(flow.unwrap_or(0)))
+            }
+            CcKind::Bbr3 => {
+                Controller::Bbr2(bbr2::Bbr2::v3(mss).with_probe_offset(flow.unwrap_or(0)))
+            }
         }
+    }
+}
+
+/// One congestion controller, as [`CcKind::build`] returns it: an enum over
+/// the closed set of algorithms, so every per-ACK call the stack makes is
+/// a `match` the compiler can inline rather than a virtual call. BBRv3 is
+/// the [`Controller::Bbr2`] variant with the v3 tuning.
+pub enum Controller {
+    /// Classic Reno AIMD.
+    Reno(reno::Reno),
+    /// Cubic with HyStart.
+    Cubic(cubic::Cubic),
+    /// BBR v1.
+    Bbr(bbr::Bbr),
+    /// The BBRv2 family (v2 or v3 tuning).
+    Bbr2(bbr2::Bbr2),
+}
+
+/// Forward one [`CongestionControl`] call to whichever algorithm `$self`
+/// holds.
+macro_rules! dispatch {
+    ($self:ident, $cc:ident => $call:expr) => {
+        match $self {
+            Controller::Reno($cc) => $call,
+            Controller::Cubic($cc) => $call,
+            Controller::Bbr($cc) => $call,
+            Controller::Bbr2($cc) => $call,
+        }
+    };
+}
+
+impl CongestionControl for Controller {
+    fn name(&self) -> &'static str {
+        dispatch!(self, cc => cc.name())
+    }
+
+    fn on_ack(&mut self, sample: &AckSample) {
+        dispatch!(self, cc => cc.on_ack(sample))
+    }
+
+    fn on_loss_event(&mut self, event: &LossEvent) {
+        dispatch!(self, cc => cc.on_loss_event(event))
+    }
+
+    fn on_recovery_exit(&mut self, now: SimTime) {
+        dispatch!(self, cc => cc.on_recovery_exit(now))
+    }
+
+    fn on_rto(&mut self, now: SimTime, inflight: u64) {
+        dispatch!(self, cc => cc.on_rto(now, inflight))
+    }
+
+    fn cwnd(&self) -> u64 {
+        dispatch!(self, cc => cc.cwnd())
+    }
+
+    fn wants_pacing(&self) -> bool {
+        dispatch!(self, cc => cc.wants_pacing())
+    }
+
+    fn pacing_rate(&self) -> Option<Bandwidth> {
+        dispatch!(self, cc => cc.pacing_rate())
+    }
+
+    fn model_cost_cycles(&self) -> u64 {
+        dispatch!(self, cc => cc.model_cost_cycles())
+    }
+
+    fn phase(&self) -> &'static str {
+        dispatch!(self, cc => cc.phase())
     }
 }
 
@@ -270,6 +345,12 @@ mod tests {
             assert!(cc.cwnd() >= MIN_CWND);
             assert!(!cc.name().is_empty());
         }
+    }
+
+    #[test]
+    fn every_kind_builds_the_controller_it_names() {
+        let names: Vec<&str> = CcKind::ALL.iter().map(|k| k.build(1448).name()).collect();
+        assert_eq!(names, ["reno", "cubic", "bbr", "bbr2", "bbr3"]);
     }
 
     #[test]

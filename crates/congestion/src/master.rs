@@ -14,7 +14,7 @@
 //! * §5.2.2 / Fig. 6 — `force_pacing: Some(true)` (+ optional fixed rate)
 //!   over Cubic, which otherwise never paces.
 
-use crate::{AckSample, CongestionControl, LossEvent};
+use crate::{AckSample, CongestionControl, Controller, LossEvent};
 use serde::Serialize;
 use sim_core::time::SimTime;
 use sim_core::units::Bandwidth;
@@ -85,15 +85,15 @@ impl MasterConfig {
     }
 }
 
-/// A [`CongestionControl`] wrapped with [`MasterConfig`] overrides.
+/// A [`Controller`] wrapped with [`MasterConfig`] overrides.
 pub struct Master {
-    inner: Box<dyn CongestionControl>,
+    inner: Controller,
     config: MasterConfig,
 }
 
 impl Master {
     /// Wrap `inner` with the given knobs.
-    pub fn new(inner: Box<dyn CongestionControl>, config: MasterConfig) -> Self {
+    pub fn new(inner: Controller, config: MasterConfig) -> Self {
         Master { inner, config }
     }
 

@@ -215,11 +215,6 @@ impl SchedutilState {
         self.freq_hz
     }
 
-    /// Current cluster.
-    pub(crate) fn cluster(&self) -> ClusterKind {
-        self.cluster
-    }
-
     /// The highest LITTLE step the energy model allows for sustained load.
     fn little_top(&self, topo: &CpuTopology) -> u64 {
         let cap = (topo.little.max_freq() as f64 * self.params.energy_cap_frac) as u64;
@@ -346,7 +341,7 @@ mod tests {
     fn governor_starts_low_and_little() {
         let topo = test_topo();
         let g = SchedutilState::new(SchedutilParams::default(), &topo);
-        assert_eq!(g.cluster(), ClusterKind::Little);
+        assert_eq!(g.cluster, ClusterKind::Little);
         assert_eq!(g.freq_hz(), topo.little.min_freq());
     }
 
@@ -375,7 +370,7 @@ mod tests {
         // 1.25 × 700 MHz = 875 MHz → step 1017 MHz; then util drops to
         // 0.69, demanded 875 → stays. Must be stable, on LITTLE.
         assert_eq!(last, 1_017_000_000);
-        assert_eq!(g.cluster(), ClusterKind::Little);
+        assert_eq!(g.cluster, ClusterKind::Little);
         let util = (demand_hz / g.freq_hz() as f64).min(1.0);
         assert_eq!(g.update(util, &topo), last, "must be a fixed point");
     }
@@ -392,7 +387,7 @@ mod tests {
         let mut migrated_at = None;
         for i in 0..32 {
             g.update(1.0, &topo);
-            if g.cluster() == ClusterKind::Big {
+            if g.cluster == ClusterKind::Big {
                 migrated_at = Some(i);
                 break;
             }
@@ -415,12 +410,12 @@ mod tests {
         for _ in 0..32 {
             g.update(1.0, &topo);
         }
-        assert_eq!(g.cluster(), ClusterKind::Big);
+        assert_eq!(g.cluster, ClusterKind::Big);
         for _ in 0..16 {
             g.update(0.05, &topo);
         }
         assert_eq!(
-            g.cluster(),
+            g.cluster,
             ClusterKind::Little,
             "should return to LITTLE when idle"
         );
@@ -436,7 +431,7 @@ mod tests {
         for _ in 0..64 {
             g.update(1.0, &topo);
         }
-        assert_eq!(g.cluster(), ClusterKind::Little);
+        assert_eq!(g.cluster, ClusterKind::Little);
         let cap = (topo.little.max_freq() as f64 * 0.75) as u64;
         assert!(
             g.freq_hz() <= cap,
@@ -463,10 +458,6 @@ mod tests {
         for _ in 0..100 {
             g.update(0.85, &topo);
         }
-        assert_eq!(
-            g.cluster(),
-            ClusterKind::Little,
-            "0.85 util never saturates"
-        );
+        assert_eq!(g.cluster, ClusterKind::Little, "0.85 util never saturates");
     }
 }

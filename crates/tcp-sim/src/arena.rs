@@ -10,8 +10,7 @@
 //!               ├─> rate:     Vec<RateSampler>  delivery-rate windows (POD)
 //!               ├─> pacer:    Vec<Pacer>        EDT clock + stride state
 //!               ├─> receiver: Vec<Receiver>     server-side reassembly
-//!               ├─> cc:       Vec<Master>       boxed CC (cold: virtual calls)
-//!               ├─> cc_cache: Vec<CcCache>      cwnd/rate/cost snapshot (hot)
+//!               ├─> cc:       Vec<Master>       CC enum, read in place
 //!               ├─> hot:      Vec<FlowHot>      control flags + device path
 //!               └─> cold:     Vec<FlowCold>     measurement-only statistics
 //!                        │
@@ -56,7 +55,6 @@ use congestion::CongestionControl;
 use sim_core::event::TimerToken;
 use sim_core::metrics::{Histogram, Summary};
 use sim_core::time::{SimDuration, SimTime};
-use sim_core::units::Bandwidth;
 
 /// Dense index of one flow in a [`FlowArena`]. Ids are assigned at
 /// construction (`0..len`), never move, and index every parallel array.
@@ -82,7 +80,6 @@ pub(crate) struct FlowHot {
     pub burst_remaining: u64,
     /// Bytes currently in the CPU/device path (memory accounting).
     pub device_bytes: u64,
-    pub rto_epoch: u64,
     /// Packets that survived netem + the bottleneck queue and were handed
     /// to the receiver's arrival event. The rx-conservation oracle checks
     /// `receiver.total_received() + receiver.duplicates() <=` this (strict
@@ -93,13 +90,9 @@ pub(crate) struct FlowHot {
     /// (§7.1.1's RAM question).
     pub mem_peak_bytes: u64,
     pub ack_timer: Option<TimerToken>,
-    /// The pending `RtoFire`'s token. Re-arming cancels the previous fire
-    /// eagerly (O(1) unlink) instead of letting a stale cell ride the wheel
-    /// until its epoch check discards it: with per-ACK re-arming and an RTO
-    /// close to the run length, lazy invalidation kept thousands of dead
-    /// cells in the wheel at high connection counts, and every one of them
-    /// cost cascade and pop work. Stale fires never charged CPU, so eager
-    /// cancellation leaves simulation output bit-identical.
+    /// The pending `RtoFire`'s token; `Some` exactly while the RTO is
+    /// armed. Every re-arm and every disarm cancels the previous fire
+    /// (O(1) unlink), so the only `RtoFire` that can pop is this one.
     pub rto_timer: Option<TimerToken>,
     /// Socket buffers currently in the CPU/device path. TCP Small Queues
     /// (TSQ) caps this at 2: without it, a lossless CPU-limited run lets
@@ -109,8 +102,6 @@ pub(crate) struct FlowHot {
     pub rto_backoff: u32,
     pub started: bool,
     pub pacing_timer_armed: bool,
-    pub rto_armed: bool,
-    pub measuring: bool,
 }
 
 impl FlowHot {
@@ -118,7 +109,6 @@ impl FlowHot {
         FlowHot {
             burst_remaining: 0,
             device_bytes: 0,
-            rto_epoch: 0,
             accepted_pkts: 0,
             mem_peak_bytes: 0,
             ack_timer: None,
@@ -127,38 +117,7 @@ impl FlowHot {
             rto_backoff: 0,
             started: false,
             pacing_timer_armed: false,
-            rto_armed: false,
-            measuring: false,
         }
-    }
-}
-
-/// Cached congestion-controller outputs. The CC's getters are pure reads
-/// of its internal model, but they sit behind a `Box<dyn>` virtual call —
-/// so the arena snapshots them after every CC mutation (`on_ack`,
-/// `on_loss_event`, `on_recovery_exit`, `on_rto`) and the hot path reads
-/// the snapshot. Staleness is impossible by construction: every mutation
-/// site is followed by [`FlowArena::refresh_cc`], and the byte-identity
-/// gate would catch a missed one.
-#[derive(Debug, Clone)]
-pub(crate) struct CcCache {
-    pub cwnd: u64,
-    pub pacing_rate: Option<Bandwidth>,
-    pub model_cost: u64,
-    pub wants_pacing: bool,
-}
-
-/// Snapshot one controller's outputs into the hot cache. Mutant M8
-/// ([`Mutant::Bbr3PacingDisarm`]) models a "new CC variant missed a
-/// dispatch site" bug here: the cache reports `wants_pacing == false`
-/// for BBRv3 flows even though the controller asks for pacing.
-fn snapshot_cc(m: &Master) -> CcCache {
-    let disarmed = mutants::is(Mutant::Bbr3PacingDisarm) && m.name() == "bbr3";
-    CcCache {
-        cwnd: m.cwnd(),
-        pacing_rate: m.pacing_rate(),
-        model_cost: m.model_cost_cycles(),
-        wants_pacing: m.wants_pacing() && !disarmed,
     }
 }
 
@@ -224,7 +183,6 @@ pub struct FlowArena {
     pub(crate) pacer: Vec<Pacer>,
     pub(crate) receiver: Vec<Receiver>,
     pub(crate) cc: Vec<Master>,
-    pub(crate) cc_cache: Vec<CcCache>,
     pub(crate) hot: Vec<FlowHot>,
     pub(crate) cold: Vec<FlowCold>,
 }
@@ -236,10 +194,8 @@ impl FlowArena {
         count: usize,
         mss: u64,
         pacing: PacingConfig,
-        mut make_cc: impl FnMut(usize) -> Master,
+        make_cc: impl FnMut(usize) -> Master,
     ) -> Self {
-        let cc: Vec<Master> = (0..count).map(&mut make_cc).collect();
-        let cc_cache = cc.iter().map(snapshot_cc).collect();
         FlowArena {
             store: SegStore::new(),
             board: (0..count).map(|_| Scoreboard::new(mss)).collect(),
@@ -247,8 +203,7 @@ impl FlowArena {
             rate: (0..count).map(|_| RateSampler::new(mss)).collect(),
             pacer: (0..count).map(|_| Pacer::new(pacing, mss)).collect(),
             receiver: (0..count).map(|_| Receiver::new()).collect(),
-            cc,
-            cc_cache,
+            cc: (0..count).map(make_cc).collect(),
             hot: (0..count).map(|_| FlowHot::new()).collect(),
             cold: (0..count).map(|_| FlowCold::new()).collect(),
         }
@@ -264,11 +219,15 @@ impl FlowArena {
         self.board.is_empty()
     }
 
-    /// Re-snapshot the CC output cache for flow `i`. Must be called after
-    /// every CC mutation; see [`CcCache`].
+    /// Whether flow `i` paces: the one place the stack reads its
+    /// controller's pacing decision. Mutant M8
+    /// ([`Mutant::Bbr3PacingDisarm`]) models a "new CC variant missed a
+    /// dispatch site" bug here: BBRv3 flows report no pacing even though
+    /// the controller asks for it.
     #[inline]
-    pub(crate) fn refresh_cc(&mut self, i: usize) {
-        self.cc_cache[i] = snapshot_cc(&self.cc[i]);
+    pub(crate) fn paces(&self, i: usize) -> bool {
+        let cc = &self.cc[i];
+        cc.wants_pacing() && !(mutants::is(Mutant::Bbr3PacingDisarm) && cc.name() == "bbr3")
     }
 
     /// Plan the next transmission for one flow; see

@@ -29,7 +29,6 @@
 //! packet by construction — which is why the degenerate mode exists.
 
 use crate::mutants::{self, Mutant};
-use congestion::group::GroupShares;
 use congestion::CcKind;
 use cpu_model::CpuConfig;
 use netsim::media::MediaProfile;
@@ -174,7 +173,8 @@ pub struct FleetResult {
     pub aggregate_goodput_mbps: f64,
     /// Jain's fairness index over per-device goodput (all devices).
     pub jain_devices: f64,
-    /// Per-CC-group breakdown, in [`congestion::group::GROUP_ORDER`].
+    /// Per-CC-group breakdown, in [`CcKind::ALL`] order whatever order the
+    /// devices were listed in; within a group, devices keep fleet order.
     pub cc_groups: Vec<CcGroupStat>,
     /// Per-CPU-tier goodput distribution, in [`CpuConfig::ALL`] order.
     pub tiers: Vec<TierStat>,
@@ -260,17 +260,22 @@ impl FleetResult {
         let device_rates: Vec<f64> = outcomes.iter().map(|o| o.goodput_mbps).collect();
         let aggregate_goodput_mbps: f64 = device_rates.iter().sum();
 
-        let mut shares = GroupShares::new();
-        for (spec, o) in fleet.devices.iter().zip(outcomes) {
-            shares.record(spec.cc, o.goodput_mbps);
-        }
-        let cc_groups = shares
-            .groups()
-            .map(|(cc, rates)| CcGroupStat {
-                cc: cc.to_string(),
-                devices: rates.len() as u64,
-                goodput_mbps: rates.iter().sum(),
-                jain: sim_core::metrics::jain(rates),
+        let cc_groups = CcKind::ALL
+            .iter()
+            .filter_map(|&cc| {
+                let rates: Vec<f64> = fleet
+                    .devices
+                    .iter()
+                    .zip(outcomes)
+                    .filter(|(spec, _)| spec.cc == cc)
+                    .map(|(_, o)| o.goodput_mbps)
+                    .collect();
+                (!rates.is_empty()).then(|| CcGroupStat {
+                    cc: cc.to_string(),
+                    devices: rates.len() as u64,
+                    goodput_mbps: rates.iter().sum(),
+                    jain: sim_core::metrics::jain(&rates),
+                })
             })
             .collect();
 
@@ -373,26 +378,27 @@ mod tests {
                 DeviceSpec::new(CpuConfig::LowEnd, CcKind::Bbr, MediaProfile::Wifi),
                 DeviceSpec::new(CpuConfig::LowEnd, CcKind::Bbr, MediaProfile::Wifi),
                 DeviceSpec::new(CpuConfig::HighEnd, CcKind::Cubic, MediaProfile::Ethernet),
+                DeviceSpec::new(CpuConfig::HighEnd, CcKind::Reno, MediaProfile::Ethernet),
             ],
             shared: None,
         };
-        let outcomes = vec![outcome(10.0), outcome(10.0), outcome(20.0)];
+        let outcomes = vec![outcome(10.0), outcome(10.0), outcome(20.0), outcome(10.0)];
         let fr = FleetResult::compute(&fleet, &outcomes, 100, 5, 1_000_000);
-        assert_eq!(fr.devices, 3);
-        assert!((fr.aggregate_goodput_mbps - 40.0).abs() < 1e-9);
-        // Groups in fixed order: Cubic before BBR.
-        assert_eq!(fr.cc_groups.len(), 2);
-        assert_eq!(fr.cc_groups[0].cc, "Cubic");
-        assert_eq!(fr.cc_groups[1].cc, "BBR");
-        assert_eq!(fr.cc_groups[1].devices, 2);
-        assert_eq!(fr.cc_groups[1].jain, 1.0, "equal shares within cohort");
+        assert_eq!(fr.devices, 4);
+        assert!((fr.aggregate_goodput_mbps - 50.0).abs() < 1e-9);
+        // Groups in CcKind::ALL order, not insertion order: the Reno device
+        // is listed last but its group comes first.
+        let groups: Vec<&str> = fr.cc_groups.iter().map(|g| g.cc.as_str()).collect();
+        assert_eq!(groups, ["Reno", "Cubic", "BBR"]);
+        assert_eq!(fr.cc_groups[2].devices, 2);
+        assert_eq!(fr.cc_groups[2].jain, 1.0, "equal shares within cohort");
         // Tiers: Low-End then High-End, per CpuConfig::ALL order.
         assert_eq!(fr.tiers.len(), 2);
         assert_eq!(fr.tiers[0].tier, "Low-End");
         assert_eq!(fr.tiers[0].devices, 2);
         assert_eq!(fr.shared_drops, 5);
         assert_eq!(fr.delivered_bytes, 1_000_000);
-        assert!((fr.dev0_share - 0.25).abs() < 1e-12, "10 of 40 Mbps");
+        assert!((fr.dev0_share - 0.2).abs() < 1e-12, "10 of 50 Mbps");
     }
 
     #[test]

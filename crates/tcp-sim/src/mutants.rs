@@ -21,7 +21,7 @@
 //! | `FleetSharedBypass` | `StackSim::try_send` | shared bottleneck not enforced | `fleet-conservation` |
 //! | `FleetJainMiscount` | `FleetResult::compute` | fairness divisor off-by-one | `fleet-jain-bounds` |
 //! | `AqmDropMiscount` | drop tallies in `StackSim` | per-qdisc drop attribution drift | `aqm-accounting` |
-//! | `Bbr3PacingDisarm` | `StackSim` CC cache refresh | new CC variant loses pacing | `paced-cc-arms-timers` |
+//! | `Bbr3PacingDisarm` | `FlowArena::paces` | new CC variant loses pacing | `paced-cc-arms-timers` |
 
 #[cfg(feature = "simcheck-mutants")]
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -62,8 +62,8 @@ pub enum Mutant {
     /// `LinkStats::aqm_drops` ground truth — the attribution-drift bug
     /// class the per-qdisc drop accounting was added to rule out.
     AqmDropMiscount = 7,
-    /// The CC cache refresh reports `wants_pacing == false` for BBRv3
-    /// flows — a "new variant missed a dispatch site" bug. A paced-CC run
+    /// The stack's pacing decision reports no pacing for BBRv3 flows — a
+    /// "new variant missed a dispatch site" bug. A paced-CC run
     /// then never arms pacing timers, which `paced-cc-arms-timers`
     /// detects.
     Bbr3PacingDisarm = 8,

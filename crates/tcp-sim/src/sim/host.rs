@@ -4,12 +4,13 @@
 
 use super::path::{capture_data, Path};
 use super::{Event, StackSim};
-use crate::arena::{CcCache, FlowHot};
+use crate::arena::FlowHot;
 use crate::mutants::{self, Mutant};
 use crate::pacing::{Pacer, GSO_MAX_BYTES};
 use crate::receiver::AckInfo;
 use crate::rtt::RttEstimator;
 use crate::seq::PktSeq;
+use congestion::master::Master;
 use congestion::{bbr::HIGH_GAIN, AckSample, CongestionControl, LossEvent};
 use cpu_model::Cpu;
 use netsim::MSS;
@@ -34,17 +35,18 @@ pub(super) struct Device {
 /// The effective pacing rate for a connection: the CC's rate, else
 /// TCP's internal fallback `1.2 × mss·cwnd/srtt` (§5.2.2), else the
 /// pre-RTT bootstrap (`init_cwnd/1 ms`, as the kernel does).
-fn effective_pacing_rate(cache: &CcCache, rtt: &RttEstimator, pacer: &Pacer) -> Bandwidth {
-    if let Some(rate) = cache.pacing_rate {
+fn effective_pacing_rate(cc: &Master, rtt: &RttEstimator, pacer: &Pacer) -> Bandwidth {
+    if let Some(rate) = cc.pacing_rate() {
         return rate;
     }
+    let cwnd = cc.cwnd();
     if let Some(srtt) = rtt.srtt() {
-        let fb = pacer.fallback_rate(cache.cwnd, srtt);
+        let fb = pacer.fallback_rate(cwnd, srtt);
         if !fb.is_zero() {
             return fb;
         }
     }
-    Bandwidth::from_bytes_over(cache.cwnd * MSS, SimDuration::from_millis(1)).mul_f64(HIGH_GAIN)
+    Bandwidth::from_bytes_over(cwnd * MSS, SimDuration::from_millis(1)).mul_f64(HIGH_GAIN)
 }
 
 /// §7.1.2 extension: the host-global auto-stride controller (the stride
@@ -201,12 +203,9 @@ impl StackSim {
             }
             return;
         }
-        let pacing = self.arena.cc_cache[c].wants_pacing;
-        let rate = effective_pacing_rate(
-            &self.arena.cc_cache[c],
-            &self.arena.rtt[c],
-            &self.arena.pacer[c],
-        );
+        let pacing = self.arena.paces(c);
+        let rate =
+            effective_pacing_rate(&self.arena.cc[c], &self.arena.rtt[c], &self.arena.pacer[c]);
 
         // Between pacing periods the gate must be open before anything
         // can happen; the new period itself is only *opened* (EDT clock
@@ -248,7 +247,7 @@ impl StackSim {
         } else {
             (GSO_MAX_BYTES / MSS).max(1)
         };
-        let cwnd = self.arena.cc_cache[c].cwnd;
+        let cwnd = self.arena.cc[c].cwnd();
         // One scratch plan serves every send: take it out of `self` (so the
         // arena borrows stay disjoint) and put it back on every exit.
         let mut plan = std::mem::take(&mut self.plan_scratch);
@@ -392,7 +391,7 @@ impl StackSim {
 
         self.arena.hot[c].accepted_pkts += accepted_pkts;
         // Arm/refresh the RTO.
-        if !self.arena.hot[c].rto_armed {
+        if self.arena.hot[c].rto_timer.is_none() {
             Self::arm_rto(
                 &mut self.queue,
                 &mut self.arena.hot[c],
@@ -440,21 +439,12 @@ impl StackSim {
         c: usize,
         now: SimTime,
     ) {
-        hot.rto_epoch += 1;
-        hot.rto_armed = true;
         if let Some(tok) = hot.rto_timer.take() {
             queue.cancel(tok);
         }
         let backoff = 1u64 << hot.rto_backoff.min(6);
         let rto = rtt.rto() * backoff;
-        let tok = queue.schedule_at(
-            now + rto,
-            Event::RtoFire {
-                conn: c as u32,
-                epoch: hot.rto_epoch,
-            },
-        );
-        hot.rto_timer = Some(tok);
+        hot.rto_timer = Some(queue.schedule_at(now + rto, Event::RtoFire(c as u32)));
     }
 
     /// Process one ACK: charge the CPU, update the scoreboard, feed the
@@ -467,7 +457,7 @@ impl StackSim {
             .execute_tagged(now, self.cfg.cost.ack_process, "acks");
         let done = self.devices[dev].cpu.execute_tagged(
             now,
-            self.arena.cc_cache[c].model_cost,
+            self.arena.cc[c].model_cost_cycles(),
             "cc-model",
         );
         self.tallies.acks_processed += 1;
@@ -491,16 +481,12 @@ impl StackSim {
         }
 
         if let Some(rtt) = outcome.rtt_sample {
-            if self.arena.hot[c].measuring {
+            if self.measuring {
                 let cold = &mut self.arena.cold[c];
                 cold.rtt_summary.record(rtt.as_millis_f64());
                 cold.rtt_hist.record(rtt.as_millis_f64());
             }
         }
-
-        // The CC's cached outputs are refreshed once after all of this
-        // ACK's mutations (loss event, ack sample, recovery exit).
-        let mut cc_touched = false;
 
         if outcome.recovery_entered {
             self.arena.cc[c].on_loss_event(&LossEvent {
@@ -508,7 +494,6 @@ impl StackSim {
                 inflight: self.arena.board[c].packets_in_flight(),
                 lost: outcome.newly_lost,
             });
-            cc_touched = true;
             self.tallies.recovery_entries += 1;
         }
 
@@ -532,31 +517,25 @@ impl StackSim {
                 in_recovery: self.arena.board[c].in_recovery(),
             };
             self.arena.cc[c].on_ack(&sample);
-            cc_touched = true;
             self.arena.hot[c].rto_backoff = 0;
         }
 
         if outcome.recovery_exited {
             self.arena.cc[c].on_recovery_exit(done);
-            cc_touched = true;
             self.tallies.recovery_exits += 1;
-        }
-
-        if cc_touched {
-            self.arena.refresh_cc(c);
         }
 
         // Flight-recorder view of the CC's outputs: record transitions
         // only, so a converged model costs nothing but the comparisons.
         if self.trace.is_enabled() {
-            let cwnd = self.arena.cc_cache[c].cwnd;
+            let cwnd = self.arena.cc[c].cwnd();
             if cwnd != self.arena.cold[c].last_cwnd {
                 self.arena.cold[c].last_cwnd = cwnd;
                 self.trace
                     .record(done, TraceKind::CwndUpdate, c as u32, cwnd, 0);
             }
-            let rate = self.arena.cc_cache[c]
-                .pacing_rate
+            let rate = self.arena.cc[c]
+                .pacing_rate()
                 .map(|r| r.as_bps())
                 .unwrap_or(0);
             if rate != self.arena.cold[c].last_rate_bps {
@@ -583,33 +562,21 @@ impl StackSim {
                 c,
                 done,
             );
-        } else {
-            let hot = &mut self.arena.hot[c];
-            hot.rto_epoch += 1; // invalidate pending fire
-            hot.rto_armed = false;
-            if let Some(tok) = hot.rto_timer.take() {
-                self.queue.cancel(tok);
-            }
+        } else if let Some(tok) = self.arena.hot[c].rto_timer.take() {
+            self.queue.cancel(tok);
         }
 
         self.sack_pool.put(ack.sacks);
         self.try_send(c, done, false);
     }
 
-    pub(super) fn on_rto(&mut self, c: usize, now: SimTime, epoch: u64) {
-        {
-            let has_outstanding = self.arena.board[c].has_outstanding();
-            let hot = &mut self.arena.hot[c];
-            if epoch == hot.rto_epoch {
-                // This fire consumed the pending timer.
-                hot.rto_timer = None;
-            }
-            if epoch != hot.rto_epoch || !has_outstanding {
-                if epoch == hot.rto_epoch {
-                    hot.rto_armed = false;
-                }
-                return;
-            }
+    pub(super) fn on_rto(&mut self, c: usize, now: SimTime) {
+        // Every re-arm and disarm cancels the pending fire, so the one that
+        // popped is always the flow's pending timer.
+        let fired = self.arena.hot[c].rto_timer.take();
+        debug_assert!(fired.is_some(), "stale RtoFire for connection {c}");
+        if !self.arena.board[c].has_outstanding() {
+            return;
         }
         let cpu = &mut self.devices[self.device_of[c] as usize].cpu;
         let done = cpu.execute_tagged(now, self.cfg.cost.rto_process, "rto");
@@ -618,7 +585,6 @@ impl StackSim {
         self.tallies.rto_marked_lost += marked;
         let inflight = self.arena.board[c].packets_in_flight();
         self.arena.cc[c].on_rto(done, inflight);
-        self.arena.refresh_cc(c);
         self.arena.hot[c].rto_backoff += 1;
         self.trace.record(
             done,

@@ -92,10 +92,7 @@ enum Event {
         /// SACK-vector slot id ([`StackSim::sack_slots`]).
         sacks: u32,
     },
-    RtoFire {
-        conn: u32,
-        epoch: u64,
-    },
+    RtoFire(u32),
     /// Frequency-governor epoch for one device's CPU (one tick stream per
     /// dynamic-governor device in the fleet).
     GovernorTick {
@@ -161,6 +158,9 @@ pub struct StackSim {
     trace: TraceSink,
     sampler: FlightSampler,
     baseline: MeasureBaseline,
+    /// Set at `MeasureStart`, the same instant for every flow: RTT samples
+    /// are recorded only from then on.
+    measuring: bool,
 }
 
 impl StackSim {
@@ -232,6 +232,7 @@ impl StackSim {
             trace: TraceSink::disabled(),
             sampler: FlightSampler::disabled(),
             baseline: MeasureBaseline::default(),
+            measuring: false,
             timeline: Vec::new(),
             run_pool: VecPool::new(),
             ack_batch: Vec::new(),
@@ -374,10 +375,7 @@ impl StackSim {
             Event::Start(c) => {
                 let c = c as usize;
                 self.arena.hot[c].started = true;
-                if self.cfg.pacing.auto_stride
-                    && self.arena.cc_cache[c].wants_pacing
-                    && !self.stride.armed
-                {
+                if self.cfg.pacing.auto_stride && self.arena.paces(c) && !self.stride.armed {
                     self.stride.armed = true;
                     self.queue
                         .schedule_at(now + ADAPT_EPOCH, Event::AdaptStride);
@@ -415,7 +413,7 @@ impl StackSim {
                 self.emit_ack(conn, now);
             }
             Event::AckArrival { .. } => unreachable!("dispatch coalesces ACK arrivals"),
-            Event::RtoFire { conn, epoch } => self.on_rto(conn as usize, now, epoch),
+            Event::RtoFire(conn) => self.on_rto(conn as usize, now),
             Event::GovernorTick { dev } => {
                 if let Some(next) = self.devices[dev as usize].cpu.governor_tick(now) {
                     self.queue.schedule_at(next, Event::GovernorTick { dev });

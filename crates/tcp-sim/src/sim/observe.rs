@@ -115,20 +115,20 @@ impl StackSim {
             if !self.arena.hot[c].started {
                 continue;
             }
-            let cache = &self.arena.cc_cache[c];
+            let cc = &self.arena.cc[c];
             let delivered = self.arena.rate[c].delivered();
             let prev = std::mem::replace(&mut sampler.prev_delivered[c], delivered);
             let delta_pkts = delivered.saturating_sub(prev);
             sampler.sink.flow(FlowSample {
                 at,
                 conn: c as u32,
-                cwnd: cache.cwnd.min(u32::MAX as u64) as u32,
+                cwnd: cc.cwnd().min(u32::MAX as u64) as u32,
                 inflight: self.arena.board[c].packets_in_flight().min(u32::MAX as u64) as u32,
-                pacing_rate_bps: cache.pacing_rate.map(|r| r.as_bps()).unwrap_or(0),
+                pacing_rate_bps: cc.pacing_rate().map(|r| r.as_bps()).unwrap_or(0),
                 srtt_us: self.arena.rtt[c].srtt().map(|d| d.as_micros()).unwrap_or(0),
                 delivery_rate_bps: ((delta_pkts * MSS * 8) as f64 / sampler.interval.as_secs_f64())
                     as u64,
-                phase: self.arena.cc[c].phase(),
+                phase: cc.phase(),
             });
         }
         let link = bottleneck(&mut self.shared_link, &mut self.devices);

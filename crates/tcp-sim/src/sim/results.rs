@@ -8,7 +8,7 @@ use crate::fleet::{DeviceOutcome, FleetResult};
 use cpu_model::CpuStats;
 use netsim::MSS;
 use serde::Serialize;
-use sim_core::metrics::{Counters, Histogram, Summary};
+use sim_core::metrics::{Counters, Summary};
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::units::Bandwidth;
 use std::collections::BTreeMap;
@@ -177,10 +177,9 @@ impl MeasureBaseline {
     }
 }
 
-/// Fleet aggregate of per-device CPU statistics: cycle/op counts and
-/// queue delay sum across devices, `busy_time` reports the busiest
-/// device (keeping "busy ≤ wall clock" a per-core invariant), and the
-/// mean frequency is cycle-weighted.
+/// Fleet aggregate of per-device CPU statistics: cycle counts sum across
+/// devices, `busy_time` reports the busiest device (keeping "busy ≤ wall
+/// clock" a per-core invariant), and the mean frequency is cycle-weighted.
 fn aggregate_cpu_stats(devices: &[Device], end: SimTime) -> CpuStats {
     let stats: Vec<CpuStats> = devices.iter().map(|d| d.cpu.stats(end)).collect();
     let total_cycles = stats.iter().map(|s| s.total_cycles).sum::<u64>();
@@ -206,13 +205,6 @@ fn aggregate_cpu_stats(devices: &[Device], end: SimTime) -> CpuStats {
             .map(|s| s.busy_time)
             .max()
             .unwrap_or(SimDuration::ZERO),
-        ops: stats.iter().map(|s| s.ops).sum(),
-        queued_ops: stats.iter().map(|s| s.queued_ops).sum(),
-        queue_delay: stats
-            .iter()
-            .fold(SimDuration::ZERO, |acc, s| acc + s.queue_delay),
-        freq_changes: stats.iter().map(|s| s.freq_changes).sum(),
-        migrations: stats.iter().map(|s| s.migrations).sum(),
         mean_freq_hz,
         cycles_by_category,
     }
@@ -222,12 +214,10 @@ impl StackSim {
     /// `MeasureStart`: open every flow's measurement window and record the
     /// steady-state attribution baseline.
     pub(super) fn start_measuring(&mut self) {
-        for i in 0..self.arena.len() {
-            self.arena.cold[i].delivered_at_measure = self.arena.rate[i].delivered();
-            self.arena.hot[i].measuring = true;
-            self.arena.cold[i].rtt_summary = Summary::new();
-            self.arena.cold[i].rtt_hist = Histogram::new();
+        for (cold, rate) in self.arena.cold.iter_mut().zip(&self.arena.rate) {
+            cold.delivered_at_measure = rate.delivered();
         }
+        self.measuring = true;
         self.baseline = MeasureBaseline::take(self);
     }
 
@@ -462,7 +452,7 @@ impl StackSim {
             let mut wants_pacing = false;
             for _ in 0..spec.connections {
                 goodput = goodput.saturating_add(per_conn[conn].goodput);
-                wants_pacing |= self.arena.cc_cache[conn].wants_pacing;
+                wants_pacing |= self.arena.paces(conn);
                 delivered_bytes += self.arena.rate[conn].delivered() * MSS;
                 conn += 1;
             }

@@ -33,5 +33,5 @@ fn main() {
 
     println!();
     println!("The gap is the paper's finding: BBR's per-send pacing timers eat the");
-    println!("slow core's cycle budget. Try `--example pacing_stride` for the fix.");
+    println!("slow core's cycle budget. Try `repro --exp fig8 --quick` for the fix.");
 }
