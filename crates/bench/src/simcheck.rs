@@ -788,6 +788,7 @@ pub(crate) fn oracles() -> Vec<NamedOracle<ScenarioRun>> {
                 ("pool_run_misses", "pool_run_takes", "pool_run_reuses"),
                 ("pool_sack_misses", "pool_sack_takes", "pool_sack_reuses"),
                 ("pool_slab_misses", "pool_slab_takes", "pool_slab_reuses"),
+                ("pool_stamp_misses", "pool_stamp_takes", "pool_stamp_reuses"),
             ] {
                 if g(miss) != g(take) - g(reuse) {
                     return Err(format!(

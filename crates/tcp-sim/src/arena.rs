@@ -14,14 +14,16 @@
 //!               ├─> hot:      Vec<FlowHot>      control flags + device path
 //!               └─> cold:     Vec<FlowCold>     measurement-only statistics
 //!                        │
-//!   SegStore (shared)  <─┘ every board's segment window is carved from
-//!                          one chunked slab (chunk handles, not pointers)
+//!   SegStore (shared)  <─┘ every board's segment window and stamp ring
+//!                          are carved from two chunked slabs (chunk
+//!                          handles, not pointers)
 //! ```
 //!
-//! The arrays above are per flow; the slab is per *in-flight packet* and
-//! at fleet scale is most of the heap, which is why its record — the
-//! scoreboard's private `SegState`, see [`crate::sender`] — is packed to
-//! 40 bytes.
+//! The arrays above are per flow; the segment slab is per *in-flight
+//! packet* and at fleet scale is most of the heap, which is why its record
+//! — the scoreboard's private `SegState`, see [`crate::sender`] — is
+//! packed to 8 bytes, with the rate stamp kept once per send batch in the
+//! stamp slab.
 //!
 //! # `FlowId` invariants
 //!
@@ -175,7 +177,7 @@ impl FlowCold {
 /// arrays — which is what the arena-vs-boxed differential test
 /// (`tests/arena_differential.rs`, same code over private slabs) leans on.
 pub struct FlowArena {
-    /// Shared segment slab every scoreboard window is carved from.
+    /// Shared slabs every scoreboard window and stamp ring are carved from.
     pub(crate) store: SegStore,
     pub(crate) board: Vec<Scoreboard>,
     pub(crate) rtt: Vec<RttEstimator>,

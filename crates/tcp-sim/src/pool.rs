@@ -16,9 +16,9 @@
 //!   handful of words instead of a whole `Vec` header, which matters when
 //!   thousands of flows keep tens of thousands of cells in flight;
 //! * [`SegSlab`] is one shared chunked slab that every flow's segment
-//!   scoreboard is carved from, replacing a per-flow growable ring with
-//!   chunk handles into a single allocation (the "scoreboard-slab" pool
-//!   category);
+//!   scoreboard (or stamp ring) is carved from, replacing a per-flow
+//!   growable ring with chunk handles into a single allocation (the
+//!   "scoreboard-slab" and "stamp-ring" pool categories);
 //! * [`SlabDeque`] is the per-flow window view over a [`SegSlab`]: a
 //!   chunk-id list plus head/length, supporting O(1) push-back, drop-front
 //!   and random indexing — the three operations a TCP scoreboard needs.
@@ -149,13 +149,13 @@ impl<T> Default for SlotStore<T> {
     }
 }
 
-/// Segments per [`SegSlab`] chunk. 64 keeps a chunk under one page for
-/// scoreboard-sized records (2.5 KiB of the 40-byte segment record) and
-/// makes the index arithmetic a shift/mask.
+/// Records per [`SegSlab`] chunk. 64 keeps a chunk under one page for
+/// scoreboard-sized records (512 bytes of the 8-byte segment record, 2 KiB
+/// of the 32-byte rate stamp) and makes the index arithmetic a shift/mask.
 pub const SEG_CHUNK: usize = 64;
 
-/// One shared chunked slab that every flow's segment scoreboard is carved
-/// from (the "scoreboard-slab" pool category).
+/// One shared chunked slab that every flow's segment scoreboard (or stamp
+/// ring) is carved from.
 ///
 /// Storage is a single `Vec<T>` grown a chunk at a time; freed chunks go
 /// on a free list and are handed back to whichever flow's window grows

@@ -13,27 +13,67 @@ use serde::Serialize;
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::units::Bandwidth;
 
-/// Per-segment stamp recorded at transmission time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+/// The delivery-rate stamp of one send batch, recorded at transmission
+/// time. The kernel keeps one per skb (`TCP_SKB_CB(skb)->tx`); the
+/// scoreboard keeps one per send plan in a per-flow ring, so the stamp is
+/// packed to 32 bytes: three times and one word holding `delivered` beside
+/// the `pacing_limited` bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TxStamp {
-    /// Connection `delivered` count when this segment was sent.
-    pub delivered: u64,
     /// Time the most recent delivery had occurred as of transmission.
     pub delivered_time: SimTime,
     /// Transmission time of the first packet of the current flight
     /// (`tp->first_tx_mstamp`).
     pub first_tx_time: SimTime,
-    /// This segment's own transmission time.
+    /// This batch's own transmission time.
     pub tx_time: SimTime,
-    /// Whether the connection was application-limited at send time.
-    pub app_limited: bool,
+    /// [`TxStamp::delivered`] in the low 63 bits,
+    /// [`TxStamp::pacing_limited`] in the top one.
+    word: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<TxStamp>() == 32);
+
+impl TxStamp {
+    /// Largest `delivered` count a stamp can hold.
+    pub(crate) const DELIVERED_MAX: u64 = (1 << 63) - 1;
+
+    /// A stamp; panics if `delivered` exceeds [`TxStamp::DELIVERED_MAX`].
+    pub(crate) fn new(
+        delivered: u64,
+        delivered_time: SimTime,
+        first_tx_time: SimTime,
+        tx_time: SimTime,
+        pacing_limited: bool,
+    ) -> Self {
+        assert!(
+            delivered <= Self::DELIVERED_MAX,
+            "delivered count {delivered} collides with the stamp's flag bit"
+        );
+        TxStamp {
+            delivered_time,
+            first_tx_time,
+            tx_time,
+            word: delivered | (u64::from(pacing_limited) << 63),
+        }
+    }
+
+    /// Connection `delivered` count when this batch was sent.
+    #[inline]
+    pub(crate) fn delivered(&self) -> u64 {
+        self.word & Self::DELIVERED_MAX
+    }
+
     /// Whether the flight preceding this send had been drained by the
     /// *pacer's own idle gate* (a strided pacer sleeps far longer than the
     /// RTT). Samples over such gaps measure the pacer, not the path, and
     /// must not deflate a bandwidth model — the same argument as
     /// app-limited filtering. Stock kernels don't flag this (stride = 1
     /// rarely drains a flight); the paper's stride makes it load-bearing.
-    pub pacing_limited: bool,
+    #[inline]
+    pub(crate) fn pacing_limited(&self) -> bool {
+        self.word >> 63 != 0
+    }
 }
 
 /// One delivery-rate sample produced on ACK.
@@ -45,8 +85,6 @@ pub struct RateSample {
     pub delivered_pkts: u64,
     /// The sampling interval (`max(send, ack)` intervals).
     pub interval: SimDuration,
-    /// True if the sample is tainted by application limiting.
-    pub app_limited: bool,
     /// True if the sample is tainted by the pacer's own idle gate.
     pub pacing_limited: bool,
 }
@@ -80,10 +118,11 @@ impl RateSampler {
         self.delivered
     }
 
-    /// Stamp a segment at transmission time. `is_flight_start` marks the
-    /// first packet sent after the connection was idle/fully acked, which
-    /// restarts the send-interval clock; `pacing_limited` taints the stamp
-    /// when that idle was created by the pacer's own gate.
+    /// Stamp a send batch at transmission time. `is_flight_start` marks
+    /// the first batch sent after the connection was idle/fully acked,
+    /// which restarts the send-interval clock; `pacing_limited` taints the
+    /// stamp when that idle was created by the pacer's own gate. The
+    /// workload is an infinite bulk source, so no stamp is app-limited.
     pub(crate) fn on_send(
         &mut self,
         now: SimTime,
@@ -96,15 +135,13 @@ impl RateSampler {
                 self.delivered_time = now;
             }
         }
-        TxStamp {
-            delivered: self.delivered,
-            delivered_time: self.delivered_time,
-            first_tx_time: self.first_tx_time,
-            tx_time: now,
-            // The workload is an infinite bulk source: never app-limited.
-            app_limited: false,
+        TxStamp::new(
+            self.delivered,
+            self.delivered_time,
+            self.first_tx_time,
+            now,
             pacing_limited,
-        }
+        )
     }
 
     /// Account `newly_delivered` packets acked at `now`, and produce a rate
@@ -124,7 +161,7 @@ impl RateSampler {
         // so the next sample's send interval starts there.
         self.first_tx_time = stamp.tx_time;
 
-        let delivered_pkts = self.delivered - stamp.delivered;
+        let delivered_pkts = self.delivered - stamp.delivered();
         let send_interval = stamp.tx_time.saturating_since(stamp.first_tx_time);
         let ack_interval = now.saturating_since(stamp.delivered_time);
         let interval = send_interval.max(ack_interval);
@@ -135,8 +172,7 @@ impl RateSampler {
             rate: Bandwidth::from_bytes_over(delivered_pkts * self.mss, interval),
             delivered_pkts,
             interval,
-            app_limited: stamp.app_limited,
-            pacing_limited: stamp.pacing_limited,
+            pacing_limited: stamp.pacing_limited(),
         })
     }
 }
@@ -210,14 +246,13 @@ mod tests {
         }
         let _ = stamp0;
         // One ACK covers all 5 packets; stamp of the newest.
-        let newest = TxStamp {
-            delivered: 0,
-            delivered_time: SimTime::ZERO,
-            first_tx_time: SimTime::ZERO,
-            tx_time: SimTime::from_micros(400),
-            app_limited: false,
-            pacing_limited: false,
-        };
+        let newest = TxStamp::new(
+            0,
+            SimTime::ZERO,
+            SimTime::ZERO,
+            SimTime::from_micros(400),
+            false,
+        );
         let rs = s.on_ack(SimTime::from_millis(10), 5, &newest).unwrap();
         assert_eq!(rs.delivered_pkts, 5);
         assert_eq!(s.delivered(), 5);
@@ -240,14 +275,13 @@ mod tests {
         // state. Construct one sample with send interval 1 ms and ack
         // interval 2 ms; the rate must use 2 ms.
         let mut s = RateSampler::new(1448);
-        let stamp = TxStamp {
-            delivered: 0,
-            delivered_time: SimTime::ZERO,
-            first_tx_time: SimTime::from_millis(10),
-            tx_time: SimTime::from_millis(11), // send interval 1 ms
-            app_limited: false,
-            pacing_limited: false,
-        };
+        let stamp = TxStamp::new(
+            0,
+            SimTime::ZERO,
+            SimTime::from_millis(10),
+            SimTime::from_millis(11), // send interval 1 ms
+            false,
+        );
         let rs = s.on_ack(SimTime::from_millis(2), 1, &stamp).unwrap();
         assert_eq!(rs.interval, SimDuration::from_millis(2));
         assert_eq!(

@@ -27,14 +27,15 @@
 //!   [`RttEstimator`], delivery samples into a caller-owned
 //!   [`RateSampler`]. This is what the [`FlowArena`](crate::arena) stores
 //!   one-per-flow in a dense array.
-//! * [`SegStore`] is the shared chunked slab (see [`crate::pool::SegSlab`])
-//!   that every flow's per-segment records are carved from — the
-//!   "scoreboard-slab" pool category. One record per in-flight packet
-//!   makes this slab most of a large simulation's heap (76 % of
-//!   `fleet_pop`'s before the record was packed), so the record is a
-//!   private 40-byte `SegState`: four timestamps and one word holding the
-//!   stamp's `delivered` count beside six flag bits. Slab bytes =
-//!   `pool_slab_misses` × `SEG_CHUNK` × 40.
+//! * [`SegStore`] holds the two shared chunked slabs (see
+//!   [`crate::pool::SegSlab`]) every flow's scoreboard is carved from.
+//!   The "scoreboard-slab" pool category has one record per in-flight
+//!   packet, which makes it most of a large simulation's heap, so the
+//!   record is a private 8-byte `SegState`: two stamp ids and three flag
+//!   bits. The "stamp-ring" category has one 32-byte [`TxStamp`] per send
+//!   batch, as the kernel keeps one per skb. Slab bytes =
+//!   `pool_slab_misses` × `SEG_CHUNK` × 8 + `pool_stamp_misses` ×
+//!   `SEG_CHUNK` × 32.
 //!
 //! The unit tests below and the arena differential test
 //! (`tests/arena_differential.rs`) each bundle the four pieces — scoreboard,
@@ -50,73 +51,64 @@ use sim_core::time::{SimDuration, SimTime};
 /// Classic fast-retransmit duplicate threshold.
 pub const DUP_THRESH: u64 = 3;
 
-/// One outstanding segment, packed to 40 bytes: this record is most of a
+/// One outstanding segment, packed to 8 bytes: this record is most of a
 /// large simulation's heap (one per in-flight packet, [`SEG_CHUNK`] to a
 /// slab chunk), so it stores only what nothing else already determines.
 ///
 /// * The sequence number is `snd_una + window index` and is not stored.
-/// * The time of the most recent (re)transmission is always either
-///   `sent_at` (first send, or rewound by [`Scoreboard::on_rto`]) or the
-///   stamp's `tx_time` (both are set together on every retransmission), so
-///   it is the [`REWOUND`](Self::REWOUND) bit — see [`SegState::last_tx`].
-/// * The retransmission count is only ever compared with zero: one bit.
-/// * The stamp's `delivered` count shares its word with the six flag bits
-///   ([`SegState::set_stamp`] asserts it fits the low 58).
+/// * Every packet of a send batch shares one [`TxStamp`], kept once in the
+///   flow's stamp ring (see [`Scoreboard`]); the record holds two ids into
+///   it. `orig` names the first send's stamp, so the first transmission
+///   time is `ring[orig].tx_time` ([`RateSampler::on_send`] stamps
+///   `tx_time = now`). `cur` names the most recent (re)transmission's.
+/// * A retransmission always appends a fresh stamp, so "retransmitted at
+///   least once" is `cur != orig`.
+/// * The time of the most recent (re)transmission is `ring[cur].tx_time`,
+///   or `ring[orig].tx_time` once [`Scoreboard::on_rto`] rewinds it: the
+///   [`REWOUND`](Self::REWOUND) bit — see [`SegState::last_tx_id`].
+/// * The three flag bits sit above the 29-bit `cur` id
+///   ([`Scoreboard::push_stamp`] asserts every id fits).
 ///
-/// The plain 72-byte layout survives as the test-only `reference::RefSeg`,
-/// and a property test holds the two together.
+/// The plain per-packet layout survives as the test-only
+/// `reference::RefSeg`, and a property test holds the two together.
 ///
 /// [`SEG_CHUNK`]: crate::pool::SEG_CHUNK
 #[derive(Debug, Clone, Copy, Default)]
 struct SegState {
-    /// Time of the first transmission.
-    sent_at: SimTime,
-    /// [`TxStamp::tx_time`].
-    tx_time: SimTime,
-    /// [`TxStamp::delivered_time`].
-    delivered_time: SimTime,
-    /// [`TxStamp::first_tx_time`].
-    first_tx_time: SimTime,
-    /// [`TxStamp::delivered`] in the low 58 bits, the flags above it.
-    word: u64,
+    /// Stamp id of the first transmission.
+    orig: u32,
+    /// Stamp id of the most recent (re)transmission in the low 29 bits,
+    /// the flags above it.
+    cur: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<SegState>() == 40);
+const _: () = assert!(std::mem::size_of::<SegState>() == 8);
 
 impl SegState {
-    const DELIVERED_MASK: u64 = (1 << 58) - 1;
-    const SACKED: u64 = 1 << 58;
-    const LOST: u64 = 1 << 59;
-    /// Retransmitted at least once.
-    const RETX: u64 = 1 << 60;
-    /// The most recent transmission time was rewound to `sent_at` by an
-    /// RTO (so the retransmission may be re-sent); cleared by the next
-    /// retransmission.
-    const REWOUND: u64 = 1 << 61;
-    const APP_LIMITED: u64 = 1 << 62;
-    const PACING_LIMITED: u64 = 1 << 63;
+    const ID_MASK: u32 = (1 << 29) - 1;
+    const SACKED: u32 = 1 << 29;
+    const LOST: u32 = 1 << 30;
+    /// The most recent transmission time was rewound to the first send's
+    /// by an RTO (so the retransmission may be re-sent); cleared by the
+    /// next retransmission.
+    const REWOUND: u32 = 1 << 31;
 
-    /// A segment first transmitted at `now` under `stamp`.
-    fn first_send(now: SimTime, stamp: &TxStamp) -> Self {
-        let mut seg = SegState {
-            sent_at: now,
-            ..SegState::default()
-        };
-        seg.set_stamp(stamp);
-        seg
+    /// A segment first transmitted under stamp `id`.
+    fn first_send(id: u32) -> Self {
+        SegState { orig: id, cur: id }
     }
 
     #[inline]
-    fn has(&self, flag: u64) -> bool {
-        self.word & flag != 0
+    fn has(&self, flag: u32) -> bool {
+        self.cur & flag != 0
     }
 
     #[inline]
-    fn set(&mut self, flag: u64, on: bool) {
+    fn set(&mut self, flag: u32, on: bool) {
         if on {
-            self.word |= flag;
+            self.cur |= flag;
         } else {
-            self.word &= !flag;
+            self.cur &= !flag;
         }
     }
 
@@ -130,62 +122,59 @@ impl SegState {
         self.has(Self::LOST)
     }
 
+    /// The most recent (re)transmission's stamp id.
+    #[inline]
+    fn cur_id(&self) -> u32 {
+        self.cur & Self::ID_MASK
+    }
+
     #[inline]
     fn retransmitted(&self) -> bool {
-        self.has(Self::RETX)
+        self.cur_id() != self.orig
     }
 
-    /// Time of the most recent (re)transmission.
+    /// The id of the stamp whose `tx_time` is the most recent
+    /// (re)transmission time.
     #[inline]
-    fn last_tx(&self) -> SimTime {
+    fn last_tx_id(&self) -> u32 {
         if self.has(Self::REWOUND) {
-            self.sent_at
+            self.orig
         } else {
-            self.tx_time
+            self.cur_id()
         }
     }
 
-    /// The rate-sampler stamp of the most recent (re)transmission.
+    /// Record a retransmission under stamp `id` (whose `tx_time` becomes
+    /// the most recent transmission time).
     #[inline]
-    fn stamp(&self) -> TxStamp {
-        TxStamp {
-            delivered: self.word & Self::DELIVERED_MASK,
-            delivered_time: self.delivered_time,
-            first_tx_time: self.first_tx_time,
-            tx_time: self.tx_time,
-            app_limited: self.has(Self::APP_LIMITED),
-            pacing_limited: self.has(Self::PACING_LIMITED),
-        }
+    fn retransmit(&mut self, id: u32) {
+        self.cur = (self.cur & (Self::SACKED | Self::LOST)) | id;
     }
 
-    /// Replace the stamp, leaving the scoreboard flags alone.
-    #[inline]
-    fn set_stamp(&mut self, stamp: &TxStamp) {
-        assert!(
-            stamp.delivered <= Self::DELIVERED_MASK,
-            "delivered count {} collides with the segment flag bits",
-            stamp.delivered
-        );
-        self.tx_time = stamp.tx_time;
-        self.delivered_time = stamp.delivered_time;
-        self.first_tx_time = stamp.first_tx_time;
-        self.word = (self.word & !Self::DELIVERED_MASK) | stamp.delivered;
-        self.set(Self::APP_LIMITED, stamp.app_limited);
-        self.set(Self::PACING_LIMITED, stamp.pacing_limited);
-    }
-
-    /// Record a retransmission under `stamp` (whose `tx_time` becomes the
-    /// most recent transmission time).
-    #[inline]
-    fn retransmit(&mut self, stamp: &TxStamp) {
-        self.set_stamp(stamp);
-        self.word = (self.word | Self::RETX) & !Self::REWOUND;
-    }
-
-    /// RTO: rewind the most recent transmission time to `sent_at`.
+    /// RTO: rewind the most recent transmission time to the first send's.
     #[inline]
     fn rewind(&mut self) {
-        self.word |= Self::REWOUND;
+        self.cur |= Self::REWOUND;
+    }
+}
+
+/// The segments an ACK delivers, reduced to the most recently transmitted
+/// one (the first seen wins a tie).
+struct Newest {
+    /// That segment and its last transmission time.
+    best: Option<(SimTime, SegState)>,
+    /// The stamp id the last examined segment's transmission time came
+    /// from. A delivered run from one batch shares it, so the run costs
+    /// one ring read, not one per segment.
+    seen: u32,
+}
+
+impl Newest {
+    fn new() -> Self {
+        Newest {
+            best: None,
+            seen: u32::MAX, // above every id `push_stamp` hands out
+        }
     }
 }
 
@@ -214,8 +203,6 @@ pub struct AckOutcome {
     /// The connection's `delivered` count when the newest acked segment was
     /// sent (BBR's round-trip accounting input).
     pub prior_delivered: u64,
-    /// Whether the newest acked segment was sent while app-limited.
-    pub app_limited: bool,
     /// Whether the newest acked segment was sent right after a
     /// pacer-created idle (strided pacing) — treated like app-limited by
     /// the bandwidth model.
@@ -245,14 +232,17 @@ impl SendPlan {
     }
 }
 
-/// The shared segment-record store: one chunked slab that every flow's
-/// scoreboard window is carved from (the "scoreboard-slab" pool category).
+/// The shared scoreboard store: one chunked slab that every flow's
+/// segment records are carved from (the "scoreboard-slab" pool category),
+/// and one that every flow's stamp ring is carved from (the "stamp-ring"
+/// category).
 ///
-/// A [`Scoreboard`] holds only a chunk-handle window ([`SlabDeque`]) into
+/// A [`Scoreboard`] holds only chunk-handle windows ([`SlabDeque`]) into
 /// this store, so a thousand mostly-idle flows share a few warm chunks
-/// instead of each keeping a cold private ring buffer.
+/// instead of each keeping cold private ring buffers.
 pub struct SegStore {
     slab: SegSlab<SegState>,
+    stamps: SegSlab<TxStamp>,
 }
 
 impl SegStore {
@@ -260,7 +250,18 @@ impl SegStore {
     pub fn new() -> Self {
         SegStore {
             slab: SegSlab::new(),
+            stamps: SegSlab::new(),
         }
+    }
+
+    /// Stamp-ring counters `(takes, reuses, misses)`; the three methods
+    /// below are the segment slab's.
+    pub(crate) fn stamp_stats(&self) -> (u64, u64, u64) {
+        (
+            self.stamps.takes(),
+            self.stamps.reuses(),
+            self.stamps.misses(),
+        )
     }
 
     /// Chunk allocations that had to grow the backing storage (cold).
@@ -374,15 +375,27 @@ fn holes_trim_below(runs: &mut Vec<HoleRun>, una: u64) {
 }
 
 /// Per-flow sequence/SACK/loss state. Owns no segment storage and no
-/// estimators: segment records live in a shared [`SegStore`] and the
-/// RTT/rate state is borrowed per call, so the flow arena can keep each in
-/// its own dense array.
+/// estimators: segment records and stamps live in a shared [`SegStore`]
+/// and the RTT/rate state is borrowed per call, so the flow arena can keep
+/// each in its own dense array.
+///
+/// Stamps are a ring with no reference counts. Stamp ids count up from
+/// `stamp_base`, the id of the ring's front. Fresh data takes ids in
+/// sequence order, and a segment's current id is never below its
+/// first-send id, so no live segment references a stamp older than the
+/// front segment's first send: each cumulative ACK pops exactly those,
+/// and an empty window empties the ring (and restarts the ids at 0).
 pub struct Scoreboard {
     mss: u64,
     snd_una: PktSeq,
     snd_nxt: PktSeq,
     /// Window of outstanding segments, as chunk handles into a [`SegStore`].
     segs: SlabDeque,
+    /// The stamp ring: one [`TxStamp`] per send batch, as chunk handles
+    /// into a [`SegStore`].
+    stamps: SlabDeque,
+    /// Id of the ring's front stamp.
+    stamp_base: u32,
     sacked_out: u64,
     lost_out: u64,
     retrans_out: u64,
@@ -414,6 +427,8 @@ impl Scoreboard {
             snd_una: PktSeq::ZERO,
             snd_nxt: PktSeq::ZERO,
             segs: SlabDeque::new(),
+            stamps: SlabDeque::new(),
+            stamp_base: 0,
             sacked_out: 0,
             lost_out: 0,
             retrans_out: 0,
@@ -526,7 +541,7 @@ impl Scoreboard {
             // taken against the original stamp would span the whole loss
             // episode and poison the bandwidth filter. Every packet of the
             // plan leaves in one batch and shares one stamp.
-            let stamp = rate.on_send(now, false, pacing_limited);
+            let id = self.push_stamp(store, rate.on_send(now, false, pacing_limited));
             for &(lo, hi) in &plan.runs {
                 // The run leaves the retransmission queue; the per-segment
                 // loop below re-inserts the (degenerate) case where the
@@ -539,8 +554,8 @@ impl Scoreboard {
                         .expect("retransmitting unknown segment");
                     let seg = self.segs.get_mut(&mut store.slab, idx);
                     assert!(seg.lost(), "retransmitting a segment not marked lost");
-                    seg.retransmit(&stamp);
-                    let still_eligible = seg.sent_at == now;
+                    seg.retransmit(id);
+                    let still_eligible = self.tx_time(&store.stamps, seg.orig) == now;
                     self.retrans_out += 1;
                     self.total_retx += 1;
                     if still_eligible {
@@ -553,7 +568,9 @@ impl Scoreboard {
         // One stamp per batch: the flight-start update happens before the
         // stamp is built, so every packet of the plan carries the same one.
         let flight_start = self.segs.is_empty();
-        let seg = SegState::first_send(now, &rate.on_send(now, flight_start, pacing_limited));
+        let seg = SegState::first_send(
+            self.push_stamp(store, rate.on_send(now, flight_start, pacing_limited)),
+        );
         for &(lo, hi) in &plan.runs {
             assert_eq!(lo, self.snd_nxt, "new data must start at snd_nxt");
             for _ in lo.0..hi.0 {
@@ -570,6 +587,42 @@ impl Scoreboard {
             }
             self.snd_nxt = hi;
         }
+    }
+
+    /// Append `stamp` to the ring and return its id.
+    fn push_stamp(&mut self, store: &mut SegStore, stamp: TxStamp) -> u32 {
+        let id = self.stamp_base as usize + self.stamps.len();
+        assert!(
+            id <= SegState::ID_MASK as usize,
+            "stamp id {id} collides with the segment flag bits"
+        );
+        self.stamps.push_back(&mut store.stamps, stamp);
+        id as u32
+    }
+
+    /// The stamp with id `id`.
+    #[inline]
+    fn stamp<'a>(&self, stamps: &'a SegSlab<TxStamp>, id: u32) -> &'a TxStamp {
+        self.stamps.get(stamps, (id - self.stamp_base) as usize)
+    }
+
+    /// The transmission time stamped on id `id`.
+    #[inline]
+    fn tx_time(&self, stamps: &SegSlab<TxStamp>, id: u32) -> SimTime {
+        self.stamp(stamps, id).tx_time
+    }
+
+    /// Pop every stamp older than the front segment's first send: no live
+    /// segment can reference one.
+    fn reclaim_stamps(&mut self, store: &mut SegStore) {
+        let keep = if self.segs.is_empty() {
+            self.stamp_base + self.stamps.len() as u32
+        } else {
+            self.segs.get(&store.slab, 0).orig
+        };
+        self.stamps
+            .drop_front(&mut store.stamps, (keep - self.stamp_base) as usize);
+        self.stamp_base = if self.stamps.is_empty() { 0 } else { keep };
     }
 
     fn index_of(&self, seq: PktSeq) -> Option<usize> {
@@ -598,7 +651,7 @@ impl Scoreboard {
         now: SimTime,
     ) -> AckOutcome {
         let mut out = AckOutcome::default();
-        let mut newest_delivered: Option<(SimTime, TxStamp, bool)> = None;
+        let mut newest = Newest::new();
 
         // --- Cumulative part: drop segments below ack.cum. ---
         let cum = ack.cum.min(self.snd_nxt); // ignore acks beyond sent data
@@ -614,7 +667,7 @@ impl Scoreboard {
             );
             let n = (cum.0 - self.snd_una.0) as usize;
             for i in 0..n {
-                let seg = self.segs.get(&store.slab, i);
+                let seg = *self.segs.get(&store.slab, i);
                 if seg.sacked() {
                     self.sacked_out -= 1;
                 } else {
@@ -626,8 +679,10 @@ impl Scoreboard {
                         self.retrans_out = self.retrans_out.saturating_sub(1);
                     }
                 }
-                Self::track_newest(&mut newest_delivered, seg);
+                self.track_newest(&store.stamps, &mut newest, seg);
             }
+            // The ring keeps the dropped segments' stamps until the
+            // samples below have read the newest one.
             self.segs.drop_front(&mut store.slab, n);
             self.snd_una = cum;
         }
@@ -672,7 +727,7 @@ impl Scoreboard {
                                     self.retrans_out = self.retrans_out.saturating_sub(1);
                                 }
                             }
-                            Self::track_newest(&mut newest_delivered, seg);
+                            self.track_newest(&store.stamps, &mut newest, *seg);
                         }
                     }
                 }
@@ -689,18 +744,21 @@ impl Scoreboard {
         out.is_duplicate = out.newly_delivered == 0;
 
         // --- RTT + rate samples from the newest delivered segment. ---
-        if let Some((sent_at, stamp, retransmitted)) = newest_delivered {
-            if !retransmitted {
+        if let Some((last_tx, seg)) = newest.best {
+            if !seg.retransmitted() {
                 // Karn's rule: never sample retransmitted segments.
-                let sample = now.saturating_since(sent_at);
+                let sample = now.saturating_since(last_tx);
                 rtt.sample(sample);
                 out.rtt_sample = Some(sample);
             }
-            self.rack_delivered_tx = self.rack_delivered_tx.max(sent_at);
-            out.prior_delivered = stamp.delivered;
-            out.app_limited = stamp.app_limited;
-            out.pacing_limited = stamp.pacing_limited;
-            out.rate_sample = rate.on_ack(now, out.newly_delivered, &stamp);
+            self.rack_delivered_tx = self.rack_delivered_tx.max(last_tx);
+            let stamp = self.stamp(&store.stamps, seg.cur_id());
+            out.prior_delivered = stamp.delivered();
+            out.pacing_limited = stamp.pacing_limited();
+            out.rate_sample = rate.on_ack(now, out.newly_delivered, stamp);
+        }
+        if advanced {
+            self.reclaim_stamps(store);
         }
 
         // --- Loss detection (dup threshold + RACK time threshold). ---
@@ -728,13 +786,18 @@ impl Scoreboard {
         out
     }
 
-    /// Keep the most recently transmitted of the segments an ACK delivers:
-    /// its last transmission time, stamp, and whether it was retransmitted.
-    fn track_newest(newest: &mut Option<(SimTime, TxStamp, bool)>, seg: &SegState) {
-        let last_tx = seg.last_tx();
-        match newest {
-            Some((t, _, _)) if *t >= last_tx => {}
-            _ => *newest = Some((last_tx, seg.stamp(), seg.retransmitted())),
+    /// Keep the most recently transmitted of the segments an ACK delivers.
+    #[inline]
+    fn track_newest(&self, stamps: &SegSlab<TxStamp>, newest: &mut Newest, seg: SegState) {
+        let src = seg.last_tx_id();
+        if src == newest.seen {
+            return; // same transmission time as the last one examined
+        }
+        newest.seen = src;
+        let last_tx = self.tx_time(stamps, src);
+        match newest.best {
+            Some((t, _)) if t >= last_tx => {}
+            _ => newest.best = Some((last_tx, seg)),
         }
     }
 
@@ -838,6 +901,7 @@ impl Scoreboard {
             self.packets_out() - self.sacked_out - self.lost_out,
         );
         debug_assert!(runs_len(&self.retx_runs) <= self.lost_out);
+        debug_assert_eq!(self.stamps.is_empty(), self.segs.is_empty());
         #[cfg(test)]
         self.check_run_indexes(_store);
     }
@@ -852,22 +916,24 @@ impl Scoreboard {
         for i in 0..self.segs.len() {
             let seg = self.segs.get(&store.slab, i);
             let s = self.snd_una.0 + i as u64;
+            let last_tx = self.tx_time(&store.stamps, seg.last_tx_id());
             if seg.sacked() {
                 runs_insert(&mut sacked, s, s + 1);
             } else if !seg.lost() {
                 match holes.last_mut() {
-                    Some(r) if r.hi == s && r.last_tx == seg.last_tx() => r.hi = s + 1,
+                    Some(r) if r.hi == s && r.last_tx == last_tx => r.hi = s + 1,
                     _ => holes.push(HoleRun {
                         lo: s,
                         hi: s + 1,
-                        last_tx: seg.last_tx(),
+                        last_tx,
                     }),
                 }
             }
-            if seg.lost() && seg.last_tx() == seg.sent_at {
+            if seg.lost() && last_tx == self.tx_time(&store.stamps, seg.orig) {
                 runs_insert(&mut retx, s, s + 1);
             }
         }
+        self.check_stamp_ring(store);
         assert_eq!(self.sacked_runs, sacked, "sacked_runs out of sync");
         assert_eq!(self.retx_runs, retx, "retx_runs out of sync");
         let want: Vec<(u64, u64, SimTime)> =
@@ -878,6 +944,29 @@ impl Scoreboard {
             .map(|r| (r.lo, r.hi, r.last_tx))
             .collect();
         assert_eq!(got, want, "hole_runs out of sync");
+    }
+
+    /// The stamp ring holds nothing older than the front segment's first
+    /// send, is empty exactly when the window is, and covers every id a
+    /// segment holds. Test builds only: O(window).
+    #[cfg(test)]
+    fn check_stamp_ring(&self, store: &SegStore) {
+        if self.segs.is_empty() {
+            assert!(self.stamps.is_empty(), "ring outlived the window");
+            assert_eq!(self.stamp_base, 0, "ids restart with the ring");
+            return;
+        }
+        let front = self.segs.get(&store.slab, 0);
+        assert_eq!(self.stamp_base, front.orig, "ring holds a stale stamp");
+        let end = self.stamp_base as usize + self.stamps.len();
+        for i in 0..self.segs.len() {
+            let seg = self.segs.get(&store.slab, i);
+            assert!(
+                seg.orig <= seg.cur_id(),
+                "current stamp older than the first"
+            );
+            assert!((seg.cur_id() as usize) < end, "id past the ring's end");
+        }
     }
 }
 
@@ -1243,9 +1332,10 @@ mod tests {
         assert_eq!(r.total_received(), 20);
     }
 
-    /// The plain 72-byte segment record [`SegState`] was packed from,
-    /// kept as the packed record's reference semantics: every field its
-    /// own word, nothing derived.
+    /// The plain 64-byte segment record that [`SegState`] and the stamp
+    /// ring were packed from, kept as their reference semantics: every
+    /// field its own word, the batch's stamp copied into every packet,
+    /// nothing derived.
     mod reference {
         use super::*;
 
@@ -1261,7 +1351,7 @@ mod tests {
             pub last_tx: SimTime,
         }
 
-        const _: () = assert!(std::mem::size_of::<RefSeg>() == 72);
+        const _: () = assert!(std::mem::size_of::<RefSeg>() == 64);
 
         impl RefSeg {
             pub fn first_send(seq: PktSeq, now: SimTime, stamp: &TxStamp) -> Self {
@@ -1288,152 +1378,334 @@ mod tests {
         }
     }
 
-    /// One mutation of a segment record, as the scoreboard performs them.
-    #[derive(Debug, Clone)]
-    enum SegOp {
-        /// The slot is reused for a fresh segment sent `dt` later.
-        FirstSend {
-            dt: u64,
-            stamp: TxStamp,
-        },
-        /// Retransmitted `dt` later under a fresh stamp.
-        Retransmit {
-            dt: u64,
-            stamp: TxStamp,
-        },
-        /// `on_rto` rewinds the last transmission time.
-        Rewind,
-        Sack,
-        MarkLost,
-        ClearLost,
+    use reference::RefSeg;
+
+    /// What one window segment reads back as: first send time, last
+    /// transmission time, stamp, SACKed, lost, retransmitted.
+    type SegView = (SimTime, SimTime, TxStamp, bool, bool, bool);
+
+    impl RefSeg {
+        fn view(&self) -> SegView {
+            let Self {
+                sent_at,
+                last_tx,
+                stamp,
+                sacked,
+                lost,
+                ..
+            } = *self;
+            (sent_at, last_tx, stamp, sacked, lost, self.retx_count > 0)
+        }
     }
 
-    /// Any stamp `RateSampler::on_send` can build, up to its `tx_time`
-    /// (the op's own send time, filled in when the op is applied).
-    fn stamp_strategy() -> impl proptest::strategy::Strategy<Value = TxStamp> {
-        use proptest::prelude::*;
-        (
-            0..=SegState::DELIVERED_MASK,
-            (any::<u64>(), any::<u64>()),
-            (any::<bool>(), any::<bool>()),
-        )
-            .prop_map(
-                |(delivered, (delivered_ns, first_tx_ns), (app_limited, pacing_limited))| TxStamp {
-                    delivered,
-                    delivered_time: SimTime::from_nanos(delivered_ns),
-                    first_tx_time: SimTime::from_nanos(first_tx_ns),
-                    tx_time: SimTime::ZERO,
-                    app_limited,
-                    pacing_limited,
-                },
+    impl Flow {
+        /// Window segment `i` as its record and the stamp ring resolve it.
+        fn seg_view(&self, i: usize) -> SegView {
+            let (b, stamps) = (&self.board, &self.store.stamps);
+            let seg = b.segs.get(&self.store.slab, i);
+            (
+                b.tx_time(stamps, seg.orig),
+                b.tx_time(stamps, seg.last_tx_id()),
+                *b.stamp(stamps, seg.cur_id()),
+                seg.sacked(),
+                seg.lost(),
+                seg.retransmitted(),
             )
+        }
     }
 
-    fn seg_op_strategy() -> impl proptest::strategy::Strategy<Value = SegOp> {
+    /// The reference sender: a window of [`RefSeg`]s, each stamped in full,
+    /// beside its own rate sampler.
+    struct RefFlow {
+        una: u64,
+        segs: std::collections::VecDeque<RefSeg>,
+        rate: RateSampler,
+    }
+
+    /// What the reference expects of an [`AckOutcome`]: newly delivered,
+    /// RTT sample, prior delivered, pacing-limited, rate sample.
+    type AckView = (
+        u64,
+        Option<SimDuration>,
+        u64,
+        bool,
+        Option<crate::rate::RateSample>,
+    );
+
+    impl RefFlow {
+        fn on_sent(&mut self, plan: &SendPlan, now: SimTime, pacing_limited: bool) {
+            let flight_start = !plan.is_retx && self.segs.is_empty();
+            let stamp = self.rate.on_send(now, flight_start, pacing_limited);
+            for &(lo, hi) in &plan.runs {
+                for seq in lo.0..hi.0 {
+                    if plan.is_retx {
+                        self.segs[(seq - self.una) as usize].retransmit(now, &stamp);
+                    } else {
+                        self.segs
+                            .push_back(RefSeg::first_send(PktSeq(seq), now, &stamp));
+                    }
+                }
+            }
+        }
+
+        /// The most recently transmitted delivered segment, the first seen
+        /// winning a tie: its last transmission time, stamp, and whether it
+        /// was retransmitted.
+        fn track(newest: &mut Option<(SimTime, TxStamp, bool)>, seg: &RefSeg) {
+            match newest {
+                Some((t, _, _)) if *t >= seg.last_tx => {}
+                _ => *newest = Some((seg.last_tx, seg.stamp, seg.retx_count > 0)),
+            }
+        }
+
+        fn on_ack(&mut self, ack: &AckInfo, now: SimTime) -> AckView {
+            let mut newest = None;
+            let mut delivered = 0;
+            let nxt = self.una + self.segs.len() as u64;
+            while self.una < ack.cum.0.min(nxt) {
+                let seg = self.segs.pop_front().expect("window");
+                delivered += u64::from(!seg.sacked);
+                Self::track(&mut newest, &seg);
+                self.una += 1;
+            }
+            for &(lo, hi) in &ack.sacks {
+                for seq in lo.0.max(self.una)..hi.0.min(nxt) {
+                    let seg = &mut self.segs[(seq - self.una) as usize];
+                    if !seg.sacked {
+                        seg.sacked = true;
+                        seg.lost = false;
+                        delivered += 1;
+                        Self::track(&mut newest, seg);
+                    }
+                }
+            }
+            match newest {
+                None => (delivered, None, 0, false, None),
+                Some((last_tx, stamp, retx)) => (
+                    delivered,
+                    (!retx).then(|| now.saturating_since(last_tx)),
+                    stamp.delivered(),
+                    stamp.pacing_limited(),
+                    self.rate.on_ack(now, delivered, &stamp),
+                ),
+            }
+        }
+
+        fn on_rto(&mut self) -> u64 {
+            let mut marked = 0;
+            for seg in &mut self.segs {
+                if !seg.sacked && !seg.lost {
+                    seg.lost = true;
+                    marked += 1;
+                }
+                seg.rewind();
+            }
+            marked
+        }
+    }
+
+    /// One step of a sender's life, `dt` nanoseconds after the last.
+    #[derive(Debug, Clone)]
+    enum BoardOp {
+        /// Plan and send up to `max_pkts`: retransmissions first, so a
+        /// small budget retransmits part of a batch.
+        Send {
+            dt: u64,
+            max_pkts: u64,
+            pacing_limited: bool,
+        },
+        /// Cumulatively ack `cum`/255 of the window, optionally SACKing
+        /// `len` packets from `lo`/255 of the way above the new `snd_una`.
+        Ack {
+            dt: u64,
+            cum: u8,
+            sack: Option<(u8, u64)>,
+        },
+        Rto,
+    }
+
+    fn board_op_strategy() -> impl proptest::strategy::Strategy<Value = BoardOp> {
         use proptest::prelude::*;
-        // `dt` may be zero: a retransmission in the same instant as the
-        // first send is the degenerate case `on_sent` re-queues.
+        // `dt` is often zero: two batches in the same nanosecond are the
+        // tie `track_newest` must break as the reference does, and a
+        // retransmission in its first send's instant is the degenerate
+        // case `on_sent` re-queues.
+        let dt = || prop_oneof![Just(0u64).boxed(), (1u64..5_000_000).boxed()];
+        let frac = || prop_oneof![Just(0u8).boxed(), any::<u8>().boxed()];
+        let sack = prop_oneof![
+            Just(None).boxed(),
+            (any::<u8>(), 1u64..12).prop_map(Some).boxed(),
+        ];
         prop_oneof![
-            1 => (0u64..1_000_000, stamp_strategy())
-                .prop_map(|(dt, stamp)| SegOp::FirstSend { dt, stamp }).boxed(),
-            3 => (0u64..1_000_000, stamp_strategy())
-                .prop_map(|(dt, stamp)| SegOp::Retransmit { dt, stamp }).boxed(),
-            2 => Just(SegOp::Rewind).boxed(),
-            1 => Just(SegOp::Sack).boxed(),
-            2 => Just(SegOp::MarkLost).boxed(),
-            1 => Just(SegOp::ClearLost).boxed(),
+            4 => (dt(), 1u64..20, any::<bool>())
+                .prop_map(|(dt, max_pkts, pacing_limited)| BoardOp::Send {
+                    dt,
+                    max_pkts,
+                    pacing_limited,
+                })
+                .boxed(),
+            4 => (dt(), frac(), sack)
+                .prop_map(|(dt, cum, sack)| BoardOp::Ack { dt, cum, sack })
+                .boxed(),
+            1 => Just(BoardOp::Rto).boxed(),
         ]
     }
 
+    /// Scale `frac`/255 into `[lo, hi]`.
+    fn lerp(lo: u64, hi: u64, frac: u8) -> u64 {
+        lo + (hi - lo) * u64::from(frac) / 255
+    }
+
     proptest::proptest! {
-        /// The packed record reads back exactly what the plain one holds,
-        /// after every step of any first-send / retransmit / RTO-rewind /
-        /// SACK / mark-lost / clear-lost sequence.
+        /// The packed records and the stamp ring read back exactly what
+        /// the plain per-packet records hold, after every step of any run
+        /// of sends, partial retransmissions, SACKs, RTO rewinds and
+        /// cumulative ACKs; every ACK's samples come from the stamp the
+        /// reference picks; and the ring never outlives what it serves.
         #[test]
         fn packed_segment_matches_reference(
-            ops in proptest::collection::vec(seg_op_strategy(), 1..80),
+            ops in proptest::collection::vec(board_op_strategy(), 1..120),
         ) {
             use proptest::prelude::*;
-            use reference::RefSeg;
+            let mut flow = Flow::new(1448);
+            let mut plain = RefFlow {
+                una: 0,
+                segs: Default::default(),
+                rate: RateSampler::new(1448),
+            };
             let mut now = SimTime::ZERO;
-            let first = TxStamp::default();
-            let mut packed = SegState::first_send(now, &first);
-            let mut plain = RefSeg::first_send(PktSeq(7), now, &first);
             for op in &ops {
-                match op {
-                    SegOp::FirstSend { dt, stamp } => {
-                        now += SimDuration::from_nanos(*dt);
-                        let stamp = TxStamp { tx_time: now, ..*stamp };
-                        packed = SegState::first_send(now, &stamp);
-                        plain = RefSeg::first_send(plain.seq, now, &stamp);
+                match *op {
+                    BoardOp::Send { dt, max_pkts, pacing_limited } => {
+                        now += SimDuration::from_nanos(dt);
+                        let plan = flow.plan_send(u64::MAX, max_pkts).expect("unbounded cwnd");
+                        flow.on_sent(&plan, now, pacing_limited);
+                        plain.on_sent(&plan, now, pacing_limited);
                     }
-                    SegOp::Retransmit { dt, stamp } => {
-                        now += SimDuration::from_nanos(*dt);
-                        let stamp = TxStamp { tx_time: now, ..*stamp };
-                        packed.retransmit(&stamp);
-                        plain.retransmit(now, &stamp);
+                    BoardOp::Ack { dt, cum, sack } => {
+                        now += SimDuration::from_nanos(dt);
+                        let (una, nxt) = (flow.snd_una().0, flow.snd_nxt().0);
+                        let cum = lerp(una, nxt, cum);
+                        let sacks = sack
+                            .map(|(lo, len)| {
+                                let lo = lerp(cum, nxt, lo);
+                                (PktSeq(lo), PktSeq((lo + len).min(nxt)))
+                            })
+                            .into_iter()
+                            .collect();
+                        let ack = AckInfo { cum: PktSeq(cum), sacks };
+                        let out = flow.on_ack(&ack, now);
+                        let want = plain.on_ack(&ack, now);
+                        let got = (
+                            out.newly_delivered,
+                            out.rtt_sample,
+                            out.prior_delivered,
+                            out.pacing_limited,
+                            out.rate_sample,
+                        );
+                        prop_assert_eq!(got, want, "outcome of {:?}", op);
+                        // Loss detection is the scoreboard's own (its run
+                        // indexes are reconciled with the flags on every
+                        // ACK); the reference takes its new marks, on holes
+                        // only.
+                        for (i, seg) in plain.segs.iter_mut().enumerate() {
+                            if !seg.sacked && !seg.lost && flow.seg_view(i).4 {
+                                seg.lost = true;
+                            }
+                        }
                     }
-                    SegOp::Rewind => {
-                        packed.rewind();
-                        plain.rewind();
-                    }
-                    SegOp::Sack => {
-                        packed.set(SegState::SACKED, true);
-                        plain.sacked = true;
-                    }
-                    SegOp::MarkLost => {
-                        packed.set(SegState::LOST, true);
-                        plain.lost = true;
-                    }
-                    SegOp::ClearLost => {
-                        packed.set(SegState::LOST, false);
-                        plain.lost = false;
+                    BoardOp::Rto => {
+                        prop_assert_eq!(flow.on_rto(), plain.on_rto());
                     }
                 }
-                prop_assert_eq!(packed.last_tx(), plain.last_tx, "last_tx after {:?}", op);
-                prop_assert_eq!(packed.sent_at, plain.sent_at, "sent_at after {:?}", op);
-                prop_assert_eq!(packed.stamp(), plain.stamp, "stamp after {:?}", op);
-                prop_assert_eq!(packed.sacked(), plain.sacked, "sacked after {:?}", op);
-                prop_assert_eq!(packed.lost(), plain.lost, "lost after {:?}", op);
-                prop_assert_eq!(
-                    packed.retransmitted(),
-                    plain.retx_count > 0,
-                    "retransmitted after {:?}", op
-                );
+                prop_assert_eq!(flow.packets_out(), plain.segs.len() as u64);
+                for (i, seg) in plain.segs.iter().enumerate() {
+                    prop_assert_eq!(flow.seg_view(i), seg.view(), "seq {} after {:?}", seg.seq.0, op);
+                }
+                flow.board.check_stamp_ring(&flow.store);
             }
+            prop_assert_eq!(flow.rate.delivered(), plain.rate.delivered());
         }
     }
 
     #[test]
+    fn stamp_ring_is_reclaimed_with_the_window() {
+        let t = SimTime::from_millis;
+        let ring = |s: &Flow| (s.board.stamp_base, s.board.stamps.len());
+        let mut s = Flow::new(1448);
+        // Three batches of four: one stamp each.
+        for ms in 0..3 {
+            send_n(&mut s, 4, t(ms));
+        }
+        assert_eq!(ring(&s), (0, 3));
+        // Acking into the second batch frees only the first one's stamp.
+        s.on_ack(&cum_ack(6), t(20));
+        assert_eq!(ring(&s), (1, 2));
+        // Holes 6 and 7 are lost; retransmitting only 6 (part of the
+        // second batch) adds one stamp.
+        s.on_ack(&sack(6, &[(8, 12)]), t(21));
+        let plan = s.plan_send(100, 1).expect("retransmission");
+        assert_eq!(plan.runs, vec![(PktSeq(6), PktSeq(7))]);
+        s.on_sent(&plan, t(22), false);
+        assert_eq!(ring(&s), (1, 3));
+        // Segment 7 is still the second batch's first send: nothing to pop.
+        s.on_ack(&sack(7, &[(8, 12)]), t(30));
+        assert_eq!(ring(&s), (1, 3));
+        // An empty window empties the ring and restarts the ids.
+        s.on_ack(&cum_ack(12), t(40));
+        assert_eq!(ring(&s), (0, 0));
+        send_n(&mut s, 2, t(41));
+        assert_eq!(ring(&s), (0, 1));
+        let stamps = &s.store.stamps;
+        assert!(stamps.reuses() > 0, "the drained ring's chunk is reused");
+        assert_eq!(stamps.misses(), stamps.takes() - stamps.reuses());
+    }
+
+    #[test]
     fn largest_delivered_count_round_trips_beside_every_flag() {
-        let stamp = TxStamp {
-            delivered: SegState::DELIVERED_MASK,
-            app_limited: true,
-            pacing_limited: true,
-            ..TxStamp::default()
-        };
-        let mut seg = SegState::first_send(SimTime::from_millis(1), &stamp);
+        let t = SimTime::from_millis;
+        let max = TxStamp::DELIVERED_MAX;
+        for pacing_limited in [false, true] {
+            let stamp = TxStamp::new(max, t(1), t(2), t(3), pacing_limited);
+            assert_eq!(stamp.delivered(), max);
+            assert_eq!(stamp.pacing_limited(), pacing_limited);
+            assert_eq!(
+                (stamp.delivered_time, stamp.first_tx_time, stamp.tx_time),
+                (t(1), t(2), t(3))
+            );
+        }
+        // The record: the largest stamp ids beside every flag.
+        let max = SegState::ID_MASK;
+        let mut seg = SegState::first_send(max - 1);
         seg.set(SegState::SACKED, true);
         seg.set(SegState::LOST, true);
-        seg.retransmit(&stamp);
+        seg.retransmit(max);
         seg.rewind();
-        assert_eq!(seg.stamp(), stamp);
+        assert_eq!(
+            (seg.orig, seg.cur_id(), seg.last_tx_id()),
+            (max - 1, max, max - 1)
+        );
         assert!(seg.sacked() && seg.lost() && seg.retransmitted());
-        assert_eq!(seg.last_tx(), seg.sent_at);
-        // And the flags survive a stamp that clears every stamp bit.
-        seg.set_stamp(&TxStamp::default());
-        assert_eq!(seg.stamp(), TxStamp::default());
+        // A retransmission clears the rewind and nothing else.
+        seg.retransmit(max);
+        assert_eq!(seg.last_tx_id(), max);
         assert!(seg.sacked() && seg.lost() && seg.retransmitted());
     }
 
     #[test]
-    #[should_panic(expected = "collides with the segment flag bits")]
+    #[should_panic(expected = "collides with the stamp's flag bit")]
     fn delivered_count_reaching_the_flag_bits_panics() {
-        let stamp = TxStamp {
-            delivered: SegState::DELIVERED_MASK + 1,
-            ..TxStamp::default()
-        };
-        SegState::first_send(SimTime::ZERO, &stamp);
+        let zero = SimTime::ZERO;
+        TxStamp::new(TxStamp::DELIVERED_MAX + 1, zero, zero, zero, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "collides with the segment flag bits")]
+    fn stamp_id_reaching_the_flag_bits_panics() {
+        let mut s = Flow::new(1448);
+        s.board.stamp_base = SegState::ID_MASK; // one id left
+        send_n(&mut s, 1, SimTime::ZERO);
+        send_n(&mut s, 1, SimTime::from_millis(1));
     }
 
     #[test]

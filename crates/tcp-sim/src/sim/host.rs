@@ -513,7 +513,7 @@ impl StackSim {
                 acked: outcome.newly_delivered,
                 lost: outcome.newly_lost,
                 inflight: self.arena.board[c].packets_in_flight(),
-                app_limited: outcome.app_limited || outcome.pacing_limited,
+                app_limited: outcome.pacing_limited,
                 in_recovery: self.arena.board[c].in_recovery(),
             };
             self.arena.cc[c].on_ack(&sample);

@@ -388,6 +388,11 @@ impl StackSim {
         counters.add("pool_slab_reuses", slab_reuses);
         counters.add("pool_slab_misses", slab_misses);
         counters.add("pool_slab_misses_steady", slab_misses - base.slab_misses);
+        // The stamp-ring category (one stamp per send batch).
+        let (stamp_takes, stamp_reuses, stamp_misses) = self.arena.store.stamp_stats();
+        counters.add("pool_stamp_takes", stamp_takes);
+        counters.add("pool_stamp_reuses", stamp_reuses);
+        counters.add("pool_stamp_misses", stamp_misses);
 
         // Timer-wheel conservation: every scheduled token is eventually
         // popped, cancelled, or still pending — nothing duplicated, nothing

@@ -454,6 +454,11 @@ fn accounting_identities_hold_in_results() {
         g("pool_slab_misses"),
         g("pool_slab_takes") - g("pool_slab_reuses")
     );
+    assert!(g("pool_stamp_takes") > 0, "stamp ring must see traffic");
+    assert_eq!(
+        g("pool_stamp_misses"),
+        g("pool_stamp_takes") - g("pool_stamp_reuses")
+    );
     assert_eq!(
         g("wheel_scheduled"),
         g("wheel_popped") + g("wheel_cancelled") + g("wheel_pending"),

@@ -1,39 +1,52 @@
-//! Heap-footprint gate for a fleet simulation.
+//! Heap-footprint gates for packet-heavy simulations.
 //!
 //! Most of a large simulation's memory is per-in-flight-packet state: the
 //! scoreboard's segment records, `SEG_CHUNK` to a slab chunk, one slab
-//! shared by every flow. This test pins the total down with a counting
-//! global allocator — peak *live requested bytes*, not RSS, so the number
-//! depends on the code and the toolchain's growth policies, never on the
-//! host, the system allocator or what else the machine is doing.
+//! shared by every flow, and beside it one rate stamp per send batch in
+//! each flow's stamp ring, carved from a second shared slab. These tests
+//! pin the total down with a counting global allocator — peak *live
+//! requested bytes*, not RSS, so the number depends on the code and the
+//! toolchain's growth policies, never on the host, the system allocator or
+//! what else the machine is doing.
 //!
 //! Measured on the 100-device fleet below (2 simulated seconds):
 //!
-//! | segment record            | peak live heap   |
-//! |---------------------------|------------------|
-//! | 72 bytes (parent, PR 21)  | 10 408 336 bytes |
-//! | 40 bytes (packed, PR 23)  |  6 214 032 bytes |
+//! | per-packet state                              | peak live heap   |
+//! |-----------------------------------------------|------------------|
+//! | 72-byte plain record                          | 10 408 336 bytes |
+//! | 40-byte packed record, stamp in every packet  |  6 208 360 bytes |
+//! | 8-byte record, one 32-byte stamp per batch    |  3 069 416 bytes |
 //!
-//! The difference is exactly 4 MiB: the slab's backing `Vec` doubles, so
-//! both runs end with capacity for 131 072 records and differ by 32 bytes
-//! on each. [`PEAK_LIVE_BOUND`] sits between the two, close enough to the
-//! packed value that eight more bytes on the record (+1 MiB) trips it:
-//! growing the record back, or adding a comparable per-packet or per-flow
-//! cost anywhere in the stack, fails here before it shows up as
+//! [`PEAK_LIVE_BOUND`] sits between the last two, close enough to the
+//! stamp-ring value that eight more bytes on the record (+1 MiB: the
+//! slab's backing `Vec` doubles, to capacity for 131 072 records) trips
+//! it: growing the record back, or adding a comparable per-packet or
+//! per-flow cost anywhere in the stack, fails here before it shows up as
 //! `peak_rss_mb` in the benchmark.
+//!
+//! A stamp costs 32 bytes once per batch, so the ring saves the most where
+//! batches are long. The second case is the regime where it could lose:
+//! Reno over a 10-packet FIFO, where a batch averages about one and a half
+//! packets. It measured 10 570 088 bytes with the 40-byte record and
+//! 6 384 968 with the ring; [`SMALL_BATCH_BOUND`] holds it at the
+//! 40-byte record's value.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use congestion::CcKind;
 use cpu_model::{CpuConfig, DeviceProfile};
-use netsim::Qdisc;
+use netsim::{MediaProfile, Qdisc};
 use sim_core::time::SimDuration;
 use sim_core::units::Bandwidth;
-use tcp_sim::{FleetConfig, SimConfig, StackSim};
+use tcp_sim::{FleetConfig, SimConfig, SimResult, StackSim};
 
 /// Peak live heap bytes the fleet run may reach; see the module table.
-const PEAK_LIVE_BOUND: i64 = 7_000_000;
+const PEAK_LIVE_BOUND: i64 = 4_000_000;
+
+/// Peak live heap bytes the shallow-FIFO run may reach; see the module
+/// table.
+const SMALL_BATCH_BOUND: i64 = 10_570_088;
 
 /// `System` allocator wrapper that tracks live and peak requested bytes —
 /// but only for the thread that opted in via [`COUNTING`] (the test
@@ -102,15 +115,38 @@ fn fleet_config() -> SimConfig {
         .expect("valid fleet config")
 }
 
-#[test]
-fn fleet_peak_live_heap_stays_under_bound() {
-    let cfg = fleet_config();
+/// The benchmark's `loss_recovery` Reno shallow-FIFO cell, shortened: 20
+/// connections into a 10-packet droptail buffer, where a send batch
+/// averages about one and a half packets.
+fn shallow_fifo_config() -> SimConfig {
+    let path = MediaProfile::Ethernet.path_config().with_queue_packets(10);
+    SimConfig::builder(
+        DeviceProfile::pixel4(),
+        CpuConfig::HighEnd,
+        CcKind::Reno,
+        20,
+    )
+    .path(path)
+    .qdisc(Qdisc::Fifo)
+    .sample_interval(None)
+    .duration(SimDuration::from_millis(2_000))
+    .warmup(SimDuration::from_millis(500))
+    .seed(1)
+    .build()
+    .expect("valid shallow-FIFO config")
+}
 
+/// Run `cfg` with the counting allocator on and return its peak live heap.
+fn peak_live_heap(cfg: SimConfig) -> (i64, SimResult) {
     COUNTING.with(|c| c.set(true));
     let result = StackSim::new(cfg).run();
     COUNTING.with(|c| c.set(false));
-    let peak = PEAK.with(Cell::get);
+    (PEAK.with(Cell::get), result)
+}
 
+#[test]
+fn fleet_peak_live_heap_stays_under_bound() {
+    let (peak, result) = peak_live_heap(fleet_config());
     assert!(
         result.fleet.is_some(),
         "the run must have gone through the fleet path"
@@ -120,5 +156,17 @@ fn fleet_peak_live_heap_stays_under_bound() {
         peak < PEAK_LIVE_BOUND,
         "peak live heap {peak} B reached the {PEAK_LIVE_BOUND} B bound: \
          per-packet or per-flow state grew (see the module docs)"
+    );
+}
+
+#[test]
+fn small_batch_peak_live_heap_stays_under_bound() {
+    let (peak, result) = peak_live_heap(shallow_fifo_config());
+    assert!(result.total_retx > 0, "the shallow buffer must drop");
+    println!("shallow-FIFO peak live heap: {peak} bytes");
+    assert!(
+        peak <= SMALL_BATCH_BOUND,
+        "peak live heap {peak} B exceeded the {SMALL_BATCH_BOUND} B bound: \
+         one stamp per batch costs more than it saves (see the module docs)"
     );
 }
