@@ -18,8 +18,9 @@
 //!   acknowledgement generation, GRO-style coalescing urgency;
 //! * [`wire`] — Ethernet/IPv4/TCP wire codecs (checksums, SACK options)
 //!   backing the pcap export;
-//! * [`pool`] — free-list buffer pools, slot stores and the shared
-//!   segment slab keeping the per-segment hot path allocation-free;
+//! * `pool` (crate-private) — free-list buffer pools, slot stores and the
+//!   two fixed-block segment slabs keeping the per-segment hot path
+//!   allocation-free;
 //! * [`arena`] — the struct-of-arrays flow-state arena: all per-connection
 //!   state in dense parallel arrays indexed by [`arena::FlowId`];
 //! * [`fleet`] — fleet mode: heterogeneous multi-device populations whose
@@ -52,7 +53,7 @@ pub mod config;
 pub mod fleet;
 pub mod mutants;
 pub mod pacing;
-pub mod pool;
+mod pool;
 pub mod rate;
 pub mod receiver;
 pub mod rtt;

@@ -17,11 +17,13 @@
 //!   thousands of flows keep tens of thousands of cells in flight;
 //! * [`SegSlab`] is one shared chunked slab that every flow's segment
 //!   scoreboard (or stamp ring) is carved from, replacing a per-flow
-//!   growable ring with chunk handles into a single allocation (the
-//!   "scoreboard-slab" and "stamp-ring" pool categories);
+//!   growable ring with chunk handles into fixed-size blocks that are
+//!   never moved (the "scoreboard-slab" and "stamp-ring" pool
+//!   categories);
 //! * [`SlabDeque`] is the per-flow window view over a [`SegSlab`]: a
 //!   chunk-id list plus head/length, supporting O(1) push-back, drop-front
-//!   and random indexing — the three operations a TCP scoreboard needs.
+//!   and random indexing — the three operations a TCP scoreboard needs —
+//!   plus walks over a range that look each chunk up once.
 //!
 //! Every pool keeps `takes`, `reuses`, and `misses` as independent
 //! counters so the per-category identity `misses == takes − reuses` is a
@@ -34,7 +36,7 @@
 /// `misses` is not derived from the other two counters — all three are
 /// maintained independently so the identity `misses == takes − reuses`
 /// is a genuine cross-check (a simcheck oracle), not a tautology.
-pub struct VecPool<T> {
+pub(crate) struct VecPool<T> {
     free: Vec<Vec<T>>,
     takes: u64,
     reuses: u64,
@@ -91,12 +93,6 @@ impl<T> VecPool<T> {
     }
 }
 
-impl<T> Default for VecPool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Parks owned buffers under dense `u32` ids so events can ride the timer
 /// wheel as a handful of words.
 ///
@@ -106,7 +102,7 @@ impl<T> Default for VecPool<T> {
 /// capacity recycling of the buffers themselves stays the [`VecPool`]'s
 /// job, so the two compose: take from the pool, fill, stash; unstash,
 /// drain, put back.
-pub struct SlotStore<T> {
+pub(crate) struct SlotStore<T> {
     slots: Vec<Vec<T>>,
     free: Vec<u32>,
 }
@@ -143,28 +139,42 @@ impl<T> SlotStore<T> {
     }
 }
 
-impl<T> Default for SlotStore<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Records per [`SegSlab`] chunk. 64 keeps a chunk under one page for
 /// scoreboard-sized records (512 bytes of the 8-byte segment record, 2 KiB
 /// of the 32-byte rate stamp) and makes the index arithmetic a shift/mask.
-pub const SEG_CHUNK: usize = 64;
+pub(crate) const SEG_CHUNK: usize = 64;
+
+/// Chunks per [`SegSlab`] block: 16 KiB of segment records, 64 KiB of
+/// stamps per allocation.
+const BLOCK_CHUNKS: usize = 32;
+
+/// One slab chunk: [`SEG_CHUNK`] records.
+type Chunk<T> = [T; SEG_CHUNK];
 
 /// One shared chunked slab that every flow's segment scoreboard (or stamp
 /// ring) is carved from.
 ///
-/// Storage is a single `Vec<T>` grown a chunk at a time; freed chunks go
-/// on a free list and are handed back to whichever flow's window grows
-/// next. Compared with a growable per-flow ring this (a) shares one
-/// allocation across every flow, (b) caps growth-copy churn at one shared
-/// `Vec`, and (c) lets a thousand mostly-idle flows occupy a few warm
-/// chunks instead of a thousand cold ones.
-pub struct SegSlab<T> {
-    store: Vec<T>,
+/// Storage is a table of fixed-size blocks of [`BLOCK_CHUNKS`] chunks
+/// each. A block is allocated whole, at its final size, when the first of
+/// its chunks is issued, and is never grown or moved; only the table of
+/// block pointers (8 bytes a block) doubles. So the slab never makes one
+/// large allocation and never copies a record: its heap is the chunks it
+/// has issued plus at most one part-used block, whatever the allocator's
+/// state. A single growing buffer would instead ask for its whole size at
+/// each doubling, which an allocator may serve with a copying `realloc`
+/// that holds the old and new buffers at once. A block rather than a box
+/// per chunk keeps the allocator's per-allocation header off thousands
+/// of small chunks. Chunk `id` is chunk `id % BLOCK_CHUNKS` of block
+/// `id / BLOCK_CHUNKS`, so handles stay chunk ids.
+///
+/// Freed chunks go on a LIFO free list and are handed back to whichever
+/// flow's window grows next. Compared with a growable per-flow ring this
+/// shares a few warm chunks across every flow, so a thousand mostly-idle
+/// flows do not each keep a cold private buffer.
+pub(crate) struct SegSlab<T> {
+    blocks: Vec<Box<[Chunk<T>; BLOCK_CHUNKS]>>,
+    /// Chunk ids issued so far; the next fresh id.
+    issued: u32,
     free: Vec<u32>,
     takes: u64,
     reuses: u64,
@@ -175,7 +185,8 @@ impl<T: Default> SegSlab<T> {
     /// An empty slab.
     pub(crate) fn new() -> Self {
         SegSlab {
-            store: Vec::new(),
+            blocks: Vec::new(),
+            issued: 0,
             free: Vec::new(),
             takes: 0,
             reuses: 0,
@@ -193,10 +204,24 @@ impl<T: Default> SegSlab<T> {
             }
             None => {
                 self.misses += 1;
-                let id = u32::try_from(self.store.len() / SEG_CHUNK).expect("chunk ids fit u32");
-                self.store.extend((0..SEG_CHUNK).map(|_| T::default()));
+                let id = self.issued;
+                if (id as usize).is_multiple_of(BLOCK_CHUNKS) {
+                    self.blocks.push(Self::block());
+                }
+                self.issued = id.checked_add(1).expect("chunk ids fit u32");
                 id
             }
+        }
+    }
+
+    /// A fresh block of default records, allocated at its final size.
+    fn block() -> Box<[Chunk<T>; BLOCK_CHUNKS]> {
+        let chunks: Box<[Chunk<T>]> = (0..BLOCK_CHUNKS)
+            .map(|_| std::array::from_fn(|_| T::default()))
+            .collect();
+        match chunks.try_into() {
+            Ok(block) => block,
+            Err(_) => unreachable!("a block is exactly BLOCK_CHUNKS chunks"),
         }
     }
 
@@ -206,21 +231,21 @@ impl<T: Default> SegSlab<T> {
         self.free.push(id);
     }
 
-    /// The record at `off` within chunk `id`.
+    /// The records of chunk `id`.
     #[inline]
-    pub(crate) fn get(&self, id: u32, off: usize) -> &T {
-        debug_assert!(off < SEG_CHUNK);
-        &self.store[id as usize * SEG_CHUNK + off]
+    pub(crate) fn chunk(&self, id: u32) -> &Chunk<T> {
+        let id = id as usize;
+        &self.blocks[id / BLOCK_CHUNKS][id % BLOCK_CHUNKS]
     }
 
-    /// Mutable access to the record at `off` within chunk `id`.
+    /// Mutable access to the records of chunk `id`.
     #[inline]
-    pub(crate) fn get_mut(&mut self, id: u32, off: usize) -> &mut T {
-        debug_assert!(off < SEG_CHUNK);
-        &mut self.store[id as usize * SEG_CHUNK + off]
+    pub(crate) fn chunk_mut(&mut self, id: u32) -> &mut Chunk<T> {
+        let id = id as usize;
+        &mut self.blocks[id / BLOCK_CHUNKS][id % BLOCK_CHUNKS]
     }
 
-    /// Chunk allocations that had to grow the backing store.
+    /// Chunk allocations that had to issue a fresh chunk id.
     pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
@@ -236,12 +261,6 @@ impl<T: Default> SegSlab<T> {
     }
 }
 
-impl<T: Default> Default for SegSlab<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A per-flow double-ended window over a shared [`SegSlab`]: an ordered
 /// chunk-id list plus a head offset and length.
 ///
@@ -249,8 +268,14 @@ impl<T: Default> Default for SegSlab<T> {
 /// segments are sent, `drop_front` as the cumulative ACK advances, and O(1)
 /// indexing by `seq − snd_una` — while the segment records themselves
 /// live in the slab.
+///
+/// `head` counts from `chunks[0]`, and the chunks wholly before it are
+/// already back in the slab: `drop_front` frees each chunk as the head
+/// crosses it and drops the dead prefix of `chunks` only once it is at
+/// least half the list, so retiring a chunk is O(1) amortised and indexing
+/// stays one lookup.
 #[derive(Debug, Clone, Default)]
-pub struct SlabDeque {
+pub(crate) struct SlabDeque {
     chunks: Vec<u32>,
     head: usize,
     len: usize,
@@ -274,40 +299,62 @@ impl SlabDeque {
         self.len == 0
     }
 
-    /// Append a record at the back, allocating a chunk when the tail
-    /// crosses a chunk boundary.
-    pub(crate) fn push_back<T: Default>(&mut self, slab: &mut SegSlab<T>, v: T) {
-        let tail = self.head + self.len;
-        if tail == self.chunks.len() * SEG_CHUNK {
-            self.chunks.push(slab.alloc_chunk());
+    /// Append a record at the back.
+    pub(crate) fn push_back<T: Default + Copy>(&mut self, slab: &mut SegSlab<T>, v: T) {
+        self.push_back_n(slab, v, 1);
+    }
+
+    /// Append `n` copies of `v` at the back, allocating a chunk each time
+    /// the tail crosses a chunk boundary: one chunk lookup per chunk
+    /// filled.
+    pub(crate) fn push_back_n<T: Default + Copy>(
+        &mut self,
+        slab: &mut SegSlab<T>,
+        v: T,
+        mut n: usize,
+    ) {
+        while n > 0 {
+            let tail = self.head + self.len;
+            if tail == self.chunks.len() * SEG_CHUNK {
+                self.chunks.push(slab.alloc_chunk());
+            }
+            let off = tail % SEG_CHUNK;
+            let k = n.min(SEG_CHUNK - off);
+            slab.chunk_mut(self.chunks[tail / SEG_CHUNK])[off..off + k].fill(v);
+            self.len += k;
+            n -= k;
         }
-        let (c, off) = (tail / SEG_CHUNK, tail % SEG_CHUNK);
-        *slab.get_mut(self.chunks[c], off) = v;
-        self.len += 1;
     }
 
     /// Drop the front `n` records without reading them, freeing whole
     /// chunks as the head crosses their boundaries.
     ///
     /// Dropped slots keep their stale contents: every slot is overwritten
-    /// by [`Self::push_back`] before it re-enters the window, so no reader
+    /// by [`Self::push_back_n`] before it re-enters the window, so no reader
     /// can observe them. This is what makes a cumulative-ACK advance O(n)
     /// cheap reads + one head bump instead of n `mem::take` round trips.
     pub(crate) fn drop_front<T: Default>(&mut self, slab: &mut SegSlab<T>, n: usize) {
         debug_assert!(n <= self.len);
+        let dead = self.head / SEG_CHUNK;
         self.head += n;
         self.len -= n;
-        while self.head >= SEG_CHUNK {
-            slab.free_chunk(self.chunks.remove(0));
-            self.head -= SEG_CHUNK;
-        }
-        if self.len == 0 && self.head != 0 {
-            // Window drained mid-chunk: rewind so a long-idle flow holds
-            // at most one warm chunk.
-            self.head = 0;
-            if let Some(id) = self.chunks.pop() {
+        if self.len == 0 {
+            // Window drained: free the rest, in order, and rewind, so a
+            // long-idle flow holds no chunk.
+            for &id in &self.chunks[dead..] {
                 slab.free_chunk(id);
             }
+            self.chunks.clear();
+            self.head = 0;
+            return;
+        }
+        let now_dead = self.head / SEG_CHUNK;
+        for &id in &self.chunks[dead..now_dead] {
+            slab.free_chunk(id);
+        }
+        if 2 * now_dead >= self.chunks.len() {
+            self.chunks.drain(..now_dead);
+            self.head -= now_dead * SEG_CHUNK;
         }
     }
 
@@ -316,15 +363,46 @@ impl SlabDeque {
     pub(crate) fn get<'a, T: Default>(&self, slab: &'a SegSlab<T>, i: usize) -> &'a T {
         debug_assert!(i < self.len);
         let pos = self.head + i;
-        slab.get(self.chunks[pos / SEG_CHUNK], pos % SEG_CHUNK)
+        &slab.chunk(self.chunks[pos / SEG_CHUNK])[pos % SEG_CHUNK]
     }
 
-    /// Mutable access to the record at window index `i`.
+    /// Call `f` on the records at window indexes `lo..hi`, in order, one
+    /// chunk lookup per chunk spanned.
     #[inline]
-    pub(crate) fn get_mut<'a, T: Default>(&self, slab: &'a mut SegSlab<T>, i: usize) -> &'a mut T {
-        debug_assert!(i < self.len);
-        let pos = self.head + i;
-        slab.get_mut(self.chunks[pos / SEG_CHUNK], pos % SEG_CHUNK)
+    pub(crate) fn for_each_mut<T: Default>(
+        &self,
+        slab: &mut SegSlab<T>,
+        lo: usize,
+        hi: usize,
+        mut f: impl FnMut(&mut T),
+    ) {
+        debug_assert!(lo <= hi && hi <= self.len);
+        let (mut pos, end) = (self.head + lo, self.head + hi);
+        while pos < end {
+            let off = pos % SEG_CHUNK;
+            let k = (end - pos).min(SEG_CHUNK - off);
+            let chunk = slab.chunk_mut(self.chunks[pos / SEG_CHUNK]);
+            chunk[off..off + k].iter_mut().for_each(&mut f);
+            pos += k;
+        }
+    }
+
+    /// The records at window indexes `lo..hi`, in order, one chunk lookup
+    /// per chunk spanned.
+    #[inline]
+    pub(crate) fn iter<'a, T: Default>(
+        &'a self,
+        slab: &'a SegSlab<T>,
+        lo: usize,
+        hi: usize,
+    ) -> impl Iterator<Item = &'a T> + 'a {
+        debug_assert!(lo <= hi && hi <= self.len);
+        let (lo, hi) = (self.head + lo, self.head + hi);
+        (lo / SEG_CHUNK..hi.div_ceil(SEG_CHUNK)).flat_map(move |c| {
+            let base = c * SEG_CHUNK;
+            let (a, b) = (lo.max(base) - base, hi.min(base + SEG_CHUNK) - base);
+            slab.chunk(self.chunks[c])[a..b].iter()
+        })
     }
 }
 
@@ -470,5 +548,93 @@ mod tests {
             assert_eq!(*dq.get(&slab, dq.len() - 1), next_in - 1);
         }
         assert_eq!(slab.misses(), slab.takes() - slab.reuses());
+    }
+
+    /// Chunk ids run 0, 1, 2, … across block boundaries, each chunk is its
+    /// own storage, and a freed id is reissued before a new block opens.
+    #[test]
+    fn slab_ids_and_records_across_block_boundaries() {
+        let mut slab: SegSlab<u64> = SegSlab::new();
+        let b = BLOCK_CHUNKS as u32;
+        for want in 0..2 * b {
+            assert_eq!(slab.alloc_chunk(), want);
+        }
+        assert_eq!(slab.blocks.len(), 2);
+        slab.free_chunk(b + 1);
+        assert_eq!(slab.alloc_chunk(), b + 1, "freed id comes back first");
+        assert_eq!(slab.blocks.len(), 2, "no block opened for a reused id");
+        for want in 2 * b..2 * b + 4 {
+            assert_eq!(slab.alloc_chunk(), want);
+        }
+        assert_eq!(slab.blocks.len(), 3);
+
+        // Every offset of a chunk in the second block round-trips, and its
+        // neighbours (one across the block boundary) stay untouched.
+        let id = b + 1;
+        for off in 0..SEG_CHUNK {
+            slab.chunk_mut(id)[off] = 1000 + off as u64;
+        }
+        for off in 0..SEG_CHUNK {
+            assert_eq!(slab.chunk(id)[off], 1000 + off as u64);
+        }
+        for other in [b - 1, b, b + 2, 2 * b] {
+            assert!(slab.chunk(other).iter().all(|&v| v == 0), "chunk {other}");
+        }
+        assert_eq!(slab.takes(), u64::from(2 * b + 5));
+        assert_eq!(slab.reuses(), 1);
+        assert_eq!(slab.misses(), slab.takes() - slab.reuses());
+    }
+
+    /// A window spanning three blocks: bulk appends, chunk-wise iteration
+    /// and indexing agree, and `drop_front` frees chunks front to back
+    /// whatever the step, so the free list's order is the chunk order.
+    #[test]
+    fn slab_deque_across_blocks_frees_front_to_back() {
+        let mut slab: SegSlab<u64> = SegSlab::new();
+        let mut dq = SlabDeque::new();
+        let n = (2 * BLOCK_CHUNKS + 3) * SEG_CHUNK + 5;
+        dq.push_back(&mut slab, 0);
+        let mut next = 1;
+        for k in [SEG_CHUNK - 2, 1, 3 * SEG_CHUNK + 7, n] {
+            let k = k.min(n - next);
+            dq.push_back_n(&mut slab, 0, k);
+            let mut i = next as u64;
+            dq.for_each_mut(&mut slab, next, next + k, |v| {
+                *v = i;
+                i += 1;
+            });
+            next += k;
+        }
+        assert_eq!(dq.len(), n);
+        assert_eq!(slab.misses() as usize, n.div_ceil(SEG_CHUNK));
+        assert!(dq.iter(&slab, 0, n).copied().eq(0..n as u64));
+        assert!(dq.iter(&slab, 63, 130).copied().eq(63..130));
+
+        let ids = dq.chunks.clone();
+        let mut front = 0;
+        // The 40-chunk step passes half the list: the dead prefix is dropped.
+        for step in [
+            1,
+            SEG_CHUNK - 1,
+            5 * SEG_CHUNK,
+            37,
+            2 * SEG_CHUNK + 1,
+            40 * SEG_CHUNK,
+            3,
+            SEG_CHUNK,
+        ] {
+            dq.drop_front(&mut slab, step);
+            front += step;
+            assert_eq!(slab.free, ids[..front / SEG_CHUNK]);
+            assert_eq!(*dq.get(&slab, 0), front as u64);
+            assert!(dq
+                .iter(&slab, 0, 3)
+                .copied()
+                .eq(front as u64..front as u64 + 3));
+        }
+        assert!(dq.chunks.len() < ids.len(), "the dead prefix was dropped");
+        dq.drop_front(&mut slab, n - front);
+        assert!(dq.is_empty());
+        assert_eq!(slab.free, ids, "drained window frees every chunk in order");
     }
 }

@@ -27,15 +27,15 @@
 //!   [`RttEstimator`], delivery samples into a caller-owned
 //!   [`RateSampler`]. This is what the [`FlowArena`](crate::arena) stores
 //!   one-per-flow in a dense array.
-//! * [`SegStore`] holds the two shared chunked slabs (see
-//!   [`crate::pool::SegSlab`]) every flow's scoreboard is carved from.
+//! * [`SegStore`] holds the two shared chunked slabs (the crate-private
+//!   `pool::SegSlab`) every flow's scoreboard is carved from.
 //!   The "scoreboard-slab" pool category has one record per in-flight
 //!   packet, which makes it most of a large simulation's heap, so the
 //!   record is a private 8-byte `SegState`: two stamp ids and three flag
 //!   bits. The "stamp-ring" category has one 32-byte [`TxStamp`] per send
 //!   batch, as the kernel keeps one per skb. Slab bytes =
 //!   `pool_slab_misses` × `SEG_CHUNK` × 8 + `pool_stamp_misses` ×
-//!   `SEG_CHUNK` × 32.
+//!   `SEG_CHUNK` × 32, each rounded up to whole 32-chunk blocks.
 //!
 //! The unit tests below and the arena differential test
 //! (`tests/arena_differential.rs`) each bundle the four pieces — scoreboard,
@@ -176,6 +176,30 @@ impl Newest {
             seen: u32::MAX, // above every id `push_stamp` hands out
         }
     }
+
+    /// Keep `seg` if it is the most recently transmitted so far.
+    /// `tx_time` reads a stamp id's transmission time from the ring.
+    #[inline]
+    fn track(&mut self, seg: SegState, tx_time: impl FnOnce(u32) -> SimTime) {
+        let src = seg.last_tx_id();
+        if src == self.seen {
+            return; // same transmission time as the last one examined
+        }
+        self.seen = src;
+        let last_tx = tx_time(src);
+        match self.best {
+            Some((t, _)) if t >= last_tx => {}
+            _ => self.best = Some((last_tx, seg)),
+        }
+    }
+}
+
+/// The transmission time stamped on id `id` in the ring `ring`, whose front
+/// stamp has id `base`. A free function, so a closure walking the segment
+/// window can read the ring while it updates the scoreboard's counters.
+#[inline]
+fn ring_tx_time(ring: &SlabDeque, base: u32, stamps: &SegSlab<TxStamp>, id: u32) -> SimTime {
+    ring.get(stamps, (id - base) as usize).tx_time
 }
 
 /// A run of outstanding segments that are neither SACKed nor lost, all
@@ -237,7 +261,7 @@ impl SendPlan {
 /// and one that every flow's stamp ring is carved from (the "stamp-ring"
 /// category).
 ///
-/// A [`Scoreboard`] holds only chunk-handle windows ([`SlabDeque`]) into
+/// A [`Scoreboard`] holds only chunk-handle windows (`pool::SlabDeque`) into
 /// this store, so a thousand mostly-idle flows share a few warm chunks
 /// instead of each keeping cold private ring buffers.
 pub struct SegStore {
@@ -548,20 +572,24 @@ impl Scoreboard {
                 // retransmission shares the original send's timestamp and
                 // the segment therefore stays eligible.
                 runs_subtract(&mut self.retx_runs, lo.0, hi.0);
-                for seq in lo.0..hi.0 {
-                    let idx = self
-                        .index_of(PktSeq(seq))
-                        .expect("retransmitting unknown segment");
-                    let seg = self.segs.get_mut(&mut store.slab, idx);
+                let first =
+                    lo.0.checked_sub(self.snd_una.0)
+                        .expect("retransmitting unknown segment") as usize;
+                let n = hi.0 - lo.0;
+                let last = first + n as usize;
+                assert!(last <= self.segs.len(), "retransmitting unknown segment");
+                let (ring, base) = (&self.stamps, self.stamp_base);
+                let mut seq = lo.0;
+                self.segs.for_each_mut(&mut store.slab, first, last, |seg| {
                     assert!(seg.lost(), "retransmitting a segment not marked lost");
                     seg.retransmit(id);
-                    let still_eligible = self.tx_time(&store.stamps, seg.orig) == now;
-                    self.retrans_out += 1;
-                    self.total_retx += 1;
-                    if still_eligible {
+                    if ring_tx_time(ring, base, &store.stamps, seg.orig) == now {
                         runs_insert(&mut self.retx_runs, seq, seq + 1);
                     }
-                }
+                    seq += 1;
+                });
+                self.retrans_out += n;
+                self.total_retx += n;
             }
             return;
         }
@@ -573,9 +601,8 @@ impl Scoreboard {
         );
         for &(lo, hi) in &plan.runs {
             assert_eq!(lo, self.snd_nxt, "new data must start at snd_nxt");
-            for _ in lo.0..hi.0 {
-                self.segs.push_back(&mut store.slab, seg);
-            }
+            self.segs
+                .push_back_n(&mut store.slab, seg, (hi.0 - lo.0) as usize);
             // Fresh data is a hole-run candidate: one batch, one `last_tx`.
             match self.hole_runs.last_mut() {
                 Some(r) if r.hi == lo.0 && r.last_tx == now => r.hi = hi.0,
@@ -609,7 +636,7 @@ impl Scoreboard {
     /// The transmission time stamped on id `id`.
     #[inline]
     fn tx_time(&self, stamps: &SegSlab<TxStamp>, id: u32) -> SimTime {
-        self.stamp(stamps, id).tx_time
+        ring_tx_time(&self.stamps, self.stamp_base, stamps, id)
     }
 
     /// Pop every stamp older than the front segment's first send: no live
@@ -623,13 +650,6 @@ impl Scoreboard {
         self.stamps
             .drop_front(&mut store.stamps, (keep - self.stamp_base) as usize);
         self.stamp_base = if self.stamps.is_empty() { 0 } else { keep };
-    }
-
-    fn index_of(&self, seq: PktSeq) -> Option<usize> {
-        // Segments are ordered by seq: index = seq - snd_una when present.
-        let offset = seq.0.checked_sub(self.snd_una.0)?;
-        let idx = offset as usize;
-        (idx < self.segs.len()).then_some(idx)
     }
 
     /// RACK reorder window: a quarter of the smoothed RTT (floor 1 ms).
@@ -666,8 +686,7 @@ impl Scoreboard {
                 "scoreboard shorter than window"
             );
             let n = (cum.0 - self.snd_una.0) as usize;
-            for i in 0..n {
-                let seg = *self.segs.get(&store.slab, i);
+            for &seg in self.segs.iter(&store.slab, 0, n) {
                 if seg.sacked() {
                     self.sacked_out -= 1;
                 } else {
@@ -679,7 +698,7 @@ impl Scoreboard {
                         self.retrans_out = self.retrans_out.saturating_sub(1);
                     }
                 }
-                self.track_newest(&store.stamps, &mut newest, seg);
+                newest.track(seg, |id| self.tx_time(&store.stamps, id));
             }
             // The ring keeps the dropped segments' stamps until the
             // samples below have read the newest one.
@@ -711,26 +730,28 @@ impl Scoreboard {
                     _ => (hi, hi),
                 };
                 ri += 1;
-                for seq in cursor..gap_hi {
-                    if let Some(idx) = self.index_of(PktSeq(seq)) {
-                        let seg = self.segs.get_mut(&mut store.slab, idx);
-                        if !seg.sacked() {
-                            seg.set(SegState::SACKED, true);
-                            self.sacked_out += 1;
-                            out.newly_delivered += 1;
-                            if seg.lost() {
-                                // A "lost" segment arrived after all (or its
-                                // retransmission did).
-                                seg.set(SegState::LOST, false);
-                                self.lost_out -= 1;
-                                if seg.retransmitted() {
-                                    self.retrans_out = self.retrans_out.saturating_sub(1);
-                                }
-                            }
-                            self.track_newest(&store.stamps, &mut newest, *seg);
+                // `lo..hi` lies inside the window, so the gap does too.
+                let first = (cursor - self.snd_una.0) as usize;
+                let last = first + (gap_hi - cursor) as usize;
+                let (ring, base) = (&self.stamps, self.stamp_base);
+                self.segs.for_each_mut(&mut store.slab, first, last, |seg| {
+                    if seg.sacked() {
+                        return;
+                    }
+                    seg.set(SegState::SACKED, true);
+                    self.sacked_out += 1;
+                    out.newly_delivered += 1;
+                    if seg.lost() {
+                        // A "lost" segment arrived after all (or its
+                        // retransmission did).
+                        seg.set(SegState::LOST, false);
+                        self.lost_out -= 1;
+                        if seg.retransmitted() {
+                            self.retrans_out = self.retrans_out.saturating_sub(1);
                         }
                     }
-                }
+                    newest.track(*seg, |id| ring_tx_time(ring, base, &store.stamps, id));
+                });
                 if gap_hi > cursor {
                     // Newly SACKed sequences leave the hole and retx indexes.
                     holes_subtract(&mut self.hole_runs, cursor, gap_hi);
@@ -786,21 +807,6 @@ impl Scoreboard {
         out
     }
 
-    /// Keep the most recently transmitted of the segments an ACK delivers.
-    #[inline]
-    fn track_newest(&self, stamps: &SegSlab<TxStamp>, newest: &mut Newest, seg: SegState) {
-        let src = seg.last_tx_id();
-        if src == newest.seen {
-            return; // same transmission time as the last one examined
-        }
-        newest.seen = src;
-        let last_tx = self.tx_time(stamps, src);
-        match newest.best {
-            Some((t, _)) if t >= last_tx => {}
-            _ => newest.best = Some((last_tx, seg)),
-        }
-    }
-
     /// Scan for holes that the evidence now declares lost.
     ///
     /// Walks the hole-run index instead of every segment: a hole run is
@@ -830,13 +836,13 @@ impl Scoreboard {
             let dup_rule = sacked_above >= DUP_THRESH;
             let rack_rule = sacked_above > 0 && rack_tx > run.last_tx + reo;
             if dup_rule || rack_rule {
-                for seq in run.lo..run.hi {
-                    let idx = (seq - self.snd_una.0) as usize;
-                    let seg = self.segs.get_mut(&mut store.slab, idx);
-                    debug_assert!(!seg.sacked() && !seg.lost(), "hole index out of sync");
-                    seg.set(SegState::LOST, true);
-                }
+                let first = (run.lo - self.snd_una.0) as usize;
                 let len = run.hi - run.lo;
+                self.segs
+                    .for_each_mut(&mut store.slab, first, first + len as usize, |seg| {
+                        debug_assert!(!seg.sacked() && !seg.lost(), "hole index out of sync");
+                        seg.set(SegState::LOST, true);
+                    });
                 self.lost_out += len;
                 newly_lost += len;
                 // Freshly marked holes were never retransmitted, so they
@@ -856,19 +862,19 @@ impl Scoreboard {
     /// (`tcp_enter_loss`); retransmission state resets.
     pub fn on_rto(&mut self, store: &mut SegStore) -> u64 {
         let mut marked = 0;
-        for i in 0..self.segs.len() {
-            let seg = self.segs.get_mut(&mut store.slab, i);
-            if seg.retransmitted() && seg.lost() {
-                self.retrans_out = self.retrans_out.saturating_sub(1);
-            }
-            if !seg.sacked() && !seg.lost() {
-                seg.set(SegState::LOST, true);
-                self.lost_out += 1;
-                marked += 1;
-            }
-            // Allow the retransmission to be re-sent.
-            seg.rewind();
-        }
+        self.segs
+            .for_each_mut(&mut store.slab, 0, self.segs.len(), |seg| {
+                if seg.retransmitted() && seg.lost() {
+                    self.retrans_out = self.retrans_out.saturating_sub(1);
+                }
+                if !seg.sacked() && !seg.lost() {
+                    seg.set(SegState::LOST, true);
+                    self.lost_out += 1;
+                    marked += 1;
+                }
+                // Allow the retransmission to be re-sent.
+                seg.rewind();
+            });
         // Rebuild the run indexes: no holes remain, and every unSACKed
         // outstanding segment is now lost and eligible for retransmission
         // (the complement of the SACKed runs over the window).

@@ -3,33 +3,42 @@
 //! Most of a large simulation's memory is per-in-flight-packet state: the
 //! scoreboard's segment records, `SEG_CHUNK` to a slab chunk, one slab
 //! shared by every flow, and beside it one rate stamp per send batch in
-//! each flow's stamp ring, carved from a second shared slab. These tests
-//! pin the total down with a counting global allocator — peak *live
+//! each flow's stamp ring, carved from a second shared slab. Each slab
+//! grows by fixed blocks of 32 chunks that are never reallocated. These
+//! tests pin the total down with a counting global allocator — peak *live
 //! requested bytes*, not RSS, so the number depends on the code and the
 //! toolchain's growth policies, never on the host, the system allocator or
 //! what else the machine is doing.
 //!
-//! Measured on the 100-device fleet below (2 simulated seconds):
+//! Measured on the two runs below (2 simulated seconds each):
 //!
-//! | per-packet state                              | peak live heap   |
-//! |-----------------------------------------------|------------------|
-//! | 72-byte plain record                          | 10 408 336 bytes |
-//! | 40-byte packed record, stamp in every packet  |  6 208 360 bytes |
-//! | 8-byte record, one 32-byte stamp per batch    |  3 069 416 bytes |
+//! | per-packet state                                 | 100-device fleet | shallow FIFO     |
+//! |--------------------------------------------------|------------------|------------------|
+//! | 72-byte plain record                             | 10 408 336 bytes |                  |
+//! | 40-byte packed record, stamp in every packet     |  6 208 360 bytes | 10 570 088 bytes |
+//! | 8-byte record, one 32-byte stamp per batch       |  3 069 416 bytes |  6 384 968 bytes |
+//! | the same, slabs grown by fixed blocks            |  2 497 272 bytes |  4 617 032 bytes |
+//! | the same with a 16-byte record (probe only)      |  3 365 624 bytes |  5 796 680 bytes |
 //!
-//! [`PEAK_LIVE_BOUND`] sits between the last two, close enough to the
-//! stamp-ring value that eight more bytes on the record (+1 MiB: the
-//! slab's backing `Vec` doubles, to capacity for 131 072 records) trips
-//! it: growing the record back, or adding a comparable per-packet or
-//! per-flow cost anywhere in the stack, fails here before it shows up as
-//! `peak_rss_mb` in the benchmark.
+//! Until the fixed blocks, each slab was one `Vec` that doubled, so its
+//! capacity slack (up to half the slab) was live heap too; now the slack
+//! is at most one part-used block per slab.
 //!
-//! A stamp costs 32 bytes once per batch, so the ring saves the most where
-//! batches are long. The second case is the regime where it could lose:
-//! Reno over a 10-packet FIFO, where a batch averages about one and a half
-//! packets. It measured 10 570 088 bytes with the 40-byte record and
-//! 6 384 968 with the ring; [`SMALL_BATCH_BOUND`] holds it at the
-//! 40-byte record's value.
+//! [`PEAK_LIVE_BOUND`] and [`SMALL_BATCH_BOUND`] sit between the last two
+//! rows, so eight more bytes on the record trips either: growing the
+//! record back, or adding a comparable per-packet or per-flow cost
+//! anywhere in the stack, fails here before it shows up as `peak_rss_mb`
+//! in the benchmark. The shallow FIFO is Reno over a 10-packet buffer,
+//! where a send batch averages about one and a half packets: the regime
+//! where a 32-byte stamp per batch saves the least.
+//!
+//! The shallow-FIFO run also bounds the largest single request at one
+//! stamp-slab block ([`LARGEST_REQUEST_BOUND`]). A slab that goes back to
+//! growing one buffer asks for it whole: 4 194 304 bytes in this run, and
+//! 16 777 216 over the benchmark's 5 s `loss_recovery` window. glibc may
+//! serve such a request by a copying `realloc` in the brk heap, with the
+//! old and new buffers resident at once. That cost is RSS, not live heap,
+//! so only this bound catches it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -42,11 +51,15 @@ use sim_core::units::Bandwidth;
 use tcp_sim::{FleetConfig, SimConfig, SimResult, StackSim};
 
 /// Peak live heap bytes the fleet run may reach; see the module table.
-const PEAK_LIVE_BOUND: i64 = 4_000_000;
+const PEAK_LIVE_BOUND: i64 = 2_800_000;
 
 /// Peak live heap bytes the shallow-FIFO run may reach; see the module
 /// table.
-const SMALL_BATCH_BOUND: i64 = 10_570_088;
+const SMALL_BATCH_BOUND: i64 = 5_200_000;
+
+/// The largest single request the shallow-FIFO run may make: one block of
+/// the stamp slab (32 chunks of 64 32-byte stamps); see the module docs.
+const LARGEST_REQUEST_BOUND: usize = 65_536;
 
 /// `System` allocator wrapper that tracks live and peak requested bytes —
 /// but only for the thread that opted in via [`COUNTING`] (the test
@@ -62,12 +75,15 @@ thread_local! {
     /// the measured phase may free memory allocated before it.
     static LIVE: Cell<i64> = const { Cell::new(0) };
     static PEAK: Cell<i64> = const { Cell::new(0) };
+    /// The largest single request (allocation or reallocation target).
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn account(delta: i64) {
+fn account(delta: i64, request: usize) {
     if !COUNTING.try_with(Cell::get).unwrap_or(false) {
         return;
     }
+    LARGEST.with(|l| l.set(l.get().max(request)));
     let live = LIVE.with(|l| {
         l.set(l.get() + delta);
         l.get()
@@ -77,17 +93,17 @@ fn account(delta: i64) {
 
 unsafe impl GlobalAlloc for LiveBytesAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        account(layout.size() as i64);
+        account(layout.size() as i64, layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        account(-(layout.size() as i64));
+        account(-(layout.size() as i64), 0);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        account(new_size as i64 - layout.size() as i64);
+        account(new_size as i64 - layout.size() as i64, new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -136,17 +152,29 @@ fn shallow_fifo_config() -> SimConfig {
     .expect("valid shallow-FIFO config")
 }
 
-/// Run `cfg` with the counting allocator on and return its peak live heap.
-fn peak_live_heap(cfg: SimConfig) -> (i64, SimResult) {
+/// What the counting allocator saw over one simulation.
+struct Footprint {
+    /// Peak live requested bytes.
+    peak: i64,
+    /// The largest single request, in bytes.
+    largest: usize,
+}
+
+/// Run `cfg` with the counting allocator on.
+fn measure(cfg: SimConfig) -> (Footprint, SimResult) {
     COUNTING.with(|c| c.set(true));
     let result = StackSim::new(cfg).run();
     COUNTING.with(|c| c.set(false));
-    (PEAK.with(Cell::get), result)
+    let seen = Footprint {
+        peak: PEAK.with(Cell::get),
+        largest: LARGEST.with(Cell::get),
+    };
+    (seen, result)
 }
 
 #[test]
 fn fleet_peak_live_heap_stays_under_bound() {
-    let (peak, result) = peak_live_heap(fleet_config());
+    let (Footprint { peak, .. }, result) = measure(fleet_config());
     assert!(
         result.fleet.is_some(),
         "the run must have gone through the fleet path"
@@ -161,12 +189,18 @@ fn fleet_peak_live_heap_stays_under_bound() {
 
 #[test]
 fn small_batch_peak_live_heap_stays_under_bound() {
-    let (peak, result) = peak_live_heap(shallow_fifo_config());
+    let (Footprint { peak, largest }, result) = measure(shallow_fifo_config());
     assert!(result.total_retx > 0, "the shallow buffer must drop");
     println!("shallow-FIFO peak live heap: {peak} bytes");
+    println!("shallow-FIFO largest request: {largest} bytes");
     assert!(
         peak <= SMALL_BATCH_BOUND,
         "peak live heap {peak} B exceeded the {SMALL_BATCH_BOUND} B bound: \
-         one stamp per batch costs more than it saves (see the module docs)"
+         per-packet or per-flow state grew (see the module docs)"
+    );
+    assert!(
+        largest <= LARGEST_REQUEST_BOUND,
+        "one {largest} B request exceeds the {LARGEST_REQUEST_BOUND} B bound: \
+         a slab grows one buffer again (see the module docs)"
     );
 }
