@@ -455,7 +455,7 @@ impl Scenario {
 /// Everything the oracles get to look at: the scenario, its result, and
 /// the companion runs the metamorphic relations need (present only when
 /// the scenario is eligible for that relation — see `run_scenario`).
-pub struct ScenarioRun {
+pub(crate) struct ScenarioRun {
     /// The drawn scenario.
     pub scenario: Scenario,
     /// Result of the scenario itself.

@@ -42,7 +42,7 @@ const BW_WINDOW_ROUNDS: u64 = 10;
 /// Min-RTT filter window.
 const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(10);
 /// PROBE_RTT dwell time, the whole family's.
-pub(crate) const PROBE_RTT_DURATION: SimDuration = SimDuration::from_millis(200);
+pub const PROBE_RTT_DURATION: SimDuration = SimDuration::from_millis(200);
 /// PROBE_RTT cwnd clamp, packets.
 const PROBE_RTT_CWND: u64 = 4;
 /// STARTUP exits when bw grows less than this factor…

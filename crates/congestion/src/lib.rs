@@ -55,7 +55,7 @@ pub mod bbr;
 pub mod bbr2;
 pub mod cubic;
 pub mod master;
-pub mod minmax;
+mod minmax;
 pub mod reno;
 
 use serde::Serialize;
@@ -63,10 +63,10 @@ use sim_core::time::{SimDuration, SimTime};
 use sim_core::units::Bandwidth;
 
 /// Default initial congestion window (Linux `TCP_INIT_CWND`), packets.
-pub const INIT_CWND: u64 = 10;
+pub(crate) const INIT_CWND: u64 = 10;
 
 /// Floor for any congestion window, packets.
-pub const MIN_CWND: u64 = 4;
+pub(crate) const MIN_CWND: u64 = 4;
 
 /// One ACK's worth of information, as Linux's rate sampler would deliver it.
 #[derive(Debug, Clone, Copy)]

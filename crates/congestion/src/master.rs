@@ -51,14 +51,6 @@ impl MasterConfig {
         }
     }
 
-    /// §5.1.2: fixed per-connection pacing rate.
-    pub fn fixed_rate(rate: Bandwidth) -> Self {
-        MasterConfig {
-            fixed_pacing_rate: Some(rate.as_bps()),
-            ..Default::default()
-        }
-    }
-
     /// §5.2.1: pacing disabled (cwnd-only control).
     pub fn pacing_off() -> Self {
         MasterConfig {
@@ -95,11 +87,6 @@ impl Master {
     /// Wrap `inner` with the given knobs.
     pub fn new(inner: Controller, config: MasterConfig) -> Self {
         Master { inner, config }
-    }
-
-    /// The active knob configuration.
-    pub fn config(&self) -> &MasterConfig {
-        &self.config
     }
 }
 
@@ -171,6 +158,14 @@ mod tests {
     use crate::tests::sample;
     use crate::CcKind;
 
+    /// §5.1.2: fixed per-connection pacing rate.
+    fn fixed_rate(rate: Bandwidth) -> MasterConfig {
+        MasterConfig {
+            fixed_pacing_rate: Some(rate.as_bps()),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn passthrough_is_transparent() {
         let mut m = Master::new(CcKind::Bbr.build(1448), MasterConfig::passthrough());
@@ -223,7 +218,7 @@ mod tests {
     #[test]
     fn fixed_rate_overrides_bbr_rate() {
         let rate = Bandwidth::from_mbps(140); // §5.1.2's parity point
-        let mut m = Master::new(CcKind::Bbr.build(1448), MasterConfig::fixed_rate(rate));
+        let mut m = Master::new(CcKind::Bbr.build(1448), fixed_rate(rate));
         m.on_ack(&sample(10, 10, 100, 10, 10, 0));
         assert!(m.wants_pacing());
         assert_eq!(m.pacing_rate(), Some(rate));
@@ -260,7 +255,7 @@ mod tests {
     fn fixed_rate_alone_implies_pacing() {
         let m = Master::new(
             CcKind::Cubic.build(1448),
-            MasterConfig::fixed_rate(Bandwidth::from_mbps(20)),
+            fixed_rate(Bandwidth::from_mbps(20)),
         );
         assert!(
             m.wants_pacing(),
@@ -281,7 +276,7 @@ mod tests {
         let inner_rate = m.pacing_rate().expect("bbr sets a rate");
         let pinned = Master::new(
             CcKind::Bbr.build(1448),
-            MasterConfig::fixed_rate(Bandwidth::from_mbps(20)),
+            fixed_rate(Bandwidth::from_mbps(20)),
         );
         assert_eq!(pinned.pacing_rate(), Some(Bandwidth::from_mbps(20)));
         assert_ne!(inner_rate, Bandwidth::from_mbps(20));

@@ -13,7 +13,7 @@ struct Sample {
 
 /// Windowed maximum of `u64` samples over a `u64`-typed sliding window.
 #[derive(Debug, Clone)]
-pub struct MaxFilter {
+pub(crate) struct MaxFilter {
     window: u64,
     s: [Sample; 3],
 }

@@ -1,6 +1,6 @@
 //! The cycle-accounting CPU itself.
 //!
-//! [`Cpu::execute`] is the simulator's contract with the networking stack:
+//! [`Cpu::execute_tagged`] is the simulator's contract with the networking stack:
 //! "run `cycles` of work, starting no earlier than `ready`", returning the
 //! *completion time*. Work serialises — a request issued while the core is
 //! busy queues behind it — which is what turns per-send pacing overhead into
@@ -125,31 +125,17 @@ impl Cpu {
         self.profiler.take().map(CpuProfiler::finish)
     }
 
-    /// Current operating frequency in Hz.
-    pub fn freq_hz(&self) -> u64 {
-        self.freq_hz
-    }
-
-    /// The instant the core becomes idle (≤ now means idle now).
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Whether this CPU runs a dynamic governor.
     pub fn is_dynamic(&self) -> bool {
         self.governor.is_some()
     }
 
-    /// Execute `cycles` of work that becomes runnable at `ready`.
+    /// Execute `cycles` of work that becomes runnable at `ready`, charging
+    /// them to `category` in the cycle breakdown.
     ///
     /// Returns the completion time: `max(ready, busy_until) + cycles/freq`.
     /// A zero-cycle request completes at `max(ready, busy_until)` without
     /// occupying the core.
-    pub fn execute(&mut self, ready: SimTime, cycles: u64) -> SimTime {
-        self.execute_tagged(ready, cycles, "other")
-    }
-
-    /// [`Cpu::execute`] with a category tag for the cycle breakdown.
     pub fn execute_tagged(
         &mut self,
         ready: SimTime,
@@ -301,7 +287,7 @@ mod tests {
     #[test]
     fn execute_idle_runs_immediately() {
         let mut cpu = fixed_cpu(1_000_000_000); // 1 GHz: 1 cycle = 1 ns
-        let done = cpu.execute(SimTime::from_micros(5), 1_000);
+        let done = cpu.execute_tagged(SimTime::from_micros(5), 1_000, "other");
         assert_eq!(
             done,
             SimTime::from_micros(5) + SimDuration::from_nanos(1_000)
@@ -311,23 +297,23 @@ mod tests {
     #[test]
     fn execute_serialises_behind_busy_core() {
         let mut cpu = fixed_cpu(1_000_000_000);
-        let first = cpu.execute(SimTime::ZERO, 10_000); // busy until 10 µs
+        let first = cpu.execute_tagged(SimTime::ZERO, 10_000, "other"); // busy until 10 µs
         assert_eq!(first, SimTime::from_micros(10));
         // Second request ready at 2 µs must wait for the first: its 5 µs
         // of work starts at 10 µs, after 8 µs of queueing.
-        let second = cpu.execute(SimTime::from_micros(2), 5_000);
+        let second = cpu.execute_tagged(SimTime::from_micros(2), 5_000, "other");
         assert_eq!(second, SimTime::from_micros(15));
-        assert_eq!(cpu.busy_until(), second);
+        assert_eq!(cpu.busy_until, second);
     }
 
     #[test]
     fn zero_cycles_completes_at_start_without_occupying() {
         let mut cpu = fixed_cpu(1_000_000_000);
-        cpu.execute(SimTime::ZERO, 1_000);
-        let t = cpu.execute(SimTime::ZERO, 0);
+        cpu.execute_tagged(SimTime::ZERO, 1_000, "other");
+        let t = cpu.execute_tagged(SimTime::ZERO, 0, "other");
         assert_eq!(t, SimTime::from_micros(1));
         assert_eq!(
-            cpu.busy_until(),
+            cpu.busy_until,
             SimTime::from_micros(1),
             "zero work must not extend busy"
         );
@@ -338,8 +324,12 @@ mod tests {
         let mut slow = fixed_cpu(576_000_000);
         let mut fast = fixed_cpu(2_800_000_000);
         let cycles = 18_000; // one skb_xmit_fixed
-        let t_slow = slow.execute(SimTime::ZERO, cycles).as_nanos();
-        let t_fast = fast.execute(SimTime::ZERO, cycles).as_nanos();
+        let t_slow = slow
+            .execute_tagged(SimTime::ZERO, cycles, "other")
+            .as_nanos();
+        let t_fast = fast
+            .execute_tagged(SimTime::ZERO, cycles, "other")
+            .as_nanos();
         let ratio = t_slow as f64 / t_fast as f64;
         assert!((ratio - 2_800.0 / 576.0).abs() < 0.01, "ratio {ratio}");
     }
@@ -348,7 +338,7 @@ mod tests {
     fn cycles_to_duration_rounds_up() {
         // 1 cycle at 3 Hz = 333,333,333.3 ns → 333,333,334.
         let mut cpu = fixed_cpu(3);
-        let done = cpu.execute(SimTime::ZERO, 1);
+        let done = cpu.execute_tagged(SimTime::ZERO, 1, "other");
         assert_eq!(done.as_nanos(), 333_333_334);
     }
 
@@ -367,7 +357,7 @@ mod tests {
             GovernorPolicy::Schedutil(SchedutilParams::default()),
         );
         assert!(cpu.is_dynamic());
-        let start_freq = cpu.freq_hz();
+        let start_freq = cpu.freq_hz;
         assert_eq!(start_freq, p.topology.little.min_freq());
         // Saturate the core and tick the governor repeatedly, counting the
         // ticks that moved the frequency.
@@ -375,15 +365,15 @@ mod tests {
         let mut freq_changes = 0;
         for _ in 0..40 {
             // Work sized to keep the core busy through the whole period.
-            let cycles = cpu.freq_hz() / 50; // 20 ms of work
-            cpu.execute(now, cycles);
-            let before = cpu.freq_hz();
+            let cycles = cpu.freq_hz / 50; // 20 ms of work
+            cpu.execute_tagged(now, cycles, "other");
+            let before = cpu.freq_hz;
             now = cpu
                 .governor_tick(now + SimDuration::from_millis(10))
                 .unwrap();
-            freq_changes += u32::from(cpu.freq_hz() != before);
+            freq_changes += u32::from(cpu.freq_hz != before);
         }
-        assert!(cpu.freq_hz() > start_freq, "governor should have ramped up");
+        assert!(cpu.freq_hz > start_freq, "governor should have ramped up");
         assert!(freq_changes > 0);
         let stats = cpu.stats(now);
         assert!(stats.mean_freq_hz > start_freq as f64);
@@ -400,28 +390,28 @@ mod tests {
         // Ramp up…
         let mut now = SimTime::ZERO;
         for _ in 0..40 {
-            let cycles = cpu.freq_hz() / 50;
-            cpu.execute(now, cycles);
+            let cycles = cpu.freq_hz / 50;
+            cpu.execute_tagged(now, cycles, "other");
             now = cpu
                 .governor_tick(now + SimDuration::from_millis(10))
                 .unwrap();
         }
-        let peak = cpu.freq_hz();
+        let peak = cpu.freq_hz;
         // …then go idle.
         for _ in 0..40 {
             now = cpu
                 .governor_tick(now + SimDuration::from_millis(10))
                 .unwrap();
         }
-        assert!(cpu.freq_hz() < peak, "governor should have ramped down");
-        assert_eq!(cpu.freq_hz(), p.topology.little.min_freq());
+        assert!(cpu.freq_hz < peak, "governor should have ramped down");
+        assert_eq!(cpu.freq_hz, p.topology.little.min_freq());
     }
 
     #[test]
     fn stats_account_everything() {
         let mut cpu = fixed_cpu(1_000_000_000);
-        cpu.execute(SimTime::ZERO, 1_000);
-        cpu.execute(SimTime::ZERO, 2_000);
+        cpu.execute_tagged(SimTime::ZERO, 1_000, "other");
+        cpu.execute_tagged(SimTime::ZERO, 2_000, "other");
         let stats = cpu.stats(SimTime::from_millis(1));
         assert_eq!(stats.total_cycles, 3_000);
         assert_eq!(stats.busy_time, SimDuration::from_nanos(3_000));
@@ -434,7 +424,7 @@ mod tests {
         cpu.execute_tagged(SimTime::ZERO, 100, "timers");
         cpu.execute_tagged(SimTime::ZERO, 200, "bytes");
         cpu.execute_tagged(SimTime::ZERO, 300, "timers");
-        let stats = cpu.stats(cpu.busy_until());
+        let stats = cpu.stats(cpu.busy_until);
         assert_eq!(stats.cycles_by_category.get("timers"), Some(&400));
         assert_eq!(stats.cycles_by_category.get("bytes"), Some(&200));
         assert_eq!(stats.total_cycles, 600);
@@ -452,7 +442,7 @@ mod tests {
             let mut cpu = fixed_cpu(576_000_000);
             let mut last = SimTime::ZERO;
             for cycles in cycle_list {
-                let done = cpu.execute(SimTime::ZERO, cycles);
+                let done = cpu.execute_tagged(SimTime::ZERO, cycles, "other");
                 prop_assert!(done >= last);
                 last = done;
             }
@@ -466,10 +456,10 @@ mod tests {
             let mut cpu = fixed_cpu(freq);
             let mut expected_ns = 0u64;
             for &cycles in &cycle_list {
-                cpu.execute(SimTime::ZERO, cycles);
+                cpu.execute_tagged(SimTime::ZERO, cycles, "other");
                 expected_ns += cycles; // 1 GHz: 1 cycle = 1 ns exactly
             }
-            let stats = cpu.stats(cpu.busy_until());
+            let stats = cpu.stats(cpu.busy_until);
             prop_assert_eq!(stats.busy_time.as_nanos(), expected_ns);
         }
     }

@@ -77,8 +77,10 @@ impl CoreCluster {
     }
 
     /// Median step — the paper's Mid-End pins "the median CPU frequency for
-    /// the LITTLE cores".
-    pub fn median_freq(&self) -> u64 {
+    /// the LITTLE cores". Test builds only: the profiles pin it as a
+    /// constant, and the tests check the constant against the ladder.
+    #[cfg(test)]
+    pub(crate) fn median_freq(&self) -> u64 {
         self.freq_ladder_hz[self.freq_ladder_hz.len() / 2]
     }
 
@@ -184,7 +186,7 @@ impl Default for SchedutilParams {
 
 /// Runtime state of the dynamic governor.
 #[derive(Debug, Clone)]
-pub struct SchedutilState {
+pub(crate) struct SchedutilState {
     params: SchedutilParams,
     cluster: ClusterKind,
     freq_hz: u64,

@@ -11,7 +11,7 @@
 //!
 //! * every networking-stack operation has a **cycle cost** ([`CostModel`]);
 //! * operations **serialise** on the core that runs the network softirq
-//!   ([`Cpu::execute`] returns the *completion time* of each operation,
+//!   ([`Cpu::execute_tagged`] returns the *completion time* of each operation,
 //!   queueing behind whatever the core is already doing);
 //! * the core's **frequency** is set by a configuration: fixed (the paper's
 //!   userspace-governor Low/Mid/High configurations) or dynamic (the

@@ -14,12 +14,10 @@ use cpu_model::CpuConfig;
 use iperf::{RunReport, RunSpec};
 use netsim::media::MediaProfile;
 
-/// The algorithms compared, in plan order (Cubic is the reference).
-const ALGOS: [CcKind; 3] = [CcKind::Cubic, CcKind::Bbr, CcKind::Bbr2];
-
 /// The §4.2 comparison.
 pub(crate) fn plan(params: &Params) -> Vec<RunSpec> {
-    ALGOS
+    // The paper's three algorithms, in plan order (Cubic is the reference).
+    CcKind::PAPER
         .iter()
         .map(|&cc| {
             RunSpec::new(
@@ -39,7 +37,7 @@ pub(crate) fn check(_params: &Params, reports: &[RunReport]) -> Experiment {
         "Mean RTT (ms)",
     ]);
     let cubic = reports[0].goodput_mbps;
-    for (cc, rep) in ALGOS.iter().zip(reports) {
+    for (cc, rep) in CcKind::PAPER.iter().zip(reports) {
         table.push_row(vec![
             cc.to_string().into(),
             rep.goodput_mbps.into(),

@@ -111,11 +111,6 @@ impl Experiment {
         out.push('\n');
         out
     }
-
-    /// True if every shape check passed.
-    pub fn all_pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-    }
 }
 
 /// Every experiment in the reproduction, runnable by id.

@@ -12,7 +12,7 @@ use tcp_sim::{FleetConfig, PacingConfig, SimConfig, SimConfigBuilder};
 pub const CONN_SWEEP: [usize; 4] = [1, 5, 10, 20];
 
 /// The pacing strides the paper sweeps (§6.2).
-pub const STRIDE_SWEEP: [u64; 6] = [1, 2, 5, 10, 20, 50];
+pub(crate) const STRIDE_SWEEP: [u64; 6] = [1, 2, 5, 10, 20, 50];
 
 /// The paper's heaviest load, where every gap it reports is widest, and
 /// the setting of every single-point experiment: 20 connections.

@@ -49,7 +49,7 @@ use tcp_sim::{FleetConfig, Instruments, SimResult, StackSim};
 /// Sample interval for the canonical telemetry run: 10 ms keeps the
 /// flight data comfortably under the sink's sample cap at full-preset
 /// durations while still resolving BBR's ProbeRTT dips.
-pub const TELEMETRY_INTERVAL: SimDuration = SimDuration::from_millis(10);
+pub(crate) const TELEMETRY_INTERVAL: SimDuration = SimDuration::from_millis(10);
 
 /// Cap on polyline points per series. Longer series are thinned by a
 /// deterministic stride so full-preset reports stay a few hundred KB.

@@ -181,14 +181,6 @@ impl RunReport {
             seeds,
         }
     }
-
-    /// An iPerf3-style one-line summary.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "[SUM] {:<36} {:>8.1} Mbps (±{:>5.1})  rtt {:>6.2} ms  retx {:>8.0}",
-            self.label, self.goodput_mbps, self.goodput_std, self.mean_rtt_ms, self.mean_retx
-        )
-    }
 }
 
 #[cfg(test)]
@@ -262,13 +254,5 @@ mod tests {
     #[should_panic(expected = "at least one run")]
     fn empty_report_rejected() {
         RunReport::aggregate("none", vec![]);
-    }
-
-    #[test]
-    fn summary_line_contains_label_and_rate() {
-        let r = RunReport::aggregate("BBR Low-End 20c", vec![seed_result(1, 138.0, 3.7, 42)]);
-        let line = r.summary_line();
-        assert!(line.contains("BBR Low-End 20c"));
-        assert!(line.contains("138.0"));
     }
 }

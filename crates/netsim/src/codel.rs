@@ -57,7 +57,6 @@ pub struct Codel {
     /// Drops in the current dropping episode (control-law divisor); kept
     /// across episodes for the RFC's faster re-entry.
     count: u32,
-    drops: u64,
 }
 
 impl Codel {
@@ -74,13 +73,7 @@ impl Codel {
             dropping: false,
             drop_next: SimTime::ZERO,
             count: 0,
-            drops: 0,
         }
-    }
-
-    /// Total drops so far.
-    pub fn drops(&self) -> u64 {
-        self.drops
     }
 
     /// RFC 8289 control law: the next drop comes `interval / √count` after
@@ -116,7 +109,6 @@ impl Codel {
             }
             if now >= self.drop_next {
                 self.count += 1;
-                self.drops += 1;
                 self.drop_next = self.control_law(self.drop_next);
                 return true;
             }
@@ -130,7 +122,6 @@ impl Codel {
             } else {
                 1
             };
-            self.drops += 1;
             self.drop_next = self.control_law(now);
             true
         } else {
@@ -154,7 +145,6 @@ mod tests {
             let now = SimTime::from_micros(i * 100);
             assert!(!c.should_drop(now, SimDuration::from_millis(2)));
         }
-        assert_eq!(c.drops(), 0);
     }
 
     #[test]
@@ -167,17 +157,18 @@ mod tests {
         }
         // Back below target: still nothing dropped.
         assert!(!c.should_drop(SimTime::from_millis(51), SimDuration::from_millis(1)));
-        assert_eq!(c.drops(), 0);
     }
 
     #[test]
     fn persistent_bloat_starts_dropping_after_interval() {
         let mut c = codel();
         let mut first_drop = None;
+        let mut drops = 0;
         for i in 0..300u64 {
             let now = SimTime::from_millis(i);
-            if c.should_drop(now, SimDuration::from_millis(30)) && first_drop.is_none() {
-                first_drop = Some(i);
+            if c.should_drop(now, SimDuration::from_millis(30)) {
+                drops += 1;
+                first_drop.get_or_insert(i);
             }
         }
         let at = first_drop.expect("persistent bloat must trigger drops");
@@ -185,7 +176,7 @@ mod tests {
             (100..=110).contains(&at),
             "first drop near the 100 ms interval, got {at}"
         );
-        assert!(c.drops() > 1, "dropping continues under persistent bloat");
+        assert!(drops > 1, "dropping continues under persistent bloat");
     }
 
     #[test]
@@ -212,26 +203,23 @@ mod tests {
     #[test]
     fn recovery_exits_dropping_state() {
         let mut c = codel();
-        for i in 0..200u64 {
-            c.should_drop(SimTime::from_millis(i), SimDuration::from_millis(30));
-        }
-        assert!(c.drops() > 0);
-        let before = c.drops();
+        let drops = (0..200u64)
+            .filter(|&i| c.should_drop(SimTime::from_millis(i), SimDuration::from_millis(30)))
+            .count();
+        assert!(drops > 0);
         // Queue drains: no more drops even over a long horizon.
         for i in 200..1_000u64 {
             assert!(!c.should_drop(SimTime::from_millis(i), SimDuration::from_millis(1)));
         }
-        assert_eq!(c.drops(), before);
     }
 
     #[test]
     fn reentry_ramps_faster() {
         let mut c = codel();
         // First episode.
-        for i in 0..400u64 {
-            c.should_drop(SimTime::from_millis(i), SimDuration::from_millis(30));
-        }
-        let first_episode = c.drops();
+        let first_episode = (0..400u64)
+            .filter(|&i| c.should_drop(SimTime::from_millis(i), SimDuration::from_millis(30)))
+            .count();
         assert!(first_episode >= 3);
         // Brief recovery…
         for i in 400..420u64 {

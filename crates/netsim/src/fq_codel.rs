@@ -6,7 +6,7 @@
 //! computed at enqueue — see [`crate::link`]), so flow queueing is modelled
 //! where it matters for the drop decision rather than in the service order:
 //!
-//! * each flow hashes to one of [`NUM_BUCKETS`] buckets, each owning its
+//! * each flow hashes to one of `NUM_BUCKETS` buckets, each owning its
 //!   own [`Codel`] controller and a *virtual DRR backlog*: accepted bytes
 //!   accumulate in the flow's bucket and drain at the bucket's deficit
 //!   round-robin share of the link rate (`rate / active_buckets`), exactly
@@ -34,7 +34,7 @@ use sim_core::units::Bandwidth;
 /// Number of flow buckets (the Linux default is 1024; 64 keeps the state
 /// small while making same-bucket collisions unlikely at the simulator's
 /// connection counts).
-pub const NUM_BUCKETS: usize = 64;
+pub(crate) const NUM_BUCKETS: usize = 64;
 
 struct Bucket {
     codel: Codel,
@@ -52,7 +52,6 @@ pub struct FqCodel {
     last_drain: SimTime,
     /// Sub-share bytes left over by integer division in the last drain.
     carry: u64,
-    drops: u64,
 }
 
 impl FqCodel {
@@ -69,13 +68,7 @@ impl FqCodel {
             total_backlog: 0,
             last_drain: SimTime::ZERO,
             carry: 0,
-            drops: 0,
         }
-    }
-
-    /// Total AQM drops so far.
-    pub fn drops(&self) -> u64 {
-        self.drops
     }
 
     /// Deterministic flow → bucket hash (Fibonacci multiplicative hashing;
@@ -144,11 +137,7 @@ impl FqCodel {
                 / self.total_backlog as u128;
             SimDuration::from_nanos(est.min(u64::MAX as u128) as u64)
         };
-        let dropped = self.buckets[bucket].codel.should_drop(now, sojourn);
-        if dropped {
-            self.drops += 1;
-        }
-        dropped
+        self.buckets[bucket].codel.should_drop(now, sojourn)
     }
 
     /// Record an accepted packet: `wire_bytes` lands in `flow`'s bucket.
@@ -166,7 +155,7 @@ impl FqCodel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{BottleneckLink, LinkConfig, Qdisc};
+    use crate::link::{BottleneckLink, LinkConfig, Qdisc, SendOutcome};
 
     fn link(qdisc: Qdisc, queue: usize) -> BottleneckLink {
         BottleneckLink::new(
@@ -199,10 +188,10 @@ mod tests {
         for i in 0..5_000u64 {
             // Offer ~20% above capacity so a standing queue forms.
             let a = fq.send_flow(now, 1514, 7);
-            let b = plain.send(now, 1514);
+            let b = plain.send_flow(now, 1514, 0);
             assert_eq!(
-                a.is_dropped(),
-                b.is_dropped(),
+                matches!(a, SendOutcome::Dropped { .. }),
+                matches!(b, SendOutcome::Dropped { .. }),
                 "packet {i}: FQ (single flow) diverged from plain CoDel"
             );
             now += SimDuration::from_micros(100);
@@ -227,16 +216,16 @@ mod tests {
             // bulk packet at the same timestamp eats every scheduled CoDel
             // drop and hides plain CoDel's indiscriminate behaviour.
             if i % 100 == 0 {
-                if fq.send_flow(now, 200, 2).is_dropped() {
+                if let SendOutcome::Dropped { .. } = fq.send_flow(now, 200, 2) {
                     sparse_fq_drops += 1;
                 }
-                if plain.send(now, 200).is_dropped() {
+                if let SendOutcome::Dropped { .. } = plain.send_flow(now, 200, 0) {
                     sparse_plain_drops += 1;
                 }
             }
             // Bulk flow at ~120% of capacity, for 20 s.
             fq.send_flow(now, 1514, 1);
-            plain.send(now, 1514);
+            plain.send_flow(now, 1514, 0);
             now += SimDuration::from_micros(100);
         }
         assert_eq!(sparse_fq_drops, 0, "FQ-CoDel must isolate the sparse flow");
@@ -258,14 +247,20 @@ mod tests {
         let mut fq = link(Qdisc::FqCodel, 100_000);
         let mut fifo = link(Qdisc::Fifo, 100_000);
         let mut now = SimTime::ZERO;
+        // Each link's queueing delay at `now` runs to its last departure.
+        let (mut fq_last, mut fifo_last) = (SimTime::ZERO, SimTime::ZERO);
         for _ in 0..600_000u64 {
             // ~120% of capacity for 60 s.
-            fq.send_flow(now, 1514, 1);
-            fifo.send(now, 1514);
+            if let SendOutcome::Accepted { departs, .. } = fq.send_flow(now, 1514, 1) {
+                fq_last = departs;
+            }
+            if let SendOutcome::Accepted { departs, .. } = fifo.send_flow(now, 1514, 0) {
+                fifo_last = departs;
+            }
             now += SimDuration::from_micros(100);
         }
-        let fq_delay = fq.queue_delay(now);
-        let fifo_delay = fifo.queue_delay(now);
+        let fq_delay = fq_last.saturating_since(now);
+        let fifo_delay = fifo_last.saturating_since(now);
         assert!(
             fq_delay < fifo_delay / 4,
             "FQ-CoDel queue delay {fq_delay} should be far below FIFO's {fifo_delay}"

@@ -45,7 +45,7 @@ pub use netem::{Netem, NetemConfig, NetemVerdict};
 
 /// Ethernet wire overhead per packet: 14 (Ethernet) + 20 (IP) + 32
 /// (TCP + timestamps) header bytes; preamble/IFG folded into link rates.
-pub const WIRE_HEADER_BYTES: u64 = 66;
+pub(crate) const WIRE_HEADER_BYTES: u64 = 66;
 
 /// Maximum TCP payload per wire packet (1500 MTU − 52 IP/TCP headers).
 pub const MSS: u64 = 1448;

@@ -39,21 +39,6 @@ pub enum SendOutcome {
     },
 }
 
-impl SendOutcome {
-    /// Arrival time if accepted.
-    pub fn arrival(&self) -> Option<SimTime> {
-        match self {
-            SendOutcome::Accepted { arrival, .. } => Some(*arrival),
-            SendOutcome::Dropped { .. } => None,
-        }
-    }
-
-    /// True if the packet was dropped.
-    pub fn is_dropped(&self) -> bool {
-        matches!(self, SendOutcome::Dropped { .. })
-    }
-}
-
 /// Static configuration of a link.
 ///
 /// The queue discipline is a first-class axis ([`LinkConfig::qdisc`]):
@@ -221,16 +206,6 @@ impl BottleneckLink {
         link
     }
 
-    /// The link's static configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
-    }
-
-    /// The rate currently in effect (fixed links: the configured rate).
-    pub fn current_rate(&self) -> Bandwidth {
-        self.current_rate
-    }
-
     /// Run statistics so far.
     pub fn stats(&self) -> LinkStats {
         self.stats
@@ -260,23 +235,10 @@ impl BottleneckLink {
         self.in_flight.len()
     }
 
-    /// Queueing delay a packet offered at `now` would experience before
-    /// starting service (0 if the link is idle).
-    pub fn queue_delay(&mut self, now: SimTime) -> SimDuration {
-        self.occupancy(now); // prune
-        self.last_depart.saturating_since(now)
-    }
-
-    /// Offer one wire packet of `wire_bytes` to the link at `now`,
-    /// attributed to flow 0 (see [`BottleneckLink::send_flow`]).
-    pub fn send(&mut self, now: SimTime, wire_bytes: u64) -> SendOutcome {
-        self.send_flow(now, wire_bytes, 0)
-    }
-
     /// Offer one wire packet of `wire_bytes` to the link at `now` on
     /// behalf of `flow`. The flow id selects the FQ-CoDel bucket; FIFO and
-    /// plain CoDel links ignore it, so [`BottleneckLink::send`] (flow 0)
-    /// remains bit-identical to the pre-FQ behaviour on those links.
+    /// plain CoDel links ignore it, so any flow id gives the pre-FQ
+    /// behaviour on those links.
     pub fn send_flow(&mut self, now: SimTime, wire_bytes: u64, flow: u64) -> SendOutcome {
         self.maybe_resample(now);
         if self.occupancy(now) >= self.config.queue_packets {
@@ -336,6 +298,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `(departs, arrival)` of a packet the link must accept.
+    fn accepted(out: SendOutcome) -> (SimTime, SimTime) {
+        match out {
+            SendOutcome::Accepted { departs, arrival } => (departs, arrival),
+            SendOutcome::Dropped { .. } => panic!("packet dropped"),
+        }
+    }
+
     fn gig_link(queue: usize) -> BottleneckLink {
         BottleneckLink::new(LinkConfig::new(
             Bandwidth::from_gbps(1),
@@ -347,7 +317,7 @@ mod tests {
     #[test]
     fn idle_link_serialises_then_propagates() {
         let mut link = gig_link(100);
-        let out = link.send(SimTime::ZERO, 1514);
+        let out = link.send_flow(SimTime::ZERO, 1514, 0);
         match out {
             SendOutcome::Accepted { departs, arrival } => {
                 assert_eq!(departs, SimTime::from_nanos(12_112)); // 1514B @ 1Gbps
@@ -360,20 +330,20 @@ mod tests {
     #[test]
     fn back_to_back_packets_queue_behind_each_other() {
         let mut link = gig_link(100);
-        let first = link.send(SimTime::ZERO, 1514).arrival().unwrap();
-        let second = link.send(SimTime::ZERO, 1514).arrival().unwrap();
+        let (_, first) = accepted(link.send_flow(SimTime::ZERO, 1514, 0));
+        let (_, second) = accepted(link.send_flow(SimTime::ZERO, 1514, 0));
         assert_eq!(second - first, SimDuration::from_nanos(12_112));
     }
 
     #[test]
     fn spaced_packets_do_not_queue() {
         let mut link = gig_link(100);
-        link.send(SimTime::ZERO, 1514);
+        link.send_flow(SimTime::ZERO, 1514, 0);
         // Offer the next packet well after the first has departed.
         let t = SimTime::from_micros(100);
-        let out = link.send(t, 1514);
+        let (_, arrival) = accepted(link.send_flow(t, 1514, 0));
         assert_eq!(
-            out.arrival().unwrap(),
+            arrival,
             t + SimDuration::from_nanos(12_112) + SimDuration::from_micros(200)
         );
     }
@@ -384,7 +354,7 @@ mod tests {
         let mut dropped = 0;
         for _ in 0..44 {
             // A 64 KB unpaced burst: 44 MSS packets at one instant.
-            if link.send(SimTime::ZERO, 1514).is_dropped() {
+            if link.send_flow(SimTime::ZERO, 1514, 0) == (SendOutcome::Dropped { aqm: false }) {
                 dropped += 1;
             }
         }
@@ -400,13 +370,16 @@ mod tests {
     fn queue_drains_over_time() {
         let mut link = gig_link(10);
         for _ in 0..10 {
-            assert!(!link.send(SimTime::ZERO, 1514).is_dropped());
+            accepted(link.send_flow(SimTime::ZERO, 1514, 0));
         }
-        assert!(link.send(SimTime::ZERO, 1514).is_dropped());
+        assert_eq!(
+            link.send_flow(SimTime::ZERO, 1514, 0),
+            SendOutcome::Dropped { aqm: false }
+        );
         // After 5 serialisation times, 5 slots have freed.
         let later = SimTime::from_nanos(12_112 * 5);
         assert_eq!(link.occupancy(later), 5);
-        assert!(!link.send(later, 1514).is_dropped());
+        accepted(link.send_flow(later, 1514, 0));
     }
 
     #[test]
@@ -417,8 +390,8 @@ mod tests {
         let gap = SimDuration::from_micros(20); // 1514B @ ~605 Mbps
         let mut now = SimTime::ZERO;
         for _ in 0..1000 {
-            assert!(!link.send(now, 1514).is_dropped());
-            assert!(link.queue_delay(now) <= SimDuration::from_micros(13));
+            let (departs, _) = accepted(link.send_flow(now, 1514, 0));
+            assert!(departs - now <= SimDuration::from_micros(13));
             now += gap;
         }
     }
@@ -426,12 +399,36 @@ mod tests {
     #[test]
     fn queue_delay_grows_with_burst() {
         let mut link = gig_link(600);
+        let mut last_depart = SimTime::ZERO;
         for _ in 0..100 {
-            link.send(SimTime::ZERO, 1514);
+            (last_depart, _) = accepted(link.send_flow(SimTime::ZERO, 1514, 0));
         }
         // 100 packets at 12.112 µs each ≈ 1.21 ms of queue.
-        let qd = link.queue_delay(SimTime::ZERO);
+        let qd = last_depart - SimTime::ZERO;
         assert_eq!(qd, SimDuration::from_nanos(12_112 * 100));
+    }
+
+    #[test]
+    fn flow_id_is_ignored_off_fq_codel() {
+        // FIFO and plain CoDel serve one queue: the flow id that
+        // `send_flow` carries must not change a single outcome. ~120% of a
+        // 100 Mbps link for 2 s, so both droptail and the AQM fire.
+        for qdisc in [Qdisc::Fifo, Qdisc::Codel] {
+            let cfg = LinkConfig::new(
+                Bandwidth::from_mbps(100),
+                SimDuration::from_micros(200),
+                200,
+            )
+            .with_qdisc(qdisc);
+            let (mut one, mut many) = (BottleneckLink::new(cfg.clone()), BottleneckLink::new(cfg));
+            let mut now = SimTime::ZERO;
+            for i in 0..20_000u64 {
+                let a = one.send_flow(now, 1514, 0);
+                assert_eq!(a, many.send_flow(now, 1514, i % 7), "{qdisc:?} packet {i}");
+                now += SimDuration::from_micros(100);
+            }
+            assert!(one.stats().dropped > 0, "{qdisc:?}: overload must drop");
+        }
     }
 
     #[test]
@@ -446,10 +443,10 @@ mod tests {
         let mut b = BottleneckLink::with_variable_rate(cfg, var, SimRng::new(1));
         for i in 0..50 {
             let t = SimTime::from_millis(i * 40);
-            let oa = a.send(t, 1514);
-            let ob = b.send(t, 1514);
+            let oa = a.send_flow(t, 1514, 0);
+            let ob = b.send_flow(t, 1514, 0);
             assert_eq!(oa, ob, "same seed must give identical outcomes");
-            let r = a.current_rate();
+            let r = a.current_rate;
             assert!(
                 r >= Bandwidth::from_mbps(400) && r <= Bandwidth::from_mbps(900),
                 "rate {r}"
@@ -481,7 +478,7 @@ mod tests {
             let mut last_arrival = SimTime::ZERO;
             for (size, gap) in sizes.iter().zip(gaps.iter().cycle()) {
                 now += SimDuration::from_nanos(*gap);
-                if let SendOutcome::Accepted { arrival, .. } = link.send(now, *size) {
+                if let SendOutcome::Accepted { arrival, .. } = link.send_flow(now, *size, 0) {
                     prop_assert!(arrival >= last_arrival);
                     last_arrival = arrival;
                 }
@@ -498,7 +495,7 @@ mod tests {
             ));
             for i in 0..n {
                 let t = SimTime::from_micros(i as u64 * 10);
-                link.send(t, 1514);
+                link.send_flow(t, 1514, 0);
                 prop_assert!(link.occupancy(t) <= cap);
             }
         }
@@ -512,7 +509,7 @@ mod tests {
             let mut expected = SimTime::ZERO;
             let mut last = SimTime::ZERO;
             for &s in &sizes {
-                if let SendOutcome::Accepted { departs, .. } = link.send(SimTime::ZERO, s) {
+                if let SendOutcome::Accepted { departs, .. } = link.send_flow(SimTime::ZERO, s, 0) {
                     last = departs;
                 }
                 expected += rate.time_to_send(s);

@@ -18,7 +18,6 @@ pub const LINKTYPE_EN10MB: u32 = 1;
 /// A pcap stream writer over any `io::Write`.
 pub struct PcapWriter<W: Write> {
     out: W,
-    records: u64,
 }
 
 impl<W: Write> PcapWriter<W> {
@@ -31,7 +30,7 @@ impl<W: Write> PcapWriter<W> {
         out.write_all(&0u32.to_le_bytes())?; // sigfigs
         out.write_all(&65_535u32.to_le_bytes())?; // snaplen
         out.write_all(&LINKTYPE_EN10MB.to_le_bytes())?;
-        Ok(PcapWriter { out, records: 0 })
+        Ok(PcapWriter { out })
     }
 
     /// Append one frame captured at simulated time `at`.
@@ -42,20 +41,7 @@ impl<W: Write> PcapWriter<W> {
         self.out.write_all(&usec.to_le_bytes())?;
         self.out.write_all(&(frame.len() as u32).to_le_bytes())?;
         self.out.write_all(&(frame.len() as u32).to_le_bytes())?;
-        self.out.write_all(frame)?;
-        self.records += 1;
-        Ok(())
-    }
-
-    /// Frames written so far.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Flush and return the underlying writer.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.out.flush()?;
-        Ok(self.out)
+        self.out.write_all(frame)
     }
 }
 
@@ -104,7 +90,8 @@ mod tests {
 
     #[test]
     fn roundtrip_empty_capture() {
-        let buf = PcapWriter::new(Vec::new()).unwrap().finish().unwrap();
+        let mut buf = Vec::new();
+        PcapWriter::new(&mut buf).unwrap();
         assert_eq!(buf.len(), 24);
         let (linktype, records) = read_pcap(&buf[..]).unwrap();
         assert_eq!(linktype, LINKTYPE_EN10MB);
@@ -113,12 +100,11 @@ mod tests {
 
     #[test]
     fn roundtrip_frames_with_timestamps() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        let mut buf = Vec::new();
+        let mut w = PcapWriter::new(&mut buf).unwrap();
         w.write_frame(SimTime::from_micros(1_500), &[1, 2, 3])
             .unwrap();
         w.write_frame(SimTime::from_secs(2), &[0xAA; 60]).unwrap();
-        assert_eq!(w.records(), 2);
-        let buf = w.finish().unwrap();
         let (_, records) = read_pcap(&buf[..]).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].frame, vec![1, 2, 3]);
@@ -137,9 +123,11 @@ mod tests {
     fn microsecond_truncation_is_consistent() {
         // Sub-microsecond sim times truncate to the µs grid — the pcap
         // format's resolution, not a data bug.
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_frame(SimTime::from_nanos(1_999), &[9]).unwrap();
-        let buf = w.finish().unwrap();
+        let mut buf = Vec::new();
+        PcapWriter::new(&mut buf)
+            .unwrap()
+            .write_frame(SimTime::from_nanos(1_999), &[9])
+            .unwrap();
         let (_, records) = read_pcap(&buf[..]).unwrap();
         assert_eq!(records[0].at, SimTime::from_micros(1));
     }

@@ -180,11 +180,6 @@ impl CheckpointStore {
         self.entries.remove(digest)
     }
 
-    /// Whether a digest is recorded without consuming it.
-    pub fn contains(&self, digest: &[u8; 16]) -> bool {
-        self.entries.contains_key(digest)
-    }
-
     /// Record one completed cell. Buffered; an fsync'd flush happens every
     /// `FLUSH_EVERY` (32) records and at [`finalize`](Self::finalize).
     pub fn append(&mut self, digest: &[u8; 16], payload: &[u8]) -> Result<(), Error> {
@@ -296,13 +291,13 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         for cut in [bytes.len() - 1, bytes.len() - 5, bytes.len() - 20] {
             std::fs::write(&path, &bytes[..cut]).unwrap();
-            let ck = CheckpointStore::open(&path, 1).unwrap();
+            let mut ck = CheckpointStore::open(&path, 1).unwrap();
             assert!(ck.report.discarded, "cut at {cut} must report discard");
             assert!(
-                ck.contains(&digest(1)),
+                ck.take(&digest(1)).is_some(),
                 "first record survives a tail cut at {cut}"
             );
-            assert!(!ck.contains(&digest(2)), "cut at {cut} drops the tail");
+            assert!(ck.take(&digest(2)).is_none(), "cut at {cut} drops the tail");
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -321,10 +316,16 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let ck = CheckpointStore::open(&path, 1).unwrap();
+        let mut ck = CheckpointStore::open(&path, 1).unwrap();
         assert!(ck.report.discarded);
-        assert!(ck.contains(&digest(1)), "records before the flip survive");
-        assert!(!ck.contains(&digest(2)), "the flipped record is dropped");
+        assert!(
+            ck.take(&digest(1)).is_some(),
+            "records before the flip survive"
+        );
+        assert!(
+            ck.take(&digest(2)).is_none(),
+            "the flipped record is dropped"
+        );
 
         // Flip a byte inside the header: everything goes.
         bytes[5] ^= 0x01;
@@ -356,7 +357,7 @@ mod tests {
         ck.finalize().unwrap();
         drop(ck);
 
-        let ck = CheckpointStore::open(&path, 1).unwrap();
+        let mut ck = CheckpointStore::open(&path, 1).unwrap();
         assert_eq!(
             ck.report,
             LoadReport {
@@ -364,7 +365,7 @@ mod tests {
                 discarded: false
             }
         );
-        assert!(ck.contains(&digest(1)) && ck.contains(&digest(3)));
+        assert!(ck.take(&digest(1)).is_some() && ck.take(&digest(3)).is_some());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -57,8 +57,9 @@
 //!   drained (earliest block first, in schedule order) once the wheel is
 //!   empty.
 //!
-//! This contract is enforced by a differential property test against the
-//! retained heap implementation in [`reference`](mod@self::reference).
+//! This contract is enforced by a differential property test
+//! (`event/differential.rs`) against the retained heap implementation in
+//! `event/reference.rs`; both are test builds only.
 //!
 //! # Batched dispatch: same-timestamp runs
 //!
@@ -90,7 +91,10 @@
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceBuffer, TraceKind, TraceSink};
 
-pub mod reference;
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 
 /// Bits per wheel level (64 slots).
 const LEVEL_BITS: u32 = 6;
@@ -305,13 +309,6 @@ impl<E> EventQueue<E> {
     /// calls; stale-token calls do not count).
     pub fn cancelled(&self) -> u64 {
         self.cancelled
-    }
-
-    /// Number of slab cells ever allocated (== peak concurrently pending
-    /// events). Exposed so tests can assert that steady-state operation
-    /// recycles cells instead of growing the slab.
-    pub fn slab_capacity(&self) -> usize {
-        self.cells.len()
     }
 
     /// Schedule `event` to fire at absolute time `at`.
@@ -637,8 +634,10 @@ impl<E> EventQueue<E> {
     /// Pure: does not mutate the queue (cancellation is eager, so there are
     /// no tombstones to drain). O(1) when the next event is in the current
     /// level-0 block; otherwise a short scan of one slot list (or of the
-    /// overflow list when nothing is within the wheel horizon).
-    pub fn peek_time(&self) -> Option<SimTime> {
+    /// overflow list when nothing is within the wheel horizon). Test builds
+    /// only: the simulator never peeks, the heap differential compares it.
+    #[cfg(test)]
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         // Undispatched staged events fire first, at the run's timestamp.
         if self.run_pending() {
             return Some(self.run_at);
@@ -663,6 +662,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Earliest `at` on the list starting at `head` (None if empty).
+    #[cfg(test)]
     fn list_min(&self, head: u32) -> Option<SimTime> {
         let mut best: Option<SimTime> = None;
         let mut idx = head;
@@ -1021,9 +1021,9 @@ mod tests {
             tok = q.schedule_at(e.at + SimDuration::from_nanos(7), i);
         }
         assert!(
-            q.slab_capacity() <= 4,
+            q.cells.len() <= 4,
             "steady-state churn must recycle cells, slab grew to {}",
-            q.slab_capacity()
+            q.cells.len()
         );
     }
 

@@ -13,10 +13,10 @@
 //! bursts, far-future times past the 2^36 ns wheel horizon (overflow list),
 //! and token reuse through recycled slab cells.
 
+use super::reference::ReferenceQueue;
+use super::EventQueue;
+use crate::time::SimDuration;
 use proptest::prelude::*;
-use sim_core::event::reference::ReferenceQueue;
-use sim_core::event::EventQueue;
-use sim_core::time::SimDuration;
 
 /// One step of the generated workload.
 #[derive(Debug, Clone)]

@@ -2,9 +2,9 @@
 //!
 //! [`ReferenceQueue`] is the pre-timer-wheel implementation of the event
 //! core: a `BinaryHeap` ordered by `(at, seq)` plus two `HashSet<u64>`s for
-//! lazy cancellation. It is kept — not as a production path, but as the
-//! **reference semantics** for the wheel in [`super`]: the differential
-//! property test (`tests/event_differential.rs`) drives both queues with
+//! lazy cancellation. It is kept, in test builds only, as the **reference
+//! semantics** for the wheel in [`super`]: the differential
+//! property test (`event/differential.rs`) drives both queues with
 //! identical random schedule/cancel workloads and asserts byte-identical
 //! event streams.
 //!
@@ -91,11 +91,6 @@ impl<E> ReferenceQueue<E> {
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
         self.heap.len() - self.cancelled.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Total number of events ever popped.

@@ -51,8 +51,9 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
+    /// Number of observations. Test builds only.
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
@@ -74,13 +75,15 @@ impl Summary {
         }
     }
 
-    /// Minimum (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
+    /// Minimum (`None` if empty). Test builds only.
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }
 
-    /// Maximum (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
+    /// Maximum (`None` if empty). Test builds only.
+    #[cfg(test)]
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
 
@@ -199,15 +202,11 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of observations (0 if empty). Unlike the bucket counts, the sum
-    /// is a floating-point accumulation, so `mean` of a merged histogram can
-    /// differ from the sequential mean in the last ulps.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
+    /// Arithmetic mean (0 if empty). Unlike the bucket counts, the sum is a
+    /// floating-point accumulation, so the mean of a merged histogram can
+    /// differ from the sequential mean in the last ulps. Test builds only.
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -215,13 +214,15 @@ impl Histogram {
         }
     }
 
-    /// Minimum observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
+    /// Minimum observation (`None` if empty). Test builds only.
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }
 
-    /// Maximum observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
+    /// Maximum observation (`None` if empty). Test builds only.
+    #[cfg(test)]
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
 

@@ -89,7 +89,7 @@ pub struct TelemetryLog {
 
 /// Storage behind an enabled [`TelemetrySink`].
 #[derive(Debug)]
-pub struct TelemetryBuffer {
+pub(crate) struct TelemetryBuffer {
     interval: SimDuration,
     next_due: SimTime,
     max_samples: usize,

@@ -211,16 +211,6 @@ impl TraceBuffer {
         (self.strings.len() - 1) as u64
     }
 
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if no records have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// Consume the ring, returning records oldest-first.
     fn into_ordered(self) -> (Vec<TraceRecord>, Vec<&'static str>, u64) {
         let mut records = self.records;
@@ -638,7 +628,7 @@ mod tests {
         );
         let buf = sink.take().expect("buffer attached");
         assert!(!sink.is_enabled(), "take() detaches");
-        assert_eq!(buf.len(), 1);
+        assert_eq!(buf.records.len(), 1);
         assert_eq!(buf.strings, ["timers"]);
     }
 

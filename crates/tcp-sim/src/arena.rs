@@ -32,7 +32,7 @@
 //! * Ids are assigned at construction and never move — an id observed in
 //!   an event is valid for the whole run (there is no flow removal).
 //! * Each id's state is independent: arena ops on `FlowId(a)` never read
-//!   or write arrays at `b != a` (the shared [`SegStore`] recycles chunk
+//!   or write arrays at `b != a` (the shared `SegStore` recycles chunk
 //!   storage across flows, but a chunk belongs to exactly one flow's
 //!   window at a time).
 //!
@@ -56,7 +56,10 @@ use congestion::master::Master;
 use congestion::CongestionControl;
 use sim_core::event::TimerToken;
 use sim_core::metrics::{Histogram, Summary};
-use sim_core::time::{SimDuration, SimTime};
+use sim_core::time::SimTime;
+
+#[cfg(test)]
+mod differential;
 
 /// Dense index of one flow in a [`FlowArena`]. Ids are assigned at
 /// construction (`0..len`), never move, and index every parallel array.
@@ -175,7 +178,7 @@ impl FlowCold {
 /// [`FlowArena::on_sent`], [`FlowArena::on_ack`], [`FlowArena::on_rto`])
 /// are [`Scoreboard`] calls — the arena only routes the borrows into its
 /// arrays — which is what the arena-vs-boxed differential test
-/// (`tests/arena_differential.rs`, same code over private slabs) leans on.
+/// (`arena/differential.rs`, same code over private slabs) leans on.
 pub struct FlowArena {
     /// Shared slabs every scoreboard window and stamp ring are carved from.
     pub(crate) store: SegStore,
@@ -200,7 +203,7 @@ impl FlowArena {
     ) -> Self {
         FlowArena {
             store: SegStore::new(),
-            board: (0..count).map(|_| Scoreboard::new(mss)).collect(),
+            board: (0..count).map(|_| Scoreboard::new()).collect(),
             rtt: (0..count).map(|_| RttEstimator::new()).collect(),
             rate: (0..count).map(|_| RateSampler::new(mss)).collect(),
             pacer: (0..count).map(|_| Pacer::new(pacing, mss)).collect(),
@@ -216,11 +219,6 @@ impl FlowArena {
         self.board.len()
     }
 
-    /// Whether the arena holds no flows.
-    pub fn is_empty(&self) -> bool {
-        self.board.is_empty()
-    }
-
     /// Whether flow `i` paces: the one place the stack reads its
     /// controller's pacing decision. Mutant M8
     /// ([`Mutant::Bbr3PacingDisarm`]) models a "new CC variant missed a
@@ -233,12 +231,12 @@ impl FlowArena {
     }
 
     /// Plan the next transmission for one flow; see
-    /// [`Scoreboard::plan_send_into`].
+    /// `Scoreboard::plan_send_into`.
     pub fn plan_send_into(&self, f: FlowId, cwnd: u64, max_pkts: u64, plan: &mut SendPlan) -> bool {
         self.board[f.index()].plan_send_into(cwnd, max_pkts, plan)
     }
 
-    /// Record a transmitted plan for one flow; see [`Scoreboard::on_sent`].
+    /// Record a transmitted plan for one flow; see `Scoreboard::on_sent`.
     pub fn on_sent(&mut self, f: FlowId, plan: &SendPlan, now: SimTime, pacing_limited: bool) {
         let i = f.index();
         self.board[i].on_sent(
@@ -250,7 +248,7 @@ impl FlowArena {
         )
     }
 
-    /// Process an acknowledgement for one flow; see [`Scoreboard::on_ack`].
+    /// Process an acknowledgement for one flow; see `Scoreboard::on_ack`.
     pub fn on_ack(&mut self, f: FlowId, ack: &AckInfo, now: SimTime) -> AckOutcome {
         let i = f.index();
         self.board[i].on_ack(
@@ -262,7 +260,7 @@ impl FlowArena {
         )
     }
 
-    /// RTO expiry for one flow; see [`Scoreboard::on_rto`].
+    /// RTO expiry for one flow; see `Scoreboard::on_rto`.
     pub fn on_rto(&mut self, f: FlowId) -> u64 {
         let i = f.index();
         self.board[i].on_rto(&mut self.store)
@@ -273,18 +271,21 @@ impl FlowArena {
         &self.board[f.index()]
     }
 
-    /// Cumulative delivered packets for one flow (goodput numerator).
-    pub fn delivered_pkts(&self, f: FlowId) -> u64 {
+    /// Cumulative delivered packets for one flow (goodput numerator). Test
+    /// builds only, as is [`Self::srtt`]: the differential test's observables.
+    #[cfg(test)]
+    pub(crate) fn delivered_pkts(&self, f: FlowId) -> u64 {
         self.rate[f.index()].delivered()
     }
 
     /// The flow's smoothed RTT, if any samples have arrived.
-    pub fn srtt(&self, f: FlowId) -> Option<SimDuration> {
+    #[cfg(test)]
+    pub(crate) fn srtt(&self, f: FlowId) -> Option<sim_core::time::SimDuration> {
         self.rtt[f.index()].srtt()
     }
 
     /// Scoreboard-slab pool counters `(takes, reuses, misses)`.
-    pub fn store_stats(&self) -> (u64, u64, u64) {
+    pub(crate) fn store_stats(&self) -> (u64, u64, u64) {
         (self.store.takes(), self.store.reuses(), self.store.misses())
     }
 }

@@ -11,16 +11,17 @@
 //! *layout routing*: the shared-slab carving, the parallel-array borrows,
 //! and chunk recycling across flows cannot change a single observable.
 
+use super::{FlowArena, FlowId};
+use crate::rate::RateSampler;
+use crate::receiver::AckInfo;
+use crate::rtt::RttEstimator;
+use crate::sender::{AckOutcome, Scoreboard, SegStore, SendPlan};
+use crate::seq::PktSeq;
+use crate::PacingConfig;
 use congestion::master::{Master, MasterConfig};
 use congestion::CcKind;
 use proptest::prelude::*;
 use sim_core::time::{SimDuration, SimTime};
-use tcp_sim::rate::RateSampler;
-use tcp_sim::receiver::AckInfo;
-use tcp_sim::rtt::RttEstimator;
-use tcp_sim::sender::{AckOutcome, Scoreboard, SegStore, SendPlan};
-use tcp_sim::seq::PktSeq;
-use tcp_sim::{FlowArena, FlowId, PacingConfig};
 
 const MSS: u64 = 1448;
 
@@ -36,7 +37,7 @@ struct BoxedFlow {
 impl BoxedFlow {
     fn new() -> Self {
         BoxedFlow {
-            board: Scoreboard::new(MSS),
+            board: Scoreboard::new(),
             store: SegStore::new(),
             rtt: RttEstimator::new(),
             rate: RateSampler::new(MSS),

@@ -156,12 +156,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Replace the stack operation cost model.
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cfg.cost = cost;
-        self
-    }
-
     /// Replace the master-module (§5) knobs.
     pub fn master(mut self, master: MasterConfig) -> Self {
         self.cfg.master = master;
@@ -180,14 +174,10 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enable/disable the §7.1.2 online stride controller.
-    pub fn auto_stride(mut self, on: bool) -> Self {
-        self.cfg.pacing.auto_stride = on;
-        self
-    }
-
-    /// Set the number of parallel connections (the paper sweeps 1–20).
-    pub fn connections(mut self, connections: usize) -> Self {
+    /// Set the number of parallel connections. Test builds only: it is the
+    /// one way to override the total that [`Self::fleet`] sets.
+    #[cfg(test)]
+    pub(crate) fn connections(mut self, connections: usize) -> Self {
         self.cfg.connections = connections;
         self
     }
@@ -612,7 +602,7 @@ mod tests {
         // The stride controller is host-global; fleets must reject it.
         let err = base()
             .fleet(FleetConfig::uniform(2, spec))
-            .auto_stride(true)
+            .pacing(PacingConfig::auto())
             .build()
             .unwrap_err();
         assert_eq!(field_of(err), "pacing.auto_stride");

@@ -229,7 +229,7 @@ pub struct TierStat {
 /// [`FleetResult`]: built inside the engine, consumed by
 /// `FleetResult::compute`.
 #[derive(Debug, Clone)]
-pub struct DeviceOutcome {
+pub(crate) struct DeviceOutcome {
     /// Goodput over the measurement window, Mbps.
     pub goodput_mbps: f64,
     /// The device still wanted pacing at the end of the run (reflects

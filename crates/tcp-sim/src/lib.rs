@@ -8,7 +8,8 @@
 //!
 //! * [`seq`] — sequence-number types (monotonic bookkeeping + 32-bit wire
 //!   arithmetic);
-//! * [`rtt`] — RFC 6298 SRTT/RTO estimation with Linux clamps;
+//! * `rtt` (crate-private) — RFC 6298 SRTT/RTO estimation with Linux
+//!   clamps;
 //! * [`rate`] — delivery-rate sampling after `tcp_rate.c` (BBR's input);
 //! * [`pacing`] — TCP-internal pacing: Eq. (1) `idle = len/rate`, the
 //!   paper's Eq. (2) stride, and `tcp_tso_autosize` buffer sizing;
@@ -56,7 +57,7 @@ pub mod pacing;
 mod pool;
 pub mod rate;
 pub mod receiver;
-pub mod rtt;
+mod rtt;
 pub mod sender;
 pub mod seq;
 pub mod sim;

@@ -95,11 +95,6 @@ impl Mutant {
             Mutant::Bbr3PacingDisarm => "bbr3-pacing-disarm",
         }
     }
-
-    /// Parse a CLI name back into a mutant.
-    pub fn from_name(name: &str) -> Option<Mutant> {
-        ALL.into_iter().find(|m| m.name() == name)
-    }
 }
 
 impl std::fmt::Display for Mutant {
@@ -196,10 +191,9 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for m in ALL {
-            assert_eq!(Mutant::from_name(m.name()), Some(m));
-        }
-        assert_eq!(Mutant::from_name("no-such-mutant"), None);
+        // Distinct names: each one the CLI prints names one mutant.
+        let names: std::collections::BTreeSet<_> = ALL.iter().map(|m| m.name()).collect();
+        assert_eq!(names.len(), ALL.len());
     }
 
     #[test]

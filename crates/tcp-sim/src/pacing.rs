@@ -33,11 +33,11 @@ use sim_core::units::Bandwidth;
 
 /// Target time-per-buffer for TSO autosizing (Linux sizes GSO chunks to
 /// ~1 ms of pacing rate).
-pub const AUTOSIZE_PERIOD: SimDuration = SimDuration::from_millis(1);
+pub(crate) const AUTOSIZE_PERIOD: SimDuration = SimDuration::from_millis(1);
 /// Minimum paced buffer, in segments (`tcp_min_tso_segs`).
-pub const MIN_TSO_SEGS: u64 = 2;
+pub(crate) const MIN_TSO_SEGS: u64 = 2;
 /// Largest unpaced GSO burst, bytes (64 KiB, `GSO_MAX_SIZE`).
-pub const GSO_MAX_BYTES: u64 = 65_536;
+pub(crate) const GSO_MAX_BYTES: u64 = 65_536;
 
 /// Static pacing configuration for a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -95,7 +95,6 @@ pub struct Pacer {
     /// Earliest instant the next buffer may be released.
     next_release: SimTime,
     /// Statistics for Table 2: buffer lengths and idle times.
-    last_idle: SimDuration,
     total_idle: SimDuration,
     paced_sends: u64,
     /// `(rate_bps, autosize_segs)` memo: in steady state the CC's pacing
@@ -122,17 +121,11 @@ impl Pacer {
             config,
             mss,
             next_release: SimTime::ZERO,
-            last_idle: SimDuration::ZERO,
             total_idle: SimDuration::ZERO,
             paced_sends: 0,
             auto_memo: std::cell::Cell::new((u64::MAX, 0)),
             idle_memo: (u64::MAX, 0, SimDuration::ZERO),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PacingConfig {
-        &self.config
     }
 
     /// Current stride (mutable under the §7.1.2 auto-stride controller).
@@ -238,7 +231,6 @@ impl Pacer {
         };
         let base = self.next_release.max(now);
         self.next_release = base + idle;
-        self.last_idle = idle;
         self.total_idle += idle;
         idle
     }
@@ -256,11 +248,6 @@ impl Pacer {
             return Bandwidth::ZERO;
         }
         Bandwidth::from_bytes_over(cwnd_pkts * self.mss, srtt).mul_f64(self.config.fallback_gain)
-    }
-
-    /// Idle time of the most recent paced send (Table 2 column).
-    pub fn last_idle(&self) -> SimDuration {
-        self.last_idle
     }
 
     /// Number of paced sends so far.
@@ -410,11 +397,10 @@ mod tests {
     fn idle_statistics_accumulate() {
         let mut p = Pacer::new(PacingConfig::with_stride(5), MSS);
         let rate = Bandwidth::from_mbps(40);
-        p.on_send(SimTime::ZERO, 5_000, rate);
-        let first = p.last_idle();
-        p.on_send(p.next_release(), 5_000, rate);
+        let first = p.on_send(SimTime::ZERO, 5_000, rate);
+        let second = p.on_send(p.next_release(), 5_000, rate);
         assert_eq!(p.paced_sends(), 2);
-        assert_eq!(p.last_idle(), first);
+        assert_eq!(second, first);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use sim_core::units::Bandwidth;
 /// packed to 32 bytes: three times and one word holding `delivered` beside
 /// the `pacing_limited` bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TxStamp {
+pub(crate) struct TxStamp {
     /// Time the most recent delivery had occurred as of transmission.
     pub delivered_time: SimTime,
     /// Transmission time of the first packet of the current flight
@@ -91,7 +91,7 @@ pub struct RateSample {
 
 /// Connection-level delivery accounting.
 #[derive(Debug, Clone, Serialize)]
-pub struct RateSampler {
+pub(crate) struct RateSampler {
     mss: u64,
     /// Total packets delivered (cumulatively + selectively acked).
     delivered: u64,
@@ -103,7 +103,7 @@ pub struct RateSampler {
 
 impl RateSampler {
     /// A fresh sampler for `mss`-byte packets.
-    pub fn new(mss: u64) -> Self {
+    pub(crate) fn new(mss: u64) -> Self {
         assert!(mss > 0, "mss must be positive");
         RateSampler {
             mss,
@@ -114,7 +114,7 @@ impl RateSampler {
     }
 
     /// Total packets delivered so far.
-    pub fn delivered(&self) -> u64 {
+    pub(crate) fn delivered(&self) -> u64 {
         self.delivered
     }
 

@@ -151,19 +151,10 @@ impl Receiver {
         urgency
     }
 
-    /// Build the current acknowledgement (cumulative + up to 3 SACKs).
-    pub fn build_ack(&self) -> AckInfo {
-        let mut ack = AckInfo {
-            cum: PktSeq(0),
-            sacks: Vec::new(),
-        };
-        self.build_ack_into(&mut ack);
-        ack
-    }
-
-    /// Allocation-free [`Receiver::build_ack`]: overwrite a caller-owned
-    /// `AckInfo`, reusing its `sacks` capacity. The simulator pools the
-    /// SACK vectors so steady-state ACK emission never touches the heap.
+    /// Build the current acknowledgement (cumulative + up to 3 SACKs) into
+    /// a caller-owned `AckInfo`, reusing its `sacks` capacity. The
+    /// simulator pools the SACK vectors so steady-state ACK emission never
+    /// touches the heap.
     pub fn build_ack_into(&self, ack: &mut AckInfo) {
         ack.cum = PktSeq(self.rcv_nxt);
         ack.sacks.clear();
@@ -171,6 +162,17 @@ impl Receiver {
         for &(lo, hi) in self.ooo.iter().take(3) {
             ack.sacks.push((PktSeq(lo), PktSeq(hi)));
         }
+    }
+
+    /// [`Self::build_ack_into`] a fresh `AckInfo`. Test builds only.
+    #[cfg(test)]
+    pub(crate) fn build_ack(&self) -> AckInfo {
+        let mut ack = AckInfo {
+            cum: PktSeq(0),
+            sacks: Vec::new(),
+        };
+        self.build_ack_into(&mut ack);
+        ack
     }
 }
 

@@ -11,29 +11,27 @@ use serde::Serialize;
 use sim_core::time::SimDuration;
 
 /// Linux `TCP_RTO_MIN`.
-pub const RTO_MIN: SimDuration = SimDuration::from_millis(200);
+pub(crate) const RTO_MIN: SimDuration = SimDuration::from_millis(200);
 /// Linux `TCP_RTO_MAX`.
-pub const RTO_MAX: SimDuration = SimDuration::from_secs(120);
+pub(crate) const RTO_MAX: SimDuration = SimDuration::from_secs(120);
 /// RTO before any RTT sample (Linux `TCP_TIMEOUT_INIT`): 1 s.
-pub const RTO_INIT: SimDuration = SimDuration::from_secs(1);
+pub(crate) const RTO_INIT: SimDuration = SimDuration::from_secs(1);
 
 /// RFC 6298 smoothed-RTT estimator.
 #[derive(Debug, Clone, Serialize)]
-pub struct RttEstimator {
+pub(crate) struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
     latest: Option<SimDuration>,
-    min_rtt: SimDuration,
 }
 
 impl RttEstimator {
     /// A fresh estimator with no samples.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RttEstimator {
             srtt: None,
             rttvar: SimDuration::ZERO,
             latest: None,
-            min_rtt: SimDuration::MAX,
         }
     }
 
@@ -43,7 +41,6 @@ impl RttEstimator {
             return; // degenerate measurement, ignore
         }
         self.latest = Some(r);
-        self.min_rtt = self.min_rtt.min(r);
         match self.srtt {
             None => {
                 self.srtt = Some(r);
@@ -58,18 +55,13 @@ impl RttEstimator {
     }
 
     /// Smoothed RTT (`None` before the first sample).
-    pub fn srtt(&self) -> Option<SimDuration> {
+    pub(crate) fn srtt(&self) -> Option<SimDuration> {
         self.srtt
     }
 
     /// Most recent raw sample.
     pub(crate) fn latest(&self) -> Option<SimDuration> {
         self.latest
-    }
-
-    /// Connection-lifetime minimum RTT (`None` before the first sample).
-    pub fn min_rtt(&self) -> Option<SimDuration> {
-        (self.min_rtt != SimDuration::MAX).then_some(self.min_rtt)
     }
 
     /// Current retransmission timeout.
@@ -141,12 +133,11 @@ mod tests {
     }
 
     #[test]
-    fn min_rtt_is_monotone_non_increasing() {
+    fn latest_is_the_most_recent_sample() {
         let mut e = RttEstimator::new();
         e.sample(SimDuration::from_millis(30));
         e.sample(SimDuration::from_millis(10));
         e.sample(SimDuration::from_millis(50));
-        assert_eq!(e.min_rtt(), Some(SimDuration::from_millis(10)));
         assert_eq!(e.latest(), Some(SimDuration::from_millis(50)));
     }
 
@@ -155,7 +146,6 @@ mod tests {
         let mut e = RttEstimator::new();
         e.sample(SimDuration::ZERO);
         assert_eq!(e.srtt(), None);
-        assert_eq!(e.min_rtt(), None);
     }
 
     proptest! {

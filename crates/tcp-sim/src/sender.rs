@@ -23,22 +23,22 @@
 //!
 //! * [`Scoreboard`] holds the sequence/SACK/loss state for **one** flow and
 //!   borrows whatever it doesn't own per call — segment records from a
-//!   shared [`SegStore`], RTT samples into a caller-owned
-//!   [`RttEstimator`], delivery samples into a caller-owned
-//!   [`RateSampler`]. This is what the [`FlowArena`](crate::arena) stores
+//!   shared `SegStore`, RTT samples into a caller-owned
+//!   `RttEstimator`, delivery samples into a caller-owned
+//!   `RateSampler`. This is what the [`FlowArena`](crate::arena) stores
 //!   one-per-flow in a dense array.
-//! * [`SegStore`] holds the two shared chunked slabs (the crate-private
+//! * `SegStore` holds the two shared chunked slabs (the crate-private
 //!   `pool::SegSlab`) every flow's scoreboard is carved from.
 //!   The "scoreboard-slab" pool category has one record per in-flight
 //!   packet, which makes it most of a large simulation's heap, so the
 //!   record is a private 8-byte `SegState`: two stamp ids and three flag
-//!   bits. The "stamp-ring" category has one 32-byte [`TxStamp`] per send
+//!   bits. The "stamp-ring" category has one 32-byte `TxStamp` per send
 //!   batch, as the kernel keeps one per skb. Slab bytes =
 //!   `pool_slab_misses` × `SEG_CHUNK` × 8 + `pool_stamp_misses` ×
 //!   `SEG_CHUNK` × 32, each rounded up to whole 32-chunk blocks.
 //!
 //! The unit tests below and the arena differential test
-//! (`tests/arena_differential.rs`) each bundle the four pieces — scoreboard,
+//! (`arena/differential.rs`) each bundle the four pieces — scoreboard,
 //! private store, RTT estimator, rate sampler — into a single flow locally.
 
 use crate::pool::{SegSlab, SlabDeque};
@@ -49,7 +49,7 @@ use crate::seq::PktSeq;
 use sim_core::time::{SimDuration, SimTime};
 
 /// Classic fast-retransmit duplicate threshold.
-pub const DUP_THRESH: u64 = 3;
+pub(crate) const DUP_THRESH: u64 = 3;
 
 /// One outstanding segment, packed to 8 bytes: this record is most of a
 /// large simulation's heap (one per in-flight packet, [`SEG_CHUNK`] to a
@@ -264,14 +264,14 @@ impl SendPlan {
 /// A [`Scoreboard`] holds only chunk-handle windows (`pool::SlabDeque`) into
 /// this store, so a thousand mostly-idle flows share a few warm chunks
 /// instead of each keeping cold private ring buffers.
-pub struct SegStore {
+pub(crate) struct SegStore {
     slab: SegSlab<SegState>,
     stamps: SegSlab<TxStamp>,
 }
 
 impl SegStore {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SegStore {
             slab: SegSlab::new(),
             stamps: SegSlab::new(),
@@ -399,7 +399,7 @@ fn holes_trim_below(runs: &mut Vec<HoleRun>, una: u64) {
 }
 
 /// Per-flow sequence/SACK/loss state. Owns no segment storage and no
-/// estimators: segment records and stamps live in a shared [`SegStore`]
+/// estimators: segment records and stamps live in a shared `SegStore`
 /// and the RTT/rate state is borrowed per call, so the flow arena can keep
 /// each in its own dense array.
 ///
@@ -410,7 +410,6 @@ fn holes_trim_below(runs: &mut Vec<HoleRun>, una: u64) {
 /// front segment's first send: each cumulative ACK pops exactly those,
 /// and an empty window empties the ring (and restarts the ids at 0).
 pub struct Scoreboard {
-    mss: u64,
     snd_una: PktSeq,
     snd_nxt: PktSeq,
     /// Window of outstanding segments, as chunk handles into a [`SegStore`].
@@ -444,10 +443,9 @@ pub struct Scoreboard {
 }
 
 impl Scoreboard {
-    /// A fresh scoreboard for `mss`-byte packets.
-    pub fn new(mss: u64) -> Self {
+    /// A fresh scoreboard.
+    pub(crate) fn new() -> Self {
         Scoreboard {
-            mss,
             snd_una: PktSeq::ZERO,
             snd_nxt: PktSeq::ZERO,
             segs: SlabDeque::new(),
@@ -465,28 +463,23 @@ impl Scoreboard {
         }
     }
 
-    /// Segment size in bytes.
-    pub fn mss(&self) -> u64 {
-        self.mss
-    }
-
     /// Oldest unacknowledged sequence.
-    pub fn snd_una(&self) -> PktSeq {
+    pub(crate) fn snd_una(&self) -> PktSeq {
         self.snd_una
     }
 
     /// Next fresh sequence.
-    pub fn snd_nxt(&self) -> PktSeq {
+    pub(crate) fn snd_nxt(&self) -> PktSeq {
         self.snd_nxt
     }
 
     /// Packets currently outstanding (sent, not cumulatively acked).
-    pub fn packets_out(&self) -> u64 {
+    pub(crate) fn packets_out(&self) -> u64 {
         self.snd_nxt.since(self.snd_una)
     }
 
     /// The standard inflight estimate.
-    pub fn packets_in_flight(&self) -> u64 {
+    pub(crate) fn packets_in_flight(&self) -> u64 {
         (self.packets_out() + self.retrans_out).saturating_sub(self.sacked_out + self.lost_out)
     }
 
@@ -501,7 +494,7 @@ impl Scoreboard {
     }
 
     /// Lifetime retransmission count.
-    pub fn total_retx(&self) -> u64 {
+    pub(crate) fn total_retx(&self) -> u64 {
         self.total_retx
     }
 
@@ -511,7 +504,7 @@ impl Scoreboard {
     /// Returns whether anything can be sent. The simulator's hot loop
     /// keeps one scratch plan per stack so steady-state sends never touch
     /// the heap.
-    pub fn plan_send_into(&self, cwnd: u64, max_pkts: u64, plan: &mut SendPlan) -> bool {
+    pub(crate) fn plan_send_into(&self, cwnd: u64, max_pkts: u64, plan: &mut SendPlan) -> bool {
         plan.runs.clear();
         plan.is_retx = false;
         if max_pkts == 0 {
@@ -549,7 +542,7 @@ impl Scoreboard {
 
     /// Record that a plan was transmitted at `now`. `pacing_limited` marks
     /// sends released after a pacer-created idle drained the flight.
-    pub fn on_sent(
+    pub(crate) fn on_sent(
         &mut self,
         store: &mut SegStore,
         rate: &mut RateSampler,
@@ -662,7 +655,7 @@ impl Scoreboard {
 
     /// Process an acknowledgement at `now`, sampling into the flow's RTT
     /// estimator and rate sampler.
-    pub fn on_ack(
+    pub(crate) fn on_ack(
         &mut self,
         store: &mut SegStore,
         rtt: &mut RttEstimator,
@@ -860,7 +853,7 @@ impl Scoreboard {
 
     /// RTO expiry: everything outstanding and unsacked is presumed lost
     /// (`tcp_enter_loss`); retransmission state resets.
-    pub fn on_rto(&mut self, store: &mut SegStore) -> u64 {
+    pub(crate) fn on_rto(&mut self, store: &mut SegStore) -> u64 {
         let mut marked = 0;
         self.segs
             .for_each_mut(&mut store.slab, 0, self.segs.len(), |seg| {
@@ -1000,7 +993,7 @@ mod tests {
     impl Flow {
         fn new(mss: u64) -> Self {
             Flow {
-                board: Scoreboard::new(mss),
+                board: Scoreboard::new(),
                 store: SegStore::new(),
                 rtt: RttEstimator::new(),
                 rate: RateSampler::new(mss),
@@ -1722,8 +1715,8 @@ mod tests {
         let mut rate_a = RateSampler::new(1448);
         let mut rate_b = RateSampler::new(1448);
         let mut rtt = RttEstimator::new();
-        let mut a = Scoreboard::new(1448);
-        let mut b = Scoreboard::new(1448);
+        let mut a = Scoreboard::new();
+        let mut b = Scoreboard::new();
         let mut plan = SendPlan::default();
         // Flow A sends a multi-chunk window, then fully drains it.
         assert!(a.plan_send_into(u64::MAX, 200, &mut plan));

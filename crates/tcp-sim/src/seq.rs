@@ -19,11 +19,6 @@ impl PktSeq {
     /// The first sequence number.
     pub const ZERO: PktSeq = PktSeq(0);
 
-    /// The following sequence number.
-    pub fn next(self) -> PktSeq {
-        PktSeq(self.0 + 1)
-    }
-
     /// Advance by `n` packets.
     pub(crate) fn advance(self, n: u64) -> PktSeq {
         PktSeq(self.0 + n)
@@ -54,15 +49,18 @@ impl fmt::Display for PktSeq {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct WireSeq(pub u32);
 
+/// The modular order is what the property tests pin down; the simulator
+/// itself only converts, so both methods are test builds only.
+#[cfg(test)]
 impl WireSeq {
     /// Modular "before": true iff this precedes `other` in sequence space.
-    pub fn before(self, other: WireSeq) -> bool {
+    pub(crate) fn before(self, other: WireSeq) -> bool {
         let diff = other.0.wrapping_sub(self.0);
         diff != 0 && diff < 0x8000_0000
     }
 
     /// Advance by `n`, wrapping.
-    pub fn advance(self, n: u32) -> WireSeq {
+    pub(crate) fn advance(self, n: u32) -> WireSeq {
         WireSeq(self.0.wrapping_add(n))
     }
 }
@@ -77,7 +75,7 @@ mod tests {
         assert!(PktSeq(1) < PktSeq(2));
         assert_eq!(PktSeq(5).since(PktSeq(3)), 2);
         assert_eq!(PktSeq(3).advance(4), PktSeq(7));
-        assert_eq!(PktSeq::ZERO.next(), PktSeq(1));
+        assert_eq!(PktSeq::ZERO.advance(1), PktSeq(1));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// A MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MacAddr(pub [u8; 6]);
+pub(crate) struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
     /// The conventional locally-administered address for host `n`

@@ -82,7 +82,7 @@ pub fn arb_media() -> impl Strategy<Value = MediaProfile> {
 
 /// One random fleet device: any supported CPU tier × controller × medium,
 /// carrying 1–3 upload connections.
-pub fn arb_device_spec() -> impl Strategy<Value = DeviceSpec> {
+pub(crate) fn arb_device_spec() -> impl Strategy<Value = DeviceSpec> {
     (arb_cpu(), arb_cc(), arb_media(), 1usize..=3)
         .prop_map(|(cpu, cc, media, conns)| DeviceSpec::new(cpu, cc, media).with_connections(conns))
 }

@@ -183,3 +183,20 @@ fn seeds_vary_results_but_not_structure() {
         "different seeds should differ on a variable medium"
     );
 }
+
+#[test]
+fn api_snapshot_is_current() {
+    // The public-API tripwire: a stray `pub` (or a deleted one) must fail
+    // `cargo test`, not only the CI job that runs the script.
+    let out = std::process::Command::new("bash")
+        .args(["tools/api_snapshot.sh", "--check"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("run tools/api_snapshot.sh");
+    assert!(
+        out.status.success(),
+        "tools/api_snapshot.sh --check failed; regenerate API_SURFACE.txt with \
+         tools/api_snapshot.sh if the change is intended:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
