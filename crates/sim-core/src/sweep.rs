@@ -342,7 +342,8 @@ pub struct SweepTotals {
     pub cell_wall_nanos: u64,
     /// Hot-path buffer-pool misses reported by the simulation layer.
     pub pool_misses: u64,
-    /// Pool misses inside measurement windows (zero in a healthy run).
+    /// Pool misses inside measurement windows: zero once the pools are
+    /// warm, except where a lossy cell's first multi-run skbs come late.
     pub pool_misses_steady: u64,
 }
 

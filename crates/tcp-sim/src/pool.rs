@@ -1,13 +1,15 @@
 //! Small free-list pools and slabs for the simulator's hot-path buffers.
 //!
-//! The event loop moves two kinds of owned buffers through the event queue
-//! on every data round-trip: a run-list `Vec<(PktSeq, PktSeq)>` riding the
-//! `SkbArrival` event, and an `AckInfo` SACK vector riding `AckArrival`.
-//! Allocating them per event would put `malloc` on the per-segment path —
-//! exactly what the timer-wheel refactor removed from the timer side.
-//! [`VecPool`] recycles them instead: a buffer is taken when the event is
-//! built and returned (cleared, capacity kept) when the event is consumed,
-//! so steady state runs entirely on warm capacity.
+//! The event loop moves two kinds of owned buffers through the event queue:
+//! a run-list `Vec<(PktSeq, PktSeq)>` riding the `SkbRunsArrival` event of
+//! an skb whose accepted packets form several runs (a one-run skb carries
+//! its range in `SkbArrival` itself and needs no buffer), and an `AckInfo`
+//! SACK vector riding every `AckArrival`. Allocating them per event would
+//! put `malloc` on the per-segment path — exactly what the timer-wheel
+//! refactor removed from the timer side. [`VecPool`] recycles them
+//! instead: a buffer is taken when the event is built and returned
+//! (cleared, capacity kept) when the event is consumed, so steady state
+//! runs on warm capacity.
 //!
 //! Three more structures serve the flow arena:
 //!
@@ -17,9 +19,11 @@
 //!   thousands of flows keep tens of thousands of cells in flight;
 //! * [`SegSlab`] is one shared chunked slab that every flow's segment
 //!   scoreboard (or stamp ring) is carved from, replacing a per-flow
-//!   growable ring with chunk handles into fixed-size blocks that are
+//!   growable ring with chunk handles into fixed 16 KiB blocks that are
 //!   never moved (the "scoreboard-slab" and "stamp-ring" pool
-//!   categories);
+//!   categories). Every chunk is [`CHUNK_BYTES`] long, so its record
+//!   count is a const parameter: [`SEG_CHUNK`] records, [`STAMP_CHUNK`]
+//!   stamps;
 //! * [`SlabDeque`] is the per-flow window view over a [`SegSlab`]: a
 //!   chunk-id list plus head/length, supporting O(1) push-back, drop-front
 //!   and random indexing — the three operations a TCP scoreboard needs —
@@ -139,25 +143,34 @@ impl<T> SlotStore<T> {
     }
 }
 
-/// Records per [`SegSlab`] chunk. 64 keeps a chunk under one page for
-/// scoreboard-sized records (512 bytes of the 8-byte segment record, 2 KiB
-/// of the 32-byte rate stamp) and makes the index arithmetic a shift/mask.
+/// Bytes per [`SegSlab`] chunk, whatever it holds: a slab's chunk length
+/// `C` is `CHUNK_BYTES / size_of::<T>()`, and [`SegSlab::new`] refuses to
+/// compile any other pairing. One size for every slab means a chunk costs
+/// the same 512 bytes whether it holds segment records or rate stamps, so
+/// a flow's part-filled tail chunk in either ring is at most 512 bytes.
+pub(crate) const CHUNK_BYTES: usize = 512;
+
+/// Records per scoreboard-slab chunk: 64 of the 8-byte segment record.
+/// A power of two, so the index arithmetic is a shift/mask.
 pub(crate) const SEG_CHUNK: usize = 64;
 
-/// Chunks per [`SegSlab`] block: 16 KiB of segment records, 64 KiB of
-/// stamps per allocation.
+/// Stamps per stamp-ring chunk: 16 of the 32-byte rate stamp.
+pub(crate) const STAMP_CHUNK: usize = 16;
+
+/// Chunks per [`SegSlab`] block: 16 KiB per allocation for every slab.
 const BLOCK_CHUNKS: usize = 32;
 
-/// One slab chunk: [`SEG_CHUNK`] records.
-type Chunk<T> = [T; SEG_CHUNK];
+/// One slab chunk: `C` records.
+type Chunk<T, const C: usize> = [T; C];
 
 /// One shared chunked slab that every flow's segment scoreboard (or stamp
 /// ring) is carved from.
 ///
-/// Storage is a table of fixed-size blocks of [`BLOCK_CHUNKS`] chunks
-/// each. A block is allocated whole, at its final size, when the first of
-/// its chunks is issued, and is never grown or moved; only the table of
-/// block pointers (8 bytes a block) doubles. So the slab never makes one
+/// A chunk holds `C` records, [`CHUNK_BYTES`] in all. Storage is a table
+/// of fixed-size blocks of [`BLOCK_CHUNKS`] chunks each. A block is
+/// allocated whole, at its final size, when the first of its chunks is
+/// issued, and is never grown or moved; only the table of block pointers
+/// (8 bytes a block) doubles. So the slab never makes one
 /// large allocation and never copies a record: its heap is the chunks it
 /// has issued plus at most one part-used block, whatever the allocator's
 /// state. A single growing buffer would instead ask for its whole size at
@@ -171,8 +184,8 @@ type Chunk<T> = [T; SEG_CHUNK];
 /// flow's window grows next. Compared with a growable per-flow ring this
 /// shares a few warm chunks across every flow, so a thousand mostly-idle
 /// flows do not each keep a cold private buffer.
-pub(crate) struct SegSlab<T> {
-    blocks: Vec<Box<[Chunk<T>; BLOCK_CHUNKS]>>,
+pub(crate) struct SegSlab<T, const C: usize> {
+    blocks: Vec<Box<[Chunk<T, C>; BLOCK_CHUNKS]>>,
     /// Chunk ids issued so far; the next fresh id.
     issued: u32,
     free: Vec<u32>,
@@ -181,9 +194,18 @@ pub(crate) struct SegSlab<T> {
     misses: u64,
 }
 
-impl<T: Default> SegSlab<T> {
+impl<T: Default, const C: usize> SegSlab<T, C> {
+    /// Every chunk is [`CHUNK_BYTES`] long: evaluated, so checked at
+    /// compile time, for each record type and chunk length `new` is built
+    /// for.
+    const CHUNK_IS_512_BYTES: () = assert!(
+        C * std::mem::size_of::<T>() == CHUNK_BYTES,
+        "a slab chunk must be CHUNK_BYTES long"
+    );
+
     /// An empty slab.
     pub(crate) fn new() -> Self {
+        let () = Self::CHUNK_IS_512_BYTES;
         SegSlab {
             blocks: Vec::new(),
             issued: 0,
@@ -215,8 +237,8 @@ impl<T: Default> SegSlab<T> {
     }
 
     /// A fresh block of default records, allocated at its final size.
-    fn block() -> Box<[Chunk<T>; BLOCK_CHUNKS]> {
-        let chunks: Box<[Chunk<T>]> = (0..BLOCK_CHUNKS)
+    fn block() -> Box<[Chunk<T, C>; BLOCK_CHUNKS]> {
+        let chunks: Box<[Chunk<T, C>]> = (0..BLOCK_CHUNKS)
             .map(|_| std::array::from_fn(|_| T::default()))
             .collect();
         match chunks.try_into() {
@@ -233,14 +255,14 @@ impl<T: Default> SegSlab<T> {
 
     /// The records of chunk `id`.
     #[inline]
-    pub(crate) fn chunk(&self, id: u32) -> &Chunk<T> {
+    pub(crate) fn chunk(&self, id: u32) -> &Chunk<T, C> {
         let id = id as usize;
         &self.blocks[id / BLOCK_CHUNKS][id % BLOCK_CHUNKS]
     }
 
     /// Mutable access to the records of chunk `id`.
     #[inline]
-    pub(crate) fn chunk_mut(&mut self, id: u32) -> &mut Chunk<T> {
+    pub(crate) fn chunk_mut(&mut self, id: u32) -> &mut Chunk<T, C> {
         let id = id as usize;
         &mut self.blocks[id / BLOCK_CHUNKS][id % BLOCK_CHUNKS]
     }
@@ -262,7 +284,8 @@ impl<T: Default> SegSlab<T> {
 }
 
 /// A per-flow double-ended window over a shared [`SegSlab`]: an ordered
-/// chunk-id list plus a head offset and length.
+/// chunk-id list plus a head offset and length. A window lives in one
+/// slab, so every method's chunk length `C` is that slab's.
 ///
 /// Supports exactly what a TCP scoreboard needs — `push_back` as new
 /// segments are sent, `drop_front` as the cumulative ACK advances, and O(1)
@@ -300,27 +323,31 @@ impl SlabDeque {
     }
 
     /// Append a record at the back.
-    pub(crate) fn push_back<T: Default + Copy>(&mut self, slab: &mut SegSlab<T>, v: T) {
+    pub(crate) fn push_back<T: Default + Copy, const C: usize>(
+        &mut self,
+        slab: &mut SegSlab<T, C>,
+        v: T,
+    ) {
         self.push_back_n(slab, v, 1);
     }
 
     /// Append `n` copies of `v` at the back, allocating a chunk each time
     /// the tail crosses a chunk boundary: one chunk lookup per chunk
     /// filled.
-    pub(crate) fn push_back_n<T: Default + Copy>(
+    pub(crate) fn push_back_n<T: Default + Copy, const C: usize>(
         &mut self,
-        slab: &mut SegSlab<T>,
+        slab: &mut SegSlab<T, C>,
         v: T,
         mut n: usize,
     ) {
         while n > 0 {
             let tail = self.head + self.len;
-            if tail == self.chunks.len() * SEG_CHUNK {
+            if tail == self.chunks.len() * C {
                 self.chunks.push(slab.alloc_chunk());
             }
-            let off = tail % SEG_CHUNK;
-            let k = n.min(SEG_CHUNK - off);
-            slab.chunk_mut(self.chunks[tail / SEG_CHUNK])[off..off + k].fill(v);
+            let off = tail % C;
+            let k = n.min(C - off);
+            slab.chunk_mut(self.chunks[tail / C])[off..off + k].fill(v);
             self.len += k;
             n -= k;
         }
@@ -333,9 +360,13 @@ impl SlabDeque {
     /// by [`Self::push_back_n`] before it re-enters the window, so no reader
     /// can observe them. This is what makes a cumulative-ACK advance O(n)
     /// cheap reads + one head bump instead of n `mem::take` round trips.
-    pub(crate) fn drop_front<T: Default>(&mut self, slab: &mut SegSlab<T>, n: usize) {
+    pub(crate) fn drop_front<T: Default, const C: usize>(
+        &mut self,
+        slab: &mut SegSlab<T, C>,
+        n: usize,
+    ) {
         debug_assert!(n <= self.len);
-        let dead = self.head / SEG_CHUNK;
+        let dead = self.head / C;
         self.head += n;
         self.len -= n;
         if self.len == 0 {
@@ -348,30 +379,34 @@ impl SlabDeque {
             self.head = 0;
             return;
         }
-        let now_dead = self.head / SEG_CHUNK;
+        let now_dead = self.head / C;
         for &id in &self.chunks[dead..now_dead] {
             slab.free_chunk(id);
         }
         if 2 * now_dead >= self.chunks.len() {
             self.chunks.drain(..now_dead);
-            self.head -= now_dead * SEG_CHUNK;
+            self.head -= now_dead * C;
         }
     }
 
     /// The record at window index `i` (0 = front).
     #[inline]
-    pub(crate) fn get<'a, T: Default>(&self, slab: &'a SegSlab<T>, i: usize) -> &'a T {
+    pub(crate) fn get<'a, T: Default, const C: usize>(
+        &self,
+        slab: &'a SegSlab<T, C>,
+        i: usize,
+    ) -> &'a T {
         debug_assert!(i < self.len);
         let pos = self.head + i;
-        &slab.chunk(self.chunks[pos / SEG_CHUNK])[pos % SEG_CHUNK]
+        &slab.chunk(self.chunks[pos / C])[pos % C]
     }
 
     /// Call `f` on the records at window indexes `lo..hi`, in order, one
     /// chunk lookup per chunk spanned.
     #[inline]
-    pub(crate) fn for_each_mut<T: Default>(
+    pub(crate) fn for_each_mut<T: Default, const C: usize>(
         &self,
-        slab: &mut SegSlab<T>,
+        slab: &mut SegSlab<T, C>,
         lo: usize,
         hi: usize,
         mut f: impl FnMut(&mut T),
@@ -379,9 +414,9 @@ impl SlabDeque {
         debug_assert!(lo <= hi && hi <= self.len);
         let (mut pos, end) = (self.head + lo, self.head + hi);
         while pos < end {
-            let off = pos % SEG_CHUNK;
-            let k = (end - pos).min(SEG_CHUNK - off);
-            let chunk = slab.chunk_mut(self.chunks[pos / SEG_CHUNK]);
+            let off = pos % C;
+            let k = (end - pos).min(C - off);
+            let chunk = slab.chunk_mut(self.chunks[pos / C]);
             chunk[off..off + k].iter_mut().for_each(&mut f);
             pos += k;
         }
@@ -390,17 +425,17 @@ impl SlabDeque {
     /// The records at window indexes `lo..hi`, in order, one chunk lookup
     /// per chunk spanned.
     #[inline]
-    pub(crate) fn iter<'a, T: Default>(
+    pub(crate) fn iter<'a, T: Default, const C: usize>(
         &'a self,
-        slab: &'a SegSlab<T>,
+        slab: &'a SegSlab<T, C>,
         lo: usize,
         hi: usize,
     ) -> impl Iterator<Item = &'a T> + 'a {
         debug_assert!(lo <= hi && hi <= self.len);
         let (lo, hi) = (self.head + lo, self.head + hi);
-        (lo / SEG_CHUNK..hi.div_ceil(SEG_CHUNK)).flat_map(move |c| {
-            let base = c * SEG_CHUNK;
-            let (a, b) = (lo.max(base) - base, hi.min(base + SEG_CHUNK) - base);
+        (lo / C..hi.div_ceil(C)).flat_map(move |c| {
+            let base = c * C;
+            let (a, b) = (lo.max(base) - base, hi.min(base + C) - base);
             slab.chunk(self.chunks[c])[a..b].iter()
         })
     }
@@ -486,7 +521,7 @@ mod tests {
 
     #[test]
     fn slab_deque_fifo_and_indexing() {
-        let mut slab: SegSlab<u64> = SegSlab::new();
+        let mut slab: SegSlab<u64, SEG_CHUNK> = SegSlab::new();
         let mut dq = SlabDeque::new();
         // Span several chunks.
         for i in 0..(3 * SEG_CHUNK as u64 + 7) {
@@ -509,9 +544,9 @@ mod tests {
 
     #[test]
     fn slab_chunks_are_shared_across_windows() {
-        let mut slab: SegSlab<u32> = SegSlab::new();
+        let mut slab: SegSlab<u64, SEG_CHUNK> = SegSlab::new();
         let mut a = SlabDeque::new();
-        for i in 0..SEG_CHUNK as u32 {
+        for i in 0..SEG_CHUNK as u64 {
             a.push_back(&mut slab, i);
         }
         let cold_misses = slab.misses();
@@ -529,7 +564,7 @@ mod tests {
 
     #[test]
     fn slab_deque_interleaved_push_pop_keeps_order() {
-        let mut slab: SegSlab<u64> = SegSlab::new();
+        let mut slab: SegSlab<u64, SEG_CHUNK> = SegSlab::new();
         let mut dq = SlabDeque::new();
         let mut next_in = 0u64;
         let mut next_out = 0u64;
@@ -554,7 +589,7 @@ mod tests {
     /// own storage, and a freed id is reissued before a new block opens.
     #[test]
     fn slab_ids_and_records_across_block_boundaries() {
-        let mut slab: SegSlab<u64> = SegSlab::new();
+        let mut slab: SegSlab<u64, SEG_CHUNK> = SegSlab::new();
         let b = BLOCK_CHUNKS as u32;
         for want in 0..2 * b {
             assert_eq!(slab.alloc_chunk(), want);
@@ -590,7 +625,7 @@ mod tests {
     /// whatever the step, so the free list's order is the chunk order.
     #[test]
     fn slab_deque_across_blocks_frees_front_to_back() {
-        let mut slab: SegSlab<u64> = SegSlab::new();
+        let mut slab: SegSlab<u64, SEG_CHUNK> = SegSlab::new();
         let mut dq = SlabDeque::new();
         let n = (2 * BLOCK_CHUNKS + 3) * SEG_CHUNK + 5;
         dq.push_back(&mut slab, 0);
@@ -636,5 +671,54 @@ mod tests {
         dq.drop_front(&mut slab, n - front);
         assert!(dq.is_empty());
         assert_eq!(slab.free, ids, "drained window frees every chunk in order");
+    }
+
+    /// A 32-byte record, the size of a rate stamp.
+    type Stamp = [u64; 4];
+
+    /// A stamp-sized slab: 16 records to a chunk, so a block is 16 KiB
+    /// like a segment slab's. A window spanning three blocks indexes,
+    /// walks and drains across every chunk and block boundary.
+    #[test]
+    fn stamp_slab_of_16_record_chunks_across_block_boundaries() {
+        let mut slab: SegSlab<Stamp, STAMP_CHUNK> = SegSlab::new();
+        assert_eq!(STAMP_CHUNK * std::mem::size_of::<Stamp>(), CHUNK_BYTES);
+        assert_eq!(
+            std::mem::size_of::<[Chunk<Stamp, STAMP_CHUNK>; BLOCK_CHUNKS]>(),
+            16 * 1024
+        );
+        let mut dq = SlabDeque::new();
+        let n = (2 * BLOCK_CHUNKS + 1) * STAMP_CHUNK + 3;
+        for i in 0..n as u64 {
+            dq.push_back(&mut slab, [i, i + 1, i + 2, i + 3]);
+        }
+        assert_eq!(slab.blocks.len(), 3);
+        assert_eq!(slab.misses() as usize, n.div_ceil(STAMP_CHUNK));
+        for i in 0..n {
+            assert_eq!(dq.get(&slab, i)[0], i as u64);
+        }
+        let block_edge = BLOCK_CHUNKS * STAMP_CHUNK;
+        assert!(dq
+            .iter(&slab, block_edge - 5, block_edge + 5)
+            .map(|s| s[3])
+            .eq((block_edge as u64 - 2)..(block_edge as u64 + 8)));
+        dq.for_each_mut(&mut slab, block_edge - 1, block_edge + 1, |s| s[1] = 0);
+        assert_eq!(dq.get(&slab, block_edge - 2)[1], block_edge as u64 - 1);
+        assert_eq!(dq.get(&slab, block_edge)[1], 0);
+
+        // Drain past the first block: its chunks are free, front to back.
+        let ids = dq.chunks.clone();
+        dq.drop_front(&mut slab, block_edge + 1);
+        assert_eq!(slab.free, ids[..BLOCK_CHUNKS]);
+        assert_eq!(dq.get(&slab, 0)[0], block_edge as u64 + 1);
+        // A second window reuses freed chunks before opening a block.
+        let mut other = SlabDeque::new();
+        other.push_back_n(&mut slab, [7; 4], 3 * STAMP_CHUNK);
+        assert_eq!(slab.blocks.len(), 3, "freed chunks come back first");
+        assert!(other.iter(&slab, 0, 3 * STAMP_CHUNK).all(|s| *s == [7; 4]));
+        dq.drop_front(&mut slab, dq.len());
+        other.drop_front(&mut slab, other.len());
+        assert_eq!(slab.free.len(), slab.issued as usize);
+        assert_eq!(slab.misses(), slab.takes() - slab.reuses());
     }
 }

@@ -9,7 +9,6 @@
 //! the server compresses acks heavily in our topology, so this detail is
 //! load-bearing here).
 
-use serde::Serialize;
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::units::Bandwidth;
 
@@ -90,7 +89,7 @@ pub struct RateSample {
 }
 
 /// Connection-level delivery accounting.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct RateSampler {
     mss: u64,
     /// Total packets delivered (cumulatively + selectively acked).

@@ -7,7 +7,6 @@
 //! caller: the scoreboard only offers samples from un-retransmitted
 //! segments.
 
-use serde::Serialize;
 use sim_core::time::SimDuration;
 
 /// Linux `TCP_RTO_MIN`.
@@ -18,7 +17,7 @@ pub(crate) const RTO_MAX: SimDuration = SimDuration::from_secs(120);
 pub(crate) const RTO_INIT: SimDuration = SimDuration::from_secs(1);
 
 /// RFC 6298 smoothed-RTT estimator.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,

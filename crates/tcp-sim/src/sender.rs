@@ -33,15 +33,16 @@
 //!   packet, which makes it most of a large simulation's heap, so the
 //!   record is a private 8-byte `SegState`: two stamp ids and three flag
 //!   bits. The "stamp-ring" category has one 32-byte `TxStamp` per send
-//!   batch, as the kernel keeps one per skb. Slab bytes =
-//!   `pool_slab_misses` × `SEG_CHUNK` × 8 + `pool_stamp_misses` ×
-//!   `SEG_CHUNK` × 32, each rounded up to whole 32-chunk blocks.
+//!   batch, as the kernel keeps one per skb. Both slabs have 512-byte
+//!   chunks (`SEG_CHUNK` = 64 records, `STAMP_CHUNK` = 16 stamps) in
+//!   16 KiB blocks of 32, so slab bytes = (`pool_slab_misses` +
+//!   `pool_stamp_misses`) × 512, each slab rounded up to whole blocks.
 //!
 //! The unit tests below and the arena differential test
 //! (`arena/differential.rs`) each bundle the four pieces — scoreboard,
 //! private store, RTT estimator, rate sampler — into a single flow locally.
 
-use crate::pool::{SegSlab, SlabDeque};
+use crate::pool::{SegSlab, SlabDeque, SEG_CHUNK, STAMP_CHUNK};
 use crate::rate::{RateSampler, TxStamp};
 use crate::receiver::AckInfo;
 use crate::rtt::RttEstimator;
@@ -71,8 +72,6 @@ pub(crate) const DUP_THRESH: u64 = 3;
 ///
 /// The plain per-packet layout survives as the test-only
 /// `reference::RefSeg`, and a property test holds the two together.
-///
-/// [`SEG_CHUNK`]: crate::pool::SEG_CHUNK
 #[derive(Debug, Clone, Copy, Default)]
 struct SegState {
     /// Stamp id of the first transmission.
@@ -198,7 +197,7 @@ impl Newest {
 /// stamp has id `base`. A free function, so a closure walking the segment
 /// window can read the ring while it updates the scoreboard's counters.
 #[inline]
-fn ring_tx_time(ring: &SlabDeque, base: u32, stamps: &SegSlab<TxStamp>, id: u32) -> SimTime {
+fn ring_tx_time(ring: &SlabDeque, base: u32, stamps: &StampSlab, id: u32) -> SimTime {
     ring.get(stamps, (id - base) as usize).tx_time
 }
 
@@ -256,6 +255,9 @@ impl SendPlan {
     }
 }
 
+/// The stamp-ring slab: [`STAMP_CHUNK`] stamps, 512 bytes, to a chunk.
+type StampSlab = SegSlab<TxStamp, STAMP_CHUNK>;
+
 /// The shared scoreboard store: one chunked slab that every flow's
 /// segment records are carved from (the "scoreboard-slab" pool category),
 /// and one that every flow's stamp ring is carved from (the "stamp-ring"
@@ -265,8 +267,8 @@ impl SendPlan {
 /// this store, so a thousand mostly-idle flows share a few warm chunks
 /// instead of each keeping cold private ring buffers.
 pub(crate) struct SegStore {
-    slab: SegSlab<SegState>,
-    stamps: SegSlab<TxStamp>,
+    slab: SegSlab<SegState, SEG_CHUNK>,
+    stamps: StampSlab,
 }
 
 impl SegStore {
@@ -622,13 +624,13 @@ impl Scoreboard {
 
     /// The stamp with id `id`.
     #[inline]
-    fn stamp<'a>(&self, stamps: &'a SegSlab<TxStamp>, id: u32) -> &'a TxStamp {
+    fn stamp<'a>(&self, stamps: &'a StampSlab, id: u32) -> &'a TxStamp {
         self.stamps.get(stamps, (id - self.stamp_base) as usize)
     }
 
     /// The transmission time stamped on id `id`.
     #[inline]
-    fn tx_time(&self, stamps: &SegSlab<TxStamp>, id: u32) -> SimTime {
+    fn tx_time(&self, stamps: &StampSlab, id: u32) -> SimTime {
         ring_tx_time(&self.stamps, self.stamp_base, stamps, id)
     }
 

@@ -354,7 +354,12 @@ impl StackSim {
         // Each MSS packet walks the path individually. GRO at the server
         // aggregates the chunk into one delivery event at its last
         // packet's arrival.
-        let mut accepted_runs = self.run_pool.take();
+        //
+        // The accepted packets' latest run is kept inline; only when a
+        // second run opens (a drop inside the skb, or a plan spanning
+        // holes) do the finished runs spill into a pooled list.
+        let mut run = (PktSeq::ZERO, PktSeq::ZERO);
+        let mut spill: Option<Vec<(PktSeq, PktSeq)>> = None;
         let mut last_arrival = SimTime::ZERO;
         let mut accepted_pkts = 0u64;
         let path = &mut self.devices[dev].path;
@@ -365,27 +370,30 @@ impl StackSim {
                     continue;
                 };
                 last_arrival = last_arrival.max(arrival);
-                accepted_pkts += 1;
-                match accepted_runs.last_mut() {
-                    Some((_, h)) if h.0 == seq => *h = PktSeq(seq + 1),
-                    _ => accepted_runs.push((PktSeq(seq), PktSeq(seq + 1))),
+                if accepted_pkts > 0 && run.1 == PktSeq(seq) {
+                    run.1 = PktSeq(seq + 1);
+                } else {
+                    if accepted_pkts > 0 {
+                        spill.get_or_insert_with(|| self.run_pool.take()).push(run);
+                    }
+                    run = (PktSeq(seq), PktSeq(seq + 1));
                 }
+                accepted_pkts += 1;
                 if let Some(pcap) = self.pcap.as_mut() {
                     capture_data(pcap, c, done, PktSeq(seq));
                 }
             }
         }
-        if accepted_runs.is_empty() {
-            self.run_pool.put(accepted_runs);
-        } else {
-            let runs = self.run_slots.stash(accepted_runs);
-            self.queue.schedule_at(
-                last_arrival,
-                Event::SkbArrival {
-                    conn: c as u32,
-                    runs,
-                },
-            );
+        let conn = c as u32;
+        if let Some(mut runs) = spill {
+            runs.push(run);
+            let runs = self.run_slots.stash(runs);
+            self.queue
+                .schedule_at(last_arrival, Event::SkbRunsArrival { conn, runs });
+        } else if accepted_pkts > 0 {
+            let (lo, pkts) = (run.0, u32::try_from(accepted_pkts).expect("skb fits u32"));
+            self.queue
+                .schedule_at(last_arrival, Event::SkbArrival { conn, lo, pkts });
         }
         self.plan_scratch = plan;
 

@@ -60,8 +60,10 @@ use sim_core::trace::TraceSink;
 use std::sync::Arc;
 
 /// Events are deliberately small: a timer-wheel cell moves every time a
-/// slot cascades, so fat payloads (run lists, SACK vectors) ride in
-/// [`SlotStore`]s as `u32` ids and only the id crosses the wheel.
+/// slot cascades, so fat payloads (multi-run lists, SACK vectors) ride in
+/// [`SlotStore`]s as `u32` ids and only the id crosses the wheel. A
+/// one-run skb needs no payload at all: its range fits in the event, as
+/// the kernel keeps `seq/end_seq` in the skb's control block.
 enum Event {
     Start(u32),
     /// A pacing timer expired.
@@ -78,7 +80,15 @@ enum Event {
     CrossArrival,
     /// Periodic timeline sample (iPerf3-style per-interval reporting).
     StatsSample,
+    /// An skb whose accepted packets form one run, `lo..lo + pkts`.
     SkbArrival {
+        conn: u32,
+        lo: PktSeq,
+        pkts: u32,
+    },
+    /// An skb whose accepted packets form several runs (a drop inside the
+    /// skb, or a retransmission plan that spans holes).
+    SkbRunsArrival {
         conn: u32,
         /// Run-list slot id ([`StackSim::run_slots`]).
         runs: u32,
@@ -100,6 +110,10 @@ enum Event {
     },
     MeasureStart,
 }
+
+// A wheel cell moves its event on every cascade, so the event stays three
+// words: the widest variants hold a `PktSeq` and two `u32`s.
+const _: () = assert!(std::mem::size_of::<Event>() == 24);
 
 /// The simulation engine.
 ///
@@ -138,11 +152,11 @@ pub struct StackSim {
     pcap: Option<path::Pcap>,
     cross: Option<netsim::crosstraffic::CrossTraffic>,
     timeline: Vec<(SimTime, u64)>,
-    // Hot-path buffer recycling: run lists ride `SkbArrival`, SACK vectors
-    // ride `AckArrival` — as slot ids, with the buffers parked in the slot
-    // stores — and one scratch plan serves every `try_send`. Together with
-    // the slab-backed event queue this keeps the steady-state send/ack
-    // path off the allocator entirely.
+    // Hot-path buffer recycling: multi-run lists ride `SkbRunsArrival`,
+    // SACK vectors ride `AckArrival` — as slot ids, with the buffers
+    // parked in the slot stores — and one scratch plan serves every
+    // `try_send`. Together with the slab-backed event queue this keeps the
+    // send/ack path off the allocator once the pools are warm.
     run_pool: VecPool<(PktSeq, PktSeq)>,
     sack_pool: VecPool<(PktSeq, PktSeq)>,
     run_slots: SlotStore<(PktSeq, PktSeq)>,
@@ -403,9 +417,14 @@ impl StackSim {
                 }
             }
             Event::CrossArrival => self.on_cross_arrival(now),
-            Event::SkbArrival { conn, runs } => {
+            Event::SkbArrival { conn, lo, pkts } => {
+                let hi = lo.advance(u64::from(pkts));
+                self.on_skb_arrival(conn as usize, now, &[(lo, hi)]);
+            }
+            Event::SkbRunsArrival { conn, runs } => {
                 let runs = self.run_slots.unstash(runs);
-                self.on_skb_arrival(conn as usize, now, runs)
+                self.on_skb_arrival(conn as usize, now, &runs);
+                self.run_pool.put(runs);
             }
             Event::EmitAck { conn } => {
                 let conn = conn as usize;

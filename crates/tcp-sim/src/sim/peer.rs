@@ -9,13 +9,13 @@ use sim_core::time::SimTime;
 impl StackSim {
     /// A (GRO-aggregated) socket buffer reaches the server: classify its
     /// runs and ACK immediately (holes) or within the coalescing window.
-    pub(super) fn on_skb_arrival(&mut self, c: usize, now: SimTime, runs: Vec<(PktSeq, PktSeq)>) {
+    pub(super) fn on_skb_arrival(&mut self, c: usize, now: SimTime, runs: &[(PktSeq, PktSeq)]) {
         // Non-GRO mode: the server acks every `n` in-order segments, as a
         // classic stack would — each ACK costs the phone CPU.
         if let Some(n) = self.cfg.ack_per_segs {
             let mut pending = 0u64;
             let receiver = &mut self.arena.receiver[c];
-            for &(lo, hi) in &runs {
+            for &(lo, hi) in runs {
                 let mut seg = lo;
                 while seg < hi {
                     let end = PktSeq((seg.0 + n).min(hi.0));
@@ -24,7 +24,6 @@ impl StackSim {
                     seg = end;
                 }
             }
-            self.run_pool.put(runs);
             for _ in 0..pending {
                 self.emit_ack(c, now);
             }
@@ -33,12 +32,11 @@ impl StackSim {
 
         let mut urgency = AckUrgency::Coalesce;
         let receiver = &mut self.arena.receiver[c];
-        for &(lo, hi) in &runs {
+        for &(lo, hi) in runs {
             if receiver.on_data(lo, hi) == AckUrgency::Immediate {
                 urgency = AckUrgency::Immediate;
             }
         }
-        self.run_pool.put(runs);
         match urgency {
             AckUrgency::Immediate => {
                 if let Some(tok) = self.arena.hot[c].ack_timer.take() {

@@ -362,9 +362,11 @@ impl StackSim {
         // (bounded by events in flight), making regressions visible in
         // counter dumps without touching the serialized scorecard. The
         // `_steady` variants count only measurement-window misses, which a
-        // healthy run keeps at exactly zero. Categories are reported
-        // separately — segment-run lists, SACK vectors, and the shared
-        // scoreboard slab have independent populations and failure modes.
+        // healthy run keeps at zero; only multi-run skbs take a run list,
+        // though, so a lossy run can still be warming that pool. Categories
+        // are reported separately — segment-run lists, SACK vectors, and
+        // the shared scoreboard slab have independent populations and
+        // failure modes.
         let base = &self.baseline;
         counters.add("pool_run_misses", self.run_pool.misses());
         counters.add("pool_sack_misses", self.sack_pool.misses());

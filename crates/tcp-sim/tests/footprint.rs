@@ -3,8 +3,9 @@
 //! Most of a large simulation's memory is per-in-flight-packet state: the
 //! scoreboard's segment records, `SEG_CHUNK` to a slab chunk, one slab
 //! shared by every flow, and beside it one rate stamp per send batch in
-//! each flow's stamp ring, carved from a second shared slab. Each slab
-//! grows by fixed blocks of 32 chunks that are never reallocated. These
+//! each flow's stamp ring, carved from a second shared slab. Every chunk
+//! is 512 bytes (64 records or 16 stamps), and each slab grows by fixed
+//! 16 KiB blocks of 32 chunks that are never reallocated. These
 //! tests pin the total down with a counting global allocator — peak *live
 //! requested bytes*, not RSS, so the number depends on the code and the
 //! toolchain's growth policies, never on the host, the system allocator or
@@ -19,21 +20,29 @@
 //! | 8-byte record, one 32-byte stamp per batch       |  3 069 416 bytes |  6 384 968 bytes |
 //! | the same, slabs grown by fixed blocks            |  2 497 272 bytes |  4 617 032 bytes |
 //! | the same with a 16-byte record (probe only)      |  3 365 624 bytes |  5 796 680 bytes |
+//! | fixed blocks, one-run skbs inline, 512 B chunks  |  2 102 952 bytes |  4 585 400 bytes |
 //!
 //! Until the fixed blocks, each slab was one `Vec` that doubled, so its
 //! capacity slack (up to half the slab) was live heap too; now the slack
-//! is at most one part-used block per slab.
+//! is at most one part-used block per slab. The last row's two changes
+//! size the fleet's in-flight state to what is in flight: an skb whose
+//! accepted packets form one run carries its range in its event instead of
+//! a pooled run list, and a stamp chunk holds 16 stamps, not 64, so a
+//! flow's part-filled tail chunk costs 512 bytes, not 2 KiB. The shallow
+//! FIFO, whose flows keep long windows busy, barely moves.
 //!
-//! [`PEAK_LIVE_BOUND`] and [`SMALL_BATCH_BOUND`] sit between the last two
-//! rows, so eight more bytes on the record trips either: growing the
-//! record back, or adding a comparable per-packet or per-flow cost
-//! anywhere in the stack, fails here before it shows up as `peak_rss_mb`
-//! in the benchmark. The shallow FIFO is Reno over a 10-packet buffer,
-//! where a send batch averages about one and a half packets: the regime
-//! where a 32-byte stamp per batch saves the least.
+//! [`PEAK_LIVE_BOUND`] and [`SMALL_BATCH_BOUND`] sit between the last row
+//! and the probe row, so eight more bytes on the record trips either
+//! (and, at 64 records to a chunk, fails the 512-byte chunk assert at
+//! compile time first): growing the record back, or adding a comparable
+//! per-packet or per-flow cost anywhere in the stack, fails here before it
+//! shows up as `peak_rss_mb` in the benchmark. The shallow FIFO is Reno
+//! over a 10-packet buffer, where a send batch averages about one and a
+//! half packets: the regime where a 32-byte stamp per batch saves the
+//! least.
 //!
 //! The shallow-FIFO run also bounds the largest single request at one
-//! stamp-slab block ([`LARGEST_REQUEST_BOUND`]). A slab that goes back to
+//! slab block ([`LARGEST_REQUEST_BOUND`]). A slab that goes back to
 //! growing one buffer asks for it whole: 4 194 304 bytes in this run, and
 //! 16 777 216 over the benchmark's 5 s `loss_recovery` window. glibc may
 //! serve such a request by a copying `realloc` in the brk heap, with the
@@ -51,15 +60,16 @@ use sim_core::units::Bandwidth;
 use tcp_sim::{FleetConfig, SimConfig, SimResult, StackSim};
 
 /// Peak live heap bytes the fleet run may reach; see the module table.
-const PEAK_LIVE_BOUND: i64 = 2_800_000;
+const PEAK_LIVE_BOUND: i64 = 2_300_000;
 
 /// Peak live heap bytes the shallow-FIFO run may reach; see the module
 /// table.
 const SMALL_BATCH_BOUND: i64 = 5_200_000;
 
-/// The largest single request the shallow-FIFO run may make: one block of
-/// the stamp slab (32 chunks of 64 32-byte stamps); see the module docs.
-const LARGEST_REQUEST_BOUND: usize = 65_536;
+/// The largest single request the shallow-FIFO run may make: one slab
+/// block (32 chunks of 512 bytes, for records and stamps alike); see the
+/// module docs.
+const LARGEST_REQUEST_BOUND: usize = 16_384;
 
 /// `System` allocator wrapper that tracks live and peak requested bytes —
 /// but only for the thread that opted in via [`COUNTING`] (the test

@@ -145,10 +145,13 @@ fuzz() {
 # shrunk one-line repro (`simcheck --mutant-check --budget 120 --seed 1`,
 # run and checked by the simcheck_engine test the feature compiles) — and,
 # hop by hop, mutant M7 must lose exactly the AQM drops the links recorded.
+# The mutant build gets its own target dir, so the release `repro` and
+# `simcheck` that the other gates run never carry the mutant sites.
 mutants() {
-    cargo test --release -p mobile-bbr-bench --features simcheck-mutants \
-        --test simcheck_engine -- --nocapture
-    cargo test --release -p tcp-sim --features simcheck-mutants sim::path
+    cargo test --release --target-dir target/mutants -p mobile-bbr-bench \
+        --features simcheck-mutants --test simcheck_engine -- --nocapture
+    cargo test --release --target-dir target/mutants -p tcp-sim \
+        --features simcheck-mutants sim::path
 }
 
 # EXPERIMENTS.md "Reproduction results" is what the code prints: every
