@@ -103,7 +103,6 @@ pub fn generate(params: &Params, dir: &Path) -> Result<Observation, sim_core::Er
     let observed = StackSim::new(cfg).run_observed(Instruments {
         trace: true,
         telemetry: Some(TELEMETRY_INTERVAL),
-        pcap: None,
     });
     let result = observed.result;
     let trace = observed.trace.expect("tracing was requested");

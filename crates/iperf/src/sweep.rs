@@ -10,9 +10,9 @@
 //! The cache key is the canonical JSON of the **entire** [`SimConfig`]
 //! (with the cell's seed already applied), so any config change — device,
 //! path, pacing stride, duration, seed — yields a different key. Every
-//! cell is cacheable: instruments with side effects (trace, telemetry,
-//! pcap capture) are not configuration — they are passed to
-//! `StackSim::run_observed` — so they never reach a cell or its key.
+//! cell is cacheable: instruments (trace, telemetry) are not
+//! configuration — they are passed to `StackSim::run_observed` — so they
+//! never reach a cell or its key.
 
 use crate::report::{RunReport, SeedResult};
 use crate::runner::RunSpec;

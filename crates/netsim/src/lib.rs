@@ -20,7 +20,6 @@
 //! * [`codel`] — CoDel AQM (RFC 8289), the building block for AQM links.
 //! * [`fq_codel`] — FQ-CoDel (RFC 8290): per-flow CoDel buckets with a
 //!   DRR fair-share sojourn model, the Android/OpenWRT default qdisc.
-//! * [`pcap`] — classic-format pcap capture of simulated wire traffic.
 //! * [`crosstraffic`] — Poisson background load for competition ablations.
 //! * [`media`] — the three media of the paper: Ethernet LAN (1 Gbps line
 //!   rate, §3.2), WiFi LAN (variable rate, §3.2), and T-Mobile LTE
@@ -35,7 +34,6 @@ pub mod fq_codel;
 pub mod link;
 pub mod media;
 pub mod netem;
-pub mod pcap;
 
 pub use codel::{Codel, CodelConfig};
 pub use fq_codel::FqCodel;

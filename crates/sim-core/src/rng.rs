@@ -3,16 +3,13 @@
 //! [`SimRng`] is xoshiro256** seeded through SplitMix64, implemented here so
 //! the bit stream is pinned by this crate (the `rand` crate documents that
 //! `StdRng` may change algorithms between versions, which would silently
-//! change every experiment). It implements [`rand::RngCore`], so the whole
-//! `rand` distribution toolbox works on top of it.
+//! change every experiment).
 //!
 //! Experiments need *independent* streams — one per flow for jitter, one for
 //! the loss process, one for WiFi rate variation — that are all derived from
 //! a single user-facing seed. [`SimRng::split`] derives a child stream from
 //! a parent plus a label, so adding a consumer never perturbs the draws seen
 //! by existing consumers (the classic "seed aliasing" trap in simulators).
-
-use rand::RngCore;
 
 /// SplitMix64 step: the standard seeding/stream-derivation mixer.
 #[inline]
@@ -151,34 +148,10 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::SimRng;
     use proptest::prelude::*;
-    use rand::RngCore;
-
     #[test]
     fn same_seed_same_stream() {
         let mut a = SimRng::new(42);
@@ -286,14 +259,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.exponential(4.0)).sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "exponential mean {mean}");
-    }
-
-    #[test]
-    fn fill_bytes_handles_odd_lengths() {
-        let mut rng = SimRng::new(23);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

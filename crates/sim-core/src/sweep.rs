@@ -750,7 +750,7 @@ pub fn run_sweep_streaming<C: SweepCell>(
         let slots: Vec<Mutex<Option<(C::Output, CellReport)>>> =
             (0..window).map(|_| Mutex::new(None)).collect();
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..jobs {
                 scope.spawn(|| loop {
                     let idx = {

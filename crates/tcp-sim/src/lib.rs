@@ -6,8 +6,7 @@
 //!
 //! The stack mirrors the structure of the Linux sender the paper measures:
 //!
-//! * [`seq`] — sequence-number types (monotonic bookkeeping + 32-bit wire
-//!   arithmetic);
+//! * [`seq`] — the monotonic packet sequence number;
 //! * `rtt` (crate-private) — RFC 6298 SRTT/RTO estimation with Linux
 //!   clamps;
 //! * [`rate`] — delivery-rate sampling after `tcp_rate.c` (BBR's input);
@@ -17,8 +16,6 @@
 //!   loss detection, retransmission planning, Karn-compliant RTT samples;
 //! * [`receiver`] — the server side: reorder tracking, cumulative + SACK
 //!   acknowledgement generation, GRO-style coalescing urgency;
-//! * [`wire`] — Ethernet/IPv4/TCP wire codecs (checksums, SACK options)
-//!   backing the pcap export;
 //! * `pool` (crate-private) — free-list buffer pools, slot stores and the
 //!   two fixed-block segment slabs keeping the per-segment hot path
 //!   allocation-free;
@@ -61,7 +58,6 @@ mod rtt;
 pub mod sender;
 pub mod seq;
 pub mod sim;
-pub mod wire;
 
 pub use arena::{FlowArena, FlowId};
 pub use config::{SimConfig, SimConfigBuilder};

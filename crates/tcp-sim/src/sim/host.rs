@@ -2,7 +2,7 @@
 //! send side of the stack that runs on it: the transmit path, RTO arming,
 //! ACK processing, and the §7.1.2 auto-stride controller.
 
-use super::path::{capture_data, Path};
+use super::path::Path;
 use super::{Event, StackSim};
 use crate::arena::FlowHot;
 use crate::mutants::{self, Mutant};
@@ -379,9 +379,6 @@ impl StackSim {
                     run = (PktSeq(seq), PktSeq(seq + 1));
                 }
                 accepted_pkts += 1;
-                if let Some(pcap) = self.pcap.as_mut() {
-                    capture_data(pcap, c, done, PktSeq(seq));
-                }
             }
         }
         let conn = c as u32;

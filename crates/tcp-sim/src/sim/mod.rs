@@ -149,7 +149,6 @@ pub struct StackSim {
     arena: FlowArena,
     tallies: HotCounters,
     end: SimTime,
-    pcap: Option<path::Pcap>,
     cross: Option<netsim::crosstraffic::CrossTraffic>,
     timeline: Vec<(SimTime, u64)>,
     // Hot-path buffer recycling: multi-run lists ride `SkbRunsArrival`,
@@ -257,7 +256,6 @@ impl StackSim {
             cross: cfg
                 .cross_traffic
                 .map(|c| netsim::crosstraffic::CrossTraffic::new(c, rng.split(4))),
-            pcap: None,
             cfg,
         }
     }

@@ -3,9 +3,9 @@
 //! and trace-merge code behind them.
 //!
 //! The standing rule: turning an instrument on changes no result byte.
-//! Tracing and pcap capture only record; telemetry is polled by the
-//! dispatch loop against batch timestamps and never scheduled on the
-//! wheel, so it cannot perturb event ordering or counters.
+//! Tracing only records; telemetry is polled by the dispatch loop against
+//! batch timestamps and never scheduled on the wheel, so it cannot
+//! perturb event ordering or counters.
 
 use super::path::bottleneck;
 use super::results::SimResult;
@@ -15,7 +15,6 @@ use netsim::MSS;
 use sim_core::telemetry::{FlowSample, QueueSample, TelemetryLog, TelemetrySink};
 use sim_core::time::{SimDuration, SimTime};
 use sim_core::trace::TraceLog;
-use std::path::PathBuf;
 
 /// The instruments to attach to one run ([`StackSim::run_observed`]).
 /// The default attaches none.
@@ -32,12 +31,6 @@ pub struct Instruments {
     /// must be non-zero — a zero one would sample forever, and
     /// `run_observed` panics on it.
     pub telemetry: Option<SimDuration>,
-    /// Packet capture: every simulated wire packet is written to this file
-    /// as a synthesized Ethernet/IPv4/TCP frame (classic pcap; open it in
-    /// Wireshark). Payload bytes are zero-filled — only headers carry
-    /// simulation state. `run_observed` panics if the file cannot be
-    /// created.
-    pub pcap: Option<PathBuf>,
 }
 
 /// What an observed run returns: the result — byte-identical to
@@ -95,13 +88,6 @@ impl StackSim {
                 interval,
                 prev_delivered: vec![0; self.arena.len()],
             };
-        }
-        if let Some(path) = &instruments.pcap {
-            let file = std::fs::File::create(path).expect("create pcap file");
-            self.pcap = Some(
-                netsim::pcap::PcapWriter::new(std::io::BufWriter::new(file))
-                    .expect("write pcap header"),
-            );
         }
     }
 

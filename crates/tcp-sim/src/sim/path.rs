@@ -14,9 +14,6 @@ use crate::mutants::{
     self,
     Mutant::{AqmDropMiscount as M7, FleetSharedBypass as M5},
 };
-use crate::receiver::AckInfo;
-use crate::seq::{PktSeq, WireSeq};
-use crate::wire::{build_frame, Ipv4Addr, MacAddr, TcpFlags, TcpHeader};
 use netsim::link::{BottleneckLink, SendOutcome};
 use netsim::media::PathConfig;
 use netsim::netem::{Netem, NetemVerdict};
@@ -197,71 +194,6 @@ impl StackSim {
         offer_cross(link, &mut self.tallies, now, bytes);
         self.queue.schedule_at(next.max(now), Event::CrossArrival);
     }
-}
-
-/// The pcap sink of a capturing run.
-pub(super) type Pcap = netsim::pcap::PcapWriter<std::io::BufWriter<std::fs::File>>;
-
-/// The phone is host 2, the iperf3 server host 1.
-const PHONE: u8 = 2;
-const SERVER: u8 = 1;
-const IPERF_PORT: u16 = 5_201;
-
-fn phone_port(conn: usize) -> u16 {
-    50_000 + conn as u16
-}
-
-fn write_frame(pcap: &mut Pcap, at: SimTime, from: u8, to: u8, header: &TcpHeader, payload: &[u8]) {
-    let frame = build_frame(
-        MacAddr::host(from),
-        MacAddr::host(to),
-        Ipv4Addr::lan(from),
-        Ipv4Addr::lan(to),
-        header,
-        payload,
-    );
-    pcap.write_frame(at, &frame).expect("pcap write");
-}
-
-/// Synthesize and record a data packet (phone -> server).
-pub(super) fn capture_data(pcap: &mut Pcap, conn: usize, at: SimTime, seq: PktSeq) {
-    let header = TcpHeader {
-        src_port: phone_port(conn),
-        dst_port: IPERF_PORT,
-        seq: PktSeq(seq.0 * MSS).to_wire(),
-        ack: WireSeq(0),
-        flags: TcpFlags {
-            ack: true,
-            psh: true,
-            ..Default::default()
-        },
-        window: 65_535,
-        sacks: vec![],
-    };
-    let payload = vec![0u8; MSS as usize];
-    write_frame(pcap, at, PHONE, SERVER, &header, &payload);
-}
-
-/// Synthesize and record an ACK (server -> phone).
-pub(super) fn capture_ack(pcap: &mut Pcap, conn: usize, at: SimTime, ack: &AckInfo) {
-    let header = TcpHeader {
-        src_port: IPERF_PORT,
-        dst_port: phone_port(conn),
-        seq: WireSeq(0),
-        ack: PktSeq(ack.cum.0 * MSS).to_wire(),
-        flags: TcpFlags {
-            ack: true,
-            ..Default::default()
-        },
-        window: 65_535,
-        sacks: ack
-            .sacks
-            .iter()
-            .take(3)
-            .map(|&(lo, hi)| (PktSeq(lo.0 * MSS).to_wire(), PktSeq(hi.0 * MSS).to_wire()))
-            .collect(),
-    };
-    write_frame(pcap, at, SERVER, PHONE, &header, &[]);
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! The peer: the ideal server's receive side and its ACK emission.
 
-use super::path::capture_ack;
 use super::{Event, StackSim};
 use crate::receiver::{AckInfo, AckUrgency};
 use crate::seq::PktSeq;
@@ -83,9 +82,6 @@ impl StackSim {
             self.sack_pool.put(ack.sacks);
             return;
         };
-        if let Some(pcap) = self.pcap.as_mut() {
-            capture_ack(pcap, c, now, &ack);
-        }
         let sacks = self.sack_slots.stash(ack.sacks);
         self.queue.schedule_at(
             arrival,

@@ -344,39 +344,6 @@ fn cross_traffic_consumes_capacity() {
 }
 
 #[test]
-fn pcap_capture_is_readable_and_complete() {
-    let path = std::env::temp_dir().join("tcp_sim_test_capture.pcap");
-    let mut cfg = quick(CcKind::Bbr, CpuConfig::HighEnd, 1);
-    cfg.duration = SimDuration::from_millis(120);
-    cfg.warmup = SimDuration::from_millis(40);
-    let res = StackSim::new(cfg)
-        .run_observed(Instruments {
-            pcap: Some(path.clone()),
-            ..Instruments::default()
-        })
-        .result;
-    let bytes = std::fs::read(&path).expect("pcap exists");
-    let (linktype, records) = netsim::pcap::read_pcap(&bytes[..]).expect("valid pcap");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(linktype, netsim::pcap::LINKTYPE_EN10MB);
-    // Data packets + ACKs are all captured.
-    let sent = res.counters.get("pkts_sent")
-        - res.counters.get("queue_drops")
-        - res.counters.get("netem_drops");
-    let acks = res.counters.get("acks_emitted") - res.counters.get("ack_drops");
-    assert_eq!(
-        records.len() as u64,
-        sent + acks,
-        "every wire packet captured"
-    );
-    // Every frame decodes with valid checksums.
-    for rec in &records {
-        let (src, dst, tcp) = crate::wire::parse_frame(&rec.frame).expect("frame ok");
-        crate::wire::TcpHeader::decode(src, dst, tcp).expect("tcp ok");
-    }
-}
-
-#[test]
 fn cycle_breakdown_shows_the_pacing_tax() {
     // The paper's claim, visible in the accounting: paced BBR spends a
     // substantial share of its cycles on timer traffic; unpaced BBR
@@ -532,38 +499,42 @@ fn accounting_identities_hold_in_results() {
 
 #[test]
 fn traced_run_is_bit_identical_to_untraced() {
-    // The flight recorder must be an observer: same config, same seed,
-    // tracing on vs off, identical results — alone, and with the
-    // telemetry sink live in the same run, which returns both logs.
+    // Every instrument must be an observer: same config, same seed, each
+    // on/off combination of the instruments, identical results. The
+    // pattern below names every `Instruments` field, so a new instrument
+    // does not compile here until this test covers it.
     let plain = StackSim::new(quick(CcKind::Bbr, CpuConfig::LowEnd, 3)).run();
-    for telemetry in [None, Some(SimDuration::from_millis(10))] {
-        let instruments = Instruments {
-            trace: true,
-            telemetry,
-            pcap: None,
-        };
-        let observed = StackSim::new(quick(CcKind::Bbr, CpuConfig::LowEnd, 3))
-            .run_observed(instruments.clone());
-        assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&observed.result).unwrap(),
-            "{instruments:?} must not perturb any result byte"
-        );
-        assert_eq!(observed.telemetry.is_some(), telemetry.is_some());
-        if let Some(flight) = &observed.telemetry {
-            assert!(!flight.flows.is_empty() && !flight.queues.is_empty());
+    for trace in [false, true] {
+        for telemetry in [None, Some(SimDuration::from_millis(10))] {
+            let instruments = Instruments { trace, telemetry };
+            let observed = StackSim::new(quick(CcKind::Bbr, CpuConfig::LowEnd, 3))
+                .run_observed(instruments.clone());
+            assert_eq!(
+                serde_json::to_string(&plain).unwrap(),
+                serde_json::to_string(&observed.result).unwrap(),
+                "{instruments:?} must not perturb any result byte"
+            );
+            let Instruments { trace, telemetry } = instruments;
+            assert_eq!(observed.telemetry.is_some(), telemetry.is_some());
+            if let Some(flight) = &observed.telemetry {
+                assert!(!flight.flows.is_empty() && !flight.queues.is_empty());
+            }
+            assert_eq!(observed.trace.is_some(), trace);
+            let Some(log) = observed.trace else {
+                continue;
+            };
+            // The log itself is well-formed: time-ordered, with the
+            // windowed CPU profile appended as counter series, and paced
+            // BBR has left pacing-timer, CC, CPU and wheel tracepoints
+            // behind.
+            use sim_core::trace::TraceKind;
+            assert!(log.events.windows(2).all(|w| w[0].at <= w[1].at));
+            assert!(log.counters.iter().any(|s| s.name.starts_with("cycles.")));
+            assert!(log.events.iter().any(|e| e.kind == TraceKind::PacingFire));
+            assert!(log.events.iter().any(|e| e.kind == TraceKind::CwndUpdate));
+            assert!(log.events.iter().any(|e| e.kind == TraceKind::CpuSpan));
+            assert!(log.events.iter().any(|e| e.kind == TraceKind::WheelPop));
         }
-        // The log itself is well-formed: time-ordered, with the windowed
-        // CPU profile appended as counter series, and paced BBR has left
-        // pacing-timer, CC, CPU and wheel tracepoints behind.
-        use sim_core::trace::TraceKind;
-        let log = observed.trace.expect("tracing was asked for");
-        assert!(log.events.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(log.counters.iter().any(|s| s.name.starts_with("cycles.")));
-        assert!(log.events.iter().any(|e| e.kind == TraceKind::PacingFire));
-        assert!(log.events.iter().any(|e| e.kind == TraceKind::CwndUpdate));
-        assert!(log.events.iter().any(|e| e.kind == TraceKind::CpuSpan));
-        assert!(log.events.iter().any(|e| e.kind == TraceKind::WheelPop));
     }
 }
 

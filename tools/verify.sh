@@ -126,10 +126,11 @@ fairness() {
 # workspace and lock file), frozen between benchmark PRs, so an API change
 # that breaks it must fail here, not at the next timed run. `--smoke`
 # builds it `--locked` and runs every workload once on shrunk inputs; the
-# self-tests cover its stats and span code.
+# self-tests cover its stats and span code, also `--locked`, so the gate
+# never rewrites the frozen lock file.
 bench() {
     benchmark/run.sh --smoke
-    cargo test --release --offline --manifest-path benchmark/Cargo.toml
+    cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 }
 
 # Scenario-fuzzer gate: replay the checked-in corpus, then 200 random
