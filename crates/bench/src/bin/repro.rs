@@ -14,22 +14,22 @@
 //! `sim_core::sweep` engine (`experiments::run_all`): a (config, seed)
 //! cell is simulated once however many experiments read it, and each
 //! experiment prints the moment its last cell is out. `--jobs N` fans the
-//! cells across N workers with bit-identical output to `--jobs 1`, and
-//! finished cells are cached content-addressed under `target/sweep-cache`
-//! (disable with `--no-cache`, relocate with `--cache-dir`). `--progress`
-//! prints a per-cell completion line (one `[k/n]` counter and ETA for the
-//! run) with its wall time and cache status, plus a final one-line
+//! cells across N workers with bit-identical output to `--jobs 1`. At the
+//! full preset finished cells are cached content-addressed under
+//! `target/sweep-cache/<fingerprint>/`, where the fingerprint hashes the
+//! model's source (disable with `--no-cache`, relocate or enable at any
+//! preset with `--cache-dir`). `--progress` prints the cache directory, a
+//! per-cell completion line (one `[k/n]` counter and ETA for the run)
+//! with its wall time and cache status, plus a final one-line
 //! cache/pool-health summary.
 //!
-//! Long runs are interruptible and resumable: `--checkpoint PATH` appends
-//! every finished cell to PATH as a checksummed record, Ctrl-C drains the
-//! in-flight cells, finalizes the checkpoint,
-//! and exits 130; rerunning with `--checkpoint PATH --resume` replays the
-//! recorded cells and produces a byte-identical scorecard. Without
-//! `--resume` an existing checkpoint is discarded and the run starts
-//! fresh. `--max-inflight N` bounds buffered-but-unreleased cells (memory
-//! stays flat in grid size); `--cancel-after N` is a deterministic
-//! test hook that interrupts after N released cells, counted over the run.
+//! Long runs are interruptible and resumable through the cache: Ctrl-C
+//! drains the in-flight cells and exits 130, and rerunning the same
+//! command serves every finished cell from the cache and produces a
+//! byte-identical scorecard. `--max-inflight N` bounds
+//! buffered-but-unreleased cells (memory stays flat in grid size);
+//! `--cancel-after N` is a deterministic test hook that interrupts after N
+//! released cells, counted over the run.
 //!
 //! `--observe DIR` switches to observe mode: instead of running
 //! experiments, it simulates the canonical Low-End / 20-connection BBR run
@@ -47,11 +47,15 @@
 //! ```
 
 use experiments::{Experiment, ExperimentId, Params};
+use std::path::Path;
+
+/// Where the full preset caches, relative to the working directory, so
+/// every `repro` run from the workspace root shares one cache.
+const DEFAULT_CACHE_DIR: &str = "target/sweep-cache";
 
 struct Args {
     exps: Vec<ExperimentId>,
     params: Params,
-    resume: bool,
     markdown: Option<String>,
     json: Option<String>,
     csv: Option<String>,
@@ -61,6 +65,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut exps = Vec::new();
     let mut params = Params::full();
+    let mut cached_preset = true;
     let mut markdown = None;
     let mut json = None;
     let mut csv = None;
@@ -83,8 +88,8 @@ fn parse_args() -> Result<Args, String> {
                     )
                 })?),
             },
-            "--quick" => params = Params::quick(),
-            "--smoke" => params = Params::smoke(),
+            "--quick" => (params, cached_preset) = (Params::quick(), false),
+            "--smoke" => (params, cached_preset) = (Params::smoke(), false),
             "--seeds" => {
                 let n = value("a value")?;
                 seeds = Some(n.parse().map_err(|e| format!("bad --seeds: {e}"))?);
@@ -110,7 +115,6 @@ fn parse_args() -> Result<Args, String> {
             ("--json", json.is_some()),
             ("--markdown", markdown.is_some()),
             ("--csv", csv.is_some()),
-            ("--checkpoint", sweep.checkpoint.is_some()),
         ] {
             if given {
                 ignored.push(flag);
@@ -134,12 +138,14 @@ fn parse_args() -> Result<Args, String> {
     if let Some(n) = seeds {
         params.seeds = n;
     }
-    let resume = sweep.resume;
-    sweep.apply(&mut params);
+    params.threads = sweep.jobs.unwrap_or(params.threads);
+    params.cache_dir = sweep.resolve_cache(cached_preset.then(|| Path::new(DEFAULT_CACHE_DIR)));
+    params.progress = sweep.progress;
+    params.max_inflight = sweep.max_inflight;
+    params.cancel_after = sweep.cancel_after;
     Ok(Args {
         exps,
         params,
-        resume,
         markdown,
         json,
         csv,
@@ -170,10 +176,13 @@ fn main() {
         Err(e) => {
             let e = sim_core::Error::Cli(e);
             eprintln!("error: {e}");
-            eprintln!("usage: repro [--exp <name|all|ablations>]... [--quick|--smoke] [--seeds N] [--jobs N] [--no-cache] [--cache-dir PATH] [--progress] [--checkpoint PATH [--resume]] [--max-inflight N] [--cancel-after N] [--markdown PATH] [--json PATH] [--csv PATH] [--observe DIR]");
+            eprintln!("usage: repro [--exp <name|all|ablations>]... [--quick|--smoke] [--seeds N] [--jobs N] [--no-cache] [--cache-dir PATH] [--progress] [--max-inflight N] [--cancel-after N] [--markdown PATH] [--json PATH] [--csv PATH] [--observe DIR]");
             std::process::exit(e.exit_code());
         }
     };
+    if let (true, Some(dir)) = (args.params.progress, &args.params.cache_dir) {
+        eprintln!("cache: {}", dir.display());
+    }
 
     if let Some(dir) = &args.observe {
         if let Err(e) = observe(&args.params, dir) {
@@ -183,33 +192,14 @@ fn main() {
         return;
     }
 
-    // A fresh (non-`--resume`) run must not replay a stale checkpoint.
-    if let Some(path) = &args.params.checkpoint {
-        if !args.resume && path.exists() {
-            if let Err(e) = std::fs::remove_file(path) {
-                let e =
-                    sim_core::Error::io(format!("discard stale checkpoint {}", path.display()), e);
-                eprintln!("error: {e}");
-                std::process::exit(e.exit_code());
-            }
-        }
-    }
-
     match run_experiments(&args) {
         Ok(true) => {}
         Ok(false) => std::process::exit(1),
         Err(e) => {
             eprintln!("error: {e}");
             if matches!(e, sim_core::Error::Interrupted { .. }) {
-                if let Some(path) = &args.params.checkpoint {
-                    eprintln!(
-                        "checkpoint finalized at {}; rerun with `--checkpoint {} --resume` to continue where this run stopped",
-                        path.display(),
-                        path.display()
-                    );
-                } else {
-                    eprintln!("hint: rerun with `--checkpoint PATH` to make long runs resumable");
-                }
+                let cache = args.params.cache_dir.as_deref();
+                eprintln!("{}", mobile_bbr_bench::interrupt_hint(cache));
             }
             std::process::exit(e.exit_code());
         }
@@ -217,8 +207,8 @@ fn main() {
 }
 
 /// Run the selected experiments and emit reports. Returns whether every
-/// shape check passed; all failures (cancellation, checkpoint/output
-/// I/O) flow to `main`'s single exit-code edge as `sim_core::Error`.
+/// shape check passed; all failures (cancellation, output I/O) flow to
+/// `main`'s single exit-code edge as `sim_core::Error`.
 fn run_experiments(args: &Args) -> Result<bool, sim_core::Error> {
     let mut done: Vec<Experiment> = Vec::new();
     let t0 = std::time::Instant::now();

@@ -13,12 +13,12 @@
 //! under `--failure-dir` as a Chrome trace (`simcheck-<key>.json`, load it
 //! in Perfetto).
 //!
-//! Long campaigns are interruptible and resumable: `--checkpoint PATH`
-//! records every scenario verdict (atomic tmp+rename envelope), Ctrl-C
-//! drains in-flight scenarios, finalizes the checkpoint, and exits 130;
-//! rerunning with `--checkpoint PATH --resume` replays recorded verdicts
-//! and produces byte-identical output. Without `--resume`, an existing
-//! checkpoint file is discarded and the campaign starts fresh.
+//! Campaigns run without a cache unless `--cache-dir PATH` is given; then
+//! every scenario verdict is kept under `PATH/<fingerprint>/`, where the
+//! fingerprint hashes the model's source, so a rerun of the same campaign
+//! is served from it. That also makes long campaigns resumable: Ctrl-C
+//! drains in-flight scenarios and exits 130, and rerunning the same
+//! command replays the finished verdicts and prints byte-identical output.
 //!
 //! Exit codes: 0 all invariants hold; 1 at least one violation (or an
 //! escaped mutant); 2 usage error; 130 interrupted (Ctrl-C).
@@ -95,8 +95,9 @@ fn print_usage() {
            --mutant-check       verify each tcp_sim::mutants mutation is caught\n\
                                 (needs a --features simcheck-mutants build)\n\
            --no-corpus-append   report failures without persisting them to the corpus\n\
-           --checkpoint PATH    record scenario verdicts for interrupt/resume\n\
-           --resume             resume from an existing --checkpoint file\n\
+           --cache-dir PATH     keep verdicts under PATH/<model fingerprint>; a rerun\n\
+                                (or an interrupted campaign's rerun) is served from it\n\
+           --no-cache           run without a cache (the default)\n\
            --max-inflight N     bound buffered-but-unreleased verdicts (0 = auto)\n\
            --cancel-after N     deterministic test hook: interrupt after N cells\n\
            --progress           per-scenario progress on stderr"
@@ -198,13 +199,17 @@ fn run_fuzz(args: &Args) -> i32 {
     }
 
     // Phase 2: the random budget, fanned across --jobs workers.
+    let cache_dir = args.sweep.resolve_cache(None);
+    if let (true, Some(dir)) = (args.sweep.progress, &cache_dir) {
+        eprintln!("cache: {}", dir.display());
+    }
     let outcome = match fuzz(&FuzzOptions {
         budget: args.budget,
         seed: args.seed,
         jobs: args.sweep.jobs.unwrap_or(1),
         failure_dir: Some(args.failure_dir.clone()),
         progress: args.sweep.progress,
-        checkpoint: args.sweep.checkpoint.clone(),
+        cache_dir: cache_dir.clone(),
         max_inflight: args.sweep.max_inflight,
         cancel_after: args.sweep.cancel_after,
     }) {
@@ -212,15 +217,7 @@ fn run_fuzz(args: &Args) -> i32 {
         Err(e) => {
             eprintln!("simcheck: {e}");
             if matches!(e, sim_core::Error::Interrupted { .. }) {
-                if let Some(path) = &args.sweep.checkpoint {
-                    eprintln!(
-                        "checkpoint finalized at {}; rerun with `--checkpoint {} --resume` to continue",
-                        path.display(),
-                        path.display()
-                    );
-                } else {
-                    eprintln!("hint: rerun with `--checkpoint PATH` to make campaigns resumable");
-                }
+                eprintln!("{}", mobile_bbr_bench::interrupt_hint(cache_dir.as_deref()));
             }
             std::process::exit(e.exit_code());
         }
@@ -247,6 +244,7 @@ fn run_fuzz(args: &Args) -> i32 {
     // worker count is reported on stderr only (with --progress).
     if args.sweep.progress {
         eprintln!("jobs: {}", args.sweep.jobs.unwrap_or(1));
+        eprintln!("{}", sim_core::sweep::totals().summary_line());
     }
     println!(
         "simcheck: {} corpus + {} random scenarios, {} violation(s), seed {}",
@@ -268,17 +266,6 @@ fn main() {
         Ok(a) => a,
         Err(e) => fail(&e),
     };
-    // A fresh (non-`--resume`) campaign must not replay a stale checkpoint.
-    if let Some(path) = &args.sweep.checkpoint {
-        if !args.sweep.resume && path.exists() {
-            if let Err(e) = std::fs::remove_file(path) {
-                fail(&format!(
-                    "cannot discard stale checkpoint {}: {e}",
-                    path.display()
-                ));
-            }
-        }
-    }
     let code = if let Some(spec) = &args.scenario {
         run_single(spec)
     } else if args.mutant_check {

@@ -2,8 +2,8 @@
 //!
 //! The handler only flips `sim_core::sweep`'s process-global cancel flag
 //! (an atomic store — async-signal-safe); the sweep engine notices it at
-//! the next cell boundary, drains the in-flight window, finalizes any
-//! checkpoint file, and returns [`sim_core::Error::Interrupted`], which
+//! the next cell boundary, drains the in-flight window (caching each cell,
+//! when a cache is on), and returns [`sim_core::Error::Interrupted`], which
 //! the binaries map to exit code 130 (128 + SIGINT) plus a resume hint.
 //!
 //! Raw `signal(2)` FFI keeps this dependency-free; the second Ctrl-C is

@@ -24,8 +24,12 @@
 pub mod cancel;
 pub mod simcheck;
 
-use experiments::{Experiment, Params};
-use std::path::PathBuf;
+use experiments::Experiment;
+use std::path::{Path, PathBuf};
+
+/// 16 hex digits that `build.rs` hashes from the source of every crate a
+/// sweep cell runs and the enabled features: the run cache's subdirectory.
+const MODEL_FINGERPRINT: &str = env!("MODEL_FINGERPRINT");
 
 /// The sweep-engine flags `repro` and `simcheck` share, as parsed by
 /// [`sweep_flags`].
@@ -39,10 +43,6 @@ pub struct SweepFlags {
     pub no_cache: bool,
     /// `--cache-dir PATH`.
     pub cache_dir: Option<PathBuf>,
-    /// `--checkpoint PATH`.
-    pub checkpoint: Option<PathBuf>,
-    /// `--resume` (only ever set together with `checkpoint`).
-    pub resume: bool,
     /// `--max-inflight N` (0 = auto).
     pub max_inflight: usize,
     /// `--cancel-after N`.
@@ -50,19 +50,13 @@ pub struct SweepFlags {
 }
 
 impl SweepFlags {
-    /// Lay the flags over a preset: a flag that was given overrides it.
-    pub fn apply(self, params: &mut Params) {
-        params.threads = self.jobs.unwrap_or(params.threads);
-        if let Some(dir) = self.cache_dir {
-            params.cache_dir = Some(dir);
-        }
-        if self.no_cache {
-            params.cache_dir = None;
-        }
-        params.progress = self.progress;
-        params.checkpoint = self.checkpoint;
-        params.max_inflight = self.max_inflight;
-        params.cancel_after = self.cancel_after;
+    /// The run cache these flags select: none under `--no-cache`, else
+    /// `<--cache-dir or default>/<model fingerprint>/`. Cells that another
+    /// build of the model wrote sit in another subdirectory and are never
+    /// read; old subdirectories are safe to delete.
+    pub fn resolve_cache(&self, default: Option<&Path>) -> Option<PathBuf> {
+        let base = self.cache_dir.as_deref().or(default)?;
+        (!self.no_cache).then(|| base.join(MODEL_FINGERPRINT))
     }
 }
 
@@ -99,18 +93,26 @@ pub fn sweep_flags(argv: &mut Vec<String>) -> Result<SweepFlags, String> {
             "--progress" => flags.progress = true,
             "--no-cache" => flags.no_cache = true,
             "--cache-dir" => flags.cache_dir = Some(path(&arg, args.next())?),
-            "--checkpoint" => flags.checkpoint = Some(path(&arg, args.next())?),
-            "--resume" => flags.resume = true,
             "--max-inflight" => flags.max_inflight = number(&arg, args.next())?,
             "--cancel-after" => flags.cancel_after = Some(number(&arg, args.next())?),
             _ => rest.push(arg),
         }
     }
-    if flags.resume && flags.checkpoint.is_none() {
-        return Err("--resume requires --checkpoint PATH".into());
-    }
     *argv = rest;
     Ok(flags)
+}
+
+/// What to tell the user after an interrupted sweep. Every cell it
+/// finished is in the run cache, when there is one, so the same command
+/// resumes where it stopped.
+pub fn interrupt_hint(cache: Option<&Path>) -> String {
+    match cache {
+        Some(dir) => format!(
+            "hint: rerun the same command to resume; finished cells are cached in {}",
+            dir.display()
+        ),
+        None => "hint: rerun with `--cache-dir PATH` to make an interrupted run resumable".into(),
+    }
 }
 
 /// Serialize experiments to a JSON document (for machine consumption).
@@ -121,7 +123,7 @@ pub fn to_json(experiments: &[Experiment]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use experiments::ExperimentId;
+    use experiments::{ExperimentId, Params};
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|a| a.to_string()).collect()
@@ -135,9 +137,8 @@ mod tests {
             "--jobs",
             "4",
             "--quick",
-            "--checkpoint",
-            "ck",
-            "--resume",
+            "--cache-dir",
+            "d",
             "--json",
             "o",
         ]);
@@ -145,8 +146,7 @@ mod tests {
         assert_eq!(args, argv(&["--exp", "fig2", "--quick", "--json", "o"]));
         let want = SweepFlags {
             jobs: Some(4),
-            checkpoint: Some("ck".into()),
-            resume: true,
+            cache_dir: Some("d".into()),
             ..SweepFlags::default()
         };
         assert_eq!(flags, want);
@@ -156,7 +156,30 @@ mod tests {
         assert_eq!(err(&["--jobs", "0"]), "--jobs must be at least 1");
         assert!(err(&["--jobs", "x"]).starts_with("bad --jobs:"));
         assert_eq!(err(&["--cache-dir"]), "--cache-dir needs a path");
-        assert_eq!(err(&["--resume"]), "--resume requires --checkpoint PATH");
+    }
+
+    #[test]
+    fn the_cache_is_the_chosen_directory_under_the_fingerprint() {
+        let fingerprint = Path::new(MODEL_FINGERPRINT);
+        assert_eq!(MODEL_FINGERPRINT.len(), 16);
+        assert!(MODEL_FINGERPRINT.bytes().all(|b| b.is_ascii_hexdigit()));
+        let default = Some(Path::new("t"));
+        let flags = |args: &[&str]| sweep_flags(&mut argv(args)).expect("valid flags");
+        assert_eq!(flags(&[]).resolve_cache(None), None);
+        assert_eq!(
+            flags(&[]).resolve_cache(default),
+            Some(Path::new("t").join(fingerprint))
+        );
+        let explicit = flags(&["--cache-dir", "d"]);
+        assert_eq!(
+            explicit.resolve_cache(default),
+            Some(Path::new("d").join(fingerprint))
+        );
+        assert_eq!(flags(&["--no-cache"]).resolve_cache(default), None);
+        assert_eq!(
+            flags(&["--cache-dir", "d", "--no-cache"]).resolve_cache(default),
+            None
+        );
     }
 
     #[test]

@@ -1144,10 +1144,12 @@ pub struct FuzzOutcome {
 
 /// One fuzz unit: index `i` of a batch rooted at `root_seed`. The cell's
 /// RNG is engine-split from its key, so the drawn scenario depends only on
-/// `(root_seed, i)` — never on jobs or scheduling.
+/// `(root_seed, i)` — never on jobs or scheduling. The verdict also
+/// depends on the active mutant, which the key therefore names.
 struct FuzzCell {
     root_seed: u64,
     index: u64,
+    mutant: Option<Mutant>,
 }
 
 impl SweepCell for FuzzCell {
@@ -1157,8 +1159,14 @@ impl SweepCell for FuzzCell {
         format!("simcheck[{}]", self.index)
     }
 
+    /// A clean cell's key carries no mutant suffix, so its RNG label, and
+    /// so the scenario it draws, is the same in every build.
     fn key_bytes(&self) -> Vec<u8> {
-        format!("simcheck:{}:{}", self.root_seed, self.index).into_bytes()
+        let mut key = format!("simcheck:{}:{}", self.root_seed, self.index);
+        if let Some(mutant) = self.mutant {
+            key += &format!(":{mutant}");
+        }
+        key.into_bytes()
     }
 
     fn run(&self, mut rng: SimRng) -> Self::Output {
@@ -1167,8 +1175,7 @@ impl SweepCell for FuzzCell {
         (s, violations)
     }
 
-    /// Codec for the *campaign checkpoint* (never the cross-run cache —
-    /// see [`Self::cacheable`]): the scenario's canonical spec string plus
+    /// Codec for the run cache: the scenario's canonical spec string plus
     /// each violation as (oracle, detail), all length-prefixed.
     fn encode(output: &Self::Output) -> Option<Vec<u8>> {
         let (scenario, violations) = output;
@@ -1205,9 +1212,8 @@ impl SweepCell for FuzzCell {
         for _ in 0..count {
             let name = std::str::from_utf8(next()?).ok()?;
             // Oracle names are `&'static str`: map back through the
-            // current oracle library; an unknown name (renamed oracle
-            // since the checkpoint was written) rejects the record and
-            // the engine recomputes.
+            // current oracle library; an unknown name rejects the entry
+            // and the engine recomputes.
             let oracle = known.iter().find(|o| o.name == name)?.name;
             let detail = std::str::from_utf8(next()?).ok()?.to_string();
             violations.push(Violation { oracle, detail });
@@ -1216,14 +1222,6 @@ impl SweepCell for FuzzCell {
             return None;
         }
         Some((scenario, violations))
-    }
-
-    /// Never cross-run cached: oracle results must reflect the *current*
-    /// build (mutant state is process-global and not part of the key).
-    /// Campaign checkpoints still record verdicts: a resume runs the same
-    /// binary on the same batch.
-    fn cacheable(&self) -> bool {
-        false
     }
 }
 
@@ -1242,9 +1240,11 @@ pub struct FuzzOptions {
     pub failure_dir: Option<std::path::PathBuf>,
     /// Per-scenario progress lines on stderr.
     pub progress: bool,
-    /// Campaign checkpoint: verdicts recorded here resume an interrupted
-    /// batch (same binary, same seed/budget) without recomputation.
-    pub checkpoint: Option<std::path::PathBuf>,
+    /// Run-cache directory for scenario verdicts (`None` disables it).
+    /// The caller names it after the model fingerprint, so a rerun, or the
+    /// rerun of an interrupted campaign, is served from the same build's
+    /// verdicts only.
+    pub cache_dir: Option<std::path::PathBuf>,
     /// Bound on buffered-but-unreleased scenario verdicts (0 = auto).
     pub max_inflight: usize,
     /// Deterministic test hook: interrupt after this many released cells.
@@ -1261,21 +1261,21 @@ pub struct FuzzOptions {
 /// trace-event JSON (load it in Perfetto or `chrome://tracing`).
 ///
 /// Errors: [`sim_core::Error::Interrupted`] on Ctrl-C / cancellation
-/// (the checkpoint, if configured, is already finalized), I/O failures
-/// while writing traces or the checkpoint.
+/// (every finished verdict is already cached, if a cache is configured),
+/// I/O failures while writing traces.
 pub fn fuzz(options: &FuzzOptions) -> Result<FuzzOutcome, sim_core::Error> {
     let cells: Vec<FuzzCell> = (0..options.budget)
         .map(|index| FuzzCell {
             root_seed: options.seed,
             index,
+            mutant: mutants::active(),
         })
         .collect();
     let opts = SweepOptions {
         jobs: options.jobs.max(1),
-        cache_dir: None,
+        cache_dir: options.cache_dir.clone(),
         root_seed: options.seed,
         progress: options.progress,
-        checkpoint: options.checkpoint.clone(),
         max_inflight: options.max_inflight,
         cancel_after: options.cancel_after,
     };

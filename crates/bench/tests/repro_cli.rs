@@ -2,8 +2,8 @@
 //! preset whichever side of `--quick`/`--smoke` it is written on, a
 //! hostile value is a usage error and never a panic, naming an experiment
 //! twice selects it once, `--exp ablations` is a selection like
-//! `--exp all` — same sweep, same sharing — and `--observe` is the one
-//! observe mode.
+//! `--exp all` — same sweep, same sharing — `--observe` is the one
+//! observe mode, and the run cache lives under the model's fingerprint.
 
 use std::process::Command;
 
@@ -157,7 +157,7 @@ fn observe_writes_five_files_and_prints_three_tables() {
 #[test]
 fn side_modes_refuse_flags_they_would_ignore() {
     // `--observe` returns before any experiment runs; a flag that asks
-    // for an artifact or a checkpoint would be dropped silently.
+    // for an artifact would be dropped silently.
     let dir = std::env::temp_dir().join(format!("repro-cli-modes-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
@@ -168,8 +168,8 @@ fn side_modes_refuse_flags_they_would_ignore() {
         ),
         (vec!["--csv", &at("c")], vec!["--csv"]),
         (
-            vec!["--markdown", &at("m"), "--checkpoint", &at("k")],
-            vec!["--markdown", "--checkpoint"],
+            vec!["--markdown", &at("m"), "--csv", &at("c")],
+            vec!["--markdown", "--csv"],
         ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -210,4 +210,31 @@ fn the_old_observe_flags_are_unknown() {
             "{stderr}"
         );
     }
+}
+
+/// The cache directory holds one subdirectory per model fingerprint:
+/// `--progress` names it, and a second run is served from it whole.
+#[test]
+fn the_cache_lives_under_the_printed_fingerprint() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let flags = ["--smoke", "--cache-dir", dir.to_str().unwrap()];
+    let (cold, cold_err) = fig9("cache-cold", &flags);
+    let (warm, warm_err) = fig9("cache-warm", &flags);
+    assert_eq!(cold, warm, "a warm run reports the cold run's bytes");
+    assert!(warm_err.contains("cache 8 hits / 0 misses"), "{warm_err}");
+
+    let entries: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .collect();
+    assert_eq!(entries.len(), 1, "one fingerprint, one subdirectory");
+    let name = entries[0].file_name().into_string().unwrap();
+    assert_eq!(name.len(), 16, "{name}");
+    assert!(name.bytes().all(|b| b.is_ascii_hexdigit()), "{name}");
+    let printed = format!("cache: {}\n", dir.join(&name).display());
+    for stderr in [cold_err, warm_err] {
+        assert_eq!(stderr.matches(&printed).count(), 1, "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,6 @@
 //! Integration tests for the `simcheck` fuzzer: corpus health, CLI
-//! behaviour, and the determinism contract (`--jobs N` output is
-//! bit-identical to `--jobs 1`).
+//! behaviour, the determinism contract (`--jobs N` output is
+//! bit-identical to `--jobs 1`), and the run cache behind `--cache-dir`.
 
 use mobile_bbr_bench::simcheck::{check_scenario, Scenario};
 use std::path::PathBuf;
@@ -106,6 +106,39 @@ fn bad_spec_and_bad_flags_exit_two() {
         .output()
         .unwrap();
     assert_eq!(bad_jobs.status.code(), Some(2));
+}
+
+/// A campaign rerun with the same `--cache-dir` is served from it whole
+/// and prints the same bytes.
+#[test]
+fn a_cached_campaign_reruns_from_the_cache() {
+    let dir = std::env::temp_dir().join(format!("simcheck-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = || {
+        let out = Command::new(simcheck_bin())
+            .args(["--budget", "8", "--seed", "5", "--jobs", "2", "--progress"])
+            .args([
+                "--corpus",
+                "/nonexistent/empty-corpus.txt",
+                "--no-corpus-append",
+            ])
+            .args(["--cache-dir", dir.to_str().unwrap()])
+            .output()
+            .expect("simcheck runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "stderr: {stderr}");
+        (out.stdout, stderr)
+    };
+    let (cold, cold_err) = run();
+    let (warm, warm_err) = run();
+    assert!(cold_err.contains("cache 0 hits / 8 misses"), "{cold_err}");
+    assert!(warm_err.contains("cache 8 hits / 0 misses"), "{warm_err}");
+    assert_eq!(cold, warm, "a warm campaign prints the cold one's bytes");
+    assert!(
+        warm_err.contains(&format!("cache: {}/", dir.display())),
+        "{warm_err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Without the `simcheck-mutants` feature, `--mutant-check` must refuse

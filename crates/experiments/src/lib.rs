@@ -258,8 +258,7 @@ impl ExperimentId {
     /// Run this experiment alone: [`run_all`] over one id.
     ///
     /// Errors propagate from the sweep engine: [`sim_core::error::Error::Interrupted`]
-    /// when a cancellation request (Ctrl-C) stopped the sweep mid-grid, or
-    /// an I/O error from an unwritable checkpoint file.
+    /// when a cancellation request (Ctrl-C) stopped the sweep mid-grid.
     pub fn run(self, params: &Params) -> Result<Experiment, sim_core::error::Error> {
         let mut done = None;
         run_all(&[self], params, |exp| done = Some(exp))?;

@@ -37,20 +37,19 @@ pub struct Params {
     pub warmup: SimDuration,
     /// Worker threads for sweep parallelism.
     pub threads: usize,
-    /// Run-cache directory for the sweep engine; `None` disables caching.
-    /// Keyed on cell content, so presets can safely share one directory.
+    /// Run-cache directory for the sweep engine; `None` (every preset)
+    /// disables caching. Keyed on cell content, so presets can safely
+    /// share one directory; the front ends name it after the model's
+    /// source fingerprint, so another build's entries are never read.
     pub cache_dir: Option<std::path::PathBuf>,
     /// Print per-cell progress/timing lines to stderr as sweeps run.
     pub progress: bool,
-    /// Checkpoint file recording completed cells; an interrupted run
-    /// restarted with the same file resumes instead of recomputing.
-    pub checkpoint: Option<std::path::PathBuf>,
     /// Bound on buffered-but-unreleased sweep outputs (0 = auto:
     /// `max(4 * jobs, 16)`); memory stays flat in grid size.
     pub max_inflight: usize,
     /// Deterministic cancellation test hook: interrupt the sweep once this
-    /// many cells have been released (exercises checkpoint/resume without
-    /// signal timing).
+    /// many cells have been released (exercises interrupt and resume
+    /// without signal timing).
     pub cancel_after: Option<u64>,
     /// Devices per fleet in the FLEET experiment and the report's fleet
     /// panel. A multiple of [`tcp_sim::fleet::TIER_MIX`]'s length keeps the
@@ -69,7 +68,6 @@ impl Params {
             threads: available_threads(),
             cache_dir: None,
             progress: false,
-            checkpoint: None,
             max_inflight: 0,
             cancel_after: None,
             fleet_devices: 12,
@@ -85,24 +83,21 @@ impl Params {
             threads: available_threads(),
             cache_dir: None,
             progress: false,
-            checkpoint: None,
             max_inflight: 0,
             cancel_after: None,
             fleet_devices: 36,
         }
     }
 
-    /// The preset behind EXPERIMENTS.md and the `repro` binary. Caches
-    /// finished cells under `target/sweep-cache` so a rerun is warm.
+    /// The preset behind EXPERIMENTS.md and the `repro` binary.
     pub fn full() -> Self {
         Params {
             seeds: 5,
             duration: SimDuration::from_secs(8),
             warmup: SimDuration::from_secs(1),
             threads: available_threads(),
-            cache_dir: Some(sim_core::sweep::SweepOptions::default_cache_dir()),
+            cache_dir: None,
             progress: false,
-            checkpoint: None,
             max_inflight: 0,
             cancel_after: None,
             fleet_devices: 504,
@@ -116,7 +111,6 @@ impl Params {
             cache_dir: self.cache_dir.clone(),
             root_seed: 1,
             progress: self.progress,
-            checkpoint: self.checkpoint.clone(),
             max_inflight: self.max_inflight,
             cancel_after: self.cancel_after,
         }

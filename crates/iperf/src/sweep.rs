@@ -188,9 +188,8 @@ impl SweepCell for KeyedCell {
 /// call returns — a later spec may repeat any of them; everything else is
 /// the engine's bounded in-flight window.
 ///
-/// Errors propagate from the engine: [`Error::Interrupted`] (checkpoint
-/// already finalized; counts are distinct cells over the whole call) and
-/// checkpoint I/O errors.
+/// Errors propagate from the engine: [`Error::Interrupted`], whose counts
+/// are distinct cells over the whole call.
 pub fn run_specs_sweep(
     groups: &[Vec<RunSpec>],
     opts: &SweepOptions,

@@ -1,5 +1,10 @@
 //! Sweep checkpoint files: crash-safe progress records for long sweeps.
 //!
+//! The sweep engine does not use this store: its run cache already keeps
+//! every finished cell, so an interrupted sweep resumes by rerunning
+//! against the same cache directory. The repo benchmark still prices the
+//! store's append and take paths.
+//!
 //! A checkpoint is one file recording every finished cell of a sweep (or a
 //! whole session of sweeps — keys are content-addressed, so one file can
 //! serve any number of [`crate::sweep`] invocations). An interrupted run

@@ -1,7 +1,7 @@
 //! The workspace-wide error type.
 //!
 //! Every fallible public operation in the reproduction — config
-//! validation, sweep checkpoint/cache I/O, interrupted sweeps, CLI
+//! validation, result and checkpoint I/O, interrupted sweeps, CLI
 //! parsing — reports a variant of one [`Error`] enum instead of an ad-hoc
 //! `String`. Library code returns [`Result`]; the binaries
 //! convert to a process exit code in exactly one place, at the edge of
@@ -29,7 +29,8 @@ pub enum Error {
         /// The underlying OS error.
         source: std::io::Error,
     },
-    /// A sweep checkpoint could not be created, read, or appended.
+    /// A [`crate::checkpoint::CheckpointStore`] file could not be created,
+    /// read, or appended.
     ///
     /// Note that a *corrupt* checkpoint is not an error: the loader keeps
     /// the valid prefix and the engine recomputes the rest (the same
@@ -43,9 +44,9 @@ pub enum Error {
     },
     /// A sweep was cancelled (Ctrl-C, or the `cancel_after` test hook) before completing.
     ///
-    /// In-flight cells were drained and the checkpoint (when configured)
-    /// records every completed cell, so re-running with the same
-    /// checkpoint resumes exactly where the sweep stopped.
+    /// In-flight cells were drained, and every computed cell is in the run
+    /// cache (when one is configured), so rerunning against the same cache
+    /// directory resumes exactly where the sweep stopped.
     Interrupted {
         /// Cells fully completed and released before the stop.
         completed: u64,
@@ -99,11 +100,7 @@ impl std::fmt::Display for Error {
                 write!(f, "checkpoint {}: {reason}", path.display())
             }
             Error::Interrupted { completed, total } => {
-                write!(
-                    f,
-                    "interrupted after {completed}/{total} cells (checkpointed work will be \
-                     reused on resume)"
-                )
+                write!(f, "interrupted after {completed}/{total} cells")
             }
             Error::Cli(msg) => write!(f, "{msg}"),
         }

@@ -56,7 +56,6 @@ pub mod trace;
 pub mod units;
 
 pub use check::{evaluate, Corpus, NamedOracle, Violation};
-pub use checkpoint::CheckpointStore;
 pub use error::{Error, Result};
 pub use event::{EventQueue, ScheduledEvent, TimerToken};
 pub use rng::SimRng;

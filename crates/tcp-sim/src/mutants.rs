@@ -135,6 +135,11 @@ pub fn set_active(mutant: Option<Mutant>) -> bool {
     }
 }
 
+/// The active mutant, if any; always `None` without the feature.
+pub fn active() -> Option<Mutant> {
+    ALL.into_iter().find(|&m| is(m))
+}
+
 /// Is `mutant` active? `const false` without the feature, so call sites
 /// compile to nothing in ordinary builds.
 #[inline(always)]

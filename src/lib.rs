@@ -46,7 +46,7 @@ pub use sim_core;
 pub use tcp_sim;
 
 /// The workspace-wide error type (`sim_core::Error`): configuration
-/// validation, checkpoint/cache I/O, trace decoding, cancellation. Map to
+/// validation, result I/O, trace decoding, cancellation. Map to
 /// a process exit code with [`Error::exit_code`](sim_core::error::Error::exit_code).
 pub use sim_core::error::{Error, Result};
 

@@ -1,30 +1,19 @@
 //! FLEET experiment determinism: the fleet scorecard must be byte-for-byte
-//! reproducible across worker counts, and an interrupted fleet sweep must
-//! resume from its checkpoint to exactly the bytes of an uninterrupted run.
+//! reproducible across worker counts, and an interrupted sweep must resume
+//! through the run cache to exactly the bytes of an uninterrupted run.
 //!
 //! Fleet cells are the heaviest the sweep engine schedules (hundreds of
 //! connections per cell at the full preset), which makes them the most
 //! likely place for a worker-count-dependent interleaving or a stale
-//! checkpoint entry to sneak into the output. Both tests run the real
-//! [`ExperimentId::Fleet`] pipeline end to end — the same path
-//! `repro --exp fleet` takes.
+//! cache entry to sneak into the output. Both tests run the real
+//! experiment pipeline end to end — the same path `repro --exp fleet`
+//! takes, minus the process boundary that `tools/verify.sh resume`
+//! covers with the real binaries.
+
+mod support;
 
 use mobile_bbr::prelude::*;
-
-/// Smoke parameters with an explicit worker count and two seeds, so the
-/// FLEET grid (3 fleets × 2 seeds = 6 cells) has a mid-grid to interrupt.
-fn base_params(jobs: usize) -> Params {
-    let mut p = Params::smoke();
-    p.seeds = 2;
-    p.threads = jobs;
-    p.cache_dir = None;
-    p.progress = false;
-    p
-}
-
-fn scorecard_json(exp: &mobile_bbr::experiments::Experiment) -> String {
-    serde_json::to_string_pretty(&[exp]).expect("experiment serializes")
-}
+use support::{base_params, scorecard_json};
 
 #[test]
 fn fleet_scorecard_is_byte_identical_across_worker_counts() {
@@ -41,49 +30,11 @@ fn fleet_scorecard_is_byte_identical_across_worker_counts() {
     );
 }
 
+/// Interrupt a FLEET sweep mid-grid, rerun it against the same cache
+/// directory, and require the scorecard bytes of an uninterrupted run.
+/// `checkpoint_resume.rs` runs the same check on BBR2 at one and four
+/// workers.
 #[test]
 fn interrupted_fleet_sweep_resumes_byte_identically() {
-    let dir = std::env::temp_dir().join(format!("mobile-bbr-fleet-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-
-    let baseline = ExperimentId::Fleet
-        .run(&base_params(4))
-        .expect("baseline completes");
-    let want = scorecard_json(&baseline);
-
-    // Phase 1: interrupt mid-grid. max_inflight 2 keeps the claim window
-    // from swallowing the whole 6-cell grid before the cancel-after hook
-    // can latch.
-    let ckpt = dir.join("fleet.ck");
-    let mut interrupted = base_params(4);
-    interrupted.checkpoint = Some(ckpt.clone());
-    interrupted.max_inflight = 2;
-    interrupted.cancel_after = Some(2);
-    let err = ExperimentId::Fleet
-        .run(&interrupted)
-        .expect_err("cancel_after must interrupt the fleet sweep");
-    match err {
-        Error::Interrupted { completed, total } => {
-            assert!(completed >= 2, "at least 2 fleet cells finished");
-            assert!(completed < total, "interrupt landed mid-grid");
-        }
-        other => panic!("expected Interrupted, got {other}"),
-    }
-    assert!(ckpt.exists(), "interrupt finalizes the checkpoint file");
-
-    // Phase 2: resume from the checkpoint and require the recovered
-    // scorecard to match the uninterrupted bytes.
-    let mut resumed = base_params(4);
-    resumed.checkpoint = Some(ckpt);
-    let exp = ExperimentId::Fleet
-        .run(&resumed)
-        .expect("resumed run completes");
-    assert_eq!(
-        scorecard_json(&exp),
-        want,
-        "resumed fleet scorecard must be byte-identical to the uninterrupted run"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
+    support::assert_resume_is_byte_identical(ExperimentId::Fleet, 4);
 }

@@ -72,24 +72,26 @@ PY
 }
 
 # Interrupt a sweep deterministically mid-grid (--cancel-after makes the
-# engine act as if Ctrl-C arrived after N released cells), require exit 130
-# and a finalized checkpoint, resume from it, and require the scorecard
-# JSON to be byte-identical to an uninterrupted run at the same worker
-# count. Then the same for a simcheck fuzz campaign, and one
+# engine act as if Ctrl-C arrived after N released cells) with a run
+# cache, require exit 130, rerun the same command against the same cache,
+# and require the result bytes of a clean --no-cache run: the scorecard
+# JSON for repro, stdout for a simcheck fuzz campaign. Then one
 # 1000-connection cell through the flow arena with every oracle armed.
 resume() {
-    local sweep=(--exp bbr2 --smoke --seeds 2 --jobs 4 --no-cache)
-    repro "${sweep[@]}" --json "$out/clean.json"
-    expect_interrupted repro "${sweep[@]}" --checkpoint "$out/repro.ck" \
+    local sweep=(--exp bbr2 --smoke --seeds 2 --jobs 4)
+    repro "${sweep[@]}" --no-cache --json "$out/clean.json"
+    expect_interrupted repro "${sweep[@]}" --cache-dir "$out/cache" \
         --max-inflight 2 --cancel-after 2 --json "$out/interrupted.json"
-    test -f "$out/repro.ck"
     test ! -f "$out/interrupted.json"
-    repro "${sweep[@]}" --checkpoint "$out/repro.ck" --resume --json "$out/resumed.json"
+    repro "${sweep[@]}" --cache-dir "$out/cache" --json "$out/resumed.json"
     cmp "$out/clean.json" "$out/resumed.json"
 
-    local fuzz=(--budget 80 --seed 1 --jobs 4 --no-corpus-append --checkpoint "$out/fuzz.ck")
-    expect_interrupted simcheck "${fuzz[@]}" --max-inflight 4 --cancel-after 20
-    simcheck "${fuzz[@]}" --resume
+    local fuzz=(--budget 80 --seed 1 --jobs 4 --no-corpus-append)
+    simcheck "${fuzz[@]}" --no-cache >"$out/fuzz-clean.txt"
+    expect_interrupted simcheck "${fuzz[@]}" --cache-dir "$out/cache" \
+        --max-inflight 4 --cancel-after 20
+    simcheck "${fuzz[@]}" --cache-dir "$out/cache" >"$out/fuzz-resumed.txt"
+    cmp "$out/fuzz-clean.txt" "$out/fuzz-resumed.txt"
 
     simcheck --scenario 'cc=bbr,cpu=high,media=eth,conns=1000,stride=1,pacing=on,queue=-,loss=0,jitter=0,cross=0,acks=-,dur=500,warmup=150,seed=18'
 }
