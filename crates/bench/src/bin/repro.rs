@@ -36,10 +36,12 @@
 //! once with tracing and telemetry on, plus the Fig. 2 / Fig. 7 grids and
 //! the canonical fleet, and writes under DIR the Chrome trace
 //! (`trace.json`, load it in Perfetto or `chrome://tracing`), the flight
-//! data (`flight.jsonl`, `flows.csv`, `queue.csv`) and one self-contained
-//! `report.html` (inline SVG, no JavaScript, no network). It prints the
-//! trace's per-kind census, the exact per-category cycle ranking and a
-//! per-connection table. Output is byte-identical at any `--jobs N`:
+//! data (`flight.jsonl`, one row per flow and one per bottleneck queue
+//! every 10 ms of sim time) and one self-contained `report.html` (inline
+//! SVG, no JavaScript, no network). It prints the trace's per-kind census,
+//! the exact per-category cycle ranking and a per-connection table read
+//! from the run's per-flow results and last telemetry rows. Output is
+//! byte-identical at any `--jobs N`:
 //!
 //! ```bash
 //! cargo run --release -p mobile-bbr-bench --bin repro -- \

@@ -121,7 +121,7 @@ fn studies_share_cells_with_the_scorecard_in_one_sweep() {
 }
 
 #[test]
-fn observe_writes_five_files_and_prints_three_tables() {
+fn observe_writes_three_files_and_prints_three_tables() {
     let dir = std::env::temp_dir().join(format!("repro-cli-observe-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -135,22 +135,14 @@ fn observe_writes_five_files_and_prints_three_tables() {
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     files.sort();
-    assert_eq!(
-        files,
-        [
-            "flight.jsonl",
-            "flows.csv",
-            "queue.csv",
-            "report.html",
-            "trace.json"
-        ]
-    );
+    assert_eq!(files, ["flight.jsonl", "report.html", "trace.json"]);
     // The census, the cycle ranking, the per-connection table.
     assert!(stdout.contains(" dropped, "), "{stdout}");
     assert!(stdout.contains("  cpu_span\n"), "{stdout}");
     assert!(stdout.contains("Mcycles total):\n"), "{stdout}");
     assert!(stdout.contains("%  timers\n"), "{stdout}");
-    assert!(stdout.contains(" conn   tx segs"), "{stdout}");
+    assert!(stdout.contains(" conn      skbs     skb B"), "{stdout}");
+    assert!(!stdout.contains("wheel_"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -223,6 +215,13 @@ fn the_cache_lives_under_the_printed_fingerprint() {
     let (warm, warm_err) = fig9("cache-warm", &flags);
     assert_eq!(cold, warm, "a warm run reports the cold run's bytes");
     assert!(warm_err.contains("cache 8 hits / 0 misses"), "{warm_err}");
+    // Pool misses count the simulations this process ran: some cold, none warm.
+    assert!(!cold_err.contains("pool misses 0 total"), "{cold_err}");
+    assert!(cold_err.contains("pool misses "), "{cold_err}");
+    assert!(
+        warm_err.contains("pool misses 0 total / 0 steady"),
+        "{warm_err}"
+    );
 
     let entries: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()

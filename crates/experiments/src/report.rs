@@ -2,14 +2,14 @@
 //! trace, flight data, a self-contained HTML report, and three summary
 //! tables.
 //!
-//! The pipeline runs three things and renders them into five files under
+//! The pipeline runs three things and renders them into three files under
 //! `DIR`:
 //!
 //! 1. The canonical worst case — Low-End, 20 BBR connections — once, with
-//!    tracing and telemetry sampling (10 ms interval) both on. Its trace
-//!    becomes `trace.json` (Chrome trace-event format, for Perfetto); its
-//!    strip chart becomes `flight.jsonl` (sim-telemetry/v1), `flows.csv`
-//!    and `queue.csv`, and feeds the per-flow timeline panels.
+//!    tracing and telemetry sampling (every 10 ms of sim time) both on. Its
+//!    trace becomes `trace.json` (Chrome trace-event format, for
+//!    Perfetto); its strip chart becomes `flight.jsonl`
+//!    (sim-telemetry/v1) and feeds the per-flow timeline panels.
 //! 2. The Fig. 2 goodput grid (every CPU config × connection count ×
 //!    CUBIC/BBR) and the Fig. 7 pacing comparison (paced vs unpaced p95
 //!    RTT): those two experiments' own plans, run as one sweep.
@@ -23,12 +23,15 @@
 //! decimal formatting and the sweep engine already guarantees
 //! order-independent results.
 //!
-//! The summary tables are read from memory, never from a file: the
-//! per-kind census and the per-connection table from the [`TraceLog`],
-//! the cycle ranking from the CPU model's exact tally
-//! ([`cpu_model::CpuStats::cycles_by_category`]). The trace rings are
-//! flight recorders that keep only the newest records, so a cycle sum
-//! over surviving `cpu_span`s undercounts any run long enough to wrap them.
+//! The summary tables are read from memory, never from a file, and each
+//! fact from its exact source: the per-kind census from the [`TraceLog`],
+//! the cycle ranking from the CPU model's tally
+//! ([`cpu_model::CpuStats::cycles_by_category`]), the per-connection
+//! counts from [`SimResult::per_conn`] and each flow's final cwnd, pacing
+//! rate and CC phase from its last telemetry row. The trace rings are
+//! flight recorders that keep only the newest records, so anything summed
+//! over them undercounts a run long enough to wrap them; only the census
+//! reads them.
 
 use crate::params::{Params, CONN_SWEEP};
 use crate::{fig2, fig4};
@@ -37,19 +40,13 @@ use cpu_model::CpuConfig;
 use iperf::RunReport;
 use netsim::Qdisc;
 use sim_core::telemetry::{self, TelemetryLog};
-use sim_core::time::SimDuration;
-use sim_core::trace::{TraceKind, TraceLog};
+use sim_core::trace::TraceLog;
 use sim_core::units::Bandwidth;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use tcp_sim::fleet::FleetResult;
 use tcp_sim::{FleetConfig, Instruments, SimResult, StackSim};
-
-/// Sample interval for the canonical telemetry run: 10 ms keeps the
-/// flight data comfortably under the sink's sample cap at full-preset
-/// durations while still resolving BBR's ProbeRTT dips.
-pub(crate) const TELEMETRY_INTERVAL: SimDuration = SimDuration::from_millis(10);
 
 /// Cap on polyline points per series. Longer series are thinned by a
 /// deterministic stride so full-preset reports stay a few hundred KB.
@@ -60,10 +57,6 @@ const MAX_POINTS: usize = 512;
 pub struct Observation {
     /// `sim-telemetry/v1` JSONL flight data (header + flow/queue rows).
     pub flight_jsonl: PathBuf,
-    /// Per-flow samples as CSV.
-    pub flows_csv: PathBuf,
-    /// Bottleneck-queue samples as CSV.
-    pub queue_csv: PathBuf,
     /// The canonical run's trace in Chrome trace-event JSON (Perfetto).
     pub trace_json: PathBuf,
     /// The self-contained HTML report.
@@ -75,15 +68,9 @@ pub struct Observation {
 }
 
 impl Observation {
-    /// All five file paths, in write order.
-    pub fn files(&self) -> [&Path; 5] {
-        [
-            &self.flight_jsonl,
-            &self.flows_csv,
-            &self.queue_csv,
-            &self.trace_json,
-            &self.html,
-        ]
+    /// All three file paths, in write order.
+    pub fn files(&self) -> [&Path; 3] {
+        [&self.flight_jsonl, &self.trace_json, &self.html]
     }
 }
 
@@ -102,23 +89,19 @@ pub fn generate(params: &Params, dir: &Path) -> Result<Observation, sim_core::Er
     let cfg = params.pixel4(CpuConfig::LowEnd, CcKind::Bbr, 20);
     let observed = StackSim::new(cfg).run_observed(Instruments {
         trace: true,
-        telemetry: Some(TELEMETRY_INTERVAL),
+        telemetry: true,
     });
     let result = observed.result;
     let trace = observed.trace.expect("tracing was requested");
-    let log = observed.telemetry.expect("an interval attaches the sink");
+    let log = observed.telemetry.expect("telemetry was requested");
 
     let obs = Observation {
         flight_jsonl: dir.join("flight.jsonl"),
-        flows_csv: dir.join("flows.csv"),
-        queue_csv: dir.join("queue.csv"),
         trace_json: dir.join("trace.json"),
         html: dir.join("report.html"),
-        summary: summarize(&result, &trace),
+        summary: summarize(&result, &trace, &log),
     };
     write_file(&obs.flight_jsonl, |w| telemetry::write_jsonl(&log, w))?;
-    write_file(&obs.flows_csv, |w| telemetry::write_flows_csv(&log, w))?;
-    write_file(&obs.queue_csv, |w| telemetry::write_queue_csv(&log, w))?;
     write_file(&obs.trace_json, |w| {
         sim_core::trace::write_chrome(&trace, w)
     })?;
@@ -157,10 +140,11 @@ pub fn generate(params: &Params, dir: &Path) -> Result<Observation, sim_core::Er
 
 /// The three tables of [`Observation::summary`].
 ///
-/// The census and the per-connection table count what the trace rings
-/// kept, and say so when they dropped records; the cycle table is the
-/// CPU model's exact tally, whatever the rings kept.
-fn summarize(result: &SimResult, log: &TraceLog) -> String {
+/// The census counts what the trace rings kept, and says so when they
+/// dropped records; the cycle table is the CPU model's exact tally, and
+/// the per-connection table reads [`SimResult::per_conn`] and each flow's
+/// last row in `flight`, whatever the rings kept.
+fn summarize(result: &SimResult, log: &TraceLog, flight: &TelemetryLog) -> String {
     let mut out = String::new();
 
     let span_s = log.events.last().map_or(0, |r| r.at.as_nanos()) as f64 / 1e9;
@@ -203,78 +187,50 @@ fn summarize(result: &SimResult, log: &TraceLog) -> String {
         );
     }
 
-    #[derive(Default)]
-    struct Flow {
-        tx_segs: u64,
-        tx_bytes: u64,
-        retx_segs: u64,
-        acks: u64,
-        rto_fires: u64,
-        pacing_fires: u64,
-        last_cwnd: u64,
-        last_rate_bps: u64,
-        last_phase: &'static str,
-    }
-    let mut flows: BTreeMap<u32, Flow> = BTreeMap::new();
-    for rec in &log.events {
-        // The stack's records carry a connection id; the wheel's, the
-        // CPU's and the stride governor's do not.
-        let f = match rec.kind {
-            TraceKind::WheelSchedule
-            | TraceKind::WheelCancel
-            | TraceKind::WheelPop
-            | TraceKind::WheelCascade
-            | TraceKind::StrideAdapt
-            | TraceKind::CpuSpan => continue,
-            _ => flows.entry(rec.conn).or_default(),
-        };
-        match rec.kind {
-            TraceKind::SegTx => {
-                f.tx_segs += rec.a;
-                f.tx_bytes += rec.b;
-            }
-            TraceKind::SegRetx => f.retx_segs += rec.a,
-            TraceKind::AckRx => f.acks += 1,
-            TraceKind::RtoFire => f.rto_fires += 1,
-            TraceKind::PacingFire => f.pacing_fires += 1,
-            TraceKind::CwndUpdate => f.last_cwnd = rec.a,
-            TraceKind::PacingRate => f.last_rate_bps = rec.a,
-            TraceKind::CcPhase => {
-                f.last_phase = log.strings.get(rec.b as usize).copied().unwrap_or("")
-            }
-            _ => {}
-        }
-    }
     let _ = writeln!(
         out,
-        "\n{:>5} {:>9} {:>10} {:>7} {:>9} {:>7} {:>10} {:>12} {:>11} {:>12}",
-        "conn", "tx segs", "tx MB", "retx", "acks", "rto", "pacing", "cwnd", "rate Mbps", "phase"
+        "\n{:>5} {:>9} {:>9} {:>8} {:>7} {:>9} {:>8} {:>7} {:>10} {:>12}",
+        "conn",
+        "skbs",
+        "skb B",
+        "idle ms",
+        "retx",
+        "goodput",
+        "p95 ms",
+        "cwnd",
+        "pace Mbps",
+        "phase"
     );
-    for (conn, f) in &flows {
-        let _ = writeln!(
+    for (conn, c) in result.per_conn.iter().enumerate() {
+        let _ = write!(
             out,
-            "{conn:>5} {:>9} {:>10.2} {:>7} {:>9} {:>7} {:>10} {:>12} {:>11.1} {:>12}",
-            f.tx_segs,
-            f.tx_bytes as f64 / 1e6,
-            f.retx_segs,
-            f.acks,
-            f.rto_fires,
-            f.pacing_fires,
-            f.last_cwnd,
-            f.last_rate_bps as f64 / 1e6,
-            if f.last_phase.is_empty() {
-                "-"
-            } else {
-                f.last_phase
-            },
+            "{conn:>5} {:>9} {:>9.0} {:>8.3} {:>7} {:>9.2} {:>8.1}",
+            c.skbs_sent,
+            c.mean_skb_bytes,
+            c.mean_idle_ms,
+            c.retx_pkts,
+            c.goodput.as_mbps_f64(),
+            c.rtt_p95_ms,
         );
+        // Rows are time-major: the flow's last row is its final state.
+        let last = (flight.flows.iter().rev()).find(|f| f.conn as usize == conn);
+        let _ = match last {
+            Some(f) => writeln!(
+                out,
+                " {:>7} {:>10.1} {:>12}",
+                f.cwnd,
+                f.pacing_rate_bps as f64 / 1e6,
+                f.phase
+            ),
+            None => writeln!(out, " {:>7} {:>10} {:>12}", "-", "-", "-"),
+        };
     }
     if log.dropped > 0 {
         let _ = writeln!(
             out,
-            "note: the trace rings dropped {} records, so the census and these \
-             per-connection counts cover only the recorded tail of the run; \
-             the cycle table is exact",
+            "note: the trace rings dropped {} records, so the census covers only \
+             the recorded tail of the run; the cycle and per-connection tables \
+             are exact",
             log.dropped
         );
     }
@@ -734,7 +690,7 @@ fn render_html(
         params.seeds,
         fmt_num(params.duration.as_secs_f64()),
         fmt_num(params.warmup.as_secs_f64()),
-        TELEMETRY_INTERVAL.as_micros() / 1_000,
+        log.interval.as_micros() / 1_000,
         goodput_mbps,
         log.flows.len(),
         log.queues.len(),
@@ -772,8 +728,8 @@ fn render_html(
     html.push_str("<h2>Per-flow timelines (canonical run)</h2>");
     html.push_str(
         "<p>Strip charts from the telemetry sampler on the canonical Low-End 20-connection \
-         BBR run. Raw rows are in <code>flight.jsonl</code> (schema <code>sim-telemetry/v1</code>), \
-         <code>flows.csv</code>, and <code>queue.csv</code> next to this file.</p>",
+         BBR run. Raw rows are in <code>flight.jsonl</code> (schema \
+         <code>sim-telemetry/v1</code>) next to this file.</p>",
     );
     html.push_str(&flow_panels(log));
 
@@ -784,6 +740,8 @@ fn render_html(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::time::SimDuration;
+    use sim_core::trace::TraceKind;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -820,11 +778,11 @@ mod tests {
         assert!(svg.ends_with("</svg>"));
     }
 
-    /// A run long enough to wrap the CPU ring: the census and the
-    /// per-connection table say the log dropped records, while the cycle
-    /// table stays the CPU model's exact tally — not the lower sum over
-    /// the `cpu_span`s that survived, which a reader of the ring would
-    /// print.
+    /// A run long enough to wrap the CPU ring: the census says the log
+    /// dropped records, while the cycle table stays the CPU model's exact
+    /// tally — not the lower sum over the `cpu_span`s that survived, which
+    /// a reader of the ring would print — and each per-connection row is
+    /// that flow's `ConnStats` and last telemetry row.
     #[test]
     fn cycle_table_is_exact_when_the_cpu_ring_wraps() {
         let mut p = Params::smoke();
@@ -832,9 +790,10 @@ mod tests {
         let cfg = p.pixel4(CpuConfig::HighEnd, CcKind::Bbr, 20);
         let observed = StackSim::new(cfg).run_observed(Instruments {
             trace: true,
-            ..Instruments::default()
+            telemetry: true,
         });
         let (result, log) = (observed.result, observed.trace.expect("traced"));
+        let flight = observed.telemetry.expect("sampled");
         let spans: Vec<u64> = (log.events.iter())
             .filter(|r| r.kind == TraceKind::CpuSpan)
             .map(|r| r.b)
@@ -846,7 +805,7 @@ mod tests {
             "CPU ring wrapped"
         );
 
-        let summary = summarize(&result, &log);
+        let summary = summarize(&result, &log, &flight);
         let total = result.cpu.total_cycles;
         let header = |cycles: u64| format!("({:.1} Mcycles total)", cycles as f64 / 1e6);
         assert!(summary.contains(&header(total)), "{summary}");
@@ -864,6 +823,28 @@ mod tests {
         assert!(surviving < total, "{surviving} >= {total}");
         assert!(!summary.contains(&header(surviving)), "ring sum printed");
         assert!(summary.contains(&format!("the trace rings dropped {} records", log.dropped)));
+
+        let table: Vec<Vec<&str>> = (summary.lines())
+            .skip_while(|l| !l.trim_start().starts_with("conn "))
+            .skip(1)
+            .take_while(|l| !l.starts_with("note:"))
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(table.len(), result.per_conn.len(), "{summary}");
+        for (conn, (row, stats)) in table.iter().zip(&result.per_conn).enumerate() {
+            let last = (flight.flows.iter().rev())
+                .find(|f| f.conn as usize == conn)
+                .expect("every flow was sampled");
+            assert_eq!(row[0], conn.to_string());
+            assert_eq!(row[1], stats.skbs_sent.to_string(), "skbs, conn {conn}");
+            assert_eq!(row[4], stats.retx_pkts.to_string(), "retx, conn {conn}");
+            assert_eq!(row[7], last.cwnd.to_string(), "cwnd, conn {conn}");
+            assert_eq!(row[9], last.phase, "phase, conn {conn}");
+        }
+        assert!(
+            table.iter().any(|row| row[4] != "0"),
+            "some flow retransmitted"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::report::{RunReport, SeedResult};
 use crate::runner::RunSpec;
 use sim_core::error::Error;
-use sim_core::sweep::{run_sweep_streaming, SweepCell, SweepOptions};
+use sim_core::sweep::{run_sweep_streaming, CacheState, SweepCell, SweepOptions};
 use sim_core::SimRng;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -231,9 +231,13 @@ pub fn run_specs_sweep(
     };
     drain(&outputs);
     let (mut misses, mut steady) = (0u64, 0u64);
-    run_sweep_streaming(&cells, opts, |_idx, out, _cell| {
-        misses += out.pool_misses;
-        steady += out.pool_misses_steady;
+    run_sweep_streaming(&cells, opts, |_idx, out, report| {
+        // A cache hit ran no simulation in this process: its pool misses
+        // happened in the run that filled the cache.
+        if report.state != CacheState::Hit {
+            misses += out.pool_misses;
+            steady += out.pool_misses_steady;
+        }
         outputs.push(out);
         drain(&outputs);
     })?;

@@ -89,7 +89,6 @@
 //! packet arrivals, and CPU completions).
 
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceBuffer, TraceKind, TraceSink};
 
 #[cfg(test)]
 mod differential;
@@ -229,8 +228,6 @@ pub struct EventQueue<E> {
     popped: u64,
     scheduled: u64,
     cancelled: u64,
-    /// sim-trace tracepoint target (inert until a buffer is attached).
-    tracer: TraceSink,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -259,20 +256,7 @@ impl<E> EventQueue<E> {
             popped: 0,
             scheduled: 0,
             cancelled: 0,
-            tracer: TraceSink::disabled(),
         }
-    }
-
-    /// Attach a sim-trace ring buffer; subsequent schedule/cancel/pop/cascade
-    /// operations record [`TraceKind::WheelSchedule`]-family events into it.
-    pub fn set_tracer(&mut self, capacity: usize) {
-        self.tracer.enable(capacity);
-    }
-
-    /// Detach and return the trace buffer attached by [`Self::set_tracer`]
-    /// (None if tracing was never enabled).
-    pub fn take_tracer(&mut self) -> Option<TraceBuffer> {
-        self.tracer.take()
     }
 
     /// Current simulation time: the timestamp of the last popped event
@@ -326,15 +310,7 @@ impl<E> EventQueue<E> {
         self.place(idx, at.as_nanos());
         self.len += 1;
         self.scheduled += 1;
-        let token = TimerToken::new(self.cells[idx as usize].gen, idx);
-        self.tracer.record(
-            self.now,
-            TraceKind::WheelSchedule,
-            0,
-            at.as_nanos(),
-            token.0,
-        );
-        token
+        TimerToken::new(self.cells[idx as usize].gen, idx)
     }
 
     /// Schedule `event` to fire `delay` after the current clock.
@@ -361,8 +337,6 @@ impl<E> EventQueue<E> {
                 self.release(idx);
                 self.len -= 1;
                 self.cancelled += 1;
-                self.tracer
-                    .record(self.now, TraceKind::WheelCancel, 0, token.0, 0);
                 true
             }
             _ => false,
@@ -482,11 +456,9 @@ impl<E> EventQueue<E> {
         let (at, event) = self.release(idx);
         self.len -= 1;
         self.popped += 1;
-        let token = TimerToken::new(gen, idx);
-        self.tracer.record(at, TraceKind::WheelPop, 0, token.0, 0);
         ScheduledEvent {
             at,
-            token,
+            token: TimerToken::new(gen, idx),
             event: event.expect("pending cell holds a payload"),
         }
     }
@@ -572,21 +544,12 @@ impl<E> EventQueue<E> {
         if self.occ[level] == 0 {
             self.level_occ &= !(1u8 << level);
         }
-        let mut moved = 0u64;
         while idx != NIL {
             let c = &self.cells[idx as usize];
             let (next, at) = (c.next, c.at.as_nanos());
             self.place(idx, at);
             idx = next;
-            moved += 1;
         }
-        self.tracer.record(
-            SimTime::from_nanos(min_at),
-            TraceKind::WheelCascade,
-            0,
-            level as u64,
-            moved,
-        );
     }
 
     /// Wheel empty but events pending: everything lives in overflow. Jump
@@ -607,26 +570,15 @@ impl<E> EventQueue<E> {
         debug_assert!(min_at > self.elapsed);
         self.elapsed = min_at;
         let mut idx = self.ovf_head;
-        let mut moved = 0u64;
         while idx != NIL {
             let c = &self.cells[idx as usize];
             let (next, at) = (c.next, c.at.as_nanos());
             if at >> WHEEL_BITS == min_at >> WHEEL_BITS {
                 self.unlink(idx);
                 self.place(idx, at);
-                moved += 1;
             }
             idx = next;
         }
-        // Overflow pulls are cascades from the virtual level above the
-        // wheel.
-        self.tracer.record(
-            SimTime::from_nanos(min_at),
-            TraceKind::WheelCascade,
-            0,
-            LEVELS as u64,
-            moved,
-        );
     }
 
     /// Peek at the firing time of the next pending event without popping.

@@ -7,7 +7,7 @@
 //! each flow's cwnd, inflight, pacing rate, srtt, delivery rate, and CC
 //! phase, plus the bottleneck queue depth and cumulative drops. The samples
 //! feed the `repro --observe` pipeline (per-flow timelines, Fig. 2/Fig. 7
-//! style panels) and export as JSONL or CSV flight data.
+//! style panels) and export as JSONL flight data ([`write_jsonl`]).
 //!
 //! # Design constraints
 //!
@@ -256,36 +256,6 @@ pub fn write_jsonl<W: Write>(log: &TelemetryLog, w: &mut W) -> io::Result<()> {
     Ok(())
 }
 
-/// Write the per-flow rows as CSV (header + one row per sample).
-pub fn write_flows_csv<W: Write>(log: &TelemetryLog, w: &mut W) -> io::Result<()> {
-    w.write_all(b"t_us,conn,cwnd,inflight,pacing_bps,srtt_us,delivery_bps,phase\n")?;
-    for f in &log.flows {
-        let row = format!(
-            "{},{},{},{},{},{},{},{}\n",
-            f.at.as_micros(),
-            f.conn,
-            f.cwnd,
-            f.inflight,
-            f.pacing_rate_bps,
-            f.srtt_us,
-            f.delivery_rate_bps,
-            f.phase,
-        );
-        w.write_all(row.as_bytes())?;
-    }
-    Ok(())
-}
-
-/// Write the queue rows as CSV (header + one row per sample instant).
-pub fn write_queue_csv<W: Write>(log: &TelemetryLog, w: &mut W) -> io::Result<()> {
-    w.write_all(b"t_us,depth_pkts,drops\n")?;
-    for q in &log.queues {
-        let row = format!("{},{},{}\n", q.at.as_micros(), q.depth_pkts, q.dropped);
-        w.write_all(row.as_bytes())?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,20 +382,5 @@ mod tests {
             .map(|l| if l.contains("\"queue\"") { "q" } else { "f" })
             .collect();
         assert_eq!(kinds, ["f", "f", "q", "f", "f", "q", "f", "f", "q"]);
-    }
-
-    #[test]
-    fn csv_headers_and_rows() {
-        let log = sample_log();
-        let mut out = Vec::new();
-        write_flows_csv(&log, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("t_us,conn,cwnd,"));
-        assert_eq!(text.lines().count(), 7);
-        let mut out = Vec::new();
-        write_queue_csv(&log, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("t_us,depth_pkts,drops\n"));
-        assert_eq!(text.lines().count(), 4);
     }
 }

@@ -34,9 +34,8 @@
 //! `chrome://tracing`. CPU spans become complete (`ph:"X"`) events,
 //! cwnd/pacing-rate updates and counter series become counter (`ph:"C"`)
 //! tracks, per-connection events become instants on one track per
-//! connection. Raw wheel schedule/cancel/pop records are omitted (too
-//! dense to render usefully); cascades are kept as instants. Summaries of
-//! a run read the in-memory [`TraceLog`], never the exported file.
+//! connection. Summaries of a run read the in-memory [`TraceLog`], never
+//! the exported file.
 
 use crate::time::SimTime;
 use std::io::{self, Write};
@@ -52,10 +51,6 @@ pub const DEFAULT_CAPACITY: usize = 1 << 18;
 ///
 /// | kind           | `conn`        | `a`                 | `b`          |
 /// |----------------|---------------|---------------------|--------------|
-/// | `WheelSchedule`| -             | deadline (ns)       | token bits   |
-/// | `WheelCancel`  | -             | token bits          | -            |
-/// | `WheelPop`     | -             | token bits          | -            |
-/// | `WheelCascade` | -             | wheel level         | events moved |
 /// | `PacingFire`   | connection    | -                   | -            |
 /// | `TimerArm`     | connection    | deadline (ns)       | -            |
 /// | `SegTx`        | connection    | packets             | bytes        |
@@ -70,14 +65,6 @@ pub const DEFAULT_CAPACITY: usize = 1 << 18;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum TraceKind {
-    /// Timer wheel: an event was scheduled.
-    WheelSchedule,
-    /// Timer wheel: a pending event was cancelled.
-    WheelCancel,
-    /// Timer wheel: an event was delivered.
-    WheelPop,
-    /// Timer wheel: a slot list was cascaded down a level.
-    WheelCascade,
     /// A pacing timer fired and released a send.
     PacingFire,
     /// A pacing timer was armed.
@@ -106,10 +93,6 @@ impl TraceKind {
     /// Stable snake_case name (Chrome instant names, event census).
     pub const fn name(self) -> &'static str {
         match self {
-            TraceKind::WheelSchedule => "wheel_schedule",
-            TraceKind::WheelCancel => "wheel_cancel",
-            TraceKind::WheelPop => "wheel_pop",
-            TraceKind::WheelCascade => "wheel_cascade",
             TraceKind::PacingFire => "pacing_fire",
             TraceKind::TimerArm => "timer_arm",
             TraceKind::SegTx => "seg_tx",
@@ -152,9 +135,10 @@ pub struct TraceRecord {
 /// A fixed-capacity flight-recorder ring of [`TraceRecord`]s.
 ///
 /// Capacity is allocated once at construction; when full, the oldest record
-/// is overwritten and `dropped` is incremented. Records are appended in
-/// non-decreasing `at` order by construction (each domain records as its own
-/// clock advances), which [`TraceLog::merge`] relies on.
+/// is overwritten and `dropped` is incremented. "Oldest" means first
+/// pushed, not earliest `at`: the stack stamps some records at
+/// CPU-completion times, which run ahead of the event clock, so a buffer
+/// need not be in time order. [`TraceLog::merge`] stable-sorts by `at`.
 #[derive(Debug)]
 pub struct TraceBuffer {
     records: Vec<TraceRecord>,
@@ -310,7 +294,7 @@ impl TraceLog {
     /// clock, so a later handler can record an earlier timestamp. The
     /// merge stable-sorts by `at`; ties break by the position of the
     /// buffer in `buffers` (pass them in a fixed order — the simulator
-    /// uses wheel, CPU, stack) and then by insertion order within a
+    /// uses CPU, then stack) and then by insertion order within a
     /// buffer, so the merged order is fully deterministic.
     pub fn merge(buffers: Vec<TraceBuffer>) -> TraceLog {
         let mut strings: Vec<&'static str> = Vec::new();
@@ -386,15 +370,12 @@ pub(crate) fn escape_json(s: &str, out: &mut String) {
 ///
 /// Mapping: CPU spans → complete (`ph:"X"`) events on a dedicated "cpu"
 /// track, named by cost category; cwnd / pacing-rate updates and counter
-/// series → counter (`ph:"C"`) tracks; per-connection point events →
-/// instants on one track per connection; wheel cascades → instants on the
-/// "wheel" track. Raw wheel schedule/cancel/pop records are omitted (they
-/// dominate the record count but render as noise). Timestamps are
-/// microseconds (`ts`/`dur` may be fractional).
+/// series → counter (`ph:"C"`) tracks; stride changes → instants on the
+/// "cpu" track; per-connection point events → instants on one track per
+/// connection. Timestamps are microseconds (`ts`/`dur` may be fractional).
 pub fn write_chrome<W: Write>(log: &TraceLog, w: &mut W) -> io::Result<()> {
     const TID_CPU: u32 = 0;
-    const TID_WHEEL: u32 = 1;
-    const TID_CONN_BASE: u32 = 2;
+    const TID_CONN_BASE: u32 = 1;
     w.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")?;
     let mut first = true;
     let emit = |w: &mut W, line: &str, first: &mut bool| -> io::Result<()> {
@@ -408,7 +389,7 @@ pub fn write_chrome<W: Write>(log: &TraceLog, w: &mut W) -> io::Result<()> {
     let mut max_conn = 0u32;
     for rec in &log.events {
         let (ic, _, _) = rec.kind.interned_operands();
-        if !ic && rec.kind != TraceKind::WheelCascade && rec.kind != TraceKind::StrideAdapt {
+        if !ic && rec.kind != TraceKind::StrideAdapt {
             max_conn = max_conn.max(rec.conn);
         }
     }
@@ -422,7 +403,6 @@ pub fn write_chrome<W: Write>(log: &TraceLog, w: &mut W) -> io::Result<()> {
         emit(w, &l, first)
     };
     meta(w, TID_CPU, "cpu", &mut first)?;
-    meta(w, TID_WHEEL, "timer wheel", &mut first)?;
     for c in 0..=max_conn {
         meta(w, TID_CONN_BASE + c, &format!("conn {c}"), &mut first)?;
     }
@@ -439,7 +419,6 @@ pub fn write_chrome<W: Write>(log: &TraceLog, w: &mut W) -> io::Result<()> {
     for rec in &log.events {
         line.clear();
         match rec.kind {
-            TraceKind::WheelSchedule | TraceKind::WheelCancel | TraceKind::WheelPop => continue,
             TraceKind::CpuSpan => {
                 // conn = category string id, a = end ns, b = cycles.
                 let dur_ns = rec.a.saturating_sub(rec.at.as_nanos());
@@ -470,15 +449,6 @@ pub fn write_chrome<W: Write>(log: &TraceLog, w: &mut W) -> io::Result<()> {
                 line.push_str("\":");
                 line.push_str(&rec.a.to_string());
                 line.push_str("}}");
-            }
-            TraceKind::WheelCascade => {
-                line.push_str("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"cascade L");
-                line.push_str(&rec.a.to_string());
-                line.push_str(" x");
-                line.push_str(&rec.b.to_string());
-                line.push_str("\",\"pid\":1,\"tid\":1,\"ts\":");
-                line.push_str(&ts(rec.at));
-                line.push('}');
             }
             TraceKind::StrideAdapt => {
                 line.push_str("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"stride ");
@@ -547,7 +517,7 @@ mod tests {
     fn ring_overwrites_oldest_and_counts_drops() {
         let mut buf = TraceBuffer::new(3);
         for t in 0..5u64 {
-            buf.push(rec(t, TraceKind::WheelPop, 0, t, 0));
+            buf.push(rec(t, TraceKind::PacingFire, 0, 0, 0));
         }
         assert_eq!(buf.dropped, 2);
         let (records, _, dropped) = buf.into_ordered();
@@ -569,21 +539,22 @@ mod tests {
 
     #[test]
     fn merge_orders_by_time_with_domain_tiebreak() {
-        let mut wheel = TraceBuffer::new(8);
-        wheel.push(rec(10, TraceKind::WheelPop, 0, 1, 0));
-        wheel.push(rec(30, TraceKind::WheelPop, 0, 2, 0));
+        let mut cpu = TraceBuffer::new(8);
+        cpu.push(rec(10, TraceKind::CpuSpan, 0, 15, 1));
+        cpu.push(rec(30, TraceKind::CpuSpan, 0, 35, 2));
         let mut stack = TraceBuffer::new(8);
-        stack.push(rec(10, TraceKind::PacingFire, 1, 0, 0));
+        // Stamped at a CPU completion, ahead of the next record's time.
         stack.push(rec(20, TraceKind::SegTx, 1, 2, 3000));
-        let log = TraceLog::merge(vec![wheel, stack]);
+        stack.push(rec(10, TraceKind::PacingFire, 1, 0, 0));
+        let log = TraceLog::merge(vec![cpu, stack]);
         let kinds: Vec<TraceKind> = log.events.iter().map(|r| r.kind).collect();
         assert_eq!(
             kinds,
             vec![
-                TraceKind::WheelPop,   // t=10, domain 0 wins the tie
+                TraceKind::CpuSpan,    // t=10, domain 0 wins the tie
                 TraceKind::PacingFire, // t=10, domain 1
                 TraceKind::SegTx,      // t=20
-                TraceKind::WheelPop,   // t=30
+                TraceKind::CpuSpan,    // t=30
             ]
         );
     }
@@ -633,22 +604,22 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_is_valid_json_and_skips_raw_wheel_ops() {
-        let mut wheel = TraceBuffer::new(8);
-        wheel.push(rec(100, TraceKind::WheelSchedule, 0, 500, 1));
-        wheel.push(rec(500, TraceKind::WheelPop, 0, 1, 0));
-        wheel.push(rec(600, TraceKind::WheelCascade, 0, 2, 5));
+    fn chrome_export_is_valid_json_with_cpu_spans() {
         let mut cpu = TraceBuffer::new(8);
         let cat = cpu.intern("acks");
         cpu.push(rec(700, TraceKind::CpuSpan, cat as u32, 1700, 5500));
-        let log = TraceLog::merge(vec![wheel, cpu]);
+        let mut stack = TraceBuffer::new(8);
+        stack.push(rec(800, TraceKind::SegTx, 0, 2, 3000));
+        let log = TraceLog::merge(vec![cpu, stack]);
         let mut out = Vec::new();
         write_chrome(&log, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         serde_json::from_str(&text).expect("valid JSON document");
-        assert!(text.contains("\"ph\":\"X\""), "cpu span present");
-        assert!(text.contains("cascade L2"), "cascade instant present");
-        assert!(!text.contains("wheel_schedule"), "raw wheel ops omitted");
+        assert!(
+            text.contains("\"ph\":\"X\",\"name\":\"acks\""),
+            "cpu span present"
+        );
+        assert!(text.contains("\"dur\":1,"), "span lasts 1 us");
     }
 
     #[test]

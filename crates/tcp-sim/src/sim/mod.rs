@@ -166,8 +166,8 @@ pub struct StackSim {
     /// drains it in a single stack pass.
     ack_batch: Vec<AckInfo>,
     stride: StrideController,
-    // sim-trace: the stack's own tracepoint sink (the timer wheel and the
-    // CPU models carry their own; `collect_trace` merges all three).
+    // sim-trace: the stack's own tracepoint sink (the CPU models carry
+    // their own; `collect_trace` merges them).
     trace: TraceSink,
     sampler: FlightSampler,
     baseline: MeasureBaseline,

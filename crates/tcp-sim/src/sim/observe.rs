@@ -20,17 +20,15 @@ use sim_core::trace::TraceLog;
 /// The default attaches none.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Instruments {
-    /// Flight-recorder tracing: the stack, the timer wheel and each CPU
-    /// model get a [`sim_core::trace::DEFAULT_CAPACITY`]-record ring, and
-    /// each CPU model runs a windowed cycle profiler
+    /// Flight-recorder tracing: the stack and each CPU model get a
+    /// [`sim_core::trace::DEFAULT_CAPACITY`]-record ring, and each CPU
+    /// model runs a windowed cycle profiler
     /// ([`cpu_model::profile::DEFAULT_WINDOW`]).
     pub trace: bool,
     /// Flight-data telemetry: snapshot per-flow cwnd, inflight, pacing
-    /// rate, srtt, delivery rate and CC phase plus the bottleneck queue at
-    /// this sim-time interval (see [`sim_core::telemetry`]). The interval
-    /// must be non-zero — a zero one would sample forever, and
-    /// `run_observed` panics on it.
-    pub telemetry: Option<SimDuration>,
+    /// rate, srtt, delivery rate and CC phase plus the bottleneck queue
+    /// every 10 ms of sim time (see [`sim_core::telemetry`]).
+    pub telemetry: bool,
 }
 
 /// What an observed run returns: the result — byte-identical to
@@ -38,19 +36,23 @@ pub struct Instruments {
 pub struct Observed {
     /// The run's report.
     pub result: SimResult,
-    /// The merged trace log (events from the timer wheel, the CPU models
-    /// and the stack, plus the windowed cycle-profile counter series);
+    /// The merged trace log (events from the CPU models and the stack,
+    /// plus the windowed cycle-profile counter series);
     /// `Some` exactly when [`Instruments::trace`] was set.
     pub trace: Option<TraceLog>,
     /// The flight data; `Some` exactly when [`Instruments::telemetry`]
-    /// carried an interval.
+    /// was set.
     pub telemetry: Option<TelemetryLog>,
 }
+
+/// Telemetry sample interval: 10 ms keeps the flight data comfortably
+/// under the sink's sample cap at full-preset durations while still
+/// resolving BBR's ProbeRTT dips.
+pub(super) const SAMPLE_INTERVAL: SimDuration = SimDuration::from_millis(10);
 
 /// The telemetry sink plus what windowing the delivery-rate column needs.
 pub(super) struct FlightSampler {
     pub(super) sink: TelemetrySink,
-    interval: SimDuration,
     /// Per-flow cumulative delivered packets as of the previous sample.
     /// Empty while telemetry is off.
     prev_delivered: Vec<u64>,
@@ -60,7 +62,6 @@ impl FlightSampler {
     pub(super) const fn disabled() -> Self {
         FlightSampler {
             sink: TelemetrySink::disabled(),
-            interval: SimDuration::ZERO,
             prev_delivered: Vec::new(),
         }
     }
@@ -72,7 +73,6 @@ impl StackSim {
         if instruments.trace {
             let capacity = sim_core::trace::DEFAULT_CAPACITY;
             self.trace.enable(capacity);
-            self.queue.set_tracer(capacity);
             for device in &mut self.devices {
                 device.cpu.set_tracer(capacity);
                 device
@@ -80,12 +80,11 @@ impl StackSim {
                     .enable_profiler(cpu_model::profile::DEFAULT_WINDOW);
             }
         }
-        if let Some(interval) = instruments.telemetry {
+        if instruments.telemetry {
             let mut sink = TelemetrySink::disabled();
-            sink.enable(interval, sim_core::telemetry::DEFAULT_MAX_SAMPLES);
+            sink.enable(SAMPLE_INTERVAL, sim_core::telemetry::DEFAULT_MAX_SAMPLES);
             self.sampler = FlightSampler {
                 sink,
-                interval,
                 prev_delivered: vec![0; self.arena.len()],
             };
         }
@@ -112,7 +111,7 @@ impl StackSim {
                 inflight: self.arena.board[c].packets_in_flight().min(u32::MAX as u64) as u32,
                 pacing_rate_bps: cc.pacing_rate().map(|r| r.as_bps()).unwrap_or(0),
                 srtt_us: self.arena.rtt[c].srtt().map(|d| d.as_micros()).unwrap_or(0),
-                delivery_rate_bps: ((delta_pkts * MSS * 8) as f64 / sampler.interval.as_secs_f64())
+                delivery_rate_bps: ((delta_pkts * MSS * 8) as f64 / SAMPLE_INTERVAL.as_secs_f64())
                     as u64,
                 phase: cc.phase(),
             });
@@ -141,11 +140,10 @@ impl StackSim {
     }
 
     /// Drain the per-domain rings into one chronologically merged log.
-    /// Buffer order (wheel, CPU, stack) is fixed — it is the deterministic
+    /// Buffer order (CPU, then stack) is fixed — it is the deterministic
     /// tie-break for records carrying the same timestamp.
     pub(super) fn collect_trace(&mut self) -> TraceLog {
         let mut buffers = Vec::new();
-        buffers.extend(self.queue.take_tracer());
         for device in &mut self.devices {
             buffers.extend(device.cpu.take_tracer());
         }

@@ -22,7 +22,7 @@ fn telemetry_sampling_does_not_change_results() {
     let plain = StackSim::new(quick(CcKind::Bbr, CpuConfig::LowEnd, 3)).run();
     let sampled =
         StackSim::new(quick(CcKind::Bbr, CpuConfig::LowEnd, 3)).run_observed(Instruments {
-            telemetry: Some(SimDuration::from_millis(10)),
+            telemetry: true,
             ..Instruments::default()
         });
     assert_eq!(
@@ -31,7 +31,7 @@ fn telemetry_sampling_does_not_change_results() {
         "telemetry sampling must not perturb any result byte"
     );
     assert!(sampled.trace.is_none(), "tracing was not asked for");
-    let log = sampled.telemetry.expect("an interval attaches the sink");
+    let log = sampled.telemetry.expect("telemetry attaches the sink");
     assert!(!log.flows.is_empty(), "flow samples collected");
     assert!(!log.queues.is_empty(), "queue samples collected");
     assert_eq!(log.dropped_rows, 0);
@@ -46,10 +46,7 @@ fn telemetry_sampling_does_not_change_results() {
     }
     // One queue row per sampled instant, covering the whole run.
     for w in log.queues.windows(2) {
-        assert_eq!(
-            w[1].at.saturating_since(w[0].at),
-            SimDuration::from_millis(10)
-        );
+        assert_eq!(w[1].at.saturating_since(w[0].at), observe::SAMPLE_INTERVAL);
     }
     // Phase strings come from the live CC objects.
     assert!(log.flows.iter().all(|f| !f.phase.is_empty()));
@@ -60,7 +57,7 @@ fn telemetry_log_is_deterministic_across_runs() {
     let run = || {
         let observed =
             StackSim::new(quick(CcKind::Bbr, CpuConfig::LowEnd, 2)).run_observed(Instruments {
-                telemetry: Some(SimDuration::from_millis(20)),
+                telemetry: true,
                 ..Instruments::default()
             });
         let log = observed.telemetry.expect("sink attached");
@@ -505,7 +502,7 @@ fn traced_run_is_bit_identical_to_untraced() {
     // does not compile here until this test covers it.
     let plain = StackSim::new(quick(CcKind::Bbr, CpuConfig::LowEnd, 3)).run();
     for trace in [false, true] {
-        for telemetry in [None, Some(SimDuration::from_millis(10))] {
+        for telemetry in [false, true] {
             let instruments = Instruments { trace, telemetry };
             let observed = StackSim::new(quick(CcKind::Bbr, CpuConfig::LowEnd, 3))
                 .run_observed(instruments.clone());
@@ -515,7 +512,7 @@ fn traced_run_is_bit_identical_to_untraced() {
                 "{instruments:?} must not perturb any result byte"
             );
             let Instruments { trace, telemetry } = instruments;
-            assert_eq!(observed.telemetry.is_some(), telemetry.is_some());
+            assert_eq!(observed.telemetry.is_some(), telemetry);
             if let Some(flight) = &observed.telemetry {
                 assert!(!flight.flows.is_empty() && !flight.queues.is_empty());
             }
@@ -525,26 +522,15 @@ fn traced_run_is_bit_identical_to_untraced() {
             };
             // The log itself is well-formed: time-ordered, with the
             // windowed CPU profile appended as counter series, and paced
-            // BBR has left pacing-timer, CC, CPU and wheel tracepoints
-            // behind.
+            // BBR has left pacing-timer, CC and CPU tracepoints behind.
             use sim_core::trace::TraceKind;
             assert!(log.events.windows(2).all(|w| w[0].at <= w[1].at));
             assert!(log.counters.iter().any(|s| s.name.starts_with("cycles.")));
             assert!(log.events.iter().any(|e| e.kind == TraceKind::PacingFire));
             assert!(log.events.iter().any(|e| e.kind == TraceKind::CwndUpdate));
             assert!(log.events.iter().any(|e| e.kind == TraceKind::CpuSpan));
-            assert!(log.events.iter().any(|e| e.kind == TraceKind::WheelPop));
         }
     }
-}
-
-#[test]
-#[should_panic(expected = "telemetry interval must be non-zero")]
-fn a_zero_telemetry_interval_is_rejected_where_it_enters() {
-    StackSim::new(quick(CcKind::Cubic, CpuConfig::HighEnd, 1)).run_observed(Instruments {
-        telemetry: Some(SimDuration::ZERO),
-        ..Instruments::default()
-    });
 }
 
 #[test]

@@ -116,7 +116,7 @@ fn trace_exports_are_byte_stable_across_runs() {
     let (_, log_a) = run_with_trace(cfg.clone());
     let (_, log_b) = run_with_trace(cfg.clone());
     assert!(!log_a.events.is_empty(), "smoke run must produce events");
-    // Every record, the raw wheel operations the export omits included.
+    // Every record, not only the bytes the export renders from them.
     assert_eq!(log_a.events, log_b.events, "records unstable");
 
     let bytes = chrome_bytes(&log_a);

@@ -38,18 +38,23 @@ expect_interrupted() {
     }
 }
 
-# The one observe mode: every artifact — the Chrome trace, the flight data
-# and the self-contained report — is byte-identical across worker counts
-# (through chart rendering); the HTML is well-formed and self-contained
-# (valid inline SVG, no scripts, no external fetches); and trace.json is
-# one JSON document carrying CPU spans and the windowed cycle counters.
+# The one observe mode: it writes exactly three artifacts — the Chrome
+# trace, the flight data and the self-contained report — each
+# byte-identical across worker counts (through chart rendering); the HTML
+# is well-formed and self-contained (valid inline SVG, no scripts, no
+# external fetches); and trace.json is one JSON document carrying CPU
+# spans and the windowed cycle counters, and only the CPU and stack
+# domains (no timer-wheel track, no cascade instants).
 observe() {
     cross_jobs_identical observe --observe --quick
     python3 - "$out/observe-j1" <<'PY'
 import json
+import os
 import re
 import sys
 import xml.etree.ElementTree as ET
+files = sorted(os.listdir(sys.argv[1]))
+assert files == ['flight.jsonl', 'report.html', 'trace.json'], files
 html = open(sys.argv[1] + '/report.html').read()
 assert html.startswith('<!DOCTYPE html>'), 'missing doctype'
 assert html.rstrip().endswith('</html>'), 'unterminated document'
@@ -66,6 +71,10 @@ spans = sum(e['ph'] == 'X' and e.get('cat') == 'cpu' for e in events)
 series = {e['name'] for e in events if e['ph'] == 'C' and e['name'].startswith('cycles.')}
 assert spans > 0, 'trace.json has no cpu spans'
 assert series, 'trace.json has no cycles.* counter series'
+tracks = {e['args']['name'] for e in events if e['ph'] == 'M'}
+assert 'timer wheel' not in tracks, 'trace.json has a timer wheel track'
+cascades = [e for e in events if e['ph'] == 'i' and e['name'].startswith('cascade')]
+assert not cascades, f'trace.json has {len(cascades)} cascade instants'
 print(f'{len(svgs)} inline SVG charts OK, flight data OK, '
       f'trace OK ({spans} cpu spans, {len(series)} cycle series)')
 PY
