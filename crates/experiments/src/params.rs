@@ -26,9 +26,12 @@ pub(crate) const CONSTRAINED: [CpuConfig; 3] =
 /// Global knobs for an experiment run.
 #[derive(Debug, Clone, Serialize)]
 pub struct Params {
-    /// Seeded repetitions per data point ("averaged over at least 10
-    /// experiment runs", §3.2 — scaled down because variance across seeds
-    /// is far lower than across physical WiFi runs).
+    /// Seeds per data point (the paper averaged "at least 10 experiment
+    /// runs", §3.2). Only a config that draws randomness (the rate
+    /// variation of WiFi, LTE and 5G, netem loss, jitter or reorder, cross
+    /// traffic) differs by seed, and runs once per seed. Any other config,
+    /// such as a clean Ethernet cell, runs once, and its seeds are copies
+    /// of that run.
     pub seeds: u64,
     /// Simulated duration per run (the paper's 5 minutes of iPerf3 scaled
     /// to a steady-state window).

@@ -6,10 +6,12 @@
 //! The paper's §3.2 protocol: "Every iPerf3 result that we present is
 //! averaged over at least 10 experiment runs where iPerf3 sends data for
 //! 5 minutes." Simulated time is cheap but not free; the equivalent here is
-//! a configurable number of *seeded repetitions* of a shorter steady-state
-//! window (slow start excluded via the warmup cutoff), aggregated into a
-//! [`report::RunReport`] with mean ± standard deviation. Determinism means
-//! a report is exactly reproducible from its seed list.
+//! a list of seeds over a shorter steady-state window (slow start excluded
+//! via the warmup cutoff), aggregated into a [`report::RunReport`] with
+//! mean ± standard deviation. Determinism means a report is exactly
+//! reproducible from its seed list. Only a config with a random source
+//! varies by seed; one without is simulated once and its seeds are copies
+//! (see [`sweep`]).
 
 #![warn(missing_docs)]
 

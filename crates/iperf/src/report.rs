@@ -4,10 +4,12 @@ use serde::Serialize;
 use sim_core::metrics::Summary;
 use tcp_sim::SimResult;
 
-/// One seeded repetition's headline numbers.
+/// One seed's headline numbers.
 #[derive(Debug, Clone, Serialize)]
 pub struct SeedResult {
-    /// The seed that produced this run.
+    /// The seed this run was asked for. A config that draws no randomness
+    /// runs the same at every seed, and each seed's result is a copy of
+    /// one run stamped with its own seed.
     pub seed: u64,
     /// Aggregate goodput, Mbps.
     pub goodput_mbps: f64,

@@ -1,4 +1,4 @@
-//! Seeded repetition runner.
+//! Run specs: a configuration over a list of seeds, and the serial runner.
 
 use crate::report::RunReport;
 use sim_core::sweep::SweepCell;
@@ -12,7 +12,8 @@ pub struct RunSpec {
     pub label: String,
     /// Base simulation configuration; the seed field is overridden per run.
     pub config: SimConfig,
-    /// Seeds to repeat over (paper: "averaged over at least 10 runs").
+    /// Seeds to run (paper: "averaged over at least 10 runs"). They differ
+    /// only if the config draws randomness.
     pub seeds: Vec<u64>,
 }
 
@@ -29,7 +30,8 @@ impl RunSpec {
 }
 
 /// Run a spec's cells sequentially, outside the sweep engine, and
-/// aggregate. (A cell seeds itself from its config; the RNG is unused.)
+/// aggregate: every seed is simulated, even where the sweep would copy
+/// one. (A cell seeds itself from its config; the RNG is unused.)
 pub fn run_averaged(spec: &RunSpec) -> RunReport {
     let seeds = spec.cells().map(|cell| cell.run(SimRng::new(0))).collect();
     RunReport::aggregate(spec.label.clone(), seeds)

@@ -1,25 +1,29 @@
-//! Sweep-engine integration: one cell per (configuration, seed).
+//! Sweep-engine integration: one cell per distinct cell key.
 //!
 //! This is the bridge between [`RunSpec`]'s seed lists and
 //! [`sim_core::sweep`]'s generic engine. Each seed of each spec becomes one
-//! [`SeedCell`], submitted once however often it is named; the engine fans
-//! cells across workers, serves what it can from the content-addressed run
-//! cache, and returns outputs in submission order, which
-//! [`run_specs_sweep`] folds back into per-spec [`RunReport`]s.
+//! [`SeedCell`], and each distinct key is submitted once however often it
+//! is named; the engine fans cells across workers, serves what it can from
+//! the content-addressed run cache, and returns outputs in submission
+//! order, which [`run_specs_sweep`] folds back into per-spec
+//! [`RunReport`]s.
 //!
-//! The cache key is the canonical JSON of the **entire** [`SimConfig`]
-//! (with the cell's seed already applied), so any config change — device,
-//! path, pacing stride, duration, seed — yields a different key. Every
-//! cell is cacheable: instruments (trace, telemetry) are not
-//! configuration — they are passed to `StackSim::run_observed` — so they
-//! never reach a cell or its key.
+//! The cache key is the canonical JSON of the **entire** [`SimConfig`],
+//! so any config change — device, path, pacing stride, duration — yields
+//! a different key. The seed is in the key only if the config
+//! [draws randomness](SimConfig::draws_randomness): a seed-invariant
+//! config is keyed with seed 0, so all its seeds are one cell, simulated
+//! once and cached once, and each seed's result is a copy stamped with
+//! that seed. Every cell is cacheable: instruments (trace, telemetry) are
+//! not configuration — they are passed to `StackSim::run_observed` — so
+//! they never reach a cell or its key.
 
 use crate::report::{RunReport, SeedResult};
 use crate::runner::RunSpec;
 use sim_core::error::Error;
 use sim_core::sweep::{run_sweep_streaming, CacheState, SweepCell, SweepOptions};
 use sim_core::SimRng;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use tcp_sim::{SimConfig, StackSim};
 
@@ -42,18 +46,33 @@ impl SweepCell for SeedCell {
         format!("{} [seed {}]", self.label, self.config.seed)
     }
 
+    /// The config's compact JSON, with the seed zeroed when the config
+    /// draws no randomness: every seed of such a config names one cell.
     fn key_bytes(&self) -> Vec<u8> {
-        serde_json::to_string(&self.config)
-            .expect("SimConfig serializes infallibly")
-            .into_bytes()
+        let json = if self.config.draws_randomness() {
+            serde_json::to_string(&self.config)
+        } else {
+            serde_json::to_string(&SimConfig {
+                seed: 0,
+                ..(*self.config).clone()
+            })
+        };
+        json.expect("SimConfig serializes infallibly").into_bytes()
     }
 
     /// The simulation derives all randomness from `config.seed`, so the
     /// engine-provided split RNG is deliberately unused — the cell is a
     /// pure function of its key either way, which is what the determinism
-    /// contract needs.
+    /// contract needs. A config keyed without its seed must draw nothing,
+    /// or its copies would not be what the other seeds compute.
     fn run(&self, _rng: SimRng) -> SeedResult {
         let res = StackSim::from_arc(self.config.clone()).run();
+        debug_assert!(
+            self.config.draws_randomness() || res.counters.get("rng_draws") == 0,
+            "{}: a config keyed without its seed drew {} random numbers",
+            self.label(),
+            res.counters.get("rng_draws"),
+        );
         SeedResult::from_sim(self.config.seed, &res)
     }
 
@@ -141,17 +160,26 @@ impl RunSpec {
 }
 
 /// A [`SeedCell`] with the key digest repeats were resolved on, so the
-/// engine does not serialise and hash the key a second time.
+/// engine does not serialise and hash the key a second time, and the
+/// seeds its output serves.
 struct KeyedCell {
     cell: SeedCell,
     digest: [u8; 16],
+    /// Every seed this cell answers for.
+    seeds: BTreeSet<u64>,
 }
 
 impl SweepCell for KeyedCell {
     type Output = SeedResult;
 
+    /// The spec's label and the seeds the cell serves: `[seed 3]`, or
+    /// `[seeds 1-5]` for a seed-invariant cell, so `--progress` shows
+    /// which seeds were never simulated.
     fn label(&self) -> String {
-        self.cell.label()
+        match self.seeds.len() {
+            1 => self.cell.label(),
+            _ => format!("{} [seeds {}]", self.cell.label, seed_ranges(&self.seeds)),
+        }
     }
 
     fn key_bytes(&self) -> Vec<u8> {
@@ -175,6 +203,25 @@ impl SweepCell for KeyedCell {
     }
 }
 
+/// `seeds` as comma-separated runs: `1-3,5`.
+fn seed_ranges(seeds: &BTreeSet<u64>) -> String {
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for &seed in seeds {
+        match runs.last_mut() {
+            Some((_, hi)) if *hi + 1 == seed => *hi = seed,
+            _ => runs.push((seed, seed)),
+        }
+    }
+    let run = |&(lo, hi): &(u64, u64)| {
+        if lo == hi {
+            lo.to_string()
+        } else {
+            format!("{lo}-{hi}")
+        }
+    };
+    runs.iter().map(run).collect::<Vec<_>>().join(",")
+}
+
 /// Run groups of specs — each an experiment's plan — through **one**
 /// sweep, handing each group its [`RunReport`]s (one per spec, in spec
 /// order) as `done(group index, reports)` the moment the
@@ -183,10 +230,13 @@ impl SweepCell for KeyedCell {
 /// A (configuration, seed) pair whose key an earlier seed, spec or group
 /// of this call already submitted is a **repeat**: it is not submitted
 /// again and takes the first occurrence's output (so `--progress` shows
-/// the first occurrence's label), and its spec's report is the same bytes
-/// either way. The distinct outputs (192 bytes each) are held until the
-/// call returns — a later spec may repeat any of them; everything else is
-/// the engine's bounded in-flight window.
+/// the first occurrence's label). That includes every seed after the
+/// first of a config that draws no randomness, whose key has no seed.
+/// Each released [`SeedResult`] carries the seed its spec asked for,
+/// whichever seed computed it or filled the cache, so a spec's report is
+/// the same bytes either way. The distinct outputs (192 bytes each) are
+/// held until the call returns — a later spec may repeat any of them;
+/// everything else is the engine's bounded in-flight window.
 ///
 /// Errors propagate from the engine: [`Error::Interrupted`], whose counts
 /// are distinct cells over the whole call.
@@ -201,10 +251,17 @@ pub fn run_specs_sweep(
     let mut slots: Vec<usize> = Vec::new();
     for cell in groups.iter().flatten().flat_map(RunSpec::cells) {
         let digest = cell.key_digest();
-        slots.push(*first.entry(digest).or_insert_with(|| {
-            cells.push(KeyedCell { cell, digest });
+        let seed = cell.config.seed;
+        let idx = *first.entry(digest).or_insert_with(|| {
+            cells.push(KeyedCell {
+                cell,
+                digest,
+                seeds: BTreeSet::new(),
+            });
             cells.len() - 1
-        }));
+        });
+        cells[idx].seeds.insert(seed);
+        slots.push(idx);
     }
 
     let mut outputs: Vec<SeedResult> = Vec::with_capacity(cells.len());
@@ -224,7 +281,14 @@ pub fn run_specs_sweep(
             if mine.iter().any(|&cell| cell >= outputs.len()) {
                 break;
             }
-            let seeds = mine.iter().map(|&cell| outputs[cell].clone()).collect();
+            let seeds = mine
+                .iter()
+                .zip(&next.seeds)
+                .map(|(&cell, &seed)| SeedResult {
+                    seed,
+                    ..outputs[cell].clone()
+                })
+                .collect();
             reports.push(RunReport::aggregate(next.label.clone(), seeds));
             (spec, slot) = (spec + 1, slot + next.seeds.len());
         }
@@ -268,6 +332,19 @@ mod tests {
         .expect("tiny test config is valid")
     }
 
+    /// `tiny_config` with 1 % uplink netem loss: a config that draws from
+    /// its seed, so each seed is its own cell.
+    fn lossy_config() -> SimConfig {
+        let mut cfg = tiny_config();
+        cfg.path.forward_netem.loss = 0.01;
+        assert!(cfg.draws_randomness() && !tiny_config().draws_randomness());
+        cfg
+    }
+
+    fn json<T: serde::Serialize + ?Sized>(value: &T) -> String {
+        serde_json::to_string(value).unwrap()
+    }
+
     fn temp_cache(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("iperf-sweep-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -284,20 +361,129 @@ mod tests {
         report.expect("one spec in, one report out")
     }
 
+    /// Whole reports, byte for byte, for a seed-invariant config (its
+    /// three seeds one simulation) and for one that draws (three).
     #[test]
     fn sweep_matches_serial_runner() {
-        let spec = RunSpec::new("sweep-agree", tiny_config(), 3);
-        let baseline = run_averaged(&spec);
-        for jobs in [1, 3] {
+        for config in [tiny_config(), lossy_config()] {
+            let spec = RunSpec::new("sweep-agree", config, 3);
+            let baseline = json(&run_averaged(&spec));
+            for jobs in [1, 3] {
+                let opts = SweepOptions {
+                    jobs,
+                    ..SweepOptions::default()
+                };
+                assert_eq!(json(&sweep_one(&spec, &opts)), baseline, "jobs={jobs}");
+            }
+        }
+    }
+
+    /// A cache filled at seeds `[1, 2]` answers a rerun at `[1, 2, 3]`:
+    /// the seed-invariant spec simulates nothing, the lossy spec only seed
+    /// 3, and every released result carries the seed its spec asked for —
+    /// the same bytes as simulating each seed.
+    #[test]
+    fn copies_and_cache_hits_carry_the_requested_seed() {
+        let specs = |n| {
+            vec![
+                RunSpec::new("invariant", tiny_config(), n),
+                RunSpec::new("lossy", lossy_config(), n),
+            ]
+        };
+        let sweep = |specs: Vec<RunSpec>, dir: &std::path::Path| {
             let opts = SweepOptions {
-                jobs,
+                cache_dir: Some(dir.to_path_buf()),
                 ..SweepOptions::default()
             };
-            let swept = sweep_one(&spec, &opts);
-            assert_eq!(swept.goodput_mbps, baseline.goodput_mbps, "jobs={jobs}");
-            assert_eq!(swept.mean_rtt_ms, baseline.mean_rtt_ms, "jobs={jobs}");
-            assert_eq!(swept.mean_retx, baseline.mean_retx, "jobs={jobs}");
+            let mut out = Vec::new();
+            run_specs_sweep(&[specs], &opts, |_, reports| out = reports)
+                .expect("uncancelled sweep completes");
+            out
+        };
+        let seed_words =
+            |report: &RunReport| -> Vec<u64> { report.seeds.iter().map(|s| s.seed).collect() };
+
+        // A real fill: the rerun's reports are what simulating every seed
+        // gives.
+        let dir = temp_cache("copies");
+        sweep(specs(2), &dir);
+        for (report, spec) in sweep(specs(3), &dir).iter().zip(specs(3)) {
+            assert_eq!(seed_words(report), [1, 2, 3], "{}", spec.label);
+            assert_eq!(json(report), json(&run_averaged(&spec)), "{}", spec.label);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A marked fill under the same keys, stored with seed 0 and a
+        // goodput no run reads: whatever the rerun releases marked came
+        // from the cache, and the rest was simulated.
+        let dir = temp_cache("marked");
+        let marked: Vec<Marked> = specs(2)
+            .iter()
+            .flat_map(RunSpec::cells)
+            .map(Marked)
+            .collect();
+        let opts = SweepOptions {
+            cache_dir: Some(dir.clone()),
+            ..SweepOptions::default()
+        };
+        let mut filled = 0;
+        run_sweep_streaming(&marked, &opts, |_, _, _| filled += 1).unwrap();
+        assert_eq!(filled, 4, "two specs × two seeds submitted raw");
+        let reports = sweep(specs(3), &dir);
+        let from_cache = |report: &RunReport| -> Vec<bool> {
+            report
+                .seeds
+                .iter()
+                .map(|s| s.goodput_mbps == MARK)
+                .collect()
+        };
+        assert_eq!(from_cache(&reports[0]), [true, true, true], "invariant");
+        assert_eq!(from_cache(&reports[1]), [true, true, false], "lossy");
+        for report in &reports {
+            assert_eq!(seed_words(report), [1, 2, 3], "{}", report.label);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Goodput of a [`Marked`] cell's output.
+    const MARK: f64 = -1.0;
+
+    /// A cell under a [`SeedCell`]'s key whose output is marked rather
+    /// than simulated.
+    struct Marked(SeedCell);
+
+    impl SweepCell for Marked {
+        type Output = SeedResult;
+
+        fn label(&self) -> String {
+            self.0.label()
+        }
+
+        fn key_bytes(&self) -> Vec<u8> {
+            self.0.key_bytes()
+        }
+
+        fn run(&self, _rng: SimRng) -> SeedResult {
+            let mut bytes = vec![0; CODEC_BYTES];
+            bytes[8..16].copy_from_slice(&MARK.to_le_bytes());
+            SeedCell::decode(&bytes).expect("a full-width buffer decodes")
+        }
+
+        fn encode(output: &SeedResult) -> Option<Vec<u8>> {
+            SeedCell::encode(output)
+        }
+
+        fn decode(bytes: &[u8]) -> Option<SeedResult> {
+            SeedCell::decode(bytes)
+        }
+    }
+
+    #[test]
+    fn seed_ranges_name_runs() {
+        let ranges = |seeds: &[u64]| seed_ranges(&seeds.iter().copied().collect());
+        assert_eq!(ranges(&[3]), "3");
+        assert_eq!(ranges(&[2, 1, 3, 4, 5]), "1-5");
+        assert_eq!(ranges(&[5, 1, 2, 3, 7, 8]), "1-3,5,7-8");
     }
 
     #[test]
@@ -375,25 +561,28 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A (config, seed) pair submitted twice in one call is simulated once:
-    /// the repeat — under another label, in a later group, with a shorter
+    /// A cell key submitted twice in one call is simulated once: the
+    /// repeat — under another label, in a later group, with a shorter
     /// seed list — gets the first occurrence's bytes, and groups are handed
-    /// over in order, each the moment its last cell is out.
+    /// over in order, each the moment its last cell is out. A config that
+    /// draws is one key per seed; one that draws nothing is one key.
     #[test]
     fn repeats_are_simulated_once_and_groups_complete_in_order() {
         let mut other = tiny_config();
         other.connections = 3;
         let groups = [
-            vec![RunSpec::new("first", tiny_config(), 2)],
+            vec![RunSpec::new("first", lossy_config(), 2)],
             vec![],
             vec![
-                RunSpec::new("again", tiny_config(), 1),
-                RunSpec::new("other", other, 1),
-                RunSpec::new("again, both seeds", tiny_config(), 2),
+                RunSpec::new("again", lossy_config(), 1),
+                RunSpec::new("other", other, 2),
+                RunSpec::new("again, both seeds", lossy_config(), 2),
             ],
         ];
-        // Five (config, seed) pairs submitted, three distinct: a sweep
-        // stopped before its first cell reports how many it was handed.
+        // Seven (config, seed) pairs submitted: the lossy config's two
+        // seeds and the seed-invariant config's one key make three cells,
+        // and a sweep stopped before its first cell reports how many it
+        // was handed.
         let stopped = SweepOptions {
             cancel_after: Some(0),
             ..SweepOptions::default()
@@ -417,39 +606,39 @@ mod tests {
             assert_eq!(order, [(0, 1), (1, 0), (2, 3)], "jobs={jobs}");
             let labels: Vec<&str> = all.iter().map(|r| r.label.as_str()).collect();
             assert_eq!(labels, ["first", "again", "other", "again, both seeds"]);
-            let json = |seeds: &[SeedResult]| serde_json::to_string(seeds).unwrap();
             assert_eq!(json(&all[0].seeds), json(&all[3].seeds), "jobs={jobs}");
             assert_eq!(json(&all[0].seeds[..1]), json(&all[1].seeds), "jobs={jobs}");
-            assert_eq!(
-                all[0].goodput_mbps,
-                run_averaged(&groups[0][0]).goodput_mbps
-            );
+            assert_eq!(json(&all[0]), json(&run_averaged(&groups[0][0])));
+            assert_eq!(json(&all[2]), json(&run_averaged(&groups[2][1])));
         }
     }
 
     #[test]
     fn distinct_configs_have_distinct_keys() {
-        let a = SeedCell {
-            label: "a".into(),
-            config: Arc::new(tiny_config()),
+        let key = |cfg: SimConfig, seed| {
+            SeedCell {
+                label: "a".into(),
+                config: Arc::new(SimConfig { seed, ..cfg }),
+            }
+            .key_bytes()
         };
-        let mut cfg = tiny_config();
-        cfg.seed = 2;
-        let b = SeedCell {
-            label: "a".into(),
-            config: Arc::new(cfg),
-        };
-        assert_ne!(a.key_bytes(), b.key_bytes(), "seed must be part of the key");
+        assert_eq!(
+            key(tiny_config(), 1),
+            key(tiny_config(), 2),
+            "a config that draws nothing is keyed without its seed"
+        );
+        assert_ne!(
+            key(lossy_config(), 1),
+            key(lossy_config(), 2),
+            "a config that draws is keyed with its seed"
+        );
         let mut cfg = tiny_config();
         cfg.pacing.stride += 1;
-        let c = SeedCell {
-            label: "a".into(),
-            config: Arc::new(cfg),
-        };
         assert_ne!(
-            a.key_bytes(),
-            c.key_bytes(),
+            key(tiny_config(), 1),
+            key(cfg, 1),
             "stride must be part of the key"
         );
+        assert_ne!(key(tiny_config(), 1), key(lossy_config(), 1));
     }
 }

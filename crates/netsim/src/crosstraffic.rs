@@ -57,6 +57,11 @@ impl CrossTraffic {
         s
     }
 
+    /// Random numbers this source has drawn so far.
+    pub fn draws(&self) -> u64 {
+        self.rng.draws()
+    }
+
     /// Packet size on the wire.
     pub fn pkt_bytes(&self) -> u64 {
         self.config.pkt_bytes

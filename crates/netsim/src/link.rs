@@ -211,6 +211,12 @@ impl BottleneckLink {
         self.stats
     }
 
+    /// Random numbers the rate variation has drawn so far (0 for a
+    /// fixed-rate link).
+    pub fn draws(&self) -> u64 {
+        self.variable.as_ref().map_or(0, |(_, rng)| rng.draws())
+    }
+
     fn maybe_resample(&mut self, now: SimTime) {
         let Some((var, rng)) = self.variable.as_mut() else {
             return;

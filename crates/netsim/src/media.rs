@@ -173,6 +173,16 @@ impl PathConfig {
         self
     }
 
+    /// True if a path with this config draws from the run's seed: a
+    /// variable-rate uplink, or a netem stage in either direction with
+    /// loss, jitter or reordering. A path that draws nothing runs the same
+    /// at every seed.
+    pub fn draws_randomness(&self) -> bool {
+        self.forward_var.is_some()
+            || self.forward_netem.draws_randomness()
+            || self.reverse_netem.draws_randomness()
+    }
+
     /// Base (unloaded) round-trip time: both propagation delays plus fixed
     /// netem delays, excluding serialisation and queueing.
     pub fn base_rtt(&self) -> SimDuration {

@@ -61,6 +61,13 @@ impl NetemConfig {
             && self.rate_limit.is_none()
             && self.reorder == 0.0
     }
+
+    /// True if a stage with this config draws from its RNG stream: loss,
+    /// jitter or reordering is non-zero. Delay and the rate limiter are
+    /// deterministic.
+    pub(crate) fn draws_randomness(&self) -> bool {
+        self.loss > 0.0 || !self.jitter.is_zero() || self.reorder > 0.0
+    }
 }
 
 /// Verdict for one packet offered to the netem stage.
@@ -91,6 +98,11 @@ impl Netem {
             rng,
             rate_busy_until: SimTime::ZERO,
         }
+    }
+
+    /// Random numbers this stage has drawn so far.
+    pub fn draws(&self) -> u64 {
+        self.rng.draws()
     }
 
     /// Offer a packet of `wire_bytes` at `now`.

@@ -37,6 +37,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     s: [u64; 4],
+    /// Outputs drawn from this stream (not its children).
+    draws: u64,
 }
 
 impl SimRng {
@@ -49,13 +51,15 @@ impl SimRng {
             splitmix64(&mut sm),
             splitmix64(&mut sm),
         ];
-        // xoshiro256** requires a non-zero state; SplitMix64 of any seed
-        // produces one with overwhelming probability, but guarantee it.
-        if s == [0, 0, 0, 0] {
-            SimRng { s: [1, 2, 3, 4] }
-        } else {
-            SimRng { s }
-        }
+        Self::from_state(s)
+    }
+
+    /// A fresh stream at state `s`. xoshiro256** requires a non-zero
+    /// state; SplitMix64 produces one with overwhelming probability, but
+    /// guarantee it.
+    fn from_state(s: [u64; 4]) -> Self {
+        let s = if s == [0, 0, 0, 0] { [1, 2, 3, 4] } else { s };
+        SimRng { s, draws: 0 }
     }
 
     /// Derive an independent child stream identified by `label`.
@@ -72,11 +76,7 @@ impl SimRng {
             splitmix64(&mut sm),
             splitmix64(&mut sm),
         ];
-        if s == [0, 0, 0, 0] {
-            SimRng { s: [1, 2, 3, 4] }
-        } else {
-            SimRng { s }
-        }
+        Self::from_state(s)
     }
 
     /// Next raw 64-bit output (xoshiro256** scrambler).
@@ -85,6 +85,7 @@ impl SimRng {
     #[allow(clippy::should_implement_trait)]
     #[inline]
     pub fn next(&mut self) -> u64 {
+        self.draws += 1;
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -94,6 +95,13 @@ impl SimRng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
+    }
+
+    /// Outputs drawn from this stream so far. Every draw helper goes
+    /// through [`next`](Self::next), so this counts them all; a child from
+    /// [`split`](Self::split) counts its own.
+    pub fn draws(&self) -> u64 {
+        self.draws
     }
 
     /// Uniform float in `[0, 1)`, 53-bit precision.
@@ -198,6 +206,21 @@ mod tests {
         let before = parent.clone();
         let _ = parent.split(3);
         assert_eq!(parent, before);
+    }
+
+    #[test]
+    fn draws_count_every_output_of_this_stream() {
+        let mut rng = SimRng::new(5);
+        assert_eq!(rng.draws(), 0);
+        rng.next();
+        rng.chance(0.5);
+        rng.exponential(1.0);
+        assert!(!rng.chance(0.0) && rng.chance(1.0), "certain outcomes");
+        assert_eq!(rng.draws(), 3, "a certain outcome draws nothing");
+        let mut child = rng.split(1);
+        assert_eq!(child.draws(), 0, "a child counts its own");
+        child.below(10);
+        assert_eq!((rng.draws(), child.draws()), (3, 1));
     }
 
     #[test]

@@ -130,6 +130,22 @@ impl SimConfig {
         };
         SimConfigBuilder { cfg }
     }
+
+    /// True iff a run of this config draws from its seed: cross traffic is
+    /// configured, or a path in use [draws](PathConfig::draws_randomness)
+    /// (each device's media path in fleet mode, `path` otherwise). When
+    /// false, every seed gives the same [`crate::SimResult`] byte for byte,
+    /// so a sweep computes one seed and serves the others as copies.
+    pub fn draws_randomness(&self) -> bool {
+        self.cross_traffic.is_some()
+            || match &self.fleet {
+                Some(fleet) => fleet
+                    .devices
+                    .iter()
+                    .any(|d| d.media.path_config().draws_randomness()),
+                None => self.path.draws_randomness(),
+            }
+    }
 }
 
 impl SimConfigBuilder {
@@ -700,6 +716,101 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(field_of(err), "fleet.shared");
+    }
+
+    /// Each consumer of the seed, switched on alone in an Ethernet config,
+    /// makes the predicate true and the run draw; with none on, the
+    /// predicate is false and the run draws nothing. Deterministic
+    /// impairments (netem delay, its rate limiter) are not consumers.
+    #[test]
+    fn draws_randomness_flips_with_each_consumer() {
+        use crate::fleet::{DeviceSpec, FleetConfig};
+        use crate::StackSim;
+        use netsim::crosstraffic::CrossTrafficConfig;
+        use netsim::VariableRate;
+        use sim_core::units::Bandwidth;
+
+        let short = || {
+            base()
+                .duration(SimDuration::from_millis(300))
+                .warmup(SimDuration::from_millis(100))
+        };
+        let plain = short().build().unwrap();
+        let draws = |cfg: &SimConfig| StackSim::new(cfg.clone()).run().counters.get("rng_draws");
+        let with_path = |edit: &dyn Fn(&mut PathConfig)| {
+            let mut cfg = plain.clone();
+            edit(&mut cfg.path);
+            cfg
+        };
+        let ms = SimDuration::from_millis;
+        let eth = DeviceSpec::new(CpuConfig::HighEnd, CcKind::Bbr, MediaProfile::Ethernet);
+        let wifi = DeviceSpec::new(CpuConfig::HighEnd, CcKind::Bbr, MediaProfile::Wifi);
+        let fleet = |devices| {
+            short()
+                .fleet(FleetConfig {
+                    devices,
+                    shared: None,
+                })
+                .build()
+                .unwrap()
+        };
+
+        let invariant = [
+            ("Ethernet", plain.clone()),
+            ("netem delay", with_path(&|p| p.forward_netem.delay = ms(2))),
+            (
+                "netem rate limit",
+                with_path(&|p| p.reverse_netem.rate_limit = Some(Bandwidth::from_mbps(50))),
+            ),
+            ("Ethernet fleet", fleet(vec![eth.clone(), eth.clone()])),
+        ];
+        for (what, cfg) in &invariant {
+            assert!(!cfg.draws_randomness(), "{what}");
+            assert_eq!(draws(cfg), 0, "{what}");
+        }
+
+        let random = [
+            (
+                "forward_var",
+                with_path(&|p| {
+                    p.forward_var = Some(VariableRate {
+                        min: Bandwidth::from_mbps(100),
+                        max: Bandwidth::from_mbps(900),
+                        period: ms(5),
+                    })
+                }),
+            ),
+            ("forward loss", with_path(&|p| p.forward_netem.loss = 0.01)),
+            ("reverse loss", with_path(&|p| p.reverse_netem.loss = 0.01)),
+            (
+                "forward jitter",
+                with_path(&|p| p.forward_netem.jitter = ms(1)),
+            ),
+            (
+                "reverse jitter",
+                with_path(&|p| p.reverse_netem.jitter = ms(1)),
+            ),
+            (
+                "forward reorder",
+                with_path(&|p| p.forward_netem.reorder = 0.1),
+            ),
+            (
+                "reverse reorder",
+                with_path(&|p| p.reverse_netem.reorder = 0.1),
+            ),
+            (
+                "cross traffic",
+                short()
+                    .cross_traffic(CrossTrafficConfig::at(Bandwidth::from_mbps(100)))
+                    .build()
+                    .unwrap(),
+            ),
+            ("one WiFi device", fleet(vec![eth.clone(), eth, wifi])),
+        ];
+        for (what, cfg) in &random {
+            assert!(cfg.draws_randomness(), "{what}");
+            assert!(draws(cfg) > 0, "{what}");
+        }
     }
 
     #[test]

@@ -78,6 +78,12 @@ impl Path {
         }
     }
 
+    /// Random numbers this path's streams have drawn: the uplink's rate
+    /// variation and both netem stages.
+    pub(super) fn rng_draws(&self) -> u64 {
+        self.fwd_link.draws() + self.fwd_netem.draws() + self.rev_netem.draws()
+    }
+
     /// Walk one MSS data packet, released by the device at `at`, to the
     /// server. In fleet mode the access-link egress feeds the `shared`
     /// bottleneck, admission stamped at the access arrival instant; a

@@ -358,6 +358,19 @@ impl StackSim {
             counters.add("link_aqm_drops", link_aqm_drops);
         }
 
+        // Every draw from a stream of `SimRng::new(cfg.seed)`: a config
+        // that `SimConfig::draws_randomness` calls seed-invariant must read
+        // 0 here, which the sweep asserts on every cell it computes.
+        let rng_draws: u64 = self
+            .devices
+            .iter()
+            .map(|d| d.path.rng_draws())
+            .chain(self.cross.iter().map(|c| c.draws()))
+            .sum();
+        if rng_draws > 0 {
+            counters.add("rng_draws", rng_draws);
+        }
+
         // Pool health: in steady state misses stay at the cold-start count
         // (bounded by events in flight), making regressions visible in
         // counter dumps without touching the serialized scorecard. The

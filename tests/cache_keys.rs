@@ -7,8 +7,9 @@
 //! 1. **Golden keys.** Every cell the registry plans (the scorecard and
 //!    the ablations, at the quick and the full preset) is folded into one
 //!    FNV-64. The constants were recorded with the `Value`-tree serialiser
-//!    that preceded the streaming writer; they must never change unless
-//!    the cache format changes on purpose.
+//!    that preceded the streaming writer, and re-recorded once when a
+//!    config that draws no randomness began to be keyed with seed 0; they
+//!    must never change unless the cache format changes on purpose.
 //! 2. **Round trip.** For arbitrary configs, compact output parses and
 //!    re-renders to the same bytes, and pretty output equals the pretty
 //!    re-render of the parsed compact output.
@@ -26,9 +27,9 @@ use test_support::{arb_cc, arb_cpu, arb_fleet, arb_media};
 
 /// The golden fold, per preset: cells planned and FNV-64 of their keys.
 const QUICK_CELLS: usize = 412;
-const QUICK_FNV: u64 = 0x3c47_b268_922e_8550;
+const QUICK_FNV: u64 = 0x355a_775f_4b01_c587;
 const FULL_CELLS: usize = 1021;
-const FULL_FNV: u64 = 0xf122_04c3_898e_109f;
+const FULL_FNV: u64 = 0x3230_8593_6a10_a44a;
 
 /// (cells, FNV-64 of every key in plan order, newline-separated) for one
 /// preset.

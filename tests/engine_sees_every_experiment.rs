@@ -1,7 +1,8 @@
 //! The sweep engine is the only way an experiment runs a simulation: every
 //! `ExperimentId` shows up in the engine's totals, a rerun against the
 //! same cache simulates nothing, and a run of several experiments submits
-//! each distinct (config, seed) cell exactly once — with no cache at all.
+//! each distinct cell key exactly once — with no cache at all. A config
+//! that draws no randomness is one key for all its seeds.
 //!
 //! This is deliberately the only test in its binary: `sweep::totals()` is
 //! process-global, so a sibling test sweeping concurrently would leak into
@@ -74,13 +75,15 @@ fn every_experiment_is_swept_and_fully_cached_on_rerun() {
     let _ = std::fs::remove_dir_all(&cache);
 
     // Repeats are resolved before submission, not by the cache: Fig. 7
-    // reads Fig. 4's runs, so the pair costs one figure's cells.
+    // reads Fig. 4's runs, so the pair costs one figure's cells, and its
+    // Ethernet configs draw no randomness, so each is one cell whatever
+    // the seed count.
     let mut params = Params::smoke();
     params.seeds = 2;
     assert!(params.cache_dir.is_none());
     let pair = [ExperimentId::Fig4, ExperimentId::Fig7];
     let (_, moved) = run_counted(&pair, &params);
-    assert_eq!(moved.cells, 6 * params.seeds, "3 configs × paced/unpaced");
+    assert_eq!(moved.cells, 6, "3 configs × paced/unpaced, seeds shared");
     assert_eq!(moved.uncacheable, moved.cells, "no cache was involved");
     assert_eq!(distinct_cells(&pair, &params), moved.cells);
 

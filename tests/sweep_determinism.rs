@@ -11,7 +11,8 @@
 
 use experiments::{Experiment, ExperimentId, Params};
 use iperf::{RunSpec, SeedCell, SeedResult};
-use sim_core::sweep::{run_sweep_streaming, CacheState, SweepOptions};
+use sim_core::sweep::{run_sweep_streaming, CacheState, SweepCell, SweepOptions};
+use std::collections::HashSet;
 
 /// Smoke-sized parameters with an explicit worker count and no cache.
 fn smoke_with_jobs(jobs: usize) -> Params {
@@ -64,21 +65,28 @@ fn warm_cache_rerun_is_complete_and_identical() {
     let _ = std::fs::remove_dir_all(&cache);
 
     // A representative slice of the scorecard's cells: two CPU configs,
-    // three seeds each, built exactly as the experiments build them.
+    // three seeds each, built exactly as the experiments build them — one
+    // on WiFi, one on Ethernet. They are handed to the engine as
+    // `run_specs_sweep` hands them over, one cell per distinct key, so the
+    // Ethernet config's seeds, which share a key, are one cell: 4 cells.
     let params = Params::smoke();
+    let mut wifi = params.pixel4(cpu_model::CpuConfig::LowEnd, congestion::CcKind::Bbr, 4);
+    wifi.path = netsim::MediaProfile::Wifi.path_config();
     let specs = [
-        RunSpec::new(
-            "warm-low",
-            params.pixel4(cpu_model::CpuConfig::LowEnd, congestion::CcKind::Bbr, 4),
-            3,
-        ),
+        RunSpec::new("warm-low", wifi, 3),
         RunSpec::new(
             "warm-high",
             params.pixel4(cpu_model::CpuConfig::HighEnd, congestion::CcKind::Cubic, 4),
             3,
         ),
     ];
-    let cells: Vec<SeedCell> = specs.iter().flat_map(RunSpec::cells).collect();
+    let mut keys = HashSet::new();
+    let cells: Vec<SeedCell> = specs
+        .iter()
+        .flat_map(RunSpec::cells)
+        .filter(|cell| keys.insert(cell.key_bytes()))
+        .collect();
+    assert_eq!(cells.len(), 4);
 
     let opts = SweepOptions {
         jobs: 2,

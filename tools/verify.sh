@@ -84,7 +84,10 @@ PY
 # engine act as if Ctrl-C arrived after N released cells) with a run
 # cache, require exit 130, rerun the same command against the same cache,
 # and require the result bytes of a clean --no-cache run: the scorecard
-# JSON for repro, stdout for a simcheck fuzz campaign. Then one
+# JSON for repro (a WiFi experiment, whose every seed is its own cell, and
+# an Ethernet one, whose seeds share one cell each), stdout for a simcheck
+# fuzz campaign. A cache filled at 2 seeds must answer the Ethernet
+# experiment at 3 with no miss and the same bytes. Then one
 # 1000-connection cell through the flow arena with every oracle armed.
 resume() {
     local sweep=(--exp bbr2 --smoke --seeds 2 --jobs 4)
@@ -94,6 +97,19 @@ resume() {
     test ! -f "$out/interrupted.json"
     repro "${sweep[@]}" --cache-dir "$out/cache" --json "$out/resumed.json"
     cmp "$out/clean.json" "$out/resumed.json"
+
+    local eth=(--exp fig5 --smoke --jobs 4)
+    repro "${eth[@]}" --seeds 3 --no-cache --json "$out/eth-clean.json"
+    expect_interrupted repro "${eth[@]}" --seeds 3 --cache-dir "$out/eth-cache" \
+        --max-inflight 2 --cancel-after 2 --json "$out/eth-interrupted.json"
+    test ! -f "$out/eth-interrupted.json"
+    repro "${eth[@]}" --seeds 3 --cache-dir "$out/eth-cache" --json "$out/eth-resumed.json"
+    cmp "$out/eth-clean.json" "$out/eth-resumed.json"
+    repro "${eth[@]}" --seeds 2 --cache-dir "$out/eth-filled" >/dev/null
+    repro "${eth[@]}" --seeds 3 --cache-dir "$out/eth-filled" --progress \
+        --json "$out/eth-cached.json" 2>"$out/eth-cached.err"
+    cmp "$out/eth-clean.json" "$out/eth-cached.json"
+    grep -E '^sweep totals: .* cache [0-9]+ hits / 0 misses / 0 corrupt' "$out/eth-cached.err"
 
     local fuzz=(--budget 80 --seed 1 --jobs 4 --no-corpus-append)
     simcheck "${fuzz[@]}" --no-cache >"$out/fuzz-clean.txt"
