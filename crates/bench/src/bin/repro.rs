@@ -49,6 +49,7 @@
 //! ```
 
 use experiments::{Experiment, ExperimentId, Params};
+use std::io::Write;
 use std::path::Path;
 
 /// Where the full preset caches, relative to the working directory, so
@@ -222,7 +223,9 @@ fn run_experiments(args: &Args) -> Result<bool, sim_core::Error> {
     let card = experiments::Scorecard::tally(&done);
     println!("{} ({:.1?} total)", card.banner(), t0.elapsed());
     if args.params.progress {
-        eprintln!("{}", sim_core::sweep::totals().summary_line());
+        // Like the per-cell lines: a closed stderr loses the line, not the run.
+        let totals = sim_core::sweep::totals().summary_line();
+        let _ = writeln!(std::io::stderr(), "{totals}");
     }
 
     if let Some(path) = &args.markdown {

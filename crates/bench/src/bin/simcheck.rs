@@ -13,19 +13,23 @@
 //! under `--failure-dir` as a Chrome trace (`simcheck-<key>.json`, load it
 //! in Perfetto).
 //!
-//! Campaigns run without a cache unless `--cache-dir PATH` is given; then
-//! every scenario verdict is kept under `PATH/<fingerprint>/`, where the
-//! fingerprint hashes the model's source, so a rerun of the same campaign
-//! is served from it. That also makes long campaigns resumable: Ctrl-C
-//! drains in-flight scenarios and exits 130, and rerunning the same
+//! The corpus entries and the random draws are one sweep: every scenario
+//! is a cell keyed by its spec, so `--jobs`, the cache and cancellation
+//! cover both. Campaigns run without a cache unless `--cache-dir PATH` is
+//! given; then every scenario verdict is kept under `PATH/<fingerprint>/`,
+//! where the fingerprint hashes the model's source, so a rerun of the same
+//! campaign is served from it. That also makes long campaigns resumable:
+//! Ctrl-C drains in-flight scenarios and exits 130, and rerunning the same
 //! command replays the finished verdicts and prints byte-identical output.
 //!
 //! Exit codes: 0 all invariants hold; 1 at least one violation (or an
 //! escaped mutant); 2 usage error; 130 interrupted (Ctrl-C).
 
-use mobile_bbr_bench::simcheck::{check_scenario, fuzz, mutant_check, FuzzOptions, Scenario};
+use mobile_bbr_bench::simcheck::{
+    check_scenario, fuzz, mutant_check, Corpus, FuzzOptions, Scenario,
+};
 use mobile_bbr_bench::SweepFlags;
-use sim_core::check::Corpus;
+use sim_core::sweep::SweepOptions;
 use std::path::PathBuf;
 
 struct Args {
@@ -168,7 +172,7 @@ fn run_mutant_check(args: &Args) -> i32 {
     }
 }
 
-/// Corpus regression + random fuzzing.
+/// Corpus regression + random fuzzing, as one sweep.
 fn run_fuzz(args: &Args) -> i32 {
     let mut corpus = match Corpus::load(&args.corpus) {
         Ok(c) => c,
@@ -177,28 +181,14 @@ fn run_fuzz(args: &Args) -> i32 {
             args.corpus.display()
         )),
     };
+    let entries: Vec<Scenario> = corpus
+        .entries
+        .iter()
+        .map(|line| {
+            Scenario::parse(line).unwrap_or_else(|e| fail(&format!("corpus entry '{line}': {e}")))
+        })
+        .collect();
 
-    // Phase 1: replay every corpus entry (permanent regression tests).
-    let mut violations_total = 0u64;
-    for line in corpus.entries.clone() {
-        let scenario = match Scenario::parse(&line) {
-            Ok(s) => s,
-            Err(e) => fail(&format!("corpus entry '{line}': {e}")),
-        };
-        let violations = check_scenario(&scenario);
-        if !violations.is_empty() {
-            violations_total += violations.len() as u64;
-            println!("FAIL corpus {line}");
-            for v in &violations {
-                println!("  {v}");
-            }
-        }
-    }
-    if args.sweep.progress {
-        eprintln!("corpus: {} entr(ies) replayed", corpus.entries.len());
-    }
-
-    // Phase 2: the random budget, fanned across --jobs workers.
     let cache_dir = args.sweep.resolve_cache(None);
     if let (true, Some(dir)) = (args.sweep.progress, &cache_dir) {
         eprintln!("cache: {}", dir.display());
@@ -206,12 +196,16 @@ fn run_fuzz(args: &Args) -> i32 {
     let outcome = match fuzz(&FuzzOptions {
         budget: args.budget,
         seed: args.seed,
-        jobs: args.sweep.jobs.unwrap_or(1),
+        corpus: entries,
         failure_dir: Some(args.failure_dir.clone()),
-        progress: args.sweep.progress,
-        cache_dir: cache_dir.clone(),
-        max_inflight: args.sweep.max_inflight,
-        cancel_after: args.sweep.cancel_after,
+        sweep: SweepOptions {
+            jobs: args.sweep.jobs.unwrap_or(1),
+            cache_dir: cache_dir.clone(),
+            progress: args.sweep.progress,
+            max_inflight: args.sweep.max_inflight,
+            cancel_after: args.sweep.cancel_after,
+            ..SweepOptions::default()
+        },
     }) {
         Ok(o) => o,
         Err(e) => {
@@ -222,6 +216,18 @@ fn run_fuzz(args: &Args) -> i32 {
             std::process::exit(e.exit_code());
         }
     };
+    let mut violations_total = 0u64;
+    // Corpus entries are printed as written: each is already a repro.
+    for (i, violations) in &outcome.corpus_failures {
+        violations_total += violations.len() as u64;
+        println!("FAIL corpus {}", corpus.entries[*i]);
+        for v in violations {
+            println!("  {v}");
+        }
+    }
+    if args.sweep.progress {
+        eprintln!("corpus: {} entr(ies) replayed", corpus.entries.len());
+    }
     for f in &outcome.failures {
         violations_total += f.violations.len() as u64;
         println!("FAIL scenario #{}: {}", f.index, f.scenario.spec_string());

@@ -1,10 +1,6 @@
 //! The `simcheck` deterministic scenario fuzzer: oracle library, scenario
 //! space, shrinking, corpus regression, and the mutant sensitivity harness.
 //!
-//! The generic machinery (oracle evaluation, bisection + greedy shrinking,
-//! the persisted corpus) lives in `sim_core::check`; this module supplies
-//! the *concrete* pieces that need the full simulator API:
-//!
 //! * [`Scenario`] — a point in the supported configuration space (CC ×
 //!   CPU config × media × 1–1024 connections (log-biased) × pacing stride × shallow
 //!   buffers × netem impairments × cross-traffic × ACK cadence × uplink
@@ -18,11 +14,19 @@
 //!   (Eq. 2 / Table 2 stride envelope, CPU-frequency monotonicity, Fig. 7 pacing
 //!   RTT inflation), and the fleet oracles (shared-bottleneck
 //!   conservation, Jain-index bounds + permutation invariance);
-//! * [`fuzz`] — the batch driver, built on `sim_core::sweep::run_sweep_streaming`
-//!   so results are bit-identical for any `--jobs` value;
+//!   [`check_scenario`] runs a scenario and collects every [`Violation`];
+//! * [`fuzz`] — the batch driver. Every scenario it checks, corpus entry
+//!   or random draw, is one `ScenarioCell` of a single
+//!   `sim_core::sweep::run_sweep_streaming` call, keyed by the scenario's
+//!   spec string: the corpus entries come first, then the budget, drawn up
+//!   front on the calling thread. Verdicts are bit-identical for any
+//!   `--jobs` value, cached by content, and cancellable;
 //! * `shrink_scenario` — bisection over the numeric axes plus greedy
 //!   strategy-level simplification (drop impairments, collapse media to
 //!   Ethernet) while the original oracle still fails;
+//! * [`Corpus`] — the checked-in seed file (one spec per line, `#`
+//!   comments). Every shrunk failure is appended, so a bug found once is
+//!   replayed forever after as a regression test;
 //! * [`mutant_check`] — activates each intentional `tcp_sim::mutants`
 //!   mutation in turn and requires at least one oracle to catch it.
 
@@ -31,11 +35,12 @@ use congestion::CcKind;
 use cpu_model::{CostModel, CpuConfig, DeviceProfile};
 use netsim::media::MediaProfile;
 use netsim::Qdisc;
-use sim_core::check::{evaluate, shrink, shrink_u64, NamedOracle, Violation};
 use sim_core::rng::SimRng;
-use sim_core::sweep::{run_sweep_streaming, SweepCell, SweepOptions};
+use sim_core::sweep::{fnv64, run_sweep_streaming, SweepCell, SweepOptions};
 use sim_core::time::SimDuration;
 use sim_core::units::Bandwidth;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use tcp_sim::fleet::DeviceSpec;
 use tcp_sim::mutants::{self, Mutant};
 use tcp_sim::{FleetConfig, PacingConfig, SimConfig, SimResult, StackSim};
@@ -547,13 +552,35 @@ fn delivered_window(res: &SimResult) -> u64 {
     res.per_conn.iter().map(|c| c.delivered_pkts).sum()
 }
 
+/// One invariant violated by one scenario run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// Name of the oracle that fired.
+    pub oracle: &'static str,
+    /// Human-readable description of what went wrong (values included).
+    pub detail: String,
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "[{}] {}", self.oracle, self.detail)
+    }
+}
+
+/// A named invariant over one [`ScenarioRun`]. Oracles must be pure: they
+/// may re-run simulations (the metamorphic relations do) but must not
+/// mutate shared state, or verdicts would depend on the worker count.
+struct Oracle {
+    /// Stable oracle name (used in reports, corpus lines, and CI grep).
+    name: &'static str,
+    /// `Ok(())` if the invariant holds, else a description of the breach.
+    check: fn(&ScenarioRun) -> Result<(), String>,
+}
+
 /// The invariant-oracle library (see module docs for the taxonomy).
-pub(crate) fn oracles() -> Vec<NamedOracle<ScenarioRun>> {
-    fn o(
-        name: &'static str,
-        check: fn(&ScenarioRun) -> Result<(), String>,
-    ) -> NamedOracle<ScenarioRun> {
-        NamedOracle { name, check }
+fn oracles() -> Vec<Oracle> {
+    fn o(name: &'static str, check: fn(&ScenarioRun) -> Result<(), String>) -> Oracle {
+        Oracle { name, check }
     }
     vec![
         o("goodput-line-rate", |r| {
@@ -952,17 +979,6 @@ pub(crate) fn oracles() -> Vec<NamedOracle<ScenarioRun>> {
                     1.0 / n
                 ));
             }
-            for grp in &f.cc_groups {
-                let m = grp.devices as f64;
-                if !(1.0 / m - eps..=1.0 + eps).contains(&grp.jain) {
-                    return Err(format!(
-                        "{} cohort Jain {} outside [{:.4}, 1]",
-                        grp.cc,
-                        grp.jain,
-                        1.0 / m
-                    ));
-                }
-            }
             if r.result.per_conn.len() == f.devices as usize {
                 let rates: Vec<f64> = r
                     .result
@@ -1046,6 +1062,19 @@ pub(crate) fn oracles() -> Vec<NamedOracle<ScenarioRun>> {
     ]
 }
 
+/// Run every oracle over `run` and collect the violations (empty = clean).
+fn evaluate(oracles: &[Oracle], run: &ScenarioRun) -> Vec<Violation> {
+    oracles
+        .iter()
+        .filter_map(|o| {
+            (o.check)(run).err().map(|detail| Violation {
+                oracle: o.name,
+                detail,
+            })
+        })
+        .collect()
+}
+
 /// Run a scenario through every oracle.
 pub fn check_scenario(s: &Scenario) -> Vec<Violation> {
     evaluate(&oracles(), &run_scenario(s))
@@ -1056,6 +1085,46 @@ fn still_fails(s: &Scenario, original: &[String]) -> bool {
     check_scenario(s)
         .iter()
         .any(|v| original.iter().any(|name| name == v.oracle))
+}
+
+/// Smallest `v` in `[lo, hi]` for which `fails(v)` holds, assuming
+/// `fails(hi)` and monotonicity (if `fails(v)` then `fails(w)` for all
+/// `w ≥ v`). Classic bisection; when the failure is *not* monotone the
+/// result is still some failing value ≤ `hi`, just not necessarily the
+/// global minimum — fine for a shrinker.
+fn shrink_u64(lo: u64, hi: u64, mut fails: impl FnMut(u64) -> bool) -> u64 {
+    debug_assert!(lo <= hi);
+    let (mut lo, mut hi) = (lo, hi);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if fails(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    hi
+}
+
+/// Greedy structural shrinking: repeatedly adopt the first candidate
+/// simplification that still fails. `candidates(&s)` proposes simpler
+/// variants of `s`, most aggressive first. The loop ends when no candidate
+/// fails or after `max_steps` adoptions (a hard bound — each step may cost
+/// a simulation per candidate).
+fn shrink_greedy(
+    start: Scenario,
+    candidates: impl Fn(&Scenario) -> Vec<Scenario>,
+    mut still_fails: impl FnMut(&Scenario) -> bool,
+    max_steps: usize,
+) -> Scenario {
+    let mut cur = start;
+    for _ in 0..max_steps {
+        match candidates(&cur).into_iter().find(|c| still_fails(c)) {
+            Some(simpler) => cur = simpler,
+            None => break,
+        }
+    }
+    cur
 }
 
 /// Shrink a failing scenario: bisect the numeric axes (connections,
@@ -1097,7 +1166,7 @@ pub(crate) fn shrink_scenario(failing: &Scenario, violations: &[Violation]) -> S
     }
 
     // Strategy-level simplification: each candidate removes one source of
-    // complexity; `shrink` adopts any candidate that still fails.
+    // complexity; the greedy loop adopts any candidate that still fails.
     let candidates = |cur: &Scenario| -> Vec<Scenario> {
         let mut out = Vec::new();
         let mut push = |f: &dyn Fn(&mut Scenario)| {
@@ -1117,10 +1186,66 @@ pub(crate) fn shrink_scenario(failing: &Scenario, violations: &[Violation]) -> S
         push(&|t| t.qdisc = Qdisc::Fifo);
         out
     };
-    shrink(s, candidates, |t| still_fails(t, &names), 24)
+    shrink_greedy(s, candidates, |t| still_fails(t, &names), 24)
 }
 
-/// One failure found by [`fuzz`], with its shrunk repro.
+/// The checked-in scenario corpus: one spec per line, `#` comments.
+///
+/// [`fuzz`] checks every entry before spending its random budget, so once
+/// a failure lands here it is a permanent regression test.
+#[derive(Debug, Clone)]
+pub struct Corpus {
+    /// Where the corpus lives on disk.
+    pub path: PathBuf,
+    /// The non-comment, non-empty lines, in file order.
+    pub entries: Vec<String>,
+}
+
+impl Corpus {
+    /// Load a corpus; a missing file is an empty corpus, not an error.
+    pub fn load(path: impl AsRef<Path>) -> std::io::Result<Corpus> {
+        let path = path.as_ref().to_path_buf();
+        let entries = match std::fs::read_to_string(&path) {
+            Ok(text) => text
+                .lines()
+                .map(str::trim)
+                .filter(|l| !l.is_empty() && !l.starts_with('#'))
+                .map(String::from)
+                .collect(),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        Ok(Corpus { path, entries })
+    }
+
+    /// Append `line` to the corpus file (and memory), unless an identical
+    /// entry already exists. Returns whether the line was new.
+    pub fn append(&mut self, line: &str) -> std::io::Result<bool> {
+        let line = line.trim();
+        if self.entries.iter().any(|e| e == line) {
+            return Ok(false);
+        }
+        if let Some(dir) = self.path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&self.path)?;
+        writeln!(file, "{line}")?;
+        self.entries.push(line.to_string());
+        Ok(true)
+    }
+}
+
+/// Random draw `index` of the stream rooted at `seed`: a pure function of
+/// the pair, whatever the worker count.
+fn draw_at(seed: u64, index: u64) -> Scenario {
+    let label = fnv64(format!("simcheck:{seed}:{index}").as_bytes());
+    Scenario::draw(&mut SimRng::new(seed).split(label))
+}
+
+/// One failure among [`fuzz`]'s random draws, with its shrunk repro.
 pub struct FailureReport {
     /// Index of the scenario in the fuzz stream.
     pub index: u64,
@@ -1131,61 +1256,61 @@ pub struct FailureReport {
     /// The violations the original scenario produced.
     pub violations: Vec<Violation>,
     /// Where the shrunk run's trace was written, if a dir was given.
-    pub trace_path: Option<std::path::PathBuf>,
+    pub trace_path: Option<PathBuf>,
 }
 
 /// Outcome of one fuzz batch.
 pub struct FuzzOutcome {
-    /// Scenarios executed.
+    /// Random scenarios executed (corpus entries not included).
     pub scenarios: u64,
-    /// Failures, in scenario-index order (deterministic for any `jobs`).
+    /// Failing corpus entries as (index into [`FuzzOptions::corpus`],
+    /// violations), in corpus order. Reported as they are: a corpus entry
+    /// is already a repro, so it is neither shrunk nor traced.
+    pub corpus_failures: Vec<(usize, Vec<Violation>)>,
+    /// Failures among the random draws, in scenario-index order
+    /// (deterministic for any `jobs`).
     pub failures: Vec<FailureReport>,
 }
 
-/// One fuzz unit: index `i` of a batch rooted at `root_seed`. The cell's
-/// RNG is engine-split from its key, so the drawn scenario depends only on
-/// `(root_seed, i)` — never on jobs or scheduling. The verdict also
-/// depends on the active mutant, which the key therefore names.
-struct FuzzCell {
-    root_seed: u64,
-    index: u64,
+/// One scenario to check, as a sweep cell keyed by its content.
+struct ScenarioCell {
+    scenario: Scenario,
+    /// The mutant active when the batch was planned: a verdict depends on
+    /// it, so the key names it.
     mutant: Option<Mutant>,
 }
 
-impl SweepCell for FuzzCell {
-    type Output = (Scenario, Vec<Violation>);
+impl SweepCell for ScenarioCell {
+    type Output = Vec<Violation>;
 
     fn label(&self) -> String {
-        format!("simcheck[{}]", self.index)
+        self.scenario.spec_string()
     }
 
-    /// A clean cell's key carries no mutant suffix, so its RNG label, and
-    /// so the scenario it draws, is the same in every build.
+    /// The spec string, which round-trips the scenario exactly, plus the
+    /// active mutant's name when there is one.
     fn key_bytes(&self) -> Vec<u8> {
-        let mut key = format!("simcheck:{}:{}", self.root_seed, self.index);
+        let mut key = self.scenario.spec_string();
         if let Some(mutant) = self.mutant {
             key += &format!(":{mutant}");
         }
         key.into_bytes()
     }
 
-    fn run(&self, mut rng: SimRng) -> Self::Output {
-        let s = Scenario::draw(&mut rng);
-        let violations = check_scenario(&s);
-        (s, violations)
+    /// The scenario carries its own seed, so the engine's RNG is unused.
+    fn run(&self, _rng: SimRng) -> Vec<Violation> {
+        check_scenario(&self.scenario)
     }
 
-    /// Codec for the run cache: the scenario's canonical spec string plus
-    /// each violation as (oracle, detail), all length-prefixed.
-    fn encode(output: &Self::Output) -> Option<Vec<u8>> {
-        let (scenario, violations) = output;
+    /// Codec for the run cache: the violation count, then each violation
+    /// as (oracle, detail), all length-prefixed.
+    fn encode(violations: &Vec<Violation>) -> Option<Vec<u8>> {
         let mut buf = Vec::new();
         let put = |buf: &mut Vec<u8>, bytes: &[u8]| {
             buf.extend_from_slice(&(u32::try_from(bytes.len()).ok()?).to_le_bytes());
             buf.extend_from_slice(bytes);
             Some(())
         };
-        put(&mut buf, scenario.spec_string().as_bytes())?;
         put(
             &mut buf,
             &(u32::try_from(violations.len()).ok()?).to_le_bytes(),
@@ -1197,7 +1322,7 @@ impl SweepCell for FuzzCell {
         Some(buf)
     }
 
-    fn decode(bytes: &[u8]) -> Option<Self::Output> {
+    fn decode(bytes: &[u8]) -> Option<Vec<Violation>> {
         let mut rest = bytes;
         let mut next = || -> Option<&[u8]> {
             let len = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
@@ -1205,7 +1330,6 @@ impl SweepCell for FuzzCell {
             rest = &rest[4 + len..];
             Some(field)
         };
-        let scenario = Scenario::parse(std::str::from_utf8(next()?).ok()?).ok()?;
         let count = u32::from_le_bytes(next()?.try_into().ok()?) as usize;
         let known = oracles();
         let mut violations = Vec::with_capacity(count.min(64));
@@ -1221,7 +1345,7 @@ impl SweepCell for FuzzCell {
         if !rest.is_empty() {
             return None;
         }
-        Some((scenario, violations))
+        Some(violations)
     }
 }
 
@@ -1232,94 +1356,73 @@ pub struct FuzzOptions {
     pub budget: u64,
     /// Root seed of the scenario stream.
     pub seed: u64,
-    /// Worker threads (0 is treated as 1); any value is bit-identical.
-    pub jobs: usize,
+    /// Scenarios checked before the draws, as the first cells of the same
+    /// sweep (the corpus).
+    pub corpus: Vec<Scenario>,
     /// Where shrunk failures' flight-recorder traces go, one
     /// `simcheck-<key>.json` Chrome trace per failure for Perfetto
     /// (`None` skips trace capture).
-    pub failure_dir: Option<std::path::PathBuf>,
-    /// Per-scenario progress lines on stderr.
-    pub progress: bool,
-    /// Run-cache directory for scenario verdicts (`None` disables it).
-    /// The caller names it after the model fingerprint, so a rerun, or the
-    /// rerun of an interrupted campaign, is served from the same build's
-    /// verdicts only.
-    pub cache_dir: Option<std::path::PathBuf>,
-    /// Bound on buffered-but-unreleased scenario verdicts (0 = auto).
-    pub max_inflight: usize,
-    /// Deterministic test hook: interrupt after this many released cells.
-    pub cancel_after: Option<u64>,
+    pub failure_dir: Option<PathBuf>,
+    /// How the sweep runs: workers (any count is bit-identical), the run
+    /// cache for verdicts (the caller names it after the model
+    /// fingerprint, so a rerun is served from the same build's verdicts
+    /// only), progress, in-flight bound and the cancellation hook. The
+    /// engine's `root_seed` is not read: every scenario carries its seed.
+    pub sweep: SweepOptions,
 }
 
-/// Run `budget` scenarios drawn from `seed` across `jobs` workers.
+/// Check the corpus, then `budget` scenarios drawn from `seed`, as one
+/// sweep across `sweep.jobs` workers.
 ///
 /// Output is bit-identical for any `jobs` value (the sweep engine's
-/// determinism contract). Failing scenarios are shrunk **as their
-/// verdicts stream out** of the engine — the batch never materializes in
-/// memory — and, when `failure_dir` is given, each shrunk repro is
-/// re-executed with the flight recorder on and its trace saved in Chrome
-/// trace-event JSON (load it in Perfetto or `chrome://tracing`).
+/// determinism contract). Failing draws are shrunk **as their verdicts
+/// stream out** of the engine and, when `failure_dir` is given, each
+/// shrunk repro is re-executed with the flight recorder on and its trace
+/// saved in Chrome trace-event JSON (load it in Perfetto or
+/// `chrome://tracing`).
 ///
 /// Errors: [`sim_core::Error::Interrupted`] on Ctrl-C / cancellation
 /// (every finished verdict is already cached, if a cache is configured),
 /// I/O failures while writing traces.
 pub fn fuzz(options: &FuzzOptions) -> Result<FuzzOutcome, sim_core::Error> {
-    let cells: Vec<FuzzCell> = (0..options.budget)
-        .map(|index| FuzzCell {
-            root_seed: options.seed,
-            index,
-            mutant: mutants::active(),
-        })
+    let mutant = mutants::active();
+    let corpus_len = options.corpus.len();
+    let cells: Vec<ScenarioCell> = options
+        .corpus
+        .iter()
+        .cloned()
+        .chain((0..options.budget).map(|index| draw_at(options.seed, index)))
+        .map(|scenario| ScenarioCell { scenario, mutant })
         .collect();
-    let opts = SweepOptions {
-        jobs: options.jobs.max(1),
-        cache_dir: options.cache_dir.clone(),
-        root_seed: options.seed,
-        progress: options.progress,
-        max_inflight: options.max_inflight,
-        cancel_after: options.cancel_after,
-    };
 
+    let mut corpus_failures = Vec::new();
     let mut failures: Vec<FailureReport> = Vec::new();
     let mut io_err: Option<sim_core::Error> = None;
-    let summary = run_sweep_streaming(&cells, &opts, |index, (scenario, violations), _rep| {
+    let summary = run_sweep_streaming(&cells, &options.sweep, |idx, violations, _rep| {
         if violations.is_empty() || io_err.is_some() {
             return;
         }
+        if idx < corpus_len {
+            corpus_failures.push((idx, violations));
+            return;
+        }
+        let scenario = cells[idx].scenario.clone();
         let shrunk = shrink_scenario(&scenario, &violations);
         let trace_path = match &options.failure_dir {
-            Some(dir) => {
-                let write = || -> std::io::Result<std::path::PathBuf> {
-                    std::fs::create_dir_all(dir)?;
-                    let key = sim_core::sweep::fnv64(shrunk.spec_string().as_bytes());
-                    let path = dir.join(format!("simcheck-{key:016x}.json"));
-                    let log = StackSim::new(shrunk.to_config())
-                        .run_observed(tcp_sim::Instruments {
-                            trace: true,
-                            ..tcp_sim::Instruments::default()
-                        })
-                        .trace
-                        .expect("tracing was requested");
-                    let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
-                    sim_core::trace::write_chrome(&log, &mut file)?;
-                    std::io::Write::flush(&mut file)?;
-                    Ok(path)
-                };
-                match write() {
-                    Ok(path) => Some(path),
-                    Err(e) => {
-                        io_err = Some(sim_core::Error::io(
-                            format!("write failure trace under {}", dir.display()),
-                            e,
-                        ));
-                        None
-                    }
+            Some(dir) => match write_failure_trace(dir, &shrunk) {
+                Ok(path) => Some(path),
+                Err(e) => {
+                    io_err = Some(sim_core::Error::io(
+                        format!("write failure trace under {}", dir.display()),
+                        e,
+                    ));
+                    None
                 }
-            }
+            },
             None => None,
         };
         failures.push(FailureReport {
-            index: index as u64,
+            index: (idx - corpus_len) as u64,
             scenario,
             shrunk,
             violations,
@@ -1330,9 +1433,29 @@ pub fn fuzz(options: &FuzzOptions) -> Result<FuzzOutcome, sim_core::Error> {
         return Err(e);
     }
     Ok(FuzzOutcome {
-        scenarios: summary.completed as u64,
+        scenarios: (summary.completed - corpus_len) as u64,
+        corpus_failures,
         failures,
     })
+}
+
+/// Re-run `shrunk` with the flight recorder on and save its trace under
+/// `dir` as `simcheck-<fnv of the spec>.json`.
+fn write_failure_trace(dir: &Path, shrunk: &Scenario) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let key = fnv64(shrunk.spec_string().as_bytes());
+    let path = dir.join(format!("simcheck-{key:016x}.json"));
+    let log = StackSim::new(shrunk.to_config())
+        .run_observed(tcp_sim::Instruments {
+            trace: true,
+            ..tcp_sim::Instruments::default()
+        })
+        .trace
+        .expect("tracing was requested");
+    let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
+    sim_core::trace::write_chrome(&log, &mut file)?;
+    file.flush()?;
+    Ok(path)
 }
 
 /// Result of probing one intentional mutation.
@@ -1608,5 +1731,168 @@ mod tests {
             violations.is_empty(),
             "clean scenario violated: {violations:?}"
         );
+    }
+
+    /// The first 200 draws at seed 1, as the spec strings `fuzz` checks:
+    /// their FNV-64 is pinned, so a change to how the budget is drawn (or
+    /// to `Scenario::draw` itself) cannot move the scenario stream unseen.
+    #[test]
+    fn the_drawn_stream_at_seed_1_is_pinned() {
+        let specs: String = (0..200)
+            .map(|i| draw_at(1, i).spec_string() + "\n")
+            .collect();
+        assert!(specs.starts_with(
+            "cc=bbr2,cpu=low,media=wifi,conns=6,stride=16,pacing=on,queue=-,loss=0,\
+             jitter=0,cross=134,acks=-,dur=568,warmup=179,seed=520148\n"
+        ));
+        assert_eq!(fnv64(specs.as_bytes()), 0xa135_6ba1_99d4_8da1);
+    }
+
+    #[test]
+    fn scenario_cell_codec_round_trips_and_rejects_unknown_oracles() {
+        let violations = vec![
+            Violation {
+                oracle: "cpu-monotone",
+                detail: "High-End goodput 1.0 below Low-End 2.0".into(),
+            },
+            Violation {
+                oracle: "seq-sanity",
+                detail: String::new(),
+            },
+        ];
+        let bytes = ScenarioCell::encode(&violations).unwrap();
+        assert_eq!(ScenarioCell::decode(&bytes), Some(violations));
+        assert_eq!(
+            ScenarioCell::decode(&ScenarioCell::encode(&Vec::new()).unwrap()),
+            Some(Vec::new())
+        );
+        let unknown = vec![Violation {
+            oracle: "no-such-oracle",
+            detail: String::new(),
+        }];
+        let bytes = ScenarioCell::encode(&unknown).unwrap();
+        assert_eq!(ScenarioCell::decode(&bytes), None);
+        assert_eq!(ScenarioCell::decode(&bytes[..bytes.len() - 1]), None);
+    }
+
+    #[test]
+    fn evaluate_collects_only_failures() {
+        let run = run_scenario(&Scenario::parse("conns=3,dur=100,warmup=50").unwrap());
+        let oracles = [
+            Oracle {
+                name: "even-conns",
+                check: |r| match r.scenario.conns % 2 {
+                    0 => Ok(()),
+                    _ => Err(format!("{} conns is odd", r.scenario.conns)),
+                },
+            },
+            Oracle {
+                name: "short",
+                check: |r| match r.scenario.dur_ms {
+                    ..=1_000 => Ok(()),
+                    d => Err(format!("{d} ms too long")),
+                },
+            },
+            Oracle {
+                name: "one-conn",
+                check: |r| match r.scenario.conns {
+                    1 => Ok(()),
+                    n => Err(format!("{n} conns")),
+                },
+            },
+        ];
+        let v = evaluate(&oracles, &run);
+        assert_eq!(v.len(), 2);
+        assert_eq!(v[0].oracle, "even-conns");
+        assert!(v[0].to_string().contains("3 conns is odd"));
+        assert_eq!(v[1].oracle, "one-conn");
+    }
+
+    #[test]
+    fn shrink_u64_returns_the_first_failing_value() {
+        let min = shrink_u64(1, 20, |v| v >= 7);
+        assert_eq!(min, 7);
+    }
+
+    #[test]
+    fn shrink_u64_finds_monotone_threshold() {
+        assert_eq!(shrink_u64(1, 1000, |v| v >= 137), 137);
+        assert_eq!(shrink_u64(5, 5, |_| true), 5);
+        assert_eq!(
+            shrink_u64(1, 64, |_| true),
+            1,
+            "always-failing shrinks to lo"
+        );
+    }
+
+    #[test]
+    fn shrink_u64_counts_logarithmic_probes() {
+        let mut probes = 0u32;
+        shrink_u64(1, 1_000_000, |v| {
+            probes += 1;
+            v >= 999_999
+        });
+        assert!(
+            probes <= 21,
+            "binary search must stay O(log n), used {probes}"
+        );
+    }
+
+    /// A scenario with only `conns` and `stride` set, for the shrinker
+    /// tests (never simulated).
+    fn knobs(conns: u64, stride: u64) -> Scenario {
+        Scenario {
+            conns,
+            stride,
+            ..Scenario::parse("").unwrap()
+        }
+    }
+
+    #[test]
+    fn greedy_shrink_reaches_fixpoint() {
+        // Failure iff conns >= 3; candidates halve each knob.
+        let shrunk = shrink_greedy(
+            knobs(64, 64),
+            |s| vec![knobs(s.conns / 2, s.stride), knobs(s.conns, s.stride / 2)],
+            |s| s.conns >= 3,
+            100,
+        );
+        // conns shrinks to the smallest failing value; stride freely to 0.
+        assert_eq!((shrunk.conns, shrunk.stride), (4, 0));
+    }
+
+    #[test]
+    fn greedy_shrink_respects_step_budget() {
+        let shrunk = shrink_greedy(knobs(1024, 1), |s| vec![knobs(s.conns / 2, 1)], |_| true, 3);
+        assert_eq!(shrunk.conns, 128, "3 adoptions of halving from 1024");
+    }
+
+    #[test]
+    fn corpus_round_trips_and_dedups() {
+        let dir = std::env::temp_dir().join(format!("simcheck-corpus-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("corpus.txt");
+
+        let mut corpus = Corpus::load(&path).expect("missing file is empty corpus");
+        assert!(corpus.entries.is_empty());
+        assert!(corpus.append("cc=bbr,conns=3").unwrap());
+        assert!(!corpus.append("cc=bbr,conns=3").unwrap(), "dedup");
+        assert!(corpus.append("cc=cubic,conns=1").unwrap());
+
+        let reloaded = Corpus::load(&path).unwrap();
+        assert_eq!(reloaded.entries, vec!["cc=bbr,conns=3", "cc=cubic,conns=1"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corpus_skips_comments_and_blanks() {
+        let dir = std::env::temp_dir().join(format!("simcheck-corpus2-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corpus.txt");
+        std::fs::write(&path, "# header\n\n  spec-a  \n# trailing\nspec-b\n").unwrap();
+        let corpus = Corpus::load(&path).unwrap();
+        assert_eq!(corpus.entries, vec!["spec-a", "spec-b"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

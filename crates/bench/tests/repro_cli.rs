@@ -237,3 +237,37 @@ fn the_cache_lives_under_the_printed_fingerprint() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that stops after the first progress line, as in
+/// `repro … 2>&1 >/dev/null | head -2`, must neither hang the parallel
+/// sweep nor fail it: progress written to a closed stderr is dropped.
+#[test]
+fn progress_to_a_closed_stderr_neither_hangs_nor_fails() {
+    use std::io::BufRead;
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--exp", "fig5", "--smoke", "--seeds", "3", "--no-cache"])
+        .args(["--jobs", "2", "--progress"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("repro binary runs");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stderr.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.contains("[1/"), "{first}");
+    // The reader is gone: every later stderr write fails with EPIPE.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("repro still running 20 s after its stderr closed");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(status.success(), "{status}");
+}

@@ -2,7 +2,7 @@
 //! behaviour, the determinism contract (`--jobs N` output is
 //! bit-identical to `--jobs 1`), and the run cache behind `--cache-dir`.
 
-use mobile_bbr_bench::simcheck::{check_scenario, Scenario};
+use mobile_bbr_bench::simcheck::{check_scenario, Corpus, Scenario};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -16,7 +16,7 @@ fn simcheck_bin() -> &'static str {
 
 #[test]
 fn checked_in_corpus_parses_and_passes() {
-    let corpus = sim_core::check::Corpus::load(corpus_path()).unwrap();
+    let corpus = Corpus::load(corpus_path()).unwrap();
     assert!(
         !corpus.entries.is_empty(),
         "the checked-in corpus must seed at least one scenario"
@@ -106,6 +106,45 @@ fn bad_spec_and_bad_flags_exit_two() {
         .output()
         .unwrap();
     assert_eq!(bad_jobs.status.code(), Some(2));
+}
+
+/// The corpus runs through the same sweep as the draws: a failing entry is
+/// reported as written, unshrunk, and identically at any `--jobs`.
+#[test]
+fn a_failing_corpus_entry_is_reported_alike_at_any_job_count() {
+    let dir = std::env::temp_dir().join(format!("simcheck-failing-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("corpus.txt");
+    let entries = Corpus::load(corpus_path()).unwrap().entries;
+    // 5 ms of netem jitter inverts cpu-monotone: a known model defect.
+    let failing = "cc=bbr,jitter=5000".to_string();
+    let corpus = [&entries[..2], &[failing], &entries[2..4]].concat();
+    std::fs::write(&path, corpus.join("\n") + "\n").unwrap();
+    let run = |jobs: &str| {
+        Command::new(simcheck_bin())
+            .args(["--budget", "4", "--seed", "2", "--jobs", jobs])
+            .args(["--corpus", path.to_str().unwrap(), "--no-corpus-append"])
+            .output()
+            .expect("simcheck runs")
+    };
+    let (serial, parallel) = (run("1"), run("4"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(serial.status.code(), Some(1));
+    assert_eq!(parallel.status.code(), Some(1));
+    assert_eq!(
+        serial.stdout, parallel.stdout,
+        "--jobs must not move a byte"
+    );
+    let stdout = String::from_utf8(serial.stdout).unwrap();
+    assert!(
+        stdout.starts_with("FAIL corpus cc=bbr,jitter=5000\n  [cpu-monotone] High-End goodput "),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("repro:"), "corpus entries are not shrunk");
+    assert!(
+        stdout.ends_with("simcheck: 5 corpus + 4 random scenarios, 1 violation(s), seed 2\n"),
+        "{stdout}"
+    );
 }
 
 /// A campaign rerun with the same `--cache-dir` is served from it whole

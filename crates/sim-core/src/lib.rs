@@ -23,13 +23,10 @@
 //!
 //! Batch execution lives in [`sweep`]: a parallel, deterministic sweep
 //! engine with a content-addressed run cache, used by the `repro` and
-//! `simcheck` binaries to fan experiment and fuzz cells across worker
-//! threads while staying bit-identical to a serial run.
-//!
-//! Verification machinery lives in [`check`]: invariant oracles,
-//! scenario shrinking, and the persisted failure corpus behind the
-//! `simcheck` scenario fuzzer (the concrete oracle library is in the
-//! bench crate, which can see the full simulator API).
+//! `simcheck` binaries to fan experiment cells and fuzz scenarios across
+//! worker threads while staying bit-identical to a serial run. (The
+//! fuzzer's oracles, shrinker and corpus live with it in the bench crate,
+//! which can see the full simulator API.)
 //!
 //! Observability lives in [`trace`] (`sim-trace`) and [`telemetry`]:
 //! `trace` is a flight recorder for *events* — ring buffers fed by
@@ -43,7 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod check;
 pub mod checkpoint;
 pub mod error;
 pub mod event;
@@ -55,7 +51,6 @@ pub mod time;
 pub mod trace;
 pub mod units;
 
-pub use check::{evaluate, Corpus, NamedOracle, Violation};
 pub use error::{Error, Result};
 pub use event::{EventQueue, ScheduledEvent, TimerToken};
 pub use rng::SimRng;

@@ -12,7 +12,8 @@
 //! 1. every cell draws randomness from its own [`SimRng`], derived as
 //!    `SimRng::new(root_seed).split(fnv64(cell.key_bytes()))` — a pure
 //!    function of the sweep's root seed and the cell's identity, never of
-//!    scheduling order or worker id;
+//!    scheduling order or worker id (the workspace's own cells ignore it:
+//!    each carries its seed in its key);
 //! 2. cells are pure functions of `(key_bytes, rng)` — they share no
 //!    mutable state;
 //! 3. outputs are collected into a slot vector indexed by the cell's input
@@ -75,6 +76,9 @@
 //! remainder; because release order is submission order, its output is
 //! byte-identical to an uninterrupted run.
 //!
+//! A cell that panics stops the sweep at its index: the cells before it
+//! are released, and the panic is re-raised on the calling thread.
+//!
 //! # Progress and timing
 //!
 //! Each finished cell is handed to the consumer with a [`CellReport`]
@@ -85,6 +89,7 @@
 use crate::error::Error;
 use crate::rng::SimRng;
 use std::io::{Read, Write};
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -525,8 +530,6 @@ fn progress_rate_eta(completed: usize, total: usize, elapsed: Duration) -> Strin
 }
 
 /// Compute one cell and account for it (process totals + progress line).
-// Interactive progress belongs on stderr (stdout carries results).
-#[allow(clippy::print_stderr)]
 fn compute_cell<C: SweepCell>(
     idx: usize,
     cells: &[C],
@@ -554,7 +557,10 @@ fn compute_cell<C: SweepCell>(
     TOTAL_WALL_NANOS.fetch_add(report.elapsed.as_nanos() as u64, Ordering::Relaxed);
     if opts.progress {
         let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-        eprintln!(
+        // Interactive progress belongs on stderr (stdout carries results).
+        // A closed stderr must not fail the cell, so the error is dropped.
+        let _ = writeln!(
+            std::io::stderr(),
             "  [{k}/{total}] {} — {:.1?}{}{}",
             report.label,
             report.elapsed,
@@ -694,7 +700,22 @@ pub fn run_sweep_streaming<C: SweepCell>(
                         st.next_claim += 1;
                         idx
                     };
-                    let pair = compute_cell(idx, cells, opts, &done, total, started);
+                    let pair = match std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        compute_cell(idx, cells, opts, &done, total, started)
+                    })) {
+                        Ok(pair) => pair,
+                        Err(panic) => {
+                            // Slot `idx` will never fill: stop the sweep at
+                            // it and wake everyone, so the consumer returns
+                            // and `thread::scope` re-raises the panic.
+                            let mut st = state.lock().unwrap();
+                            st.stop_at = st.stop_at.min(idx);
+                            work_cv.notify_all();
+                            done_cv.notify_all();
+                            drop(st);
+                            std::panic::resume_unwind(panic);
+                        }
+                    };
                     *slots[idx % window].lock().unwrap() = Some(pair);
                     // Notify under the state lock so the consumer cannot
                     // check the slot and sleep between our fill and notify.
@@ -821,6 +842,37 @@ mod tests {
         }
     }
 
+    /// Toy cell whose run panics at one index.
+    struct Panicky {
+        id: u64,
+        bad: u64,
+    }
+
+    impl SweepCell for Panicky {
+        type Output = u64;
+
+        fn label(&self) -> String {
+            format!("panicky-{}", self.id)
+        }
+
+        fn key_bytes(&self) -> Vec<u8> {
+            format!("panicky:{}", self.id).into_bytes()
+        }
+
+        fn run(&self, _rng: SimRng) -> u64 {
+            assert_ne!(self.id, self.bad, "this cell panics on purpose");
+            self.id
+        }
+
+        fn encode(output: &u64) -> Option<Vec<u8>> {
+            Some(output.to_le_bytes().to_vec())
+        }
+
+        fn decode(bytes: &[u8]) -> Option<u64> {
+            Some(u64::from_le_bytes(bytes.try_into().ok()?))
+        }
+    }
+
     /// What a whole sweep released, in submission order.
     struct Collected<O> {
         outputs: Vec<O>,
@@ -894,6 +946,35 @@ mod tests {
             let parallel = run_sweep(&cells, &opts);
             assert_eq!(serial.outputs, parallel.outputs, "jobs={jobs} diverged");
         }
+    }
+
+    /// A worker whose cell panics must not leave the consumer waiting for
+    /// a slot that never fills: the sweep releases the cells before it and
+    /// re-raises the panic on the calling thread.
+    #[test]
+    fn a_panicking_cell_fails_a_parallel_sweep_instead_of_hanging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cells: Vec<Panicky> = (0..16).map(|id| Panicky { id, bad: 3 }).collect();
+            let opts = SweepOptions {
+                jobs: 2,
+                ..SweepOptions::serial(1)
+            };
+            let mut released = Vec::new();
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_sweep_streaming(&cells, &opts, |idx, _, _| released.push(idx))
+            }));
+            let _ = tx.send((outcome.is_err(), released));
+        });
+        let (panicked, released) = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the sweep returns instead of hanging");
+        assert!(panicked, "the cell's panic reaches the caller");
+        assert_eq!(
+            released,
+            [0, 1, 2],
+            "cells before the panic release in order"
+        );
     }
 
     #[test]

@@ -173,9 +173,6 @@ pub struct FleetResult {
     pub aggregate_goodput_mbps: f64,
     /// Jain's fairness index over per-device goodput (all devices).
     pub jain_devices: f64,
-    /// Per-CC-group breakdown, in [`CcKind::ALL`] order whatever order the
-    /// devices were listed in; within a group, devices keep fleet order.
-    pub cc_groups: Vec<CcGroupStat>,
     /// Per-CPU-tier goodput distribution, in [`CpuConfig::ALL`] order.
     pub tiers: Vec<TierStat>,
     /// Modelled fraction of devices in the pacing-penalty regime: the
@@ -195,19 +192,6 @@ pub struct FleetResult {
     /// Payload bytes delivered end-to-end across the fleet, whole run —
     /// the conservation oracle's left-hand side.
     pub delivered_bytes: u64,
-}
-
-/// One congestion-control cohort's share of the bottleneck.
-#[derive(Debug, Clone, Serialize)]
-pub struct CcGroupStat {
-    /// Algorithm display name (`congestion::CcKind`).
-    pub cc: String,
-    /// Devices running it.
-    pub devices: u64,
-    /// Cohort goodput sum, Mbps.
-    pub goodput_mbps: f64,
-    /// Jain's index *within* the cohort (per-device goodputs).
-    pub jain: f64,
 }
 
 /// One CPU tier's goodput distribution across its devices.
@@ -260,25 +244,6 @@ impl FleetResult {
         let device_rates: Vec<f64> = outcomes.iter().map(|o| o.goodput_mbps).collect();
         let aggregate_goodput_mbps: f64 = device_rates.iter().sum();
 
-        let cc_groups = CcKind::ALL
-            .iter()
-            .filter_map(|&cc| {
-                let rates: Vec<f64> = fleet
-                    .devices
-                    .iter()
-                    .zip(outcomes)
-                    .filter(|(spec, _)| spec.cc == cc)
-                    .map(|(_, o)| o.goodput_mbps)
-                    .collect();
-                (!rates.is_empty()).then(|| CcGroupStat {
-                    cc: cc.to_string(),
-                    devices: rates.len() as u64,
-                    goodput_mbps: rates.iter().sum(),
-                    jain: sim_core::metrics::jain(&rates),
-                })
-            })
-            .collect();
-
         let tiers = CpuConfig::ALL
             .iter()
             .filter_map(|&tier| {
@@ -322,7 +287,6 @@ impl FleetResult {
             devices: fleet.devices.len() as u64,
             aggregate_goodput_mbps,
             jain_devices,
-            cc_groups,
             tiers,
             pacing_penalty_fraction: penalised as f64 / fleet.devices.len().max(1) as f64,
             dev0_share,
@@ -386,12 +350,6 @@ mod tests {
         let fr = FleetResult::compute(&fleet, &outcomes, 100, 5, 1_000_000);
         assert_eq!(fr.devices, 4);
         assert!((fr.aggregate_goodput_mbps - 50.0).abs() < 1e-9);
-        // Groups in CcKind::ALL order, not insertion order: the Reno device
-        // is listed last but its group comes first.
-        let groups: Vec<&str> = fr.cc_groups.iter().map(|g| g.cc.as_str()).collect();
-        assert_eq!(groups, ["Reno", "Cubic", "BBR"]);
-        assert_eq!(fr.cc_groups[2].devices, 2);
-        assert_eq!(fr.cc_groups[2].jain, 1.0, "equal shares within cohort");
         // Tiers: Low-End then High-End, per CpuConfig::ALL order.
         assert_eq!(fr.tiers.len(), 2);
         assert_eq!(fr.tiers[0].tier, "Low-End");

@@ -22,8 +22,6 @@ pub struct ConnStats {
     pub goodput: Bandwidth,
     /// Retransmitted packets (whole run).
     pub retx_pkts: u64,
-    /// Mean of TCP's RTT samples (measurement window).
-    pub rtt_mean_ms: f64,
     /// 95th-percentile RTT.
     pub rtt_p95_ms: f64,
     /// Socket buffers sent (whole run).
@@ -32,8 +30,6 @@ pub struct ConnStats {
     pub mean_skb_bytes: f64,
     /// Mean pacing idle time, ms (Table 2's "Idle Time"); 0 if unpaced.
     pub mean_idle_ms: f64,
-    /// Final smoothed RTT, ms.
-    pub srtt_ms: f64,
 }
 
 /// Aggregate results of one run.
@@ -277,15 +273,10 @@ impl StackSim {
                 delivered_pkts: delivered,
                 goodput,
                 retx_pkts: board.total_retx(),
-                rtt_mean_ms: cold.rtt_summary.mean(),
                 rtt_p95_ms: p95,
                 skbs_sent: cold.skb_count,
                 mean_skb_bytes: mean_skb,
                 mean_idle_ms,
-                srtt_ms: self.arena.rtt[i]
-                    .srtt()
-                    .map(|s| s.as_millis_f64())
-                    .unwrap_or(0.0),
             });
         }
 

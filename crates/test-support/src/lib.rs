@@ -33,13 +33,8 @@ pub use tcp_sim::fleet::TIER_MIX;
 /// [`CcKind::ALL`], the single source of truth for the CC axis.
 pub const ALL_CC: [CcKind; 5] = CcKind::ALL;
 
-/// Every Table 1 CPU configuration.
-pub const ALL_CPU: [CpuConfig; 4] = [
-    CpuConfig::LowEnd,
-    CpuConfig::MidEnd,
-    CpuConfig::HighEnd,
-    CpuConfig::Default,
-];
+/// Every Table 1 CPU configuration — a re-export of [`CpuConfig::ALL`].
+pub const ALL_CPU: [CpuConfig; 4] = CpuConfig::ALL;
 
 /// Every media profile (§3.2 plus the forward-looking 5G envelope).
 pub const ALL_MEDIA: [MediaProfile; 4] = [

@@ -86,8 +86,9 @@ PY
 # and require the result bytes of a clean --no-cache run: the scorecard
 # JSON for repro (a WiFi experiment, whose every seed is its own cell, and
 # an Ethernet one, whose seeds share one cell each), stdout for a simcheck
-# fuzz campaign. A cache filled at 2 seeds must answer the Ethernet
-# experiment at 3 with no miss and the same bytes. Then one
+# fuzz campaign, cut once among its random draws and once inside the
+# corpus entries that open its sweep. A cache filled at 2 seeds must
+# answer the Ethernet experiment at 3 with no miss and the same bytes. Then one
 # 1000-connection cell through the flow arena with every oracle armed.
 resume() {
     local sweep=(--exp bbr2 --smoke --seeds 2 --jobs 4)
@@ -117,6 +118,12 @@ resume() {
         --max-inflight 4 --cancel-after 20
     simcheck "${fuzz[@]}" --cache-dir "$out/cache" >"$out/fuzz-resumed.txt"
     cmp "$out/fuzz-clean.txt" "$out/fuzz-resumed.txt"
+    local corpus=(--corpus tests/simcheck_corpus.txt)
+    simcheck "${fuzz[@]}" "${corpus[@]}" --no-cache >"$out/corpus-clean.txt"
+    expect_interrupted simcheck "${fuzz[@]}" "${corpus[@]}" --cache-dir "$out/corpus-cache" \
+        --max-inflight 4 --cancel-after 5
+    simcheck "${fuzz[@]}" "${corpus[@]}" --cache-dir "$out/corpus-cache" >"$out/corpus-resumed.txt"
+    cmp "$out/corpus-clean.txt" "$out/corpus-resumed.txt"
 
     simcheck --scenario 'cc=bbr,cpu=high,media=eth,conns=1000,stride=1,pacing=on,queue=-,loss=0,jitter=0,cross=0,acks=-,dur=500,warmup=150,seed=18'
 }
