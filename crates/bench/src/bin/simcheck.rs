@@ -13,21 +13,19 @@
 //! under `--failure-dir` as a Chrome trace (`simcheck-<key>.json`, load it
 //! in Perfetto).
 //!
-//! The corpus entries and the random draws are one sweep: every scenario
-//! is a cell keyed by its spec, so `--jobs`, the cache and cancellation
-//! cover both. Campaigns run without a cache unless `--cache-dir PATH` is
-//! given; then every scenario verdict is kept under `PATH/<fingerprint>/`,
-//! where the fingerprint hashes the model's source, so a rerun of the same
-//! campaign is served from it. That also makes long campaigns resumable:
-//! Ctrl-C drains in-flight scenarios and exits 130, and rerunning the same
-//! command replays the finished verdicts and prints byte-identical output.
+//! Every mode checks scenarios as cells of the one fuzz sweep, keyed by
+//! their specs (a `--mutant-check` spec names its mutant, so its printed
+//! repro replays it), so `--jobs`, the cache and cancellation cover all
+//! three. Without `--cache-dir PATH` nothing is cached; with it, every
+//! verdict is kept under `PATH/<fingerprint>/` (a hash of the model's
+//! source and features) and a rerun is served from it. That also makes
+//! long campaigns resumable: Ctrl-C drains in-flight scenarios and exits
+//! 130, and rerunning the same command prints byte-identical output.
 //!
 //! Exit codes: 0 all invariants hold; 1 at least one violation (or an
 //! escaped mutant); 2 usage error; 130 interrupted (Ctrl-C).
 
-use mobile_bbr_bench::simcheck::{
-    check_scenario, fuzz, mutant_check, Corpus, FuzzOptions, Scenario,
-};
+use mobile_bbr_bench::simcheck::{fuzz, mutant_check, Corpus, FuzzOptions, Scenario};
 use mobile_bbr_bench::SweepFlags;
 use sim_core::sweep::SweepOptions;
 use std::path::PathBuf;
@@ -95,7 +93,8 @@ fn print_usage() {
            --corpus PATH        seed corpus to replay first (default tests/simcheck_corpus.txt)\n\
            --failure-dir PATH   where failure traces go, as Chrome trace JSON for Perfetto\n\
                                 (default target/simcheck-failures)\n\
-           --scenario SPEC      replay one 'k=v,...' spec instead of fuzzing\n\
+           --scenario SPEC      replay one 'k=v,...' spec instead of fuzzing (a\n\
+                                'mutant=NAME' key needs a simcheck-mutants build)\n\
            --mutant-check       verify each tcp_sim::mutants mutation is caught\n\
                                 (needs a --features simcheck-mutants build)\n\
            --no-corpus-append   report failures without persisting them to the corpus\n\
@@ -113,31 +112,55 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Replay one spec through every oracle; print verdict.
-fn run_single(spec: &str) -> i32 {
-    let scenario = match Scenario::parse(spec) {
-        Ok(s) => s,
-        Err(e) => fail(&format!("bad --scenario: {e}")),
-    };
-    let violations = check_scenario(&scenario);
-    if violations.is_empty() {
-        println!("PASS {}", scenario.spec_string());
-        0
-    } else {
-        println!("FAIL {}", scenario.spec_string());
-        for v in &violations {
-            println!("  {v}");
-        }
-        1
+/// Run `f` on the sweep the flags select (printing its cache directory
+/// under `--progress`); on an error, report it, with the resume hint if
+/// the sweep was interrupted, and exit with its code.
+fn in_sweep<T>(args: &Args, f: impl FnOnce(SweepOptions) -> Result<T, sim_core::Error>) -> T {
+    let cache_dir = args.sweep.resolve_cache(None);
+    if let (true, Some(dir)) = (args.sweep.progress, &cache_dir) {
+        eprintln!("cache: {}", dir.display());
     }
+    f(SweepOptions {
+        jobs: args.sweep.jobs.unwrap_or(1),
+        cache_dir: cache_dir.clone(),
+        progress: args.sweep.progress,
+        max_inflight: args.sweep.max_inflight,
+        cancel_after: args.sweep.cancel_after,
+        ..SweepOptions::default()
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("simcheck: {e}");
+        if matches!(e, sim_core::Error::Interrupted { .. }) {
+            eprintln!("{}", mobile_bbr_bench::interrupt_hint(cache_dir.as_deref()));
+        }
+        std::process::exit(e.exit_code())
+    })
+}
+
+/// Replay one spec through every oracle, as a one-entry corpus; print
+/// the verdict.
+fn run_single(args: &Args, spec: &str) -> i32 {
+    let scenario = Scenario::parse(spec).unwrap_or_else(|e| fail(&format!("bad --scenario: {e}")));
+    let corpus = vec![scenario.clone()];
+    let failures = in_sweep(args, |sweep| {
+        fuzz(&FuzzOptions {
+            corpus,
+            sweep,
+            ..FuzzOptions::default()
+        })
+    })
+    .corpus_failures;
+    let verdict = if failures.is_empty() { "PASS" } else { "FAIL" };
+    println!("{verdict} {}", scenario.spec_string());
+    for v in failures.iter().flat_map(|(_, violations)| violations) {
+        println!("  {v}");
+    }
+    i32::from(!failures.is_empty())
 }
 
 /// Verify every intentional mutation is caught by at least one oracle.
 fn run_mutant_check(args: &Args) -> i32 {
-    let reports = match mutant_check(args.budget, args.seed) {
-        Ok(r) => r,
-        Err(e) => fail(&e),
-    };
+    let reports = in_sweep(args, |sweep| mutant_check(args.budget, args.seed, &sweep));
     let mut escaped = 0;
     for r in &reports {
         match &r.caught {
@@ -165,11 +188,7 @@ fn run_mutant_check(args: &Args) -> i32 {
         reports.len() - escaped,
         reports.len()
     );
-    if escaped == 0 {
-        0
-    } else {
-        1
-    }
+    i32::from(escaped > 0)
 }
 
 /// Corpus regression + random fuzzing, as one sweep.
@@ -189,33 +208,15 @@ fn run_fuzz(args: &Args) -> i32 {
         })
         .collect();
 
-    let cache_dir = args.sweep.resolve_cache(None);
-    if let (true, Some(dir)) = (args.sweep.progress, &cache_dir) {
-        eprintln!("cache: {}", dir.display());
-    }
-    let outcome = match fuzz(&FuzzOptions {
-        budget: args.budget,
-        seed: args.seed,
-        corpus: entries,
-        failure_dir: Some(args.failure_dir.clone()),
-        sweep: SweepOptions {
-            jobs: args.sweep.jobs.unwrap_or(1),
-            cache_dir: cache_dir.clone(),
-            progress: args.sweep.progress,
-            max_inflight: args.sweep.max_inflight,
-            cancel_after: args.sweep.cancel_after,
-            ..SweepOptions::default()
-        },
-    }) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("simcheck: {e}");
-            if matches!(e, sim_core::Error::Interrupted { .. }) {
-                eprintln!("{}", mobile_bbr_bench::interrupt_hint(cache_dir.as_deref()));
-            }
-            std::process::exit(e.exit_code());
-        }
-    };
+    let outcome = in_sweep(args, |sweep| {
+        fuzz(&FuzzOptions {
+            budget: args.budget,
+            seed: args.seed,
+            corpus: entries,
+            failure_dir: Some(args.failure_dir.clone()),
+            sweep,
+        })
+    });
     let mut violations_total = 0u64;
     // Corpus entries are printed as written: each is already a repro.
     for (i, violations) in &outcome.corpus_failures {
@@ -250,20 +251,15 @@ fn run_fuzz(args: &Args) -> i32 {
     // worker count is reported on stderr only (with --progress).
     if args.sweep.progress {
         eprintln!("jobs: {}", args.sweep.jobs.unwrap_or(1));
-        eprintln!("{}", sim_core::sweep::totals().summary_line());
     }
     println!(
         "simcheck: {} corpus + {} random scenarios, {} violation(s), seed {}",
         corpus.entries.len(),
-        outcome.scenarios,
+        args.budget,
         violations_total,
         args.seed
     );
-    if violations_total == 0 {
-        0
-    } else {
-        1
-    }
+    i32::from(violations_total > 0)
 }
 
 fn main() {
@@ -273,11 +269,14 @@ fn main() {
         Err(e) => fail(&e),
     };
     let code = if let Some(spec) = &args.scenario {
-        run_single(spec)
+        run_single(&args, spec)
     } else if args.mutant_check {
         run_mutant_check(&args)
     } else {
         run_fuzz(&args)
     };
+    if args.sweep.progress {
+        eprintln!("{}", sim_core::sweep::totals().summary_line());
+    }
     std::process::exit(code);
 }

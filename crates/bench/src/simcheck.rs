@@ -6,7 +6,8 @@
 //!   buffers × netem impairments × cross-traffic × ACK cadence × uplink
 //!   qdisc (FIFO/CoDel/FQ-CoDel) × the fleet
 //!   axis: device count, uniform-vs-mixed tier/CC population, shared
-//!   bottleneck rate and qdisc), with a
+//!   bottleneck rate and qdisc) × the intentional mutation it runs
+//!   under, if any, with a
 //!   deterministic `Scenario::draw` from a [`SimRng`] and a compact
 //!   `key=value` spec codec so every failure is a one-line repro;
 //! * `oracles` — the invariant library: physical conservation, protocol
@@ -16,10 +17,11 @@
 //!   conservation, Jain-index bounds + permutation invariance);
 //!   [`check_scenario`] runs a scenario and collects every [`Violation`];
 //! * [`fuzz`] — the batch driver. Every scenario it checks, corpus entry
-//!   or random draw, is one `ScenarioCell` of a single
+//!   or random draw, is one cell of a single
 //!   `sim_core::sweep::run_sweep_streaming` call, keyed by the scenario's
 //!   spec string: the corpus entries come first, then the budget, drawn up
-//!   front on the calling thread. Verdicts are bit-identical for any
+//!   front on the calling thread. A verdict is a pure function of the
+//!   spec (the mutant included), so verdicts are bit-identical for any
 //!   `--jobs` value, cached by content, and cancellable;
 //! * `shrink_scenario` — bisection over the numeric axes plus greedy
 //!   strategy-level simplification (drop impairments, collapse media to
@@ -27,8 +29,10 @@
 //! * [`Corpus`] — the checked-in seed file (one spec per line, `#`
 //!   comments). Every shrunk failure is appended, so a bug found once is
 //!   replayed forever after as a regression test;
-//! * [`mutant_check`] — activates each intentional `tcp_sim::mutants`
-//!   mutation in turn and requires at least one oracle to catch it.
+//! * [`mutant_check`] — fuzzes every intentional `tcp_sim::mutants`
+//!   mutation at once, in rounds of [`fuzz`] with one scenario per
+//!   mutant not yet caught, and requires at least one oracle to catch
+//!   each.
 
 use congestion::master::MasterConfig;
 use congestion::CcKind;
@@ -96,6 +100,9 @@ pub struct Scenario {
     /// Queue discipline at the single-device uplink bottleneck (ignored
     /// by fleet runs, whose access links come from the device specs).
     pub qdisc: Qdisc,
+    /// The intentional mutation the scenario runs under; only a
+    /// `simcheck-mutants` build parses one.
+    pub mutant: Option<Mutant>,
 }
 
 fn cc_name(cc: CcKind) -> &'static str {
@@ -202,6 +209,7 @@ impl Scenario {
             } else {
                 Qdisc::Fifo
             },
+            mutant: None,
         };
         // Fleet axis on ~1 draw in 5: single-device scenarios stay the bulk
         // of the stream while shared-bottleneck arbitration, heterogeneous
@@ -242,7 +250,8 @@ impl Scenario {
         );
         // Conditional keys appear only when their axis is active, so older
         // specs (and the corpus they live in) stay byte-identical: qdisc
-        // only when the uplink runs AQM, fleet keys only in fleet mode.
+        // only when the uplink runs AQM, fleet keys only in fleet mode,
+        // the mutant only when there is one.
         if self.qdisc != Qdisc::Fifo {
             spec.push_str(&format!(",qdisc={}", qdisc_name(self.qdisc)));
         }
@@ -254,6 +263,9 @@ impl Scenario {
                 self.fshared,
                 qdisc_name(self.fqdisc),
             ));
+        }
+        if let Some(mutant) = self.mutant {
+            spec.push_str(&format!(",mutant={mutant}"));
         }
         spec
     }
@@ -283,6 +295,7 @@ impl Scenario {
             fshared: 0,
             fqdisc: Qdisc::Fifo,
             qdisc: Qdisc::Fifo,
+            mutant: None,
         };
         fn int(key: &str, v: &str) -> Result<u64, String> {
             v.parse::<u64>()
@@ -343,6 +356,11 @@ impl Scenario {
                 "fshared" => s.fshared = int(key, v)?.min(10_000),
                 "fqdisc" => s.fqdisc = parse_qdisc(key, v)?,
                 "qdisc" => s.qdisc = parse_qdisc(key, v)?,
+                "mutant" if !mutants::enabled() => return Err(format!("mutant: {NO_MUTANTS}")),
+                "mutant" => {
+                    s.mutant = mutants::ALL.into_iter().find(|m| m.to_string() == v);
+                    s.mutant.ok_or_else(|| format!("unknown mutant {v:?}"))?;
+                }
                 other => return Err(format!("unknown key {other:?}")),
             }
         }
@@ -1075,9 +1093,10 @@ fn evaluate(oracles: &[Oracle], run: &ScenarioRun) -> Vec<Violation> {
         .collect()
 }
 
-/// Run a scenario through every oracle.
+/// Run a scenario through every oracle, under its mutant (if any) with
+/// fresh trigger counters: the verdict is a pure function of the spec.
 pub fn check_scenario(s: &Scenario) -> Vec<Violation> {
-    evaluate(&oracles(), &run_scenario(s))
+    mutants::with(s.mutant, || evaluate(&oracles(), &run_scenario(s)))
 }
 
 /// Does re-checking `s` still fail one of the `original` oracle names?
@@ -1261,8 +1280,6 @@ pub struct FailureReport {
 
 /// Outcome of one fuzz batch.
 pub struct FuzzOutcome {
-    /// Random scenarios executed (corpus entries not included).
-    pub scenarios: u64,
     /// Failing corpus entries as (index into [`FuzzOptions::corpus`],
     /// violations), in corpus order. Reported as they are: a corpus entry
     /// is already a repro, so it is neither shrunk nor traced.
@@ -1272,34 +1289,22 @@ pub struct FuzzOutcome {
     pub failures: Vec<FailureReport>,
 }
 
-/// One scenario to check, as a sweep cell keyed by its content.
-struct ScenarioCell {
-    scenario: Scenario,
-    /// The mutant active when the batch was planned: a verdict depends on
-    /// it, so the key names it.
-    mutant: Option<Mutant>,
-}
-
-impl SweepCell for ScenarioCell {
+/// A scenario is a sweep cell keyed by its content.
+impl SweepCell for Scenario {
     type Output = Vec<Violation>;
 
     fn label(&self) -> String {
-        self.scenario.spec_string()
+        self.spec_string()
     }
 
-    /// The spec string, which round-trips the scenario exactly, plus the
-    /// active mutant's name when there is one.
+    /// The spec string, which round-trips the scenario exactly.
     fn key_bytes(&self) -> Vec<u8> {
-        let mut key = self.scenario.spec_string();
-        if let Some(mutant) = self.mutant {
-            key += &format!(":{mutant}");
-        }
-        key.into_bytes()
+        self.spec_string().into_bytes()
     }
 
     /// The scenario carries its own seed, so the engine's RNG is unused.
     fn run(&self, _rng: SimRng) -> Vec<Violation> {
-        check_scenario(&self.scenario)
+        check_scenario(self)
     }
 
     /// Codec for the run cache: the violation count, then each violation
@@ -1385,20 +1390,18 @@ pub struct FuzzOptions {
 /// (every finished verdict is already cached, if a cache is configured),
 /// I/O failures while writing traces.
 pub fn fuzz(options: &FuzzOptions) -> Result<FuzzOutcome, sim_core::Error> {
-    let mutant = mutants::active();
     let corpus_len = options.corpus.len();
-    let cells: Vec<ScenarioCell> = options
+    let cells: Vec<Scenario> = options
         .corpus
         .iter()
         .cloned()
         .chain((0..options.budget).map(|index| draw_at(options.seed, index)))
-        .map(|scenario| ScenarioCell { scenario, mutant })
         .collect();
 
     let mut corpus_failures = Vec::new();
     let mut failures: Vec<FailureReport> = Vec::new();
     let mut io_err: Option<sim_core::Error> = None;
-    let summary = run_sweep_streaming(&cells, &options.sweep, |idx, violations, _rep| {
+    run_sweep_streaming(&cells, &options.sweep, |idx, violations, _rep| {
         if violations.is_empty() || io_err.is_some() {
             return;
         }
@@ -1406,7 +1409,7 @@ pub fn fuzz(options: &FuzzOptions) -> Result<FuzzOutcome, sim_core::Error> {
             corpus_failures.push((idx, violations));
             return;
         }
-        let scenario = cells[idx].scenario.clone();
+        let scenario = cells[idx].clone();
         let shrunk = shrink_scenario(&scenario, &violations);
         let trace_path = match &options.failure_dir {
             Some(dir) => match write_failure_trace(dir, &shrunk) {
@@ -1433,25 +1436,24 @@ pub fn fuzz(options: &FuzzOptions) -> Result<FuzzOutcome, sim_core::Error> {
         return Err(e);
     }
     Ok(FuzzOutcome {
-        scenarios: (summary.completed - corpus_len) as u64,
         corpus_failures,
         failures,
     })
 }
 
-/// Re-run `shrunk` with the flight recorder on and save its trace under
-/// `dir` as `simcheck-<fnv of the spec>.json`.
+/// Re-run `shrunk` (under its mutant) with the flight recorder on and
+/// save its trace under `dir` as `simcheck-<fnv of the spec>.json`.
 fn write_failure_trace(dir: &Path, shrunk: &Scenario) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let key = fnv64(shrunk.spec_string().as_bytes());
     let path = dir.join(format!("simcheck-{key:016x}.json"));
-    let log = StackSim::new(shrunk.to_config())
-        .run_observed(tcp_sim::Instruments {
+    let observed = mutants::with(shrunk.mutant, || {
+        StackSim::new(shrunk.to_config()).run_observed(tcp_sim::Instruments {
             trace: true,
             ..tcp_sim::Instruments::default()
         })
-        .trace
-        .expect("tracing was requested");
+    });
+    let log = observed.trace.expect("tracing was requested");
     let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
     sim_core::trace::write_chrome(&log, &mut file)?;
     file.flush()?;
@@ -1469,11 +1471,13 @@ pub struct MutantReport {
     pub caught: Option<(Scenario, Vec<Violation>)>,
 }
 
-/// Bias a drawn scenario toward the terrain where `mutant`'s bug class
-/// can express at all (a retransmit-accounting bug needs retransmissions;
-/// a pacing bug needs pacing). The oracles themselves are untouched —
-/// this only focuses the compute budget.
+/// Put a drawn scenario under `mutant` and bias it toward the terrain
+/// where the mutant's bug class can express at all (a
+/// retransmit-accounting bug needs retransmissions; a pacing bug needs
+/// pacing). The oracles themselves are untouched — this only focuses the
+/// compute budget.
 fn bias_for(mutant: Mutant, mut s: Scenario) -> Scenario {
+    s.mutant = Some(mutant);
     match mutant {
         Mutant::SkipTimerFireCharge | Mutant::DropPacingArm => {
             if !matches!(s.cc, CcKind::Bbr | CcKind::Bbr2) {
@@ -1548,52 +1552,71 @@ fn bias_for(mutant: Mutant, mut s: Scenario) -> Scenario {
     s
 }
 
-/// Activate each intentional mutation in turn and fuzz (serially — mutant
-/// state is process-global) until an oracle catches it or `budget`
-/// scenarios pass. Requires a build with the `simcheck-mutants` feature.
-pub fn mutant_check(budget: u64, seed: u64) -> Result<Vec<MutantReport>, String> {
+/// Why a build without the `simcheck-mutants` feature refuses mutants.
+const NO_MUTANTS: &str = "this build was compiled without the `simcheck-mutants` feature; \
+                          re-run with `--features simcheck-mutants`";
+
+/// Fuzz every intentional mutation until an oracle catches it or `budget`
+/// scenarios pass, and shrink each catch to a repro that names its
+/// mutant. Requires a build with the `simcheck-mutants` feature.
+///
+/// Each round is one [`fuzz`] of the next scenario of every mutant not yet
+/// caught, drawn from the mutant's own stream, so no mutant's rounds
+/// depend on another's. `sweep` covers every round: reports are
+/// bit-identical for any `jobs`, and `cancel_after` counts all rounds.
+pub fn mutant_check(
+    budget: u64,
+    seed: u64,
+    sweep: &SweepOptions,
+) -> Result<Vec<MutantReport>, sim_core::Error> {
     if !mutants::enabled() {
-        return Err(
-            "this build was compiled without the `simcheck-mutants` feature; \
-             re-run with `--features simcheck-mutants`"
-                .into(),
-        );
+        return Err(sim_core::Error::Cli(NO_MUTANTS.into()));
     }
-    let mut reports = Vec::new();
-    for mutant in mutants::ALL {
-        let mut rng = SimRng::new(seed).split(mutant as u64);
-        let mut caught = None;
-        let mut tried = 0;
-        while tried < budget {
-            let s = bias_for(mutant, Scenario::draw(&mut rng));
-            tried += 1;
-            // Re-activating resets the mutant's internal trigger state so
-            // each scenario (and each shrink probe below) is reproducible.
-            mutants::set_active(Some(mutant));
-            let violations = check_scenario(&s);
-            if !violations.is_empty() {
-                mutants::set_active(Some(mutant));
-                let shrunk = shrink_scenario(&s, &violations);
-                mutants::set_active(Some(mutant));
-                let shrunk_violations = check_scenario(&shrunk);
-                let final_violations = if shrunk_violations.is_empty() {
-                    violations
-                } else {
-                    shrunk_violations
-                };
-                caught = Some((shrunk, final_violations));
-                break;
-            }
+    let mut streams = mutants::ALL.map(|m| SimRng::new(seed).split(m as u64));
+    let mut reports = mutants::ALL.map(|mutant| MutantReport {
+        mutant,
+        tried: 0,
+        caught: None,
+    });
+    let mut checked = 0;
+    for round in 1..=budget {
+        let open: Vec<usize> = (0..reports.len())
+            .filter(|&i| reports[i].caught.is_none())
+            .collect();
+        let corpus: Vec<Scenario> = open
+            .iter()
+            .map(|&i| {
+                reports[i].tried = round;
+                bias_for(reports[i].mutant, Scenario::draw(&mut streams[i]))
+            })
+            .collect();
+        if corpus.is_empty() {
+            break;
         }
-        mutants::set_active(None);
-        reports.push(MutantReport {
-            mutant,
-            tried,
-            caught,
-        });
+        let cancel_after = sweep.cancel_after.map(|n| n.saturating_sub(checked));
+        let outcome = fuzz(&FuzzOptions {
+            corpus: corpus.clone(),
+            sweep: SweepOptions {
+                cancel_after,
+                ..sweep.clone()
+            },
+            ..FuzzOptions::default()
+        })
+        .map_err(|e| match e {
+            sim_core::Error::Interrupted { completed, total } => sim_core::Error::Interrupted {
+                completed: checked + completed,
+                total: checked + total,
+            },
+            e => e,
+        })?;
+        checked += corpus.len() as u64;
+        for (at, violations) in outcome.corpus_failures {
+            let shrunk = shrink_scenario(&corpus[at], &violations);
+            let violations = check_scenario(&shrunk);
+            reports[open[at]].caught = Some((shrunk, violations));
+        }
     }
-    mutants::set_active(None);
-    Ok(reports)
+    Ok(reports.into())
 }
 
 #[cfg(test)]
@@ -1603,8 +1626,11 @@ mod tests {
     #[test]
     fn spec_round_trips_exactly() {
         let mut rng = SimRng::new(7);
-        for _ in 0..200 {
-            let s = Scenario::draw(&mut rng);
+        for i in 0..200 {
+            let mut s = Scenario::draw(&mut rng);
+            if mutants::enabled() {
+                s.mutant = mutants::ALL.get(i % 10).copied();
+            }
             let spec = s.spec_string();
             let back = Scenario::parse(&spec).expect("round trip parses");
             assert_eq!(s, back, "spec {spec}");
@@ -1618,6 +1644,7 @@ mod tests {
         assert!(Scenario::parse("volume=11").is_err());
         assert!(Scenario::parse("dur=500,warmup=500").is_err());
         assert!(Scenario::parse("conns=abc").is_err());
+        assert!(Scenario::parse("mutant=no-such-mutant").is_err());
         // Partial specs fill defaults.
         let s = Scenario::parse("cc=cubic,conns=3").expect("partial spec ok");
         assert_eq!(s.cc, CcKind::Cubic);
@@ -1653,6 +1680,7 @@ mod tests {
                     "cc=bbr2",
                     "pacing=",
                     "qdisc=",
+                    "mutant=skip-retx-count",
                     ",",
                     "=",
                     "-",
@@ -1760,19 +1788,19 @@ mod tests {
                 detail: String::new(),
             },
         ];
-        let bytes = ScenarioCell::encode(&violations).unwrap();
-        assert_eq!(ScenarioCell::decode(&bytes), Some(violations));
+        let bytes = Scenario::encode(&violations).unwrap();
+        assert_eq!(Scenario::decode(&bytes), Some(violations));
         assert_eq!(
-            ScenarioCell::decode(&ScenarioCell::encode(&Vec::new()).unwrap()),
+            Scenario::decode(&Scenario::encode(&Vec::new()).unwrap()),
             Some(Vec::new())
         );
         let unknown = vec![Violation {
             oracle: "no-such-oracle",
             detail: String::new(),
         }];
-        let bytes = ScenarioCell::encode(&unknown).unwrap();
-        assert_eq!(ScenarioCell::decode(&bytes), None);
-        assert_eq!(ScenarioCell::decode(&bytes[..bytes.len() - 1]), None);
+        let bytes = Scenario::encode(&unknown).unwrap();
+        assert_eq!(Scenario::decode(&bytes), None);
+        assert_eq!(Scenario::decode(&bytes[..bytes.len() - 1]), None);
     }
 
     #[test]

@@ -86,6 +86,34 @@ fn scenario_replay_cli_round_trip() {
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("PASS "));
 }
 
+/// `--scenario` is a one-entry corpus of the fuzz sweep, so the sweep
+/// flags reach it: a cache serves the rerun, and `--cancel-after 0`
+/// interrupts before the one cell.
+#[test]
+fn scenario_replay_runs_through_the_sweep() {
+    let dir = std::env::temp_dir().join(format!("simcheck-single-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = "cc=bbr2,cpu=high,media=eth,conns=2,dur=500,warmup=200,seed=9";
+    let run = |extra: &[&str]| {
+        Command::new(simcheck_bin())
+            .args(["--scenario", spec, "--progress"])
+            .args(["--cache-dir", dir.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .expect("simcheck runs")
+    };
+    let interrupted = run(&["--cancel-after", "0"]);
+    assert_eq!(interrupted.status.code(), Some(130));
+    assert!(interrupted.stdout.is_empty());
+    let (cold, warm) = (run(&[]), run(&["--jobs", "2"]));
+    let _ = std::fs::remove_dir_all(&dir);
+    let warm_err = String::from_utf8_lossy(&warm.stderr);
+    assert!(String::from_utf8_lossy(&cold.stderr).contains("cache 0 hits / 1 misses"));
+    assert!(warm_err.contains("cache 1 hits / 0 misses"), "{warm_err}");
+    assert_eq!(cold.stdout, warm.stdout);
+    assert!(String::from_utf8_lossy(&warm.stdout).starts_with("PASS "));
+}
+
 #[test]
 fn bad_spec_and_bad_flags_exit_two() {
     let bad_spec = Command::new(simcheck_bin())
@@ -193,8 +221,24 @@ fn mutant_check_requires_the_feature() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("simcheck-mutants"));
 }
 
+/// Without the feature a spec cannot name a mutant: it would replay
+/// clean and pass.
+#[cfg(not(feature = "simcheck-mutants"))]
+#[test]
+fn a_mutant_spec_requires_the_feature() {
+    let line = &Corpus::load(corpus_path()).unwrap().entries[0];
+    let out = Command::new(simcheck_bin())
+        .args(["--scenario", &format!("{line},mutant=skip-retx-count")])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("simcheck-mutants"));
+}
+
 /// With the feature on, every intentional mutation must be caught and
-/// reported with a shrunk repro command (`tools/verify.sh mutants`).
+/// reported with a shrunk repro command that fails again when replayed
+/// (`tools/verify.sh mutants`).
 #[cfg(feature = "simcheck-mutants")]
 #[test]
 fn every_mutant_is_caught_with_a_shrunk_repro() {
@@ -223,4 +267,40 @@ fn every_mutant_is_caught_with_a_shrunk_repro() {
         n,
         "every catch must come with a repro command:\n{stdout}"
     );
+    let lines: Vec<&str> = stdout.lines().collect();
+    let mut replays = 0;
+    for pair in lines.windows(2) {
+        let [caught, repro] = pair else {
+            unreachable!()
+        };
+        let (Some(oracles), Some(spec)) = (
+            caught
+                .strip_prefix("CAUGHT ")
+                .and_then(|rest| rest.split_once(" by ["))
+                .and_then(|(_, rest)| rest.strip_suffix(']')),
+            repro
+                .strip_prefix("  repro: simcheck --scenario '")
+                .and_then(|rest| rest.strip_suffix('\'')),
+        ) else {
+            continue;
+        };
+        let replay = Command::new(simcheck_bin())
+            .args(["--scenario", spec])
+            .output()
+            .unwrap();
+        let replayed = String::from_utf8_lossy(&replay.stdout);
+        assert_eq!(
+            replay.status.code(),
+            Some(1),
+            "{spec} must fail:\n{replayed}"
+        );
+        assert!(
+            oracles
+                .split(", ")
+                .any(|o| replayed.contains(&format!("  [{o}] "))),
+            "{spec} fails none of [{oracles}]:\n{replayed}"
+        );
+        replays += 1;
+    }
+    assert_eq!(replays, n, "every repro replayed:\n{stdout}");
 }

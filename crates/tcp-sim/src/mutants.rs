@@ -9,8 +9,9 @@
 //! The mutations are compiled only under the `simcheck-mutants` cargo
 //! feature. Without it, `is` is a `const false` and every call site
 //! folds away — a production build cannot activate a mutant even by
-//! accident. With the feature on, exactly one mutant (or none) is active
-//! process-wide at a time via [`set_active`].
+//! accident. With the feature on, [`with`] activates one mutant (or none)
+//! for the duration of a closure on the calling thread only, so workers
+//! checking different mutants side by side never see each other's.
 //!
 //! | Mutant | Site | Bug class | Caught by |
 //! |---|---|---|---|
@@ -22,9 +23,6 @@
 //! | `FleetJainMiscount` | `FleetResult::compute` | fairness divisor off-by-one | `fleet-jain-bounds` |
 //! | `AqmDropMiscount` | drop tallies in `StackSim` | per-qdisc drop attribution drift | `aqm-accounting` |
 //! | `Bbr3PacingDisarm` | `FlowArena::paces` | new CC variant loses pacing | `paced-cc-arms-timers` |
-
-#[cfg(feature = "simcheck-mutants")]
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// The built-in single-line behaviour mutations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +67,7 @@ pub enum Mutant {
     Bbr3PacingDisarm = 8,
 }
 
-/// Every built-in mutant, in id order (the `--mutant-check` iteration).
+/// Every built-in mutant, in id order (the `--mutant-check` order).
 pub const ALL: [Mutant; 8] = [
     Mutant::SkipTimerFireCharge,
     Mutant::SackClaimExtra,
@@ -81,10 +79,10 @@ pub const ALL: [Mutant; 8] = [
     Mutant::Bbr3PacingDisarm,
 ];
 
-impl Mutant {
-    /// Stable CLI name.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
+/// The stable CLI name, the value of a simcheck spec's `mutant=` key.
+impl std::fmt::Display for Mutant {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
             Mutant::SkipTimerFireCharge => "skip-timer-fire-charge",
             Mutant::SackClaimExtra => "sack-claim-extra",
             Mutant::SkipRetxCount => "skip-retx-count",
@@ -93,13 +91,7 @@ impl Mutant {
             Mutant::FleetJainMiscount => "fleet-jain-miscount",
             Mutant::AqmDropMiscount => "aqm-drop-miscount",
             Mutant::Bbr3PacingDisarm => "bbr3-pacing-disarm",
-        }
-    }
-}
-
-impl std::fmt::Display for Mutant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+        })
     }
 }
 
@@ -108,87 +100,67 @@ pub const fn enabled() -> bool {
     cfg!(feature = "simcheck-mutants")
 }
 
-#[cfg(feature = "simcheck-mutants")]
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-#[cfg(feature = "simcheck-mutants")]
-static ARM_TICK: AtomicU64 = AtomicU64::new(0);
-#[cfg(feature = "simcheck-mutants")]
-static SHARED_TICK: AtomicU64 = AtomicU64::new(0);
-
-/// Activate `mutant` (or deactivate all with `None`) process-wide.
-///
-/// Returns `false` (and does nothing) when the `simcheck-mutants` feature
-/// is compiled out. Activation is global, so callers must not run
-/// mutant batches concurrently with clean batches.
-pub fn set_active(mutant: Option<Mutant>) -> bool {
-    #[cfg(feature = "simcheck-mutants")]
-    {
-        ACTIVE.store(mutant.map(|m| m as u8).unwrap_or(0), Ordering::SeqCst);
-        ARM_TICK.store(0, Ordering::SeqCst);
-        SHARED_TICK.store(0, Ordering::SeqCst);
-        true
-    }
-    #[cfg(not(feature = "simcheck-mutants"))]
-    {
-        let _ = mutant;
-        false
-    }
+/// The calling thread's mutant and its two trigger counters.
+#[derive(Clone, Copy)]
+struct State {
+    active: Option<Mutant>,
+    arm_tick: u64,
+    shared_tick: u64,
 }
 
-/// The active mutant, if any; always `None` without the feature.
-pub fn active() -> Option<Mutant> {
-    ALL.into_iter().find(|&m| is(m))
+thread_local! {
+    static STATE: std::cell::Cell<State> = const {
+        std::cell::Cell::new(State { active: None, arm_tick: 0, shared_tick: 0 })
+    };
+}
+
+/// Run `f` with `mutant` active (or none) on this thread, its trigger
+/// counters starting from zero, so the same closure behaves the same
+/// every time. The outer activation and counters come back on return,
+/// and on unwind too. Without the `simcheck-mutants` feature the
+/// activation is inert: no mutation site can see it.
+pub fn with<R>(mutant: Option<Mutant>, f: impl FnOnce() -> R) -> R {
+    struct Restore(State);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            STATE.set(self.0);
+        }
+    }
+    let _restore = Restore(STATE.replace(State {
+        active: mutant,
+        arm_tick: 0,
+        shared_tick: 0,
+    }));
+    f()
 }
 
 /// Is `mutant` active? `const false` without the feature, so call sites
 /// compile to nothing in ordinary builds.
 #[inline(always)]
 pub(crate) fn is(mutant: Mutant) -> bool {
-    #[cfg(feature = "simcheck-mutants")]
-    {
-        ACTIVE.load(Ordering::Relaxed) == mutant as u8
-    }
-    #[cfg(not(feature = "simcheck-mutants"))]
-    {
-        let _ = mutant;
-        false
-    }
+    cfg!(feature = "simcheck-mutants") && STATE.get().active == Some(mutant)
 }
 
 /// [`Mutant::DropPacingArm`]'s trigger: true on every 64th pacing-timer
 /// arm since activation (so the run makes progress before wedging —
 /// a realistic intermittent lost-wakeup, not an instant stall).
-#[cfg(feature = "simcheck-mutants")]
 pub(crate) fn drop_this_arm() -> bool {
-    ARM_TICK.fetch_add(1, Ordering::Relaxed) % 64 == 63
-}
-
-/// Feature-off stub of [`drop_this_arm`]; never taken because [`is`]
-/// is false, but keeps call sites cfg-free.
-#[cfg(not(feature = "simcheck-mutants"))]
-pub(crate) fn drop_this_arm() -> bool {
-    false
+    let mut state = STATE.get();
+    state.arm_tick += 1;
+    STATE.set(state);
+    state.arm_tick.is_multiple_of(64)
 }
 
 /// [`Mutant::FleetSharedBypass`]'s trigger: true on every 64th packet
 /// offered to the shared fleet bottleneck since activation, so the
 /// overshoot is intermittent (a realistic enforcement hole, not a
 /// wholesale removal of the link).
-#[cfg(feature = "simcheck-mutants")]
 pub(crate) fn bypass_this_shared_pkt() -> bool {
-    SHARED_TICK.fetch_add(1, Ordering::Relaxed) % 64 == 63
+    let mut state = STATE.get();
+    state.shared_tick += 1;
+    STATE.set(state);
+    state.shared_tick.is_multiple_of(64)
 }
-
-/// Feature-off stub of [`bypass_this_shared_pkt`]; never taken because
-/// [`is`] is false, but keeps call sites cfg-free.
-#[cfg(not(feature = "simcheck-mutants"))]
-pub(crate) fn bypass_this_shared_pkt() -> bool {
-    false
-}
-
-/// Serialises the tests that flip (or assert on) the process-wide mutant.
-#[cfg(all(test, feature = "simcheck-mutants"))]
-pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[cfg(test)]
 mod tests {
@@ -197,14 +169,12 @@ mod tests {
     #[test]
     fn names_round_trip() {
         // Distinct names: each one the CLI prints names one mutant.
-        let names: std::collections::BTreeSet<_> = ALL.iter().map(|m| m.name()).collect();
+        let names: std::collections::BTreeSet<_> = ALL.iter().map(|m| m.to_string()).collect();
         assert_eq!(names.len(), ALL.len());
     }
 
     #[test]
     fn inactive_by_default() {
-        #[cfg(feature = "simcheck-mutants")]
-        let _serial = TEST_LOCK.lock().unwrap();
         for m in ALL {
             assert!(!is(m));
         }
@@ -212,12 +182,37 @@ mod tests {
 
     #[cfg(feature = "simcheck-mutants")]
     #[test]
-    fn activation_is_exclusive() {
-        let _serial = TEST_LOCK.lock().unwrap();
-        set_active(Some(Mutant::SkipRetxCount));
-        assert!(is(Mutant::SkipRetxCount));
-        assert!(!is(Mutant::SackClaimExtra));
-        set_active(None);
-        assert!(!is(Mutant::SkipRetxCount));
+    fn activation_is_scoped_to_the_thread() {
+        let sees = |m: Mutant| ALL.into_iter().filter(|&o| is(o)).eq([m]);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for m in [Mutant::SkipRetxCount, Mutant::SackClaimExtra] {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    with(Some(m), || {
+                        // Both scopes are open at once here.
+                        barrier.wait();
+                        assert!(sees(m), "{m} thread sees another mutant");
+                        barrier.wait();
+                    })
+                });
+            }
+        });
+        with(Some(Mutant::DropPacingArm), || {
+            let outer: Vec<bool> = (0..3).map(|_| drop_this_arm()).collect();
+            with(None, || {
+                assert!(ALL.into_iter().all(|m| !is(m)));
+                // Fresh counters: the 64th arm inside fires, not the 61st.
+                assert!((1..64).all(|_| !drop_this_arm()) && drop_this_arm());
+            });
+            assert!(sees(Mutant::DropPacingArm), "the outer scope is back");
+            assert_eq!(outer, [false; 3]);
+            // The outer counter resumes at 3: 60 more calls, then the 64th.
+            assert!((4..64).all(|_| !drop_this_arm()) && drop_this_arm());
+        });
+        assert!(ALL.into_iter().all(|m| !is(m)));
+        let unwound = std::panic::catch_unwind(|| with(Some(Mutant::SkipRetxCount), || panic!()));
+        assert!(unwound.is_err());
+        assert!(ALL.into_iter().all(|m| !is(m)), "a panic restores too");
     }
 }

@@ -288,8 +288,6 @@ mod tests {
 
     #[test]
     fn stack_side_drop_tallies_match_the_links_at_every_hop() {
-        #[cfg(feature = "simcheck-mutants")]
-        let _serial = mutants::TEST_LOCK.lock().unwrap();
         for hop in HOPS {
             for qdisc in QDISCS {
                 let (tallies, own, link) = flood(hop, qdisc);
@@ -329,13 +327,11 @@ mod tests {
     #[cfg(feature = "simcheck-mutants")]
     #[test]
     fn m7_loses_exactly_the_forced_aqm_drops_at_every_hop() {
-        let _serial = mutants::TEST_LOCK.lock().unwrap();
-        mutants::set_active(Some(M7));
-        let runs: Vec<_> = HOPS
-            .into_iter()
-            .flat_map(|hop| QDISCS.map(|qdisc| (hop, qdisc, flood(hop, qdisc))))
-            .collect();
-        mutants::set_active(None);
+        let runs: Vec<_> = mutants::with(Some(M7), || {
+            HOPS.into_iter()
+                .flat_map(|hop| QDISCS.map(|qdisc| (hop, qdisc, flood(hop, qdisc))))
+                .collect()
+        });
         for (hop, qdisc, (tallies, own, link)) in runs {
             assert_eq!(own, link.dropped, "{hop:?}/{qdisc}: hop drop counter");
             assert_eq!(

@@ -14,6 +14,10 @@ out="target/verify/$gate"
 
 repro() { cargo run --release -p mobile-bbr-bench --bin repro -- "$@"; }
 simcheck() { cargo run --release -p mobile-bbr-bench --bin simcheck -- "$@"; }
+# The mutant build: its own target dir, so the release `repro` and
+# `simcheck` that the other gates run never carry the mutant sites.
+mutant_build=(--release --target-dir target/mutants --features simcheck-mutants)
+mutant_simcheck() { cargo run "${mutant_build[@]}" -p mobile-bbr-bench --bin simcheck -- "$@"; }
 
 # cross_jobs_identical NAME FLAG ARGS…: run `repro ARGS… --no-cache` at
 # --jobs 1 and --jobs 4, each writing the artifact FLAG names (--json FILE,
@@ -177,16 +181,25 @@ fuzz() {
 
 # Oracle-sensitivity gate: every intentional single-line mutation in
 # tcp_sim::mutants must be caught by at least one oracle, each with a
-# shrunk one-line repro (`simcheck --mutant-check --budget 120 --seed 1`,
-# run and checked by the simcheck_engine test the feature compiles) — and,
-# hop by hop, mutant M7 must lose exactly the AQM drops the links recorded.
-# The mutant build gets its own target dir, so the release `repro` and
-# `simcheck` that the other gates run never carry the mutant sites.
+# shrunk one-line repro that carries `mutant=<name>` and fails again when
+# replayed (`simcheck --mutant-check --budget 120 --seed 1`, run and
+# checked by the simcheck_engine test the feature compiles) — and, hop by
+# hop, mutant M7 must lose exactly the AQM drops the links recorded, while
+# a mutant stays scoped to the thread that activated it. The check runs
+# through the fuzz sweep, so its stdout is byte-identical at --jobs 1 and
+# 4, and a run cut by --cancel-after exits 130 and resumes from its cache
+# to the same bytes.
 mutants() {
-    cargo test --release --target-dir target/mutants -p mobile-bbr-bench \
-        --features simcheck-mutants --test simcheck_engine -- --nocapture
-    cargo test --release --target-dir target/mutants -p tcp-sim \
-        --features simcheck-mutants sim::path
+    cargo test "${mutant_build[@]}" -p mobile-bbr-bench --test simcheck_engine -- --nocapture
+    cargo test "${mutant_build[@]}" -p tcp-sim --lib -- sim::path mutants::
+    local check=(--mutant-check --budget 120 --seed 1)
+    mutant_simcheck "${check[@]}" --jobs 1 >"$out/j1.txt"
+    mutant_simcheck "${check[@]}" --jobs 4 >"$out/j4.txt"
+    cmp "$out/j1.txt" "$out/j4.txt"
+    expect_interrupted mutant_simcheck "${check[@]}" --jobs 2 --cancel-after 1 \
+        --cache-dir "$out/mc"
+    mutant_simcheck "${check[@]}" --jobs 2 --cache-dir "$out/mc" >"$out/resumed.txt"
+    cmp "$out/j1.txt" "$out/resumed.txt"
 }
 
 # EXPERIMENTS.md "Reproduction results" is what the code prints: every
